@@ -427,6 +427,6 @@ func setupCoordinator(ctx context.Context, cfg cliConfig, src *source, opts core
 		time.Sleep(500 * time.Millisecond)
 	}
 	st := eng.Stats()
-	log.Printf("beserve: coordinator over %d shard nodes (size %d, version %d)", eng.Shards(), st.Size, st.Version)
+	log.Printf("beserve: coordinator over %d shard nodes (size %d, version %d)", st.Shards, st.Size, st.Version)
 	return eng, nil
 }

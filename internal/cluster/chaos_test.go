@@ -504,6 +504,12 @@ func TestChaosWireSoakExactlyOneSnapshot(t *testing.T) {
 						t.Errorf("reader %d: unstructured error: %v", r, err)
 						return
 					}
+					// The node's message crosses the wire bare and is framed
+					// once, by the client that names the shard.
+					if msg := err.Error(); strings.Count(msg, "(stale_version)") != 1 || strings.Count(msg, "partition ") != 1 {
+						t.Errorf("reader %d: refusal framed more than once: %v", r, err)
+						return
+					}
 					continue
 				}
 				if len(res.Rows) != 1 {

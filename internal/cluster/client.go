@@ -12,10 +12,16 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/access"
+	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/index"
 	"repro/internal/live"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/schema"
+	"repro/internal/shard"
+	"repro/internal/value"
 )
 
 // Default failure-handling knobs; Options overrides them.
@@ -33,14 +39,17 @@ const (
 	DefaultCooldown = time.Second
 )
 
-// peerClient is the coordinator's handle to one shard node: JSON/TSV
-// RPCs with a per-attempt timeout, bounded retries with doubling
-// backoff on idempotent calls, a down-marker circuit so a dead peer
-// costs one timeout rather than one per request, and a per-peer RPC
-// latency histogram for /metrics.
+// peerClient is the shard.Partition that lives behind HTTP: the
+// coordinator's handle to one shard node. JSON/TSV RPCs with a
+// per-attempt timeout, bounded retries with doubling backoff on
+// idempotent calls, a down-marker circuit so a dead peer costs one
+// timeout rather than one per request, and a per-peer RPC latency
+// histogram for /metrics. Native types in, native types out: base64 and
+// JSON stop here.
 type peerClient struct {
 	id      int
 	base    string
+	schema  *schema.Schema
 	hc      *http.Client
 	timeout time.Duration
 	retries int
@@ -54,15 +63,14 @@ type peerClient struct {
 	lat *obs.Histogram
 }
 
-func newPeerClient(id int, base string, opts Options) *peerClient {
-	hc := opts.Client
-	if hc == nil {
-		hc = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
-	}
+var _ shard.Partition = (*peerClient)(nil)
+
+func newPeerClient(id int, base string, s *schema.Schema, opts Options) *peerClient {
 	p := &peerClient{
 		id:       id,
 		base:     base,
-		hc:       hc,
+		schema:   s,
+		hc:       opts.Client,
 		timeout:  opts.RPCTimeout,
 		retries:  opts.Retries,
 		backoff:  opts.Backoff,
@@ -122,24 +130,39 @@ func (p *peerClient) unavailable(err error) error {
 	return &UnavailableError{Peer: p.id, Err: err}
 }
 
-// do runs one RPC: POST json/in (or GET when in is nil and method says
-// so), decoding 2xx into out, decoding a structured error envelope into
-// a *PeerError otherwise. body, when non-nil, is sent verbatim instead
-// of JSON (the TSV bulk endpoints). idem enables retries: only calls
-// that are safe to repeat — reads, and the idempotent-by-txn commit —
-// may retry; stage and abort never do.
-func (p *peerClient) do(ctx context.Context, method, path string, in any, body []byte, out any, idem bool) error {
+// call runs one JSON RPC: in (when non-nil) is the JSON request body,
+// out (when non-nil) receives the decoded 2xx response.
+func (p *peerClient) call(ctx context.Context, method, path string, in, out any, idem bool) error {
 	var payload []byte
-	ctype := "application/json"
-	if body != nil {
-		payload = body
-		ctype = "text/tab-separated-values"
-	} else if in != nil {
+	if in != nil {
 		var err error
 		if payload, err = json.Marshal(in); err != nil {
 			return err
 		}
 	}
+	return p.do(ctx, method, path, "application/json", payload, idem, jsonInto(p.id, out))
+}
+
+// jsonInto decodes a response body into out (nil drains and discards).
+func jsonInto(peer int, out any) func(io.Reader) error {
+	return func(r io.Reader) error {
+		raw, err := io.ReadAll(r)
+		if err != nil || out == nil {
+			return err
+		}
+		if err := json.Unmarshal(raw, out); err != nil {
+			return fmt.Errorf("cluster: shard %d: bad response: %w", peer, err)
+		}
+		return nil
+	}
+}
+
+// do runs one RPC: payload (when non-nil) is sent verbatim as ctype,
+// decode consumes a 2xx body, and a structured error envelope comes
+// back as a *shard.Refusal. idem enables retries: only calls that are
+// safe to repeat — reads, the idempotent-by-txn commit, rollback — may
+// retry; stage and abort never do.
+func (p *peerClient) do(ctx context.Context, method, path, ctype string, payload []byte, idem bool, decode func(io.Reader) error) error {
 	attempts := 1
 	if idem {
 		attempts += p.retries
@@ -155,9 +178,9 @@ func (p *peerClient) do(ctx context.Context, method, path string, in any, body [
 			}
 			backoff *= 2
 		}
-		err := p.attempt(ctx, method, path, ctype, payload, out)
-		var pe *PeerError
-		if err == nil || (errors.As(err, &pe) && pe.Status < 500) {
+		err := p.attempt(ctx, method, path, ctype, payload, decode)
+		var re *shard.Refusal
+		if err == nil || (errors.As(err, &re) && re.Status < 500) {
 			// Success, or a structured 4xx refusal: the peer is alive and
 			// answered deliberately — never retried.
 			p.markResult(nil)
@@ -170,7 +193,7 @@ func (p *peerClient) do(ctx context.Context, method, path string, in any, body [
 }
 
 // attempt is one timed request.
-func (p *peerClient) attempt(ctx context.Context, method, path, ctype string, payload []byte, out any) error {
+func (p *peerClient) attempt(ctx context.Context, method, path, ctype string, payload []byte, decode func(io.Reader) error) error {
 	actx, cancel := context.WithTimeout(ctx, p.timeout)
 	defer cancel()
 	var rd io.Reader
@@ -185,195 +208,171 @@ func (p *peerClient) attempt(ctx context.Context, method, path, ctype string, pa
 		req.Header.Set("Content-Type", ctype)
 	}
 	start := time.Now()
+	defer func() { p.lat.Observe(time.Since(start).Seconds()) }()
 	resp, err := p.hc.Do(req)
 	if err != nil {
-		p.lat.Observe(time.Since(start).Seconds())
 		return err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	p.lat.Observe(time.Since(start).Seconds())
-	if err != nil {
-		return err
-	}
 	if resp.StatusCode/100 != 2 {
+		raw, _ := io.ReadAll(resp.Body) // a body that cannot be read is reported by status alone
 		var we wireError
 		if jerr := json.Unmarshal(raw, &we); jerr == nil && we.Error.Code != "" {
-			return &PeerError{Peer: p.id, Status: resp.StatusCode, Code: we.Error.Code, Message: we.Error.Message}
+			return &shard.Refusal{Shard: p.id, Status: resp.StatusCode, Code: we.Error.Code, Message: we.Error.Message}
 		}
 		return fmt.Errorf("cluster: shard %d answered status %d", p.id, resp.StatusCode)
 	}
-	if out != nil {
-		if err := json.Unmarshal(raw, out); err != nil {
-			return fmt.Errorf("cluster: shard %d: bad response: %w", p.id, err)
-		}
-	}
-	return nil
+	return decode(resp.Body)
 }
 
-func (p *peerClient) status(ctx context.Context) (*statusResponse, error) {
+func (p *peerClient) Status(ctx context.Context) (shard.Status, error) {
 	var st statusResponse
-	if err := p.do(ctx, http.MethodGet, "/v1/internal/status", nil, nil, &st, true); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	err := p.call(ctx, http.MethodGet, "/v1/internal/status", nil, &st, true)
+	return shard.Status(st), err
 }
 
-func (p *peerClient) fetch(ctx context.Context, v uint64, ci int, keys []string) (*fetchResponse, error) {
-	var resp fetchResponse
-	err := p.do(ctx, http.MethodPost, "/v1/internal/fetch", fetchRequest{V: v, CI: ci, Keys: keys}, nil, &resp, true)
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Buckets) != len(keys) {
-		return nil, p.unavailable(fmt.Errorf("fetch answered %d buckets for %d keys", len(resp.Buckets), len(keys)))
-	}
-	return &resp, nil
-}
+// Pin costs nothing: the version rides every read RPC, and a node that
+// no longer holds it refuses that read with stale_version.
+func (p *peerClient) Pin(v uint64) (shard.View, error) { return peerView{p: p, v: v}, nil }
 
-// dump streams the peer's partition at version v into dst.
-func (p *peerClient) dump(ctx context.Context, v uint64, s *schema.Schema, dst *data.Instance) error {
-	attempts := 1 + p.retries
-	backoff := p.backoff
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			select {
-			case <-ctx.Done():
-				return p.unavailable(ctx.Err())
-			case <-time.After(backoff):
-			}
-			backoff *= 2
-		}
-		err := p.dumpOnce(ctx, v, s, dst)
-		var pe *PeerError
-		if err == nil || (errors.As(err, &pe) && pe.Status < 500) {
-			p.markResult(nil)
-			return err
-		}
-		lastErr = err
-	}
-	p.markResult(lastErr)
-	return p.unavailable(lastErr)
-}
-
-func (p *peerClient) dumpOnce(ctx context.Context, v uint64, s *schema.Schema, dst *data.Instance) error {
-	actx, cancel := context.WithTimeout(ctx, p.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet,
-		p.base+"/v1/internal/dump?v="+strconv.FormatUint(v, 10), nil)
-	if err != nil {
+func (p *peerClient) Load(ctx context.Context, ix *access.Indexed) error {
+	var buf bytes.Buffer
+	if err := writeInstanceTSV(&buf, p.schema, ix.Instance); err != nil {
 		return err
 	}
-	start := time.Now()
-	resp, err := p.hc.Do(req)
-	if err != nil {
-		p.lat.Observe(time.Since(start).Seconds())
-		return err
-	}
-	defer resp.Body.Close()
-	defer func() { p.lat.Observe(time.Since(start).Seconds()) }()
-	if resp.StatusCode/100 != 2 {
-		raw, _ := io.ReadAll(resp.Body)
-		var we wireError
-		if jerr := json.Unmarshal(raw, &we); jerr == nil && we.Error.Code != "" {
-			return &PeerError{Peer: p.id, Status: resp.StatusCode, Code: we.Error.Code, Message: we.Error.Message}
-		}
-		return fmt.Errorf("cluster: shard %d dump answered status %d", p.id, resp.StatusCode)
-	}
-	// Decode into a scratch instance and merge only on full success, so
-	// a stream cut mid-dump cannot leave half a partition in dst.
-	scratch := data.NewInstance(s)
-	if err := readInstanceTSV(resp.Body, s, scratch); err != nil {
-		return err
-	}
-	return mergeInstance(s, dst, scratch)
+	return p.do(ctx, http.MethodPost, "/v1/internal/load", tsvType, buf.Bytes(), false, jsonInto(p.id, nil))
 }
 
-func (p *peerClient) stage(ctx context.Context, txn string, base uint64, d *live.Delta) (*stageResponse, error) {
+func (p *peerClient) Stage(ctx context.Context, txn string, base uint64, d *live.Delta) (*shard.Staged, error) {
 	var buf bytes.Buffer
 	if err := live.WriteDeltaTSV(&buf, d); err != nil {
 		return nil, err
 	}
 	var resp stageResponse
 	path := "/v1/internal/stage?txn=" + txn + "&base=" + strconv.FormatUint(base, 10)
-	if err := p.do(ctx, http.MethodPost, path, nil, buf.Bytes(), &resp, false); err != nil {
+	if err := p.do(ctx, http.MethodPost, path, tsvType, buf.Bytes(), false, jsonInto(p.id, &resp)); err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	st, err := resp.decode()
+	if err != nil {
+		return nil, p.unavailable(err)
+	}
+	return st, nil
 }
 
-func (p *peerClient) maxGroup(ctx context.Context, txn string, v uint64, ci int) (int, error) {
+func (p *peerClient) MaxGroup(ctx context.Context, txn string, v uint64, ci int) (int, error) {
 	var resp maxGroupResponse
-	err := p.do(ctx, http.MethodPost, "/v1/internal/maxgroup", maxGroupRequest{Txn: txn, V: v, CI: ci}, nil, &resp, true)
+	err := p.call(ctx, http.MethodPost, "/v1/internal/maxgroup", groupsRequest{Txn: txn, V: v, CI: ci}, &resp, true)
 	return resp.Max, err
 }
 
-func (p *peerClient) groups(ctx context.Context, req groupsRequest) (*groupsResponse, error) {
+func (p *peerClient) Groups(ctx context.Context, txn string, v uint64, ci int, keys []value.Key, all bool) ([]shard.Group, error) {
 	var resp groupsResponse
-	if err := p.do(ctx, http.MethodPost, "/v1/internal/groups", req, nil, &resp, true); err != nil {
+	req := groupsRequest{Txn: txn, V: v, CI: ci, Keys: encodeKeys(keys), All: all}
+	if err := p.call(ctx, http.MethodPost, "/v1/internal/groups", req, &resp, true); err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	groups, err := resp.decode()
+	if err != nil {
+		return nil, p.unavailable(err)
+	}
+	return groups, nil
 }
 
-func (p *peerClient) commit(ctx context.Context, txn string, v uint64) (*commitResponse, error) {
-	var resp commitResponse
+func (p *peerClient) Commit(ctx context.Context, txn string, v uint64) (int, error) {
+	var resp versionResponse
 	// Idempotent by transaction id: a retry after a lost response gets
 	// the recorded result, not a double apply.
-	if err := p.do(ctx, http.MethodPost, "/v1/internal/commit", commitRequest{Txn: txn, V: v}, nil, &resp, true); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	err := p.call(ctx, http.MethodPost, "/v1/internal/commit", commitRequest{Txn: txn, V: v}, &resp, true)
+	return resp.Size, err
 }
 
-func (p *peerClient) abort(ctx context.Context, txn string) error {
-	return p.do(ctx, http.MethodPost, "/v1/internal/abort", abortRequest{Txn: txn}, nil, nil, false)
+func (p *peerClient) Abort(ctx context.Context, txn string) error {
+	return p.call(ctx, http.MethodPost, "/v1/internal/abort", abortRequest{Txn: txn}, nil, false)
 }
 
-func (p *peerClient) rollback(ctx context.Context, v uint64) (*versionResponse, error) {
+func (p *peerClient) Rollback(ctx context.Context, v uint64) (int, error) {
 	var resp versionResponse
-	if err := p.do(ctx, http.MethodPost, "/v1/internal/rollback", rollbackRequest{V: v}, nil, &resp, true); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	err := p.call(ctx, http.MethodPost, "/v1/internal/rollback", rollbackRequest{V: v}, &resp, true)
+	return resp.Size, err
 }
 
-func (p *peerClient) checkpoint(ctx context.Context) (uint64, error) {
+// Checkpoint surfaces a node without durability as core.ErrNotDurable,
+// like a local partition.
+func (p *peerClient) Checkpoint(ctx context.Context) (uint64, error) {
 	var resp versionResponse
-	if err := p.do(ctx, http.MethodPost, "/v1/internal/checkpoint", nil, nil, &resp, false); err != nil {
-		return 0, err
+	err := p.call(ctx, http.MethodPost, "/v1/internal/checkpoint", nil, &resp, false)
+	var re *shard.Refusal
+	if errors.As(err, &re) && re.Code == "not_durable" {
+		return 0, core.ErrNotDurable
 	}
-	return resp.Version, nil
+	return resp.Version, err
 }
 
-func (p *peerClient) loadTSV(ctx context.Context, s *schema.Schema, sub *data.Instance) (*versionResponse, error) {
-	var buf bytes.Buffer
-	if err := writeInstanceTSV(&buf, s, sub); err != nil {
-		return nil, err
-	}
-	var resp versionResponse
-	if err := p.do(ctx, http.MethodPost, "/v1/internal/load", nil, buf.Bytes(), &resp, false); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+// peerView is the peer pinned at one version: every read names v, so a
+// streamed result drained after later Applies still reads its own
+// version — snapshot isolation held over the wire by the node's version
+// ring.
+type peerView struct {
+	p *peerClient
+	v uint64
 }
 
-// mergeInstance inserts every tuple of src into dst.
-func mergeInstance(s *schema.Schema, dst, src *data.Instance) error {
-	for _, rs := range s.Relations() {
-		rel := src.Relation(rs.Name)
-		if rel == nil {
-			continue
-		}
-		out := dst.Relation(rs.Name)
-		var buf data.Tuple
-		for ri := 0; ri < rel.Len(); ri++ {
-			buf = rel.AppendRow(buf, ri)
-			if _, err := out.Insert(buf); err != nil {
-				return err
-			}
-		}
+func (pv peerView) Fetcher(rd *shard.Read, ci int) plan.Fetcher {
+	return peerFetcher{peerView: pv, rd: rd, ci: ci}
+}
+
+// Instance streams the peer's partition at the pinned version. Each
+// attempt decodes into its own scratch instance, so a stream cut
+// mid-dump cannot leave half a partition behind.
+func (pv peerView) Instance(ctx context.Context) (*data.Instance, error) {
+	var inst *data.Instance
+	path := "/v1/internal/dump?v=" + strconv.FormatUint(pv.v, 10)
+	err := pv.p.do(ctx, http.MethodGet, path, "", nil, true, func(r io.Reader) error {
+		inst = data.NewInstance(pv.p.schema)
+		return readInstanceTSV(r, pv.p.schema, inst)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return inst, nil
+}
+
+// peerFetcher serves one constraint's buckets from the pinned peer, one
+// single-key RPC per fetch. plan.Fetcher has no error return, so a
+// failed RPC is recorded on the request's Read — the executor polls it
+// after every step and aborts the query with a structured error instead
+// of returning the rows of a torn snapshot — and an empty bucket
+// served; once any fetch of the request failed, later ones
+// short-circuit.
+type peerFetcher struct {
+	peerView
+	rd *shard.Read
+	ci int
+}
+
+func (f peerFetcher) FetchBytes(k []byte) index.Bucket {
+	if f.rd.Err() != nil {
+		return index.Bucket{}
+	}
+	if !f.p.available() {
+		f.rd.Fail(f.p.unavailable(errPeerDown))
+		return index.Bucket{}
+	}
+	var resp fetchResponse
+	req := fetchRequest{V: f.v, CI: f.ci, Keys: []string{encodeKey(k)}}
+	if err := f.p.call(f.rd.Ctx, http.MethodPost, "/v1/internal/fetch", req, &resp, true); err != nil {
+		f.rd.Fail(err)
+		return index.Bucket{}
+	}
+	if len(resp.Buckets) != 1 {
+		f.rd.Fail(f.p.unavailable(fmt.Errorf("fetch answered %d buckets for 1 key", len(resp.Buckets))))
+		return index.Bucket{}
+	}
+	b, err := decodeBucket(resp.Buckets[0])
+	if err != nil {
+		f.rd.Fail(f.p.unavailable(err))
+		return index.Bucket{}
+	}
+	return b
 }

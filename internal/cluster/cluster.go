@@ -1,33 +1,23 @@
-// Package cluster distributes the bounded-evaluation engine across
-// networked shard servers: internal/shard's scatter-gather model with
-// the in-process function calls replaced by HTTP.
+// Package cluster puts internal/shard's partitions behind HTTP: the
+// transport of a networked fleet, and nothing of its protocol. The
+// coordinator — placement, two-phase Apply, global validation, Attach,
+// route/scatter reads — is shard.Engine, written once against
+// shard.Partition; this package supplies the two halves that carry a
+// Partition across a network and back:
 //
-// Topology: K shard NODES each own one hash partition of every relation
-// (the partition function is shard.ShardOf over the same per-relation
-// partition keys internal/shard derives, so a tuple lives on the same
-// shard whether the deployment is in-process or networked), plus one
-// COORDINATOR that implements core.Queryable over the fleet. Reads pin
-// the coordinator's committed cross-cluster version V and fetch at
-// exactly V: a constraint aligned with the partition key routes each
-// key to the one node that owns its group; everything else scatters to
-// all K nodes and merges the canonical-order buckets — byte-identical
-// to a single-node index over the union, which is what makes the
-// coordinator's wire output byte-identical to a single-node beserve.
+//   - peerClient IS a shard.Partition whose methods are RPCs to
+//     /v1/internal/* on a shard node (client.go, wire.go), so New is
+//     shard.NewCoordinator over K of them;
+//   - Node owns a shard.Local — the same partition state machine an
+//     in-process fleet runs — and serves it over that wire
+//     (InternalHandler, handler.go), next to a read-only /v1/* surface
+//     over its own share. A node refuses /v1/apply with a
+//     not_coordinator error: writes go through the coordinator.
 //
-// Writes go through the coordinator only (a node refuses /v1/apply with
-// a not_coordinator error) and run the same two-phase protocol as
-// internal/shard, over the wire: the delta is split by partition key,
-// STAGED on every node (copy-on-write, nothing published, empty
-// sub-deltas included so versions stay in lockstep), validated GLOBALLY
-// at the post-delta |D| — per-node group maxima for aligned
-// constraints, cross-node merged group sizes for the rest — and only
-// then COMMITTED everywhere. A violation anywhere aborts every node's
-// staged state and rejects the delta with the same *live.ViolationError
-// a single-node engine would produce. Commits are idempotent per
-// transaction id, so the coordinator retries them through transient
-// failures; a node that still ends up one version ahead of the cluster
-// (commit acked nowhere else) is invisible to readers — they pin V —
-// and is rolled back at the next stage or coordinator attach.
+// The partition function is shard.ShardOf over the partition keys both
+// sides derive from the shared catalog, so a tuple lives on the same
+// shard whether the deployment is in-process or networked, and the
+// coordinator's wire output is byte-identical to a single-node beserve.
 //
 // Failure model: every RPC has a per-request timeout; idempotent calls
 // (status, fetch, dump, group measurement, commit-by-txn, rollback) get
@@ -38,128 +28,74 @@
 package cluster
 
 import (
-	"fmt"
-	"hash/fnv"
+	"io"
+	"net/http"
+	"time"
 
 	"repro/internal/access"
-	"repro/internal/data"
-	"repro/internal/live"
+	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/shard"
-	"repro/internal/value"
 )
 
-// partition says how one relation is spread across the cluster, exactly
-// as internal/shard spreads it in-process.
-type partition struct {
-	attrs []schema.Attribute
-	pos   []int
+// Options configures a cluster node or coordinator.
+type Options struct {
+	// Core configures the planner engine exactly as for a single-node
+	// engine.
+	Core core.Options
+	// PartitionKeys overrides the per-relation partition key, as in
+	// shard.Options. Every node and the coordinator must agree.
+	PartitionKeys map[string][]schema.Attribute
+	// Client is the HTTP client for peer RPCs (coordinator only). Nil
+	// gets a dedicated client with connection pooling.
+	Client *http.Client
+	// RPCTimeout bounds one request attempt to a peer; Retries and
+	// Backoff shape the retry schedule of idempotent calls; Cooldown is
+	// the circuit breaker's down window. Zero values take the defaults.
+	RPCTimeout time.Duration
+	Retries    int
+	Backoff    time.Duration
+	Cooldown   time.Duration
 }
 
-// placement is the cluster's tuple-routing table: per-relation
-// partition keys plus the shard count. The coordinator and every node
-// derive it independently from the shared catalog, so they agree on
-// ownership without exchanging it.
-type placement struct {
-	k     int
-	parts map[string]partition
+// Engine is the coordinator over K networked shard nodes: shard.Engine
+// built over HTTP partitions, plus the per-peer RPC metrics only such
+// partitions have.
+type Engine struct {
+	*shard.Engine
+	peers []*peerClient
 }
 
-func newPlacement(s *schema.Schema, a *access.Schema, k int, overrides map[string][]schema.Attribute) (*placement, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("cluster: need at least one shard, got %d", k)
+var _ core.Queryable = (*Engine)(nil)
+
+// New builds a coordinator over the peer base URLs (one per shard, in
+// shard order: peer i must be the node with -shard-id i). Call Attach
+// before serving to verify the fleet and adopt its committed version,
+// or Load to push it a dataset.
+func New(s *schema.Schema, a *access.Schema, peerURLs []string, opts Options) (*Engine, error) {
+	if opts.Client == nil {
+		opts.Client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
 	}
-	p := &placement{k: k, parts: make(map[string]partition)}
-	for _, rs := range s.Relations() {
-		attrs, ok := overrides[rs.Name]
-		if !ok {
-			attrs = shard.DefaultPartitionKey(rs, a)
-		}
-		pos, err := rs.Positions(attrs)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: bad partition key for %s: %w", rs.Name, err)
-		}
-		p.parts[rs.Name] = partition{attrs: append([]schema.Attribute(nil), attrs...), pos: pos}
+	peers := make([]*peerClient, len(peerURLs))
+	parts := make([]shard.Partition, len(peerURLs))
+	for i, u := range peerURLs {
+		peers[i] = newPeerClient(i, u, s, opts)
+		parts[i] = peers[i]
 	}
-	return p, nil
-}
-
-// aligned reports whether constraint c's fetch keys coincide with its
-// relation's partition key — the route-vs-scatter decision.
-func (p *placement) aligned(c access.Constraint) bool {
-	return shard.AttrsEqual(p.parts[c.Rel].attrs, c.X)
-}
-
-// owner places one tuple of relation rel.
-func (p *placement) owner(rel string, t data.Tuple) int {
-	return shard.ShardOf(value.KeyOfAt(t, p.parts[rel].pos), p.k)
-}
-
-// split partitions a delta into per-shard sub-deltas by each touched
-// tuple's partition key.
-func (p *placement) split(s *schema.Schema, d *live.Delta) ([]*live.Delta, error) {
-	subs := make([]*live.Delta, p.k)
-	for i := range subs {
-		subs[i] = live.NewDelta(s)
-	}
-	err := d.Each(func(rel string, insert bool, t data.Tuple) error {
-		pt, ok := p.parts[rel]
-		if !ok {
-			return fmt.Errorf("cluster: delta references unknown relation %s", rel)
-		}
-		i := shard.ShardOf(value.KeyOfAt(t, pt.pos), p.k)
-		if insert {
-			return subs[i].Insert(rel, t...)
-		}
-		return subs[i].Delete(rel, t...)
-	})
+	co, err := shard.NewCoordinator(s, a, parts, shard.Options{Core: opts.Core, PartitionKeys: opts.PartitionKeys})
 	if err != nil {
 		return nil, err
 	}
-	return subs, nil
+	return &Engine{Engine: co, peers: peers}, nil
 }
 
-// filter returns the sub-instance of full owned by shard id: exactly
-// the tuples ShardOf places there. Nodes use it so every server in a
-// fleet can be pointed at the same dataset and keep only its share.
-func (p *placement) filter(s *schema.Schema, full *data.Instance, id int) (*data.Instance, error) {
-	sub := data.NewInstance(s)
-	for _, rs := range s.Relations() {
-		rel := full.Relation(rs.Name)
-		if rel == nil {
-			return nil, fmt.Errorf("cluster: instance has no relation %s", rs.Name)
-		}
-		pos := p.parts[rs.Name].pos
-		out := sub.Relation(rs.Name)
-		var buf data.Tuple
-		var kb []byte
-		for ri := 0; ri < rel.Len(); ri++ {
-			kb = rel.AppendKeyAt(kb[:0], ri, pos)
-			if shard.ShardOf(kb, p.k) != id {
-				continue
-			}
-			buf = rel.AppendRow(buf, ri)
-			if _, err := out.Insert(buf); err != nil {
-				return nil, err
-			}
-		}
+// WriteMetrics appends the per-peer RPC latency histograms to a
+// /metrics exposition (the server calls it through the optional
+// MetricsWriter hook).
+func (e *Engine) WriteMetrics(w io.Writer) {
+	obs.WriteFamilyHeader(w, "beserve_peer_rpc_latency_seconds", "Internal RPC latency to each cluster peer.")
+	for _, p := range e.peers {
+		p.lat.Write(w)
 	}
-	return sub, nil
-}
-
-// catalogHash fingerprints the (relational schema, access schema) pair
-// so a coordinator refuses to attach to a node serving a different
-// catalog — partition routing and constraint indices are only
-// meaningful when both sides derived them from the same definitions.
-func catalogHash(s *schema.Schema, a *access.Schema) uint32 {
-	h := fnv.New32a()
-	for _, rs := range s.Relations() {
-		h.Write([]byte(rs.String()))
-		h.Write([]byte{0})
-	}
-	for _, c := range a.Constraints {
-		h.Write([]byte(c.String()))
-		h.Write([]byte{0})
-	}
-	return h.Sum32()
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,19 +17,24 @@ import (
 	"repro/internal/data"
 	"repro/internal/live"
 	"repro/internal/schema"
+	"repro/internal/shard"
 	"repro/internal/ucq"
 	"repro/internal/value"
 	"repro/internal/workload"
 )
 
+// The equivalence suite of the ONE coordinator (shard.Engine), run over
+// every kind of fleet it can be built on: all partitions in-process,
+// all behind HTTP, and a mixed fleet of both (which no constructor
+// builds — the coordinator only sees shard.Partition, so it comes for
+// free). Every kind is held to the same oracle: a single-node
+// core.Engine on the same data.
+
 func iv(i int64) value.Value  { return value.NewInt(i) }
 func sv(s string) value.Value { return value.NewString(s) }
 
-// testbed is one workload the equivalence suite runs: a schema, its
-// access schema, a fresh-instance factory and a random-CQ const pool.
-// It mirrors internal/shard's equivalence testbeds exactly — same
-// generators, same seeds — so the cluster path is held to the same
-// oracle the in-process sharded engine already passes.
+// testbed is one workload the suite runs: a schema, its access schema,
+// a fresh-instance factory and a random-CQ const pool.
 type testbed struct {
 	name   string
 	schema *schema.Schema
@@ -87,8 +94,8 @@ func socialBed(t *testing.T) testbed {
 
 // randomBed is a two-relation schema with a general-form (sqrt)
 // constraint, so the suite also exercises size-dependent bounds — the
-// case where the coordinator's global size, not any one shard's, must
-// feed the bound.
+// case where the coordinator's global size, not any one partition's,
+// must feed the bound.
 func randomBed(t *testing.T) testbed {
 	t.Helper()
 	s := schema.MustNew(
@@ -119,68 +126,8 @@ func randomBed(t *testing.T) testbed {
 	}
 }
 
-// testOptions are coordinator options tuned for tests: short timeouts,
-// fast retry/cooldown schedules, and a private HTTP client whose idle
-// connections the cleanup can drain (so goroutine-leak checks see a
-// quiet process).
-func testOptions(t *testing.T) Options {
-	t.Helper()
-	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
-	t.Cleanup(hc.CloseIdleConnections)
-	return Options{
-		Client:     hc,
-		RPCTimeout: 5 * time.Second,
-		Retries:    2,
-		Backoff:    time.Millisecond,
-		Cooldown:   50 * time.Millisecond,
-	}
-}
-
-// startCluster builds K shard nodes, each behind its own httptest
-// server speaking the /v1/internal/* wire, and a coordinator attached
-// to them. The returned nodes allow tests to inspect per-shard state
-// (versions, sizes) that a real deployment would read via /status.
-func startCluster(t *testing.T, tb testbed, k int, opts Options) (*Engine, []*Node, []string) {
-	t.Helper()
-	nodes := make([]*Node, k)
-	urls := make([]string, k)
-	for i := 0; i < k; i++ {
-		node, err := NewNode(tb.schema, tb.access, i, k, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(node.InternalHandler())
-		t.Cleanup(ts.Close)
-		nodes[i] = node
-		urls[i] = ts.URL
-	}
-	coord, err := New(tb.schema, tb.access, urls, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return coord, nodes, urls
-}
-
-// engines builds a loaded single-node engine and a loaded K-node
-// networked cluster over identical instances.
-func clusterEngines(t *testing.T, tb testbed, k int) (*core.Engine, *Engine, []*Node) {
-	t.Helper()
-	single, err := core.New(tb.schema, tb.access, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := single.Load(tb.build()); err != nil {
-		t.Fatal(err)
-	}
-	coord, nodes, _ := startCluster(t, tb, k, testOptions(t))
-	if err := coord.Load(tb.build()); err != nil {
-		t.Fatal(err)
-	}
-	return single, coord, nodes
-}
-
 // queries generates the random CQ workload plus UCQs paired from
-// same-arity CQs (same generator config and seed as the shard suite).
+// same-arity CQs.
 func (tb testbed) queries(t *testing.T, n int) ([]*cq.CQ, []*ucq.UCQ) {
 	t.Helper()
 	qs, err := workload.RandomCQs(tb.schema, workload.RandomCQConfig{
@@ -209,55 +156,184 @@ func (tb testbed) queries(t *testing.T, n int) ([]*cq.CQ, []*ucq.UCQ) {
 	return qs, unions
 }
 
-// checkEquivalent queries both engines and demands identical outcomes:
-// same error presence, same serving mode, same rows in the same order.
-func checkEquivalent(t *testing.T, label string, single *core.Engine, coord *Engine, q core.Query, opts ...core.QueryOption) {
+// single builds the loaded single-node oracle.
+func (tb testbed) single(t *testing.T) *core.Engine {
 	t.Helper()
-	want, errW := single.Query(context.Background(), q, opts...)
-	got, errG := coord.Query(context.Background(), q, opts...)
-	if (errW == nil) != (errG == nil) {
-		t.Fatalf("%s: error divergence: single=%v cluster=%v", label, errW, errG)
+	single, err := core.New(tb.schema, tb.access, core.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if errW != nil {
-		return
+	if err := single.Load(tb.build()); err != nil {
+		t.Fatal(err)
 	}
-	if want.Mode != got.Mode {
-		t.Fatalf("%s: mode %v vs %v", label, got.Mode, want.Mode)
+	return single
+}
+
+// testOptions are coordinator options tuned for tests: short timeouts,
+// fast retry/cooldown schedules, and a private HTTP client whose idle
+// connections the cleanup can drain (so goroutine-leak checks see a
+// quiet process).
+func testOptions(t *testing.T) Options {
+	t.Helper()
+	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
+	t.Cleanup(hc.CloseIdleConnections)
+	return Options{
+		Client:     hc,
+		RPCTimeout: 5 * time.Second,
+		Retries:    2,
+		Backoff:    time.Millisecond,
+		Cooldown:   50 * time.Millisecond,
 	}
-	if len(want.Rows) != len(got.Rows) {
-		t.Fatalf("%s: %d rows vs %d", label, len(got.Rows), len(want.Rows))
+}
+
+// startCluster builds K shard nodes, each behind its own httptest
+// server speaking the /v1/internal/* wire, and a coordinator over them.
+// The returned nodes allow tests to inspect per-shard state (versions,
+// sizes) that a real deployment would read via /status.
+func startCluster(t *testing.T, tb testbed, k int, opts Options) (*Engine, []*Node, []string) {
+	t.Helper()
+	nodes := make([]*Node, k)
+	urls := make([]string, k)
+	for i := 0; i < k; i++ {
+		node, err := NewNode(tb.schema, tb.access, i, k, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(node.InternalHandler())
+		t.Cleanup(ts.Close)
+		nodes[i] = node
+		urls[i] = ts.URL
 	}
-	for i := range want.Rows {
-		if want.Rows[i].Key() != got.Rows[i].Key() {
-			t.Fatalf("%s: row %d: %v vs %v", label, i, got.Rows[i], want.Rows[i])
+	coord, err := New(tb.schema, tb.access, urls, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return coord, nodes, urls
+}
+
+// fleetKinds are the partition kinds every property runs over. "mixed"
+// puts the odd partitions behind HTTP and keeps the even ones local.
+var fleetKinds = []string{"local", "http", "mixed"}
+
+// fleet is one coordinator under test plus its partitions, for the
+// properties that look beneath the coordinator (lockstep versions, a
+// second coordinator attaching).
+type fleet struct {
+	eng   *shard.Engine
+	parts []shard.Partition
+}
+
+// newFleet builds an unloaded K-partition fleet of the given kind.
+func newFleet(t *testing.T, tb testbed, kind string, k int) *fleet {
+	t.Helper()
+	f := &fleet{parts: make([]shard.Partition, k)}
+	if kind == "http" {
+		coord, _, _ := startCluster(t, tb, k, testOptions(t))
+		for i, p := range coord.peers {
+			f.parts[i] = p
+		}
+		f.eng = coord.Engine
+		return f
+	}
+	for i := range f.parts {
+		if kind == "mixed" && i%2 == 1 {
+			node, err := NewNode(tb.schema, tb.access, i, k, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(node.InternalHandler())
+			t.Cleanup(ts.Close)
+			f.parts[i] = newPeerClient(i, ts.URL, tb.schema, testOptions(t))
+			continue
+		}
+		l, err := shard.NewLocal(tb.schema, tb.access, i, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.parts[i] = l
+	}
+	eng, err := shard.NewCoordinator(tb.schema, tb.access, f.parts, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.eng = eng
+	return f
+}
+
+// loadedFleet is newFleet plus Load of the testbed's instance.
+func loadedFleet(t *testing.T, tb testbed, kind string, k int) *fleet {
+	t.Helper()
+	f := newFleet(t, tb, kind, k)
+	if err := f.eng.Load(tb.build()); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// eachFleet runs fn once per fleet kind and partition count, skipping
+// the one combination that is not its own kind (a 1-partition mixed
+// fleet is the local one).
+func eachFleet(t *testing.T, ks []int, fn func(t *testing.T, kind string, k int)) {
+	for _, kind := range fleetKinds {
+		for _, k := range ks {
+			if kind == "mixed" && k == 1 {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/K=%d", kind, k), func(t *testing.T) { fn(t, kind, k) })
 		}
 	}
 }
 
-// TestPropertyClusterEqualsSingleNode is the acceptance property: for
-// K ∈ {1, 2, 4}, a coordinator over K networked shard nodes answers
-// every random CQ and UCQ — bounded or scan-fallback — with exactly the
-// rows, order and mode of a single-node engine on the same data.
-func TestPropertyClusterEqualsSingleNode(t *testing.T) {
+// checkEquivalent queries both engines and demands identical outcomes:
+// same error presence, same serving mode, same rows in the same order.
+func checkEquivalent(t *testing.T, label string, single *core.Engine, got core.Queryable, q core.Query, opts ...core.QueryOption) {
+	t.Helper()
+	want, errW := single.Query(context.Background(), q, opts...)
+	have, errG := got.Query(context.Background(), q, opts...)
+	if (errW == nil) != (errG == nil) {
+		t.Fatalf("%s: error divergence: single=%v fleet=%v", label, errW, errG)
+	}
+	if errW != nil {
+		return
+	}
+	if want.Mode != have.Mode {
+		t.Fatalf("%s: mode %v vs %v", label, have.Mode, want.Mode)
+	}
+	if len(want.Rows) != len(have.Rows) {
+		t.Fatalf("%s: %d rows vs %d", label, len(have.Rows), len(want.Rows))
+	}
+	for i := range want.Rows {
+		if want.Rows[i].Key() != have.Rows[i].Key() {
+			t.Fatalf("%s: row %d: %v vs %v", label, i, have.Rows[i], want.Rows[i])
+		}
+	}
+}
+
+// TestPropertyFleetEqualsSingleNode is the acceptance property: for
+// K ∈ {1, 2, 4} and every fleet kind, the coordinator answers every
+// random CQ and UCQ — bounded or scan-fallback — with exactly the rows,
+// order and mode of a single-node engine on the same data.
+func TestPropertyFleetEqualsSingleNode(t *testing.T) {
 	for _, tb := range []testbed{accidentsBed(t), socialBed(t), randomBed(t)} {
-		qs, unions := tb.queries(t, 30)
-		for _, k := range []int{1, 2, 4} {
-			single, coord, _ := clusterEngines(t, tb, k)
+		qs, unions := tb.queries(t, 40)
+		single := tb.single(t)
+		eachFleet(t, []int{1, 2, 4}, func(t *testing.T, kind string, k int) {
+			f := loadedFleet(t, tb, kind, k)
 			for i, q := range qs {
-				checkEquivalent(t, fmt.Sprintf("%s K=%d cq%d", tb.name, k, i), single, coord, q)
+				checkEquivalent(t, fmt.Sprintf("%s cq%d", tb.name, i), single, f.eng, q)
 			}
 			for i, u := range unions {
-				checkEquivalent(t, fmt.Sprintf("%s K=%d ucq%d", tb.name, k, i), single, coord, u)
+				checkEquivalent(t, fmt.Sprintf("%s ucq%d", tb.name, i), single, f.eng, u)
 			}
-		}
+		})
 	}
 }
 
 // corruptAccidents occasionally corrupts a constraint-preserving
 // accidents batch so the verdict comparison sees real rejections too:
 // re-inserting aid 3 under a different district/date breaks the aid key
-// constraint, and the two tuples usually land on different shards
-// (Accident partitions by date) — forcing cross-shard validation.
+// constraint, and the two tuples usually land on different partitions
+// (Accident partitions by date) — forcing cross-partition validation.
 func corruptAccidents(d *live.Delta, step int) *live.Delta {
 	if step%4 != 3 {
 		return d
@@ -266,17 +342,50 @@ func corruptAccidents(d *live.Delta, step int) *live.Delta {
 	return d
 }
 
-// TestPropertyClusterApplyVerdictsMatch drives a single-node engine and
-// the networked cluster through the same delta stream — with periodic
-// corrupted batches — and demands identical accept/reject verdicts,
-// identical violation lists, identical sizes, lockstep per-node
-// versions, and (spot-checked) identical query results after every
-// batch. This is the two-phase Apply path end to end: stage fan-out,
-// global validation RPCs, commit or abort.
-func TestPropertyClusterApplyVerdictsMatch(t *testing.T) {
+// applyBoth drives one delta through the oracle and the fleet and
+// demands identical accept/reject verdicts, identical violation lists,
+// identical sizes, and every partition at the coordinator's version —
+// moved, or refused, in lockstep: no torn commits.
+func applyBoth(t *testing.T, label string, single *core.Engine, f *fleet, delta *live.Delta) {
+	t.Helper()
+	_, errS := single.Apply(context.Background(), delta)
+	_, errF := f.eng.Apply(context.Background(), delta)
+	if (errS == nil) != (errF == nil) {
+		t.Fatalf("%s: verdicts diverge: single=%v fleet=%v", label, errS, errF)
+	}
+	if errS != nil {
+		var vs, vf *live.ViolationError
+		if !errors.As(errS, &vs) || !errors.As(errF, &vf) {
+			t.Fatalf("%s: non-violation apply errors: %v / %v", label, errS, errF)
+		}
+		if fmt.Sprint(vs.Violations) != fmt.Sprint(vf.Violations) {
+			t.Fatalf("%s: violations differ:\n  single: %v\n  fleet:  %v", label, vs.Violations, vf.Violations)
+		}
+	}
+	if single.Stats().Size != f.eng.Stats().Size {
+		t.Fatalf("%s: sizes diverge %d vs %d", label, single.Stats().Size, f.eng.Stats().Size)
+	}
+	wantV := f.eng.Stats().Version
+	for i, p := range f.parts {
+		st, err := p.Status(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Version != wantV {
+			t.Fatalf("%s: partition %d at version %d, coordinator at %d", label, i, st.Version, wantV)
+		}
+	}
+}
+
+// TestPropertyFleetApplyVerdictsMatch drives a single-node engine and
+// each fleet through the same delta stream — with periodic corrupted
+// batches — and spot-checks query results after every batch. This is
+// the two-phase Apply end to end: stage fan-out, global validation,
+// commit or abort.
+func TestPropertyFleetApplyVerdictsMatch(t *testing.T) {
 	tb := accidentsBed(t)
-	for _, k := range []int{2, 4} {
-		single, coord, nodes := clusterEngines(t, tb, k)
+	eachFleet(t, []int{2, 4}, func(t *testing.T, kind string, k int) {
+		single, f := tb.single(t), loadedFleet(t, tb, kind, k)
 		acc, err := workload.GenerateAccidents(workload.AccidentConfig{
 			Days: 3, AccidentsPerDay: 15, MaxVehicles: 4, Seed: 21,
 		})
@@ -289,63 +398,287 @@ func TestPropertyClusterApplyVerdictsMatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := workload.Q0()
 		for step := 0; step < 16; step++ {
-			delta := corruptAccidents(st.Next(), step)
-			_, errS := single.Apply(context.Background(), delta)
-			_, errC := coord.Apply(context.Background(), delta)
-			if (errS == nil) != (errC == nil) {
-				t.Fatalf("K=%d step %d: verdicts diverge: single=%v cluster=%v", k, step, errS, errC)
-			}
-			if errS != nil {
-				var vs, vc *live.ViolationError
-				if !errors.As(errS, &vs) || !errors.As(errC, &vc) {
-					t.Fatalf("K=%d step %d: non-violation apply errors: %v / %v", k, step, errS, errC)
-				}
-				if fmt.Sprint(vs.Violations) != fmt.Sprint(vc.Violations) {
-					t.Fatalf("K=%d step %d: violations differ:\n  single:  %v\n  cluster: %v",
-						k, step, vs.Violations, vc.Violations)
-				}
-			}
-			if single.Stats().Size != coord.Stats().Size {
-				t.Fatalf("K=%d step %d: sizes diverge %d vs %d", k, step, single.Stats().Size, coord.Stats().Size)
-			}
-			// Every node moved (or refused) in lockstep: no torn commits.
-			wantV := coord.Stats().Version
-			for i, n := range nodes {
-				if got := n.Stats().Version; got != wantV {
-					t.Fatalf("K=%d step %d: node %d at version %d, coordinator at %d", k, step, i, got, wantV)
-				}
-			}
-			checkEquivalent(t, fmt.Sprintf("K=%d step %d Q0", k, step), single, coord, q)
+			label := fmt.Sprintf("step %d", step)
+			applyBoth(t, label, single, f, corruptAccidents(st.Next(), step))
+			checkEquivalent(t, label+" Q0", single, f.eng, workload.Q0())
 		}
-	}
+	})
 }
 
-// TestClusterAttachAdoptsFleet verifies the restart path: a second
-// coordinator attaching to an already-loaded fleet adopts its version
-// and size and answers queries identically to the coordinator that
-// loaded the data — no reload required.
-func TestClusterAttachAdoptsFleet(t *testing.T) {
-	tb := accidentsBed(t)
-	single, coord, nodes := clusterEngines(t, tb, 2)
-
-	urls := make([]string, len(nodes))
-	// Re-serve the same nodes for the second coordinator.
-	for i, n := range nodes {
-		ts := httptest.NewServer(n.InternalHandler())
-		t.Cleanup(ts.Close)
-		urls[i] = ts.URL
+// TestPropertyFleetGeneralFormVerdictsMatch is the same property on
+// size-dependent bounds: R carries a sqrt constraint aligned with its
+// partition key (a → b) and one that is not (b → a), each with one
+// dense group, and the stream grows the groups to and past s(|D|) and
+// shrinks |D| under them — so the verdict needs the global size, the
+// shrink recheck of partitions the delta never touched (MaxGroup), and
+// the cross-partition union of a straddling group (Groups).
+func TestPropertyFleetGeneralFormVerdictsMatch(t *testing.T) {
+	s := schema.MustNew(schema.MustRelation("R", "a", "b"))
+	a := access.NewSchema(
+		access.Constraint{Rel: "R", X: []schema.Attribute{"a"}, Y: []schema.Attribute{"b"}, Card: access.SqrtCard()},
+		access.Constraint{Rel: "R", X: []schema.Attribute{"b"}, Y: []schema.Attribute{"a"}, Card: access.SqrtCard()},
+	)
+	tb := testbed{name: "sqrt", schema: s, access: a, build: func() *data.Instance {
+		d := data.NewInstance(s)
+		for i := int64(0); i < 9; i++ {
+			d.MustInsert("R", iv(0), iv(i))        // a = 0: 9 b-values on one partition
+			d.MustInsert("R", iv(200+i), iv(5000)) // b = 5000: 9 a-values across partitions
+		}
+		for i := int64(1); i <= 91; i++ {
+			d.MustInsert("R", iv(i), iv(1000+i)) // singletons: |D| = 109, bound 11
+		}
+		return d
+	}}
+	delta := func(ins, del [][2]int64) *live.Delta {
+		d := live.NewDelta(s)
+		for _, t := range ins {
+			d.MustInsert("R", iv(t[0]), iv(t[1]))
+		}
+		for _, t := range del {
+			d.MustDelete("R", iv(t[0]), iv(t[1]))
+		}
+		return d
 	}
-	second, err := New(tb.schema, tb.access, urls, testOptions(t))
+	var singles [][2]int64
+	for i := int64(1); i <= 60; i++ {
+		singles = append(singles, [2]int64{i, 1000 + i})
+	}
+	stream := []*live.Delta{
+		delta([][2]int64{{0, 100}, {300, 5000}}, nil),                            // both groups to 10 ≤ 11
+		delta(nil, singles),                                                      // |D| 111 → 51, bound 8 < 10: both refuse, untouched
+		delta([][2]int64{{0, 101}, {0, 102}}, nil),                               // aligned group to 12 > 11
+		delta([][2]int64{{301, 5000}, {302, 5000}}, nil),                         // straddling group to 12 > 11
+		delta([][2]int64{{0, 101}, {301, 5000}}, singles[:3]),                    // both to 11, |D| 110: bound 11 holds
+		delta(nil, singles[3:20]),                                                // |D| 93, bound 10 < 11: refuse
+		delta([][2]int64{{400, 1}, {401, 2}}, [][2]int64{{0, 101}, {301, 5000}}), // back to 10, accepted
+	}
+	eachFleet(t, []int{2, 4}, func(t *testing.T, kind string, k int) {
+		single, f := tb.single(t), loadedFleet(t, tb, kind, k)
+		refused := 0
+		for step, d := range stream {
+			before := f.eng.Stats().Version
+			applyBoth(t, fmt.Sprintf("step %d", step), single, f, d)
+			if f.eng.Stats().Version == before {
+				refused++
+			}
+		}
+		if refused != 4 {
+			t.Fatalf("stream refused %d deltas, want 4 (the bounds were not exercised)", refused)
+		}
+	})
+}
+
+// TestPropertyEquivalenceUnderConcurrentWrites runs readers against
+// each fleet WHILE a writer applies a deterministic delta stream (race
+// coverage: coordinator snapshot swaps vs scatter-gather reads), then
+// replays the same stream on a single-node engine and demands the final
+// states answer the whole workload identically. A reader may be refused
+// only over the wire, and only with stale_version: its pinned version
+// aged out of a node's ring under the write storm. A local view is held
+// by the reader itself and can never go stale.
+func TestPropertyEquivalenceUnderConcurrentWrites(t *testing.T) {
+	tb := socialBed(t)
+	qs, unions := tb.queries(t, 20)
+	soc, err := workload.GenerateSocial(workload.SocialConfig{
+		People: 300, MaxFriends: 12, MaxLikes: 5, Seed: 22,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := second.Attach(context.Background()); err != nil {
+	st, err := workload.NewSocialStream(soc, workload.SocialStreamConfig{
+		InsertPeople: 5, DeletePeople: 2, MaxFriends: 12, MaxLikes: 5, People: 300, Seed: 41,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := second.Stats().Size, coord.Stats().Size; got != want {
-		t.Fatalf("attached size = %d, want %d", got, want)
+	deltas := make([]*live.Delta, 20)
+	for i := range deltas {
+		deltas[i] = st.Next()
 	}
-	checkEquivalent(t, "attached Q0", single, second, workload.Q0())
+	single := tb.single(t)
+	for _, d := range deltas {
+		if _, err := single.Apply(context.Background(), d); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	eachFleet(t, []int{4}, func(t *testing.T, kind string, k int) {
+		f := loadedFleet(t, tb, kind, k)
+		tolerable := func(err error) bool {
+			var coded interface{ ErrorCode() string }
+			return kind != "local" && errors.As(err, &coded) && coded.ErrorCode() == "stale_version"
+		}
+		var wg sync.WaitGroup
+		var writerDone atomic.Bool
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer writerDone.Store(true)
+			for _, d := range deltas {
+				if _, err := f.eng.Apply(context.Background(), d); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		for r := 0; r < 3; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				for !writerDone.Load() {
+					q := qs[r%len(qs)]
+					if _, err := f.eng.Query(context.Background(), q); err != nil && !tolerable(err) {
+						t.Errorf("reader: %v", err)
+						return
+					}
+					// Streams pin their snapshot even when drained after
+					// later applies.
+					res, err := f.eng.Query(context.Background(), q, core.WithStream())
+					if err != nil {
+						if tolerable(err) {
+							continue
+						}
+						t.Errorf("reader: %v", err)
+						return
+					}
+					for range res.Seq() {
+					}
+					if err := res.Err(); err != nil && !tolerable(err) {
+						t.Errorf("reader stream: %v", err)
+						return
+					}
+				}
+			}(r)
+		}
+		wg.Wait()
+		for i, q := range qs {
+			checkEquivalent(t, fmt.Sprintf("post-stream cq%d", i), single, f.eng, q)
+		}
+		for i, u := range unions {
+			checkEquivalent(t, fmt.Sprintf("post-stream ucq%d", i), single, f.eng, u)
+		}
+	})
+}
+
+// TestFleetAttachAdoptsFleet verifies the restart path: a second
+// coordinator attaching to an already-loaded (and written-to) fleet
+// adopts its version and size and answers queries identically to the
+// coordinator that loaded the data — no reload required.
+func TestFleetAttachAdoptsFleet(t *testing.T) {
+	tb := accidentsBed(t)
+	eachFleet(t, []int{2}, func(t *testing.T, kind string, k int) {
+		single, f := tb.single(t), loadedFleet(t, tb, kind, k)
+		grow := live.NewDelta(tb.schema)
+		grow.MustInsert("Accident", iv(900001), sv("Nowhere"), sv("9/9/1999"))
+		applyBoth(t, "grow", single, f, grow)
+
+		second, err := shard.NewCoordinator(tb.schema, tb.access, f.parts, shard.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := second.Attach(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := second.Stats(), f.eng.Stats(); got.Size != want.Size || got.Version != want.Version {
+			t.Fatalf("attached at size %d version %d, want %d / %d", got.Size, got.Version, want.Size, want.Version)
+		}
+		checkEquivalent(t, "attached Q0", single, second, workload.Q0())
+	})
+}
+
+// TestAttachRollsBackPartitionRestartedAheadOfCut is the coordinator
+// dying mid-commit-fanout with the fleet restarting before anyone
+// repairs it: partition 0 committed (and fsynced) version 2 alone, so
+// after the restart its ring holds only version 2 while the fleet's cut
+// is version 1. Attach must rebuild version 1 from partition 0's
+// durable store and truncate the orphaned record — for a local fleet
+// and over the wire alike — then serve exactly the single-node answers
+// at version 1 and accept the next write at version 2.
+func TestAttachRollsBackPartitionRestartedAheadOfCut(t *testing.T) {
+	tb := accidentsBed(t)
+	ctx := context.Background()
+	probe := &cq.CQ{Label: "probe", Free: []string{"aid"}, Atoms: []cq.Atom{
+		cq.NewAtom("Accident", cq.Var("aid"), cq.Var("district"), cq.Const(sv("9/9/1999")))}}
+	insert := func(aid int64) *live.Delta {
+		d := live.NewDelta(tb.schema)
+		d.MustInsert("Accident", iv(aid), sv("Nowhere"), sv("9/9/1999"))
+		return d
+	}
+	for _, kind := range []string{"local", "http"} {
+		t.Run(kind, func(t *testing.T) {
+			const k = 2
+			dirs := []string{t.TempDir(), t.TempDir()}
+			// boot starts both partitions over their directories and a
+			// fresh coordinator over them; stop is the whole fleet dying.
+			boot := func() (f *fleet, restored int, stop func()) {
+				f = &fleet{parts: make([]shard.Partition, k)}
+				var stops []func()
+				for i := range f.parts {
+					node, err := NewNode(tb.schema, tb.access, i, k, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ok, err := node.Durable(ctx, dirs[i], nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ok {
+						restored++
+					}
+					stops = append(stops, func() { node.CloseDurable() })
+					f.parts[i] = node.part
+					if kind == "http" {
+						ts := httptest.NewServer(node.InternalHandler())
+						stops = append(stops, ts.Close)
+						f.parts[i] = newPeerClient(i, ts.URL, tb.schema, testOptions(t))
+					}
+				}
+				eng, err := shard.NewCoordinator(tb.schema, tb.access, f.parts, shard.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.eng = eng
+				return f, restored, func() {
+					for _, s := range stops {
+						s()
+					}
+				}
+			}
+
+			single := tb.single(t)
+			f, _, stop := boot()
+			if err := f.eng.Load(tb.build()); err != nil {
+				t.Fatal(err)
+			}
+			applyBoth(t, "v1", single, f, insert(900001))
+			// The dying coordinator's last write reaches partition 0 only.
+			if _, err := f.parts[0].Stage(ctx, "txn-orphan", 1, insert(900002)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.parts[0].Commit(ctx, "txn-orphan", 1); err != nil {
+				t.Fatal(err)
+			}
+			stop()
+
+			f, restored, stop := boot()
+			defer stop()
+			if restored != k {
+				t.Fatalf("%d of %d partitions recovered durable state", restored, k)
+			}
+			if st, _ := f.parts[0].Status(ctx); st.Version != 2 {
+				t.Fatalf("partition 0 restarted at version %d, want 2 (ahead of the cut)", st.Version)
+			}
+			if err := f.eng.Attach(ctx); err != nil {
+				t.Fatalf("attach to a fleet with a partition ahead of the cut: %v", err)
+			}
+			if v := f.eng.Stats().Version; v != 1 {
+				t.Fatalf("attached at version %d, want the cut 1", v)
+			}
+			checkEquivalent(t, "probe at the cut", single, f.eng, probe)
+			checkEquivalent(t, "Q0 at the cut", single, f.eng, workload.Q0())
+			applyBoth(t, "v2 after repair", single, f, insert(900003))
+			checkEquivalent(t, "probe after repair", single, f.eng, probe)
+		})
+	}
 }

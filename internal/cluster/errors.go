@@ -45,22 +45,3 @@ func (e *NotCoordinatorError) Error() string {
 }
 
 func (e *NotCoordinatorError) ErrorCode() string { return "not_coordinator" }
-
-// PeerError is a structured refusal decoded from a peer's internal
-// endpoint: the peer answered, with an error envelope, so this is a
-// protocol-level rejection (version mismatch, unknown transaction,
-// stale snapshot…), not an availability problem — it is never retried.
-type PeerError struct {
-	Peer    int
-	Status  int
-	Code    string
-	Message string
-}
-
-func (e *PeerError) Error() string {
-	return fmt.Sprintf("cluster: shard %d: %s (%s)", e.Peer, e.Message, e.Code)
-}
-
-// ErrorCode propagates the peer's code into the coordinator's own API
-// envelope.
-func (e *PeerError) ErrorCode() string { return e.Code }

@@ -3,87 +3,44 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"io"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/access"
 	"repro/internal/core"
-	"repro/internal/cover"
 	"repro/internal/cq"
 	"repro/internal/data"
 	"repro/internal/durable"
 	"repro/internal/eval"
-	"repro/internal/index"
 	"repro/internal/live"
 	"repro/internal/plan"
 	"repro/internal/schema"
-	"repro/internal/specialize"
-	"repro/internal/value"
+	"repro/internal/shard"
 )
 
-// historyLen bounds the node's ring of recently committed snapshots.
-// Readers pin the coordinator's version, which trails the node's by at
-// most one commit in flight, so a short ring covers every legitimate
-// fetch; it also holds the rollback targets for commit-fanout repair.
-const historyLen = 8
-
-// nodeSnap is one committed local version: the shard's indexed
-// partition and its size.
-type nodeSnap struct {
-	ix      *access.Indexed
-	size    int
-	version uint64
-}
-
-// stagedTxn is a staged-but-unpublished sub-delta: live's copy-on-write
-// Staged (nil when the sub-delta was empty — the node still commits a
-// version bump so the cluster's versions stay in lockstep) plus the
-// delta itself for the WAL record at commit.
-type stagedTxn struct {
-	txn   string
-	base  uint64
-	st    *live.Staged
-	delta *live.Delta
-}
-
-// Node is one shard server: it owns partition id of K, serves the full
-// /v1/* read surface over its share through the same planner machinery
-// as every other engine (it implements core.Queryable), and exposes the
-// /v1/internal/* protocol the coordinator drives. Direct writes are
-// refused — Apply through the coordinator.
+// Node is one shard server: a local partition (shard.Local — the same
+// state machine an in-process fleet runs) plus InternalHandler, the
+// /v1/internal/* wire a remote coordinator drives it through, plus the
+// read-only /v1/* surface over its share (it implements core.Queryable
+// through the same planner machinery as every other engine). Direct
+// writes are refused — Apply through the coordinator.
 type Node struct {
 	Schema *schema.Schema
 	Access *access.Schema
+	shard.Planning
 
-	id      int
-	place   *placement
-	planner *core.Engine
-
-	// cur is the current committed snapshot (nil before data arrives).
-	// mu serializes writes — load, stage, commit, rollback — and guards
-	// the maps below; reads go through cur or the history ring.
-	cur     atomic.Pointer[nodeSnap]
-	mu      sync.Mutex
-	history map[uint64]*nodeSnap
-	staged  map[string]*stagedTxn
-	// lastTxn/lastCommit make commit idempotent: the coordinator retries
-	// commits through transient failures, and a duplicate must answer
-	// the original result instead of failing on the missing staged txn.
-	lastTxn    string
-	lastCommit commitResponse
-	store      *durable.Store
-	applies    atomic.Uint64
+	id, k int
+	part  *shard.Local
+	place *shard.Placement
 }
 
 var _ core.Queryable = (*Node)(nil)
 
 // NewNode builds shard server id of k over the shared catalog.
 func NewNode(s *schema.Schema, a *access.Schema, id, k int, opts Options) (*Node, error) {
-	if id < 0 || id >= k {
-		return nil, fmt.Errorf("cluster: shard id %d out of range [0,%d)", id, k)
+	place, err := shard.NewPlacement(s, a, k, opts.PartitionKeys)
+	if err != nil {
+		return nil, err
 	}
-	place, err := newPlacement(s, a, k, opts.PartitionKeys)
+	part, err := shard.NewLocal(s, a, id, k)
 	if err != nil {
 		return nil, err
 	}
@@ -91,22 +48,16 @@ func NewNode(s *schema.Schema, a *access.Schema, id, k int, opts Options) (*Node
 	if err != nil {
 		return nil, err
 	}
-	return &Node{
-		Schema:  s,
-		Access:  a,
-		id:      id,
-		place:   place,
-		planner: planner,
-		history: make(map[uint64]*nodeSnap),
-		staged:  make(map[string]*stagedTxn),
-	}, nil
+	n := &Node{Schema: s, Access: a, id: id, k: k, part: part, place: place}
+	n.Planning = shard.Planning{Planner: planner, Size: func() int {
+		if ix, _ := part.Snapshot(); ix != nil {
+			return ix.Instance.Size()
+		}
+		return 0
+	}}
+	part.OnPublish = planner.SetSizeHint
+	return n, nil
 }
-
-// ID returns the node's shard id.
-func (n *Node) ID() int { return n.id }
-
-// Shards returns K.
-func (n *Node) Shards() int { return n.place.k }
 
 func (n *Node) errNoInstance() error {
 	return fmt.Errorf("cluster: shard %d has no instance loaded", n.id)
@@ -116,366 +67,17 @@ func (n *Node) errNoInstance() error {
 // version 0. Every node in a fleet can be pointed at the same dataset;
 // each keeps exactly its ShardOf share. Local cardinality violations
 // are NOT checked here — bounds hold at the global |D|, which only the
-// coordinator sees; it validates the fleet at attach (and every delta
-// at Apply).
+// coordinator sees.
 func (n *Node) Load(d *data.Instance) error {
-	sub, err := n.place.filter(n.Schema, d, n.id)
+	sub, err := n.place.Share(d, n.id)
 	if err != nil {
 		return err
 	}
-	return n.LoadOwn(sub)
-}
-
-// LoadOwn installs sub — already restricted to this node's partition —
-// at version 0, resetting any durable history (a reload starts a new
-// timeline, exactly like the in-process engines).
-func (n *Node) LoadOwn(sub *data.Instance) error {
 	ix, _, err := access.BuildIndexed(n.Access, sub)
 	if err != nil {
 		return err
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.store != nil {
-		if err := n.store.Reset(); err != nil {
-			return err
-		}
-		base := &durable.State{Instance: sub, Indexed: ix, Version: 0}
-		if err := n.store.WriteCheckpoint(n.Schema, base); err != nil {
-			return err
-		}
-	}
-	sub.ReleaseDedup()
-	sn := &nodeSnap{ix: ix, size: sub.Size(), version: 0}
-	n.history = map[uint64]*nodeSnap{0: sn}
-	n.staged = make(map[string]*stagedTxn)
-	n.lastTxn = ""
-	n.cur.Store(sn)
-	n.planner.SetSizeHint(sn.size)
-	return nil
-}
-
-// snapAt resolves a reader's pinned version: the current snapshot on
-// the fast path, the history ring otherwise. A nil return means the
-// version is gone (never committed here, or pruned) — the caller
-// answers a structured stale_version refusal.
-func (n *Node) snapAt(v uint64) *nodeSnap {
-	if sn := n.cur.Load(); sn != nil && sn.version == v {
-		return sn
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.history[v]
-}
-
-// fetch serves index lookups at the reader's pinned version: for each
-// key, constraint ci's bucket on this shard. A version the node no
-// longer holds answers a structured stale_version refusal — the
-// coordinator surfaces it rather than read torn state.
-func (n *Node) fetch(v uint64, ci int, keys []string) (*fetchResponse, error) {
-	sn := n.snapAt(v)
-	if sn == nil {
-		return nil, &PeerError{Peer: n.id, Status: 410, Code: "stale_version",
-			Message: fmt.Sprintf("version %d is not available on shard %d", v, n.id)}
-	}
-	if ci < 0 || ci >= len(n.Access.Constraints) {
-		return nil, &PeerError{Peer: n.id, Status: 400, Code: "bad_request",
-			Message: fmt.Sprintf("no constraint %d", ci)}
-	}
-	idx := sn.ix.Index(ci)
-	resp := &fetchResponse{Buckets: make([]wireBucket, len(keys))}
-	for i, wk := range keys {
-		k, err := decodeKey(wk)
-		if err != nil {
-			return nil, &PeerError{Peer: n.id, Status: 400, Code: "bad_request", Message: err.Error()}
-		}
-		resp.Buckets[i] = encodeBucket(idx.FetchKey(k))
-	}
-	return resp, nil
-}
-
-// dump streams this node's partition at the pinned version — the bulk
-// feed for the coordinator's scan fallback and baseline evaluation.
-func (n *Node) dump(w io.Writer, v uint64) error {
-	sn := n.snapAt(v)
-	if sn == nil {
-		return &PeerError{Peer: n.id, Status: 410, Code: "stale_version",
-			Message: fmt.Sprintf("version %d is not available on shard %d", v, n.id)}
-	}
-	return writeInstanceTSV(w, n.Schema, sn.ix.Instance)
-}
-
-// stage stages delta d (this node's sub-delta of a cluster-wide write)
-// on top of committed version base, publishing nothing. Any previously
-// staged transaction is discarded — the coordinator serializes writes,
-// so an older staged txn can only be the leftover of an aborted
-// coordinator attempt. If the node sits exactly one version AHEAD of
-// base, a commit fanout died after reaching this node but before the
-// coordinator published; the write was reported failed, so the node
-// self-heals by rolling back to base before staging.
-func (n *Node) stage(ctx context.Context, txn string, base uint64, d *live.Delta) (*stageResponse, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	sn := n.cur.Load()
-	if sn == nil {
-		return nil, n.errNoInstance()
-	}
-	if sn.version == base+1 && n.history[base] != nil {
-		if err := n.rollbackLocked(base); err != nil {
-			return nil, err
-		}
-		sn = n.cur.Load()
-	}
-	if sn.version != base {
-		return nil, &PeerError{Peer: n.id, Status: 409, Code: "version_mismatch",
-			Message: fmt.Sprintf("stage base %d, node at version %d", base, sn.version)}
-	}
-	n.staged = make(map[string]*stagedTxn)
-	tx := &stagedTxn{txn: txn, base: base, delta: d}
-	resp := &stageResponse{
-		Size:        sn.size,
-		OldSize:     sn.size,
-		Constraints: make([]stageConstraint, len(n.Access.Constraints)),
-	}
-	if d.Len() > 0 {
-		st, err := live.Stage(ctx, d, sn.ix)
-		if err != nil {
-			return nil, err
-		}
-		tx.st = st
-		resp.Size = st.Size()
-		resp.OldSize = st.OldSize()
-		resp.Inserted = st.Inserted()
-		resp.Deleted = st.Deleted()
-		for ci := range n.Access.Constraints {
-			if !st.Touched(ci) {
-				continue
-			}
-			sc := &resp.Constraints[ci]
-			sc.Touched = true
-			idx := st.Index(ci)
-			for _, k := range st.InsertKeys(ci) {
-				if g := idx.FetchKey(k).Len(); g > sc.MaxInsert {
-					sc.MaxInsert = g
-				}
-				sc.InsertKeys = append(sc.InsertKeys, encodeKey([]byte(k)))
-			}
-		}
-	}
-	n.staged[txn] = tx
-	return resp, nil
-}
-
-// resolvePostIndex is the post-delta index for constraint ci: the
-// staged clone when transaction txn touched it, the committed version-v
-// index otherwise. Callers hold mu.
-func (n *Node) resolvePostIndex(txn string, v uint64, ci int) (*index.Index, error) {
-	if tx, ok := n.staged[txn]; ok && txn != "" {
-		if tx.base != v {
-			return nil, &PeerError{Peer: n.id, Status: 409, Code: "version_mismatch",
-				Message: fmt.Sprintf("transaction %q staged on version %d, asked at %d", txn, tx.base, v)}
-		}
-		if tx.st != nil && tx.st.Touched(ci) {
-			return tx.st.Index(ci), nil
-		}
-	}
-	sn := n.cur.Load()
-	if sn != nil && sn.version == v {
-		return sn.ix.Index(ci), nil
-	}
-	if sn := n.history[v]; sn != nil {
-		return sn.ix.Index(ci), nil
-	}
-	return nil, &PeerError{Peer: n.id, Status: 410, Code: "stale_version",
-		Message: fmt.Sprintf("version %d is not available on shard %d", v, n.id)}
-}
-
-// maxGroup answers the aligned shrink-|D| recheck: MaxGroup of the
-// post-delta index for constraint ci.
-func (n *Node) maxGroup(txn string, v uint64, ci int) (int, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	idx, err := n.resolvePostIndex(txn, v, ci)
-	if err != nil {
-		return 0, err
-	}
-	return idx.MaxGroup(), nil
-}
-
-// groups answers the cross-node group measurement: for the requested
-// keys (or all keys when all is set), the projection-key set of the
-// post-delta bucket. The coordinator unions these across nodes.
-func (n *Node) groups(txn string, v uint64, ci int, keys []string, all bool) (*groupsResponse, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	idx, err := n.resolvePostIndex(txn, v, ci)
-	if err != nil {
-		return nil, err
-	}
-	resp := &groupsResponse{}
-	appendGroup := func(wk string, b index.Bucket) {
-		if b.Len() == 0 {
-			return
-		}
-		g := wireGroup{Key: wk, Projs: make([]string, 0, b.Len())}
-		var kb []byte
-		for i := 0; i < b.Len(); i++ {
-			kb = b.AppendKeyOf(kb[:0], i)
-			g.Projs = append(g.Projs, encodeKey(kb))
-		}
-		resp.Groups = append(resp.Groups, g)
-	}
-	if all {
-		idx.Buckets(func(k value.Key, b index.Bucket) bool {
-			appendGroup(encodeKey([]byte(k)), b)
-			return true
-		})
-		return resp, nil
-	}
-	for _, wk := range keys {
-		k, err := decodeKey(wk)
-		if err != nil {
-			return nil, err
-		}
-		appendGroup(wk, idx.FetchKey(k))
-	}
-	return resp, nil
-}
-
-// commit publishes staged transaction txn on top of version v —
-// idempotently: a retry after a lost response answers the recorded
-// result. The WAL record (empty deltas included, so versions stay in
-// lockstep) is appended and fsynced BEFORE the snapshot publishes,
-// matching the in-process engines' durability point.
-func (n *Node) commit(txn string, v uint64) (*commitResponse, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.lastTxn == txn {
-		r := n.lastCommit
-		return &r, nil
-	}
-	tx, ok := n.staged[txn]
-	if !ok {
-		return nil, &PeerError{Peer: n.id, Status: 404, Code: "unknown_txn",
-			Message: fmt.Sprintf("commit of unknown transaction %q", txn)}
-	}
-	sn := n.cur.Load()
-	if sn == nil || sn.version != v || tx.base != v {
-		return nil, &PeerError{Peer: n.id, Status: 409, Code: "version_mismatch",
-			Message: fmt.Sprintf("commit at version %d, node at %d (staged base %d)", v, sn.version, tx.base)}
-	}
-	next := &nodeSnap{ix: sn.ix, size: sn.size, version: v + 1}
-	if tx.st != nil {
-		r, err := tx.st.Commit()
-		if err != nil {
-			delete(n.staged, txn)
-			return nil, err
-		}
-		next.ix = r.Indexed
-		next.size = tx.st.Size()
-	}
-	if n.store != nil {
-		if err := n.store.AppendDelta(v+1, tx.delta); err != nil {
-			delete(n.staged, txn)
-			return nil, err
-		}
-	}
-	delete(n.staged, txn)
-	n.cur.Store(next)
-	n.history[next.version] = next
-	n.pruneHistoryLocked()
-	n.lastTxn = txn
-	n.lastCommit = commitResponse{Version: next.version, Size: next.size}
-	n.planner.SetSizeHint(next.size)
-	n.applies.Add(1)
-	r := n.lastCommit
-	return &r, nil
-}
-
-// abort discards staged transaction txn; unknown transactions are a
-// no-op (the abort fanout is best-effort and may race a self-heal).
-func (n *Node) abort(txn string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.staged, txn)
-}
-
-// rollback rewinds the node to committed version v — the coordinator's
-// repair after a partial commit fanout, and the attach-time
-// reconciliation of a node that got ahead of the fleet.
-func (n *Node) rollback(v uint64) (*versionResponse, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if err := n.rollbackLocked(v); err != nil {
-		return nil, err
-	}
-	sn := n.cur.Load()
-	return &versionResponse{Version: sn.version, Size: sn.size}, nil
-}
-
-func (n *Node) rollbackLocked(v uint64) error {
-	sn := n.cur.Load()
-	if sn == nil {
-		return n.errNoInstance()
-	}
-	if sn.version == v {
-		return nil
-	}
-	target := n.history[v]
-	if target == nil {
-		return &PeerError{Peer: n.id, Status: 409, Code: "version_gone",
-			Message: fmt.Sprintf("cannot roll back to version %d (at %d, not in history)", v, sn.version)}
-	}
-	if n.store != nil {
-		if err := n.store.TruncateAfter(v); err != nil {
-			return err
-		}
-	}
-	// Drop the rolled-back suffix from history: those versions never
-	// became cluster state.
-	for ver := range n.history {
-		if ver > v {
-			delete(n.history, ver)
-		}
-	}
-	n.staged = make(map[string]*stagedTxn)
-	n.lastTxn = ""
-	n.cur.Store(target)
-	n.planner.SetSizeHint(target.size)
-	return nil
-}
-
-// pruneHistoryLocked keeps the ring at historyLen versions, dropping
-// the oldest first. The current version is never pruned.
-func (n *Node) pruneHistoryLocked() {
-	for len(n.history) > historyLen {
-		oldest := uint64(0)
-		first := true
-		for v := range n.history {
-			if first || v < oldest {
-				oldest, first = v, false
-			}
-		}
-		cur := n.cur.Load()
-		if cur != nil && oldest == cur.version {
-			return
-		}
-		delete(n.history, oldest)
-	}
-}
-
-// status reports the node's identity for coordinator attach.
-func (n *Node) status() statusResponse {
-	st := statusResponse{
-		Shard:   n.id,
-		Shards:  n.place.k,
-		Catalog: catalogHash(n.Schema, n.Access),
-	}
-	if sn := n.cur.Load(); sn != nil {
-		st.Version = sn.version
-		st.Size = sn.size
-	}
-	return st
+	return n.part.Load(context.Background(), ix)
 }
 
 // Apply refuses: writes go through the coordinator's two-phase global
@@ -490,151 +92,57 @@ func (n *Node) Apply(ctx context.Context, delta *live.Delta) (*live.Result, erro
 // cover the local share only — the operational surface for inspecting
 // one shard; whole-dataset answers come from the coordinator.
 func (n *Node) Query(ctx context.Context, q core.Query, opts ...core.QueryOption) (*core.Result, error) {
-	sn := n.cur.Load()
-	if sn == nil {
+	ix, _ := n.part.Snapshot()
+	if ix == nil {
 		return nil, n.errNoInstance()
 	}
 	v := &core.View{
-		Size:   sn.size,
-		Source: plan.NewSource(sn.ix),
+		Size:   ix.Instance.Size(),
+		Source: plan.NewSource(ix),
 		Instance: func(context.Context) (*data.Instance, error) {
-			return sn.ix.Instance, nil
+			return ix.Instance, nil
 		},
 	}
-	return n.planner.QueryView(ctx, q, v, opts...)
-}
-
-// Explain reports coverage, verdict, plan and bound at the local size.
-func (n *Node) Explain(q *cq.CQ, params []string) (string, error) {
-	size := 0
-	if sn := n.cur.Load(); sn != nil {
-		size = sn.size
-	}
-	return n.planner.ExplainAt(q, params, size)
-}
-
-// IsCovered runs the PTIME covered-query check (data-independent).
-func (n *Node) IsCovered(q *cq.CQ) (*cover.Result, error) { return n.planner.IsCovered(q) }
-
-// Plan synthesizes the bounded plan at the local size.
-func (n *Node) Plan(q *cq.CQ) (*plan.Plan, plan.Bound, error) {
-	size := 0
-	if sn := n.cur.Load(); sn != nil {
-		size = sn.size
-	}
-	return n.planner.PlanAt(q, size)
+	return n.Planner.QueryView(ctx, q, v, opts...)
 }
 
 // Baseline evaluates q conventionally over the local partition.
 func (n *Node) Baseline(q *cq.CQ, mode eval.Mode) (*eval.Result, error) {
-	sn := n.cur.Load()
-	if sn == nil {
+	ix, _ := n.part.Snapshot()
+	if ix == nil {
 		return nil, n.errNoInstance()
 	}
-	return eval.CQ(q, sn.ix.Instance, mode)
-}
-
-// Specialize solves QSP (data-independent).
-func (n *Node) Specialize(q *cq.CQ, X []string, k int) (*specialize.Result, error) {
-	return n.planner.Specialize(q, X, k)
+	return eval.CQ(q, ix.Instance, mode)
 }
 
 // Instance returns the local partition, or nil before data arrives.
 func (n *Node) Instance() *data.Instance {
-	if sn := n.cur.Load(); sn != nil {
-		return sn.ix.Instance
+	if ix, _ := n.part.Snapshot(); ix != nil {
+		return ix.Instance
 	}
 	return nil
 }
 
 // Stats reports the node's local share: size is the partition's, Shards
-// the cluster's K, Version the node's committed version.
+// the cluster's K, Version the node's committed version, Applies the
+// transactions it committed.
 func (n *Node) Stats() core.EngineStats {
-	size := 0
-	version := uint64(0)
-	if sn := n.cur.Load(); sn != nil {
-		size = sn.size
-		version = sn.version
-	}
-	ps := n.planner.Stats()
-	return core.EngineStats{
-		Size:    size,
-		Shards:  n.place.k,
-		Queries: ps.Queries,
-		Applies: n.applies.Load(),
-		Fetched: ps.Fetched,
-		Scanned: ps.Scanned,
-		Version: version,
-	}
+	_, version := n.part.Snapshot()
+	return n.EngineStats(n.k, n.part.Commits(), version)
 }
-
-// CacheStats reports the local planner's plan-cache counters.
-func (n *Node) CacheStats() core.CacheStats { return n.planner.CacheStats() }
 
 // Durable attaches a durability directory: WAL + checkpoints for this
 // node's partition, recovered on restart exactly like a single-node
 // engine (the coordinator reconciles any cross-node version skew at
 // attach).
 func (n *Node) Durable(ctx context.Context, dir string, hook durable.Hook) (restored bool, err error) {
-	st, err := durable.Open(dir, hook)
-	if err != nil {
-		return false, err
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.store != nil {
-		st.Close()
-		return false, fmt.Errorf("cluster: node already has a durable store")
-	}
-	if _, ok := st.LastVersion(); !ok {
-		n.store = st
-		return false, nil
-	}
-	state, err := st.Recover(ctx, n.Schema, n.Access, durable.NoLimit)
-	if err != nil {
-		st.Close()
-		return false, err
-	}
-	n.store = st
-	sn := &nodeSnap{ix: state.Indexed, size: state.Instance.Size(), version: state.Version}
-	n.history = map[uint64]*nodeSnap{sn.version: sn}
-	n.staged = make(map[string]*stagedTxn)
-	n.lastTxn = ""
-	n.cur.Store(sn)
-	n.planner.SetSizeHint(sn.size)
-	return true, nil
+	return n.part.Durable(ctx, dir, hook)
 }
 
 // Checkpoint persists the current snapshot and compacts the WAL behind
 // it. core.ErrNotDurable if Durable was never called.
-func (n *Node) Checkpoint(ctx context.Context) (uint64, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.store == nil {
-		return 0, core.ErrNotDurable
-	}
-	sn := n.cur.Load()
-	if sn == nil {
-		return 0, n.errNoInstance()
-	}
-	err := n.store.WriteCheckpoint(n.Schema, &durable.State{
-		Instance: sn.ix.Instance, Indexed: sn.ix, Version: sn.version,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return sn.version, nil
-}
+func (n *Node) Checkpoint(ctx context.Context) (uint64, error) { return n.part.Checkpoint(ctx) }
 
 // CloseDurable detaches and closes the durable store. Safe to call when
 // durability was never enabled.
-func (n *Node) CloseDurable() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.store == nil {
-		return nil
-	}
-	err := n.store.Close()
-	n.store = nil
-	return err
-}
+func (n *Node) CloseDurable() error { return n.part.CloseDurable() }

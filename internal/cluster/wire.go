@@ -19,11 +19,15 @@ import (
 	"repro/internal/index"
 	"repro/internal/load"
 	"repro/internal/schema"
+	"repro/internal/shard"
 	"repro/internal/value"
 )
 
-// statusResponse answers GET /v1/internal/status: the node's identity
-// and committed state, checked at coordinator attach.
+// tsvType is the content type of the bulk bodies (deltas, instances).
+const tsvType = "text/tab-separated-values"
+
+// statusResponse answers GET /v1/internal/status: shard.Status, field
+// for field.
 type statusResponse struct {
 	Shard   int    `json:"shard"`
 	Shards  int    `json:"shards"`
@@ -74,16 +78,32 @@ type stageResponse struct {
 	Constraints []stageConstraint `json:"constraints"`
 }
 
-// maxGroupRequest asks for the post-delta MaxGroup of constraint CI —
-// the staged index when transaction Txn touched it, the committed
-// version-V index otherwise. Used for the shrink-|D| recheck of
-// aligned constraints.
-type maxGroupRequest struct {
-	Txn string `json:"txn"`
-	V   uint64 `json:"v"`
-	CI  int    `json:"ci"`
+func encodeStaged(st *shard.Staged) stageResponse {
+	resp := stageResponse{Size: st.Size, OldSize: st.OldSize, Inserted: st.Inserted, Deleted: st.Deleted,
+		Constraints: make([]stageConstraint, len(st.Constraints))}
+	for ci, c := range st.Constraints {
+		resp.Constraints[ci] = stageConstraint{Touched: c.Touched, MaxInsert: c.MaxInsert, InsertKeys: encodeKeys(c.InsertKeys)}
+	}
+	return resp
 }
 
+func (resp stageResponse) decode() (*shard.Staged, error) {
+	st := &shard.Staged{Size: resp.Size, OldSize: resp.OldSize, Inserted: resp.Inserted, Deleted: resp.Deleted,
+		Constraints: make([]shard.StagedConstraint, len(resp.Constraints))}
+	for ci, c := range resp.Constraints {
+		keys, err := decodeKeys(c.InsertKeys)
+		if err != nil {
+			return nil, err
+		}
+		st.Constraints[ci] = shard.StagedConstraint{Touched: c.Touched, MaxInsert: c.MaxInsert, InsertKeys: keys}
+	}
+	return st, nil
+}
+
+// maxGroupResponse answers POST /v1/internal/maxgroup (a groupsRequest
+// without keys): the post-delta MaxGroup of constraint CI — the staged
+// index when transaction Txn touched it, the committed version-V index
+// otherwise. Used for the shrink-|D| recheck of aligned constraints.
 type maxGroupResponse struct {
 	Max int `json:"max"`
 }
@@ -109,17 +129,36 @@ type groupsResponse struct {
 	Groups []wireGroup `json:"groups"`
 }
 
+func encodeGroups(groups []shard.Group) groupsResponse {
+	var resp groupsResponse
+	for _, g := range groups {
+		resp.Groups = append(resp.Groups, wireGroup{Key: encodeKey([]byte(g.Key)), Projs: encodeKeys(g.Projs)})
+	}
+	return resp
+}
+
+func (resp groupsResponse) decode() ([]shard.Group, error) {
+	groups := make([]shard.Group, len(resp.Groups))
+	for i, wg := range resp.Groups {
+		key, err := decodeKey(wg.Key)
+		if err != nil {
+			return nil, err
+		}
+		projs, err := decodeKeys(wg.Projs)
+		if err != nil {
+			return nil, err
+		}
+		groups[i] = shard.Group{Key: key, Projs: projs}
+	}
+	return groups, nil
+}
+
 // commitRequest publishes staged transaction Txn on top of committed
-// version V. Idempotent: a node that already committed Txn answers with
-// the same result again.
+// version V, answering a versionResponse. Idempotent: a node that
+// already committed Txn answers with the same result again.
 type commitRequest struct {
 	Txn string `json:"txn"`
 	V   uint64 `json:"v"`
-}
-
-type commitResponse struct {
-	Version uint64 `json:"version"`
-	Size    int    `json:"size"`
 }
 
 type abortRequest struct {
@@ -155,6 +194,32 @@ func decodeKey(s string) (value.Key, error) {
 		return "", fmt.Errorf("cluster: bad wire key: %w", err)
 	}
 	return value.Key(b), nil
+}
+
+func encodeKeys(keys []value.Key) []string {
+	if keys == nil {
+		return nil
+	}
+	out := make([]string, len(keys))
+	for i, k := range keys {
+		out[i] = encodeKey([]byte(k))
+	}
+	return out
+}
+
+func decodeKeys(wks []string) ([]value.Key, error) {
+	if wks == nil {
+		return nil, nil
+	}
+	out := make([]value.Key, len(wks))
+	for i, wk := range wks {
+		k, err := decodeKey(wk)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = k
+	}
+	return out, nil
 }
 
 // encodeBucket renders a fetch result. Cells are encoded with the TSV

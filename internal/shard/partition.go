@@ -1,0 +1,147 @@
+package shard
+
+import (
+	"context"
+	"fmt"
+	"sync/atomic"
+
+	"repro/internal/access"
+	"repro/internal/data"
+	"repro/internal/live"
+	"repro/internal/plan"
+	"repro/internal/value"
+)
+
+// Partition is one hash partition of the database, wherever it lives:
+// a *Local in this process, or internal/cluster's HTTP client to a
+// Local on another machine. The coordinator (Engine) is written against
+// this interface only, so where the partitions live is a choice of
+// constructor — shard.New builds K local ones, cluster.New K remote
+// ones — and never a second copy of the protocol.
+//
+// Versions are per partition and move in lockstep across the fleet:
+// every committed write bumps every partition by one (an untouched
+// partition commits an empty sub-delta), so the coordinator's version V
+// names the same cut everywhere.
+type Partition interface {
+	// Status reports the partition's identity and committed state.
+	Status(ctx context.Context) (Status, error)
+	// Pin resolves committed version v to a read view. A view, once
+	// pinned, serves that version for as long as it is held.
+	Pin(v uint64) (View, error)
+	// Load installs ix — already restricted to this partition's share —
+	// as version 0, restarting any durable history.
+	Load(ctx context.Context, ix *access.Indexed) error
+	// Stage applies sub-delta d on top of committed version base without
+	// publishing anything, replacing any previously staged transaction.
+	Stage(ctx context.Context, txn string, base uint64, d *live.Delta) (*Staged, error)
+	// MaxGroup is the largest group of constraint ci's post-delta index:
+	// the staged one when txn touched it, the version-v one otherwise.
+	MaxGroup(ctx context.Context, txn string, v uint64, ci int) (int, error)
+	// Groups lists the post-delta groups of constraint ci (resolved as
+	// for MaxGroup) under the given X-keys, or every group when all is
+	// set. Empty groups are omitted.
+	Groups(ctx context.Context, txn string, v uint64, ci int, keys []value.Key, all bool) ([]Group, error)
+	// Commit publishes staged transaction txn as version v+1 and
+	// returns the partition's new size. It is idempotent per txn.
+	Commit(ctx context.Context, txn string, v uint64) (size int, err error)
+	// Abort discards staged transaction txn; unknown ones are a no-op.
+	Abort(ctx context.Context, txn string) error
+	// Rollback rewinds the partition to committed version v — the repair
+	// of a commit fanout that did not complete — and returns its size.
+	Rollback(ctx context.Context, v uint64) (size int, err error)
+	// Checkpoint persists the current version and returns it;
+	// core.ErrNotDurable when the partition has no durable store.
+	Checkpoint(ctx context.Context) (uint64, error)
+}
+
+// View is one partition pinned at one version.
+type View interface {
+	// Fetcher serves constraint ci's buckets at the pinned version, or
+	// nil when there is no such constraint. A local view returns the
+	// index itself and ignores rd; a remote view returns an RPC fetcher
+	// that runs under rd.Ctx and reports failures to rd.
+	Fetcher(rd *Read, ci int) plan.Fetcher
+	// Instance returns the partition's tuples at the pinned version.
+	Instance(ctx context.Context) (*data.Instance, error)
+}
+
+// Read is the request-scoped state remote fetchers need and the
+// infallible plan.Fetcher signature cannot carry: the request's context,
+// and the first fetch failure, which the coordinator's plan.Source
+// surfaces through FetchErr so the executor aborts instead of answering
+// from partial buckets. Local views never touch it.
+type Read struct {
+	Ctx context.Context
+	err atomic.Pointer[error]
+}
+
+// Fail records err unless an earlier failure is already recorded.
+func (r *Read) Fail(err error) { r.err.CompareAndSwap(nil, &err) }
+
+// Err returns the first recorded failure, if any.
+func (r *Read) Err() error {
+	if p := r.err.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Status is a partition's identity and committed state, checked when a
+// coordinator attaches.
+type Status struct {
+	Shard, Shards int
+	Version       uint64
+	Size          int
+	// Catalog fingerprints the (schema, access schema) pair the
+	// partition serves; see catalogHash.
+	Catalog uint32
+}
+
+// Staged is the accounting of one staged sub-delta: sizes, net effect,
+// and per constraint what the coordinator's global validation needs
+// without another round trip in the common (aligned, |D| not shrunk)
+// case.
+type Staged struct {
+	Size, OldSize     int
+	Inserted, Deleted int
+	Constraints       []StagedConstraint
+}
+
+// StagedConstraint is one constraint's share of a Staged: whether the
+// sub-delta touched its relation, the largest post-delta group among
+// the keys this partition's inserts touched, and those keys (for the
+// cross-partition measurement of constraints whose groups straddle
+// partitions).
+type StagedConstraint struct {
+	Touched    bool
+	MaxInsert  int
+	InsertKeys []value.Key
+}
+
+// Group is one index bucket by identity: its X-key and the keys of its
+// distinct Y-projections. The coordinator unions Projs across
+// partitions to measure a group split between them.
+type Group struct {
+	Key   value.Key
+	Projs []value.Key
+}
+
+// Refusal is a partition's structured protocol-level rejection —
+// version mismatch, unknown transaction, a version it no longer holds.
+// The partition answered deliberately, so a Refusal is never retried.
+// Status is the HTTP status the internal wire carries it under.
+type Refusal struct {
+	Shard   int
+	Status  int
+	Code    string
+	Message string
+}
+
+func (e *Refusal) Error() string {
+	return fmt.Sprintf("shard: partition %d: %s (%s)", e.Shard, e.Message, e.Code)
+}
+
+// ErrorCode carries the refusal's code into the API envelope (see
+// internal/server's coded-error mapping).
+func (e *Refusal) ErrorCode() string { return e.Code }

@@ -1,37 +1,40 @@
-// Package shard implements a hash-partitioned serving engine: the same
-// bounded-evaluation surface as internal/core, with every relation
-// spread across K shards by a per-relation partition key.
+// Package shard implements the hash-partitioned serving engine: the
+// same bounded-evaluation surface as internal/core, with every relation
+// spread across K partitions by a per-relation partition key. It holds
+// the ONE coordinator (Engine), written against the Partition
+// interface: New builds it over K partitions in this process (Local),
+// internal/cluster over K partitions behind HTTP. Which kind a
+// deployment uses is a constructor choice, not a second protocol.
 //
 // The paper's access constraints compose naturally with horizontal
 // partitioning. A bounded plan touches data only through indexed
 // fetches, and a fetch for a concrete X-value ā retrieves at most N
 // tuples wherever they live: when the relation is partitioned by X the
-// whole group D_Y(X = ā) sits on one shard and the fetch ROUTES there
-// (one lookup); otherwise the group is split and the fetch SCATTERS to
-// all K shards, merging the per-shard buckets. Because index buckets
-// are kept in canonical (key-sorted) order, the merge reproduces the
-// exact bucket a single-node index would serve — so a sharded engine
-// returns byte-identical rows, in the same order, as internal/core on
-// the same data. That equivalence is property-tested in equiv_test.go.
+// whole group D_Y(X = ā) sits on one partition and the fetch ROUTES
+// there (one lookup); otherwise the group is split and the fetch
+// SCATTERS to all K partitions, merging the per-partition buckets.
+// Because index buckets are kept in canonical (key-sorted) order, the
+// merge reproduces the exact bucket a single-node index would serve —
+// so the engine returns byte-identical rows, in the same order, as
+// internal/core on the same data, whatever K is and wherever the
+// partitions live (property-tested for local, remote and mixed fleets
+// in internal/cluster's equivalence suite).
 //
 // Consistency model: the coordinator owns one atomic snapshot holding
-// every shard's (instance, indices) version, so readers never see shard
-// 1 post-delta and shard 2 pre-delta. Apply is two-phase: every
-// shard's sub-delta is STAGED in parallel (copy-on-write, nothing
-// published), the batch is validated GLOBALLY — cardinality bounds are
-// evaluated at the global |D|, and groups of constraints not aligned
-// with the partition key are measured by merging per-shard buckets —
-// and only then does every shard publish, or none. A violation
-// anywhere rejects the whole delta with the same *live.ViolationError
-// a single-node engine would produce.
+// every partition pinned at one committed version V, so readers never
+// see partition 1 post-delta and partition 2 pre-delta. Apply is
+// two-phase — stage everywhere, validate globally, commit everywhere or
+// nowhere; see Apply — and a violation anywhere rejects the whole delta
+// with the same *live.ViolationError a single-node engine would
+// produce.
 //
-// Deliberately NOT nested core.Engines: a per-shard engine would
+// Deliberately NOT nested core.Engines: a per-partition engine would
 // re-validate constraints against its local |D| and its local groups,
-// which both misses violations (a group split across shards) and
+// which both misses violations (a group split across partitions) and
 // fabricates them (general-form bounds s(|D|) evaluated at the smaller
-// local size). The shards hold data; exactly one planner engine plans,
-// admits and serves through core.QueryView against a scatter-gather
-// view of them.
+// local size). The partitions hold data; exactly one planner engine
+// plans, admits and serves through core.QueryView against a
+// scatter-gather view of them.
 package shard
 
 import (
@@ -40,27 +43,24 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/access"
 	"repro/internal/core"
-	"repro/internal/cover"
 	"repro/internal/cq"
 	"repro/internal/data"
 	"repro/internal/durable"
 	"repro/internal/eval"
-	"repro/internal/index"
 	"repro/internal/live"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/schema"
-	"repro/internal/specialize"
 	"repro/internal/value"
 )
 
 // Options configures a sharded engine.
 type Options struct {
-	// Shards is K, the number of hash partitions; 0 or 1 means a single
-	// shard (useful as the degenerate baseline).
+	// Shards is K, the number of hash partitions New builds; 0 or 1
+	// means a single one (useful as the degenerate baseline).
 	Shards int
 	// Core configures the planner engine (plan cache size, default exec
 	// options, checker options) exactly as for a single-node engine.
@@ -68,54 +68,61 @@ type Options struct {
 	// PartitionKeys overrides the per-relation partition key. The
 	// default for each relation is the X-attributes of its first access
 	// constraint with a nonempty X (so that constraint's fetches route
-	// to one shard), falling back to all attributes when no constraint
-	// offers one. Fetches route only when a constraint's X matches the
-	// partition key exactly (same attributes, same order); everything
-	// else scatters.
+	// to one partition), falling back to all attributes when no
+	// constraint offers one. Fetches route only when a constraint's X
+	// matches the partition key exactly (same attributes, same order);
+	// everything else scatters.
 	PartitionKeys map[string][]schema.Attribute
 }
 
-// partition says how one relation is spread across shards.
-type partition struct {
-	attrs []schema.Attribute
-	pos   []int // positions of attrs in the relation's attribute order
-}
+// repairTimeout bounds the best-effort abort/rollback fanout after a
+// failed write; it runs detached from the request's (possibly already
+// expired) context.
+const repairTimeout = 5 * time.Second
 
-// snapshot is one consistent cross-shard version: every shard's indexed
-// instance, the global size, and a lazily materialized union instance
-// for the scan fallback.
+// snapshot is one consistent cross-partition version: every partition
+// pinned at it, the global size, and a lazily materialized union
+// instance for the scan fallback.
 type snapshot struct {
-	views []*access.Indexed
+	views []View
 	size  int
-	// version is the committed cross-shard version: 0 after Load, +1 per
-	// Apply; every shard's WAL carries a record for every version, so
-	// all shards recover onto the same cut.
+	// version is the committed cross-partition version: 0 after Load,
+	// +1 per Apply.
 	version uint64
 
 	mergeMu sync.Mutex
 	merged  *data.Instance // guarded by mergeMu
 }
 
-// instance returns the union of the shards' instances, materializing it
-// on first use (a scan reads every tuple anyway, so the merge does not
-// change the fallback's asymptotics) and caching it for the snapshot's
-// lifetime. Load seeds it with the loaded instance, so scans after a
-// plain Load pay nothing. The merge walks every tuple in the database,
-// so it observes ctx between relations: a canceled request must not pay
-// for a union nobody will read.
+// instance returns the union of the partitions' instances,
+// materializing it on first use (a scan reads every tuple anyway, so
+// the merge does not change the fallback's asymptotics) and caching it
+// for the snapshot's lifetime; Load seeds it with the loaded instance.
+// The merge walks every tuple in the database, so it observes ctx
+// between relations: a canceled request must not pay for a union nobody
+// will read. Nothing is cached unless every partition delivered its
+// whole share.
 func (sn *snapshot) instance(ctx context.Context, s *schema.Schema) (*data.Instance, error) {
 	sn.mergeMu.Lock()
 	defer sn.mergeMu.Unlock()
 	if sn.merged != nil {
 		return sn.merged, nil
 	}
+	parts := make([]*data.Instance, len(sn.views))
+	err := fan(len(parts), true, func(i int) (err error) {
+		parts[i], err = sn.views[i].Instance(ctx)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 	m := data.NewInstance(s)
-	for _, v := range sn.views {
+	for _, part := range parts {
 		for _, rs := range s.Relations() {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			rel := v.Instance.Relation(rs.Name)
+			rel := part.Relation(rs.Name)
 			if rel == nil {
 				continue
 			}
@@ -135,34 +142,67 @@ func (sn *snapshot) instance(ctx context.Context, s *schema.Schema) (*data.Insta
 	return m, nil
 }
 
-// Engine is the sharded counterpart of core.Engine; it implements
-// core.Queryable, so serving code switches between the two with a
-// constructor change only.
+// fan runs f(i) for every i in [0, n) and returns the first error in
+// index order: on a goroutine each when concurrent, so the partitions'
+// work (or round trips) overlaps; otherwise in order on the caller's
+// goroutine — where f may open trace spans — stopping at the first
+// error.
+func fan(n int, concurrent bool, f func(i int) error) error {
+	if !concurrent {
+		for i := 0; i < n; i++ {
+			if err := f(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = f(i)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Engine is the coordinator: core.Queryable over K partitions, so
+// serving code switches between a single-node engine, an in-process
+// sharded engine and a networked cluster with a constructor change.
 type Engine struct {
 	Schema *schema.Schema
 	Access *access.Schema
-	Opts   Options
+	Planning
 
-	k       int
-	parts   map[string]partition
-	planner *core.Engine
+	place *Placement
+	parts []Partition
+	// remote says some partition lives outside this process — all the
+	// partition kind decides: round trips overlap (scatter and commit
+	// fan out on goroutines) and profiles label traffic
+	// "peer N"/"cluster.merge" instead of "shard N"/"shard.merge".
+	remote    bool
+	mergeSpan string
+	counters  func(*obs.Trace, int) *obs.ShardCounters
 
-	// snap is the current consistent cross-shard snapshot (nil before
-	// the first Load). writeMu serializes Load and Apply and protects
-	// store attachment (Durable).
+	// snap is the current consistent cross-partition snapshot (nil
+	// before the first Load or Attach). writeMu serializes Load, Attach
+	// and Apply.
 	snap    atomic.Pointer[snapshot]
 	writeMu sync.Mutex
 	applies atomic.Uint64
-	// stores, when non-nil, holds one durable store per shard
-	// (dir/shard-<i>); every Apply appends the committed version to all
-	// K WALs in shard order. guarded by writeMu.
-	stores []*durable.Store
+	txnSeq  atomic.Uint64
 }
 
 var _ core.Queryable = (*Engine)(nil)
 
-// New builds a sharded engine over K shards, deriving the partition map
-// from the access schema (see Options.PartitionKeys).
 // NewOrCore builds the serving engine for a K-shard deployment: the
 // plain single-node core.Engine for K ≤ 1, a sharded engine otherwise.
 // The CLIs (bequery, beserve) share it so "-shards 1" means exactly the
@@ -174,164 +214,117 @@ func NewOrCore(s *schema.Schema, a *access.Schema, opts core.Options, shards int
 	return core.New(s, a, opts)
 }
 
+// New builds a sharded engine over opts.Shards partitions in this
+// process, deriving the partition map from the access schema (see
+// Options.PartitionKeys).
 func New(s *schema.Schema, a *access.Schema, opts Options) (*Engine, error) {
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("shard: negative shard count %d", opts.Shards)
 	}
-	k := opts.Shards
-	if k == 0 {
-		k = 1
+	k := max(opts.Shards, 1)
+	parts := make([]Partition, k)
+	for i := range parts {
+		l, err := NewLocal(s, a, i, k)
+		if err != nil {
+			return nil, err
+		}
+		parts[i] = l
+	}
+	return NewCoordinator(s, a, parts, opts)
+}
+
+// NewCoordinator builds the engine over the given partitions, in
+// partition order: parts[i] must be partition i of len(parts).
+// opts.Shards is ignored. Over partitions that already hold data, call
+// Attach before serving.
+func NewCoordinator(s *schema.Schema, a *access.Schema, parts []Partition, opts Options) (*Engine, error) {
+	place, err := NewPlacement(s, a, len(parts), opts.PartitionKeys)
+	if err != nil {
+		return nil, err
 	}
 	planner, err := core.New(s, a, opts.Core)
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		Schema:  s,
-		Access:  a,
-		Opts:    opts,
-		k:       k,
-		parts:   make(map[string]partition),
-		planner: planner,
-	}
-	for _, rs := range s.Relations() {
-		attrs, ok := opts.PartitionKeys[rs.Name]
-		if !ok {
-			attrs = DefaultPartitionKey(rs, a)
+	e := &Engine{Schema: s, Access: a, place: place, parts: parts}
+	e.Planning = Planning{Planner: planner, Size: func() int {
+		if sn := e.snap.Load(); sn != nil {
+			return sn.size
 		}
-		pos, err := rs.Positions(attrs)
-		if err != nil {
-			return nil, fmt.Errorf("shard: bad partition key for %s: %w", rs.Name, err)
+		return 0
+	}}
+	e.mergeSpan, e.counters = "shard.merge", obs.NewShardCounters
+	for _, p := range parts {
+		if _, local := p.(*Local); !local {
+			e.remote, e.mergeSpan, e.counters = true, "cluster.merge", obs.NewPeerCounters
 		}
-		e.parts[rs.Name] = partition{attrs: append([]schema.Attribute(nil), attrs...), pos: pos}
 	}
 	return e, nil
 }
 
-// DefaultPartitionKey picks the X of the relation's first access
-// constraint with a nonempty X, so that constraint's indexed fetches
-// route to exactly one shard; a relation with no such constraint is
-// partitioned by all its attributes (an even spread — every access to
-// it scatters anyway). Exported so internal/cluster's coordinator and
-// shard nodes derive the identical placement from the same catalog.
-func DefaultPartitionKey(rs schema.Relation, a *access.Schema) []schema.Attribute {
-	for _, c := range a.ForRelation(rs.Name) {
-		if len(c.X) > 0 {
-			return c.X
-		}
-	}
-	return rs.Attrs
+func errNoInstance() error {
+	return fmt.Errorf("shard: no instance loaded (Load data, or Attach to a loaded fleet)")
 }
 
-// AttrsEqual is order-sensitive attribute-list equality: routing relies
-// on the partition key encoding exactly matching the fetch key encoding.
-func AttrsEqual(a, b []schema.Attribute) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// aligned reports whether constraint c's fetch keys coincide with its
-// relation's partition key, i.e. whether each group D_Y(X = ā) lives
-// wholly on shard ShardOf(ā).
-func (e *Engine) aligned(c access.Constraint) bool {
-	return AttrsEqual(e.parts[c.Rel].attrs, c.X)
-}
-
-// ShardOf maps an encoded partition-key value to a shard (FNV-1a: fast,
-// deterministic across processes, good spread on short keys). Generic
-// over the key spelling so raw scratch bytes route without a conversion
-// allocation. Exported because it IS the cluster placement function:
-// a networked coordinator must route a fetch key to the same node this
-// in-process engine routes it to.
-func ShardOf[T ~string | ~[]byte](k T, n int) int {
-	const offset32, prime32 = 2166136261, 16777619
-	h := uint32(offset32)
-	for i := 0; i < len(k); i++ {
-		h ^= uint32(k[i])
-		h *= prime32
-	}
-	return int(h % uint32(n))
-}
-
-// shardOfTuple places one tuple of relation rel.
-func (e *Engine) shardOfTuple(rel string, t data.Tuple) int {
-	return ShardOf(value.KeyOfAt(t, e.parts[rel].pos), e.k)
-}
-
-// errNoInstance mirrors core's pre-Load refusal.
-func errNoInstance() error { return fmt.Errorf("shard: no instance loaded") }
-
-// Load hash-partitions d across the K shards, builds every shard's
-// indices in parallel, and validates D |= A GLOBALLY: cardinality
-// bounds are evaluated at the full |D| and groups of non-aligned
-// constraints are measured across shards, so the verdict matches what a
-// single-node Load of d would decide. Ownership of d transfers to the
-// engine (it becomes the cached union instance of the new snapshot).
-func (e *Engine) Load(d *data.Instance) error {
-	// Split: per-shard instances, tuples shared with d.
-	insts := make([]*data.Instance, e.k)
-	for i := range insts {
-		insts[i] = data.NewInstance(e.Schema)
-	}
-	for _, rs := range e.Schema.Relations() {
-		rel := d.Relation(rs.Name)
-		if rel == nil {
-			return fmt.Errorf("shard: instance has no relation %s", rs.Name)
-		}
-		pos := e.parts[rs.Name].pos
-		var buf data.Tuple
-		var kb []byte
-		for ri := 0; ri < rel.Len(); ri++ {
-			buf = rel.AppendRow(buf, ri)
-			kb = rel.AppendKeyAt(kb[:0], ri, pos)
-			if _, err := insts[ShardOf(kb, e.k)].Relation(rs.Name).Insert(buf); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Index every shard in parallel; local violation lists are ignored —
-	// they are computed against local sizes, the global check below is
-	// the authoritative one.
-	views := make([]*access.Indexed, e.k)
-	errs := make([]error, e.k)
-	var wg sync.WaitGroup
-	for i := 0; i < e.k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			views[i], _, errs[i] = access.BuildIndexed(e.Access, insts[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+// publish pins every partition at version and swaps the result in as
+// the snapshot readers load. Callers hold writeMu.
+func (e *Engine) publish(version uint64, size int, merged *data.Instance) error {
+	views := make([]View, len(e.parts))
+	for i, p := range e.parts {
+		v, err := p.Pin(version)
 		if err != nil {
 			return err
 		}
+		views[i] = v
 	}
+	e.snap.Store(&snapshot{views: views, size: size, version: version, merged: merged})
+	e.Planner.SetSizeHint(size)
+	return nil
+}
 
+// Load hash-partitions d, indexes every share in parallel, validates
+// D |= A GLOBALLY — cardinality bounds at the full |D|, groups of
+// non-aligned constraints measured across partitions, so the verdict
+// matches a single-node Load of d — and only then hands each partition
+// its share (which its indexes were validated on: nothing is indexed
+// twice), restarting the fleet at version 0. A violating dataset is
+// refused before any partition changes. Ownership of d transfers to the
+// engine: it becomes the new snapshot's cached union instance.
+func (e *Engine) Load(d *data.Instance) error {
+	k := len(e.parts)
+	subs := make([]*data.Instance, k)
+	for i := range subs {
+		subs[i] = data.NewInstance(e.Schema)
+	}
+	if err := e.place.split(d, subs); err != nil {
+		return err
+	}
+	// BuildIndexed's own violation lists are computed against local
+	// sizes; the global check below is the authoritative one.
+	ixs := make([]*access.Indexed, k)
+	err := fan(k, true, func(i int) (err error) {
+		ixs[i], _, err = access.BuildIndexed(e.Access, subs[i])
+		return err
+	})
+	if err != nil {
+		return err
+	}
 	size := d.Size()
 	var viols []access.Violation
 	for ci, c := range e.Access.Constraints {
-		bound := c.Card.Bound(size)
 		g := 0
-		if e.aligned(c) {
-			for _, v := range views {
-				if mg := v.Index(ci).MaxGroup(); mg > g {
-					g = mg
-				}
+		if e.place.aligned(c) {
+			for _, ix := range ixs {
+				g = max(g, ix.Index(ci).MaxGroup())
 			}
 		} else {
-			g = mergedMaxGroup(constraintIndexes(views, ci))
+			groups := make([][]Group, k)
+			for i, ix := range ixs {
+				groups[i] = groupsOf(ix.Index(ci), nil, true)
+			}
+			g = largestGroup(groups)
 		}
-		if g > bound {
+		if bound := c.Card.Bound(size); g > bound {
 			viols = append(viols, access.Violation{Constraint: c, Group: g, Bound: bound})
 		}
 	}
@@ -341,206 +334,79 @@ func (e *Engine) Load(d *data.Instance) error {
 
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	if e.stores != nil {
-		// Restart the durable history: per-shard base checkpoints at
-		// version 0, all written before the snapshot publishes.
-		for i, st := range e.stores {
-			if err := st.Reset(); err != nil {
-				return err
-			}
-			base := &durable.State{Instance: insts[i], Indexed: views[i], Version: 0}
-			if err := st.WriteCheckpoint(e.Schema, base); err != nil {
-				return err
-			}
-		}
-	}
-	// All K shard instances and the cached union publish read-only;
-	// release their load-time dedup maps (writers clone and rebuild).
-	for _, inst := range insts {
-		inst.ReleaseDedup()
+	ctx := context.Background()
+	if err := fan(k, true, func(i int) error { return e.parts[i].Load(ctx, ixs[i]) }); err != nil {
+		return err
 	}
 	d.ReleaseDedup()
-	e.snap.Store(&snapshot{views: views, size: size, merged: d})
-	e.planner.SetSizeHint(size)
-	return nil
+	return e.publish(0, size, d)
 }
 
-// Durable attaches per-shard durability directories under dir
-// (dir/shard-0 … dir/shard-<K-1>): every subsequent Apply appends the
-// committed version to all K WALs — in shard order, before the
-// cross-shard snapshot publishes — and Load writes per-shard base
-// checkpoints. If the directories already hold durable state, the
-// engine recovers onto one consistent cross-shard cut: V = the minimum
-// committed version across shards (a crash mid-fanout leaves a prefix
-// of shards one version ahead; their diverged WAL suffix is truncated),
-// every shard replays to exactly V, and the recovered snapshot is
-// published (restored == true). Directories where only SOME shards have
-// state — an initial load that crashed partway — are reset wholesale
-// and report restored == false, so the caller re-ingests; Load is
-// idempotent, nothing committed is lost. Call once, before serving.
-func (e *Engine) Durable(ctx context.Context, dir string, hook durable.Hook) (restored bool, err error) {
-	stores := make([]*durable.Store, e.k)
-	closeAll := func() {
-		for _, st := range stores {
-			if st != nil {
-				st.Close()
-			}
-		}
-	}
-	withState := 0
-	cut := durable.NoLimit
-	for i := range stores {
-		st, err := durable.Open(filepath.Join(dir, fmt.Sprintf("shard-%d", i)), hook)
-		if err != nil {
-			closeAll()
-			return false, err
-		}
-		stores[i] = st
-		if v, ok := st.LastVersion(); ok {
-			withState++
-			if v < cut {
-				cut = v
-			}
-		}
-	}
-
-	attach := func() error {
-		e.writeMu.Lock()
-		defer e.writeMu.Unlock()
-		if e.stores != nil {
-			return fmt.Errorf("shard: engine already has durable stores")
-		}
-		e.stores = stores
-		return nil
-	}
-
-	if withState < e.k {
-		// Fresh directories, or a partial initial load: no consistent cut
-		// exists, so wipe whatever half-written state is there and let the
-		// caller Load from source.
-		for _, st := range stores {
-			if err := st.Reset(); err != nil {
-				closeAll()
-				return false, err
-			}
-		}
-		if err := attach(); err != nil {
-			closeAll()
-			return false, err
-		}
-		return false, nil
-	}
-
-	// Recover every shard to exactly the cut, in parallel.
-	states := make([]*durable.State, e.k)
-	errs := make([]error, e.k)
-	var wg sync.WaitGroup
-	for i := range stores {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			states[i], errs[i] = stores[i].Recover(ctx, e.Schema, e.Access, cut)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			closeAll()
-			return false, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if states[i] == nil || states[i].Version != cut {
-			closeAll()
-			return false, fmt.Errorf("shard %d: recovered no state at cut version %d", i, cut)
-		}
-	}
-	views := make([]*access.Indexed, e.k)
-	size := 0
-	for i, st := range states {
-		views[i] = st.Indexed
-		size += st.Instance.Size()
-	}
-	if err := attach(); err != nil {
-		closeAll()
-		return false, err
-	}
-	e.writeMu.Lock()
-	e.snap.Store(&snapshot{views: views, size: size, version: cut})
-	e.writeMu.Unlock()
-	e.planner.SetSizeHint(size)
-	return true, nil
-}
-
-// Checkpoint persists every shard's current snapshot (all at the same
-// pinned cross-shard version) and compacts the WALs behind them,
-// returning the version captured. core.ErrNotDurable if Durable was
-// never called.
-func (e *Engine) Checkpoint(ctx context.Context) (uint64, error) {
-	e.writeMu.Lock()
-	stores := e.stores
-	sn := e.snap.Load()
-	e.writeMu.Unlock()
-	if stores == nil {
-		return 0, core.ErrNotDurable
-	}
-	if sn == nil {
-		return 0, errNoInstance()
-	}
-	csp := obs.FromContext(ctx).Start("checkpoint.write")
-	defer csp.End()
-	errs := make([]error, len(stores))
-	var wg sync.WaitGroup
-	for i, st := range stores {
-		wg.Add(1)
-		go func(i int, st *durable.Store) {
-			defer wg.Done()
-			errs[i] = st.WriteCheckpoint(e.Schema, &durable.State{
-				Instance: sn.views[i].Instance, Indexed: sn.views[i], Version: sn.version,
-			})
-		}(i, st)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return 0, fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return sn.version, nil
-}
-
-// CloseDurable detaches and closes every shard's durable store. Safe to
-// call when durability was never enabled.
-func (e *Engine) CloseDurable() error {
+// Attach verifies the fleet — every partition answers, identifies as
+// partition i of K, and serves the same catalog — and adopts its
+// committed state: the version is the MINIMUM across partitions (a
+// crash mid-commit-fanout leaves some one version ahead; nothing there
+// was ever acknowledged, so that suffix is rolled back — from the
+// partition's retained snapshot, or its durable store if it restarted
+// since), the size the sum of the partitions' sizes at that version.
+func (e *Engine) Attach(ctx context.Context) error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	var first error
-	for _, st := range e.stores {
-		if err := st.Close(); err != nil && first == nil {
-			first = err
-		}
+	k := len(e.parts)
+	stats := make([]Status, k)
+	err := fan(k, true, func(i int) (err error) {
+		stats[i], err = e.parts[i].Status(ctx)
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	e.stores = nil
-	return first
+	want := catalogHash(e.Schema, e.Access)
+	cut := stats[0].Version
+	for i, st := range stats {
+		if st.Shard != i || st.Shards != k {
+			return fmt.Errorf("shard: partition %d identifies as shard %d of %d (want %d of %d)",
+				i, st.Shard, st.Shards, i, k)
+		}
+		if st.Catalog != want {
+			return fmt.Errorf("shard: partition %d serves a different catalog (fingerprint %08x, want %08x)",
+				i, st.Catalog, want)
+		}
+		cut = min(cut, st.Version)
+	}
+	size := 0
+	for i, st := range stats {
+		if st.Version > cut {
+			if st.Size, err = e.parts[i].Rollback(ctx, cut); err != nil {
+				return err
+			}
+		}
+		size += st.Size
+	}
+	return e.publish(cut, size, nil)
 }
 
-// Apply validates delta against the access schema across all shards and
-// publishes a new cross-shard snapshot when every cardinality bound
-// still holds — two-phase:
+// Apply validates delta against the access schema across all
+// partitions and publishes a new cross-partition snapshot when every
+// cardinality bound still holds — two-phase:
 //
-//	phase 1 (stage):   split the delta by partition key and stage each
-//	                   shard's sub-delta in parallel, copy-on-write,
-//	                   publishing nothing;
+//	phase 1 (stage):   split the delta by partition key and stage every
+//	                   partition's sub-delta in parallel (empty ones
+//	                   too, so versions stay in lockstep), copy-on-
+//	                   write, publishing nothing;
 //	phase 2 (commit):  validate the staged whole at the global |D| —
 //	                   including the shrink-|D| recheck of general-form
-//	                   bounds on every shard, touched or not, and merged
-//	                   cross-shard group sizes for non-aligned
-//	                   constraints — then swap in every shard's new
-//	                   version under one atomic snapshot store.
+//	                   bounds on every partition, touched or not, and
+//	                   merged cross-partition group sizes for non-aligned
+//	                   constraints — then commit everywhere, or nowhere.
 //
-// A violation on any shard rejects the whole delta with a
-// *live.ViolationError and NO shard publishes. The returned Result
+// A violation on any partition rejects the whole delta with a
+// *live.ViolationError and NO partition publishes. The returned Result
 // carries the net insert/delete counts; its Instance/Indexed are nil
-// (per-shard snapshots replace the single pair — use Instance() for the
-// union). Queries in flight keep their pre-delta snapshot.
+// (use Instance() for the union). Queries in flight keep their
+// pre-delta snapshot. A caller either observes the full delta applied
+// at version V+1, or an error with the fleet still at V — never a
+// half-applied write.
 func (e *Engine) Apply(ctx context.Context, delta *live.Delta) (*live.Result, error) {
 	if delta == nil {
 		return nil, fmt.Errorf("shard: nil delta")
@@ -554,309 +420,239 @@ func (e *Engine) Apply(ctx context.Context, delta *live.Delta) (*live.Result, er
 	if sn == nil {
 		return nil, errNoInstance()
 	}
-
-	subs, err := e.split(delta)
+	subs, err := e.place.splitDelta(delta)
 	if err != nil {
 		return nil, err
 	}
-
-	// Phase 1: stage every touched shard in parallel. The span covers
-	// the whole fanout — per-shard staging runs on worker goroutines,
-	// which never open spans of their own.
+	k := len(e.parts)
+	txn := fmt.Sprintf("txn-%d-%d", sn.version+1, e.txnSeq.Add(1))
 	tr := obs.FromContext(ctx)
-	sp := tr.Start("apply.stage")
-	staged := make([]*live.Staged, e.k)
-	errs := make([]error, e.k)
-	var wg sync.WaitGroup
-	for i := 0; i < e.k; i++ {
-		if subs[i].Len() == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			staged[i], errs[i] = live.Stage(ctx, subs[i], sn.views[i])
-		}(i)
-	}
-	wg.Wait()
-	sp.End()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 
-	oldGlobal := sn.size
-	newGlobal := oldGlobal
+	// Phase 1. The span covers the whole fanout — staging runs on
+	// worker goroutines, which never open spans of their own.
+	sp := tr.Start("apply.stage")
+	staged := make([]*Staged, k)
+	err = fan(k, true, func(i int) (err error) {
+		staged[i], err = e.parts[i].Stage(ctx, txn, sn.version, subs[i])
+		return err
+	})
+	sp.End()
+	if err != nil {
+		e.abortAll(txn)
+		return nil, err
+	}
+	newSize := sn.size
 	res := &live.Result{}
 	for _, st := range staged {
-		if st == nil {
-			continue
-		}
-		newGlobal += st.Size() - st.OldSize()
-		res.Inserted += st.Inserted()
-		res.Deleted += st.Deleted()
+		newSize += st.Size - st.OldSize
+		res.Inserted += st.Inserted
+		res.Deleted += st.Deleted
 	}
 
-	// Phase 2: global validation, then all-or-nothing publish.
+	// Phase 2: global validation, then all-or-nothing commit.
 	sp = tr.Start("apply.validate")
-	viols := e.validate(sn, staged, oldGlobal, newGlobal)
+	viols, err := e.validate(ctx, txn, sn.version, staged, sn.size, newSize)
 	sp.End()
-	if len(viols) > 0 {
-		return nil, &live.ViolationError{Violations: viols}
+	if err == nil && len(viols) > 0 {
+		err = &live.ViolationError{Violations: viols}
 	}
+	if err != nil {
+		e.abortAll(txn)
+		return nil, err
+	}
+
+	// Commit fanout. A partition's commit is its durability point (WAL
+	// fsync before its snapshot swaps) and idempotent per txn, so remote
+	// commits are retried through transient failures. A crash mid-fanout
+	// leaves some partitions one version ahead — invisible to readers,
+	// who pin V — for the next stage or Attach to roll back. If a
+	// partition cannot be committed, the ones that already did are
+	// rolled back here, so the write fails whole.
 	sp = tr.Start("apply.commit")
-	views := make([]*access.Indexed, e.k)
-	for i := 0; i < e.k; i++ {
-		if staged[i] == nil {
-			views[i] = sn.views[i]
-			continue
-		}
-		r, err := staged[i].Commit()
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		views[i] = r.Indexed
-	}
+	acked := make([]bool, k)
+	err = fan(k, e.remote, func(i int) error {
+		_, err := e.parts[i].Commit(ctx, txn, sn.version)
+		acked[i] = err == nil
+		return err
+	})
 	sp.End()
-	// Durability point: every shard's WAL gets a record for this version
-	// — an empty sub-delta for untouched shards — in shard order, BEFORE
-	// the cross-shard snapshot publishes. Versions therefore stay in
-	// lockstep across shards, and a crash mid-fanout leaves a prefix of
-	// shards one version ahead; recovery truncates that diverged suffix
-	// back to the minimum committed version. An append failure aborts
-	// the whole publish: the pre-delta snapshot keeps serving, and the
-	// shards already appended are rolled back to the committed version
-	// so the next Apply lines up again.
-	if e.stores != nil {
-		wsp := tr.Start("wal.append+fsync")
-		for i, st := range e.stores {
-			if err := st.AppendDelta(sn.version+1, subs[i]); err != nil {
-				for _, prev := range e.stores[:i] {
-					_ = prev.TruncateAfter(sn.version)
-				}
-				wsp.End()
-				return nil, fmt.Errorf("shard %d: %w", i, err)
+	if err != nil {
+		rctx, cancel := context.WithTimeout(context.Background(), repairTimeout)
+		defer cancel()
+		for i, p := range e.parts {
+			if acked[i] {
+				_, _ = p.Rollback(rctx, sn.version)
+			} else {
+				_ = p.Abort(rctx, txn)
 			}
 		}
-		wsp.SetRows(int64(delta.Len()))
-		wsp.End()
+		return nil, err
 	}
-	e.snap.Store(&snapshot{views: views, size: newGlobal, version: sn.version + 1})
-	e.planner.SetSizeHint(newGlobal)
+	if err := e.publish(sn.version+1, newSize, nil); err != nil {
+		return nil, err
+	}
 	e.applies.Add(1)
 	return res, nil
 }
 
-// split partitions a delta into per-shard sub-deltas by each touched
-// tuple's partition key.
-func (e *Engine) split(d *live.Delta) ([]*live.Delta, error) {
-	subs := make([]*live.Delta, e.k)
-	for i := range subs {
-		subs[i] = live.NewDelta(e.Schema)
-	}
-	err := d.Each(func(rel string, insert bool, t data.Tuple) error {
-		p, ok := e.parts[rel]
-		if !ok {
-			return fmt.Errorf("shard: delta references unknown relation %s", rel)
-		}
-		i := ShardOf(value.KeyOfAt(t, p.pos), e.k)
-		if insert {
-			return subs[i].Insert(rel, t...)
-		}
-		return subs[i].Delete(rel, t...)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return subs, nil
+// abortAll discards the staged transaction fleet-wide, best-effort: a
+// partition that misses the abort discards the leftover itself at the
+// next stage.
+func (e *Engine) abortAll(txn string) {
+	ctx, cancel := context.WithTimeout(context.Background(), repairTimeout)
+	defer cancel()
+	_ = fan(len(e.parts), true, func(i int) error { return e.parts[i].Abort(ctx, txn) })
 }
 
-// postIndex is the post-delta index for constraint ci on shard i: the
-// staged clone when that shard's batch touched the relation, the
-// current shared index otherwise.
-func postIndex(sn *snapshot, staged []*live.Staged, i, ci int) *index.Index {
-	if st := staged[i]; st != nil && st.Touched(ci) {
-		return st.Index(ci)
-	}
-	return sn.views[i].Index(ci)
-}
-
-// validate applies the same rules as live.(*Staged).Violations, lifted
-// to the cross-shard whole: bounds are evaluated at the GLOBAL post- and
-// pre-delta sizes, aligned constraints check per-shard groups (which
-// are exactly the global groups), and non-aligned constraints merge
-// per-shard buckets to measure the true group sizes. Violations come
-// out in constraint order with the same Group numbers a single-node
-// engine applying the unsplit delta would report.
-func (e *Engine) validate(sn *snapshot, staged []*live.Staged, oldGlobal, newGlobal int) []access.Violation {
+// validate applies the rules of live.(*Staged).Violations, lifted to
+// the cross-partition whole: bounds are evaluated at the GLOBAL post-
+// and pre-delta sizes; aligned constraints check per-partition groups
+// (exactly the global groups — stage already reported the
+// insert-touched maxima, the shrink recheck asks each partition's
+// post-delta MaxGroup); non-aligned constraints union per-partition
+// projection sets to measure the true group sizes. Violations come out
+// in constraint order with the Group numbers a single-node engine
+// applying the unsplit delta would report.
+func (e *Engine) validate(ctx context.Context, txn string, v uint64, staged []*Staged, oldSize, newSize int) ([]access.Violation, error) {
+	k := len(e.parts)
 	var viols []access.Violation
 	for ci, c := range e.Access.Constraints {
-		bound := c.Card.Bound(newGlobal)
-		shrunk := !c.Card.IsConst() && bound < c.Card.Bound(oldGlobal)
+		bound := c.Card.Bound(newSize)
+		shrunk := !c.Card.IsConst() && bound < c.Card.Bound(oldSize)
 		touched := false
 		for _, st := range staged {
-			if st != nil && st.Touched(ci) {
-				touched = true
-				break
-			}
+			touched = touched || st.Constraints[ci].Touched
 		}
 		if !touched && !shrunk {
 			continue
 		}
 		g := 0
-		if e.aligned(c) {
-			if shrunk {
-				// The bound dropped with |D|: re-check every group on
-				// every shard, staged or not.
-				for i := range sn.views {
-					if mg := postIndex(sn, staged, i, ci).MaxGroup(); mg > g {
-						g = mg
-					}
-				}
-			} else {
-				// Groups never split across shards: the insert-touched
-				// buckets' post-delta sizes are the global group sizes.
-				for _, st := range staged {
-					if st == nil || !st.Touched(ci) {
-						continue
-					}
-					idx := st.Index(ci)
-					for _, k := range st.InsertKeys(ci) {
-						if n := idx.FetchKey(k).Len(); n > g {
-							g = n
-						}
-					}
-				}
-			}
-		} else {
-			idxs := make([]*index.Index, len(sn.views))
-			for i := range sn.views {
-				idxs[i] = postIndex(sn, staged, i, ci)
-			}
-			if shrunk {
-				g = mergedMaxGroup(idxs)
-			} else {
-				// Only groups some shard's inserts touched can have
-				// grown; measure each by merging across all shards.
+		switch {
+		case !e.place.aligned(c):
+			// Without a shrunk bound only groups some partition's inserts
+			// touched can have grown; measure each across all partitions.
+			var keys []value.Key
+			if !shrunk {
 				seen := make(map[value.Key]bool)
 				for _, st := range staged {
-					if st == nil || !st.Touched(ci) {
-						continue
-					}
-					for _, k := range st.InsertKeys(ci) {
-						if seen[k] {
-							continue
-						}
-						seen[k] = true
-						if n := mergedGroupSize(idxs, k); n > g {
-							g = n
+					for _, key := range st.Constraints[ci].InsertKeys {
+						if !seen[key] {
+							seen[key] = true
+							keys = append(keys, key)
 						}
 					}
 				}
+				if len(keys) == 0 {
+					continue
+				}
+			}
+			groups := make([][]Group, k)
+			err := fan(k, e.remote, func(i int) (err error) {
+				groups[i], err = e.parts[i].Groups(ctx, txn, v, ci, keys, shrunk)
+				return err
+			})
+			if err != nil {
+				return nil, err
+			}
+			g = largestGroup(groups)
+		case shrunk:
+			// The bound dropped with |D|: re-check every group on every
+			// partition, staged or not.
+			maxes := make([]int, k)
+			err := fan(k, e.remote, func(i int) (err error) {
+				maxes[i], err = e.parts[i].MaxGroup(ctx, txn, v, ci)
+				return err
+			})
+			if err != nil {
+				return nil, err
+			}
+			for _, m := range maxes {
+				g = max(g, m)
+			}
+		default:
+			// Groups never split across partitions: the insert-touched
+			// buckets' post-delta sizes are the global group sizes.
+			for _, st := range staged {
+				g = max(g, st.Constraints[ci].MaxInsert)
 			}
 		}
 		if g > bound {
 			viols = append(viols, access.Violation{Constraint: c, Group: g, Bound: bound})
 		}
 	}
-	return viols
+	return viols, nil
 }
 
-// constraintIndexes collects the per-shard indexes backing constraint ci.
-func constraintIndexes(views []*access.Indexed, ci int) []*index.Index {
-	idxs := make([]*index.Index, len(views))
-	for i, v := range views {
-		idxs[i] = v.Index(ci)
+// largestGroup is the size of the largest group once every partition's
+// share of it is unioned: per-partition buckets hold distinct
+// Y-projections, so the true |D_Y(X = ā)| of a group split across
+// partitions is the size of their deduplicated union.
+func largestGroup(parts [][]Group) int {
+	// A group most often lives on one partition; only a second sighting
+	// of its key pays for a set.
+	type union struct {
+		first []value.Key
+		set   map[value.Key]struct{}
 	}
-	return idxs
-}
-
-// mergedGroupSize is the true |D_Y(X = ā)| of a group split across
-// shards: the per-shard buckets hold distinct Y-projections, so the
-// global size is the size of their deduplicated union.
-func mergedGroupSize(idxs []*index.Index, k value.Key) int {
-	n := 0
-	var seen map[string]bool
-	var kb []byte
-	for _, idx := range idxs {
-		b := idx.FetchKey(k)
-		if b.Len() == 0 {
-			continue
-		}
-		if n == 0 && seen == nil {
-			// First shard with data: count without dedup bookkeeping yet.
-			n = b.Len()
-			seen = make(map[string]bool, b.Len())
-			for i := 0; i < b.Len(); i++ {
-				kb = b.AppendKeyOf(kb[:0], i)
-				seen[string(kb)] = true
+	unions := make(map[value.Key]union)
+	largest := 0
+	for _, groups := range parts {
+		for _, g := range groups {
+			u, seen := unions[g.Key]
+			n := len(g.Projs)
+			if !seen {
+				u.first = g.Projs
+			} else {
+				if u.set == nil {
+					u.set = make(map[value.Key]struct{}, len(u.first)+len(g.Projs))
+					for _, p := range u.first {
+						u.set[p] = struct{}{}
+					}
+				}
+				for _, p := range g.Projs {
+					u.set[p] = struct{}{}
+				}
+				n = len(u.set)
 			}
-			continue
-		}
-		for i := 0; i < b.Len(); i++ {
-			kb = b.AppendKeyOf(kb[:0], i)
-			if !seen[string(kb)] {
-				seen[string(kb)] = true
-				n++
-			}
+			unions[g.Key] = u
+			largest = max(largest, n)
 		}
 	}
-	return n
-}
-
-// mergedMaxGroup is max over all X-keys of the merged group size — the
-// cross-shard analogue of Index.MaxGroup, used by Load validation and
-// the shrink-|D| recheck of non-aligned constraints.
-func mergedMaxGroup(idxs []*index.Index) int {
-	keys := make(map[value.Key]bool)
-	for _, idx := range idxs {
-		idx.Buckets(func(k value.Key, _ index.Bucket) bool {
-			keys[k] = true
-			return true
-		})
-	}
-	m := 0
-	for k := range keys {
-		if n := mergedGroupSize(idxs, k); n > m {
-			m = n
-		}
-	}
-	return m
+	return largest
 }
 
 // Query serves q through the planner engine against a scatter-gather
 // view of the current snapshot: identical planning, admission control,
 // fallbacks and streaming as core.Engine.Query. The static access
-// bound (and so the -budget admission check) is the per-request bound
-// of the ONE plan execution, not K times it: a routed fetch touches one
-// shard and a scattered fetch still retrieves at most the constraint's
-// bound across all shards combined, because the bound constrains the
-// global group.
+// bound (and so the -budget admission check) is the bound of the ONE
+// plan execution, not K times it: a scattered fetch still retrieves at
+// most the constraint's bound across all partitions combined, because
+// the bound constrains the global group. An unreachable remote
+// partition degrades the query to a structured refusal — never a torn
+// or partial answer: the executor aborts at the first failed fetch and
+// the scan fallback refuses unless every partition's dump completes.
 func (e *Engine) Query(ctx context.Context, q core.Query, opts ...core.QueryOption) (*core.Result, error) {
 	sn := e.snap.Load()
 	if sn == nil {
 		return nil, errNoInstance()
 	}
-	v := e.viewOf(sn)
-	// A traced request gets per-shard route/scatter accounting: the
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	src := &gatherSource{e: e, views: sn.views, rd: Read{Ctx: ctx}}
+	// A traced request gets per-partition route/scatter accounting: the
 	// fetchers bump counters (they run on plan-executor worker
 	// goroutines, so they can't open spans) and Trace.Finish folds the
-	// totals into "shard N route"/"shard N scatter" spans.
-	if tr := obs.FromContext(ctx); tr != nil && e.k > 1 {
-		v.Source.(*gatherSource).sc = obs.NewShardCounters(tr, e.k)
+	// totals into "shard N route|scatter" spans ("peer N …" for RPCs).
+	// One local partition serves its index directly: nothing to count.
+	if tr := obs.FromContext(ctx); tr != nil && (e.remote || len(e.parts) > 1) {
+		src.sc = e.counters(tr, len(e.parts))
 	}
-	return e.planner.QueryView(ctx, q, v, opts...)
-}
-
-// viewOf assembles the core.View for one pinned snapshot.
-func (e *Engine) viewOf(sn *snapshot) *core.View {
-	return &core.View{
+	v := &core.View{
 		Size:   sn.size,
-		Source: &gatherSource{e: e, views: sn.views},
+		Source: src,
 		Instance: func(ctx context.Context) (*data.Instance, error) {
-			sp := obs.FromContext(ctx).Start("shard.merge")
+			sp := obs.FromContext(ctx).Start(e.mergeSpan)
 			inst, err := sn.instance(ctx, e.Schema)
 			if inst != nil {
 				sp.SetRows(int64(inst.Size()))
@@ -865,32 +661,10 @@ func (e *Engine) viewOf(sn *snapshot) *core.View {
 			return inst, err
 		},
 	}
+	return e.Planner.QueryView(ctx, q, v, opts...)
 }
 
-// Explain reports coverage, verdict, plan and bound like core's, with
-// general-form bounds evaluated at the global |D|.
-func (e *Engine) Explain(q *cq.CQ, params []string) (string, error) {
-	size := 0
-	if sn := e.snap.Load(); sn != nil {
-		size = sn.size
-	}
-	return e.planner.ExplainAt(q, params, size)
-}
-
-// IsCovered runs the PTIME covered-query check (data-independent).
-func (e *Engine) IsCovered(q *cq.CQ) (*cover.Result, error) { return e.planner.IsCovered(q) }
-
-// Plan synthesizes the bounded plan with its static bound at the global
-// |D|; the plan cache is the planner's, shared across all shards.
-func (e *Engine) Plan(q *cq.CQ) (*plan.Plan, plan.Bound, error) {
-	size := 0
-	if sn := e.snap.Load(); sn != nil {
-		size = sn.size
-	}
-	return e.planner.PlanAt(q, size)
-}
-
-// Baseline evaluates q conventionally over the union of the shards.
+// Baseline evaluates q conventionally over the union of the partitions.
 func (e *Engine) Baseline(q *cq.CQ, mode eval.Mode) (*eval.Result, error) {
 	sn := e.snap.Load()
 	if sn == nil {
@@ -903,57 +677,95 @@ func (e *Engine) Baseline(q *cq.CQ, mode eval.Mode) (*eval.Result, error) {
 	return eval.CQ(q, inst, mode)
 }
 
-// Specialize solves QSP (data-independent).
-func (e *Engine) Specialize(q *cq.CQ, X []string, k int) (*specialize.Result, error) {
-	return e.planner.Specialize(q, X, k)
-}
-
-// Instance returns the union of the shards' instances (materialized
-// lazily, cached per snapshot), or nil before Load.
+// Instance returns the union of the partitions' instances (materialized
+// lazily, cached per snapshot), or nil before Load or when a partition
+// is unreachable.
 func (e *Engine) Instance() *data.Instance {
-	sn := e.snap.Load()
-	if sn == nil {
-		return nil
+	if sn := e.snap.Load(); sn != nil {
+		inst, _ := sn.instance(context.Background(), e.Schema)
+		return inst
 	}
-	inst, err := sn.instance(context.Background(), e.Schema)
-	if err != nil {
-		return nil
-	}
-	return inst
+	return nil
 }
-
-// Shards returns K.
-func (e *Engine) Shards() int { return e.k }
 
 // PartitionKey returns the partition key of the named relation.
 func (e *Engine) PartitionKey(rel string) []schema.Attribute {
-	return append([]schema.Attribute(nil), e.parts[rel].attrs...)
+	return append([]schema.Attribute(nil), e.place.keys[rel].attrs...)
 }
 
-// Stats aggregates across the shards: global |D|, shard count, and the
-// serving counters.
+// Stats aggregates across the partitions: global |D|, partition count,
+// and the serving counters.
 func (e *Engine) Stats() core.EngineStats {
-	size := 0
 	version := uint64(0)
 	if sn := e.snap.Load(); sn != nil {
-		size = sn.size
 		version = sn.version
 	}
-	// Every query is served through the planner's QueryView, so its
-	// request and access-accounting counters cover the whole fleet.
-	ps := e.planner.Stats()
-	return core.EngineStats{
-		Size:    size,
-		Shards:  e.k,
-		Queries: ps.Queries,
-		Applies: e.applies.Load(),
-		Fetched: ps.Fetched,
-		Scanned: ps.Scanned,
-		Version: version,
-	}
+	return e.EngineStats(len(e.parts), e.applies.Load(), version)
 }
 
-// CacheStats reports the planner's plan-cache counters (there is one
-// plan cache for the whole sharded engine: plans are data-independent,
-// so per-shard caches would only duplicate entries).
-func (e *Engine) CacheStats() core.CacheStats { return e.planner.CacheStats() }
+// Checkpoint asks every partition to persist its current version and
+// compact its WAL behind it, returning the version captured.
+// core.ErrNotDurable if the partitions have no durable stores.
+func (e *Engine) Checkpoint(ctx context.Context) (uint64, error) {
+	sn := e.snap.Load()
+	csp := obs.FromContext(ctx).Start("checkpoint.write")
+	err := fan(len(e.parts), true, func(i int) error {
+		_, err := e.parts[i].Checkpoint(ctx)
+		return err
+	})
+	csp.End()
+	if err != nil {
+		return 0, err
+	}
+	if sn == nil {
+		return 0, errNoInstance()
+	}
+	return sn.version, nil
+}
+
+// Durable gives every partition of an in-process fleet its own
+// durability directory, dir/shard-<i>: each WAL-logs its commits and
+// checkpoints its share. If every directory already holds state, each
+// partition recovers its newest committed version and the engine
+// attaches to them like to any fleet — onto the minimum committed
+// version, truncating what a crash mid-fanout left ahead (restored ==
+// true). Directories where only SOME partitions have state — an initial
+// load that crashed partway — report restored == false, so the caller
+// re-ingests; Load restarts every partition's history, nothing
+// committed is lost. Call once, before serving.
+func (e *Engine) Durable(ctx context.Context, dir string, hook durable.Hook) (restored bool, err error) {
+	var withState atomic.Int32
+	err = fan(len(e.parts), true, func(i int) error {
+		l, ok := e.parts[i].(*Local)
+		if !ok {
+			return fmt.Errorf("shard: partition %d is remote; its durability lives on its node", i)
+		}
+		ok, err := l.Durable(ctx, filepath.Join(dir, fmt.Sprintf("shard-%d", i)), hook)
+		if ok {
+			withState.Add(1)
+		}
+		return err
+	})
+	if err == nil && int(withState.Load()) == len(e.parts) {
+		restored, err = true, e.Attach(ctx)
+	}
+	if err != nil {
+		_ = e.CloseDurable() // the open or recovery error is the one to report
+		return false, err
+	}
+	return restored, nil
+}
+
+// CloseDurable detaches and closes every local partition's durable
+// store. Safe to call when durability was never enabled.
+func (e *Engine) CloseDurable() error {
+	var first error
+	for _, p := range e.parts {
+		if l, ok := p.(*Local); ok {
+			if err := l.CloseDurable(); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
+}
