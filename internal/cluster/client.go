@@ -226,9 +226,9 @@ func (p *peerClient) attempt(ctx context.Context, method, path, ctype string, pa
 }
 
 func (p *peerClient) Status(ctx context.Context) (shard.Status, error) {
-	var st statusResponse
+	var st shard.Status
 	err := p.call(ctx, http.MethodGet, "/v1/internal/status", nil, &st, true)
-	return shard.Status(st), err
+	return st, err
 }
 
 // Pin costs nothing: the version rides every read RPC, and a node that
@@ -248,16 +248,12 @@ func (p *peerClient) Stage(ctx context.Context, txn string, base uint64, d *live
 	if err := live.WriteDeltaTSV(&buf, d); err != nil {
 		return nil, err
 	}
-	var resp stageResponse
+	var st shard.Staged
 	path := "/v1/internal/stage?txn=" + txn + "&base=" + strconv.FormatUint(base, 10)
-	if err := p.do(ctx, http.MethodPost, path, tsvType, buf.Bytes(), false, jsonInto(p.id, &resp)); err != nil {
+	if err := p.do(ctx, http.MethodPost, path, tsvType, buf.Bytes(), false, jsonInto(p.id, &st)); err != nil {
 		return nil, err
 	}
-	st, err := resp.decode()
-	if err != nil {
-		return nil, p.unavailable(err)
-	}
-	return st, nil
+	return &st, nil
 }
 
 func (p *peerClient) MaxGroup(ctx context.Context, txn string, v uint64, ci int) (int, error) {
@@ -268,15 +264,9 @@ func (p *peerClient) MaxGroup(ctx context.Context, txn string, v uint64, ci int)
 
 func (p *peerClient) Groups(ctx context.Context, txn string, v uint64, ci int, keys []value.Key, all bool) ([]shard.Group, error) {
 	var resp groupsResponse
-	req := groupsRequest{Txn: txn, V: v, CI: ci, Keys: encodeKeys(keys), All: all}
-	if err := p.call(ctx, http.MethodPost, "/v1/internal/groups", req, &resp, true); err != nil {
-		return nil, err
-	}
-	groups, err := resp.decode()
-	if err != nil {
-		return nil, p.unavailable(err)
-	}
-	return groups, nil
+	req := groupsRequest{Txn: txn, V: v, CI: ci, Keys: keys, All: all}
+	err := p.call(ctx, http.MethodPost, "/v1/internal/groups", req, &resp, true)
+	return resp.Groups, err
 }
 
 func (p *peerClient) Commit(ctx context.Context, txn string, v uint64) (int, error) {
@@ -295,18 +285,6 @@ func (p *peerClient) Rollback(ctx context.Context, v uint64) (int, error) {
 	var resp versionResponse
 	err := p.call(ctx, http.MethodPost, "/v1/internal/rollback", rollbackRequest{V: v}, &resp, true)
 	return resp.Size, err
-}
-
-// Checkpoint surfaces a node without durability as core.ErrNotDurable,
-// like a local partition.
-func (p *peerClient) Checkpoint(ctx context.Context) (uint64, error) {
-	var resp versionResponse
-	err := p.call(ctx, http.MethodPost, "/v1/internal/checkpoint", nil, &resp, false)
-	var re *shard.Refusal
-	if errors.As(err, &re) && re.Code == "not_durable" {
-		return 0, core.ErrNotDurable
-	}
-	return resp.Version, err
 }
 
 // peerView is the peer pinned at one version: every read names v, so a
@@ -338,6 +316,19 @@ func (pv peerView) Instance(ctx context.Context) (*data.Instance, error) {
 	return inst, nil
 }
 
+// Checkpoint asks the node to persist the pinned version; a node
+// without durability surfaces as core.ErrNotDurable, like a local
+// partition.
+func (pv peerView) Checkpoint(ctx context.Context) error {
+	path := "/v1/internal/checkpoint?v=" + strconv.FormatUint(pv.v, 10)
+	err := pv.p.call(ctx, http.MethodPost, path, nil, nil, false)
+	var re *shard.Refusal
+	if errors.As(err, &re) && re.Code == "not_durable" {
+		return core.ErrNotDurable
+	}
+	return err
+}
+
 // peerFetcher serves one constraint's buckets from the pinned peer, one
 // single-key RPC per fetch. plan.Fetcher has no error return, so a
 // failed RPC is recorded on the request's Read — the executor polls it
@@ -360,7 +351,7 @@ func (f peerFetcher) FetchBytes(k []byte) index.Bucket {
 		return index.Bucket{}
 	}
 	var resp fetchResponse
-	req := fetchRequest{V: f.v, CI: f.ci, Keys: []string{encodeKey(k)}}
+	req := fetchRequest{V: f.v, CI: f.ci, Keys: []value.Key{value.Key(k)}}
 	if err := f.p.call(f.rd.Ctx, http.MethodPost, "/v1/internal/fetch", req, &resp, true); err != nil {
 		f.rd.Fail(err)
 		return index.Bucket{}

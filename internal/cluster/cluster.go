@@ -83,7 +83,7 @@ func New(s *schema.Schema, a *access.Schema, peerURLs []string, opts Options) (*
 		peers[i] = newPeerClient(i, u, s, opts)
 		parts[i] = peers[i]
 	}
-	co, err := shard.NewCoordinator(s, a, parts, shard.Options{Core: opts.Core, PartitionKeys: opts.PartitionKeys})
+	co, err := shard.NewCoordinator(s, a, parts, opts.Core, opts.PartitionKeys)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -252,7 +254,7 @@ func newFleet(t *testing.T, tb testbed, kind string, k int) *fleet {
 		}
 		f.parts[i] = l
 	}
-	eng, err := shard.NewCoordinator(tb.schema, tb.access, f.parts, shard.Options{})
+	eng, err := shard.NewCoordinator(tb.schema, tb.access, f.parts, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +575,7 @@ func TestFleetAttachAdoptsFleet(t *testing.T) {
 		grow.MustInsert("Accident", iv(900001), sv("Nowhere"), sv("9/9/1999"))
 		applyBoth(t, "grow", single, f, grow)
 
-		second, err := shard.NewCoordinator(tb.schema, tb.access, f.parts, shard.Options{})
+		second, err := shard.NewCoordinator(tb.schema, tb.access, f.parts, core.Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -590,11 +592,18 @@ func TestFleetAttachAdoptsFleet(t *testing.T) {
 // TestAttachRollsBackPartitionRestartedAheadOfCut is the coordinator
 // dying mid-commit-fanout with the fleet restarting before anyone
 // repairs it: partition 0 committed (and fsynced) version 2 alone, so
-// after the restart its ring holds only version 2 while the fleet's cut
-// is version 1. Attach must rebuild version 1 from partition 0's
-// durable store and truncate the orphaned record — for a local fleet
-// and over the wire alike — then serve exactly the single-node answers
-// at version 1 and accept the next write at version 2.
+// after the restart it holds only version 2 while the fleet's cut is
+// version 1. Attach must rebuild version 1 from partition 0's durable
+// store and truncate the orphaned record — for a local fleet and over
+// the wire alike — then serve exactly the single-node answers at
+// version 1 and accept the next write at version 2.
+//
+// Checkpoints race that window too. The coordinator's Checkpoint must
+// persist the version it published (1), not partition 0's newest; and
+// the orphan checkpoint partition 0 takes of its own version 2 must go
+// with the rollback — left on disk, the NEXT restart would recover it
+// in place of the real version 2: the rolled-back row back, the
+// acknowledged one gone, the size unchanged.
 func TestAttachRollsBackPartitionRestartedAheadOfCut(t *testing.T) {
 	tb := accidentsBed(t)
 	ctx := context.Background()
@@ -611,6 +620,7 @@ func TestAttachRollsBackPartitionRestartedAheadOfCut(t *testing.T) {
 			dirs := []string{t.TempDir(), t.TempDir()}
 			// boot starts both partitions over their directories and a
 			// fresh coordinator over them; stop is the whole fleet dying.
+			var nodes [k]*Node
 			boot := func() (f *fleet, restored int, stop func()) {
 				f = &fleet{parts: make([]shard.Partition, k)}
 				var stops []func()
@@ -619,6 +629,7 @@ func TestAttachRollsBackPartitionRestartedAheadOfCut(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					nodes[i] = node
 					ok, err := node.Durable(ctx, dirs[i], nil)
 					if err != nil {
 						t.Fatal(err)
@@ -634,7 +645,7 @@ func TestAttachRollsBackPartitionRestartedAheadOfCut(t *testing.T) {
 						f.parts[i] = newPeerClient(i, ts.URL, tb.schema, testOptions(t))
 					}
 				}
-				eng, err := shard.NewCoordinator(tb.schema, tb.access, f.parts, shard.Options{})
+				eng, err := shard.NewCoordinator(tb.schema, tb.access, f.parts, core.Options{}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -659,10 +670,17 @@ func TestAttachRollsBackPartitionRestartedAheadOfCut(t *testing.T) {
 			if _, err := f.parts[0].Commit(ctx, "txn-orphan", 1); err != nil {
 				t.Fatal(err)
 			}
+			orphan := filepath.Join(dirs[0], fmt.Sprintf("checkpoint-%016x.ckpt", 2))
+			onDisk := func() bool { _, err := os.Stat(orphan); return err == nil }
+			if v, err := f.eng.Checkpoint(ctx); err != nil || v != 1 || onDisk() {
+				t.Fatalf("coordinator checkpoint = version %d, %v; unpublished version 2 on disk: %v", v, err, onDisk())
+			}
+			if v, err := nodes[0].Checkpoint(ctx); err != nil || v != 2 || !onDisk() {
+				t.Fatalf("partition 0's own checkpoint = version %d, %v; on disk: %v", v, err, onDisk())
+			}
 			stop()
 
 			f, restored, stop := boot()
-			defer stop()
 			if restored != k {
 				t.Fatalf("%d of %d partitions recovered durable state", restored, k)
 			}
@@ -677,8 +695,42 @@ func TestAttachRollsBackPartitionRestartedAheadOfCut(t *testing.T) {
 			}
 			checkEquivalent(t, "probe at the cut", single, f.eng, probe)
 			checkEquivalent(t, "Q0 at the cut", single, f.eng, workload.Q0())
+			if onDisk() {
+				t.Fatal("the rolled-back version's checkpoint survived the rollback")
+			}
 			applyBoth(t, "v2 after repair", single, f, insert(900003))
 			checkEquivalent(t, "probe after repair", single, f.eng, probe)
+			stop()
+
+			// The acknowledged version 2 is what the next restart serves.
+			f, _, stop = boot()
+			defer stop()
+			if err := f.eng.Attach(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if v := f.eng.Stats().Version; v != 2 {
+				t.Fatalf("re-attached at version %d, want 2", v)
+			}
+			// A reader pinned at the attached version outlives the commits
+			// that follow, even one that reaches a partition for the first
+			// time after them: a local view holds its snapshot, a remote one
+			// is held by its node from the attach on.
+			var pinned [k]shard.View
+			for i, p := range f.parts {
+				var err error
+				if pinned[i], err = p.Pin(2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for aid := int64(900004); aid <= 900006; aid++ {
+				applyBoth(t, "after the second restart", single, f, insert(aid))
+			}
+			for i, view := range pinned {
+				if _, err := view.Instance(ctx); err != nil {
+					t.Fatalf("partition %d, reader pinned at the attached version, three commits later: %v", i, err)
+				}
+			}
+			checkEquivalent(t, "probe after the second restart", single, f.eng, probe)
 		})
 	}
 }

@@ -46,16 +46,9 @@ type partitionHandler struct {
 	views map[uint64]shard.View
 }
 
-// InternalHandler returns the /v1/internal/* surface the coordinator
-// drives: status, versioned fetch/dump reads, and the staged two-phase
-// write protocol (stage → commit/abort, plus the group-measurement and
-// rollback endpoints the global validation and failure repair use).
-// Mount it via server.Options.Internal so it shares the node's
-// listener, admission-exempt: internal traffic must not compete with
-// public queries for admission slots, or a busy node would deadlock its
-// own coordinator.
-func (n *Node) InternalHandler() http.Handler {
-	h := &partitionHandler{part: n.part, schema: n.Schema, access: n.Access, views: make(map[uint64]shard.View)}
+// newPartitionHandler builds the /v1/internal/* surface over part.
+func newPartitionHandler(part shard.Partition, s *schema.Schema, a *access.Schema) http.Handler {
+	h := &partitionHandler{part: part, schema: s, access: a, views: make(map[uint64]shard.View)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/internal/status", h.status)
 	mux.HandleFunc("/v1/internal/dump", h.dump)
@@ -71,25 +64,28 @@ func (n *Node) InternalHandler() http.Handler {
 	return mux
 }
 
-// remember pins version v and keeps its View for later readers; a load
-// (version 0) restarts the history.
-func (h *partitionHandler) remember(v uint64) {
+// remember pins version v on the partition and keeps its View for later
+// readers.
+func (h *partitionHandler) remember(v uint64) (shard.View, error) {
 	view, err := h.part.Pin(v)
 	if err != nil {
-		return
+		return nil, err
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if v == 0 {
-		h.views = make(map[uint64]shard.View)
-	}
 	h.views[v] = view
-	delete(h.views, v-historyLen)
+	for held := range h.views {
+		if held+historyLen <= v {
+			delete(h.views, held)
+		}
+	}
+	return view, nil
 }
 
 // forgetAfter drops every version past v: the fleet is at v, so
 // whatever this node committed beyond it — the tail of a commit fanout
-// that never completed — never became fleet state.
+// that never completed, or the history a load replaced — never became
+// fleet state.
 func (h *partitionHandler) forgetAfter(v uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -100,9 +96,9 @@ func (h *partitionHandler) forgetAfter(v uint64) {
 	}
 }
 
-// pin resolves a reader's version: a remembered View, else whatever the
-// partition itself still holds (a node restarted since has remembered
-// nothing yet).
+// pin resolves a reader's version: a remembered View, else what the
+// partition itself still holds — the version a restarted node recovered,
+// or one committed without this handler — remembered from here on.
 func (h *partitionHandler) pin(v uint64) (shard.View, error) {
 	h.mu.Lock()
 	view := h.views[v]
@@ -110,7 +106,17 @@ func (h *partitionHandler) pin(v uint64) (shard.View, error) {
 	if view != nil {
 		return view, nil
 	}
-	return h.part.Pin(v)
+	return h.remember(v)
+}
+
+// pinned resolves the ?v=<version> a dump or checkpoint names.
+func (h *partitionHandler) pinned(r *http.Request) (uint64, shard.View, error) {
+	v, err := strconv.ParseUint(r.URL.Query().Get("v"), 10, 64)
+	if err != nil {
+		return 0, nil, badRequest(r.URL.Path + " needs ?v=<version>")
+	}
+	view, err := h.pin(v)
+	return v, view, err
 }
 
 func badRequest(msg string) error {
@@ -163,9 +169,15 @@ func rpc[Req, Resp any](call func(context.Context, Req) (Resp, error)) http.Hand
 	})
 }
 
+// status is what a coordinator attaches by, so the version it reports is
+// one readers are about to pin: remember it — nothing else has, on a
+// node restarted since that version committed.
 func (h *partitionHandler) status(w http.ResponseWriter, r *http.Request) {
 	st, err := h.part.Status(r.Context())
-	reply(w, statusResponse(st), err)
+	if err == nil {
+		h.remember(st.Version)
+	}
+	reply(w, st, err)
 }
 
 // fetch serves index lookups at the reader's pinned version: for each
@@ -181,11 +193,7 @@ func (h *partitionHandler) fetch(ctx context.Context, req fetchRequest) (resp fe
 		return resp, badRequest(fmt.Sprintf("no constraint %d", req.CI))
 	}
 	resp.Buckets = make([]wireBucket, len(req.Keys))
-	for i, wk := range req.Keys {
-		k, err := decodeKey(wk)
-		if err != nil {
-			return resp, badRequest(err.Error())
-		}
+	for i, k := range req.Keys {
 		resp.Buckets[i] = encodeBucket(f.FetchBytes([]byte(k)))
 	}
 	return resp, rd.Err()
@@ -194,13 +202,8 @@ func (h *partitionHandler) fetch(ctx context.Context, req fetchRequest) (resp fe
 // dump streams the partition at the pinned version — the bulk feed for
 // the coordinator's scan fallback and baseline evaluation.
 func (h *partitionHandler) dump(w http.ResponseWriter, r *http.Request) {
-	v, err := strconv.ParseUint(r.URL.Query().Get("v"), 10, 64)
-	if err != nil {
-		reply(w, nil, badRequest("dump needs ?v=<version>"))
-		return
-	}
 	var inst *data.Instance
-	view, err := h.pin(v)
+	_, view, err := h.pinned(r)
 	if err == nil {
 		inst, err = view.Instance(r.Context())
 	}
@@ -226,6 +229,7 @@ func (h *partitionHandler) load(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err == nil {
+		h.forgetAfter(0)
 		h.remember(0)
 	}
 	reply(w, versionResponse{Version: 0, Size: sub.Size()}, err)
@@ -250,7 +254,7 @@ func (h *partitionHandler) stage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h.forgetAfter(base)
-	reply(w, encodeStaged(st), nil)
+	reply(w, st, nil)
 }
 
 func (h *partitionHandler) maxGroup(ctx context.Context, req groupsRequest) (resp maxGroupResponse, err error) {
@@ -258,13 +262,9 @@ func (h *partitionHandler) maxGroup(ctx context.Context, req groupsRequest) (res
 	return resp, err
 }
 
-func (h *partitionHandler) groups(ctx context.Context, req groupsRequest) (groupsResponse, error) {
-	keys, err := decodeKeys(req.Keys)
-	if err != nil {
-		return groupsResponse{}, badRequest(err.Error())
-	}
-	groups, err := h.part.Groups(ctx, req.Txn, req.V, req.CI, keys, req.All)
-	return encodeGroups(groups), err
+func (h *partitionHandler) groups(ctx context.Context, req groupsRequest) (resp groupsResponse, err error) {
+	resp.Groups, err = h.part.Groups(ctx, req.Txn, req.V, req.CI, req.Keys, req.All)
+	return resp, err
 }
 
 func (h *partitionHandler) commit(ctx context.Context, req commitRequest) (versionResponse, error) {
@@ -288,12 +288,21 @@ func (h *partitionHandler) rollback(ctx context.Context, req rollbackRequest) (v
 	size, err := h.part.Rollback(ctx, req.V)
 	if err == nil {
 		h.forgetAfter(req.V)
+		h.remember(req.V)
 	}
 	return versionResponse{Version: req.V, Size: size}, err
 }
 
+// checkpoint persists the version the coordinator has published — named
+// in the request, never "whatever this node holds": its newest version
+// may belong to a commit fanout that does not complete.
 func (h *partitionHandler) checkpoint(w http.ResponseWriter, r *http.Request) {
-	v, err := h.part.Checkpoint(r.Context())
+	v, view, err := h.pinned(r)
+	if err != nil {
+		reply(w, nil, err)
+		return
+	}
+	err = view.Checkpoint(r.Context())
 	switch {
 	case errors.Is(err, core.ErrNotDurable):
 		err = &shard.Refusal{Status: http.StatusPreconditionFailed, Code: "not_durable", Message: "node has no durable store"}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net/http"
 
 	"repro/internal/access"
 	"repro/internal/core"
@@ -27,9 +28,10 @@ type Node struct {
 	Access *access.Schema
 	shard.Planning
 
-	id, k int
-	part  *shard.Local
-	place *shard.Placement
+	id, k    int
+	part     *shard.Local
+	place    *shard.Placement
+	internal http.Handler
 }
 
 var _ core.Queryable = (*Node)(nil)
@@ -49,15 +51,21 @@ func NewNode(s *schema.Schema, a *access.Schema, id, k int, opts Options) (*Node
 		return nil, err
 	}
 	n := &Node{Schema: s, Access: a, id: id, k: k, part: part, place: place}
-	n.Planning = shard.Planning{Planner: planner, Size: func() int {
-		if ix, _ := part.Snapshot(); ix != nil {
-			return ix.Instance.Size()
-		}
-		return 0
-	}}
-	part.OnPublish = planner.SetSizeHint
+	n.Planner = planner
+	part.OnPublish = n.SetSize
+	n.internal = newPartitionHandler(part, s, a)
 	return n, nil
 }
+
+// InternalHandler returns the /v1/internal/* surface the coordinator
+// drives: status, versioned fetch/dump reads, and the staged two-phase
+// write protocol (stage → commit/abort, plus the group-measurement and
+// rollback endpoints the global validation and failure repair use).
+// Mount it via server.Options.Internal so it shares the node's
+// listener, admission-exempt: internal traffic must not compete with
+// public queries for admission slots, or a busy node would deadlock its
+// own coordinator.
+func (n *Node) InternalHandler() http.Handler { return n.internal }
 
 func (n *Node) errNoInstance() error {
 	return fmt.Errorf("cluster: shard %d has no instance loaded", n.id)

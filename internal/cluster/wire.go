@@ -2,15 +2,14 @@
 // Everything rides /v1/internal/* on the node's existing listener:
 // small JSON request/response bodies, with bulk payloads (deltas,
 // instance dumps) in the TSV formats the repo already pins and fuzzes
-// (load.EncodeValue cells, live delta TSV). Index keys travel as base64
-// of their raw injective encoding (value.Key bytes), so a key
-// round-trips bit-exactly and the receiving side hashes it to the same
-// shard the sender would.
+// (load.EncodeValue cells, live delta TSV). Index keys travel in
+// value.Key's text form — base64 of the raw injective encoding — so a
+// key round-trips bit-exactly and the receiving side hashes it to the
+// same shard the sender would.
 package cluster
 
 import (
 	"bufio"
-	"encoding/base64"
 	"fmt"
 	"io"
 	"strings"
@@ -26,22 +25,15 @@ import (
 // tsvType is the content type of the bulk bodies (deltas, instances).
 const tsvType = "text/tab-separated-values"
 
-// statusResponse answers GET /v1/internal/status: shard.Status, field
-// for field.
-type statusResponse struct {
-	Shard   int    `json:"shard"`
-	Shards  int    `json:"shards"`
-	Version uint64 `json:"version"`
-	Size    int    `json:"size"`
-	Catalog uint32 `json:"catalog"`
-}
+// The answers of status, stage and groups are shard.Status, shard.Staged
+// and []shard.Group themselves, in the JSON shape their tags give.
 
 // fetchRequest asks for the buckets of constraint CI at the pinned
-// version V, one per key. Keys are base64 raw key bytes.
+// version V, one per key.
 type fetchRequest struct {
-	V    uint64   `json:"v"`
-	CI   int      `json:"ci"`
-	Keys []string `json:"keys"`
+	V    uint64      `json:"v"`
+	CI   int         `json:"ci"`
+	Keys []value.Key `json:"keys"`
 }
 
 // wireBucket is one canonical-order bucket: Cells holds the
@@ -54,50 +46,6 @@ type wireBucket struct {
 
 type fetchResponse struct {
 	Buckets []wireBucket `json:"buckets"`
-}
-
-// stageConstraint is the per-constraint accounting of one staged
-// sub-delta, shipped back so the coordinator can run the global
-// validation without another round trip in the common (aligned,
-// |D| not shrunk) case: MaxInsert is the largest post-delta group among
-// the keys this node's inserts touched, InsertKeys those keys
-// themselves (for the cross-node merge of non-aligned constraints).
-type stageConstraint struct {
-	Touched    bool     `json:"touched"`
-	MaxInsert  int      `json:"max_insert,omitempty"`
-	InsertKeys []string `json:"insert_keys,omitempty"`
-}
-
-// stageResponse answers POST /v1/internal/stage?txn=T&base=V (body:
-// delta TSV): the staged-but-unpublished result sizes.
-type stageResponse struct {
-	Size        int               `json:"size"`
-	OldSize     int               `json:"old_size"`
-	Inserted    int               `json:"inserted"`
-	Deleted     int               `json:"deleted"`
-	Constraints []stageConstraint `json:"constraints"`
-}
-
-func encodeStaged(st *shard.Staged) stageResponse {
-	resp := stageResponse{Size: st.Size, OldSize: st.OldSize, Inserted: st.Inserted, Deleted: st.Deleted,
-		Constraints: make([]stageConstraint, len(st.Constraints))}
-	for ci, c := range st.Constraints {
-		resp.Constraints[ci] = stageConstraint{Touched: c.Touched, MaxInsert: c.MaxInsert, InsertKeys: encodeKeys(c.InsertKeys)}
-	}
-	return resp
-}
-
-func (resp stageResponse) decode() (*shard.Staged, error) {
-	st := &shard.Staged{Size: resp.Size, OldSize: resp.OldSize, Inserted: resp.Inserted, Deleted: resp.Deleted,
-		Constraints: make([]shard.StagedConstraint, len(resp.Constraints))}
-	for ci, c := range resp.Constraints {
-		keys, err := decodeKeys(c.InsertKeys)
-		if err != nil {
-			return nil, err
-		}
-		st.Constraints[ci] = shard.StagedConstraint{Touched: c.Touched, MaxInsert: c.MaxInsert, InsertKeys: keys}
-	}
-	return st, nil
 }
 
 // maxGroupResponse answers POST /v1/internal/maxgroup (a groupsRequest
@@ -113,44 +61,15 @@ type maxGroupResponse struct {
 // set. The coordinator unions the per-node sets to measure true group
 // sizes of constraints whose groups straddle shards.
 type groupsRequest struct {
-	Txn  string   `json:"txn"`
-	V    uint64   `json:"v"`
-	CI   int      `json:"ci"`
-	Keys []string `json:"keys,omitempty"`
-	All  bool     `json:"all,omitempty"`
-}
-
-type wireGroup struct {
-	Key   string   `json:"key"`
-	Projs []string `json:"projs"`
+	Txn  string      `json:"txn"`
+	V    uint64      `json:"v"`
+	CI   int         `json:"ci"`
+	Keys []value.Key `json:"keys,omitempty"`
+	All  bool        `json:"all,omitempty"`
 }
 
 type groupsResponse struct {
-	Groups []wireGroup `json:"groups"`
-}
-
-func encodeGroups(groups []shard.Group) groupsResponse {
-	var resp groupsResponse
-	for _, g := range groups {
-		resp.Groups = append(resp.Groups, wireGroup{Key: encodeKey([]byte(g.Key)), Projs: encodeKeys(g.Projs)})
-	}
-	return resp
-}
-
-func (resp groupsResponse) decode() ([]shard.Group, error) {
-	groups := make([]shard.Group, len(resp.Groups))
-	for i, wg := range resp.Groups {
-		key, err := decodeKey(wg.Key)
-		if err != nil {
-			return nil, err
-		}
-		projs, err := decodeKeys(wg.Projs)
-		if err != nil {
-			return nil, err
-		}
-		groups[i] = shard.Group{Key: key, Projs: projs}
-	}
-	return groups, nil
+	Groups []shard.Group `json:"groups"`
 }
 
 // commitRequest publishes staged transaction Txn on top of committed
@@ -184,63 +103,15 @@ type wireError struct {
 	} `json:"error"`
 }
 
-// encodeKey renders a raw index key for the wire.
-func encodeKey(k []byte) string { return base64.StdEncoding.EncodeToString(k) }
-
-// decodeKey parses a wire key back to its raw bytes.
-func decodeKey(s string) (value.Key, error) {
-	b, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return "", fmt.Errorf("cluster: bad wire key: %w", err)
-	}
-	return value.Key(b), nil
-}
-
-func encodeKeys(keys []value.Key) []string {
-	if keys == nil {
-		return nil
-	}
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		out[i] = encodeKey([]byte(k))
-	}
-	return out
-}
-
-func decodeKeys(wks []string) ([]value.Key, error) {
-	if wks == nil {
-		return nil, nil
-	}
-	out := make([]value.Key, len(wks))
-	for i, wk := range wks {
-		k, err := decodeKey(wk)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = k
-	}
-	return out, nil
-}
-
 // encodeBucket renders a fetch result. Cells are encoded with the TSV
 // value codec — compact, and already fuzz-hardened.
 func encodeBucket(b index.Bucket) wireBucket {
 	if b.Len() == 0 {
 		return wireBucket{}
 	}
-	stride := 0
-	var cells []string
+	stride := len(b.AppendRow(nil, 0))
+	cells := make([]string, 0, b.Len()*stride)
 	for i := 0; i < b.Len(); i++ {
-		if i == 0 {
-			// Probe the stride from the first projection.
-			row := b.AppendRow(nil, i)
-			stride = len(row)
-			cells = make([]string, 0, b.Len()*stride)
-			for _, v := range row {
-				cells = append(cells, load.EncodeValue(v))
-			}
-			continue
-		}
 		for j := 0; j < stride; j++ {
 			cells = append(cells, load.EncodeValue(b.At(i, j)))
 		}

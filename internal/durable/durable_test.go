@@ -261,9 +261,15 @@ func TestRecoverAtCutTruncatesDivergedSuffix(t *testing.T) {
 	sc, a, ix, deltas := fixture(t, 4)
 	dir := t.TempDir()
 	s := seedStore(t, dir, sc, ix, deltas)
+	all := applyAll(t, ix, deltas)
 
 	// A coordinator cut at version 2: versions 3 and 4 were never part of
-	// a completed cross-shard commit on some other shard.
+	// a completed cross-shard commit on some other shard — and neither was
+	// the checkpoint this shard took of its own version 3 (given version
+	// 4's content here, so that recovering it would show).
+	if err := s.WriteCheckpoint(sc, &State{Instance: all[3].Instance, Indexed: all[3], Version: 3}); err != nil {
+		t.Fatal(err)
+	}
 	rec, err := s.Recover(context.Background(), sc, a, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -271,18 +277,33 @@ func TestRecoverAtCutTruncatesDivergedSuffix(t *testing.T) {
 	if rec.Version != 2 {
 		t.Fatalf("recovered version %d, want 2", rec.Version)
 	}
-	after := applyAll(t, ix, deltas[:2])
-	if want, have := fingerprint(t, sc, after[1]), fingerprint(t, sc, rec.Indexed); want != have {
+	if want, have := fingerprint(t, sc, all[1]), fingerprint(t, sc, rec.Indexed); want != have {
 		t.Fatal("cut recovery does not match replay to the cut")
 	}
 	if v, _ := s.LastVersion(); v != 2 {
 		t.Fatalf("diverged suffix not truncated: last version %d", v)
 	}
-	// Appends resume right after the cut.
+	if vs := s.checkpointVersions(); len(vs) != 1 || vs[0] != 0 {
+		t.Fatalf("checkpoints after the cut: %v, want [0] (the diverged one removed)", vs)
+	}
+	// Appends resume right after the cut, and the re-used version recovers
+	// as what was appended, not as the diverged checkpoint.
 	if err := s.AppendDelta(3, deltas[2]); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
+	s2, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	rec, err = s2.Recover(context.Background(), sc, a, NoLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, have := fingerprint(t, sc, all[2]), fingerprint(t, sc, rec.Indexed); rec.Version != 3 || want != have {
+		t.Fatalf("recovered version %d; state matches the re-appended version 3: %v", rec.Version, want == have)
+	}
 }
 
 func TestCheckpointRetentionAndCompaction(t *testing.T) {

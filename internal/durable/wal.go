@@ -261,13 +261,32 @@ type walRecord struct {
 	delta   *live.Delta
 }
 
-// TruncateAfter drops every committed record with version > v — the
-// diverged suffix a shard may hold when a crash (or an I/O error on a
-// later shard) interrupted a cross-shard commit partway through the
-// fan-out. The records being dropped were never part of a completed
-// global commit, so no recovered state references them; removing them
-// lets future appends at v+1 proceed.
+// TruncateAfter drops every committed record with version > v, and
+// every checkpoint of such a version — the diverged suffix a shard may
+// hold when a crash (or an I/O error on a later shard) interrupted a
+// cross-shard commit partway through the fan-out. What is dropped was
+// never part of a completed global commit, so no recovered state
+// references it; removing it lets future appends at v+1 proceed.
+// Checkpoints go first: a crash in between leaves the suffix whole (to
+// be truncated again), never an orphaned checkpoint of a version the WAL
+// is about to re-use — recovery would prefer it to the real record.
 func (s *Store) TruncateAfter(v uint64) error {
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	removed := false
+	for _, cv := range s.checkpointVersions() {
+		if cv > v {
+			if err := os.Remove(s.checkpointPath(cv)); err != nil {
+				return fmt.Errorf("durable: removing diverged checkpoint: %w", err)
+			}
+			removed = true
+		}
+	}
+	if removed {
+		if err := s.syncDir(); err != nil {
+			return err
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cut := int64(0)

@@ -21,6 +21,7 @@ import (
 // localSnap is one committed version of a local partition. It is its
 // own View: the indexes are the fetchers.
 type localSnap struct {
+	l       *Local
 	ix      *access.Indexed
 	size    int
 	version uint64
@@ -35,6 +36,18 @@ func (sn *localSnap) Fetcher(_ *Read, ci int) plan.Fetcher {
 
 func (sn *localSnap) Instance(context.Context) (*data.Instance, error) {
 	return sn.ix.Instance, nil
+}
+
+// Checkpoint persists this version and compacts the WAL behind it. The
+// snapshot is immutable, so commits proceed concurrently.
+func (sn *localSnap) Checkpoint(context.Context) error {
+	sn.l.mu.Lock()
+	st := sn.l.store
+	sn.l.mu.Unlock()
+	if st == nil {
+		return core.ErrNotDurable
+	}
+	return st.WriteCheckpoint(sn.l.schema, &durable.State{Instance: sn.ix.Instance, Indexed: sn.ix, Version: sn.version})
 }
 
 // stagedTxn is a staged-but-unpublished sub-delta: live's copy-on-write
@@ -142,14 +155,10 @@ func (l *Local) Status(context.Context) (Status, error) {
 	return st, nil
 }
 
-// Pin resolves v: the current snapshot on the fast path (one atomic
-// load), the previous one otherwise. A version the partition no longer
-// holds — never committed here, or superseded — is a stale_version
-// refusal.
+// Pin resolves v to the current snapshot or the previous one. A version
+// the partition no longer holds — never committed here, or superseded —
+// is a stale_version refusal.
 func (l *Local) Pin(v uint64) (View, error) {
-	if sn := l.cur.Load(); sn != nil && sn.version == v {
-		return sn, nil
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if sn := l.held(v); sn != nil {
@@ -190,7 +199,7 @@ func (l *Local) Load(_ context.Context, ix *access.Indexed) error {
 	// The instance publishes read-only; release its load-time dedup maps
 	// (writers clone and rebuild).
 	ix.Instance.ReleaseDedup()
-	l.install(&localSnap{ix: ix, size: ix.Instance.Size()})
+	l.install(&localSnap{l: l, ix: ix, size: ix.Instance.Size()})
 	return nil
 }
 
@@ -200,7 +209,8 @@ func (l *Local) Load(_ context.Context, ix *access.Indexed) error {
 // the partition sits exactly one version AHEAD of base, a commit fanout
 // died after reaching it but before the coordinator published; that
 // write was reported failed, so the partition self-heals by rolling
-// back to base before staging.
+// back to base — from memory or, restarted since, its durable store —
+// before staging.
 func (l *Local) Stage(ctx context.Context, txn string, base uint64, d *live.Delta) (*Staged, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -208,7 +218,7 @@ func (l *Local) Stage(ctx context.Context, txn string, base uint64, d *live.Delt
 	if sn == nil {
 		return nil, l.errNoInstance()
 	}
-	if sn.version == base+1 && l.held(base) != nil {
+	if sn.version == base+1 {
 		if err := l.rollbackLocked(ctx, base); err != nil {
 			return nil, err
 		}
@@ -338,7 +348,7 @@ func (l *Local) Commit(ctx context.Context, txn string, v uint64) (int, error) {
 		return 0, l.refuse(409, "version_mismatch", "commit at version %d, partition at %d (staged base %d)", v, sn.version, tx.base)
 	}
 	l.staged = nil
-	next := &localSnap{ix: sn.ix, size: sn.size, version: v + 1}
+	next := &localSnap{l: l, ix: sn.ix, size: sn.size, version: v + 1}
 	if tx.st != nil {
 		r, err := tx.st.Commit()
 		if err != nil {
@@ -400,7 +410,7 @@ func (l *Local) rollbackLocked(ctx context.Context, v uint64) error {
 		case err != nil:
 			why = "not retained, and not recoverable from the durable store: " + err.Error()
 		case st != nil && st.Version == v:
-			target = &localSnap{ix: st.Indexed, size: st.Instance.Size(), version: v}
+			target = &localSnap{l: l, ix: st.Indexed, size: st.Instance.Size(), version: v}
 		}
 	}
 	if target == nil {
@@ -411,10 +421,7 @@ func (l *Local) rollbackLocked(ctx context.Context, v uint64) error {
 			return err
 		}
 	}
-	l.prev = nil
-	l.staged = nil
-	l.lastTxn = ""
-	l.publish(target)
+	l.install(target)
 	return nil
 }
 
@@ -443,25 +450,19 @@ func (l *Local) Durable(ctx context.Context, dir string, hook durable.Hook) (res
 	if state == nil {
 		return false, nil
 	}
-	l.install(&localSnap{ix: state.Indexed, size: state.Instance.Size(), version: state.Version})
+	l.install(&localSnap{l: l, ix: state.Indexed, size: state.Instance.Size(), version: state.Version})
 	return true, nil
 }
 
-// Checkpoint persists the current snapshot and compacts the WAL behind
-// it. It reads one pinned immutable snapshot, so commits proceed
-// concurrently.
-func (l *Local) Checkpoint(context.Context) (uint64, error) {
-	l.mu.Lock()
-	st, sn := l.store, l.cur.Load()
-	l.mu.Unlock()
-	if st == nil {
-		return 0, core.ErrNotDurable
-	}
+// Checkpoint persists the partition's own current version and returns
+// it — a partition server's admin surface. A coordinator checkpoints
+// the Views it has published instead (see View.Checkpoint).
+func (l *Local) Checkpoint(ctx context.Context) (uint64, error) {
+	sn := l.cur.Load()
 	if sn == nil {
 		return 0, l.errNoInstance()
 	}
-	err := st.WriteCheckpoint(l.schema, &durable.State{Instance: sn.ix.Instance, Indexed: sn.ix, Version: sn.version})
-	return sn.version, err
+	return sn.version, sn.Checkpoint(ctx)
 }
 
 // CloseDurable detaches and closes the durable store. Safe to call when

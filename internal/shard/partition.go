@@ -50,9 +50,6 @@ type Partition interface {
 	// Rollback rewinds the partition to committed version v — the repair
 	// of a commit fanout that did not complete — and returns its size.
 	Rollback(ctx context.Context, v uint64) (size int, err error)
-	// Checkpoint persists the current version and returns it;
-	// core.ErrNotDurable when the partition has no durable store.
-	Checkpoint(ctx context.Context) (uint64, error)
 }
 
 // View is one partition pinned at one version.
@@ -64,6 +61,12 @@ type View interface {
 	Fetcher(rd *Read, ci int) plan.Fetcher
 	// Instance returns the partition's tuples at the pinned version.
 	Instance(ctx context.Context) (*data.Instance, error)
+	// Checkpoint persists the pinned version to the partition's durable
+	// store; core.ErrNotDurable when it has none. Checkpoints go through
+	// a view because only a version the coordinator has published may be
+	// persisted: a partition's own newest version can be one a commit
+	// fanout is still — or was never — completing.
+	Checkpoint(ctx context.Context) error
 }
 
 // Read is the request-scoped state remote fetchers need and the
@@ -88,14 +91,17 @@ func (r *Read) Err() error {
 }
 
 // Status is a partition's identity and committed state, checked when a
-// coordinator attaches.
+// coordinator attaches. (The json tags here and below are the answers'
+// shape on internal/cluster's wire; keys travel as value.Key's text
+// form.)
 type Status struct {
-	Shard, Shards int
-	Version       uint64
-	Size          int
+	Shard   int    `json:"shard"`
+	Shards  int    `json:"shards"`
+	Version uint64 `json:"version"`
+	Size    int    `json:"size"`
 	// Catalog fingerprints the (schema, access schema) pair the
 	// partition serves; see catalogHash.
-	Catalog uint32
+	Catalog uint32 `json:"catalog"`
 }
 
 // Staged is the accounting of one staged sub-delta: sizes, net effect,
@@ -103,9 +109,11 @@ type Status struct {
 // without another round trip in the common (aligned, |D| not shrunk)
 // case.
 type Staged struct {
-	Size, OldSize     int
-	Inserted, Deleted int
-	Constraints       []StagedConstraint
+	Size        int                `json:"size"`
+	OldSize     int                `json:"old_size"`
+	Inserted    int                `json:"inserted"`
+	Deleted     int                `json:"deleted"`
+	Constraints []StagedConstraint `json:"constraints"`
 }
 
 // StagedConstraint is one constraint's share of a Staged: whether the
@@ -114,17 +122,17 @@ type Staged struct {
 // cross-partition measurement of constraints whose groups straddle
 // partitions).
 type StagedConstraint struct {
-	Touched    bool
-	MaxInsert  int
-	InsertKeys []value.Key
+	Touched    bool        `json:"touched"`
+	MaxInsert  int         `json:"max_insert,omitempty"`
+	InsertKeys []value.Key `json:"insert_keys,omitempty"`
 }
 
 // Group is one index bucket by identity: its X-key and the keys of its
 // distinct Y-projections. The coordinator unions Projs across
 // partitions to measure a group split between them.
 type Group struct {
-	Key   value.Key
-	Projs []value.Key
+	Key   value.Key   `json:"key"`
+	Projs []value.Key `json:"projs"`
 }
 
 // Refusal is a partition's structured protocol-level rejection —

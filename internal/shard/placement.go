@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"repro/internal/access"
 	"repro/internal/data"
@@ -65,17 +66,7 @@ func DefaultPartitionKey(rs schema.Relation, a *access.Schema) []schema.Attribut
 
 // AttrsEqual is order-sensitive attribute-list equality: routing relies
 // on the partition key encoding exactly matching the fetch key encoding.
-func AttrsEqual(a, b []schema.Attribute) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func AttrsEqual(a, b []schema.Attribute) bool { return slices.Equal(a, b) }
 
 // ShardOf maps an encoded partition-key value to a partition (FNV-1a:
 // fast, deterministic across processes, good spread on short keys).

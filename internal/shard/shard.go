@@ -230,29 +230,24 @@ func New(s *schema.Schema, a *access.Schema, opts Options) (*Engine, error) {
 		}
 		parts[i] = l
 	}
-	return NewCoordinator(s, a, parts, opts)
+	return NewCoordinator(s, a, parts, opts.Core, opts.PartitionKeys)
 }
 
 // NewCoordinator builds the engine over the given partitions, in
-// partition order: parts[i] must be partition i of len(parts).
-// opts.Shards is ignored. Over partitions that already hold data, call
-// Attach before serving.
-func NewCoordinator(s *schema.Schema, a *access.Schema, parts []Partition, opts Options) (*Engine, error) {
-	place, err := NewPlacement(s, a, len(parts), opts.PartitionKeys)
+// partition order: parts[i] must be partition i of len(parts). copts
+// and keys are Options.Core and Options.PartitionKeys. Over partitions
+// that already hold data, call Attach before serving.
+func NewCoordinator(s *schema.Schema, a *access.Schema, parts []Partition, copts core.Options, keys map[string][]schema.Attribute) (*Engine, error) {
+	place, err := NewPlacement(s, a, len(parts), keys)
 	if err != nil {
 		return nil, err
 	}
-	planner, err := core.New(s, a, opts.Core)
+	planner, err := core.New(s, a, copts)
 	if err != nil {
 		return nil, err
 	}
 	e := &Engine{Schema: s, Access: a, place: place, parts: parts}
-	e.Planning = Planning{Planner: planner, Size: func() int {
-		if sn := e.snap.Load(); sn != nil {
-			return sn.size
-		}
-		return 0
-	}}
+	e.Planner = planner
 	e.mergeSpan, e.counters = "shard.merge", obs.NewShardCounters
 	for _, p := range parts {
 		if _, local := p.(*Local); !local {
@@ -278,7 +273,7 @@ func (e *Engine) publish(version uint64, size int, merged *data.Instance) error 
 		views[i] = v
 	}
 	e.snap.Store(&snapshot{views: views, size: size, version: version, merged: merged})
-	e.Planner.SetSizeHint(size)
+	e.SetSize(size)
 	return nil
 }
 
@@ -703,22 +698,22 @@ func (e *Engine) Stats() core.EngineStats {
 	return e.EngineStats(len(e.parts), e.applies.Load(), version)
 }
 
-// Checkpoint asks every partition to persist its current version and
-// compact its WAL behind it, returning the version captured.
-// core.ErrNotDurable if the partitions have no durable stores.
+// Checkpoint persists the published version on every partition and
+// compacts each WAL behind it, returning the version captured. It writes
+// the snapshot's pinned views — never a partition's own newest version,
+// which a commit fanout in flight may not complete — so Applies proceed
+// concurrently. core.ErrNotDurable if the partitions have no durable
+// stores.
 func (e *Engine) Checkpoint(ctx context.Context) (uint64, error) {
 	sn := e.snap.Load()
+	if sn == nil {
+		return 0, errNoInstance()
+	}
 	csp := obs.FromContext(ctx).Start("checkpoint.write")
-	err := fan(len(e.parts), true, func(i int) error {
-		_, err := e.parts[i].Checkpoint(ctx)
-		return err
-	})
+	err := fan(len(sn.views), true, func(i int) error { return sn.views[i].Checkpoint(ctx) })
 	csp.End()
 	if err != nil {
 		return 0, err
-	}
-	if sn == nil {
-		return 0, errNoInstance()
 	}
 	return sn.version, nil
 }

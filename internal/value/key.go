@@ -1,6 +1,7 @@
 package value
 
 import (
+	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -10,6 +11,24 @@ import (
 // bucket key type used by the index substrate and by hash joins: two value
 // sequences encode to the same Key iff they are element-wise equal.
 type Key string
+
+// MarshalText gives a Key its form in text formats (JSON): base64 of the
+// raw encoding, which is binary and would not survive as a string. The
+// round trip is bit-exact, so the receiver hashes and compares the key
+// exactly as the sender would.
+func (k Key) MarshalText() ([]byte, error) {
+	return base64.StdEncoding.AppendEncode(nil, []byte(k)), nil
+}
+
+// UnmarshalText parses the MarshalText form.
+func (k *Key) UnmarshalText(text []byte) error {
+	raw, err := base64.StdEncoding.AppendDecode(nil, text)
+	if err != nil {
+		return fmt.Errorf("value: bad key text: %w", err)
+	}
+	*k = Key(raw)
+	return nil
+}
 
 // KeyOf encodes vals into a Key. The encoding is injective: each element is
 // tagged with its kind and length-prefixed, so ("a","b") and ("ab",) differ.
