@@ -569,71 +569,6 @@ func BenchmarkColdVsCachedExecute(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelFetchAccidents sweeps worker counts on the large
-// accidents configuration (the full 610 accidents/day of ψ1): the
-// multi-worker fetch fan-out vs the single-worker baseline.
-func BenchmarkParallelFetchAccidents(b *testing.B) {
-	acc, err := workload.GenerateAccidents(workload.AccidentConfig{
-		Days: 8, AccidentsPerDay: 610, MaxVehicles: 8, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := core.New(acc.Schema, acc.Access, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.Load(acc.Instance); err != nil {
-		b.Fatal(err)
-	}
-	p, _, err := eng.Plan(qDateFanout())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			opts := plan.ExecOptions{Workers: w}
-			for i := 0; i < b.N; i++ {
-				if _, _, err := plan.ExecuteOpts(context.Background(), p, eng.Indexed(), opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelExecSocial sweeps worker counts on the 3-hop social
-// walk, whose final fetch covers thousands of distinct keys.
-func BenchmarkParallelExecSocial(b *testing.B) {
-	soc, err := workload.GenerateSocial(workload.SocialConfig{
-		People: 5000, MaxFriends: 50, MaxLikes: 10, Seed: 2,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := core.New(soc.Schema, soc.Access, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.Load(soc.Instance); err != nil {
-		b.Fatal(err)
-	}
-	p, _, err := eng.Plan(bench.Path3Query(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			opts := plan.ExecOptions{Workers: w}
-			for i := 0; i < b.N; i++ {
-				if _, _, err := plan.ExecuteOpts(context.Background(), p, eng.Indexed(), opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkConcurrentServing drives one shared Engine from parallel
 // goroutines (RunParallel), the deployment shape the concurrency
 // guarantees exist for: cached plans, read-only indices, no locks on the
@@ -685,7 +620,7 @@ func BenchmarkConcurrentQueryCancel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Microsecond)
-			_, err := eng.Query(ctx, q, core.WithWorkers(2))
+			_, err := eng.Query(ctx, q)
 			cancel()
 			if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 				b.Error(err)

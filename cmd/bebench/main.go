@@ -4,7 +4,7 @@
 //
 //	bebench                    # run every experiment
 //	bebench -exp e1            # one experiment (e1..e17)
-//	bebench -exp e11 -workers 8  # serving-layer experiment at 8 workers
+//	bebench -exp e14 -clients 8  # network serving at 8 concurrent clients
 //	bebench -exp e13 -shards 8   # sharding sweep up to 8 shards
 //	bebench -exp e15 -json .     # write BENCH_E15.json next to the tables
 //
@@ -30,17 +30,17 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id (e1..e17) or all")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max worker goroutines for the e11 parallel-execution sweep")
+	clients := flag.Int("clients", runtime.GOMAXPROCS(0), "concurrent clients of the e14/e17 serving experiments")
 	shards := flag.Int("shards", 8, "max shard count for the e13 sharding sweep")
 	jsonDir := flag.String("json", "", "also write BENCH_<ID>.json metric files into this directory")
 	flag.Parse()
-	if err := run(strings.ToLower(*exp), *workers, *shards, *jsonDir); err != nil {
+	if err := run(strings.ToLower(*exp), *clients, *shards, *jsonDir); err != nil {
 		fmt.Fprintln(os.Stderr, "bebench:", err)
 		os.Exit(1)
 	}
 }
 
-// shardCounts doubles from 1 up to max, like E11WorkerCounts; K = 1 is
+// shardCounts doubles from 1 up to max; K = 1 is
 // always included, so a nonsensical -shards still measures the baseline.
 func shardCounts(max int) []int {
 	out := []int{1}
@@ -57,11 +57,13 @@ type benchRecord struct {
 	Metrics    []bench.Metric `json:"metrics"`
 }
 
-// gitCommit identifies the working tree for the trajectory record;
-// "unknown" outside a git checkout rather than an error — the metrics
-// are still worth writing.
+// gitCommit identifies the working tree for the trajectory record: HEAD,
+// with a "-dirty" suffix when the measured tree has uncommitted changes
+// (a record taken while preparing a commit names that commit's parent,
+// and says so). "unknown" outside a git checkout rather than an error —
+// the metrics are still worth writing.
 func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
 	if err != nil {
 		return "unknown"
 	}
@@ -87,7 +89,7 @@ func writeJSON(dir string, t *bench.Table) error {
 	return nil
 }
 
-func run(exp string, workers, shards int, jsonDir string) error {
+func run(exp string, clients, shards int, jsonDir string) error {
 	emit := func(tables ...*bench.Table) error {
 		for _, t := range tables {
 			fmt.Println(t.Render())
@@ -100,7 +102,7 @@ func run(exp string, workers, shards int, jsonDir string) error {
 		return nil
 	}
 	if exp == "all" {
-		tables, err := bench.All(workers)
+		tables, err := bench.All(clients)
 		if err != nil {
 			return err
 		}
@@ -130,19 +132,19 @@ func run(exp string, workers, shards int, jsonDir string) error {
 	case "e10":
 		t, err = bench.E10PaperExamples()
 	case "e11":
-		t, err = bench.E11Concurrency(10000, bench.E11WorkerCounts(workers))
+		t, err = bench.E11Concurrency(10000)
 	case "e12":
 		t, err = bench.E12LiveUpdates([]int{5, 20, 80, 320}, 30)
 	case "e13":
 		t, err = bench.E13Sharding(shardCounts(shards), 30)
 	case "e14":
-		t, err = bench.E14NetworkServing(workers, time.Second)
+		t, err = bench.E14NetworkServing(clients, time.Second)
 	case "e15":
 		t, err = bench.E15Durability(40, 30)
 	case "e16":
 		t, err = bench.E16TraceOverhead(40, time.Second)
 	case "e17":
-		t, err = bench.E17DistributedServing(workers, time.Second, []int{2, 4})
+		t, err = bench.E17DistributedServing(clients, time.Second, []int{2, 4})
 	default:
 		return fmt.Errorf("unknown experiment %q (want e1..e17 or all)", exp)
 	}

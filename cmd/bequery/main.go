@@ -15,9 +15,9 @@
 // -budget refuses a query before execution when its static access bound
 // exceeds the budget (admission control), -timeout bounds the request
 // wall-clock, -fallback picks the strategy for queries that are not
-// boundedly evaluable (scan | refuse | envelope), -workers sizes the
-// per-request execution pool, and -stream switches the output to NDJSON,
-// one row object per line as the engine produces it (core.WithStream).
+// boundedly evaluable (scan | refuse | envelope), and -stream switches
+// the output to NDJSON, one row object per line as the engine produces it
+// (core.WithStream).
 //
 // -apply ingests a delta TSV (one op per line: "+|-<TAB>Relation<TAB>
 // values...", see internal/live) through Engine.Apply before the query
@@ -76,7 +76,6 @@ import (
 	"repro/internal/ndjson"
 	"repro/internal/obs"
 	"repro/internal/parser"
-	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -106,7 +105,6 @@ type cliConfig struct {
 	k          int
 	days       int
 	people     int
-	workers    int
 	shards     int
 	budget     int64
 	timeout    time.Duration
@@ -130,7 +128,6 @@ func main() {
 	flag.IntVar(&cfg.k, "k", 2, "parameter budget for specialize")
 	flag.IntVar(&cfg.days, "days", 20, "accidents demo: days of data")
 	flag.IntVar(&cfg.people, "people", 2000, "social demo: people")
-	flag.IntVar(&cfg.workers, "workers", 1, "worker goroutines for plan execution (-1 = GOMAXPROCS)")
 	flag.IntVar(&cfg.shards, "shards", 1, "hash-partition the data across K shards (internal/shard)")
 	flag.Int64Var(&cfg.budget, "budget", -1, "run: refuse unless the static access bound is ≤ this many tuples (-1 = no budget)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "run: per-request execution deadline (0 = none)")
@@ -378,7 +375,7 @@ func streamNDJSON(w io.Writer, res *core.Result) error {
 
 // queryOptions assembles the per-request QueryOptions from the CLI flags.
 func queryOptions(cfg cliConfig) ([]core.QueryOption, error) {
-	opts := []core.QueryOption{core.WithWorkers(cfg.workers)}
+	var opts []core.QueryOption
 	if cfg.budget >= 0 {
 		opts = append(opts, core.WithAccessBudget(cfg.budget))
 	}
@@ -428,7 +425,6 @@ func attachDurable(eng core.Queryable, dir string) (bool, error) {
 }
 
 func setup(cfg cliConfig) (core.Queryable, *schema.Schema, map[string]*cq.CQ, map[string][]string, bool, error) {
-	opts := core.Options{Exec: plan.ExecOptions{Workers: cfg.workers}}
 	switch {
 	case cfg.file != "":
 		raw, err := os.ReadFile(cfg.file)
@@ -439,7 +435,7 @@ func setup(cfg cliConfig) (core.Queryable, *schema.Schema, map[string]*cq.CQ, ma
 		if err != nil {
 			return nil, nil, nil, nil, false, err
 		}
-		eng, err := shard.NewOrCore(doc.Schema, doc.Access, opts, cfg.shards)
+		eng, err := shard.NewOrCore(doc.Schema, doc.Access, core.Options{}, cfg.shards)
 		if err != nil {
 			return nil, nil, nil, nil, false, err
 		}
@@ -463,7 +459,7 @@ func setup(cfg cliConfig) (core.Queryable, *schema.Schema, map[string]*cq.CQ, ma
 		if err != nil {
 			return nil, nil, nil, nil, false, err
 		}
-		eng, err := shard.NewOrCore(dm.Schema, dm.Access, opts, cfg.shards)
+		eng, err := shard.NewOrCore(dm.Schema, dm.Access, core.Options{}, cfg.shards)
 		if err != nil {
 			return nil, nil, nil, nil, false, err
 		}

@@ -19,7 +19,7 @@ import (
 
 // cfg builds a cliConfig with the test defaults, tweaked by fn.
 func cfg(fn func(*cliConfig)) cliConfig {
-	c := cliConfig{mode: "explain", k: 1, workers: 1, budget: -1, fallback: "scan"}
+	c := cliConfig{mode: "explain", k: 1, budget: -1, fallback: "scan"}
 	if fn != nil {
 		fn(&c)
 	}
@@ -66,10 +66,6 @@ func TestRunModesAgainstDocumentWithData(t *testing.T) {
 	}
 	if err := run(cfg(func(c *cliConfig) { c.file = doc; c.dataDir = dir; c.query = "Q51"; c.mode = "specialize" })); err != nil {
 		t.Errorf("specialize: %v", err)
-	}
-	// Parallel execution answers the same document query without error.
-	if err := run(cfg(func(c *cliConfig) { c.file = doc; c.dataDir = dir; c.query = "Q0"; c.mode = "run"; c.workers = 4 })); err != nil {
-		t.Errorf("run with workers=4: %v", err)
 	}
 }
 

@@ -76,7 +76,6 @@ import (
 	"repro/internal/load"
 	"repro/internal/obs"
 	"repro/internal/parser"
-	"repro/internal/plan"
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/workload"
@@ -100,7 +99,6 @@ type cliConfig struct {
 	demo          string
 	days          int
 	people        int
-	workers       int
 	shards        int
 	shardID       int
 	shardCount    int
@@ -123,7 +121,6 @@ func main() {
 	flag.StringVar(&cfg.demo, "demo", "", "built-in workload: accidents | social")
 	flag.IntVar(&cfg.days, "days", 20, "accidents demo: days of data")
 	flag.IntVar(&cfg.people, "people", 2000, "social demo: people")
-	flag.IntVar(&cfg.workers, "workers", 1, "default worker goroutines for plan execution (-1 = GOMAXPROCS)")
 	flag.IntVar(&cfg.shards, "shards", 1, "hash-partition the data across K shards (internal/shard)")
 	flag.IntVar(&cfg.shardID, "shard-id", 0, "this node's shard id when -shard-count is set")
 	flag.IntVar(&cfg.shardCount, "shard-count", 0, "serve as cluster shard node -shard-id of this many; loads only that hash share")
@@ -336,18 +333,17 @@ func setup(ctx context.Context, cfg cliConfig) (core.Queryable, server.Catalog, 
 	if err != nil {
 		return nil, none, false, err
 	}
-	opts := core.Options{Exec: plan.ExecOptions{Workers: cfg.workers}}
 	switch {
 	case cfg.peers != "":
-		eng, err := setupCoordinator(ctx, cfg, src, opts)
+		eng, err := setupCoordinator(ctx, cfg, src)
 		if err != nil {
 			return nil, none, false, err
 		}
 		return eng, src.cat, true, nil
 	case cfg.shardCount > 0:
-		return setupShardNode(ctx, cfg, src, opts)
+		return setupShardNode(ctx, cfg, src)
 	default:
-		eng, err := shard.NewOrCore(src.cat.Schema, src.cat.Access, opts, cfg.shards)
+		eng, err := shard.NewOrCore(src.cat.Schema, src.cat.Access, core.Options{}, cfg.shards)
 		if err != nil {
 			return nil, none, false, err
 		}
@@ -374,9 +370,9 @@ func setup(ctx context.Context, cfg cliConfig) (core.Queryable, server.Catalog, 
 // share of the dataset (the whole dataset may be offered — every node
 // in a fleet can be pointed at the same -demo or -data) and exposes the
 // internal protocol the coordinator drives.
-func setupShardNode(ctx context.Context, cfg cliConfig, src *source, opts core.Options) (core.Queryable, server.Catalog, bool, error) {
+func setupShardNode(ctx context.Context, cfg cliConfig, src *source) (core.Queryable, server.Catalog, bool, error) {
 	none := server.Catalog{}
-	node, err := cluster.NewNode(src.cat.Schema, src.cat.Access, cfg.shardID, cfg.shardCount, cluster.Options{Core: opts})
+	node, err := cluster.NewNode(src.cat.Schema, src.cat.Access, cfg.shardID, cfg.shardCount, cluster.Options{})
 	if err != nil {
 		return nil, none, false, err
 	}
@@ -403,7 +399,7 @@ func setupShardNode(ctx context.Context, cfg cliConfig, src *source, opts core.O
 // to the fleet, retrying while the nodes come up. The coordinator loads
 // no data of its own — the nodes' committed state is the dataset — so
 // -data-dir is refused here (durability lives on the nodes).
-func setupCoordinator(ctx context.Context, cfg cliConfig, src *source, opts core.Options) (core.Queryable, error) {
+func setupCoordinator(ctx context.Context, cfg cliConfig, src *source) (core.Queryable, error) {
 	if cfg.durableDir != "" {
 		return nil, fmt.Errorf("-data-dir is a shard-node flag; the coordinator holds no data")
 	}
@@ -411,7 +407,7 @@ func setupCoordinator(ctx context.Context, cfg cliConfig, src *source, opts core
 	for i := range urls {
 		urls[i] = strings.TrimRight(strings.TrimSpace(urls[i]), "/")
 	}
-	eng, err := cluster.New(src.cat.Schema, src.cat.Access, urls, cluster.Options{Core: opts})
+	eng, err := cluster.New(src.cat.Schema, src.cat.Access, urls, cluster.Options{})
 	if err != nil {
 		return nil, err
 	}

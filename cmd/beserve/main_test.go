@@ -13,7 +13,7 @@ import (
 // cfg builds a cliConfig with the flag defaults, tweaked by fn.
 func cfg(fn func(*cliConfig)) cliConfig {
 	c := cliConfig{
-		addr: "127.0.0.1:0", days: 2, people: 200, workers: 1, shards: 1,
+		addr: "127.0.0.1:0", days: 2, people: 200, shards: 1,
 		maxInFlight: 16, queueTimeout: time.Second, shutdownGrace: 5 * time.Second,
 	}
 	if fn != nil {

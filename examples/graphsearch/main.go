@@ -40,10 +40,10 @@ func main() {
 	}
 
 	// The personalized search, anchored at person 17, served through the
-	// unified Query entry point with a per-request worker pool.
+	// unified Query entry point.
 	q := workload.GraphSearchQuery(17, "NYC", "cycling")
 	fmt.Println("\npersonalized query:", q)
-	res, err := eng.Query(context.Background(), q, core.WithWorkers(4))
+	res, err := eng.Query(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}

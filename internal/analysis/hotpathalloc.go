@@ -20,7 +20,7 @@ import (
 //     parameter forces a heap allocation per call
 //
 // The directive is the contract: unmarked functions may allocate
-// freely (runSequential's per-execution dedup map is fine; a per-row
+// freely (fetchEval.run's per-execution dedup map is fine; a per-row
 // one is not). //bevet:allow hotpathalloc suppresses on a marked
 // function.
 var HotPathAlloc = &Analyzer{

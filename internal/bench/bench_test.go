@@ -193,15 +193,13 @@ func TestE10AllVerdictsAgree(t *testing.T) {
 	}
 }
 
-// E11's defining shape: cached planning beats cold planning, and every
-// parallel configuration returns the same answers as workers=1 (wall-clock
-// speedup is hardware-dependent, so only result identity is asserted).
-func TestE11CacheWinsAndParallelAgrees(t *testing.T) {
-	tb, err := E11Concurrency(400, []int{1, 4})
+// E11's defining shape: cached planning beats cold planning.
+func TestE11CacheWins(t *testing.T) {
+	tb, err := E11Concurrency(400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 4 {
+	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d:\n%s", len(tb.Rows), tb.Render())
 	}
 	cold, err1 := strconv.ParseFloat(cell(t, tb, 0, 1), 64)
@@ -211,9 +209,6 @@ func TestE11CacheWinsAndParallelAgrees(t *testing.T) {
 	}
 	if hit >= cold {
 		t.Errorf("cached planning (%v µs) must beat cold synthesis (%v µs)", hit, cold)
-	}
-	if got := cell(t, tb, 3, 3); got != "true" {
-		t.Errorf("parallel execution must return identical answers: %q", got)
 	}
 }
 

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"context"
-	"fmt"
 	"runtime"
 	"time"
 
@@ -14,7 +12,7 @@ import (
 
 // Path3Query is the 3-hop friend walk anchored at a person constant —
 // the serving-layer stress query: its final fetch fans out over thousands
-// of distinct keys, which is what the parallel executor partitions.
+// of distinct keys.
 func Path3Query(me int64) *cq.CQ {
 	return &cq.CQ{
 		Label: "path3", Free: []string{"h"},
@@ -27,31 +25,15 @@ func Path3Query(me int64) *cq.CQ {
 	}
 }
 
-// E11WorkerCounts turns a -workers cap into the sweep for E11Concurrency:
-// always workers=1, plus workers=2 and the cap itself when they fit.
-func E11WorkerCounts(max int) []int {
-	counts := []int{1}
-	if max >= 2 {
-		counts = append(counts, 2)
-	}
-	if max > 2 {
-		counts = append(counts, max)
-	}
-	return counts
-}
-
-// E11Concurrency measures the concurrent serving layer added on top of
-// the paper's pipeline: (a) the plan cache — repeat-query planning
-// latency, cold vs cached — and (b) the parallel executor — bounded-plan
-// execution with a multi-worker fetch/join pool vs a single worker, on a
-// fan-out-heavy social query. The "same answers" column verifies that
-// every configuration returns identical rows and identical Fetched totals
-// (the static access bound holds regardless of worker count).
-func E11Concurrency(people int, workerCounts []int) (*Table, error) {
+// E11Concurrency measures the serving layer added on top of the paper's
+// pipeline: (a) the plan cache — repeat-query planning latency, cold vs
+// cached — and (b) the executor's hot path — time, throughput and memory
+// pressure of one bounded-plan execution on a fan-out-heavy social query.
+func E11Concurrency(people int) (*Table, error) {
 	t := &Table{
 		ID:     "E11",
-		Title:  "serving layer — plan cache and parallel bounded execution",
-		Header: []string{"setting", "time/op (µs)", "speedup", "same answers"},
+		Title:  "serving layer — plan cache and bounded execution",
+		Header: []string{"setting", "time/op (µs)", "speedup"},
 	}
 	soc, err := workload.GenerateSocial(workload.SocialConfig{
 		People: people, MaxFriends: 50, MaxLikes: 10, Seed: 2,
@@ -97,77 +79,38 @@ func E11Concurrency(people int, workerCounts []int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("plan path3 (cold)", tCold, 1.0, "-")
-	t.AddRow("plan path3 (cached)", tHit, tCold/maxF(tHit, 0.01), "-")
+	t.AddRow("plan path3 (cold)", tCold, 1.0)
+	t.AddRow("plan path3 (cached)", tHit, tCold/maxF(tHit, 0.01))
 	t.AddMetric("plan_cold_us", tCold, "us")
 	t.AddMetric("plan_cached_us", tHit, "us")
 	t.AddMetric("plan_cache_speedup", tCold/maxF(tHit, 0.01), "x")
 
-	// (b) Parallel execution: identical plan, varying worker counts.
+	// (b) Execution: answer rows per second, heap allocated per execution
+	// and GC stop-the-world pause attributable to each execution.
 	p, _, err := warm.Plan(q)
 	if err != nil {
 		return nil, err
 	}
 	ix := warm.Indexed()
 	const execReps = 5
-	var baseTime float64
-	var baseTbl *plan.Table
-	var baseFetched int64
-	for i, w := range workerCounts {
-		opts := plan.ExecOptions{Workers: w}
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		var tbl *plan.Table
-		var stats *plan.ExecStats
-		for r := 0; r < execReps; r++ {
-			tbl, stats, err = plan.ExecuteOpts(context.Background(), p, ix, opts)
-			if err != nil {
-				return nil, err
-			}
-		}
-		el := float64(time.Since(start).Microseconds()) / execReps
-		runtime.ReadMemStats(&ms1)
-		same := "-"
-		if i == 0 {
-			baseTime, baseTbl, baseFetched = el, tbl, stats.Fetched
-		} else {
-			same = fmt.Sprint(sameRows(tbl, baseTbl) && stats.Fetched == baseFetched)
-		}
-		t.AddRow(fmt.Sprintf("exec path3 workers=%d", w), el, baseTime/maxF(el, 0.01), same)
-		if i == 0 {
-			t.AddMetric("exec_1worker_us", el, "us")
-			// Throughput and memory pressure of the sequential hot path:
-			// answer rows per second, heap allocated per execution, and
-			// GC stop-the-world pause attributable to each execution.
-			// These are the columnar rewrite's acceptance metrics — the
-			// old row-at-a-time executor allocated per fetched row.
-			t.AddMetric("exec_rows_per_sec", float64(tbl.Len())/(el/1e6), "rows/s")
-			t.AddMetric("exec_alloc_mb", float64(ms1.TotalAlloc-ms0.TotalAlloc)/execReps/(1<<20), "mb")
-			t.AddMetric("exec_gc_pause_us", float64(ms1.PauseTotalNs-ms0.PauseTotalNs)/execReps/1e3, "us")
-		}
-		if i == len(workerCounts)-1 {
-			t.AddMetric("exec_max_workers_us", el, "us")
-			t.AddMetric("exec_parallel_speedup", baseTime/maxF(el, 0.01), "x")
+	var ms0, ms1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	start := time.Now()
+	var tbl *plan.Table
+	for r := 0; r < execReps; r++ {
+		if tbl, _, err = plan.Execute(p, ix); err != nil {
+			return nil, err
 		}
 	}
+	el := float64(time.Since(start).Microseconds()) / execReps
+	runtime.ReadMemStats(&ms1)
+	t.AddRow("exec path3", el, "-")
+	t.AddMetric("exec_1worker_us", el, "us")
+	t.AddMetric("exec_rows_per_sec", float64(tbl.Len())/(el/1e6), "rows/s")
+	t.AddMetric("exec_alloc_mb", float64(ms1.TotalAlloc-ms0.TotalAlloc)/execReps/(1<<20), "mb")
+	t.AddMetric("exec_gc_pause_us", float64(ms1.PauseTotalNs-ms0.PauseTotalNs)/execReps/1e3, "us")
 	t.Notes = append(t.Notes,
-		"cached planning must be orders of magnitude below cold synthesis — that is the repeat-query win",
-		"'same answers' checks rows and Fetched match workers=1: the access bound is worker-independent")
+		"cached planning must be orders of magnitude below cold synthesis — that is the repeat-query win")
 	return t, nil
-}
-
-// sameRows reports whether two tables hold identical rows in identical
-// order.
-func sameRows(a, b *plan.Table) bool {
-	if a.Len() != b.Len() {
-		return false
-	}
-	for i := range a.Rows {
-		if !a.Rows[i].Equal(b.Rows[i]) {
-			return false
-		}
-	}
-	return true
 }

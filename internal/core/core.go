@@ -49,10 +49,6 @@ type Options struct {
 	Envelope   envelope.Options
 	Specialize specialize.Options
 	Plan       plan.BuildOptions
-	// Exec configures plan execution; Exec.Workers > 1 fans bounded
-	// fetches and hash joins out across a worker pool. Query's
-	// WithWorkers overrides it per call.
-	Exec plan.ExecOptions
 	// PlanCache sizes the LRU plan cache: 0 means DefaultPlanCacheSize,
 	// negative disables caching.
 	PlanCache int

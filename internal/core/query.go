@@ -155,7 +155,6 @@ func (e *BudgetError) Error() string {
 
 // queryConfig is the per-request tuning assembled from QueryOptions.
 type queryConfig struct {
-	exec     plan.ExecOptions
 	budget   int64 // < 0: no budget
 	fallback FallbackMode
 	deadline time.Time
@@ -164,13 +163,6 @@ type queryConfig struct {
 
 // QueryOption tunes one Engine.Query call.
 type QueryOption func(*queryConfig)
-
-// WithWorkers bounds the worker goroutines this request's plan execution
-// may use (overriding Options.Exec.Workers): 0 or 1 runs sequentially, a
-// negative value uses GOMAXPROCS.
-func WithWorkers(n int) QueryOption {
-	return func(c *queryConfig) { c.exec.Workers = n }
-}
 
 // WithAccessBudget admits the request only if the engine can guarantee at
 // most n tuples are fetched: the paper's static access bound becomes an
@@ -250,11 +242,11 @@ func viewOf(sn *snapshot) *View {
 // configured fallback answers it: a conventional scan (default), an
 // upper envelope, or a refusal.
 //
-// ctx cancels in-flight execution: the parallel worker pool and the scan
+// ctx cancels in-flight execution: every plan operator and the scan
 // evaluator observe it periodically, stop, and Query returns the
 // context's error (wrapped; test with errors.Is). Per-call tuning comes
-// from functional options: WithWorkers, WithAccessBudget, WithFallback,
-// WithDeadline, WithStream.
+// from functional options: WithAccessBudget, WithFallback, WithDeadline,
+// WithStream.
 //
 // Query is safe for concurrent use after Load, like every read entry
 // point of the Engine. The snapshot is acquired once, up front:
@@ -289,7 +281,7 @@ func (e *Engine) QueryView(ctx context.Context, q Query, v *View, opts ...QueryO
 	}
 	e.queries.Add(1)
 	start := time.Now()
-	cfg := queryConfig{exec: e.Opts.Exec, budget: -1}
+	cfg := queryConfig{budget: -1}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -478,8 +470,8 @@ func (e *Engine) serveUCQ(ctx context.Context, start time.Time, u *ucq.UCQ, cfg 
 	}
 }
 
-// runBounded executes a bounded plan against src, materialized or
-// streamed.
+// runBounded executes a bounded plan against src. The execution is the
+// result's stream; finish hands it to the caller or drains it.
 func (e *Engine) runBounded(ctx context.Context, start time.Time, src plan.Source, mode Mode, p *plan.Plan, b *plan.Bound, cacheHit bool, up *envelope.Upper, cfg queryConfig) (*Result, error) {
 	res := &Result{
 		Query:    p.Label,
@@ -490,99 +482,85 @@ func (e *Engine) runBounded(ctx context.Context, start time.Time, src plan.Sourc
 		Envelope: up,
 	}
 	res.Stats.CacheHit = cacheHit
-	if cfg.stream {
-		res.stream = func(yield func(data.Tuple) bool) {
-			sctx, cancel := cfg.applyDeadline(ctx)
-			defer cancel()
-			st, err := plan.ExecuteStreamSource(sctx, p, src, cfg.exec, yield)
-			if st != nil {
-				res.Stats.Fetched, res.Stats.FetchKeys = st.Fetched, st.FetchKeys
-				e.fetched.Add(st.Fetched)
-			}
-			res.err = err
-			res.Stats.Elapsed = time.Since(start)
+	res.stream = func(yield func(data.Tuple) bool) {
+		sctx, cancel := cfg.applyDeadline(ctx)
+		defer cancel()
+		st, err := plan.ExecuteStreamSource(sctx, p, src, yield)
+		if st != nil {
+			// Counted on failure too: what a canceled execution fetched
+			// before it stopped was still fetched.
+			res.Stats.Fetched, res.Stats.FetchKeys = st.Fetched, st.FetchKeys
+			e.fetched.Add(st.Fetched)
 		}
+		res.err = err
 		res.Stats.Elapsed = time.Since(start)
-		return res, nil
 	}
-	sctx, cancel := cfg.applyDeadline(ctx)
-	defer cancel()
-	tbl, st, err := plan.ExecuteSource(sctx, p, src, cfg.exec)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = tbl.Rows
-	res.Stats.Fetched, res.Stats.FetchKeys = st.Fetched, st.FetchKeys
-	e.fetched.Add(st.Fetched)
-	res.Stats.Elapsed = time.Since(start)
-	return res, nil
+	return res.finish(start, cfg)
 }
 
-// emitStride is how many buffered scan rows a streamed emission loop
-// yields between context checks. The evaluator itself observes ctx while
+// finish completes Query for a result whose stream is set. With
+// WithStream the stream is left for the caller's Seq; otherwise it is
+// drained into Rows on the spot — a materialized answer is a drained
+// stream — and a deferred execution error becomes Query's error.
+func (r *Result) finish(start time.Time, cfg queryConfig) (*Result, error) {
+	if cfg.stream {
+		r.Stats.Elapsed = time.Since(start)
+		return r, nil
+	}
+	for row := range r.Seq() {
+		r.Rows = append(r.Rows, row)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return r, nil
+}
+
+// emitStride is how many buffered scan rows the emission loop yields
+// between context checks. The evaluator itself observes ctx while
 // computing the answer, but emission can dwarf evaluation when the
 // consumer is slow (a network write per row), so the emit loop must
 // observe cancellation too — otherwise a request overruns its deadline
 // for as long as the consumer keeps reading.
 const emitStride = 256
 
-// runScan answers through the conventional evaluator, materialized or
-// streamed. Scan answers are deduplicated and sorted before they can be
-// emitted, so a streamed scan defers the evaluation but still buffers
-// internally.
+// runScan answers through the conventional evaluator. Scan answers are
+// deduplicated and sorted before they can be emitted, so a streamed scan
+// defers the evaluation but still buffers internally.
 func (e *Engine) runScan(ctx context.Context, start time.Time, label string, cols []string, cfg queryConfig, evalFn func(context.Context) (*eval.Result, error)) (*Result, error) {
 	res := &Result{
 		Query:   label,
 		Mode:    ViaFullScan,
 		Columns: append([]string(nil), cols...),
 	}
-	if cfg.stream {
-		res.stream = func(yield func(data.Tuple) bool) {
-			sctx, cancel := cfg.applyDeadline(ctx)
-			defer cancel()
-			sp := obs.FromContext(ctx).Start("scan")
-			r, err := evalFn(sctx)
-			if err != nil {
-				sp.End()
-				res.err = err
-				res.Stats.Elapsed = time.Since(start)
+	res.stream = func(yield func(data.Tuple) bool) {
+		defer func() { res.Stats.Elapsed = time.Since(start) }()
+		sctx, cancel := cfg.applyDeadline(ctx)
+		defer cancel()
+		sp := obs.FromContext(ctx).Start("scan")
+		r, err := evalFn(sctx)
+		if err != nil {
+			sp.End()
+			res.err = err
+			return
+		}
+		// Scanned lives on the child eval.cq spans (one per sub-CQ,
+		// so a union's breakdown is visible); duplicating it here
+		// would double-count in any tree sum.
+		sp.SetRows(int64(len(r.Rows)))
+		sp.End()
+		res.Stats.Scanned = r.Scanned
+		e.scanned.Add(r.Scanned)
+		for i, row := range r.Rows {
+			if i%emitStride == 0 && sctx.Err() != nil {
+				res.err = fmt.Errorf("core: scan stream cut after %d of %d rows: %w",
+					i, len(r.Rows), sctx.Err())
 				return
 			}
-			// Scanned lives on the child eval.cq spans (one per sub-CQ,
-			// so a union's breakdown is visible); duplicating it here
-			// would double-count in any tree sum.
-			sp.SetRows(int64(len(r.Rows)))
-			sp.End()
-			res.Stats.Scanned = r.Scanned
-			e.scanned.Add(r.Scanned)
-			for i, row := range r.Rows {
-				if i%emitStride == 0 && sctx.Err() != nil {
-					res.err = fmt.Errorf("core: scan stream cut after %d of %d rows: %w",
-						i, len(r.Rows), sctx.Err())
-					break
-				}
-				if !yield(row) {
-					break
-				}
+			if !yield(row) {
+				return
 			}
-			res.Stats.Elapsed = time.Since(start)
 		}
-		res.Stats.Elapsed = time.Since(start)
-		return res, nil
 	}
-	sctx, cancel := cfg.applyDeadline(ctx)
-	defer cancel()
-	sp := obs.FromContext(ctx).Start("scan")
-	r, err := evalFn(sctx)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	sp.SetRows(int64(len(r.Rows)))
-	sp.End()
-	res.Rows = r.Rows
-	res.Stats.Scanned = r.Scanned
-	e.scanned.Add(r.Scanned)
-	res.Stats.Elapsed = time.Since(start)
-	return res, nil
+	return res.finish(start, cfg)
 }

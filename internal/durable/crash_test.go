@@ -28,7 +28,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/durable"
 	"repro/internal/live"
-	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/shard"
 	"repro/internal/workload"
@@ -100,7 +99,7 @@ func crashLoad(t testing.TB, kind string) *crashWorkload {
 
 func newCrashEngine(t testing.TB, w *crashWorkload, shards int) durEng {
 	t.Helper()
-	eng, err := shard.NewOrCore(w.sc, w.a, core.Options{Exec: plan.ExecOptions{Workers: 1}}, shards)
+	eng, err := shard.NewOrCore(w.sc, w.a, core.Options{}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@
 // allocation-free.
 //
 // A Trace is safe for concurrent use (streamed results drain on the
-// consumer's goroutine; parallel plan workers share one request trace),
+// consumer's goroutine; a remote scatter fetch asks its peers at once),
 // but span NESTING follows the coordinator goroutine's call structure:
 // Start pushes onto a stack, End pops. Concurrent phases record
 // through counters (ShardCounters) or a single span around the fanout

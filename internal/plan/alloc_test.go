@@ -42,10 +42,23 @@ func allocFixture(t testing.TB) (*access.Indexed, *Table, FetchOp) {
 	return ix, in, FetchOp{Constraint: c, Input: 0, XCols: []string{"x"}, YOut: []string{"b", "c"}}
 }
 
-// TestFetchRowPathAllocs drives the full sequential fetch inner loop —
-// argDedup, key encoding into scratch, FetchBytes probe, emitBucket row
-// assembly — with a drop sink, and demands zero allocations per input
-// row once the fetchEval scratch is warm.
+// allocSinks are the two row consumers every per-row assertion runs
+// through: a drop sink (the operator's own work in isolation) and the
+// executor's streaming sink — table insert plus yield of each new row.
+// Once the sink's table is warm every measured row is a duplicate, so
+// the streaming leg must cost nothing either.
+func allocSinks(cols []string) map[string]func(data.Tuple) bool {
+	stream := &sink{out: NewTable(cols...), yield: func(data.Tuple) bool { return true }}
+	return map[string]func(data.Tuple) bool{
+		"drop":   func(data.Tuple) bool { return true },
+		"stream": stream.add,
+	}
+}
+
+// TestFetchRowPathAllocs drives the full fetch inner loop — argDedup, key
+// encoding into scratch, FetchBytes probe, emitBucket row assembly, sink
+// insert — and demands zero allocations per input row once the fetchEval
+// scratch and the sink's table are warm.
 func TestFetchRowPathAllocs(t *testing.T) {
 	ix, in, op := allocFixture(t)
 	f, err := newFetchEval(op, in, NewSource(ix))
@@ -53,43 +66,21 @@ func TestFetchRowPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := &ExecStats{}
-	sink := func(data.Tuple) bool { return true }
 	ctx := context.Background()
-	// Warm the key scratch once.
-	if err := f.runSequential(ctx, stats, sink); err != nil {
-		t.Fatal(err)
-	}
-	// argDedup's map is per-run state, so measure the per-row remainder:
-	// each run re-walks all 16 input rows and every bucket row.
-	avg := testing.AllocsPerRun(100, func() {
-		dd := fetchAllocProbe{f: f, stats: stats}
-		dd.run(t)
-	})
-	// One argDedup per run is setup, not per-row work: its struct, map
-	// header and presized bucket array cost a constant <= 4 allocations
-	// regardless of row count. Everything per-row must be zero.
-	if avg > 4 {
-		t.Fatalf("fetch inner loop allocates %.1f/run (want setup-only <= 4)", avg)
-	}
-}
-
-// fetchAllocProbe re-runs the sequential fetch loop body outside
-// runSequential's error plumbing so AllocsPerRun sees only the row work.
-type fetchAllocProbe struct {
-	f     *fetchEval
-	stats *ExecStats
-}
-
-func (p *fetchAllocProbe) run(t testing.TB) {
-	f := p.f
-	dd := newArgDedup(f.in.Rows, f.xpos)
-	for i, row := range f.in.Rows {
-		if dd.seen(i) {
-			continue
+	for name, sink := range allocSinks(f.outCols) {
+		run := func() {
+			if err := f.run(ctx, stats, sink); err != nil {
+				t.Fatal(err)
+			}
 		}
-		f.keyBuf = value.AppendKeyAt(f.keyBuf[:0], row, f.xpos)
-		if !f.emitBucket(row, f.fetch.FetchBytes(f.keyBuf), f.rowBuf, p.stats, func(data.Tuple) bool { return true }) {
-			t.Fatal("sink stopped")
+		run() // warm
+		// Each run re-walks all 16 input rows and every bucket row. One
+		// argDedup per run is setup, not per-row work: its struct, map
+		// header and presized bucket array cost a constant <= 4
+		// allocations regardless of row count. Everything per-row must
+		// be zero.
+		if avg := testing.AllocsPerRun(100, run); avg > 4 {
+			t.Fatalf("%s: fetch inner loop allocates %.1f/run (want setup-only <= 4)", name, avg)
 		}
 	}
 }
@@ -120,25 +111,33 @@ func TestScanRowPathAllocs(t *testing.T) {
 }
 
 // TestDedupAllocs pins the executor's set-semantics dedup: re-adding an
-// existing row through the scratch-buffer insert allocates nothing.
+// existing row through the scratch-buffer insert allocates nothing, with
+// or without a yield behind it.
 func TestDedupAllocs(t *testing.T) {
 	tab := NewTable("a", "b")
 	row := data.Tuple{value.NewInt(1), value.NewString("dup")}
 	tab.Add(row.Clone())
 	scratch := row.Clone()
+	stream := &sink{out: tab, yield: func(data.Tuple) bool {
+		t.Fatal("duplicate row was yielded")
+		return false
+	}}
 	avg := testing.AllocsPerRun(1000, func() {
 		if tab.AddScratch(scratch) {
 			t.Fatal("duplicate row was admitted")
 		}
+		if !stream.add(scratch) {
+			t.Fatal("sink stopped")
+		}
 	})
 	if avg != 0 {
-		t.Fatalf("duplicate AddScratch allocates %.1f/row, want 0", avg)
+		t.Fatalf("duplicate insert allocates %.1f/row, want 0", avg)
 	}
 }
 
 // TestJoinProbeAllocs pins the join probe: hashing the left row,
-// scanning the group, verifying equality and assembling the joined row
-// in a caller buffer allocate nothing.
+// scanning the group, verifying equality, assembling the joined row in a
+// caller buffer and handing it to the sink allocate nothing.
 func TestJoinProbeAllocs(t *testing.T) {
 	l := NewTable("a", "b")
 	r := NewTable("b", "c")
@@ -147,19 +146,21 @@ func TestJoinProbeAllocs(t *testing.T) {
 		r.Add(data.Tuple{value.NewString("k"), value.NewInt(i * 10)})
 	}
 	js := newJoinState(l, r)
-	if err := js.build(context.Background(), 1); err != nil {
+	if err := js.build(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	buf := make(data.Tuple, 0, len(l.Cols)+len(js.extraR))
-	sink := func(data.Tuple) bool { return true }
-	avg := testing.AllocsPerRun(200, func() {
-		for _, lr := range l.Rows {
-			if !js.probe(lr, buf, sink) {
-				t.Fatal("sink stopped")
+	for name, sink := range allocSinks([]string{"a", "b", "c"}) {
+		run := func() {
+			for _, lr := range l.Rows {
+				if !js.probe(lr, buf, sink) {
+					t.Fatal("sink stopped")
+				}
 			}
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("join probe allocates %.1f/run, want 0", avg)
+		run() // warm
+		if avg := testing.AllocsPerRun(200, run); avg != 0 {
+			t.Fatalf("%s: join probe allocates %.1f/run, want 0", name, avg)
+		}
 	}
 }

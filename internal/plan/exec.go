@@ -31,58 +31,74 @@ type ExecStats struct {
 // enough that the atomic load in ctx.Err() stays off the profile.
 const cancelStride = 256
 
-// Execute runs the plan against an indexed instance, sequentially and
-// without cancellation. Every FetchOp must be backed by a constraint
-// present in ix.
+// ExecOptions is the executor's former tuning struct, kept fieldless only
+// because the frozen benchmark/layers.go passes plan.ExecOptions{} to
+// ExecuteSource; the next benchmark PR drops the argument and this type.
+type ExecOptions struct{}
+
+// Execute runs the plan against an indexed instance without cancellation.
+// Every FetchOp must be backed by a constraint present in ix.
 func Execute(p *Plan, ix *access.Indexed) (*Table, *ExecStats, error) {
-	return ExecuteOpts(context.Background(), p, ix, ExecOptions{})
+	return run(context.Background(), p, NewSource(ix), nil)
 }
 
-// ExecuteOpts is Execute with tuning and cancellation. With opts.Workers
-// > 1, fetch steps partition their distinct input keys across a bounded
-// worker pool and hash joins parallelize their build/probe phases;
-// per-worker stats are merged, so Fetched and FetchKeys are identical to
-// a sequential run (the static access bound is respected either way), and
-// result rows come back in the same order with the same set semantics.
+// ExecuteSource runs p with fetches resolved through src — a single-node
+// index (NewSource) or the scatter-gather source of a sharded engine —
+// and returns the answer table.
 //
-// ctx is observed between steps and periodically inside fetch, join and
-// product loops (including on worker goroutines): when it is canceled or
-// its deadline passes, execution stops and the context's error is
-// returned (wrapped; test with errors.Is). The worker pool always drains
-// before ExecuteOpts returns — cancellation never leaks goroutines.
-func ExecuteOpts(ctx context.Context, p *Plan, ix *access.Indexed, opts ExecOptions) (*Table, *ExecStats, error) {
-	return ExecuteSource(ctx, p, NewSource(ix), opts)
+// ctx is observed between steps and every cancelStride iterations inside
+// every operator loop: when it is canceled or its deadline passes,
+// execution stops and the context's error is returned (wrapped; test with
+// errors.Is). The stats are returned even then — they account for what
+// the failed execution had already fetched.
+func ExecuteSource(ctx context.Context, p *Plan, src Source, _ ExecOptions) (*Table, *ExecStats, error) {
+	return run(ctx, p, src, nil)
 }
 
-// ExecuteSource is ExecuteOpts generalized over the data-access surface:
-// fetches resolve through src instead of a concrete indexed instance, so
-// the same executor serves single-node indexes and the scatter-gather
-// sources of a sharded engine.
-func ExecuteSource(ctx context.Context, p *Plan, src Source, opts ExecOptions) (*Table, *ExecStats, error) {
+// ExecuteStreamSource runs p like ExecuteSource and additionally hands
+// each new row of the final step to yield the moment it is inserted, so a
+// consumer sees the answer before it is complete. yield returning false
+// stops the final step early (no error). The yielded sequence is exactly
+// ExecuteSource's result rows, in order; consumers may retain the rows.
+func ExecuteStreamSource(ctx context.Context, p *Plan, src Source, yield func(data.Tuple) bool) (*ExecStats, error) {
+	_, stats, err := run(ctx, p, src, yield)
+	return stats, err
+}
+
+// run is the one step loop: every step's rows are inserted into its
+// table, and the final step's new rows also go to yield when it is
+// non-nil. The final step's span then carries the "+stream+dedup" suffix.
+func run(ctx context.Context, p *Plan, src Source, yield func(data.Tuple) bool) (*Table, *ExecStats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
 	stats := &ExecStats{}
 	tr := obs.FromContext(ctx)
 	results := make([]*Table, len(p.Steps))
+	last := len(p.Steps) - 1
 	for i, op := range p.Steps {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("plan: canceled before step T%d: %w", i, err)
+			return nil, stats, fmt.Errorf("plan: canceled before step T%d: %w", i, err)
 		}
-		sp, f0, k0 := startStepSpan(tr, i, op, stats)
-		t, err := execOp(ctx, op, results, src, stats, opts)
+		name := opKind(op)
+		var stepYield func(data.Tuple) bool
+		if i == last && yield != nil {
+			name, stepYield = name+"+stream+dedup", yield
+		}
+		sp, f0, k0 := startStepSpan(tr, name, i, op, stats)
+		t, err := execOp(ctx, op, results, src, stats, stepYield)
 		if sp != nil {
-			if err == nil {
+			if t != nil {
 				sp.SetRows(int64(t.Len()))
 			}
 			sp.SetFetch(stats.Fetched-f0, stats.FetchKeys-k0)
 			sp.End()
 		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("plan: step T%d (%s): %w", i, op, err)
+		if err == nil {
+			err = fetchErrOf(src)
 		}
-		if err := fetchErrOf(src); err != nil {
-			return nil, nil, fmt.Errorf("plan: step T%d (%s): %w", i, op, err)
+		if err != nil {
+			return nil, stats, fmt.Errorf("plan: step T%d (%s): %w", i, op, err)
 		}
 		results[i] = t
 		stats.OpsRun++
@@ -90,7 +106,7 @@ func ExecuteSource(ctx context.Context, p *Plan, src Source, opts ExecOptions) (
 			stats.MaxIntermediate = t.Len()
 		}
 	}
-	return results[len(results)-1], stats, nil
+	return results[last], stats, nil
 }
 
 // fetchErrOf surfaces a deferred fetch failure from sources whose
@@ -110,11 +126,11 @@ func fetchErrOf(src Source) error {
 // startStepSpan opens the per-operator profile span for plan step i and
 // snapshots the fetch accounting, so the span's Fetched/Keys are the
 // step's delta. A nil trace costs a nil check and nothing else.
-func startStepSpan(tr *obs.Trace, i int, op Op, stats *ExecStats) (sp *obs.Span, f0, k0 int64) {
+func startStepSpan(tr *obs.Trace, name string, i int, op Op, stats *ExecStats) (sp *obs.Span, f0, k0 int64) {
 	if tr == nil {
 		return nil, 0, 0
 	}
-	sp = tr.StartDetail(opKind(op), "T"+strconv.Itoa(i)+" = "+op.String())
+	sp = tr.StartDetail(name, "T"+strconv.Itoa(i)+" = "+op.String())
 	return sp, stats.Fetched, stats.FetchKeys
 }
 
@@ -149,333 +165,176 @@ func opKind(op Op) string {
 	}
 }
 
-// ExecuteStream runs p like ExecuteOpts but hands the final step's rows to
-// yield as they are produced instead of materializing the answer table, so
-// large answers are never fully buffered. yield returning false stops the
-// final step early (no error). Every earlier step executes exactly as
-// ExecuteOpts (including parallelism); the final step runs sequentially.
-// Set semantics are preserved with a dedup index, so the yielded
-// sequence is byte-identical, in order, to ExecuteOpts's result rows.
-func ExecuteStream(ctx context.Context, p *Plan, ix *access.Indexed, opts ExecOptions, yield func(data.Tuple) bool) (*ExecStats, error) {
-	return ExecuteStreamSource(ctx, p, NewSource(ix), opts, yield)
-}
-
-// ExecuteStreamSource is ExecuteStream generalized over the data-access
-// surface, like ExecuteSource.
-func ExecuteStreamSource(ctx context.Context, p *Plan, src Source, opts ExecOptions, yield func(data.Tuple) bool) (*ExecStats, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	stats := &ExecStats{}
-	tr := obs.FromContext(ctx)
-	results := make([]*Table, len(p.Steps))
-	last := len(p.Steps) - 1
-	for i, op := range p.Steps[:last] {
-		if err := ctx.Err(); err != nil {
-			return stats, fmt.Errorf("plan: canceled before step T%d: %w", i, err)
-		}
-		sp, f0, k0 := startStepSpan(tr, i, op, stats)
-		t, err := execOp(ctx, op, results, src, stats, opts)
-		if sp != nil {
-			if err == nil {
-				sp.SetRows(int64(t.Len()))
+// eachRow feeds rows to fn in order until fn returns false, observing ctx
+// every cancelStride rows.
+func eachRow(ctx context.Context, rows []data.Tuple, fn func(data.Tuple) bool) error {
+	for i, row := range rows {
+		if i%cancelStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			sp.SetFetch(stats.Fetched-f0, stats.FetchKeys-k0)
-			sp.End()
 		}
-		if err != nil {
-			return stats, fmt.Errorf("plan: step T%d (%s): %w", i, op, err)
-		}
-		if err := fetchErrOf(src); err != nil {
-			return stats, fmt.Errorf("plan: step T%d (%s): %w", i, op, err)
-		}
-		results[i] = t
-		stats.OpsRun++
-		if t.Len() > stats.MaxIntermediate {
-			stats.MaxIntermediate = t.Len()
+		if !fn(row) {
+			return nil
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return stats, fmt.Errorf("plan: canceled before step T%d: %w", last, err)
-	}
-	// The final step streams through the dedup sink; its span counts the
-	// rows actually yielded downstream (post-dedup, post-early-stop).
-	var sp *obs.Span
-	var f0, k0, yielded int64
-	sunk := yield
-	if tr != nil {
-		sp = tr.StartDetail(opKind(p.Steps[last])+"+stream+dedup",
-			"T"+strconv.Itoa(last)+" = "+p.Steps[last].String())
-		f0, k0 = stats.Fetched, stats.FetchKeys
-		sunk = func(row data.Tuple) bool {
-			yielded++
-			return yield(row)
-		}
-	}
-	err := streamOp(ctx, p.Steps[last], results, src, stats, sunk)
-	if sp != nil {
-		sp.SetRows(yielded)
-		sp.SetFetch(stats.Fetched-f0, stats.FetchKeys-k0)
-		sp.End()
-	}
-	if err != nil {
-		return stats, fmt.Errorf("plan: step T%d (%s): %w", last, p.Steps[last], err)
-	}
-	if err := fetchErrOf(src); err != nil {
-		return stats, fmt.Errorf("plan: step T%d (%s): %w", last, p.Steps[last], err)
-	}
-	stats.OpsRun++
-	return stats, nil
+	return nil
 }
 
-func execOp(ctx context.Context, op Op, results []*Table, src Source, stats *ExecStats, opts ExecOptions) (*Table, error) {
-	switch o := op.(type) {
-	case unitOp:
-		return Unit(), nil
-	case ConstOp:
-		t := NewTable(o.Col)
-		t.Add(data.Tuple{o.Val})
-		return t, nil
-	case EmptyOp:
-		return NewTable(o.Cols...), nil
-	case FetchOp:
-		return execFetch(ctx, o, results[o.Input], src, stats, opts)
-	case ProjectOp:
-		return execProject(o, results[o.Input])
-	case SelectOp:
-		return execSelect(o, results[o.Input])
-	case ProductOp:
-		return execProduct(ctx, results[o.L], results[o.R])
-	case JoinOp:
-		return execJoin(ctx, results[o.L], results[o.R], opts)
-	case UnionOp:
-		return execUnion(results[o.L], results[o.R])
-	case DiffOp:
-		return execDiff(results[o.L], results[o.R])
-	case RenameOp:
-		return execRename(o, results[o.Input])
-	default:
-		return nil, fmt.Errorf("unknown operation %T", op)
-	}
-}
-
-// streamSink dedups final-step rows and forwards them to a consumer,
-// recording an early stop (consumer returned false — not an error).
-// Incoming rows may live in reused scratch buffers, so a NEW row is
-// copied before it is recorded and yielded; duplicates are recognized
-// without copying. Consumers may therefore retain yielded rows.
-type streamSink struct {
-	rows    []data.Tuple
-	first   map[uint64]int32
-	more    map[uint64][]int32
+// sink is where an operator's rows land: each is inserted into the step's
+// table under set semantics and, when yield is non-nil, every NEW row —
+// the table's stored copy, so consumers may retain it — is handed to
+// yield. A yield returning false stops the operator (stopped; no error).
+type sink struct {
+	out     *Table
 	yield   func(data.Tuple) bool
 	stopped bool
 }
 
-func newStreamSink(yield func(data.Tuple) bool) *streamSink {
-	return &streamSink{first: make(map[uint64]int32), yield: yield}
-}
-
-// add forwards a row if unseen; it reports whether the consumer still
-// wants more rows.
+// add takes one row, typically held in the operator's reused scratch
+// buffer; it reports whether the operator should keep producing.
 //
 //bevet:hotpath
-func (s *streamSink) add(row data.Tuple) bool {
-	if s.stopped {
-		return false
-	}
-	h := hashRow(row)
-	if i, ok := s.first[h]; ok {
-		if rowsEqual(s.rows[i], row) {
-			return true
-		}
-		dup := false
-		for _, j := range s.more[h] {
-			if rowsEqual(s.rows[j], row) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			return true
-		}
-	}
-	kept := append(data.Tuple(nil), row...)
-	s.record(h)
-	s.rows = append(s.rows, kept)
-	if !s.yield(kept) {
+func (s *sink) add(row data.Tuple) bool {
+	if s.out.AddScratch(row) && s.yield != nil && !s.yield(s.out.Rows[len(s.out.Rows)-1]) {
 		s.stopped = true
-		return false
 	}
-	return true
+	return !s.stopped
 }
 
-// record indexes the row about to be appended; the collision branch
-// allocates by design and runs ~never.
-func (s *streamSink) record(h uint64) {
-	if _, ok := s.first[h]; !ok {
-		s.first[h] = int32(len(s.rows))
-		return
-	}
-	if s.more == nil {
-		s.more = make(map[uint64][]int32)
-	}
-	s.more[h] = append(s.more[h], int32(len(s.rows)))
-}
-
-// streamOp executes the final plan step sequentially, emitting its rows
-// through a streamSink instead of building a Table.
-func streamOp(ctx context.Context, op Op, results []*Table, src Source, stats *ExecStats, yield func(data.Tuple) bool) error {
-	sink := newStreamSink(yield)
-	each := func(rows []data.Tuple) error {
-		for i, row := range rows {
-			if i%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if !sink.add(row) {
-				return nil
-			}
-		}
-		return nil
-	}
+// execOp runs one plan step, the operator emitting its rows into a sink
+// over the step's table. On an error the partially filled table is still
+// returned, for the step's row count.
+func execOp(ctx context.Context, op Op, results []*Table, src Source, stats *ExecStats, yield func(data.Tuple) bool) (*Table, error) {
+	s := &sink{yield: yield}
+	emit := s.add
 	switch o := op.(type) {
 	case unitOp:
-		sink.add(data.Tuple{})
-		return nil
+		s.out = NewTable()
+		emit(data.Tuple{})
+		return s.out, nil
 	case ConstOp:
-		sink.add(data.Tuple{o.Val})
-		return nil
+		s.out = NewTable(o.Col)
+		emit(data.Tuple{o.Val})
+		return s.out, nil
 	case EmptyOp:
-		return nil
+		return NewTable(o.Cols...), nil
 	case FetchOp:
-		fe, err := newFetchEval(o, results[o.Input], src)
+		f, err := newFetchEval(o, results[o.Input], src)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return fe.runSequential(ctx, stats, sink.add)
+		s.out = NewTable(f.outCols...)
+		return s.out, f.run(ctx, stats, emit)
 	case ProjectOp:
 		in := results[o.Input]
 		pos, err := in.ColIndexes(o.Cols)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if o.As != nil && len(o.As) != len(o.Cols) {
-			return fmt.Errorf("project rename arity mismatch")
-		}
-		buf := make(data.Tuple, 0, len(pos))
-		for i, row := range in.Rows {
-			if i%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
+		cols := o.Cols
+		if o.As != nil {
+			if len(o.As) != len(o.Cols) {
+				return nil, fmt.Errorf("project rename arity mismatch")
 			}
+			cols = o.As
+		}
+		s.out = NewTable(cols...)
+		buf := make(data.Tuple, 0, len(pos))
+		return s.out, eachRow(ctx, in.Rows, func(row data.Tuple) bool {
 			buf = buf[:0]
 			for _, p := range pos {
 				buf = append(buf, row[p])
 			}
-			if !sink.add(buf) {
-				return nil
-			}
-		}
-		return nil
+			return emit(buf)
+		})
 	case SelectOp:
 		in := results[o.Input]
 		conds, err := compileConds(o, in)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for i, row := range in.Rows {
-			if i%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if condsMatch(conds, row) && !sink.add(row) {
-				return nil
-			}
-		}
-		return nil
+		s.out = NewTable(in.Cols...)
+		return s.out, eachRow(ctx, in.Rows, func(row data.Tuple) bool {
+			return !condsMatch(conds, row) || emit(row)
+		})
 	case ProductOp:
 		l, r := results[o.L], results[o.R]
-		if err := checkProductCols(l, r); err != nil {
-			return err
+		for _, c := range r.Cols {
+			if l.ColIndex(c) >= 0 {
+				return nil, fmt.Errorf("product: duplicate column %q (rename first)", c)
+			}
 		}
+		s.out = NewTable(append(append([]string(nil), l.Cols...), r.Cols...)...)
 		buf := make(data.Tuple, 0, len(l.Cols)+len(r.Cols))
 		n := 0
 		for _, lr := range l.Rows {
 			for _, rr := range r.Rows {
 				if n%cancelStride == 0 {
 					if err := ctx.Err(); err != nil {
-						return err
+						return s.out, err
 					}
 				}
 				n++
 				buf = append(append(buf[:0], lr...), rr...)
-				if !sink.add(buf) {
-					return nil
+				if !emit(buf) {
+					return s.out, nil
 				}
 			}
 		}
-		return nil
+		return s.out, nil
 	case JoinOp:
 		l, r := results[o.L], results[o.R]
 		js := newJoinState(l, r)
-		if err := js.build(ctx, 1); err != nil {
-			return err
+		if err := js.build(ctx); err != nil {
+			return nil, err
 		}
+		s.out = NewTable(append(append([]string(nil), l.Cols...), js.extraCols...)...)
 		buf := make(data.Tuple, 0, len(l.Cols)+len(js.extraR))
-		for i, lr := range l.Rows {
-			if i%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if !js.probe(lr, buf, sink.add) {
-				return nil
-			}
-		}
-		return nil
+		return s.out, eachRow(ctx, l.Rows, func(lr data.Tuple) bool {
+			return js.probe(lr, buf, emit)
+		})
 	case UnionOp:
 		l, r := results[o.L], results[o.R]
 		if len(l.Cols) != len(r.Cols) {
-			return fmt.Errorf("union: arity mismatch %d vs %d", len(l.Cols), len(r.Cols))
+			return nil, fmt.Errorf("union: arity mismatch %d vs %d", len(l.Cols), len(r.Cols))
 		}
-		if err := each(l.Rows); err != nil || sink.stopped {
-			return err
+		s.out = NewTable(l.Cols...)
+		if err := eachRow(ctx, l.Rows, emit); err != nil || s.stopped {
+			return s.out, err
 		}
-		return each(r.Rows)
+		return s.out, eachRow(ctx, r.Rows, emit)
 	case DiffOp:
 		l, r := results[o.L], results[o.R]
 		if len(l.Cols) != len(r.Cols) {
-			return fmt.Errorf("difference: arity mismatch %d vs %d", len(l.Cols), len(r.Cols))
+			return nil, fmt.Errorf("difference: arity mismatch %d vs %d", len(l.Cols), len(r.Cols))
 		}
-		drop := newDropSet(r.Rows)
-		for i, row := range l.Rows {
-			if i%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if !drop.has(row) && !sink.add(row) {
-				return nil
-			}
-		}
-		return nil
+		s.out = NewTable(l.Cols...)
+		return s.out, eachRow(ctx, l.Rows, func(row data.Tuple) bool {
+			return r.Has(row) || emit(row)
+		})
 	case RenameOp:
-		if _, err := renamedCols(o, results[o.Input]); err != nil {
-			return err
+		in := results[o.Input]
+		if len(o.From) != len(o.To) {
+			return nil, fmt.Errorf("rename arity mismatch")
 		}
-		return each(results[o.Input].Rows)
+		s.out = NewTable(in.Cols...)
+		for i, f := range o.From {
+			p := in.ColIndex(f)
+			if p < 0 {
+				return nil, fmt.Errorf("rename: no column %q", f)
+			}
+			s.out.Cols[p] = o.To[i]
+		}
+		return s.out, eachRow(ctx, in.Rows, emit)
 	default:
-		return fmt.Errorf("unknown operation %T", op)
+		return nil, fmt.Errorf("unknown operation %T", op)
 	}
 }
 
 // fetchEval is the per-step state of a fetch: resolved index, input key
-// positions, the Y-emission actions, and the sequential path's scratch
-// buffers (key encoding and output row assembly).
+// positions, the Y-emission actions, and the scratch buffers (key
+// encoding and output row assembly).
 type fetchEval struct {
 	o       FetchOp
 	in      *Table
@@ -539,13 +398,6 @@ func newFetchEval(o FetchOp, in *Table, src Source) (*fetchEval, error) {
 	}, nil
 }
 
-// fetchItem is one distinct-key lookup of the parallel path: the first
-// input row carrying the key, and the key's encoded bytes.
-type fetchItem struct {
-	row data.Tuple
-	key []byte
-}
-
 // emitBucket assembles the output rows of one bucket into the out scratch
 // buffer and sends each to sink, stopping when sink returns false. It
 // runs once per distinct key of every fetch node and out is reused across
@@ -594,10 +446,10 @@ func (f *fetchEval) emitBucket(row data.Tuple, b index.Bucket, out data.Tuple, s
 	return true
 }
 
-// runSequential streams the fetch over the input rows in order, deduping
-// keys inline with no item buffer. The per-row path — hash dedup, key
-// encoding into scratch, bucket probe, row assembly — is allocation-free.
-func (f *fetchEval) runSequential(ctx context.Context, stats *ExecStats, sink func(data.Tuple) bool) error {
+// run streams the fetch over the input rows in order, deduping keys
+// inline with no item buffer. The per-row path — hash dedup, key encoding
+// into scratch, bucket probe, row assembly — is allocation-free.
+func (f *fetchEval) run(ctx context.Context, stats *ExecStats, sink func(data.Tuple) bool) error {
 	dd := newArgDedup(f.in.Rows, f.xpos)
 	for i, row := range f.in.Rows {
 		if i%cancelStride == 0 {
@@ -614,136 +466,6 @@ func (f *fetchEval) runSequential(ctx context.Context, stats *ExecStats, sink fu
 		}
 	}
 	return nil
-}
-
-func execFetch(ctx context.Context, o FetchOp, in *Table, src Source, stats *ExecStats, opts ExecOptions) (*Table, error) {
-	f, err := newFetchEval(o, in, src)
-	if err != nil {
-		return nil, err
-	}
-	out := NewTable(f.outCols...)
-
-	// Sequential path (the default): the original streaming loop.
-	// len(in.Rows) bounds the distinct key count, so
-	// workersFor(len(in.Rows)) == 1 implies parallelism would never
-	// trigger.
-	if opts.workersFor(len(in.Rows)) <= 1 {
-		err := f.runSequential(ctx, stats, func(r data.Tuple) bool { out.AddScratch(r); return true })
-		return out, err
-	}
-
-	// Distinct input keys in first-occurrence order: each key is looked up
-	// exactly once regardless of worker count, so FetchKeys/Fetched match
-	// the sequential accounting and stay within the static access bound.
-	dd := newArgDedup(in.Rows, f.xpos)
-	items := make([]fetchItem, 0, len(in.Rows))
-	for i, row := range in.Rows {
-		if i%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if dd.seen(i) {
-			continue
-		}
-		items = append(items, fetchItem{row: row, key: value.AppendKeyAt(nil, row, f.xpos)})
-	}
-	spans := splitSpans(len(items), opts.workersFor(len(items)))
-	if len(spans) <= 1 {
-		// Dedup collapsed the input below the parallel threshold. Each
-		// emit fetches index buckets, so this loop observes ctx like the
-		// sequential path does.
-		for i, it := range items {
-			if i%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			f.emitBucket(it.row, f.fetch.FetchBytes(it.key), f.rowBuf, stats,
-				func(r data.Tuple) bool { out.AddScratch(r); return true })
-		}
-		return out, nil
-	}
-	// Parallel path: contiguous key partitions, worker-local row buffers
-	// and stats, then an ordered merge — the output row order and set
-	// semantics are identical to the sequential path. Workers assemble
-	// rows in worker-local scratch, copy kept rows, and precompute each
-	// row's dedup hash so the merge only pays for map inserts; each
-	// worker observes ctx and bails early on cancellation.
-	partRows := make([][]hashedRow, len(spans))
-	partStats := make([]ExecStats, len(spans))
-	runSpans(spans, func(part int, s span) {
-		scratch := make(data.Tuple, len(f.outCols))
-		sink := func(r data.Tuple) bool {
-			kept := append(data.Tuple(nil), r...)
-			partRows[part] = append(partRows[part], hashedRow{row: kept, hash: hashRow(kept)})
-			return true
-		}
-		for i, it := range items[s.Lo:s.Hi] {
-			if i%cancelStride == 0 && ctx.Err() != nil {
-				return
-			}
-			f.emitBucket(it.row, f.fetch.FetchBytes(it.key), scratch, &partStats[part], sink)
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for part := range spans {
-		stats.FetchKeys += partStats[part].FetchKeys
-		stats.Fetched += partStats[part].Fetched
-	}
-	mergeHashedParts(out, partRows)
-	return out, nil
-}
-
-// hashedRow pairs a row with its precomputed dedup hash, produced on
-// worker goroutines and merged in order on the caller's goroutine.
-type hashedRow struct {
-	row  data.Tuple
-	hash uint64
-}
-
-// mergeHashedParts merges worker-local rows into out in partition order,
-// pre-sizing the table for the total row count. Because partitions are
-// contiguous input ranges, this reproduces the sequential insert order.
-//
-//bevet:hotpath
-func mergeHashedParts(out *Table, partRows [][]hashedRow) {
-	total := 0
-	for _, part := range partRows {
-		total += len(part)
-	}
-	out.grow(total)
-	for _, part := range partRows {
-		for _, r := range part {
-			out.addHashed(r.row, r.hash)
-		}
-	}
-}
-
-func execProject(o ProjectOp, in *Table) (*Table, error) {
-	pos, err := in.ColIndexes(o.Cols)
-	if err != nil {
-		return nil, err
-	}
-	cols := o.Cols
-	if o.As != nil {
-		if len(o.As) != len(o.Cols) {
-			return nil, fmt.Errorf("project rename arity mismatch")
-		}
-		cols = o.As
-	}
-	out := NewTable(cols...)
-	buf := make(data.Tuple, 0, len(pos))
-	for _, row := range in.Rows {
-		buf = buf[:0]
-		for _, p := range pos {
-			buf = append(buf, row[p])
-		}
-		out.AddScratch(buf)
-	}
-	return out, nil
 }
 
 // cond is one compiled selection predicate; r == -1 means comparison with
@@ -789,54 +511,8 @@ func condsMatch(conds []cond, row data.Tuple) bool {
 	return true
 }
 
-func execSelect(o SelectOp, in *Table) (*Table, error) {
-	conds, err := compileConds(o, in)
-	if err != nil {
-		return nil, err
-	}
-	out := NewTable(in.Cols...)
-	for _, row := range in.Rows {
-		if condsMatch(conds, row) {
-			out.Add(row)
-		}
-	}
-	return out, nil
-}
-
-func checkProductCols(l, r *Table) error {
-	for _, c := range r.Cols {
-		if l.ColIndex(c) >= 0 {
-			return fmt.Errorf("product: duplicate column %q (rename first)", c)
-		}
-	}
-	return nil
-}
-
-func execProduct(ctx context.Context, l, r *Table) (*Table, error) {
-	if err := checkProductCols(l, r); err != nil {
-		return nil, err
-	}
-	out := NewTable(append(append([]string(nil), l.Cols...), r.Cols...)...)
-	buf := make(data.Tuple, 0, len(l.Cols)+len(r.Cols))
-	n := 0
-	for _, lr := range l.Rows {
-		for _, rr := range r.Rows {
-			if n%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			n++
-			buf = append(append(buf[:0], lr...), rr...)
-			out.AddScratch(buf)
-		}
-	}
-	return out, nil
-}
-
-// joinState is the column analysis and hash table of a natural join,
-// shared by the materializing and streaming executors. The hash table
-// groups right-row INDEXES by the 64-bit hash of their join columns;
+// joinState is the column analysis and hash table of a natural join. The
+// hash table groups right-row INDEXES by the 64-bit hash of their join columns;
 // probes confirm the join element-wise, so hash collisions cost a
 // compare, never a wrong row.
 type joinState struct {
@@ -862,37 +538,17 @@ func newJoinState(l, r *Table) *joinState {
 	return js
 }
 
-// build fills the hash table from the right side. Row hashing (the
-// expensive part) parallelizes over contiguous chunks; the map insertions
-// stay sequential and ordered.
-func (js *joinState) build(ctx context.Context, workers int) error {
+// build fills the hash table from the right side.
+func (js *joinState) build(ctx context.Context) error {
 	js.groups = make(map[uint64][]int32, js.r.Len())
-	if workers <= 1 {
-		for i, rr := range js.r.Rows {
-			if i%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
+	for i, rr := range js.r.Rows {
+		if i%cancelStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			h := hashRowAt(rr, js.sharedR)
-			js.groups[h] = append(js.groups[h], int32(i))
 		}
-		return nil
-	}
-	hashes := make([]uint64, js.r.Len())
-	runSpans(splitSpans(js.r.Len(), workers), func(_ int, s span) {
-		for i := s.Lo; i < s.Hi; i++ {
-			if (i-s.Lo)%cancelStride == 0 && ctx.Err() != nil {
-				return
-			}
-			hashes[i] = hashRowAt(js.r.Rows[i], js.sharedR)
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for i := range js.r.Rows {
-		js.groups[hashes[i]] = append(js.groups[hashes[i]], int32(i))
+		h := hashRowAt(rr, js.sharedR)
+		js.groups[h] = append(js.groups[h], int32(i))
 	}
 	return nil
 }
@@ -928,136 +584,4 @@ func (js *joinState) probe(lr data.Tuple, out data.Tuple, sink func(data.Tuple) 
 		}
 	}
 	return true
-}
-
-func execJoin(ctx context.Context, l, r *Table, opts ExecOptions) (*Table, error) {
-	js := newJoinState(l, r)
-	out := NewTable(append(append([]string(nil), l.Cols...), js.extraCols...)...)
-	if err := js.build(ctx, opts.workersFor(r.Len())); err != nil {
-		return nil, err
-	}
-	width := len(l.Cols) + len(js.extraR)
-
-	// Probe phase: contiguous chunks of the left side probe the (now
-	// read-only) hash table into worker-local buffers; the ordered merge
-	// reproduces the sequential output order and set semantics.
-	spans := splitSpans(l.Len(), opts.workersFor(l.Len()))
-	if len(spans) <= 1 {
-		buf := make(data.Tuple, 0, width)
-		for i, lr := range l.Rows {
-			if i%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			js.probe(lr, buf, func(row data.Tuple) bool { out.AddScratch(row); return true })
-		}
-		return out, nil
-	}
-	partRows := make([][]hashedRow, len(spans))
-	runSpans(spans, func(part int, s span) {
-		buf := make(data.Tuple, 0, width)
-		sink := func(row data.Tuple) bool {
-			kept := append(data.Tuple(nil), row...)
-			partRows[part] = append(partRows[part], hashedRow{row: kept, hash: hashRow(kept)})
-			return true
-		}
-		for i, lr := range l.Rows[s.Lo:s.Hi] {
-			if i%cancelStride == 0 && ctx.Err() != nil {
-				return
-			}
-			js.probe(lr, buf, sink)
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	mergeHashedParts(out, partRows)
-	return out, nil
-}
-
-func execUnion(l, r *Table) (*Table, error) {
-	if len(l.Cols) != len(r.Cols) {
-		return nil, fmt.Errorf("union: arity mismatch %d vs %d", len(l.Cols), len(r.Cols))
-	}
-	out := NewTable(l.Cols...)
-	for _, row := range l.Rows {
-		out.Add(row)
-	}
-	for _, row := range r.Rows {
-		out.Add(row)
-	}
-	return out, nil
-}
-
-// dropSet is the right-side membership index of a set difference:
-// hash-grouped row indexes confirmed element-wise.
-type dropSet struct {
-	rows   []data.Tuple
-	groups map[uint64][]int32
-}
-
-func newDropSet(rows []data.Tuple) *dropSet {
-	d := &dropSet{rows: rows, groups: make(map[uint64][]int32, len(rows))}
-	for i, row := range rows {
-		h := hashRow(row)
-		d.groups[h] = append(d.groups[h], int32(i))
-	}
-	return d
-}
-
-// has reports whether an equal row is in the set; it runs once per
-// left-side row and allocates nothing.
-//
-//bevet:hotpath
-func (d *dropSet) has(row data.Tuple) bool {
-	for _, i := range d.groups[hashRow(row)] {
-		if rowsEqual(d.rows[i], row) {
-			return true
-		}
-	}
-	return false
-}
-
-func execDiff(l, r *Table) (*Table, error) {
-	if len(l.Cols) != len(r.Cols) {
-		return nil, fmt.Errorf("difference: arity mismatch %d vs %d", len(l.Cols), len(r.Cols))
-	}
-	drop := newDropSet(r.Rows)
-	out := NewTable(l.Cols...)
-	for _, row := range l.Rows {
-		if !drop.has(row) {
-			out.Add(row)
-		}
-	}
-	return out, nil
-}
-
-// renamedCols computes the output column list of a rename, validating that
-// every source column exists.
-func renamedCols(o RenameOp, in *Table) ([]string, error) {
-	if len(o.From) != len(o.To) {
-		return nil, fmt.Errorf("rename arity mismatch")
-	}
-	cols := append([]string(nil), in.Cols...)
-	for i, f := range o.From {
-		p := in.ColIndex(f)
-		if p < 0 {
-			return nil, fmt.Errorf("rename: no column %q", f)
-		}
-		cols[p] = o.To[i]
-	}
-	return cols, nil
-}
-
-func execRename(o RenameOp, in *Table) (*Table, error) {
-	cols, err := renamedCols(o, in)
-	if err != nil {
-		return nil, err
-	}
-	out := NewTable(cols...)
-	for _, row := range in.Rows {
-		out.Add(row)
-	}
-	return out, nil
 }

@@ -1,0 +1,157 @@
+package plan
+
+import (
+	"context"
+	"errors"
+	"testing"
+
+	"repro/internal/access"
+	"repro/internal/data"
+	"repro/internal/schema"
+)
+
+// wideRows is the size of the fixture's one bucket: past two cancel
+// strides, and a multiple of seven (the number of distinct B values).
+const wideRows = 2*cancelStride + 90
+
+// finalStepFixture is an indexed R(A -> B, C) whose one bucket (A = 0)
+// holds wideRows rows over only seven distinct B values, so every
+// operator below sees a large input that collapses under projection —
+// duplicates reach every sink.
+func finalStepFixture(t *testing.T) (*access.Indexed, access.Constraint) {
+	t.Helper()
+	sc := schema.MustNew(schema.MustRelation("R", "A", "B", "C"))
+	c := access.NewConstraint("R", attrs("A"), attrs("B", "C"), wideRows)
+	d := data.NewInstance(sc)
+	for i := int64(0); i < wideRows; i++ {
+		d.MustInsert("R", iv(0), iv(i%7), iv(i))
+	}
+	ix, viols, err := access.BuildIndexed(access.NewSchema(c), d)
+	if err != nil || len(viols) > 0 {
+		t.Fatalf("BuildIndexed: %v %v", viols, err)
+	}
+	return ix, c
+}
+
+// TestEveryOperatorAsFinalStep runs each operator kind as the LAST step
+// of a plan — the only step whose sink differs between the two modes —
+// and pins the executor's one contract: streaming yields exactly the
+// materialized rows in order, a consumer that stops after n rows sees
+// exactly the n-row prefix and no error, and every operator that loops
+// observes its context, whichever sink it emits into.
+func TestEveryOperatorAsFinalStep(t *testing.T) {
+	ix, c := finalStepFixture(t)
+	src := NewSource(ix)
+	// T0 = {0}; T1 = the wide bucket (a, b, c); T2 = its seven b values.
+	base := []Op{
+		ConstOp{Col: "a", Val: iv(0)},
+		FetchOp{Input: 0, Constraint: c, XCols: []string{"a"}, YOut: []string{"b", "c"}},
+		ProjectOp{Input: 1, Cols: []string{"b"}},
+	}
+	cases := []struct {
+		name  string
+		steps []Op // appended to base; the last one is under test
+		rows  int
+		loops bool // the operator iterates input rows, so it must observe ctx itself
+	}{
+		{"unit", []Op{unitOp{}}, 1, false},
+		{"const", []Op{ConstOp{Col: "k", Val: iv(9)}}, 1, false},
+		{"empty", []Op{EmptyOp{Cols: []string{"k"}}}, 0, false},
+		// wideRows input rows carrying ONE distinct key: one lookup.
+		{"fetch", []Op{FetchOp{Input: 1, Constraint: c, XCols: []string{"a"}, YOut: []string{"b2", "c2"}}}, wideRows, true},
+		{"project", []Op{ProjectOp{Input: 1, Cols: []string{"b", "b"}, As: []string{"x", "y"}}}, 7, true},
+		{"select", []Op{SelectOp{Input: 1, Conds: []EqCond{{L: "b", C: iv(3)}}}}, wideRows / 7, true},
+		{"product", []Op{RenameOp{Input: 2, From: []string{"b"}, To: []string{"b2"}}, ProductOp{L: 1, R: 3}}, wideRows * 7, true},
+		{"join", []Op{ProjectOp{Input: 1, Cols: []string{"a", "b"}}, JoinOp{L: 1, R: 3}}, wideRows, true},
+		{"union", []Op{UnionOp{L: 1, R: 1}}, wideRows, true},
+		{"diff", []Op{SelectOp{Input: 1, Conds: []EqCond{{L: "b", C: iv(3)}}}, DiffOp{L: 1, R: 3}}, wideRows - wideRows/7, true},
+		{"rename", []Op{RenameOp{Input: 1, From: []string{"c"}, To: []string{"z"}}}, wideRows, true},
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &Plan{Label: tc.name, Steps: append(append([]Op(nil), base...), tc.steps...)}
+			last := len(p.Steps) - 1
+			if got := opKind(p.Steps[last]); got != tc.name {
+				t.Fatalf("final step is a %s", got)
+			}
+			ctx := context.Background()
+			want, wantStats, err := ExecuteSource(ctx, p, src, ExecOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Len() != tc.rows {
+				t.Fatalf("materialized %d rows, want %d", want.Len(), tc.rows)
+			}
+
+			// Streamed rows == materialized rows, in order, same accounting.
+			var got []data.Tuple
+			stats, err := ExecuteStreamSource(ctx, p, src, func(row data.Tuple) bool {
+				got = append(got, row)
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertRows(t, "streamed", got, want.Rows)
+			if *stats != *wantStats {
+				t.Fatalf("streamed stats %+v, materialized %+v", *stats, *wantStats)
+			}
+
+			// A consumer that stops after n rows sees exactly the prefix.
+			for _, n := range []int{1, tc.rows / 2, tc.rows} {
+				if n < 1 || n > tc.rows {
+					continue
+				}
+				var prefix []data.Tuple
+				if _, err := ExecuteStreamSource(ctx, p, src, func(row data.Tuple) bool {
+					prefix = append(prefix, row)
+					return len(prefix) < n
+				}); err != nil {
+					t.Fatalf("stop after %d: %v", n, err)
+				}
+				assertRows(t, "prefix", prefix, want.Rows[:n])
+			}
+
+			// A canceled context stops the plan in both modes...
+			if _, _, err := ExecuteSource(canceled, p, src, ExecOptions{}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("materialized under a canceled ctx: %v", err)
+			}
+			if _, err := ExecuteStreamSource(canceled, p, src, func(data.Tuple) bool { return true }); !errors.Is(err, context.Canceled) {
+				t.Fatalf("streamed under a canceled ctx: %v", err)
+			}
+			// ...and not only between steps: the operator itself observes
+			// it, whichever sink it emits into.
+			if !tc.loops {
+				return
+			}
+			results := make([]*Table, len(p.Steps))
+			for i, op := range p.Steps[:last] {
+				if results[i], err = execOp(ctx, op, results, src, &ExecStats{}, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for mode, yield := range map[string]func(data.Tuple) bool{
+				"materialized": nil,
+				"streamed":     func(data.Tuple) bool { return true },
+			} {
+				if _, err := execOp(canceled, p.Steps[last], results, src, &ExecStats{}, yield); !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s operator ignored its canceled ctx: %v", mode, err)
+				}
+			}
+		})
+	}
+}
+
+func assertRows(t *testing.T, what string, got, want []data.Tuple) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("%s: row %d = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}

@@ -97,17 +97,19 @@ func (t *Table) record(h uint64) {
 	t.more[h] = append(t.more[h], int32(len(t.Rows)))
 }
 
+// Has reports whether an equal row is stored; it is the membership probe
+// of a set difference and allocates nothing.
+//
+//bevet:hotpath
+func (t *Table) Has(row data.Tuple) bool {
+	return t.contains(hashRow(row), row)
+}
+
 // Add inserts a row under set semantics, reporting whether it was new.
 // The row itself is stored — callers passing a buffer they will reuse
 // must use AddScratch.
 func (t *Table) Add(row data.Tuple) bool {
-	return t.addHashed(row, hashRow(row))
-}
-
-// addHashed is Add with the row's hash precomputed — the parallel
-// executor hashes rows on worker goroutines so the ordered merge only
-// pays for the map insert.
-func (t *Table) addHashed(row data.Tuple, h uint64) bool {
+	h := hashRow(row)
 	if t.contains(h, row) {
 		return false
 	}
@@ -118,8 +120,8 @@ func (t *Table) addHashed(row data.Tuple, h uint64) bool {
 
 // AddScratch inserts the row currently held in a reused scratch buffer:
 // duplicates are detected without copying, and a new row is copied into
-// the table's arena. This is the zero-allocation-per-row insert of the
-// fetch/join hot path.
+// the table's arena. Every executor step inserts through it — the
+// zero-allocation-per-row insert of the fetch/join hot path.
 //
 //bevet:hotpath
 func (t *Table) AddScratch(row data.Tuple) bool {
@@ -157,17 +159,6 @@ func (t *Table) arenaRow(row data.Tuple) data.Tuple {
 	base := len(t.arena)
 	t.arena = append(t.arena, row...)
 	return data.Tuple(t.arena[base : base+len(row) : base+len(row)])
-}
-
-// grow pre-sizes the table's dedup index and row slice for n upcoming
-// inserts, avoiding incremental rehashing during large ordered merges. It
-// only acts on a still-empty table.
-func (t *Table) grow(n int) {
-	if len(t.Rows) > 0 || n <= 0 {
-		return
-	}
-	t.first = make(map[uint64]int32, n)
-	t.Rows = make([]data.Tuple, 0, n)
 }
 
 // Len returns the number of rows.

@@ -55,7 +55,7 @@ func fuzzHandler(t testing.TB) *Server {
 // "timeout":"1ns" is a well-formed request whose deadline passes).
 func FuzzQueryRequest(f *testing.F) {
 	f.Add(`{"query":"Q0"}`)
-	f.Add(`{"query":"Q0","budget":100,"timeout":"2s","fallback":"refuse","workers":2}`)
+	f.Add(`{"query":"Q0","budget":100,"timeout":"2s","fallback":"refuse"}`)
 	f.Add(`{"text":"query Z(x) :- Vehicle(x, d, a)."}`)
 	f.Add(`{"text":"query Z(d) :- Accident(a, d, dt).","fallback":"envelope"}`)
 	f.Add(`{nope`)
@@ -66,7 +66,6 @@ func FuzzQueryRequest(f *testing.F) {
 	f.Add(`{"query":"Q0","timeout":"soon"}`)
 	f.Add(`{"query":"Q0","timeout":"1ns"}`)
 	f.Add(`{"query":"Q0","fallback":"maybe"}`)
-	f.Add(`{"query":"Q0","workers":-100000}`)
 	f.Add(`{"query":"Q0","unknown_field":true}`)
 	f.Add(`{"query":"Q0"} trailing`)
 	f.Add(`{"text":"query "}`)

@@ -32,9 +32,6 @@ type QueryRequest struct {
 	// Fallback picks the strategy for non-bounded queries:
 	// "scan" (default) | "refuse" | "envelope".
 	Fallback string `json:"fallback,omitempty"`
-	// Workers bounds this request's execution pool; 0 uses the engine
-	// default, -1 uses GOMAXPROCS, at most 64.
-	Workers int `json:"workers,omitempty"`
 	// Profile requests an EXPLAIN ANALYZE trailer: the response's last
 	// NDJSON line is {"profile": <span tree>} with per-operator timings
 	// and row counts for this request.
@@ -132,13 +129,6 @@ func (s *Server) resolve(req *QueryRequest) (core.Query, []core.QueryOption, tim
 	default:
 		return nil, nil, none, &apiError{Code: "bad_request",
 			Message: fmt.Sprintf("unknown fallback %q (want scan | refuse | envelope)", req.Fallback)}
-	}
-	if req.Workers < -1 || req.Workers > maxWorkers {
-		return nil, nil, none, &apiError{Code: "bad_request",
-			Message: fmt.Sprintf("workers must be in [-1, %d], got %d", maxWorkers, req.Workers)}
-	}
-	if req.Workers != 0 {
-		opts = append(opts, core.WithWorkers(req.Workers))
 	}
 	return q, opts, deadline, nil
 }

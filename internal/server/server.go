@@ -4,7 +4,7 @@
 // hold on the wire:
 //
 //   - POST /v1/query   JSON request → NDJSON row stream. Per-request
-//     budget/timeout/fallback/workers knobs map onto core.QueryOptions;
+//     budget/timeout/fallback knobs map onto core.QueryOptions;
 //     a budget refusal or a not-bounded refusal is a structured 4xx
 //     payload emitted before any data is touched. Rows are produced via
 //     core.WithStream from ONE engine snapshot, however many updates
@@ -121,9 +121,6 @@ const (
 	DefaultMaxBodyBytes = 8 << 20
 	DefaultStallTimeout = 30 * time.Second
 
-	// maxWorkers bounds the per-request workers knob: the wire must not
-	// be able to ask one request for an unbounded goroutine fan-out.
-	maxWorkers = 64
 	// maxQueryText bounds ad-hoc query text; planning cost grows with
 	// query size, and no legitimate query is this long.
 	maxQueryText = 16 << 10

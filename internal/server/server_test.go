@@ -174,7 +174,7 @@ func TestQueryEndpointErrors(t *testing.T) {
 		{"bad timeout", `{"query":"Q0","timeout":"soon"}`, 400, "bad_request"},
 		{"negative timeout", `{"query":"Q0","timeout":"-2s"}`, 400, "bad_request"},
 		{"bad fallback", `{"query":"Q0","fallback":"maybe"}`, 400, "bad_request"},
-		{"absurd workers", `{"query":"Q0","workers":100000}`, 400, "bad_request"},
+		{"removed workers knob", `{"query":"Q0","workers":2}`, 400, "bad_request"},
 		{"budget refusal", `{"query":"Q0","budget":0}`, 422, "budget_refused"},
 		{"not bounded refusal", `{"text":"query Z(d) :- Accident(a, d, dt).","fallback":"refuse"}`, 422, "not_bounded"},
 	} {

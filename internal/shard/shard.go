@@ -636,8 +636,8 @@ func (e *Engine) Query(ctx context.Context, q core.Query, opts ...core.QueryOpti
 	}
 	src := &gatherSource{e: e, views: sn.views, rd: Read{Ctx: ctx}}
 	// A traced request gets per-partition route/scatter accounting: the
-	// fetchers bump counters (they run on plan-executor worker
-	// goroutines, so they can't open spans) and Trace.Finish folds the
+	// fetchers bump counters (a remote scatter asks its peers from one
+	// goroutine each, so they can't open spans) and Trace.Finish folds the
 	// totals into "shard N route|scatter" spans ("peer N …" for RPCs).
 	// One local partition serves its index directly: nothing to count.
 	if tr := obs.FromContext(ctx); tr != nil && (e.remote || len(e.parts) > 1) {

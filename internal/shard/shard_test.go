@@ -103,22 +103,17 @@ func TestDefaultPartitionKeys(t *testing.T) {
 func TestQueryMatchesSingleNode(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
 		single, sharded := newAccidents(t, k, 4)
-		for _, opts := range [][]core.QueryOption{
-			nil,
-			{core.WithWorkers(4)},
-		} {
-			want, err := single.Query(context.Background(), workload.Q0(), opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sharded.Query(context.Background(), workload.Q0(), opts...)
-			if err != nil {
-				t.Fatalf("K=%d: %v", k, err)
-			}
-			sameResults(t, want, got)
-			if got.Mode != core.ViaBoundedPlan {
-				t.Fatalf("Q0 must serve via bounded plan, got %v", got.Mode)
-			}
+		want, err := single.Query(context.Background(), workload.Q0())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sharded.Query(context.Background(), workload.Q0())
+		if err != nil {
+			t.Fatalf("K=%d: %v", k, err)
+		}
+		sameResults(t, want, got)
+		if got.Mode != core.ViaBoundedPlan {
+			t.Fatalf("Q0 must serve via bounded plan, got %v", got.Mode)
 		}
 	}
 }
