@@ -2,19 +2,24 @@ package bench
 
 // BenchmarkQ0Query pins the end-to-end serving cost of the standard
 // bounded query — plan-cache hit, bounded execution, result assembly —
-// on the accidents workload. Run with -benchmem: the B/op figure is the
-// executor's per-query allocation budget, the first thing that creeps
-// when a hot-path change starts boxing rows again.
+// on the accidents workload; BenchmarkQ0Execute pins the executor alone
+// (plan.ExecuteSource on the prebuilt plan), so the executor's bytes are
+// not mixed with the canonical key and plan-cache lookup core pays per
+// request. Both report allocations without -benchmem: B/op and allocs/op
+// are the per-query allocation budget, the first thing that creeps when a
+// hot-path change starts boxing rows or rebuilding per-step state again.
 
 import (
 	"context"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
-func BenchmarkQ0Query(b *testing.B) {
+func q0Engine(b *testing.B) *core.Engine {
+	b.Helper()
 	acc, err := workload.GenerateAccidents(workload.AccidentConfig{
 		Days: 30, AccidentsPerDay: 40, MaxVehicles: 6, Seed: 1,
 	})
@@ -28,10 +33,33 @@ func BenchmarkQ0Query(b *testing.B) {
 	if err := eng.Load(acc.Instance); err != nil {
 		b.Fatal(err)
 	}
+	return eng
+}
+
+func BenchmarkQ0Query(b *testing.B) {
+	eng := q0Engine(b)
 	q := workload.Q0()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Query(context.Background(), q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkQ0Execute(b *testing.B) {
+	eng := q0Engine(b)
+	p, _, err := eng.Plan(workload.Q0())
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := plan.NewSource(eng.Indexed())
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := plan.ExecuteSource(ctx, p, src, plan.ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

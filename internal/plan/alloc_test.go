@@ -2,12 +2,14 @@ package plan
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/access"
 	"repro/internal/data"
 	"repro/internal/schema"
 	"repro/internal/value"
+	"repro/internal/workload"
 )
 
 // Allocation-regression tests for the execution hot path: the per-row
@@ -15,7 +17,11 @@ import (
 // and dedup must allocate nothing. Each test pins one primitive with
 // testing.AllocsPerRun at exactly 0 allocations per row, so any future
 // boxing, map-key copy or buffer regrowth sneaking back in fails loudly
-// rather than showing up as a benchmark drift.
+// rather than showing up as a benchmark drift. TestQueryAllocCeiling
+// pins the per-query cost beside them.
+
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
 
 // allocFixture builds a small indexed instance: R(A -> B,C) with
 // STRING B values (strings are the easy way to re-introduce per-row
@@ -61,26 +67,25 @@ func allocSinks(cols []string) map[string]func(data.Tuple) bool {
 // scratch and the sink's table are warm.
 func TestFetchRowPathAllocs(t *testing.T) {
 	ix, in, op := allocFixture(t)
-	f, err := newFetchEval(op, in, NewSource(ix))
-	if err != nil {
+	var f fetchEval
+	out := NewTable()
+	if err := f.setup(op, in, NewSource(ix), out); err != nil {
 		t.Fatal(err)
 	}
 	stats := &ExecStats{}
 	ctx := context.Background()
-	for name, sink := range allocSinks(f.outCols) {
+	for name, sink := range allocSinks(out.Cols) {
 		run := func() {
 			if err := f.run(ctx, stats, sink); err != nil {
 				t.Fatal(err)
 			}
 		}
 		run() // warm
-		// Each run re-walks all 16 input rows and every bucket row. One
-		// argDedup per run is setup, not per-row work: its struct, map
-		// header and presized bucket array cost a constant <= 4
-		// allocations regardless of row count. Everything per-row must
-		// be zero.
-		if avg := testing.AllocsPerRun(100, run); avg > 4 {
-			t.Fatalf("%s: fetch inner loop allocates %.1f/run (want setup-only <= 4)", name, avg)
+		// Each run re-walks all 16 input rows and every bucket row; the
+		// argDedup is reset, not rebuilt, so the whole run allocates
+		// nothing.
+		if avg := testing.AllocsPerRun(100, run); avg != 0 {
+			t.Fatalf("%s: fetch inner loop allocates %.1f/run, want 0", name, avg)
 		}
 	}
 }
@@ -145,12 +150,14 @@ func TestJoinProbeAllocs(t *testing.T) {
 		l.Add(data.Tuple{value.NewInt(i), value.NewString("k")})
 		r.Add(data.Tuple{value.NewString("k"), value.NewInt(i * 10)})
 	}
-	js := newJoinState(l, r)
+	var js joinState
+	out := NewTable()
+	js.setup(l, r, out)
 	if err := js.build(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	buf := make(data.Tuple, 0, len(l.Cols)+len(js.extraR))
-	for name, sink := range allocSinks([]string{"a", "b", "c"}) {
+	buf := make(data.Tuple, 0, len(out.Cols))
+	for name, sink := range allocSinks(out.Cols) {
 		run := func() {
 			for _, lr := range l.Rows {
 				if !js.probe(lr, buf, sink) {
@@ -162,5 +169,43 @@ func TestJoinProbeAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(200, run); avg != 0 {
 			t.Fatalf("%s: join probe allocates %.1f/run, want 0", name, avg)
 		}
+	}
+}
+
+// TestQueryAllocCeiling pins the per-QUERY cost beside the per-row zeros:
+// a Q0-shaped plan over the accidents generator, run through
+// ExecuteSource on a warm state pool, allocates a small constant — the
+// answer table and the stats — not a table, hash index and arena per plan
+// step, which for these 24 steps costs ~700 allocations and ~250 KB.
+func TestQueryAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop puts at random")
+	}
+	acc, src := accidentsSource(t, 30, 1)
+	p := builtPlan(t, workload.Q0(), acc.Access, acc.Schema)
+	if len(p.Steps) != 24 {
+		t.Fatalf("Q0 plan has %d steps, want the 24-step shape", len(p.Steps))
+	}
+	ctx := context.Background()
+	run := func() {
+		if _, _, err := ExecuteSource(ctx, p, src, ExecOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the pool
+	// One P, so every run gets and puts the same per-P pool slot.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("Q0 per run: %d allocations, %d bytes", allocs, bytes)
+	if allocs > 80 || bytes > 16<<10 {
+		t.Fatalf("Q0 allocates %d times / %d bytes per run, want <= 80 / <= 16 KiB", allocs, bytes)
 	}
 }

@@ -203,8 +203,8 @@ func BuildUCQ(ures *cover.UCQResult, opt BuildOptions) (*Plan, error) {
 // unitOp produces the unit table; it is an internal seed, rendered as {()}.
 type unitOp struct{}
 
-func (unitOp) String() string { return "{()}" }
-func (unitOp) inputs() []int  { return nil }
+func (unitOp) String() string        { return "{()}" }
+func (unitOp) inputs() ([2]int, int) { return [2]int{}, 0 }
 
 type builder struct {
 	plan *Plan
@@ -262,7 +262,8 @@ func (b *builder) deriveCols(op Op) []string {
 		}
 		return out
 	case UnionOp, DiffOp:
-		return b.cols(op.inputs()[0])
+		in, _ := op.inputs()
+		return b.cols(in[0])
 	case RenameOp:
 		cols := append([]string(nil), b.cols(o.Input)...)
 		for i, f := range o.From {

@@ -3,7 +3,9 @@ package plan
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/access"
 	"repro/internal/data"
@@ -65,28 +67,61 @@ func ExecuteStreamSource(ctx context.Context, p *Plan, src Source, yield func(da
 	return stats, err
 }
 
+// statePool holds the execution states runs reuse, so a warm run
+// allocates per row it keeps, not per plan step. It is package-level
+// rather than per plan because plans are shallow-copied (a copied
+// sync.Pool is a vet copylocks error), and so every caller — core, the
+// shard coordinator, cluster nodes, the benchmarks — shares it unplumbed.
+//
+// The invariant that makes reuse safe: nothing of a pooled table outlives
+// its run. The final step's table is never pooled — its rows escape,
+// returned materialised or yielded to a consumer that may keep them — so
+// it is allocated fresh on every run. Intermediate rows never escape,
+// because every step inserts through AddScratch, which copies the row into
+// the step's own arena: no table ever holds another table's rows.
+var statePool = sync.Pool{New: func() any { return new(execState) }}
+
+// execState is the storage a run reuses from earlier runs: a table per
+// intermediate step, the fetch's and join's hash structures and buffers,
+// and the operators' row scratch. release returns it to statePool.
+type execState struct {
+	tables  []*Table // tables[i] backs intermediate step i
+	results []*Table // this run's step results, indexed by step
+	fetch   fetchEval
+	join    joinState
+	buf     data.Tuple // the output row of const, project, product and join
+	pos     []int      // project input positions
+	conds   []cond
+}
+
 // run is the one step loop: every step's rows are inserted into its
 // table, and the final step's new rows also go to yield when it is
 // non-nil. The final step's span then carries the "+stream+dedup" suffix.
+// The run's execution state comes from statePool and goes back on every
+// exit path: drained, stopped by yield, canceled or failed.
 func run(ctx context.Context, p *Plan, src Source, yield func(data.Tuple) bool) (*Table, *ExecStats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
+	st := statePool.Get().(*execState)
+	defer st.release()
+	return st.run(ctx, p, src, yield)
+}
+
+func (st *execState) run(ctx context.Context, p *Plan, src Source, yield func(data.Tuple) bool) (*Table, *ExecStats, error) {
 	stats := &ExecStats{}
 	tr := obs.FromContext(ctx)
-	results := make([]*Table, len(p.Steps))
 	last := len(p.Steps) - 1
 	for i, op := range p.Steps {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, fmt.Errorf("plan: canceled before step T%d: %w", i, err)
 		}
-		name := opKind(op)
 		var stepYield func(data.Tuple) bool
-		if i == last && yield != nil {
-			name, stepYield = name+"+stream+dedup", yield
+		if i == last {
+			stepYield = yield
 		}
-		sp, f0, k0 := startStepSpan(tr, name, i, op, stats)
-		t, err := execOp(ctx, op, results, src, stats, stepYield)
+		sp, f0, k0 := startStepSpan(tr, i, op, stepYield != nil, stats)
+		t, err := st.execOp(ctx, op, st.table(i, last), src, stats, stepYield)
 		if sp != nil {
 			if t != nil {
 				sp.SetRows(int64(t.Len()))
@@ -100,13 +135,61 @@ func run(ctx context.Context, p *Plan, src Source, yield func(data.Tuple) bool) 
 		if err != nil {
 			return nil, stats, fmt.Errorf("plan: step T%d (%s): %w", i, op, err)
 		}
-		results[i] = t
+		st.results = append(st.results, t)
 		stats.OpsRun++
 		if t.Len() > stats.MaxIntermediate {
 			stats.MaxIntermediate = t.Len()
 		}
 	}
-	return results[last], stats, nil
+	return st.results[last], stats, nil
+}
+
+// table returns the table step i fills: a fresh one for the final step,
+// whose rows escape, and the state's reused one for any other.
+func (st *execState) table(i, last int) *Table {
+	if i == last {
+		return new(Table)
+	}
+	for len(st.tables) <= i {
+		st.tables = append(st.tables, nil)
+	}
+	if st.tables[i] == nil {
+		st.tables[i] = new(Table)
+	}
+	return st.tables[i]
+}
+
+// row returns the state's row scratch, empty with capacity for n cells.
+func (st *execState) row(n int) data.Tuple {
+	st.buf = slices.Grow(st.buf[:0], n)
+	return st.buf
+}
+
+// release trims the state and returns it to statePool.
+func (st *execState) release() {
+	st.trim()
+	statePool.Put(st)
+}
+
+// trim cuts the state to its retention bound (retainCells) and drops
+// every reference into the run: its final table, its source, the values
+// it copied.
+func (st *execState) trim() {
+	clear(st.results)
+	st.results = st.results[:0]
+	for i, t := range st.tables {
+		switch {
+		case t == nil:
+		case t.retainable():
+			t.reset()
+		default:
+			st.tables[i] = nil
+		}
+	}
+	st.fetch.trim()
+	st.join.trim()
+	clear(st.buf[:cap(st.buf)])
+	clear(st.conds[:cap(st.conds)])
 }
 
 // fetchErrOf surfaces a deferred fetch failure from sources whose
@@ -126,9 +209,13 @@ func fetchErrOf(src Source) error {
 // startStepSpan opens the per-operator profile span for plan step i and
 // snapshots the fetch accounting, so the span's Fetched/Keys are the
 // step's delta. A nil trace costs a nil check and nothing else.
-func startStepSpan(tr *obs.Trace, name string, i int, op Op, stats *ExecStats) (sp *obs.Span, f0, k0 int64) {
+func startStepSpan(tr *obs.Trace, i int, op Op, streamed bool, stats *ExecStats) (sp *obs.Span, f0, k0 int64) {
 	if tr == nil {
 		return nil, 0, 0
+	}
+	name := opKind(op)
+	if streamed {
+		name += "+stream+dedup"
 	}
 	sp = tr.StartDetail(name, "T"+strconv.Itoa(i)+" = "+op.String())
 	return sp, stats.Fetched, stats.FetchKeys
@@ -203,32 +290,35 @@ func (s *sink) add(row data.Tuple) bool {
 }
 
 // execOp runs one plan step, the operator emitting its rows into a sink
-// over the step's table. On an error the partially filled table is still
-// returned, for the step's row count.
-func execOp(ctx context.Context, op Op, results []*Table, src Source, stats *ExecStats, yield func(data.Tuple) bool) (*Table, error) {
-	s := &sink{yield: yield}
+// over out, the step's table, which it resets to the step's columns. On an
+// error the partially filled table is still returned, for the step's row
+// count; a step that fails before producing rows returns nil.
+func (st *execState) execOp(ctx context.Context, op Op, out *Table, src Source, stats *ExecStats, yield func(data.Tuple) bool) (*Table, error) {
+	s := &sink{out: out, yield: yield}
 	emit := s.add
+	results := st.results
 	switch o := op.(type) {
 	case unitOp:
-		s.out = NewTable()
+		out.reset()
 		emit(data.Tuple{})
-		return s.out, nil
+		return out, nil
 	case ConstOp:
-		s.out = NewTable(o.Col)
-		emit(data.Tuple{o.Val})
-		return s.out, nil
+		out.reset(o.Col)
+		emit(append(st.row(1), o.Val))
+		return out, nil
 	case EmptyOp:
-		return NewTable(o.Cols...), nil
+		out.reset(o.Cols...)
+		return out, nil
 	case FetchOp:
-		f, err := newFetchEval(o, results[o.Input], src)
-		if err != nil {
+		f := &st.fetch
+		if err := f.setup(o, results[o.Input], src, out); err != nil {
 			return nil, err
 		}
-		s.out = NewTable(f.outCols...)
-		return s.out, f.run(ctx, stats, emit)
+		return out, f.run(ctx, stats, emit)
 	case ProjectOp:
 		in := results[o.Input]
-		pos, err := in.ColIndexes(o.Cols)
+		pos, err := in.appendColIndexes(st.pos[:0], o.Cols)
+		st.pos = pos
 		if err != nil {
 			return nil, err
 		}
@@ -239,9 +329,9 @@ func execOp(ctx context.Context, op Op, results []*Table, src Source, stats *Exe
 			}
 			cols = o.As
 		}
-		s.out = NewTable(cols...)
-		buf := make(data.Tuple, 0, len(pos))
-		return s.out, eachRow(ctx, in.Rows, func(row data.Tuple) bool {
+		out.reset(cols...)
+		buf := st.row(len(pos))
+		return out, eachRow(ctx, in.Rows, func(row data.Tuple) bool {
 			buf = buf[:0]
 			for _, p := range pos {
 				buf = append(buf, row[p])
@@ -250,12 +340,13 @@ func execOp(ctx context.Context, op Op, results []*Table, src Source, stats *Exe
 		})
 	case SelectOp:
 		in := results[o.Input]
-		conds, err := compileConds(o, in)
+		conds, err := compileConds(st.conds[:0], o, in)
+		st.conds = conds
 		if err != nil {
 			return nil, err
 		}
-		s.out = NewTable(in.Cols...)
-		return s.out, eachRow(ctx, in.Rows, func(row data.Tuple) bool {
+		out.reset(in.Cols...)
+		return out, eachRow(ctx, in.Rows, func(row data.Tuple) bool {
 			return !condsMatch(conds, row) || emit(row)
 		})
 	case ProductOp:
@@ -265,33 +356,33 @@ func execOp(ctx context.Context, op Op, results []*Table, src Source, stats *Exe
 				return nil, fmt.Errorf("product: duplicate column %q (rename first)", c)
 			}
 		}
-		s.out = NewTable(append(append([]string(nil), l.Cols...), r.Cols...)...)
-		buf := make(data.Tuple, 0, len(l.Cols)+len(r.Cols))
+		out.reset(l.Cols...)
+		out.Cols = append(out.Cols, r.Cols...)
+		buf := st.row(len(out.Cols))
 		n := 0
 		for _, lr := range l.Rows {
 			for _, rr := range r.Rows {
 				if n%cancelStride == 0 {
 					if err := ctx.Err(); err != nil {
-						return s.out, err
+						return out, err
 					}
 				}
 				n++
 				buf = append(append(buf[:0], lr...), rr...)
 				if !emit(buf) {
-					return s.out, nil
+					return out, nil
 				}
 			}
 		}
-		return s.out, nil
+		return out, nil
 	case JoinOp:
-		l, r := results[o.L], results[o.R]
-		js := newJoinState(l, r)
+		l, js := results[o.L], &st.join
+		js.setup(l, results[o.R], out)
 		if err := js.build(ctx); err != nil {
 			return nil, err
 		}
-		s.out = NewTable(append(append([]string(nil), l.Cols...), js.extraCols...)...)
-		buf := make(data.Tuple, 0, len(l.Cols)+len(js.extraR))
-		return s.out, eachRow(ctx, l.Rows, func(lr data.Tuple) bool {
+		buf := st.row(len(out.Cols))
+		return out, eachRow(ctx, l.Rows, func(lr data.Tuple) bool {
 			return js.probe(lr, buf, emit)
 		})
 	case UnionOp:
@@ -299,18 +390,18 @@ func execOp(ctx context.Context, op Op, results []*Table, src Source, stats *Exe
 		if len(l.Cols) != len(r.Cols) {
 			return nil, fmt.Errorf("union: arity mismatch %d vs %d", len(l.Cols), len(r.Cols))
 		}
-		s.out = NewTable(l.Cols...)
+		out.reset(l.Cols...)
 		if err := eachRow(ctx, l.Rows, emit); err != nil || s.stopped {
-			return s.out, err
+			return out, err
 		}
-		return s.out, eachRow(ctx, r.Rows, emit)
+		return out, eachRow(ctx, r.Rows, emit)
 	case DiffOp:
 		l, r := results[o.L], results[o.R]
 		if len(l.Cols) != len(r.Cols) {
 			return nil, fmt.Errorf("difference: arity mismatch %d vs %d", len(l.Cols), len(r.Cols))
 		}
-		s.out = NewTable(l.Cols...)
-		return s.out, eachRow(ctx, l.Rows, func(row data.Tuple) bool {
+		out.reset(l.Cols...)
+		return out, eachRow(ctx, l.Rows, func(row data.Tuple) bool {
 			return r.Has(row) || emit(row)
 		})
 	case RenameOp:
@@ -318,84 +409,90 @@ func execOp(ctx context.Context, op Op, results []*Table, src Source, stats *Exe
 		if len(o.From) != len(o.To) {
 			return nil, fmt.Errorf("rename arity mismatch")
 		}
-		s.out = NewTable(in.Cols...)
+		out.reset(in.Cols...)
 		for i, f := range o.From {
 			p := in.ColIndex(f)
 			if p < 0 {
 				return nil, fmt.Errorf("rename: no column %q", f)
 			}
-			s.out.Cols[p] = o.To[i]
+			out.Cols[p] = o.To[i]
 		}
-		return s.out, eachRow(ctx, in.Rows, emit)
+		return out, eachRow(ctx, in.Rows, emit)
 	default:
 		return nil, fmt.Errorf("unknown operation %T", op)
 	}
 }
 
-// fetchEval is the per-step state of a fetch: resolved index, input key
-// positions, the Y-emission actions, and the scratch buffers (key
-// encoding and output row assembly).
+// fetchEval is the state of a fetch step: resolved index, input key
+// positions, where each Y attribute lands, the input-key dedup, and the
+// scratch buffers (key encoding and output row assembly). One lives in
+// each execution state; setup rebinds it to a step, reusing its storage.
 type fetchEval struct {
-	o       FetchOp
-	in      *Table
-	fetch   Fetcher
-	xpos    []int
-	outCols []string
-	actions []yAction
-	keyBuf  []byte
-	rowBuf  data.Tuple
+	in    *Table
+	fetch Fetcher
+	xpos  []int
+	// ypos is the output position of each Y attribute, -1 when it is
+	// dropped: its own fresh column, or the X or earlier Y column it is
+	// equated with, which emitBucket then checks instead of overwriting.
+	ypos   []int
+	dedup  argDedup
+	keyBuf []byte
+	rowBuf data.Tuple
 }
 
-// yAction says how one Y attribute lands in the output row: skipped,
-// checked against an existing output position (equated), or appended.
-type yAction struct {
-	skip     bool
-	checkPos int // >= 0: must equal this output position
-}
-
-func newFetchEval(o FetchOp, in *Table, src Source) (*fetchEval, error) {
+// setup binds f to fetch step o over input in and resets out to the
+// step's columns: X columns, then fresh Y names.
+func (f *fetchEval) setup(o FetchOp, in *Table, src Source, out *Table) error {
 	fetch := src.FetcherFor(o.Constraint)
 	if fetch == nil {
-		return nil, fmt.Errorf("no index for constraint %s", o.Constraint)
+		return fmt.Errorf("no index for constraint %s", o.Constraint)
 	}
 	if len(o.XCols) != len(o.Constraint.X) {
-		return nil, fmt.Errorf("fetch has %d X columns for %d X attributes", len(o.XCols), len(o.Constraint.X))
+		return fmt.Errorf("fetch has %d X columns for %d X attributes", len(o.XCols), len(o.Constraint.X))
 	}
 	if len(o.YOut) != len(o.Constraint.Y) {
-		return nil, fmt.Errorf("fetch has %d Y names for %d Y attributes", len(o.YOut), len(o.Constraint.Y))
+		return fmt.Errorf("fetch has %d Y names for %d Y attributes", len(o.YOut), len(o.Constraint.Y))
 	}
-	xpos, err := in.ColIndexes(o.XCols)
+	xpos, err := in.appendColIndexes(f.xpos[:0], o.XCols)
+	f.xpos = xpos
 	if err != nil {
-		return nil, err
+		return err
 	}
-	outCols := o.outCols()
+	out.reset()
+	out.Cols = o.appendOutCols(out.Cols)
+	f.ypos = f.ypos[:0]
+	for _, name := range o.YOut {
+		p := -1
+		if name != "" {
+			p = lastIndex(out.Cols, name)
+		}
+		f.ypos = append(f.ypos, p)
+	}
+	f.in, f.fetch = in, fetch
+	f.rowBuf = slices.Grow(f.rowBuf[:0], len(out.Cols))[:len(out.Cols)]
+	return nil
+}
 
-	// Plan Y emission: for each Y attribute, either a check against an
-	// existing column (equated) or a fresh output position.
-	actions := make([]yAction, len(o.YOut))
-	posOf := make(map[string]int, len(outCols))
-	for i, c := range outCols {
-		posOf[c] = i
-	}
-	nextPos := len(o.XCols)
-	for i, name := range o.YOut {
-		if name == "" {
-			actions[i] = yAction{skip: true, checkPos: -1}
-			continue
-		}
-		if p, seen := posOf[name]; seen {
-			// Equated with an X column or an earlier Y attribute: check.
-			actions[i] = yAction{checkPos: p}
-		} else {
-			actions[i] = yAction{checkPos: -1}
-			posOf[name] = nextPos
-			nextPos++
+// lastIndex returns the position of the last name in cols equal to c, or
+// -1, so a Y attribute equated with a repeated X name checks its last copy.
+func lastIndex(cols []string, c string) int {
+	for i := len(cols) - 1; i >= 0; i-- {
+		if cols[i] == c {
+			return i
 		}
 	}
-	return &fetchEval{
-		o: o, in: in, fetch: fetch, xpos: xpos, outCols: outCols, actions: actions,
-		rowBuf: make(data.Tuple, len(outCols)),
-	}, nil
+	return -1
+}
+
+// trim drops f's references into the run and whatever outgrew the
+// retention bound.
+func (f *fetchEval) trim() {
+	f.in, f.fetch = nil, nil
+	f.dedup.rows, f.dedup.cols = nil, nil
+	if len(f.dedup.first) > retainCells {
+		f.dedup.first = nil
+	}
+	clear(f.rowBuf[:cap(f.rowBuf)])
 }
 
 // emitBucket assembles the output rows of one bucket into the out scratch
@@ -405,12 +502,11 @@ func newFetchEval(o FetchOp, in *Table, src Source) (*fetchEval, error) {
 // they keep it.
 //
 //bevet:hotpath
-func (f *fetchEval) emitBucket(row data.Tuple, b index.Bucket, out data.Tuple, st *ExecStats, sink func(data.Tuple) bool) bool {
-	st.FetchKeys++
-	st.Fetched += int64(b.Len())
-	nx := len(f.o.XCols)
+func (f *fetchEval) emitBucket(row data.Tuple, b index.Bucket, out data.Tuple, stats *ExecStats, sink func(data.Tuple) bool) bool {
+	stats.FetchKeys++
+	stats.Fetched += int64(b.Len())
+	nx := len(f.xpos)
 	for bi := 0; bi < b.Len(); bi++ {
-		out = out[:len(f.outCols)]
 		for i, p := range f.xpos {
 			out[i] = row[p]
 		}
@@ -420,22 +516,14 @@ func (f *fetchEval) emitBucket(row data.Tuple, b index.Bucket, out data.Tuple, s
 			out[i] = value.Value{}
 		}
 		ok := true
-		cursor := nx
-		for i, act := range f.actions {
-			v := b.At(bi, i)
-			switch {
-			case act.skip:
-			case act.checkPos >= 0:
-				if out[act.checkPos].IsNull() {
-					out[act.checkPos] = v
-				} else if out[act.checkPos] != v {
-					ok = false
-				}
-			default:
-				out[cursor] = v
-				cursor++
+		for i, p := range f.ypos {
+			if p < 0 {
+				continue
 			}
-			if !ok {
+			if v := b.At(bi, i); out[p].IsNull() {
+				out[p] = v
+			} else if out[p] != v {
+				ok = false
 				break
 			}
 		}
@@ -450,14 +538,14 @@ func (f *fetchEval) emitBucket(row data.Tuple, b index.Bucket, out data.Tuple, s
 // inline with no item buffer. The per-row path — hash dedup, key encoding
 // into scratch, bucket probe, row assembly — is allocation-free.
 func (f *fetchEval) run(ctx context.Context, stats *ExecStats, sink func(data.Tuple) bool) error {
-	dd := newArgDedup(f.in.Rows, f.xpos)
+	f.dedup.reset(f.in.Rows, f.xpos)
 	for i, row := range f.in.Rows {
 		if i%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		if dd.seen(i) {
+		if f.dedup.seen(i) {
 			continue
 		}
 		f.keyBuf = value.AppendKeyAt(f.keyBuf[:0], row, f.xpos)
@@ -475,24 +563,24 @@ type cond struct {
 	c    value.Value
 }
 
-func compileConds(o SelectOp, in *Table) ([]cond, error) {
-	conds := make([]cond, len(o.Conds))
-	for i, ec := range o.Conds {
+// compileConds appends o's predicates, resolved against in, to dst.
+func compileConds(dst []cond, o SelectOp, in *Table) ([]cond, error) {
+	for _, ec := range o.Conds {
 		l := in.ColIndex(ec.L)
 		if l < 0 {
-			return nil, fmt.Errorf("select: no column %q", ec.L)
+			return dst, fmt.Errorf("select: no column %q", ec.L)
 		}
 		if ec.R != "" {
 			r := in.ColIndex(ec.R)
 			if r < 0 {
-				return nil, fmt.Errorf("select: no column %q", ec.R)
+				return dst, fmt.Errorf("select: no column %q", ec.R)
 			}
-			conds[i] = cond{l: l, r: r}
+			dst = append(dst, cond{l: l, r: r})
 		} else {
-			conds[i] = cond{l: l, r: -1, c: ec.C}
+			dst = append(dst, cond{l: l, r: -1, c: ec.C})
 		}
 	}
-	return conds, nil
+	return dst, nil
 }
 
 // condsMatch runs once per fetched row; it must stay allocation-free.
@@ -512,45 +600,75 @@ func condsMatch(conds []cond, row data.Tuple) bool {
 }
 
 // joinState is the column analysis and hash table of a natural join. The
-// hash table groups right-row INDEXES by the 64-bit hash of their join columns;
-// probes confirm the join element-wise, so hash collisions cost a
-// compare, never a wrong row.
+// hash table chains right-row INDEXES by the 64-bit hash of their join
+// columns; probes confirm the join element-wise, so hash collisions cost
+// a compare, never a wrong row. One lives in each execution state; setup
+// rebinds it to a step, reusing its storage.
 type joinState struct {
 	r                *Table
 	sharedL, sharedR []int
 	extraR           []int
-	extraCols        []string
-	groups           map[uint64][]int32
+	// head maps a join-column hash to the first right row bearing it;
+	// next[i] is the following right row with the same hash, -1 at the
+	// end. Chains run in ascending row order, so join output order is
+	// the right side's row order within each left row.
+	head map[uint64]int32
+	next []int32
 }
 
-func newJoinState(l, r *Table) *joinState {
-	js := &joinState{r: r}
-	// Shared columns become the hash key; right-only columns extend rows.
+// setup binds js to l ⋈ r and resets out to the join's columns: l's, then
+// r's columns not in l. Shared columns become the hash key; right-only
+// columns extend rows.
+func (js *joinState) setup(l, r, out *Table) {
+	js.r = r
+	js.sharedL, js.sharedR, js.extraR = js.sharedL[:0], js.sharedR[:0], js.extraR[:0]
+	out.reset(l.Cols...)
 	for j, c := range r.Cols {
 		if i := l.ColIndex(c); i >= 0 {
 			js.sharedL = append(js.sharedL, i)
 			js.sharedR = append(js.sharedR, j)
 		} else {
 			js.extraR = append(js.extraR, j)
-			js.extraCols = append(js.extraCols, c)
+			out.Cols = append(out.Cols, c)
 		}
 	}
-	return js
 }
 
-// build fills the hash table from the right side.
+// build fills the hash table from the right side. Rows are chained last
+// to first, so each chain ends up in ascending row order.
 func (js *joinState) build(ctx context.Context) error {
-	js.groups = make(map[uint64][]int32, js.r.Len())
-	for i, rr := range js.r.Rows {
-		if i%cancelStride == 0 {
+	n := js.r.Len()
+	if js.head == nil {
+		js.head = make(map[uint64]int32, n)
+	} else {
+		clear(js.head)
+	}
+	js.next = slices.Grow(js.next[:0], n)[:n]
+	for k := 0; k < n; k++ {
+		if k%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		h := hashRowAt(rr, js.sharedR)
-		js.groups[h] = append(js.groups[h], int32(i))
+		i := n - 1 - k
+		h := hashRowAt(js.r.Rows[i], js.sharedR)
+		if j, ok := js.head[h]; ok {
+			js.next[i] = j
+		} else {
+			js.next[i] = -1
+		}
+		js.head[h] = int32(i)
 	}
 	return nil
+}
+
+// trim drops js's references into the run and whatever outgrew the
+// retention bound.
+func (js *joinState) trim() {
+	js.r = nil
+	if cap(js.next) > retainCells {
+		js.head, js.next = nil, nil
+	}
 }
 
 // probe matches one left row against the hash table, assembling joined
@@ -561,8 +679,11 @@ func (js *joinState) build(ctx context.Context) error {
 //
 //bevet:hotpath
 func (js *joinState) probe(lr data.Tuple, out data.Tuple, sink func(data.Tuple) bool) bool {
-	h := hashRowAt(lr, js.sharedL)
-	for _, ri := range js.groups[h] {
+	ri, ok := js.head[hashRowAt(lr, js.sharedL)]
+	if !ok {
+		return true
+	}
+	for ; ri >= 0; ri = js.next[ri] {
 		rr := js.r.Rows[ri]
 		match := true
 		for i, lc := range js.sharedL {

@@ -126,17 +126,19 @@ func TestEveryOperatorAsFinalStep(t *testing.T) {
 			if !tc.loops {
 				return
 			}
-			results := make([]*Table, len(p.Steps))
+			st := new(execState)
 			for i, op := range p.Steps[:last] {
-				if results[i], err = execOp(ctx, op, results, src, &ExecStats{}, nil); err != nil {
+				tab, err := st.execOp(ctx, op, st.table(i, last), src, &ExecStats{}, nil)
+				if err != nil {
 					t.Fatal(err)
 				}
+				st.results = append(st.results, tab)
 			}
 			for mode, yield := range map[string]func(data.Tuple) bool{
 				"materialized": nil,
 				"streamed":     func(data.Tuple) bool { return true },
 			} {
-				if _, err := execOp(canceled, p.Steps[last], results, src, &ExecStats{}, yield); !errors.Is(err, context.Canceled) {
+				if _, err := st.execOp(canceled, p.Steps[last], st.table(last, last), src, &ExecStats{}, yield); !errors.Is(err, context.Canceled) {
 					t.Fatalf("%s operator ignored its canceled ctx: %v", mode, err)
 				}
 			}

@@ -95,7 +95,8 @@ func rowsEqualAt(a, b data.Tuple, cols []int) bool {
 // argDedup deduplicates input rows of a fetch on their X-columns: row i
 // is "seen" when an earlier row projects to the same X-values. It is the
 // distinct-key pass that keeps FetchKeys at the number of distinct keys
-// regardless of input duplication, without encoding a key per row.
+// regardless of input duplication, without encoding a key per row. One
+// lives in each pooled execution state and is reset per fetch step.
 type argDedup struct {
 	rows  []data.Tuple
 	cols  []int
@@ -103,8 +104,14 @@ type argDedup struct {
 	more  map[uint64][]int32
 }
 
-func newArgDedup(rows []data.Tuple, cols []int) *argDedup {
-	return &argDedup{rows: rows, cols: cols, first: make(map[uint64]int32, len(rows))}
+// reset prepares d for the rows of one fetch step, keeping its map storage.
+func (d *argDedup) reset(rows []data.Tuple, cols []int) {
+	d.rows, d.cols, d.more = rows, cols, nil
+	if d.first == nil {
+		d.first = make(map[uint64]int32, len(rows))
+	} else {
+		clear(d.first)
+	}
 }
 
 // seen checks-and-records row i; it reports whether an earlier row

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/access"
@@ -13,8 +14,9 @@ import (
 type Op interface {
 	// String renders the operation in the paper's notation.
 	String() string
-	// inputs lists referenced step indices, for validation.
-	inputs() []int
+	// inputs lists the referenced step indices: in[:n]. A fixed array, so
+	// validating a plan on every execution allocates nothing.
+	inputs() (in [2]int, n int)
 }
 
 // ConstOp is δ = {a}: a one-row, one-column table holding a constant.
@@ -23,8 +25,8 @@ type ConstOp struct {
 	Val value.Value
 }
 
-func (o ConstOp) String() string { return fmt.Sprintf("{%s} as %s", o.Val, o.Col) }
-func (o ConstOp) inputs() []int  { return nil }
+func (o ConstOp) String() string        { return fmt.Sprintf("{%s} as %s", o.Val, o.Col) }
+func (o ConstOp) inputs() ([2]int, int) { return [2]int{}, 0 }
 
 // EmptyOp produces an empty table with the given columns. It is the plan
 // for A-unsatisfiable queries ("a query plan for empty query suffices",
@@ -33,8 +35,8 @@ type EmptyOp struct {
 	Cols []string
 }
 
-func (o EmptyOp) String() string { return fmt.Sprintf("∅(%s)", strings.Join(o.Cols, ", ")) }
-func (o EmptyOp) inputs() []int  { return nil }
+func (o EmptyOp) String() string        { return fmt.Sprintf("∅(%s)", strings.Join(o.Cols, ", ")) }
+func (o EmptyOp) inputs() ([2]int, int) { return [2]int{}, 0 }
 
 // FetchOp is δ = fetch(X ∈ T_j, R, Y): for each (distinct) row of the
 // input, look up the index of Constraint and emit the X-values extended
@@ -56,23 +58,22 @@ func (o FetchOp) String() string {
 	return fmt.Sprintf("fetch(%s ∈ T%d, %s, %s)",
 		strings.Join(o.XCols, " "), o.Input, o.Constraint.Rel, o.Constraint)
 }
-func (o FetchOp) inputs() []int { return []int{o.Input} }
+func (o FetchOp) inputs() ([2]int, int) { return [2]int{o.Input}, 1 }
 
 // outCols computes the output column list: X columns then fresh Y names.
-func (o FetchOp) outCols() []string {
-	out := append([]string(nil), o.XCols...)
-	have := make(map[string]bool, len(out))
-	for _, c := range out {
-		have[c] = true
-	}
+func (o FetchOp) outCols() []string { return o.appendOutCols(nil) }
+
+// appendOutCols appends the output column list to dst. Column lists are a
+// handful long, so a linear scan finds the names already present.
+func (o FetchOp) appendOutCols(dst []string) []string {
+	base := len(dst)
+	dst = append(dst, o.XCols...)
 	for _, y := range o.YOut {
-		if y == "" || have[y] {
-			continue
+		if y != "" && !slices.Contains(dst[base:], y) {
+			dst = append(dst, y)
 		}
-		have[y] = true
-		out = append(out, y)
 	}
-	return out
+	return dst
 }
 
 // ProjectOp is δ = π_Y(T_j) with optional renaming: output column i is
@@ -95,7 +96,7 @@ func (o ProjectOp) String() string {
 	}
 	return fmt.Sprintf("π[%s](T%d)", strings.Join(cols, ", "), o.Input)
 }
-func (o ProjectOp) inputs() []int { return []int{o.Input} }
+func (o ProjectOp) inputs() ([2]int, int) { return [2]int{o.Input}, 1 }
 
 // EqCond is one selection predicate: column L equals column R (when R is
 // set) or constant C (when R is empty).
@@ -124,15 +125,15 @@ func (o SelectOp) String() string {
 	}
 	return fmt.Sprintf("σ[%s](T%d)", strings.Join(parts, " ∧ "), o.Input)
 }
-func (o SelectOp) inputs() []int { return []int{o.Input} }
+func (o SelectOp) inputs() ([2]int, int) { return [2]int{o.Input}, 1 }
 
 // ProductOp is δ = T_j × T_k. Column names must be disjoint.
 type ProductOp struct {
 	L, R int
 }
 
-func (o ProductOp) String() string { return fmt.Sprintf("T%d × T%d", o.L, o.R) }
-func (o ProductOp) inputs() []int  { return []int{o.L, o.R} }
+func (o ProductOp) String() string        { return fmt.Sprintf("T%d × T%d", o.L, o.R) }
+func (o ProductOp) inputs() ([2]int, int) { return [2]int{o.L, o.R}, 2 }
 
 // JoinOp is the natural join T_j ⋈ T_k on shared column names. It is not a
 // primitive of the paper's plan grammar but the standard σ(×) fusion; the
@@ -142,24 +143,24 @@ type JoinOp struct {
 	L, R int
 }
 
-func (o JoinOp) String() string { return fmt.Sprintf("T%d ⋈ T%d", o.L, o.R) }
-func (o JoinOp) inputs() []int  { return []int{o.L, o.R} }
+func (o JoinOp) String() string        { return fmt.Sprintf("T%d ⋈ T%d", o.L, o.R) }
+func (o JoinOp) inputs() ([2]int, int) { return [2]int{o.L, o.R}, 2 }
 
 // UnionOp is δ = T_j ∪ T_k. Column counts must agree.
 type UnionOp struct {
 	L, R int
 }
 
-func (o UnionOp) String() string { return fmt.Sprintf("T%d ∪ T%d", o.L, o.R) }
-func (o UnionOp) inputs() []int  { return []int{o.L, o.R} }
+func (o UnionOp) String() string        { return fmt.Sprintf("T%d ∪ T%d", o.L, o.R) }
+func (o UnionOp) inputs() ([2]int, int) { return [2]int{o.L, o.R}, 2 }
 
 // DiffOp is δ = T_j − T_k. Column counts must agree.
 type DiffOp struct {
 	L, R int
 }
 
-func (o DiffOp) String() string { return fmt.Sprintf("T%d − T%d", o.L, o.R) }
-func (o DiffOp) inputs() []int  { return []int{o.L, o.R} }
+func (o DiffOp) String() string        { return fmt.Sprintf("T%d − T%d", o.L, o.R) }
+func (o DiffOp) inputs() ([2]int, int) { return [2]int{o.L, o.R}, 2 }
 
 // RenameOp is δ = ρ(T_j), renaming columns From[i] to To[i].
 type RenameOp struct {
@@ -174,7 +175,7 @@ func (o RenameOp) String() string {
 	}
 	return fmt.Sprintf("ρ[%s](T%d)", strings.Join(parts, ", "), o.Input)
 }
-func (o RenameOp) inputs() []int { return []int{o.Input} }
+func (o RenameOp) inputs() ([2]int, int) { return [2]int{o.Input}, 1 }
 
 // Plan is a full query plan ξ(Q,R): an operation sequence whose last step
 // is the query answer.
@@ -189,7 +190,8 @@ type Plan struct {
 // Validate checks step references are acyclic (strictly backward).
 func (p *Plan) Validate() error {
 	for i, op := range p.Steps {
-		for _, j := range op.inputs() {
+		in, n := op.inputs()
+		for _, j := range in[:n] {
 			if j < 0 || j >= i {
 				return fmt.Errorf("plan: step T%d references T%d (must be earlier)", i, j)
 			}

@@ -20,7 +20,8 @@ func Optimize(p *Plan) *Plan {
 		if !live[i] {
 			continue
 		}
-		for _, j := range p.Steps[i].inputs() {
+		in, k := p.Steps[i].inputs()
+		for _, j := range in[:k] {
 			live[j] = true
 		}
 	}

@@ -48,9 +48,33 @@ const (
 	arenaChunkMax = 4096
 )
 
+// retainCells bounds what a pooled execution state keeps of a step
+// table: one that stored more cells than a full arena chunk holds is
+// dropped instead of pooled, so a wide run does not pin its memory.
+const retainCells = arenaChunkMax
+
 // NewTable returns an empty table with the given columns.
 func NewTable(cols ...string) *Table {
 	return &Table{Cols: append([]string(nil), cols...)}
+}
+
+// reset empties t for reuse as a step table with columns cols. The row
+// slice, hash index and current arena chunk keep their storage; the cells
+// a previous use wrote are cleared so a pooled table pins no values.
+func (t *Table) reset(cols ...string) {
+	t.Cols = append(t.Cols[:0], cols...)
+	clear(t.Rows)
+	t.Rows = t.Rows[:0]
+	clear(t.first)
+	t.more = nil
+	clear(t.arena)
+	t.arena = t.arena[:0]
+}
+
+// retainable reports whether t is small enough to stay in a pooled
+// execution state (see retainCells).
+func (t *Table) retainable() bool {
+	return len(t.Rows)*len(t.Cols) <= retainCells && cap(t.arena) <= retainCells
 }
 
 // Unit returns the zero-column table holding the single empty row — the
@@ -174,17 +198,17 @@ func (t *Table) ColIndex(name string) int {
 	return -1
 }
 
-// ColIndexes resolves several columns, erroring on a missing one.
-func (t *Table) ColIndexes(names []string) ([]int, error) {
-	out := make([]int, len(names))
-	for i, n := range names {
+// appendColIndexes appends the positions of several columns to dst,
+// erroring on a missing one.
+func (t *Table) appendColIndexes(dst []int, names []string) ([]int, error) {
+	for _, n := range names {
 		p := t.ColIndex(n)
 		if p < 0 {
-			return nil, fmt.Errorf("plan: table has no column %q (cols %v)", n, t.Cols)
+			return dst, fmt.Errorf("plan: table has no column %q (cols %v)", n, t.Cols)
 		}
-		out[i] = p
+		dst = append(dst, p)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // String renders a compact header + row count, for plan traces.
