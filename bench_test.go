@@ -1,6 +1,6 @@
 // Package repro's top-level benchmarks regenerate the performance side of
-// every experiment in EXPERIMENTS.md (E1–E10) as testing.B benchmarks,
-// plus the design-choice ablations called out in DESIGN.md §5. Run with:
+// the paper's experiments E1–E10 as testing.B benchmarks, plus the
+// design-choice ablations. Run with:
 //
 //	go test -bench=. -benchmem
 package repro
@@ -333,14 +333,14 @@ func BenchmarkE10BEPVerdicts(b *testing.B) {
 	}
 }
 
-// --- DESIGN.md §5 ablations -------------------------------------------
+// --- design-choice ablations -------------------------------------------
 
 // BenchmarkAblationEqPlus compares the coverage fixpoint with the paper's
 // eq⁺ closure against the eq-only ablation, on a query with many
 // shared-constant equality chains (the Example 3.8 pattern, widened).
 //
-// Ablation finding (see EXPERIMENTS.md): in this implementation the two
-// closures give the SAME verdicts (both report 100 %covered here, and a
+// Ablation finding: in this implementation the two closures give the
+// SAME verdicts (both report 100 %covered here, and a
 // probe over 8000 random queries found zero differences), because
 // condition (c)(a) and applicability treat constant variables as fetchable
 // outright — which subsumes everything eq⁺ would add (eq⁺ only ever merges
@@ -612,7 +612,7 @@ func BenchmarkConcurrentQueryCancel(b *testing.B) {
 	if err := eng.Load(soc.Instance); err != nil {
 		b.Fatal(err)
 	}
-	q := bench.Path3Query(1)
+	q := workload.Path3Query(1)
 	if _, _, err := eng.Plan(q); err != nil { // prime the plan cache
 		b.Fatal(err)
 	}

@@ -1,54 +1,27 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
-
-	"repro/internal/bench"
 )
 
 func TestRunDispatch(t *testing.T) {
-	// Each experiment id must dispatch; e10 is the cheapest full one.
-	if err := run("e10", 2, 2, ""); err != nil {
-		t.Errorf("e10: %v", err)
+	// A real id renders its table; e10 is the cheapest full one.
+	var out strings.Builder
+	if err := run(&out, "e10"); err != nil {
+		t.Fatalf("e10: %v", err)
 	}
-	if err := run("e7", 2, 2, ""); err != nil {
+	if !strings.Contains(out.String(), "== E10:") {
+		t.Errorf("e10 did not render its table:\n%s", out.String())
+	}
+	if err := run(&out, "e7"); err != nil {
 		t.Errorf("e7: %v", err)
 	}
-	if err := run("nope", 2, 2, ""); err == nil {
-		t.Error("unknown experiment must error")
-	}
-}
-
-// TestWriteJSON pins the BENCH_<ID>.json shape the CI compare step and
-// the committed trajectory depend on.
-func TestWriteJSON(t *testing.T) {
-	dir := t.TempDir()
-	tb := &bench.Table{ID: "E99", Title: "test"}
-	tb.AddMetric("speedup", 4.2, "x")
-	if err := writeJSON(dir, tb); err != nil {
-		t.Fatal(err)
-	}
-	buf, err := os.ReadFile(filepath.Join(dir, "BENCH_E99.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec benchRecord
-	if err := json.Unmarshal(buf, &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Experiment != "E99" || rec.Commit == "" || len(rec.Metrics) != 1 ||
-		rec.Metrics[0].Name != "speedup" || rec.Metrics[0].Value != 4.2 || rec.Metrics[0].Unit != "x" {
-		t.Errorf("record = %+v", rec)
-	}
-
-	// A metric-less table writes nothing.
-	if err := writeJSON(dir, &bench.Table{ID: "E98"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "BENCH_E98.json")); !os.IsNotExist(err) {
-		t.Error("metric-less table must not produce a file")
+	// Ids past e10 are retired; they are refused like any unknown id.
+	for _, id := range []string{"e11", "nope"} {
+		err := run(&out, id)
+		if err == nil || !strings.Contains(err.Error(), "want e1..e10 or all") {
+			t.Errorf("%s: err = %v, want the unknown-experiment error", id, err)
+		}
 	}
 }

@@ -634,9 +634,8 @@ func E10PaperExamples() (*Table, error) {
 	return t, nil
 }
 
-// All runs every experiment with default parameters, in order. clients
-// is the concurrent client count of the serving experiments (E14, E17).
-func All(clients int) ([]*Table, error) {
+// All runs every experiment with default parameters, in order.
+func All() ([]*Table, error) {
 	var out []*Table
 	steps := []func() (*Table, error){
 		func() (*Table, error) { return E1ScaleSweep([]int{5, 20, 80}) },
@@ -649,13 +648,6 @@ func All(clients int) ([]*Table, error) {
 		func() (*Table, error) { return E8QSP([]int{2, 4, 6}) },
 		func() (*Table, error) { return E9GeneralConstraints([]int{1 << 8, 1 << 12, 1 << 16}) },
 		E10PaperExamples,
-		func() (*Table, error) { return E11Concurrency(4000) },
-		func() (*Table, error) { return E12LiveUpdates([]int{5, 20, 80}, 20) },
-		func() (*Table, error) { return E13Sharding([]int{1, 2, 4, 8}, 20) },
-		func() (*Table, error) { return E14NetworkServing(clients, 100*time.Millisecond) },
-		func() (*Table, error) { return E15Durability(20, 20) },
-		func() (*Table, error) { return E16TraceOverhead(20, 100*time.Millisecond) },
-		func() (*Table, error) { return E17DistributedServing(clients, 100*time.Millisecond, []int{2, 4}) },
 	}
 	for _, step := range steps {
 		tb, err := step()

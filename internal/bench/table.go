@@ -1,9 +1,10 @@
-// Package bench drives the experiments of EXPERIMENTS.md: every empirical
-// claim in the paper (Example 1.1's access arithmetic, the Introduction's
-// coverage-rate and speedup claims, Table 1's complexity behaviour, the
-// envelope and specialization examples) has a driver here that regenerates
-// the corresponding table. cmd/bebench is the CLI entry point and the
-// repository benchmarks (bench_test.go) reuse the same drivers.
+// Package bench regenerates the paper's experiment tables E1–E10: every
+// empirical claim in the paper (Example 1.1's access arithmetic, the
+// Introduction's coverage-rate and speedup claims, Table 1's complexity
+// behaviour, the envelope and specialization examples) has a driver here
+// that regenerates the corresponding table. cmd/bebench is the CLI entry
+// point and the repository benchmarks (bench_test.go) reuse the same
+// drivers.
 package bench
 
 import (
@@ -18,22 +19,6 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
-	// Metrics are the machine-readable headline numbers of the
-	// experiment — what bebench -json persists as BENCH_<ID>.json so the
-	// perf trajectory survives across commits and CI can diff it.
-	Metrics []Metric
-}
-
-// Metric is one named headline number.
-type Metric struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-	Unit  string  `json:"unit"`
-}
-
-// AddMetric records a headline number on the table.
-func (t *Table) AddMetric(name string, value float64, unit string) {
-	t.Metrics = append(t.Metrics, Metric{Name: name, Value: value, Unit: unit})
 }
 
 // AddRow appends a row, stringifying the cells.

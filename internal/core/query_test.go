@@ -41,21 +41,6 @@ func socialEngine(t testing.TB, people int, opts Options) *Engine {
 	return eng
 }
 
-// path3 is the 3-hop friend walk anchored at a person constant — the
-// fan-out-heavy serving stress query (mirrors internal/bench.Path3Query,
-// which core cannot import).
-func path3(me int64) *cq.CQ {
-	return &cq.CQ{
-		Label: "path3", Free: []string{"h"},
-		Atoms: []cq.Atom{
-			cq.NewAtom("Friend", cq.Var("me"), cq.Var("f")),
-			cq.NewAtom("Friend", cq.Var("f"), cq.Var("g")),
-			cq.NewAtom("Friend", cq.Var("g"), cq.Var("h")),
-		},
-		Eqs: []cq.Eq{{L: cq.Var("me"), R: cq.Const(iv(me))}},
-	}
-}
-
 // sameTuples reports whether two row slices are byte-identical in order.
 func sameTuples(a, b []data.Tuple) bool {
 	if len(a) != len(b) {
@@ -131,7 +116,7 @@ func TestQueryEquivalentToLegacyPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	engS, refS := newPair(soc.Schema, soc.Access, soc.Instance)
-	socQs := append([]*cq.CQ{workload.GraphSearchQuery(1, "NYC", "cycling"), path3(1)},
+	socQs := append([]*cq.CQ{workload.GraphSearchQuery(1, "NYC", "cycling"), workload.Path3Query(1)},
 		workload.PatternQueries(1)...)
 	fixtures = append(fixtures, fixture{name: "social", eng: engS, ref: refS, qs: socQs})
 
@@ -239,7 +224,7 @@ func TestQueryCancelMidExecution(t *testing.T) {
 
 	t.Run("bounded", func(t *testing.T) {
 		ctx := cancelAfter(8)
-		_, err := eng.Query(ctx, path3(1))
+		_, err := eng.Query(ctx, workload.Path3Query(1))
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("want context.Canceled through the executor, got %v", err)
 		}
@@ -281,7 +266,7 @@ func TestCanceledQueryCountsFetched(t *testing.T) {
 	advance := func(n int64, opts ...QueryOption) int64 {
 		t.Helper()
 		before := eng.Stats().Fetched
-		res, err := eng.Query(cancelAfter(n), path3(1), opts...)
+		res, err := eng.Query(cancelAfter(n), workload.Path3Query(1), opts...)
 		if err == nil {
 			for range res.Seq() {
 			}

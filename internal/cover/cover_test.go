@@ -243,7 +243,7 @@ func TestCovOrderIndependence(t *testing.T) {
 // Covered under eq⁺ — and, in this implementation, under eq-only as well:
 // u is data-independent (cov(Qdi) = var(Qdi)) and constant variables are
 // treated as fetchable everywhere, which subsumes the eq⁺ additions (see
-// BenchmarkAblationEqPlus and EXPERIMENTS.md). This test pins the
+// BenchmarkAblationEqPlus). This test pins the
 // verdict-equivalence of the two closures on the motivating example.
 func TestEqPlusAblation(t *testing.T) {
 	s := schema.MustNew(schema.MustRelation("R", "A", "B"))

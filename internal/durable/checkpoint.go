@@ -45,9 +45,9 @@ import (
 // already computes. Decode gets both the values (value.DecodeKey) and
 // the dedup-map / bucket keys from one blob with no per-cell text
 // parsing and no key re-encoding, which is what makes recovery beat a
-// cold TSV re-ingest (experiment E15). DecodeKey rejects non-canonical
-// varint paddings, so decode-then-encode is still a byte-for-byte fixed
-// point (FuzzCheckpoint).
+// cold TSV re-ingest (benchmark/ measures it as durable.recover_s).
+// DecodeKey rejects non-canonical varint paddings, so decode-then-encode
+// is still a byte-for-byte fixed point (FuzzCheckpoint).
 //
 // The section length prefixes exist for decode parallelism: every
 // section fills disjoint state (one relation, or one constraint's

@@ -139,6 +139,21 @@ func Q0() *cq.CQ {
 	}
 }
 
+// Path3Query is the 3-hop friend walk anchored at a person constant —
+// the serving-layer stress query on the social workload: its final fetch
+// fans out over thousands of distinct keys.
+func Path3Query(me int64) *cq.CQ {
+	return &cq.CQ{
+		Label: "path3", Free: []string{"h"},
+		Atoms: []cq.Atom{
+			cq.NewAtom("Friend", cq.Var("me"), cq.Var("f")),
+			cq.NewAtom("Friend", cq.Var("f"), cq.Var("g")),
+			cq.NewAtom("Friend", cq.Var("g"), cq.Var("h")),
+		},
+		Eqs: []cq.Eq{{L: cq.Var("me"), R: cq.Const(iv(me))}},
+	}
+}
+
 // Q51 is Example 5.1's parameterized query (parameters date, district).
 func Q51() (*cq.CQ, []string) {
 	q := &cq.CQ{
