@@ -551,3 +551,68 @@ func TestChaosWireSoakExactlyOneSnapshot(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestZeroOptionsRetryIdempotentCalls pins the documented default: a
+// peer client built from zero-valued Options — what beserve -peers
+// passes — retries an idempotent call, so one dropped attempt costs a
+// retry, not the request. A negative Retries turns retries off.
+func TestZeroOptionsRetryIdempotentCalls(t *testing.T) {
+	tb := randomBed(t)
+	node, err := NewNode(tb.schema, tb.access, 0, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(node.InternalHandler())
+	t.Cleanup(ts.Close)
+	chaos, rt := chaosOptions(t)
+	var attempts atomic.Int32
+	rt.setRule(func(*http.Request) string {
+		if attempts.Add(1) == 1 {
+			return "drop"
+		}
+		return ""
+	})
+	ctx := context.Background()
+	p := newPeerClient(0, ts.URL, tb.schema, Options{Client: chaos.Client})
+	if _, err := p.Status(ctx); err != nil {
+		t.Fatalf("zero Options: a dropped first attempt failed the call: %v", err)
+	}
+	attempts.Store(0)
+	p = newPeerClient(0, ts.URL, tb.schema, Options{Client: chaos.Client, Retries: -1})
+	if _, err := p.Status(ctx); !errors.Is(err, errChaosDrop) {
+		t.Fatalf("Retries -1: a dropped attempt answered %v, want the drop", err)
+	}
+}
+
+// TestCanceledCallLeavesBreakerClosed pins that only a peer's own
+// failures trip its circuit breaker. Calls that fail because the
+// caller's context ended — with retries off, and for a call that is
+// never retried (abort) — must leave a healthy peer serving: the next
+// query's fetch is sent, not refused as circuit open.
+func TestCanceledCallLeavesBreakerClosed(t *testing.T) {
+	tb := randomBed(t)
+	opts := testOptions(t)
+	opts.Retries, opts.Cooldown = -1, time.Minute
+	coord, _, _ := startCluster(t, tb, 1, opts)
+	if err := coord.Load(tb.build()); err != nil {
+		t.Fatal(err)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	p := coord.peers[0]
+	if _, err := p.Status(canceled); err == nil {
+		t.Fatal("a status call under a canceled context succeeded")
+	}
+	if err := p.Abort(canceled, "txn-none"); err == nil {
+		t.Fatal("an abort under a canceled context succeeded")
+	}
+	q := &cq.CQ{Label: "probe", Free: []string{"b"}, Atoms: []cq.Atom{
+		cq.NewAtom("R", cq.Const(iv(1)), cq.Var("b"))}}
+	res, err := coord.Query(context.Background(), q)
+	if err != nil {
+		t.Fatalf("the query after the caller's own cancellations was refused: %v", err)
+	}
+	if res.Mode != core.ViaBoundedPlan || len(res.Rows) == 0 {
+		t.Fatalf("probe served via %v with %d rows, want a bounded fetch with rows", res.Mode, len(res.Rows))
+	}
+}

@@ -81,8 +81,11 @@ func newPeerClient(id int, base string, s *schema.Schema, opts Options) *peerCli
 	if p.timeout <= 0 {
 		p.timeout = DefaultRPCTimeout
 	}
-	if p.retries < 0 {
+	switch {
+	case p.retries == 0:
 		p.retries = DefaultRetries
+	case p.retries < 0:
+		p.retries = 0
 	}
 	if p.backoff <= 0 {
 		p.backoff = DefaultBackoff
@@ -188,7 +191,12 @@ func (p *peerClient) do(ctx context.Context, method, path, ctype string, payload
 		}
 		lastErr = err
 	}
-	p.markResult(lastErr)
+	if ctx.Err() == nil {
+		// Only the peer's own failures trip the breaker: an attempt cut
+		// short by the caller's context — a client hang-up, a sibling
+		// call's failure — says nothing about the peer.
+		p.markResult(lastErr)
+	}
 	return p.unavailable(lastErr)
 }
 
@@ -296,8 +304,8 @@ type peerView struct {
 	v uint64
 }
 
-func (pv peerView) Fetcher(rd *shard.Read, ci int) plan.Fetcher {
-	return peerFetcher{peerView: pv, rd: rd, ci: ci}
+func (pv peerView) Fetcher(ci int) plan.Fetcher {
+	return peerFetcher{peerView: pv, ci: ci}
 }
 
 // Instance streams the peer's partition at the pinned version. Each
@@ -329,41 +337,44 @@ func (pv peerView) Checkpoint(ctx context.Context) error {
 	return err
 }
 
-// peerFetcher serves one constraint's buckets from the pinned peer, one
-// single-key RPC per fetch. plan.Fetcher has no error return, so a
-// failed RPC is recorded on the request's Read — the executor polls it
-// after every step and aborts the query with a structured error instead
-// of returning the rows of a torn snapshot — and an empty bucket
-// served; once any fetch of the request failed, later ones
-// short-circuit.
+// peerFetcher serves one constraint's buckets from the pinned peer as a
+// plan.BatchFetcher: a fetch step's keys for this partition travel in
+// one /v1/internal/fetch RPC, and a failed RPC fails the step — the
+// executor aborts the query with the structured error instead of
+// answering from a torn snapshot.
 type peerFetcher struct {
 	peerView
-	rd *shard.Read
 	ci int
 }
 
-func (f peerFetcher) FetchBytes(k []byte) index.Bucket {
-	if f.rd.Err() != nil {
-		return index.Bucket{}
-	}
+func (f peerFetcher) FetchBatch(ctx context.Context, keys [][]byte, out []index.Bucket) error {
 	if !f.p.available() {
-		f.rd.Fail(f.p.unavailable(errPeerDown))
-		return index.Bucket{}
+		return f.p.unavailable(errPeerDown)
+	}
+	req := fetchRequest{V: f.v, CI: f.ci, Keys: make([]value.Key, len(keys))}
+	for i, k := range keys {
+		req.Keys[i] = value.Key(k)
 	}
 	var resp fetchResponse
-	req := fetchRequest{V: f.v, CI: f.ci, Keys: []value.Key{value.Key(k)}}
-	if err := f.p.call(f.rd.Ctx, http.MethodPost, "/v1/internal/fetch", req, &resp, true); err != nil {
-		f.rd.Fail(err)
-		return index.Bucket{}
+	if err := f.p.call(ctx, http.MethodPost, "/v1/internal/fetch", req, &resp, true); err != nil {
+		return err
 	}
-	if len(resp.Buckets) != 1 {
-		f.rd.Fail(f.p.unavailable(fmt.Errorf("fetch answered %d buckets for 1 key", len(resp.Buckets))))
-		return index.Bucket{}
+	if len(resp.Buckets) != len(keys) {
+		return f.p.unavailable(fmt.Errorf("fetch answered %d buckets for %d keys", len(resp.Buckets), len(keys)))
 	}
-	b, err := decodeBucket(resp.Buckets[0])
-	if err != nil {
-		f.rd.Fail(f.p.unavailable(err))
-		return index.Bucket{}
+	for i, wb := range resp.Buckets {
+		b, err := decodeBucket(wb)
+		if err != nil {
+			return f.p.unavailable(err)
+		}
+		out[i] = b
 	}
-	return b
+	return nil
+}
+
+// FetchBytes completes plan.Fetcher, whose one-key signature cannot
+// report a failed RPC. The executor resolves every fetcher through
+// plan.FetchAll, which calls FetchBatch, so nothing reaches this.
+func (peerFetcher) FetchBytes([]byte) index.Bucket {
+	panic("cluster: peer fetchers serve key sets through FetchBatch only")
 }

@@ -52,7 +52,8 @@ type Options struct {
 	Client *http.Client
 	// RPCTimeout bounds one request attempt to a peer; Retries and
 	// Backoff shape the retry schedule of idempotent calls; Cooldown is
-	// the circuit breaker's down window. Zero values take the defaults.
+	// the circuit breaker's down window. Zero values take the defaults;
+	// a negative Retries turns retries off.
 	RPCTimeout time.Duration
 	Retries    int
 	Backoff    time.Duration

@@ -12,7 +12,9 @@ import (
 	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/index"
 	"repro/internal/live"
+	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/shard"
 )
@@ -180,23 +182,30 @@ func (h *partitionHandler) status(w http.ResponseWriter, r *http.Request) {
 	reply(w, st, err)
 }
 
-// fetch serves index lookups at the reader's pinned version: for each
-// key, constraint ci's bucket on this partition.
+// fetch serves one fetch step's index lookups at the reader's pinned
+// version: for each key, constraint ci's bucket on this partition.
 func (h *partitionHandler) fetch(ctx context.Context, req fetchRequest) (resp fetchResponse, err error) {
 	view, err := h.pin(req.V)
 	if err != nil {
 		return resp, err
 	}
-	rd := &shard.Read{Ctx: ctx}
-	f := view.Fetcher(rd, req.CI)
+	f := view.Fetcher(req.CI)
 	if f == nil {
 		return resp, badRequest(fmt.Sprintf("no constraint %d", req.CI))
 	}
-	resp.Buckets = make([]wireBucket, len(req.Keys))
+	keys := make([][]byte, len(req.Keys))
 	for i, k := range req.Keys {
-		resp.Buckets[i] = encodeBucket(f.FetchBytes([]byte(k)))
+		keys[i] = []byte(k)
 	}
-	return resp, rd.Err()
+	buckets := make([]index.Bucket, len(keys))
+	if err := plan.FetchAll(ctx, f, keys, buckets); err != nil {
+		return resp, err
+	}
+	resp.Buckets = make([]wireBucket, len(buckets))
+	for i, b := range buckets {
+		resp.Buckets[i] = encodeBucket(b)
+	}
+	return resp, nil
 }
 
 // dump streams the partition at the pinned version — the bulk feed for

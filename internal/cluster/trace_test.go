@@ -2,11 +2,18 @@ package cluster
 
 import (
 	"context"
+	"fmt"
+	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/access"
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/obs"
+	"repro/internal/plan"
+	"repro/internal/shard"
 )
 
 // spanSums walks a span tree accumulating per-operator accounting,
@@ -112,4 +119,134 @@ func TestPropertyProfileReconcilesWithStats(t *testing.T) {
 		}
 		check(t, loadedFleet(t, tb, kind, k).eng, wantLabel)
 	})
+}
+
+// fetchCounter is an http.RoundTripper counting the /v1/internal/fetch
+// requests a coordinator sends.
+type fetchCounter struct {
+	base    *http.Transport
+	fetches atomic.Int64
+}
+
+func (c *fetchCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/v1/internal/fetch" {
+		c.fetches.Add(1)
+	}
+	return c.base.RoundTrip(req)
+}
+
+// CloseIdleConnections lets the client's cleanup drain the transport.
+func (c *fetchCounter) CloseIdleConnections() { c.base.CloseIdleConnections() }
+
+// stepRecorder is a plan.Source over one index whose fetchers record each
+// fetch step's key set: FetchAll hands a batch fetcher a step's keys in
+// one call.
+type stepRecorder struct {
+	src   plan.Source
+	steps []recordedStep
+}
+
+type recordedStep struct {
+	c    access.Constraint
+	keys [][]byte
+}
+
+type recordingFetcher struct {
+	f   plan.Fetcher
+	c   access.Constraint
+	rec *stepRecorder
+}
+
+func (r *stepRecorder) FetcherFor(c access.Constraint) plan.Fetcher {
+	if f := r.src.FetcherFor(c); f != nil {
+		return recordingFetcher{f: f, c: c, rec: r}
+	}
+	return nil
+}
+
+func (f recordingFetcher) FetchBatch(ctx context.Context, keys [][]byte, out []index.Bucket) error {
+	step := recordedStep{c: f.c}
+	for _, k := range keys {
+		step.keys = append(step.keys, append([]byte(nil), k...))
+	}
+	f.rec.steps = append(f.rec.steps, step)
+	return plan.FetchAll(ctx, f.f, keys, out)
+}
+
+func (f recordingFetcher) FetchBytes(k []byte) index.Bucket { return f.f.FetchBytes(k) }
+
+// TestPropertyOneRPCPerPartitionPerStep is the batching property over
+// the wire: on HTTP fleets of K ∈ {2, 4}, every random CQ and UCQ sends
+// exactly one /v1/internal/fetch per partition each of its fetch steps
+// touches — the distinct ShardOf values of the keys of a routed step, all
+// K for a scattered one — so at most K per fetch step, and none for a
+// scan. The steps and their key sets are recomputed by running the plan
+// the coordinator served on the single-node oracle's index.
+func TestPropertyOneRPCPerPartitionPerStep(t *testing.T) {
+	ctx := context.Background()
+	for _, tb := range []testbed{accidentsBed(t), socialBed(t), randomBed(t)} {
+		qs, unions := tb.queries(t, 40)
+		queries := make([]core.Query, 0, len(qs)+len(unions))
+		for _, q := range qs {
+			queries = append(queries, q)
+		}
+		for _, u := range unions {
+			queries = append(queries, u)
+		}
+		single := tb.single(t)
+		for _, k := range []int{2, 4} {
+			t.Run(fmt.Sprintf("%s/K=%d", tb.name, k), func(t *testing.T) {
+				rt := &fetchCounter{base: &http.Transport{MaxIdleConnsPerHost: 4}}
+				opts := testOptions(t)
+				opts.Client = &http.Client{Transport: rt}
+				t.Cleanup(opts.Client.CloseIdleConnections)
+				coord, _, _ := startCluster(t, tb, k, opts)
+				if err := coord.Load(tb.build()); err != nil {
+					t.Fatal(err)
+				}
+				batched := 0
+				for i, q := range queries {
+					before := rt.fetches.Load()
+					res, err := coord.Query(ctx, q)
+					sent := rt.fetches.Load() - before
+					if err != nil {
+						continue
+					}
+					var want, steps int64
+					if res.Plan != nil {
+						for _, op := range res.Plan.Steps {
+							if _, ok := op.(plan.FetchOp); ok {
+								steps++
+							}
+						}
+						rec := &stepRecorder{src: plan.NewSource(single.Indexed())}
+						if _, _, err := plan.ExecuteSource(ctx, res.Plan, rec, plan.ExecOptions{}); err != nil {
+							t.Fatal(err)
+						}
+						for _, s := range rec.steps {
+							if !shard.AttrsEqual(coord.PartitionKey(s.c.Rel), s.c.X) {
+								want += int64(k)
+								continue
+							}
+							touched := map[int]bool{}
+							for _, key := range s.keys {
+								touched[shard.ShardOf(key, k)] = true
+							}
+							want += int64(len(touched))
+						}
+					}
+					if sent != want || sent > int64(k)*steps {
+						t.Fatalf("query %d (%s): %d fetch RPCs, want %d (≤ %d partitions × %d fetch steps)",
+							i, res.Mode, sent, want, k, steps)
+					}
+					if sent > steps {
+						batched++
+					}
+				}
+				if batched == 0 {
+					t.Fatal("no query sent more RPCs than it had fetch steps: the fan-out was not exercised")
+				}
+			})
+		}
+	}
 }

@@ -28,8 +28,10 @@ const tsvType = "text/tab-separated-values"
 // The answers of status, stage and groups are shard.Status, shard.Staged
 // and []shard.Group themselves, in the JSON shape their tags give.
 
-// fetchRequest asks for the buckets of constraint CI at the pinned
-// version V, one per key.
+// fetchRequest carries one fetch step's keys for this partition — every
+// key of the step for a scatter, the keys that hash here for a route —
+// and asks for constraint CI's buckets at the pinned version V, one per
+// key, in key order.
 type fetchRequest struct {
 	V    uint64      `json:"v"`
 	CI   int         `json:"ci"`

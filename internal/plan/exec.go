@@ -129,9 +129,6 @@ func (st *execState) run(ctx context.Context, p *Plan, src Source, yield func(da
 			sp.SetFetch(stats.Fetched-f0, stats.FetchKeys-k0)
 			sp.End()
 		}
-		if err == nil {
-			err = fetchErrOf(src)
-		}
 		if err != nil {
 			return nil, stats, fmt.Errorf("plan: step T%d (%s): %w", i, op, err)
 		}
@@ -190,20 +187,6 @@ func (st *execState) trim() {
 	st.join.trim()
 	clear(st.buf[:cap(st.buf)])
 	clear(st.conds[:cap(st.conds)])
-}
-
-// fetchErrOf surfaces a deferred fetch failure from sources whose
-// Fetchers cannot report errors inline (the FetchBytes signature is
-// infallible by design — local index fetches cannot fail). A networked
-// source records the first RPC error it swallows and exposes it through
-// the optional FetchErr method; the executor checks it after every step
-// so a lost peer aborts the query with a descriptive error instead of
-// silently computing over partial buckets.
-func fetchErrOf(src Source) error {
-	if fe, ok := src.(interface{ FetchErr() error }); ok {
-		return fe.FetchErr()
-	}
-	return nil
 }
 
 // startStepSpan opens the per-operator profile span for plan step i and
@@ -424,9 +407,9 @@ func (st *execState) execOp(ctx context.Context, op Op, out *Table, src Source, 
 }
 
 // fetchEval is the state of a fetch step: resolved index, input key
-// positions, where each Y attribute lands, the input-key dedup, and the
-// scratch buffers (key encoding and output row assembly). One lives in
-// each execution state; setup rebinds it to a step, reusing its storage.
+// positions, where each Y attribute lands, the input-key dedup, the
+// step's key set and the output row scratch. One lives in each execution
+// state; setup rebinds it to a step, reusing its storage.
 type fetchEval struct {
 	in    *Table
 	fetch Fetcher
@@ -434,10 +417,17 @@ type fetchEval struct {
 	// ypos is the output position of each Y attribute, -1 when it is
 	// dropped: its own fresh column, or the X or earlier Y column it is
 	// equated with, which emitBucket then checks instead of overwriting.
-	ypos   []int
-	dedup  argDedup
-	keyBuf []byte
-	rowBuf data.Tuple
+	ypos  []int
+	dedup argDedup
+	// The step's distinct keys in first-occurrence order: key j is
+	// keyBuf[keyEnds[j-1]:keyEnds[j]], viewed as keys[j], the encoding of
+	// input row rows[j]; buckets[j] is what it fetched.
+	keyBuf  []byte
+	keyEnds []int
+	keys    [][]byte
+	rows    []int
+	buckets []index.Bucket
+	rowBuf  data.Tuple
 }
 
 // setup binds f to fetch step o over input in and resets out to the
@@ -493,6 +483,11 @@ func (f *fetchEval) trim() {
 		f.dedup.first = nil
 	}
 	clear(f.rowBuf[:cap(f.rowBuf)])
+	clear(f.keys[:cap(f.keys)])
+	clear(f.buckets[:cap(f.buckets)])
+	if cap(f.rows) > retainCells {
+		f.keyBuf, f.keyEnds, f.keys, f.rows, f.buckets = nil, nil, nil, nil, nil
+	}
 }
 
 // emitBucket assembles the output rows of one bucket into the out scratch
@@ -534,11 +529,15 @@ func (f *fetchEval) emitBucket(row data.Tuple, b index.Bucket, out data.Tuple, s
 	return true
 }
 
-// run streams the fetch over the input rows in order, deduping keys
-// inline with no item buffer. The per-row path — hash dedup, key encoding
-// into scratch, bucket probe, row assembly — is allocation-free.
+// run is the fetch over the step's whole key set, in three passes: dedup
+// the input rows' X-keys into the key scratch, in first-occurrence order;
+// resolve them all with one FetchAll, whose error aborts the step; emit
+// each key's bucket against its input row, in input order. With the
+// scratch warm, the per-row path — hash dedup, key encoding, bucket
+// probe, row assembly — is allocation-free.
 func (f *fetchEval) run(ctx context.Context, stats *ExecStats, sink func(data.Tuple) bool) error {
 	f.dedup.reset(f.in.Rows, f.xpos)
+	f.keyBuf, f.keyEnds, f.rows = f.keyBuf[:0], f.keyEnds[:0], f.rows[:0]
 	for i, row := range f.in.Rows {
 		if i%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -548,8 +547,27 @@ func (f *fetchEval) run(ctx context.Context, stats *ExecStats, sink func(data.Tu
 		if f.dedup.seen(i) {
 			continue
 		}
-		f.keyBuf = value.AppendKeyAt(f.keyBuf[:0], row, f.xpos)
-		if !f.emitBucket(row, f.fetch.FetchBytes(f.keyBuf), f.rowBuf, stats, sink) {
+		f.keyBuf = value.AppendKeyAt(f.keyBuf, row, f.xpos)
+		f.keyEnds = append(f.keyEnds, len(f.keyBuf))
+		f.rows = append(f.rows, i)
+	}
+	f.keys = f.keys[:0]
+	start := 0
+	for _, end := range f.keyEnds {
+		f.keys = append(f.keys, f.keyBuf[start:end:end])
+		start = end
+	}
+	f.buckets = slices.Grow(f.buckets[:0], len(f.keys))[:len(f.keys)]
+	if err := FetchAll(ctx, f.fetch, f.keys, f.buckets); err != nil {
+		return err
+	}
+	for j, i := range f.rows {
+		if j%cancelStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if !f.emitBucket(f.in.Rows[i], f.buckets[j], f.rowBuf, stats, sink) {
 			return nil
 		}
 	}

@@ -66,6 +66,44 @@ func accidentsSource(t testing.TB, days int, seed int64) (*workload.Accidents, S
 	return acc, NewSource(ix)
 }
 
+// path2Plan plans the social workload's two-hop walk and indexes a
+// generated instance for it.
+func path2Plan(t testing.TB) (*Plan, Source) {
+	t.Helper()
+	soc, err := workload.GenerateSocial(workload.SocialConfig{People: 400, MaxFriends: 15, MaxLikes: 5, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, _, err := access.BuildIndexed(soc.Access, soc.Instance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range workload.PatternQueries(7) {
+		if q.Label == "path2" {
+			return builtPlan(t, q, soc.Access, soc.Schema), NewSource(ix)
+		}
+	}
+	t.Fatal("the pattern queries have no path2")
+	return nil, nil
+}
+
+// q0UnionPlan plans the union of two Q0-shaped point queries: the UCQ
+// splice of two bounded plans.
+func q0UnionPlan(t testing.TB, acc *workload.Accidents) *Plan {
+	t.Helper()
+	ures, err := cover.CheckUCQ([]*cq.CQ{
+		q0At("Queen's Park", workload.DateName(0)), q0At("Soho", workload.DateName(3)),
+	}, acc.Access, acc.Schema, cover.Options{})
+	if err != nil || !ures.Covered {
+		t.Fatalf("UCQ must be covered: %v", err)
+	}
+	p, err := BuildUCQ(ures, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Optimize(p)
+}
+
 // render encodes rows injectively, so two answers compare byte for byte.
 func render(rows []data.Tuple) string {
 	var b strings.Builder
@@ -120,30 +158,7 @@ const (
 // reached a consumer, shows up as a changed answer or as a race.
 func TestPoolSoakConcurrentModes(t *testing.T) {
 	acc, accSrc := accidentsSource(t, 8, 1)
-	soc, err := workload.GenerateSocial(workload.SocialConfig{People: 400, MaxFriends: 15, MaxLikes: 5, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	socIx, _, err := access.BuildIndexed(soc.Access, soc.Instance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var path2 *cq.CQ
-	for _, q := range workload.PatternQueries(7) {
-		if q.Label == "path2" {
-			path2 = q
-		}
-	}
-	ures, err := cover.CheckUCQ([]*cq.CQ{
-		q0At("Queen's Park", workload.DateName(0)), q0At("Soho", workload.DateName(3)),
-	}, acc.Access, acc.Schema, cover.Options{})
-	if err != nil || !ures.Covered {
-		t.Fatalf("UCQ must be covered: %v", err)
-	}
-	ucqPlan, err := BuildUCQ(ures, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	path2, socSrc := path2Plan(t)
 
 	type soakCase struct {
 		p     *Plan
@@ -155,8 +170,8 @@ func TestPoolSoakConcurrentModes(t *testing.T) {
 		{p: builtPlan(t, q0At("Queen's Park", workload.DateName(0)), acc.Access, acc.Schema), src: accSrc},
 		{p: builtPlan(t, q0At("Soho", workload.DateName(1)), acc.Access, acc.Schema), src: accSrc},
 		{p: builtPlan(t, q0At("Camden", workload.DateName(2)), acc.Access, acc.Schema), src: accSrc},
-		{p: builtPlan(t, path2, soc.Access, soc.Schema), src: NewSource(socIx)},
-		{p: Optimize(ucqPlan), src: accSrc},
+		{p: path2, src: socSrc},
+		{p: q0UnionPlan(t, acc), src: accSrc},
 	}
 	for i, c := range cases {
 		tab, st, err := ExecuteSource(context.Background(), c.p, c.src, ExecOptions{})
@@ -352,6 +367,9 @@ func TestPoolTrimsOversizedState(t *testing.T) {
 		}
 		if st.fetch.dedup.first != nil {
 			t.Error("the fetch's key dedup map was kept")
+		}
+		if st.fetch.keyBuf != nil || st.fetch.keyEnds != nil || st.fetch.keys != nil || st.fetch.rows != nil || st.fetch.buckets != nil {
+			t.Error("the fetch's key set scratch was kept")
 		}
 		if len(st.results) != 0 || st.join.r != nil || st.fetch.in != nil || st.fetch.fetch != nil {
 			t.Error("the trimmed state still references the run")

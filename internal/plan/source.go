@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"context"
+
 	"repro/internal/access"
 	"repro/internal/index"
 )
@@ -9,10 +11,44 @@ import (
 // X-key ā (raw bytes, typically a reused scratch buffer — the probe
 // copies nothing) it returns D_Y(X = ā), the distinct Y-projections in
 // canonical (key-sorted) order as an immutable index.Bucket view.
-// *index.Index implements it directly; a distributed source returns a
-// resolver that routes or scatter-gathers across shards.
+// *index.Index implements it directly. The executor reaches every
+// Fetcher through FetchAll, so a Fetcher that can fail — a networked
+// one — implements BatchFetcher as well and reports its failures there.
 type Fetcher interface {
 	FetchBytes(k []byte) index.Bucket
+}
+
+// BatchFetcher is a Fetcher that resolves a fetch step's whole key set in
+// one call — the paper's fetch(X ∈ T, R, Y) over the set T — and can fail:
+// a sharded source groups the keys by partition, a networked one sends
+// each partition one request. FetchBatch fills out[i] with the bucket of
+// keys[i] (len(out) == len(keys)); on an error out is unspecified and the
+// executor aborts the query, so a failed partition never yields a torn
+// answer. keys may alias the caller's scratch: implementations copy what
+// they keep past the call.
+type BatchFetcher interface {
+	FetchBatch(ctx context.Context, keys [][]byte, out []index.Bucket) error
+}
+
+// FetchAll resolves keys into out through f: one FetchBatch call when f
+// is a BatchFetcher, a FetchBytes loop observing ctx otherwise. An empty
+// key set makes no call.
+func FetchAll(ctx context.Context, f Fetcher, keys [][]byte, out []index.Bucket) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	if bf, ok := f.(BatchFetcher); ok {
+		return bf.FetchBatch(ctx, keys, out)
+	}
+	for i, k := range keys {
+		if i%cancelStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		out[i] = f.FetchBytes(k)
+	}
+	return nil
 }
 
 // Source is the data-access surface a plan executes against: it resolves
@@ -21,12 +57,6 @@ type Fetcher interface {
 // provides a scatter-gather implementation over hash-partitioned shards.
 // FetcherFor returns nil when the source has no index for c, which fails
 // the fetch step with a descriptive error.
-//
-// A Source may additionally implement FetchErr() error to report fetch
-// failures the infallible FetchBytes signature cannot carry inline
-// (e.g. a networked source losing a peer mid-query). The executor
-// checks it after every plan step and aborts with that error, so a
-// partial fetch never silently produces a wrong answer.
 type Source interface {
 	FetcherFor(c access.Constraint) Fetcher
 }

@@ -27,7 +27,7 @@ type localSnap struct {
 	version uint64
 }
 
-func (sn *localSnap) Fetcher(_ *Read, ci int) plan.Fetcher {
+func (sn *localSnap) Fetcher(ci int) plan.Fetcher {
 	if ci < 0 || ci >= len(sn.ix.Access.Constraints) {
 		return nil
 	}

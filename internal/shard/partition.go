@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/access"
 	"repro/internal/data"
@@ -56,9 +55,9 @@ type Partition interface {
 type View interface {
 	// Fetcher serves constraint ci's buckets at the pinned version, or
 	// nil when there is no such constraint. A local view returns the
-	// index itself and ignores rd; a remote view returns an RPC fetcher
-	// that runs under rd.Ctx and reports failures to rd.
-	Fetcher(rd *Read, ci int) plan.Fetcher
+	// index itself; a remote view returns a plan.BatchFetcher that sends
+	// a fetch step's keys in one RPC and reports its failure.
+	Fetcher(ci int) plan.Fetcher
 	// Instance returns the partition's tuples at the pinned version.
 	Instance(ctx context.Context) (*data.Instance, error)
 	// Checkpoint persists the pinned version to the partition's durable
@@ -67,27 +66,6 @@ type View interface {
 	// persisted: a partition's own newest version can be one a commit
 	// fanout is still — or was never — completing.
 	Checkpoint(ctx context.Context) error
-}
-
-// Read is the request-scoped state remote fetchers need and the
-// infallible plan.Fetcher signature cannot carry: the request's context,
-// and the first fetch failure, which the coordinator's plan.Source
-// surfaces through FetchErr so the executor aborts instead of answering
-// from partial buckets. Local views never touch it.
-type Read struct {
-	Ctx context.Context
-	err atomic.Pointer[error]
-}
-
-// Fail records err unless an earlier failure is already recorded.
-func (r *Read) Fail(err error) { r.err.CompareAndSwap(nil, &err) }
-
-// Err returns the first recorded failure, if any.
-func (r *Read) Err() error {
-	if p := r.err.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // Status is a partition's identity and committed state, checked when a

@@ -185,8 +185,8 @@ type Engine struct {
 	place *Placement
 	parts []Partition
 	// remote says some partition lives outside this process — all the
-	// partition kind decides: round trips overlap (scatter and commit
-	// fan out on goroutines) and profiles label traffic
+	// partition kind decides: round trips overlap (fetch steps and
+	// commits fan out on goroutines) and profiles label traffic
 	// "peer N"/"cluster.merge" instead of "shard N"/"shard.merge".
 	remote    bool
 	mergeSpan string
@@ -634,9 +634,9 @@ func (e *Engine) Query(ctx context.Context, q core.Query, opts ...core.QueryOpti
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	src := &gatherSource{e: e, views: sn.views, rd: Read{Ctx: ctx}}
+	src := &gatherSource{e: e, views: sn.views}
 	// A traced request gets per-partition route/scatter accounting: the
-	// fetchers bump counters (a remote scatter asks its peers from one
+	// fetchers bump counters (a remote fetch step asks its peers from one
 	// goroutine each, so they can't open spans) and Trace.Finish folds the
 	// totals into "shard N route|scatter" spans ("peer N …" for RPCs).
 	// One local partition serves its index directly: nothing to count.

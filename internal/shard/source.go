@@ -1,7 +1,7 @@
 package shard
 
 import (
-	"sync"
+	"context"
 
 	"repro/internal/access"
 	"repro/internal/index"
@@ -21,15 +21,9 @@ type gatherSource struct {
 	// — the fetchers bump it so the profile can show route-vs-scatter
 	// traffic per partition. Nil on every untraced request.
 	sc *obs.ShardCounters
-	rd Read
 }
 
 var _ plan.Source = (*gatherSource)(nil)
-
-// FetchErr reports the first failure a remote fetcher swallowed (the
-// optional plan.Source extension the executor polls after every step).
-// Local views never set one.
-func (g *gatherSource) FetchErr() error { return g.rd.Err() }
 
 func (g *gatherSource) FetcherFor(c access.Constraint) plan.Fetcher {
 	ci := -1
@@ -44,109 +38,120 @@ func (g *gatherSource) FetcherFor(c access.Constraint) plan.Fetcher {
 	}
 	fs := make([]plan.Fetcher, len(g.views))
 	for i, v := range g.views {
-		if fs[i] = v.Fetcher(&g.rd, ci); fs[i] == nil {
+		if fs[i] = v.Fetcher(ci); fs[i] == nil {
 			return nil
 		}
 	}
+	parts := partitioned{fs: fs, sc: g.sc, remote: g.e.remote}
 	switch {
 	case len(fs) == 1 && !g.e.remote:
 		// One local partition: its index IS the global index.
 		return fs[0]
 	case len(fs) == 1 || g.e.place.aligned(c):
-		return routedFetcher{fs: fs, sc: g.sc}
-	case g.e.remote:
-		return scatterFetcher{fs: fs, sc: g.sc, rd: &g.rd}
+		return routedFetcher{parts}
 	default:
-		return scatterFetcher{fs: fs, sc: g.sc}
+		return scatterFetcher{parts}
 	}
+}
+
+// partitioned is what the routed and scatter fetchers share: one fetcher
+// per partition, the request's traffic counters, and whether the
+// partitions are asked concurrently (remote: their round trips overlap)
+// or in turn on the caller's goroutine.
+type partitioned struct {
+	fs     []plan.Fetcher
+	sc     *obs.ShardCounters
+	remote bool
+}
+
+// FetchBytes completes plan.Fetcher, whose one-key signature cannot
+// report a failed partition. The executor resolves every fetcher through
+// plan.FetchAll, which calls FetchBatch, so nothing reaches this; a
+// caller that did would be asking for an answer that might be torn.
+func (partitioned) FetchBytes([]byte) index.Bucket {
+	panic("shard: partitioned fetchers serve key sets through FetchBatch only")
 }
 
 // routedFetcher serves a constraint whose X equals the relation's
 // partition key: the whole group D_Y(X = ā) lives on partition
-// ShardOf(ā), so a fetch is one lookup on one partition — the same cost
-// as unsharded.
-type routedFetcher struct {
-	fs []plan.Fetcher
-	sc *obs.ShardCounters
-}
+// ShardOf(ā), so a fetch step asks each partition its keys map to once,
+// for exactly those keys — the same lookups as unsharded.
+type routedFetcher struct{ partitioned }
 
-func (f routedFetcher) FetchBytes(k []byte) index.Bucket {
-	i := ShardOf(k, len(f.fs))
-	b := f.fs[i].FetchBytes(k)
-	if f.sc != nil {
-		f.sc.Route(i, 1, int64(b.Len()))
+func (f routedFetcher) FetchBatch(ctx context.Context, keys [][]byte, out []index.Bucket) error {
+	k := len(f.fs)
+	// Counting sort by partition: partition p's keys are
+	// grouped[start[p]:start[p+1]], in input order, and keys[i] sits at
+	// grouped[slot[i]].
+	part := make([]int, len(keys))
+	start := make([]int, k+1)
+	for i, key := range keys {
+		part[i] = ShardOf(key, k)
+		start[part[i]+1]++
 	}
-	return b
+	for p := 0; p < k; p++ {
+		start[p+1] += start[p]
+	}
+	next := append([]int(nil), start[:k]...)
+	slot := make([]int, len(keys))
+	grouped := make([][]byte, len(keys))
+	for i, key := range keys {
+		slot[i] = next[part[i]]
+		grouped[slot[i]] = key
+		next[part[i]]++
+	}
+	got := make([]index.Bucket, len(keys))
+	err := fan(k, f.remote, func(p int) error {
+		lo, hi := start[p], start[p+1]
+		return plan.FetchAll(ctx, f.fs[p], grouped[lo:hi], got[lo:hi])
+	})
+	if err != nil {
+		return err
+	}
+	for i := range keys {
+		out[i] = got[slot[i]]
+		f.sc.Route(part[i], 1, int64(out[i].Len()))
+	}
+	return nil
 }
 
 // scatterFetcher serves a constraint not aligned with the partition
-// key: the group for ā may be split across every partition, so the
-// fetch queries all K and merges their buckets. Buckets are in
-// canonical (key-sorted) order everywhere, so an ordered merge with
-// cross-partition dedup reproduces exactly the bucket a single-node
-// index would serve — same projections, same order.
-type scatterFetcher struct {
-	fs []plan.Fetcher
-	sc *obs.ShardCounters
-	// rd is set when partitions are remote: their round trips overlap
-	// (one goroutine per partition) and a failure anywhere voids the
-	// merge. Local partitions are asked in turn, with no goroutine.
-	rd *Read
-}
+// key: the group for ā may be split across every partition, so a fetch
+// step sends every partition the whole key set and merges their buckets
+// per key. Buckets are in canonical (key-sorted) order everywhere, so an
+// ordered merge with cross-partition dedup reproduces exactly the bucket
+// a single-node index would serve — same projections, same order.
+type scatterFetcher struct{ partitioned }
 
-// gather asks every partition for k at once. It is its own function so
-// that what the goroutines capture escapes here, not on the local path.
-func (f scatterFetcher) gather(k []byte) []index.Bucket {
-	gathered := make([]index.Bucket, len(f.fs))
-	var wg sync.WaitGroup
-	for i := range f.fs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			gathered[i] = f.fs[i].FetchBytes(k)
-		}(i)
+func (f scatterFetcher) FetchBatch(ctx context.Context, keys [][]byte, out []index.Bucket) error {
+	k, n := len(f.fs), len(keys)
+	// got[p*n+i] is partition p's share of keys[i]'s group.
+	got := make([]index.Bucket, k*n)
+	err := fan(k, f.remote, func(p int) error {
+		return plan.FetchAll(ctx, f.fs[p], keys, got[p*n:(p+1)*n])
+	})
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-	return gathered
-}
-
-func (f scatterFetcher) FetchBytes(k []byte) index.Bucket {
-	var gathered []index.Bucket
-	if f.rd != nil {
-		if f.rd.Err() != nil {
-			return index.Bucket{}
+	var shares []index.Bucket
+	for i := range keys {
+		shares = shares[:0]
+		for p := 0; p < k; p++ {
+			b := got[p*n+i]
+			f.sc.Scatter(p, 1, int64(b.Len()))
+			if b.Len() > 0 {
+				shares = append(shares, b)
+			}
 		}
-		if gathered = f.gather(k); f.rd.Err() != nil {
-			return index.Bucket{}
+		switch len(shares) {
+		case 0:
+			out[i] = index.Bucket{}
+		case 1:
+			// One partition held the group: serve its bucket as is.
+			out[i] = shares[0]
+		default:
+			out[i] = index.MergeBuckets(shares)
 		}
 	}
-	var first index.Bucket
-	var parts []index.Bucket
-	for i, fx := range f.fs {
-		var b index.Bucket
-		if gathered != nil {
-			b = gathered[i]
-		} else {
-			b = fx.FetchBytes(k)
-		}
-		if f.sc != nil {
-			f.sc.Scatter(i, 1, int64(b.Len()))
-		}
-		if b.Len() == 0 {
-			continue
-		}
-		if first.Len() == 0 && parts == nil {
-			first = b
-			continue
-		}
-		if parts == nil {
-			parts = []index.Bucket{first}
-		}
-		parts = append(parts, b)
-	}
-	if parts == nil {
-		// Zero or one partition held the group: serve its bucket as is.
-		return first
-	}
-	return index.MergeBuckets(parts)
+	return nil
 }
