@@ -573,12 +573,12 @@ func TestZeroOptionsRetryIdempotentCalls(t *testing.T) {
 		return ""
 	})
 	ctx := context.Background()
-	p := newPeerClient(0, ts.URL, tb.schema, Options{Client: chaos.Client})
+	p := newPeerClient(0, ts.URL, tb.schema, tb.access, Options{Client: chaos.Client})
 	if _, err := p.Status(ctx); err != nil {
 		t.Fatalf("zero Options: a dropped first attempt failed the call: %v", err)
 	}
 	attempts.Store(0)
-	p = newPeerClient(0, ts.URL, tb.schema, Options{Client: chaos.Client, Retries: -1})
+	p = newPeerClient(0, ts.URL, tb.schema, tb.access, Options{Client: chaos.Client, Retries: -1})
 	if _, err := p.Status(ctx); !errors.Is(err, errChaosDrop) {
 		t.Fatalf("Retries -1: a dropped attempt answered %v, want the drop", err)
 	}

@@ -14,7 +14,7 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/core"
-	"repro/internal/data"
+	"repro/internal/durable"
 	"repro/internal/index"
 	"repro/internal/live"
 	"repro/internal/obs"
@@ -40,16 +40,17 @@ const (
 )
 
 // peerClient is the shard.Partition that lives behind HTTP: the
-// coordinator's handle to one shard node. JSON/TSV RPCs with a
-// per-attempt timeout, bounded retries with doubling backoff on
-// idempotent calls, a down-marker circuit so a dead peer costs one
-// timeout rather than one per request, and a per-peer RPC latency
-// histogram for /metrics. Native types in, native types out: base64 and
-// JSON stop here.
+// coordinator's handle to one shard node. JSON RPCs (and image or delta
+// bodies) with a per-attempt timeout, bounded retries with doubling
+// backoff on idempotent calls, a down-marker circuit so a dead peer
+// costs one timeout rather than one per request, and a per-peer RPC
+// latency histogram for /metrics. Native types in, native types out:
+// base64, JSON and checkpoint images stop here.
 type peerClient struct {
 	id      int
 	base    string
 	schema  *schema.Schema
+	access  *access.Schema
 	hc      *http.Client
 	timeout time.Duration
 	retries int
@@ -65,11 +66,12 @@ type peerClient struct {
 
 var _ shard.Partition = (*peerClient)(nil)
 
-func newPeerClient(id int, base string, s *schema.Schema, opts Options) *peerClient {
+func newPeerClient(id int, base string, s *schema.Schema, a *access.Schema, opts Options) *peerClient {
 	p := &peerClient{
 		id:       id,
 		base:     base,
 		schema:   s,
+		access:   a,
 		hc:       opts.Client,
 		timeout:  opts.RPCTimeout,
 		retries:  opts.Retries,
@@ -243,12 +245,14 @@ func (p *peerClient) Status(ctx context.Context) (shard.Status, error) {
 // no longer holds it refuses that read with stale_version.
 func (p *peerClient) Pin(v uint64) (shard.View, error) { return peerView{p: p, v: v}, nil }
 
+// Load ships the coordinator's indexed, validated share as its
+// checkpoint image; the node installs it as is.
 func (p *peerClient) Load(ctx context.Context, ix *access.Indexed) error {
-	var buf bytes.Buffer
-	if err := writeInstanceTSV(&buf, p.schema, ix.Instance); err != nil {
+	img, err := durable.EncodeCheckpoint(p.schema, &durable.State{Instance: ix.Instance, Indexed: ix})
+	if err != nil {
 		return err
 	}
-	return p.do(ctx, http.MethodPost, "/v1/internal/load", tsvType, buf.Bytes(), false, jsonInto(p.id, nil))
+	return p.do(ctx, http.MethodPost, "/v1/internal/load", imageType, img, false, jsonInto(p.id, nil))
 }
 
 func (p *peerClient) Stage(ctx context.Context, txn string, base uint64, d *live.Delta) (*shard.Staged, error) {
@@ -305,23 +309,30 @@ type peerView struct {
 }
 
 func (pv peerView) Fetcher(ci int) plan.Fetcher {
+	if ci < 0 || ci >= len(pv.p.access.Constraints) {
+		return nil
+	}
 	return peerFetcher{peerView: pv, ci: ci}
 }
 
-// Instance streams the peer's partition at the pinned version. Each
-// attempt decodes into its own scratch instance, so a stream cut
-// mid-dump cannot leave half a partition behind.
-func (pv peerView) Instance(ctx context.Context) (*data.Instance, error) {
-	var inst *data.Instance
+// Indexed fetches the peer's partition at the pinned version as its
+// checkpoint image. A body cut short fails the read or the image's
+// length and CRC checks, so a dump severed mid-stream cannot leave half
+// a partition behind.
+func (pv peerView) Indexed(ctx context.Context) (*access.Indexed, error) {
+	var st *durable.State
 	path := "/v1/internal/dump?v=" + strconv.FormatUint(pv.v, 10)
 	err := pv.p.do(ctx, http.MethodGet, path, "", nil, true, func(r io.Reader) error {
-		inst = data.NewInstance(pv.p.schema)
-		return readInstanceTSV(r, pv.p.schema, inst)
+		img, err := io.ReadAll(r)
+		if err == nil {
+			st, err = durable.DecodeCheckpoint(img, pv.p.schema, pv.p.access)
+		}
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return inst, nil
+	return st.Indexed, nil
 }
 
 // Checkpoint asks the node to persist the pinned version; a node
@@ -359,15 +370,8 @@ func (f peerFetcher) FetchBatch(ctx context.Context, keys [][]byte, out []index.
 	if err := f.p.call(ctx, http.MethodPost, "/v1/internal/fetch", req, &resp, true); err != nil {
 		return err
 	}
-	if len(resp.Buckets) != len(keys) {
-		return f.p.unavailable(fmt.Errorf("fetch answered %d buckets for %d keys", len(resp.Buckets), len(keys)))
-	}
-	for i, wb := range resp.Buckets {
-		b, err := decodeBucket(wb)
-		if err != nil {
-			return f.p.unavailable(err)
-		}
-		out[i] = b
+	if err := decodeBuckets(resp.Buckets, len(keys), len(f.p.access.Constraints[f.ci].Y), out); err != nil {
+		return f.p.unavailable(err)
 	}
 	return nil
 }

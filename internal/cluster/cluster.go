@@ -81,7 +81,7 @@ func New(s *schema.Schema, a *access.Schema, peerURLs []string, opts Options) (*
 	peers := make([]*peerClient, len(peerURLs))
 	parts := make([]shard.Partition, len(peerURLs))
 	for i, u := range peerURLs {
-		peers[i] = newPeerClient(i, u, s, opts)
+		peers[i] = newPeerClient(i, u, s, a, opts)
 		parts[i] = peers[i]
 	}
 	co, err := shard.NewCoordinator(s, a, parts, opts.Core, opts.PartitionKeys)

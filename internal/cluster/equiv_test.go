@@ -245,7 +245,7 @@ func newFleet(t *testing.T, tb testbed, kind string, k int) *fleet {
 			}
 			ts := httptest.NewServer(node.InternalHandler())
 			t.Cleanup(ts.Close)
-			f.parts[i] = newPeerClient(i, ts.URL, tb.schema, testOptions(t))
+			f.parts[i] = newPeerClient(i, ts.URL, tb.schema, tb.access, testOptions(t))
 			continue
 		}
 		l, err := shard.NewLocal(tb.schema, tb.access, i, k)
@@ -642,7 +642,7 @@ func TestAttachRollsBackPartitionRestartedAheadOfCut(t *testing.T) {
 					if kind == "http" {
 						ts := httptest.NewServer(node.InternalHandler())
 						stops = append(stops, ts.Close)
-						f.parts[i] = newPeerClient(i, ts.URL, tb.schema, testOptions(t))
+						f.parts[i] = newPeerClient(i, ts.URL, tb.schema, tb.access, testOptions(t))
 					}
 				}
 				eng, err := shard.NewCoordinator(tb.schema, tb.access, f.parts, core.Options{}, nil)
@@ -726,7 +726,7 @@ func TestAttachRollsBackPartitionRestartedAheadOfCut(t *testing.T) {
 				applyBoth(t, "after the second restart", single, f, insert(aid))
 			}
 			for i, view := range pinned {
-				if _, err := view.Instance(ctx); err != nil {
+				if _, err := view.Indexed(ctx); err != nil {
 					t.Fatalf("partition %d, reader pinned at the attached version, three commits later: %v", i, err)
 				}
 			}

@@ -5,22 +5,24 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
 
 	"repro/internal/access"
 	"repro/internal/core"
-	"repro/internal/data"
+	"repro/internal/durable"
 	"repro/internal/index"
 	"repro/internal/live"
 	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/shard"
+	"repro/internal/value"
 )
 
-// maxInternalBody bounds internal request bodies (deltas, sub-instance
-// loads). Generous — this surface is coordinator-to-node, not public —
+// maxInternalBody bounds internal request bodies (deltas, partition
+// images). Generous — this surface is coordinator-to-node, not public —
 // but still bounded so a confused peer cannot balloon memory.
 const maxInternalBody = 1 << 30
 
@@ -201,47 +203,54 @@ func (h *partitionHandler) fetch(ctx context.Context, req fetchRequest) (resp fe
 	if err := plan.FetchAll(ctx, f, keys, buckets); err != nil {
 		return resp, err
 	}
-	resp.Buckets = make([]wireBucket, len(buckets))
+	resp.Buckets = make([][]value.Key, len(buckets))
 	for i, b := range buckets {
-		resp.Buckets[i] = encodeBucket(b)
+		resp.Buckets[i] = b.Keys()
 	}
 	return resp, nil
 }
 
-// dump streams the partition at the pinned version — the bulk feed for
-// the coordinator's scan fallback and baseline evaluation.
+// dump answers the partition at the pinned version as its checkpoint
+// image — the bulk feed for the coordinator's scan fallback and
+// baseline evaluation.
 func (h *partitionHandler) dump(w http.ResponseWriter, r *http.Request) {
-	var inst *data.Instance
-	_, view, err := h.pinned(r)
+	var img []byte
+	v, view, err := h.pinned(r)
 	if err == nil {
-		inst, err = view.Instance(r.Context())
+		var ix *access.Indexed
+		if ix, err = view.Indexed(r.Context()); err == nil {
+			img, err = durable.EncodeCheckpoint(h.schema, &durable.State{Instance: ix.Instance, Indexed: ix, Version: v})
+		}
 	}
 	if err != nil {
 		reply(w, nil, err)
 		return
 	}
-	w.Header().Set("Content-Type", tsvType)
-	// Headers are gone once the body starts; a stream that fails midway
-	// is cut short, which the client's TSV decoder reports.
-	_ = writeInstanceTSV(w, h.schema, inst)
+	w.Header().Set("Content-Type", imageType)
+	// A write cut short reaches the client as a truncated image, which
+	// its length and CRC checks refuse.
+	_, _ = w.Write(img)
 }
 
+// load installs the checkpoint image the coordinator built from the
+// share it indexed and validated, exactly as a local Load would install
+// that share. An image that fails its checks — another catalog, a bad
+// CRC — is refused before the partition changes.
 func (h *partitionHandler) load(w http.ResponseWriter, r *http.Request) {
-	sub := data.NewInstance(h.schema)
-	err := readInstanceTSV(http.MaxBytesReader(w, r.Body, maxInternalBody), h.schema, sub)
-	if err != nil {
-		err = badRequest(err.Error())
-	} else {
-		var ix *access.Indexed
-		if ix, _, err = access.BuildIndexed(h.access, sub); err == nil {
-			err = h.part.Load(r.Context(), ix)
-		}
-	}
+	var st *durable.State
+	img, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxInternalBody))
 	if err == nil {
+		st, err = durable.DecodeCheckpoint(img, h.schema, h.access)
+	}
+	if err != nil {
+		reply(w, nil, badRequest(err.Error()))
+		return
+	}
+	if err = h.part.Load(r.Context(), st.Indexed); err == nil {
 		h.forgetAfter(0)
 		h.remember(0)
 	}
-	reply(w, versionResponse{Version: 0, Size: sub.Size()}, err)
+	reply(w, versionResponse{Version: 0, Size: st.Instance.Size()}, err)
 }
 
 func (h *partitionHandler) stage(w http.ResponseWriter, r *http.Request) {

@@ -1,29 +1,32 @@
 // Internal wire protocol between the coordinator and shard nodes.
-// Everything rides /v1/internal/* on the node's existing listener:
-// small JSON request/response bodies, with bulk payloads (deltas,
-// instance dumps) in the TSV formats the repo already pins and fuzzes
-// (load.EncodeValue cells, live delta TSV). Index keys travel in
-// value.Key's text form — base64 of the raw injective encoding — so a
-// key round-trips bit-exactly and the receiving side hashes it to the
-// same shard the sender would.
+// Everything rides /v1/internal/* on the node's existing listener, and
+// four things cross it:
+//
+//   - JSON control bodies: versions, transaction ids, sizes, errors;
+//   - value.Key, in its text form (base64 of the raw injective
+//     encoding) inside those bodies: index keys, fetched buckets (one
+//     key per Y-projection) and groups — so a key round-trips
+//     bit-exactly and the receiving side hashes it to the same shard
+//     the sender would;
+//   - checkpoint images (durable.EncodeCheckpoint) for whole
+//     partitions: the load body and the dump answer;
+//   - delta TSV (live.WriteDeltaTSV) for stage, the WAL record's own
+//     payload.
 package cluster
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"strings"
 
-	"repro/internal/data"
 	"repro/internal/index"
-	"repro/internal/load"
-	"repro/internal/schema"
 	"repro/internal/shard"
 	"repro/internal/value"
 )
 
-// tsvType is the content type of the bulk bodies (deltas, instances).
-const tsvType = "text/tab-separated-values"
+// Content types of the bulk bodies.
+const (
+	tsvType   = "text/tab-separated-values"
+	imageType = "application/octet-stream"
+)
 
 // The answers of status, stage and groups are shard.Status, shard.Staged
 // and []shard.Group themselves, in the JSON shape their tags give.
@@ -38,16 +41,10 @@ type fetchRequest struct {
 	Keys []value.Key `json:"keys"`
 }
 
-// wireBucket is one canonical-order bucket: Cells holds the
-// Y-projections back to back (stride S), each cell in the TSV value
-// encoding.
-type wireBucket struct {
-	S int      `json:"s"`
-	C []string `json:"c,omitempty"`
-}
-
+// fetchResponse holds one bucket per requested key, each as its
+// projections' keys in canonical order (index.Bucket.Keys).
 type fetchResponse struct {
-	Buckets []wireBucket `json:"buckets"`
+	Buckets [][]value.Key `json:"buckets"`
 }
 
 // maxGroupResponse answers POST /v1/internal/maxgroup (a groupsRequest
@@ -105,96 +102,35 @@ type wireError struct {
 	} `json:"error"`
 }
 
-// encodeBucket renders a fetch result. Cells are encoded with the TSV
-// value codec — compact, and already fuzz-hardened.
-func encodeBucket(b index.Bucket) wireBucket {
-	if b.Len() == 0 {
-		return wireBucket{}
+// decodeBuckets rebuilds a peer's answer to n keys of a constraint whose
+// Y has arity attributes into out, checking what NewBucket and
+// MergeBuckets take on trust: one bucket per key, every projection
+// exactly arity cells, projections strictly increasing.
+func decodeBuckets(buckets [][]value.Key, n, arity int, out []index.Bucket) error {
+	if len(buckets) != n {
+		return fmt.Errorf("fetch answered %d buckets for %d keys", len(buckets), n)
 	}
-	stride := len(b.AppendRow(nil, 0))
-	cells := make([]string, 0, b.Len()*stride)
-	for i := 0; i < b.Len(); i++ {
-		for j := 0; j < stride; j++ {
-			cells = append(cells, load.EncodeValue(b.At(i, j)))
-		}
+	total := 0
+	for _, projs := range buckets {
+		total += len(projs)
 	}
-	return wireBucket{S: stride, C: cells}
-}
-
-// decodeBucket rebuilds the immutable bucket view. The sender emitted
-// projections in canonical order, which NewBucket's contract requires.
-func decodeBucket(wb wireBucket) (index.Bucket, error) {
-	if len(wb.C) == 0 {
-		return index.Bucket{}, nil
-	}
-	if wb.S <= 0 || len(wb.C)%wb.S != 0 {
-		return index.Bucket{}, fmt.Errorf("cluster: bucket of %d cells with stride %d", len(wb.C), wb.S)
-	}
-	cells := make([]value.Value, len(wb.C))
-	for i, c := range wb.C {
-		v, err := load.DecodeValue(c)
-		if err != nil {
-			return index.Bucket{}, fmt.Errorf("cluster: bucket cell %d: %w", i, err)
-		}
-		cells[i] = v
-	}
-	return index.NewBucket(cells, wb.S), nil
-}
-
-// writeInstanceTSV streams an instance as one TSV document — one line
-// per tuple, "<Relation>\t<cell>..." — the bulk format of the dump and
-// load internal endpoints.
-func writeInstanceTSV(w io.Writer, s *schema.Schema, inst *data.Instance) error {
-	bw := bufio.NewWriter(w)
-	for _, rs := range s.Relations() {
-		rel := inst.Relation(rs.Name)
-		if rel == nil {
-			continue
-		}
-		var buf data.Tuple
-		for ri := 0; ri < rel.Len(); ri++ {
-			buf = rel.AppendRow(buf, ri)
-			cells := make([]string, 0, len(buf)+1)
-			cells = append(cells, rs.Name)
-			for _, v := range buf {
-				cells = append(cells, load.EncodeValue(v))
+	cells := make([]value.Value, 0, total*arity)
+	for i, projs := range buckets {
+		start := len(cells)
+		for j, pk := range projs {
+			if j > 0 && pk <= projs[j-1] {
+				return fmt.Errorf("bucket %d: projections out of canonical order", i)
 			}
-			if _, err := bw.WriteString(strings.Join(cells, "\t") + "\n"); err != nil {
-				return err
+			before := len(cells)
+			var err error
+			if cells, err = value.AppendDecodeKey(cells, pk); err != nil {
+				return fmt.Errorf("bucket %d: %w", i, err)
+			}
+			if len(cells)-before != arity {
+				return fmt.Errorf("bucket %d: projection of %d cells, constraint wants %d", i, len(cells)-before, arity)
 			}
 		}
+		out[i] = index.NewBucket(cells[start:len(cells):len(cells)], arity)
 	}
-	return bw.Flush()
-}
-
-// readInstanceTSV parses a dump back into an instance (appending into
-// dst, which callers hand in empty).
-func readInstanceTSV(r io.Reader, s *schema.Schema, dst *data.Instance) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 1<<24)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		cells := strings.Split(line, "\t")
-		rel := dst.Relation(cells[0])
-		if rel == nil {
-			return fmt.Errorf("cluster: dump line %d: unknown relation %q", lineNo, cells[0])
-		}
-		row := make([]value.Value, len(cells)-1)
-		for i, c := range cells[1:] {
-			v, err := load.DecodeValue(c)
-			if err != nil {
-				return fmt.Errorf("cluster: dump line %d: %w", lineNo, err)
-			}
-			row[i] = v
-		}
-		if _, err := rel.Insert(row); err != nil {
-			return fmt.Errorf("cluster: dump line %d: %w", lineNo, err)
-		}
-	}
-	return sc.Err()
+	return nil
 }

@@ -60,6 +60,23 @@ func (b Bucket) AppendKeyOf(dst []byte, i int) []byte {
 	return dst
 }
 
+// Keys returns the key encodings of the bucket's projections in
+// canonical (strictly increasing) order: a bucket's identity, and its
+// form on internal/cluster's wire. The keys share one backing string.
+func (b Bucket) Keys() []value.Key {
+	ends := make([]int, b.n)
+	var buf []byte
+	for i := range ends {
+		buf = b.AppendKeyOf(buf, i)
+		ends[i] = len(buf)
+	}
+	all, keys, start := string(buf), make([]value.Key, b.n), 0
+	for i, end := range ends {
+		keys[i], start = value.Key(all[start:end]), end
+	}
+	return keys
+}
+
 // AppendRow materializes projection i into dst (reset to length 0 first)
 // and returns it, so a fetch loop reuses one caller-owned buffer.
 //
@@ -145,8 +162,8 @@ func MergeBuckets(parts []Bucket) Bucket {
 // projections already in canonical (key-sorted) order and must not
 // mutate cells afterwards; the bucket aliases it. This is the decode
 // seam for wire transports (internal/cluster) that receive a remote
-// fetch result and need to re-enter the Bucket contract, e.g. to feed
-// MergeBuckets.
+// fetch result as Keys and need to re-enter the Bucket contract, e.g.
+// to feed MergeBuckets.
 func NewBucket(cells []value.Value, stride int) Bucket {
 	if stride <= 0 || len(cells) == 0 {
 		return Bucket{}

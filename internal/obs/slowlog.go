@@ -63,10 +63,10 @@ type SlowEntry struct {
 // SlowSpan is a span digest: just enough to name the phase and its
 // cost.
 type SlowSpan struct {
-	Name      string `json:"name"`
-	Detail    string `json:"detail,omitempty"`
+	Name      string  `json:"name"`
+	Detail    string  `json:"detail,omitempty"`
 	ElapsedMS float64 `json:"elapsed_ms"`
-	Rows      int64  `json:"rows,omitempty"`
+	Rows      int64   `json:"rows,omitempty"`
 }
 
 // Record emits the entry if elapsed crosses the threshold. root may be

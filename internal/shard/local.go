@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/core"
-	"repro/internal/data"
 	"repro/internal/durable"
 	"repro/internal/index"
 	"repro/internal/live"
@@ -34,9 +33,7 @@ func (sn *localSnap) Fetcher(ci int) plan.Fetcher {
 	return sn.ix.Index(ci)
 }
 
-func (sn *localSnap) Instance(context.Context) (*data.Instance, error) {
-	return sn.ix.Instance, nil
-}
+func (sn *localSnap) Indexed(context.Context) (*access.Indexed, error) { return sn.ix, nil }
 
 // Checkpoint persists this version and compacts the WAL behind it. The
 // snapshot is immutable, so commits proceed concurrently.
@@ -304,17 +301,10 @@ func (l *Local) Groups(_ context.Context, txn string, v uint64, ci int, keys []v
 // is set) with the keys of their projections.
 func groupsOf(idx *index.Index, keys []value.Key, all bool) []Group {
 	var out []Group
-	var kb []byte
 	add := func(k value.Key, b index.Bucket) {
-		if b.Len() == 0 {
-			return
+		if b.Len() > 0 {
+			out = append(out, Group{Key: k, Projs: b.Keys()})
 		}
-		g := Group{Key: k, Projs: make([]value.Key, b.Len())}
-		for i := range g.Projs {
-			kb = b.AppendKeyOf(kb[:0], i)
-			g.Projs[i] = value.Key(kb)
-		}
-		out = append(out, g)
 	}
 	if all {
 		idx.Buckets(func(k value.Key, b index.Bucket) bool {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/access"
-	"repro/internal/data"
 	"repro/internal/live"
 	"repro/internal/plan"
 	"repro/internal/value"
@@ -28,8 +27,10 @@ type Partition interface {
 	// Pin resolves committed version v to a read view. A view, once
 	// pinned, serves that version for as long as it is held.
 	Pin(v uint64) (View, error)
-	// Load installs ix — already restricted to this partition's share —
-	// as version 0, restarting any durable history.
+	// Load installs ix — already restricted to this partition's share,
+	// indexed and validated by the coordinator — as version 0,
+	// restarting any durable history. A remote partition receives it as
+	// a checkpoint image and installs it without indexing it again.
 	Load(ctx context.Context, ix *access.Indexed) error
 	// Stage applies sub-delta d on top of committed version base without
 	// publishing anything, replacing any previously staged transaction.
@@ -56,10 +57,13 @@ type View interface {
 	// Fetcher serves constraint ci's buckets at the pinned version, or
 	// nil when there is no such constraint. A local view returns the
 	// index itself; a remote view returns a plan.BatchFetcher that sends
-	// a fetch step's keys in one RPC and reports its failure.
+	// a fetch step's keys in one RPC, gets each bucket back as its
+	// projections' value.Keys, and reports its failure.
 	Fetcher(ci int) plan.Fetcher
-	// Instance returns the partition's tuples at the pinned version.
-	Instance(ctx context.Context) (*data.Instance, error)
+	// Indexed returns the partition at the pinned version, tuples and
+	// indexes: a local view's own snapshot, or a remote view's decoded
+	// checkpoint image of it.
+	Indexed(ctx context.Context) (*access.Indexed, error)
 	// Checkpoint persists the pinned version to the partition's durable
 	// store; core.ErrNotDurable when it has none. Checkpoints go through
 	// a view because only a version the coordinator has published may be

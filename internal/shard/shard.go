@@ -108,9 +108,9 @@ func (sn *snapshot) instance(ctx context.Context, s *schema.Schema) (*data.Insta
 	if sn.merged != nil {
 		return sn.merged, nil
 	}
-	parts := make([]*data.Instance, len(sn.views))
+	parts := make([]*access.Indexed, len(sn.views))
 	err := fan(len(parts), true, func(i int) (err error) {
-		parts[i], err = sn.views[i].Instance(ctx)
+		parts[i], err = sn.views[i].Indexed(ctx)
 		return err
 	})
 	if err != nil {
@@ -122,7 +122,7 @@ func (sn *snapshot) instance(ctx context.Context, s *schema.Schema) (*data.Insta
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			rel := part.Relation(rs.Name)
+			rel := part.Instance.Relation(rs.Name)
 			if rel == nil {
 				continue
 			}
