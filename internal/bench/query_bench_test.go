@@ -1,20 +1,26 @@
 package bench
 
 // BenchmarkQ0Query pins the end-to-end serving cost of the standard
-// bounded query — plan-cache hit, bounded execution, result assembly —
-// on the accidents workload; BenchmarkQ0Execute pins the executor alone
-// (plan.ExecuteSource on the prebuilt plan), so the executor's bytes are
-// not mixed with the canonical key and plan-cache lookup core pays per
-// request. Both report allocations without -benchmem: B/op and allocs/op
-// are the per-query allocation budget, the first thing that creeps when a
-// hot-path change starts boxing rows or rebuilding per-step state again.
+// bounded query — template key, plan-cache hit, bounded execution,
+// result assembly — on the accidents workload. BenchmarkQ0QueryMix
+// serves 64 Q0 variants that differ only in (district, date): they share
+// one template entry, so nearly every hit also rebinds the cached plan
+// to the request's constants (plan.Bind). BenchmarkQ0Execute pins the
+// executor alone (plan.ExecuteSource on the prebuilt plan), so the
+// executor's bytes are not mixed with the key, lookup and rebinding core
+// pays per request. All three report allocations without -benchmem: B/op
+// and allocs/op are the per-query allocation budget, the first thing
+// that creeps when a hot-path change starts boxing rows or rebuilding
+// per-step state again.
 
 import (
 	"context"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cq"
 	"repro/internal/plan"
+	"repro/internal/value"
 	"repro/internal/workload"
 )
 
@@ -43,6 +49,25 @@ func BenchmarkQ0Query(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Query(context.Background(), q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkQ0QueryMix(b *testing.B) {
+	eng := q0Engine(b)
+	nd := len(workload.Districts)
+	qs := make([]*cq.CQ, 64)
+	for i := range qs {
+		q := workload.Q0()
+		q.Atoms[0].Args[1] = cq.Const(value.NewString(workload.Districts[i%nd]))
+		q.Atoms[0].Args[2] = cq.Const(value.NewString(workload.DateName(i / nd)))
+		qs[i] = q
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Query(context.Background(), qs[i%len(qs)]); err != nil {
 			b.Fatal(err)
 		}
 	}

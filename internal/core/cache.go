@@ -2,11 +2,13 @@ package core
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 
 	"repro/internal/bep"
 	"repro/internal/envelope"
 	"repro/internal/plan"
+	"repro/internal/value"
 )
 
 // DefaultPlanCacheSize is the plan-cache capacity when Options.PlanCache
@@ -30,6 +32,34 @@ type planEntry struct {
 	// search outcome for a not-bounded query shape (nil plan + nil
 	// envelope = no envelope exists).
 	envelope *envelope.Upper
+	// params are the constants the entry was computed for, one per hole
+	// of its template key (cq.KeyParams).
+	params []value.Value
+	// bindable marks an entry whose plan serves every query of its key,
+	// rebound to the query's params (plan.Bind). Every other entry embeds
+	// the constants it was computed for — a not-bounded verdict's
+	// diagnostics, an envelope's Qu — and serves its own params only.
+	// dec embeds them too, so a rebound plan is served without it.
+	bindable bool
+}
+
+// sameParams reports whether the entry was computed for params.
+func (ent *planEntry) sameParams(params []value.Value) bool {
+	return slices.Equal(ent.params, params)
+}
+
+// planFor returns the entry's plan for a query of its key with the
+// given params and label: as cached when the params are the entry's own,
+// rebound to them otherwise. Only bindable entries may be asked for
+// other params.
+func (ent *planEntry) planFor(params []value.Value, label string) *plan.Plan {
+	if !ent.sameParams(params) {
+		if p := plan.Bind(ent.p, ent.params, params); p != ent.p {
+			p.Label = label // a fresh copy: the shared entry is untouched
+			return p
+		}
+	}
+	return relabel(ent.p, label)
 }
 
 // CacheStats reports plan-cache effectiveness counters.
@@ -42,7 +72,8 @@ type CacheStats struct {
 }
 
 // planCache is a concurrency-safe LRU cache of planning outcomes keyed by
-// cq.CanonicalKey. All methods are safe for concurrent use.
+// template key (cq.KeyParams): one entry per query shape, whatever its
+// constants. All methods are safe for concurrent use.
 type planCache struct {
 	mu       sync.Mutex
 	capacity int                      // immutable after newPlanCache
@@ -69,21 +100,27 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// get returns the entry for key, promoting it to most-recently-used.
-func (c *planCache) get(key string) (*planEntry, bool) {
+// get returns the entry for key when it can serve a query whose
+// constants are params, promoting it to most-recently-used. An entry
+// computed for params serves as is; a bindable one serves any params
+// when the caller rebinds its plan (rebind set). Any other entry is a
+// miss: the caller recomputes the outcome, and its put replaces the
+// entry.
+func (c *planCache) get(key string, params []value.Value, rebind bool) (*planEntry, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		return nil, false
+	if el, ok := c.items[key]; ok {
+		if ent := el.Value.(*planEntry); rebind && ent.bindable || ent.sameParams(params) {
+			c.hits++
+			c.ll.MoveToFront(el)
+			return ent, true
+		}
 	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*planEntry), true
+	c.misses++
+	return nil, false
 }
 
 // put inserts (or refreshes) an entry, evicting the least-recently-used
@@ -95,6 +132,9 @@ func (c *planCache) put(e *planEntry) {
 	if c == nil {
 		return
 	}
+	// Bind with the entry's own params rebinds nothing: it only checks
+	// that every constant of the plan is one of them.
+	e.bindable = e.p != nil && e.envelope == nil && plan.Bind(e.p, e.params, e.params) != nil
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.p != nil && e.bound.SizeHint != c.size {

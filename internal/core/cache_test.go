@@ -202,14 +202,19 @@ func TestPlanCacheDisabledAndLRU(t *testing.T) {
 		t.Fatalf("disabled cache must stay empty: %+v", st)
 	}
 
+	// Four structurally distinct shapes (queries differing only in their
+	// constants would share one template entry).
 	lru := accidentsEngine(t, Options{PlanCache: 2}, 2)
-	shapes := []*cq.CQ{workload.Q0()}
-	for i := 0; i < 3; i++ {
-		q := &cq.CQ{Label: fmt.Sprintf("S%d", i), Free: []string{"d"},
+	accident := func(label string, free []string, pin string, c value.Value) *cq.CQ {
+		return &cq.CQ{Label: label, Free: free,
 			Atoms: []cq.Atom{cq.NewAtom("Accident", cq.Var("a"), cq.Var("d"), cq.Var("t"))},
-			Eqs: []cq.Eq{{L: cq.Var("t"), R: cq.Const(value.NewString(workload.DateName(i)))},
-				{L: cq.Var("a"), R: cq.Const(value.NewInt(int64(i + 1)))}}}
-		shapes = append(shapes, q)
+			Eqs:   []cq.Eq{{L: cq.Var(pin), R: cq.Const(c)}}}
+	}
+	shapes := []*cq.CQ{
+		workload.Q0(),
+		accident("S0", []string{"d"}, "t", value.NewString(workload.DateName(0))),
+		accident("S1", []string{"t"}, "a", value.NewInt(1)),
+		accident("S2", []string{"d", "t"}, "a", value.NewInt(2)),
 	}
 	for _, q := range shapes {
 		if _, _, err := lru.Plan(q); err != nil {

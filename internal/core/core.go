@@ -35,6 +35,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/specialize"
+	"repro/internal/value"
 )
 
 // ErrNotDurable reports a durability operation (Checkpoint) on an
@@ -383,9 +384,13 @@ func (e *Engine) CheckBounded(q *cq.CQ) (*bep.Decision, error) {
 //
 // Outcomes (both plans and not-bounded verdicts, along with the BEP
 // decision backing them) are memoized in an LRU cache keyed by q's
-// CanonicalKey, so repeat queries of the same shape — including α-renamed
-// variants — skip the BEP check and plan synthesis entirely. Entries
-// survive Load and Apply; only size-dependent bounds are re-stamped.
+// template key (cq.KeyParams), so repeat queries of the same shape —
+// α-renamed variants, and variants that differ only in their constants —
+// skip the BEP check and plan synthesis entirely: a cached plan is
+// rebound to the query's constants (plan.Bind). A not-bounded verdict
+// names the constants it was computed for, so it serves only a query
+// with those constants. Entries survive Load and Apply; only
+// size-dependent bounds are re-stamped.
 func (e *Engine) Plan(q *cq.CQ) (*plan.Plan, plan.Bound, error) {
 	return e.PlanAt(q, e.sizeHint())
 }
@@ -395,7 +400,7 @@ func (e *Engine) Plan(q *cq.CQ) (*plan.Plan, plan.Bound, error) {
 // no data of its own: the global dataset size is tracked externally and
 // passed per request.
 func (e *Engine) PlanAt(q *cq.CQ, sizeHint int) (*plan.Plan, plan.Bound, error) {
-	p, b, _, _, err := e.planWithDecision(q, sizeHint)
+	p, b, _, _, err := e.planWithDecision(q, sizeHint, false)
 	return p, b, err
 }
 
@@ -413,15 +418,26 @@ func (e *Engine) sizeHint() int {
 // re-running the checker. sizeHint is the |D| the caller's snapshot
 // reports, so a request's bound is computed against the same version it
 // executes (the cache normalizes stored bounds to the latest size).
-func (e *Engine) planWithDecision(q *cq.CQ, sizeHint int) (*plan.Plan, plan.Bound, *bep.Decision, bool, error) {
-	key := ""
+//
+// A cached plan for q's template serves q rebound to q's constants,
+// without its decision: the decision names the constants it was made
+// for. A caller that needs the decision (explain set) is served only an
+// entry computed for q's own constants; any other entry is re-planned
+// and replaced.
+func (e *Engine) planWithDecision(q *cq.CQ, sizeHint int, explain bool) (*plan.Plan, plan.Bound, *bep.Decision, bool, error) {
+	var key string
+	var params []value.Value
 	if e.cache != nil {
-		key = q.CanonicalKey()
-		if ent, ok := e.cache.get(key); ok {
+		key, params = q.KeyParams()
+		if ent, ok := e.cache.get(key, params, !explain); ok {
 			if ent.notBounded != nil {
 				return nil, plan.Bound{}, ent.notBounded.Decision, true, ent.notBounded
 			}
-			return relabel(ent.p, q.Label), ent.bound, ent.dec, true, nil
+			dec := ent.dec
+			if !ent.sameParams(params) {
+				dec = nil
+			}
+			return ent.planFor(params, q.Label), ent.bound, dec, true, nil
 		}
 	}
 	p, b, dec, err := e.planUncached(q, sizeHint)
@@ -429,9 +445,9 @@ func (e *Engine) planWithDecision(q *cq.CQ, sizeHint int) (*plan.Plan, plan.Boun
 		var nb *NotBoundedError
 		switch {
 		case err == nil:
-			e.cache.put(&planEntry{key: key, p: p, bound: b, dec: dec})
+			e.cache.put(&planEntry{key: key, params: params, p: p, bound: b, dec: dec})
 		case asNotBounded(err, &nb):
-			e.cache.put(&planEntry{key: key, notBounded: nb})
+			e.cache.put(&planEntry{key: key, params: params, notBounded: nb})
 		}
 		// Other errors (schema problems, build failures) are not cached.
 	}
@@ -593,7 +609,7 @@ func (e *Engine) Explain(q *cq.CQ, params []string) (string, error) {
 // ExplainAt is Explain with an explicit |D| for general-form bounds,
 // mirroring PlanAt for coordinator engines.
 func (e *Engine) ExplainAt(q *cq.CQ, params []string, sizeHint int) (string, error) {
-	p, b, dec, _, err := e.planWithDecision(q, sizeHint)
+	p, b, dec, _, err := e.planWithDecision(q, sizeHint, true)
 	var nb *NotBoundedError
 	if err != nil && !asNotBounded(err, &nb) {
 		return "", err

@@ -14,6 +14,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/posfo"
 	"repro/internal/ucq"
+	"repro/internal/value"
 )
 
 // Query is any query the engine can serve through Engine.Query: a
@@ -347,7 +348,7 @@ func endPlanSpan(sp *obs.Span, hit bool, err error) {
 func (e *Engine) serveCQ(ctx context.Context, start time.Time, q *cq.CQ, cfg queryConfig, v *View) (*Result, error) {
 	tr := obs.FromContext(ctx)
 	psp := tr.Start("plan")
-	p, b, _, hit, err := e.planWithDecision(q, v.Size)
+	p, b, _, hit, err := e.planWithDecision(q, v.Size, false)
 	endPlanSpan(psp, hit, err)
 	if err == nil {
 		if cfg.budget >= 0 && b.Fetched > cfg.budget {
@@ -408,10 +409,13 @@ func (e *Engine) serveCQ(ctx context.Context, start time.Time, q *cq.CQ, cfg que
 // planning Qu — are surfaced and never cached, so a transient failure
 // does not poison the shape.
 func (e *Engine) envelopePlanCached(q *cq.CQ, sizeHint int) (*plan.Plan, plan.Bound, *envelope.Upper, bool, error) {
-	key := ""
+	var key string
+	var params []value.Value
 	if e.cache != nil {
-		key = "env:" + q.CanonicalKey()
-		if ent, ok := e.cache.get(key); ok {
+		key, params = q.KeyParams()
+		key = "env:" + key
+		// Qu embeds q's constants, so only q's own constants are served.
+		if ent, ok := e.cache.get(key, params, false); ok {
 			return ent.p, ent.bound, ent.envelope, true, nil
 		}
 	}
@@ -421,16 +425,16 @@ func (e *Engine) envelopePlanCached(q *cq.CQ, sizeHint int) (*plan.Plan, plan.Bo
 	}
 	if !up.Found {
 		if e.cache != nil {
-			e.cache.put(&planEntry{key: key}) // negative: no envelope
+			e.cache.put(&planEntry{key: key, params: params}) // negative: no envelope
 		}
 		return nil, plan.Bound{}, nil, false, nil
 	}
-	pu, bu, _, _, perr := e.planWithDecision(up.Qu, sizeHint)
+	pu, bu, _, _, perr := e.planWithDecision(up.Qu, sizeHint, false)
 	if perr != nil {
 		return nil, plan.Bound{}, nil, false, perr
 	}
 	if e.cache != nil {
-		e.cache.put(&planEntry{key: key, p: pu, bound: bu, envelope: up})
+		e.cache.put(&planEntry{key: key, params: params, p: pu, bound: bu, envelope: up})
 	}
 	return pu, bu, up, false, nil
 }

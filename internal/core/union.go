@@ -7,6 +7,7 @@ import (
 	"repro/internal/cq"
 	"repro/internal/plan"
 	"repro/internal/ucq"
+	"repro/internal/value"
 )
 
 // CheckBoundedUCQ runs the BEP checker on a union (Lemma 3.6).
@@ -18,10 +19,11 @@ func (e *Engine) CheckBoundedUCQ(u *ucq.UCQ) (*bep.UCQDecision, error) {
 // bound; the plan conforms to the UCQ grammar of Section 2 (unions only as
 // the trailing operations).
 //
-// Outcomes are memoized in the plan cache keyed by the union's
-// CanonicalKey (the sorted multiset of per-sub CQ keys), so repeat
-// unions — including sub-query permutations and α-renamed variants —
-// skip coverage checking and synthesis entirely.
+// Outcomes are memoized in the plan cache keyed by the union's template
+// key (ucq.KeyParams: the sorted sub-query templates, holes numbered
+// across the union), so repeat unions — including sub-query
+// permutations, α-renamed variants and variants that differ only in
+// their constants — skip coverage checking and synthesis entirely.
 func (e *Engine) PlanUCQ(u *ucq.UCQ) (*plan.Plan, plan.Bound, error) {
 	p, b, _, err := e.planUCQCached(u, e.sizeHint())
 	return p, b, err
@@ -30,11 +32,13 @@ func (e *Engine) PlanUCQ(u *ucq.UCQ) (*plan.Plan, plan.Bound, error) {
 // planUCQCached is PlanUCQ plus a cache-hit flag. Non-covered verdicts
 // are cached too (as NotBoundedError entries), mirroring the CQ path.
 func (e *Engine) planUCQCached(u *ucq.UCQ, sizeHint int) (*plan.Plan, plan.Bound, bool, error) {
-	key := ""
+	var key string
+	var params []value.Value
 	if e.cache != nil {
+		key, params = u.KeyParams()
 		// The "ucq:" prefix keeps union keys disjoint from CQ keys.
-		key = "ucq:" + u.CanonicalKey()
-		if ent, ok := e.cache.get(key); ok {
+		key = "ucq:" + key
+		if ent, ok := e.cache.get(key, params, true); ok {
 			if ent.notBounded != nil {
 				// Copy so the refusal carries the caller's label without
 				// mutating the shared cached entry.
@@ -42,7 +46,7 @@ func (e *Engine) planUCQCached(u *ucq.UCQ, sizeHint int) (*plan.Plan, plan.Bound
 				nb.Label = u.Label
 				return nil, plan.Bound{}, true, &nb
 			}
-			return relabel(ent.p, u.Label), ent.bound, true, nil
+			return ent.planFor(params, u.Label), ent.bound, true, nil
 		}
 	}
 	p, b, err := e.planUCQUncached(u, sizeHint)
@@ -50,9 +54,9 @@ func (e *Engine) planUCQCached(u *ucq.UCQ, sizeHint int) (*plan.Plan, plan.Bound
 		var nb *NotBoundedError
 		switch {
 		case err == nil:
-			e.cache.put(&planEntry{key: key, p: p, bound: b})
+			e.cache.put(&planEntry{key: key, params: params, p: p, bound: b})
 		case asNotBounded(err, &nb):
-			e.cache.put(&planEntry{key: key, notBounded: nb})
+			e.cache.put(&planEntry{key: key, params: params, notBounded: nb})
 		}
 	}
 	return p, b, false, err

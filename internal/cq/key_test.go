@@ -1,6 +1,8 @@
 package cq
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/value"
@@ -70,12 +72,47 @@ func TestCanonicalKeyInvariantUnderAtomAndEqOrder(t *testing.T) {
 	}
 }
 
-func TestCanonicalKeySeparatesConstants(t *testing.T) {
+func TestCanonicalKeySharedAcrossConstants(t *testing.T) {
+	// Q0 for another district is the same template: one key, and the
+	// params carry the constants hole by hole.
 	a := keyQ0()
 	b := keyQ0()
 	b.Atoms[0].Args[1] = Const(value.NewString("Soho"))
-	if a.CanonicalKey() == b.CanonicalKey() {
-		t.Error("different constants must produce different keys")
+	ka, pa := a.KeyParams()
+	kb, pb := b.KeyParams()
+	if ka != kb {
+		t.Fatalf("queries differing only in constants must share a key:\n%s\n%s", ka, kb)
+	}
+	if slices.Equal(pa, pb) {
+		t.Fatalf("their params must differ: %v", pa)
+	}
+	want := []value.Value{value.NewString("Soho"), value.NewString("1/5/2005")}
+	if !slices.Equal(pb, want) {
+		t.Fatalf("params = %v, want %v", pb, want)
+	}
+	if strings.Contains(ka, "Queen") || !strings.Contains(ka, "$0:string") {
+		t.Fatalf("constants must be typed holes in the key: %s", ka)
+	}
+}
+
+func TestCanonicalKeySeparatesCollidingConstants(t *testing.T) {
+	// Equal constants share one hole, so a query whose two constants
+	// collide is another template than one whose constants differ.
+	a := keyQ0()
+	b := keyQ0()
+	b.Atoms[0].Args[1] = Const(value.NewString("1/5/2005"))
+	kb, pb := b.KeyParams()
+	if a.CanonicalKey() == kb {
+		t.Errorf("colliding constants must change the key: %s", kb)
+	}
+	if len(pb) != 1 {
+		t.Errorf("colliding constants must share one hole: params %v", pb)
+	}
+	// A hole keeps its constant's kind: 1 and "1" are different templates.
+	i := &CQ{Free: []string{"y"}, Atoms: []Atom{NewAtom("R", Const(value.NewInt(1)), Var("y"))}}
+	s := &CQ{Free: []string{"y"}, Atoms: []Atom{NewAtom("R", Const(value.NewString("1")), Var("y"))}}
+	if i.CanonicalKey() == s.CanonicalKey() {
+		t.Errorf("1 and \"1\" must not share a key: %s", i.CanonicalKey())
 	}
 }
 
@@ -110,5 +147,15 @@ func TestCanonicalKeyDeduplicatesAtoms(t *testing.T) {
 	b := &CQ{Free: []string{"x"}, Atoms: []Atom{NewAtom("R", Var("x"), Var("y"))}}
 	if a.CanonicalKey() != b.CanonicalKey() {
 		t.Error("duplicate atoms must not change the key")
+	}
+}
+
+// BenchmarkCanonicalKeyQ0 pins the per-request cost of the plan-cache
+// key on the Example 1.1 query.
+func BenchmarkCanonicalKeyQ0(b *testing.B) {
+	q := keyQ0()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, _ = q.KeyParams()
 	}
 }

@@ -41,8 +41,9 @@ type SlowEntry struct {
 	Time string `json:"time"`
 	// Query is the request's source text.
 	Query string `json:"query"`
-	// CacheKey is the canonical plan-cache key — joins the log to
-	// /v1/explain output and cache metrics.
+	// CacheKey is the plan-cache key: the query's template, constants
+	// rendered as typed holes, so every query of one shape logs the same
+	// key. It joins the log to /v1/explain output and cache metrics.
 	CacheKey string `json:"cache_key,omitempty"`
 	// Bound is the plan's static access bound (fetch ceiling), when
 	// the request ran via a bounded plan.

@@ -532,3 +532,60 @@ func TestClientDisconnectCancelsRequest(t *testing.T) {
 		t.Errorf("stream_cuts_total = %d, want 1", got)
 	}
 }
+
+// TestNotBoundedNamesItsOwnConstants pins the recompute half of the
+// plan cache's template rule on the wire. Two non-covered ad-hoc texts
+// that differ only in a constant share a template key, but a refusal's
+// diagnostics were computed for one query's constants, so the cache
+// serves the verdict to that query only: each 422 carries exactly the
+// message a cache-less server gives for the same text, and the sibling
+// re-plans (a miss) instead of being handed the other's refusal.
+func TestNotBoundedNamesItsOwnConstants(t *testing.T) {
+	srv, eng := accidentsServer(t, 1, 1, Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	acc, err := workload.GenerateAccidents(workload.AccidentConfig{
+		Days: 1, AccidentsPerDay: 40, MaxVehicles: 6, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := core.New(acc.Schema, acc.Access, core.Options{PlanCache: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.Load(acc.Instance); err != nil {
+		t.Fatal(err)
+	}
+	coldSrv, err := New(cold, Catalog{Schema: acc.Schema, Access: acc.Access}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldTS := httptest.NewServer(coldSrv)
+	defer coldTS.Close()
+
+	refusal := func(ts *httptest.Server, district string) string {
+		body := fmt.Sprintf(`{"text":"query Z(a) :- Accident(a, d, dt), Vehicle(v, n, x), d = \"%s\".","fallback":"refuse"}`, district)
+		resp := postQuery(t, ts, body)
+		got := readAll(t, resp)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status = %d, want 422\n%s", district, resp.StatusCode, got)
+		}
+		e := decodeAPIError(t, got)
+		if e.Code != "not_bounded" || !strings.Contains(e.Message, "Accident(") || !strings.Contains(e.Message, "Vehicle(") {
+			t.Fatalf("%s: the refusal must name the query's atoms: %+v", district, e)
+		}
+		return e.Message
+	}
+	base := eng.(*core.Engine).CacheStats()
+	for _, district := range []string{"Soho", "Brixton", "Brixton"} {
+		if got, want := refusal(ts, district), refusal(coldTS, district); got != want {
+			t.Fatalf("%s: refusal\n%s\nwant the cache-less server's\n%s", district, got, want)
+		}
+	}
+	// Soho misses; Brixton shares its template but not its constants, so
+	// it re-plans and replaces the entry; Brixton again hits its own.
+	if st := eng.(*core.Engine).CacheStats(); st.Misses != base.Misses+2 || st.Hits != base.Hits+1 {
+		t.Fatalf("refusals must be served for their own constants only: %+v -> %+v", base, st)
+	}
+}

@@ -7,7 +7,7 @@ package ucq
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/access"
@@ -18,6 +18,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/plan"
 	"repro/internal/schema"
+	"repro/internal/value"
 )
 
 // UCQ is a union of CQ sub-queries.
@@ -157,20 +158,42 @@ func (u *UCQ) QueryLabel() string { return u.Label }
 // itself.
 func (u *UCQ) QueryCQs() ([]*cq.CQ, error) { return u.Subs, nil }
 
-// CanonicalKey returns a cache key identifying the union's shape: the
-// sorted multiset of the sub-queries' CanonicalKeys. Like the CQ key it is
-// sound for plan caching — two UCQs with equal keys are the same union up
-// to bound-variable renaming and sub-query order — and incomplete
-// (semantically equivalent unions may produce distinct keys, costing a
-// cache miss, never a wrong answer). Because sub-query order is
-// normalized away, a cached union plan may emit rows (and carry column
-// names) in the order of the first variant that was synthesized; union
-// answers are sets, so the rows themselves are identical.
+// CanonicalKey returns the union's plan-cache key: the template
+// KeyParams renders, without its params.
 func (u *UCQ) CanonicalKey() string {
+	k, _ := u.KeyParams()
+	return k
+}
+
+// KeyParams returns the union's template key and the constants that
+// fill its holes: the sub-queries' template keys (cq.KeyParams), sorted,
+// with holes numbered across the whole union so a constant two
+// sub-queries share is one hole. Like the CQ key it is sound for plan
+// caching — two UCQs with equal keys are the same union up to
+// bound-variable renaming, sub-query order and a kind-preserving
+// bijection of their params — and incomplete (semantically equivalent
+// unions may produce distinct keys, costing a cache miss, never a wrong
+// answer). Because sub-query order is normalized away, a cached union
+// plan may emit rows (and carry column names) in the order of the first
+// variant that was synthesized; union answers are sets, so the rows
+// themselves are identical.
+func (u *UCQ) KeyParams() (string, []value.Value) {
 	keys := make([]string, len(u.Subs))
+	order := make([]int, len(u.Subs))
 	for i, s := range u.Subs {
 		keys[i] = s.CanonicalKey()
+		order[i] = i
 	}
-	sort.Strings(keys)
-	return strings.Join(keys, " ∪ ")
+	// The sort reads the sub-queries' own keys, which never look at a
+	// constant's value, so neither does the union's hole numbering.
+	slices.SortStableFunc(order, func(i, j int) int { return strings.Compare(keys[i], keys[j]) })
+	var b strings.Builder
+	var params []value.Value
+	for n, i := range order {
+		if n > 0 {
+			b.WriteString(" ∪ ")
+		}
+		params = u.Subs[i].WriteKey(&b, params)
+	}
+	return b.String(), params
 }
