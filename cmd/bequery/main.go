@@ -25,10 +25,11 @@
 // and a batch that would violate the access schema is rejected with the
 // violation list.
 //
-// -shards K hash-partitions the loaded data across K in-process shards
-// (internal/shard): indexed fetches aligned with a relation's partition
-// key route to one shard, everything else scatters and merges, and both
-// results and update verdicts are identical to the unsharded engine's.
+// The engine is always an internal/shard fleet of -shards K in-process
+// partitions (K = 1, the default, is one partition holding everything):
+// indexed fetches aligned with a relation's partition key route to one
+// shard, everything else scatters and merges, and both results and
+// update verdicts are identical for every K.
 //
 // -data-dir attaches a durability directory (internal/durable, the same
 // layout beserve writes): a directory already holding state is recovered
@@ -67,6 +68,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/durable"
@@ -81,15 +83,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/workload"
 )
-
-// durableEngine is the durability surface shared by core.Engine and
-// shard.Engine; discovered by assertion so core.Queryable stays a pure
-// serving interface (mirrors cmd/beserve).
-type durableEngine interface {
-	Durable(ctx context.Context, dir string, hook durable.Hook) (bool, error)
-	Checkpoint(ctx context.Context) (uint64, error)
-	CloseDurable() error
-}
 
 // cliConfig collects every flag; one value per invocation.
 type cliConfig struct {
@@ -128,7 +121,7 @@ func main() {
 	flag.IntVar(&cfg.k, "k", 2, "parameter budget for specialize")
 	flag.IntVar(&cfg.days, "days", 20, "accidents demo: days of data")
 	flag.IntVar(&cfg.people, "people", 2000, "social demo: people")
-	flag.IntVar(&cfg.shards, "shards", 1, "hash-partition the data across K shards (internal/shard)")
+	flag.IntVar(&cfg.shards, "shards", 1, "hash-partition the data across K in-process partitions (internal/shard); 1 keeps it whole")
 	flag.Int64Var(&cfg.budget, "budget", -1, "run: refuse unless the static access bound is ≤ this many tuples (-1 = no budget)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "run: per-request execution deadline (0 = none)")
 	flag.StringVar(&cfg.fallback, "fallback", "scan", "run: strategy for non-bounded queries: scan | refuse | envelope")
@@ -159,9 +152,7 @@ func run(cfg cliConfig) error {
 	if err != nil {
 		return err
 	}
-	if de, ok := eng.(durableEngine); ok && cfg.durableDir != "" {
-		defer de.CloseDurable()
-	}
+	defer eng.CloseDurable()
 	if restored {
 		fmt.Printf("recovered committed state from %s (version %d, |D| %d)\n",
 			cfg.durableDir, eng.Stats().Version, eng.Stats().Size)
@@ -409,22 +400,21 @@ func queryNames(queries map[string]*cq.CQ) []string {
 	return names
 }
 
-// attachDurable wires -data-dir into the engine: recovery if the
-// directory holds state, otherwise just the WAL/checkpoint plumbing for
-// -apply batches to come. restored=true means the engine is already
-// serving the recovered snapshot and the caller must skip its load.
-func attachDurable(eng core.Queryable, dir string) (bool, error) {
-	if dir == "" {
-		return false, nil
+// newEngine builds the -shards K fleet and wires -data-dir into it:
+// recovery if the directory holds state, otherwise just the
+// WAL/checkpoint plumbing for -apply batches to come. restored=true
+// means the engine is already serving the recovered snapshot and the
+// caller must skip its load.
+func newEngine(s *schema.Schema, a *access.Schema, cfg cliConfig) (*shard.Engine, bool, error) {
+	eng, err := shard.New(s, a, shard.Options{Shards: cfg.shards})
+	if err != nil || cfg.durableDir == "" {
+		return eng, false, err
 	}
-	de, ok := eng.(durableEngine)
-	if !ok {
-		return false, fmt.Errorf("engine does not support -data-dir")
-	}
-	return de.Durable(context.Background(), dir, nil)
+	restored, err := eng.Durable(context.Background(), cfg.durableDir, nil)
+	return eng, restored, err
 }
 
-func setup(cfg cliConfig) (core.Queryable, *schema.Schema, map[string]*cq.CQ, map[string][]string, bool, error) {
+func setup(cfg cliConfig) (*shard.Engine, *schema.Schema, map[string]*cq.CQ, map[string][]string, bool, error) {
 	switch {
 	case cfg.file != "":
 		raw, err := os.ReadFile(cfg.file)
@@ -435,11 +425,7 @@ func setup(cfg cliConfig) (core.Queryable, *schema.Schema, map[string]*cq.CQ, ma
 		if err != nil {
 			return nil, nil, nil, nil, false, err
 		}
-		eng, err := shard.NewOrCore(doc.Schema, doc.Access, core.Options{}, cfg.shards)
-		if err != nil {
-			return nil, nil, nil, nil, false, err
-		}
-		restored, err := attachDurable(eng, cfg.durableDir)
+		eng, restored, err := newEngine(doc.Schema, doc.Access, cfg)
 		if err != nil {
 			return nil, nil, nil, nil, false, err
 		}
@@ -459,11 +445,7 @@ func setup(cfg cliConfig) (core.Queryable, *schema.Schema, map[string]*cq.CQ, ma
 		if err != nil {
 			return nil, nil, nil, nil, false, err
 		}
-		eng, err := shard.NewOrCore(dm.Schema, dm.Access, core.Options{}, cfg.shards)
-		if err != nil {
-			return nil, nil, nil, nil, false, err
-		}
-		restored, err := attachDurable(eng, cfg.durableDir)
+		eng, restored, err := newEngine(dm.Schema, dm.Access, cfg)
 		if err != nil {
 			return nil, nil, nil, nil, false, err
 		}

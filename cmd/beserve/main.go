@@ -19,8 +19,9 @@
 //	GET  /healthz
 //	GET  /metrics
 //
-// -shards K serves through the hash-partitioned internal/shard engine;
-// the wire behavior is byte-identical to the single-node engine's.
+// The engine is an internal/shard fleet of -shards K in-process
+// partitions (K = 1, the default, is one partition holding everything);
+// the wire behavior is byte-identical for every K.
 //
 // Distributed serving (internal/cluster) splits those shards across
 // processes:
@@ -81,10 +82,10 @@ import (
 	"repro/internal/workload"
 )
 
-// durableEngine is the durability surface shared by core.Engine and
-// shard.Engine; discovered by assertion so core.Queryable stays a pure
-// serving interface.
-type durableEngine interface {
+// recoverable is what -data-dir needs of an engine: shard.Engine for
+// an in-process fleet, cluster.Node for one shard server.
+type recoverable interface {
+	core.Queryable
 	Durable(ctx context.Context, dir string, hook durable.Hook) (bool, error)
 	Checkpoint(ctx context.Context) (uint64, error)
 	CloseDurable() error
@@ -121,7 +122,7 @@ func main() {
 	flag.StringVar(&cfg.demo, "demo", "", "built-in workload: accidents | social")
 	flag.IntVar(&cfg.days, "days", 20, "accidents demo: days of data")
 	flag.IntVar(&cfg.people, "people", 2000, "social demo: people")
-	flag.IntVar(&cfg.shards, "shards", 1, "hash-partition the data across K shards (internal/shard)")
+	flag.IntVar(&cfg.shards, "shards", 1, "hash-partition the data across K in-process partitions (internal/shard); 1 keeps it whole")
 	flag.IntVar(&cfg.shardID, "shard-id", 0, "this node's shard id when -shard-count is set")
 	flag.IntVar(&cfg.shardCount, "shard-count", 0, "serve as cluster shard node -shard-id of this many; loads only that hash share")
 	flag.StringVar(&cfg.peers, "peers", "", "serve as cluster coordinator over these comma-separated node base URLs (in shard order)")
@@ -216,7 +217,7 @@ func debugMux() *http.ServeMux {
 // parting checkpoint and closes the durable store; a no-op without
 // -data-dir.
 func build(ctx context.Context, cfg cliConfig) (*server.Server, func() error, error) {
-	eng, cat, loaded, err := setup(ctx, cfg)
+	eng, dur, cat, loaded, err := setup(ctx, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -237,40 +238,49 @@ func build(ctx context.Context, cfg cliConfig) (*server.Server, func() error, er
 		return nil, nil, err
 	}
 	finalize := func() error { return nil }
-	if de, ok := eng.(durableEngine); ok && cfg.durableDir != "" {
+	if dur != nil {
 		finalize = func() error {
-			v, err := de.Checkpoint(context.Background())
+			v, err := dur.Checkpoint(context.Background())
 			if err != nil {
-				de.CloseDurable()
+				dur.CloseDurable()
 				return fmt.Errorf("parting checkpoint: %w", err)
 			}
 			log.Printf("beserve: checkpointed version %d", v)
-			return de.CloseDurable()
+			return dur.CloseDurable()
 		}
 	}
 	return srv, finalize, nil
 }
 
-// attachDurable wires -data-dir into the engine: recovery if the
-// directory holds state, otherwise just the WAL/checkpoint plumbing for
-// writes to come. restored=true means the engine is already serving the
-// recovered snapshot and the caller must skip its initial load.
-func attachDurable(ctx context.Context, eng core.Queryable, dir string) (bool, error) {
-	if dir == "" {
-		return false, nil
+// loadOrRecover wires -data-dir into eng — recovery if the directory
+// holds state, otherwise just the WAL/checkpoint plumbing for writes to
+// come — and loads the source's data unless the recovered snapshot
+// already is the data. It returns eng as the durable store build
+// finalizes (nil without -data-dir) and whether data is loaded.
+func loadOrRecover(ctx context.Context, cfg cliConfig, src *source, eng recoverable) (recoverable, bool, error) {
+	var dur recoverable
+	if cfg.durableDir != "" {
+		restored, err := eng.Durable(ctx, cfg.durableDir, nil)
+		if err != nil {
+			return nil, false, err
+		}
+		dur = eng
+		if restored {
+			log.Printf("beserve: recovered committed state from %s (version %d)", cfg.durableDir, eng.Stats().Version)
+			return dur, true, nil
+		}
 	}
-	de, ok := eng.(durableEngine)
-	if !ok {
-		return false, fmt.Errorf("engine does not support -data-dir")
+	if src.inst == nil {
+		return dur, false, nil
 	}
-	restored, err := de.Durable(ctx, dir, nil)
+	d, err := src.inst()
 	if err != nil {
-		return false, err
+		return nil, false, err
 	}
-	if restored {
-		log.Printf("beserve: recovered committed state from %s (version %d)", dir, eng.Stats().Version)
+	if err := eng.Load(d); err != nil {
+		return nil, false, err
 	}
-	return restored, nil
+	return dur, true, nil
 }
 
 // source is the resolved catalog plus a lazy loader for the dataset it
@@ -319,80 +329,51 @@ func resolveSource(cfg cliConfig) (*source, error) {
 	}
 }
 
-// setup builds the engine and catalog; loaded reports whether data was
-// attached (checked in O(1) — materializing a sharded engine's merged
-// instance just to test for data would copy the whole dataset). With
-// -data-dir, a directory already holding durable state short-circuits
-// the load: the recovered snapshot IS the data.
-func setup(ctx context.Context, cfg cliConfig) (core.Queryable, server.Catalog, bool, error) {
-	none := server.Catalog{}
+// setup builds the engine and catalog; dur is the engine's durable
+// store under -data-dir (nil otherwise), and loaded reports whether data
+// was attached (checked in O(1) — materializing a sharded engine's
+// merged instance just to test for data would copy the whole dataset).
+// With -data-dir, a directory already holding durable state
+// short-circuits the load: the recovered snapshot IS the data.
+func setup(ctx context.Context, cfg cliConfig) (eng core.Queryable, dur recoverable, cat server.Catalog, loaded bool, err error) {
 	if cfg.shardCount > 0 && cfg.peers != "" {
-		return nil, none, false, fmt.Errorf("-shard-count and -peers are mutually exclusive")
+		return nil, nil, cat, false, fmt.Errorf("-shard-count and -peers are mutually exclusive")
 	}
 	src, err := resolveSource(cfg)
 	if err != nil {
-		return nil, none, false, err
+		return nil, nil, cat, false, err
 	}
 	switch {
 	case cfg.peers != "":
-		eng, err := setupCoordinator(ctx, cfg, src)
+		coord, err := setupCoordinator(ctx, cfg, src)
 		if err != nil {
-			return nil, none, false, err
+			return nil, nil, cat, false, err
 		}
-		return eng, src.cat, true, nil
+		return coord, nil, src.cat, true, nil
 	case cfg.shardCount > 0:
-		return setupShardNode(ctx, cfg, src)
+		// A cluster shard node keeps only its hash share of the dataset
+		// (the whole dataset may be offered — every node in a fleet can be
+		// pointed at the same -demo or -data) and exposes the internal
+		// protocol the coordinator drives.
+		node, err := cluster.NewNode(src.cat.Schema, src.cat.Access, cfg.shardID, cfg.shardCount, cluster.Options{})
+		if err != nil {
+			return nil, nil, cat, false, err
+		}
+		if dur, loaded, err = loadOrRecover(ctx, cfg, src, node); err != nil {
+			return nil, nil, cat, false, err
+		}
+		log.Printf("beserve: shard node %d of %d (local size %d)", cfg.shardID, cfg.shardCount, node.Stats().Size)
+		return node, dur, src.cat, loaded, nil
 	default:
-		eng, err := shard.NewOrCore(src.cat.Schema, src.cat.Access, core.Options{}, cfg.shards)
+		fleet, err := shard.New(src.cat.Schema, src.cat.Access, shard.Options{Shards: cfg.shards})
 		if err != nil {
-			return nil, none, false, err
+			return nil, nil, cat, false, err
 		}
-		restored, err := attachDurable(ctx, eng, cfg.durableDir)
-		if err != nil {
-			return nil, none, false, err
+		if dur, loaded, err = loadOrRecover(ctx, cfg, src, fleet); err != nil {
+			return nil, nil, cat, false, err
 		}
-		loaded := restored
-		if src.inst != nil && !restored {
-			d, err := src.inst()
-			if err != nil {
-				return nil, none, false, err
-			}
-			if err := eng.Load(d); err != nil {
-				return nil, none, false, err
-			}
-			loaded = true
-		}
-		return eng, src.cat, loaded, nil
+		return fleet, dur, src.cat, loaded, nil
 	}
-}
-
-// setupShardNode builds a cluster shard node: it keeps only its hash
-// share of the dataset (the whole dataset may be offered — every node
-// in a fleet can be pointed at the same -demo or -data) and exposes the
-// internal protocol the coordinator drives.
-func setupShardNode(ctx context.Context, cfg cliConfig, src *source) (core.Queryable, server.Catalog, bool, error) {
-	none := server.Catalog{}
-	node, err := cluster.NewNode(src.cat.Schema, src.cat.Access, cfg.shardID, cfg.shardCount, cluster.Options{})
-	if err != nil {
-		return nil, none, false, err
-	}
-	restored, err := attachDurable(ctx, node, cfg.durableDir)
-	if err != nil {
-		return nil, none, false, err
-	}
-	loaded := restored
-	if src.inst != nil && !restored {
-		d, err := src.inst()
-		if err != nil {
-			return nil, none, false, err
-		}
-		if err := node.Load(d); err != nil {
-			return nil, none, false, err
-		}
-		loaded = true
-	}
-	log.Printf("beserve: shard node %d of %d (local size %d)", cfg.shardID, cfg.shardCount, node.Stats().Size)
-	return node, src.cat, loaded, nil
 }
 
 // setupCoordinator builds the scatter-gather coordinator and attaches

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/access"
-	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/index"
 	"repro/internal/live"
@@ -336,14 +335,14 @@ func (pv peerView) Indexed(ctx context.Context) (*access.Indexed, error) {
 }
 
 // Checkpoint asks the node to persist the pinned version; a node
-// without durability surfaces as core.ErrNotDurable, like a local
+// without durability surfaces as durable.ErrNotDurable, like a local
 // partition.
 func (pv peerView) Checkpoint(ctx context.Context) error {
 	path := "/v1/internal/checkpoint?v=" + strconv.FormatUint(pv.v, 10)
 	err := pv.p.call(ctx, http.MethodPost, path, nil, nil, false)
 	var re *shard.Refusal
 	if errors.As(err, &re) && re.Code == "not_durable" {
-		return core.ErrNotDurable
+		return durable.ErrNotDurable
 	}
 	return err
 }

@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"repro/internal/access"
-	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/index"
 	"repro/internal/live"
@@ -322,7 +321,7 @@ func (h *partitionHandler) checkpoint(w http.ResponseWriter, r *http.Request) {
 	}
 	err = view.Checkpoint(r.Context())
 	switch {
-	case errors.Is(err, core.ErrNotDurable):
+	case errors.Is(err, durable.ErrNotDurable):
 		err = &shard.Refusal{Status: http.StatusPreconditionFailed, Code: "not_durable", Message: "node has no durable store"}
 	case err != nil:
 		err = fmt.Errorf("checkpoint: %w", err)

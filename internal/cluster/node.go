@@ -7,10 +7,8 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/core"
-	"repro/internal/cq"
 	"repro/internal/data"
 	"repro/internal/durable"
-	"repro/internal/eval"
 	"repro/internal/live"
 	"repro/internal/plan"
 	"repro/internal/schema"
@@ -114,23 +112,6 @@ func (n *Node) Query(ctx context.Context, q core.Query, opts ...core.QueryOption
 	return n.Planner.QueryView(ctx, q, v, opts...)
 }
 
-// Baseline evaluates q conventionally over the local partition.
-func (n *Node) Baseline(q *cq.CQ, mode eval.Mode) (*eval.Result, error) {
-	ix, _ := n.part.Snapshot()
-	if ix == nil {
-		return nil, n.errNoInstance()
-	}
-	return eval.CQ(q, ix.Instance, mode)
-}
-
-// Instance returns the local partition, or nil before data arrives.
-func (n *Node) Instance() *data.Instance {
-	if ix, _ := n.part.Snapshot(); ix != nil {
-		return ix.Instance
-	}
-	return nil
-}
-
 // Stats reports the node's local share: size is the partition's, Shards
 // the cluster's K, Version the node's committed version, Applies the
 // transactions it committed.
@@ -140,15 +121,15 @@ func (n *Node) Stats() core.EngineStats {
 }
 
 // Durable attaches a durability directory: WAL + checkpoints for this
-// node's partition, recovered on restart exactly like a single-node
-// engine (the coordinator reconciles any cross-node version skew at
+// node's partition, recovered on restart exactly like an in-process
+// partition (the coordinator reconciles any cross-node version skew at
 // attach).
 func (n *Node) Durable(ctx context.Context, dir string, hook durable.Hook) (restored bool, err error) {
 	return n.part.Durable(ctx, dir, hook)
 }
 
 // Checkpoint persists the current snapshot and compacts the WAL behind
-// it. core.ErrNotDurable if Durable was never called.
+// it. durable.ErrNotDurable if Durable was never called.
 func (n *Node) Checkpoint(ctx context.Context) (uint64, error) { return n.part.Checkpoint(ctx) }
 
 // CloseDurable detaches and closes the durable store. Safe to call when

@@ -17,7 +17,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -27,21 +26,14 @@ import (
 	"repro/internal/cover"
 	"repro/internal/cq"
 	"repro/internal/data"
-	"repro/internal/durable"
 	"repro/internal/envelope"
 	"repro/internal/eval"
 	"repro/internal/live"
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/specialize"
 	"repro/internal/value"
 )
-
-// ErrNotDurable reports a durability operation (Checkpoint) on an
-// engine that was never given a data directory. Wire surfaces map it to
-// a structured refusal instead of a 500.
-var ErrNotDurable = errors.New("core: engine has no durable store")
 
 // Options configures an Engine; the zero value is sensible.
 type Options struct {
@@ -56,7 +48,9 @@ type Options struct {
 }
 
 // Engine couples a relational schema, an access schema, and (after Load)
-// an indexed instance.
+// an indexed instance held in memory. It persists nothing: a durable
+// deployment serves through internal/shard, whose partitions own the WAL
+// and checkpoints.
 //
 // Concurrency: the Engine serves reads and writes concurrently with
 // snapshot isolation. The loaded data lives in an immutable snapshot
@@ -76,15 +70,9 @@ type Engine struct {
 
 	// snap is the current immutable snapshot (nil before the first Load).
 	snap atomic.Pointer[snapshot]
-	// writeMu serializes the writers (Load, Apply) and protects store
-	// attachment (Durable).
+	// writeMu serializes the writers (Load, Apply, SetSizeHint).
 	writeMu sync.Mutex
-	// store, when non-nil, persists every committed delta (WAL) and
-	// serves checkpoints; attached once by Durable before serving.
-	// guarded by writeMu for writes; reads under writeMu (Apply, Load)
-	// or after attachment settles (Checkpoint).
-	store *durable.Store
-	cache *planCache
+	cache   *planCache
 	// queries and applies count served requests, for Stats.
 	queries atomic.Uint64
 	applies atomic.Uint64
@@ -114,8 +102,9 @@ type EngineStats struct {
 	Fetched int64
 	Scanned int64
 	// Version is the committed snapshot version: 0 right after Load, +1
-	// per applied delta. After a durable restart it resumes at the
-	// recovered version, which is how clients confirm recovery.
+	// per applied delta. After a durable restart (internal/shard) it
+	// resumes at the recovered version, which is how clients confirm
+	// recovery.
 	Version uint64
 }
 
@@ -140,8 +129,7 @@ func (e *Engine) Stats() EngineStats {
 type snapshot struct {
 	instance *data.Instance
 	indexed  *access.Indexed
-	// version counts committed writes: 0 after Load, +1 per Apply. It is
-	// the version the durable WAL stamps on each record.
+	// version counts committed writes: 0 after Load, +1 per Apply.
 	version uint64
 }
 
@@ -182,92 +170,12 @@ func (e *Engine) Load(d *data.Instance) error {
 	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	if e.store != nil {
-		// A Load replaces the dataset: restart the durable history at a
-		// fresh base checkpoint for version 0 before publishing, so a
-		// crash right after Load still recovers the loaded data.
-		if err := e.store.Reset(); err != nil {
-			return err
-		}
-		base := &durable.State{Instance: d, Indexed: ix, Version: 0}
-		if err := e.store.WriteCheckpoint(e.Schema, base); err != nil {
-			return err
-		}
-	}
 	// The loaded instance is now read-only until a mutating Apply clones
 	// it; drop the load-time dedup maps (rebuilt on demand by writers).
 	d.ReleaseDedup()
 	e.snap.Store(&snapshot{instance: d, indexed: ix, version: 0})
 	e.cache.restamp(d.Size())
 	return nil
-}
-
-// Durable attaches a durability directory: every subsequent Apply is
-// WAL-logged before it publishes, Load writes a base checkpoint, and
-// Checkpoint persists compact snapshots. If dir already holds durable
-// state, it is recovered and published (restored == true) and the
-// caller should skip its initial Load. Call once, before serving.
-func (e *Engine) Durable(ctx context.Context, dir string, hook durable.Hook) (restored bool, err error) {
-	st, err := durable.Open(dir, hook)
-	if err != nil {
-		return false, err
-	}
-	rec, err := st.Recover(ctx, e.Schema, e.Access, durable.NoLimit)
-	if err != nil {
-		st.Close()
-		return false, err
-	}
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	if e.store != nil {
-		st.Close()
-		return false, fmt.Errorf("core: engine already has a durable store")
-	}
-	e.store = st
-	if rec == nil {
-		return false, nil
-	}
-	e.snap.Store(&snapshot{instance: rec.Instance, indexed: rec.Indexed, version: rec.Version})
-	e.cache.restamp(rec.Instance.Size())
-	return true, nil
-}
-
-// Checkpoint persists the current snapshot as a compact binary
-// checkpoint and compacts the WAL behind it, returning the version it
-// captured. It reads one pinned immutable snapshot, so queries and
-// applies proceed concurrently; only the final rename briefly holds the
-// WAL lock. ErrNotDurable if the engine has no store.
-func (e *Engine) Checkpoint(ctx context.Context) (uint64, error) {
-	e.writeMu.Lock()
-	st := e.store
-	sn := e.current()
-	e.writeMu.Unlock()
-	if st == nil {
-		return 0, ErrNotDurable
-	}
-	if sn == nil {
-		return 0, errNoInstance()
-	}
-	sp := obs.FromContext(ctx).Start("checkpoint.write")
-	err := st.WriteCheckpoint(e.Schema, &durable.State{
-		Instance: sn.instance, Indexed: sn.indexed, Version: sn.version,
-	})
-	sp.SetRows(int64(sn.instance.Size()))
-	sp.End()
-	return sn.version, err
-}
-
-// CloseDurable detaches and closes the durable store, releasing its WAL
-// handle. Safe to call when durability was never enabled.
-func (e *Engine) CloseDurable() error {
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	if e.store == nil {
-		return nil
-	}
-	err := e.store.Close()
-	e.store = nil
-	return err
 }
 
 // Apply validates delta against the access schema and, when every
@@ -295,19 +203,6 @@ func (e *Engine) Apply(ctx context.Context, delta *live.Delta) (*live.Result, er
 	res, err := live.Apply(ctx, delta, sn.indexed)
 	if err != nil {
 		return nil, err
-	}
-	// Durability point: the delta must be on disk BEFORE the snapshot
-	// swap makes it visible. If the append fails the snapshot is not
-	// published — the engine keeps serving the pre-delta version and the
-	// WAL was rolled back to the previous record boundary.
-	if e.store != nil {
-		wsp := obs.FromContext(ctx).Start("wal.append+fsync")
-		err := e.store.AppendDelta(sn.version+1, delta)
-		wsp.SetRows(int64(delta.Len()))
-		wsp.End()
-		if err != nil {
-			return nil, err
-		}
 	}
 	e.snap.Store(&snapshot{instance: res.Instance, indexed: res.Indexed, version: sn.version + 1})
 	e.cache.restamp(res.Instance.Size())

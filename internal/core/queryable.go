@@ -3,20 +3,15 @@ package core
 import (
 	"context"
 
-	"repro/internal/cover"
 	"repro/internal/cq"
 	"repro/internal/data"
-	"repro/internal/eval"
 	"repro/internal/live"
-	"repro/internal/plan"
-	"repro/internal/specialize"
 )
 
-// Queryable is the serving surface shared by the single-node Engine and
-// the hash-partitioned internal/shard engine. Callers that only serve
-// traffic — cmd/bequery, cmd/bebench, the benchmarks — program against
-// it, so switching a deployment from one engine to K shards is a
-// constructor change (the -shards flag), not a call-site change.
+// Queryable is the serving surface shared by the in-memory Engine and
+// the partitioned internal/shard engine: what internal/server (and the
+// benchmark harness) calls, and nothing more. Checks, plans, baselines
+// and specialization stay on the concrete engines that offer them.
 //
 // The contract every implementation honors:
 //
@@ -26,22 +21,15 @@ import (
 //     cardinality bound is rejected with a *live.ViolationError and has
 //     no visible effect anywhere.
 //   - Load replaces the dataset, validating D |= A first.
-//   - Instance returns the current dataset (a sharded engine
-//     materializes the union of its shards lazily); nil before Load.
 //   - Stats/CacheStats aggregate across whatever the engine is made of.
 type Queryable interface {
 	Load(d *data.Instance) error
 	Apply(ctx context.Context, delta *live.Delta) (*live.Result, error)
 	Query(ctx context.Context, q Query, opts ...QueryOption) (*Result, error)
 	Explain(q *cq.CQ, params []string) (string, error)
-	IsCovered(q *cq.CQ) (*cover.Result, error)
-	Plan(q *cq.CQ) (*plan.Plan, plan.Bound, error)
-	Baseline(q *cq.CQ, mode eval.Mode) (*eval.Result, error)
-	Specialize(q *cq.CQ, X []string, k int) (*specialize.Result, error)
-	Instance() *data.Instance
 	Stats() EngineStats
 	CacheStats() CacheStats
 }
 
-// The single-node engine is a Queryable.
+// The in-memory engine is a Queryable.
 var _ Queryable = (*Engine)(nil)

@@ -9,7 +9,8 @@
 // output and size versus an in-memory engine replayed to the recovered
 // version — and the recovered engine accepts the next delta as if the
 // crash never happened. Never a torn or invented state, at any of the
-// fsync/rename boundaries, for either demo schema, sharded or not.
+// fsync/rename boundaries, for either demo schema, on fleets of one and
+// of four partitions.
 package durable_test
 
 import (
@@ -36,15 +37,6 @@ import (
 // crashDeltas is how many stream deltas the child applies; the midway
 // checkpoint lands after the second.
 const crashDeltas = 4
-
-// durEng is the durability surface the crash suite drives, satisfied by
-// both core.Engine and shard.Engine (same assertion cmd/beserve uses).
-type durEng interface {
-	core.Queryable
-	Durable(ctx context.Context, dir string, hook durable.Hook) (bool, error)
-	Checkpoint(ctx context.Context) (uint64, error)
-	CloseDurable() error
-}
 
 // crashWorkload is one deterministic scenario: a base instance, a query
 // to fingerprint state with, and a fresh replayable delta stream.
@@ -97,17 +89,15 @@ func crashLoad(t testing.TB, kind string) *crashWorkload {
 	}
 }
 
-func newCrashEngine(t testing.TB, w *crashWorkload, shards int) durEng {
+// newCrashEngine builds the durable engine under test: a fleet of shards
+// in-process partitions (one partition is the single-node deployment).
+func newCrashEngine(t testing.TB, w *crashWorkload, shards int) *shard.Engine {
 	t.Helper()
-	eng, err := shard.NewOrCore(w.sc, w.a, core.Options{}, shards)
+	eng, err := shard.New(w.sc, w.a, shard.Options{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	de, ok := eng.(durEng)
-	if !ok {
-		t.Fatalf("%T does not expose the durability surface", eng)
-	}
-	return de
+	return eng
 }
 
 // renderQuery materializes q deterministically: the recovered engine and
@@ -235,7 +225,10 @@ func verifyRecovered(t *testing.T, dir, kind string, shards, code int) {
 	}
 	// Reference: a never-crashed in-memory engine replayed to version v.
 	rw := crashLoad(t, kind)
-	ref := newCrashEngine(t, rw, shards)
+	ref, err := core.New(rw.sc, rw.a, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ref.Load(rw.inst); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +258,7 @@ func verifyRecovered(t *testing.T, dir, kind string, shards, code int) {
 }
 
 // TestCrashRecovery is the matrix driver: every injection point in
-// durable.Points, over both demo schemas, unsharded and 4-way sharded.
+// durable.Points, over both demo schemas, on one partition and on four.
 // WAL points additionally get a later firing (nth=3) so the kill lands
 // mid-stream rather than on the first apply.
 func TestCrashRecovery(t *testing.T) {

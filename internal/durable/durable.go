@@ -100,9 +100,10 @@ var Points = []string{
 // sharded coordinator passes the minimum cross-shard version instead.
 const NoLimit = ^uint64(0)
 
-// ErrDisabled reports a durability operation on an engine that has no
-// attached store; wire surfaces map it to a structured refusal.
-var ErrDisabled = errors.New("durability not enabled")
+// ErrNotDurable reports a durability operation (a checkpoint) on a
+// partition that was never given a data directory; wire surfaces map it
+// to a structured refusal instead of a 500.
+var ErrNotDurable = errors.New("durable: partition has no durable store")
 
 // crcTable is the Castagnoli (CRC32C) polynomial table both on-disk
 // formats checksum with.

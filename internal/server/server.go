@@ -27,7 +27,7 @@
 // stops accepting and drains streaming responses before the process —
 // and with it the snapshot — goes away.
 //
-// The server programs against core.Queryable, so fronting a single-node
+// The server programs against core.Queryable, so fronting the in-memory
 // engine or a K-shard internal/shard engine is a constructor choice.
 package server
 
@@ -45,6 +45,7 @@ import (
 	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/cq"
+	"repro/internal/durable"
 	"repro/internal/live"
 	"repro/internal/ndjson"
 	"repro/internal/obs"
@@ -487,11 +488,11 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	}{res.Inserted, res.Deleted, s.eng.Stats().Size})
 }
 
-// Checkpointer is the optional durability surface of an engine: both
-// core.Engine and shard.Engine implement it when opened with a data
-// directory. The server discovers it by assertion rather than widening
-// core.Queryable — read-only embedders of the Queryable interface owe
-// nothing to durability.
+// Checkpointer is the optional durability surface of an engine:
+// shard.Engine (and so cluster.Engine) and cluster.Node implement it;
+// the in-memory core.Engine does not. The server discovers it by
+// assertion rather than widening core.Queryable — engines that persist
+// nothing owe nothing to durability.
 type Checkpointer interface {
 	Checkpoint(ctx context.Context) (uint64, error)
 }
@@ -517,7 +518,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	defer done()
 	v, err := ck.Checkpoint(r.Context())
 	if err != nil {
-		if errors.Is(err, core.ErrNotDurable) {
+		if errors.Is(err, durable.ErrNotDurable) {
 			writeError(w, http.StatusConflict, apiError{
 				Code:    "not_durable",
 				Message: "engine was started without a data directory",

@@ -153,6 +153,29 @@ func TestQueryEndpointNamedAndText(t *testing.T) {
 	}
 }
 
+// TestCheckpointNotDurable pins POST /v1/checkpoint on engines that
+// persist nothing: the in-memory core.Engine has no checkpoint surface at
+// all, and a fleet started without a data directory has one whose
+// partitions hold no store. Both answer 409 not_durable, never a 500.
+func TestCheckpointNotDurable(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		srv, _ := accidentsServer(t, 1, shards, Options{})
+		ts := httptest.NewServer(srv)
+		resp, err := ts.Client().Post(ts.URL+"/v1/checkpoint", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		ts.Close()
+		if resp.StatusCode != http.StatusConflict {
+			t.Fatalf("shards=%d: checkpoint status %d, want 409:\n%s", shards, resp.StatusCode, body)
+		}
+		if e := decodeAPIError(t, body); e.Code != "not_durable" {
+			t.Fatalf("shards=%d: checkpoint error code %q, want not_durable", shards, e.Code)
+		}
+	}
+}
+
 func TestQueryEndpointErrors(t *testing.T) {
 	srv, _ := accidentsServer(t, 1, 1, Options{})
 	ts := httptest.NewServer(srv)

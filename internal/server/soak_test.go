@@ -60,7 +60,12 @@ func soakBed(t *testing.T, shards int) (core.Queryable, Catalog) {
 	}}
 	// The soak is only meaningful if Q runs on the bounded path (two
 	// indexed fetches) — a scan would read one materialized instance.
-	if _, _, err := eng.Plan(q); err != nil {
+	// Planning is data-independent, so an empty engine decides it.
+	planner, err := core.New(s, a, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := planner.Plan(q); err != nil {
 		t.Fatalf("soak query must be boundedly evaluable: %v", err)
 	}
 	return eng, Catalog{Schema: s, Access: a, Queries: map[string]*cq.CQ{"Q": q}}

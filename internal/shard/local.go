@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/access"
-	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/index"
 	"repro/internal/live"
@@ -42,7 +41,7 @@ func (sn *localSnap) Checkpoint(context.Context) error {
 	st := sn.l.store
 	sn.l.mu.Unlock()
 	if st == nil {
-		return core.ErrNotDurable
+		return durable.ErrNotDurable
 	}
 	return st.WriteCheckpoint(sn.l.schema, &durable.State{Instance: sn.ix.Instance, Indexed: sn.ix, Version: sn.version})
 }

@@ -65,7 +65,7 @@ type View interface {
 	// checkpoint image of it.
 	Indexed(ctx context.Context) (*access.Indexed, error)
 	// Checkpoint persists the pinned version to the partition's durable
-	// store; core.ErrNotDurable when it has none. Checkpoints go through
+	// store; durable.ErrNotDurable when it has none. Checkpoints go through
 	// a view because only a version the coordinator has published may be
 	// persisted: a partition's own newest version can be one a commit
 	// fanout is still — or was never — completing.

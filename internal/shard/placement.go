@@ -83,16 +83,20 @@ func ShardOf[T ~string | ~[]byte](k T, n int) int {
 	return int(h % uint32(n))
 }
 
-// aligned reports whether constraint c's fetch keys coincide with its
-// relation's partition key, i.e. whether each group D_Y(X = ā) lives
-// wholly on partition ShardOf(ā) — the route-vs-scatter decision.
+// aligned reports whether each group D_Y(X = ā) of constraint c lives
+// wholly on partition ShardOf(ā) — the route-vs-scatter decision: there
+// is one partition, or c's fetch keys coincide with its relation's
+// partition key.
 func (p *Placement) aligned(c access.Constraint) bool {
-	return AttrsEqual(p.keys[c.Rel].attrs, c.X)
+	return p.k == 1 || AttrsEqual(p.keys[c.Rel].attrs, c.X)
 }
 
 // splitDelta partitions a delta into per-partition sub-deltas by each
-// touched tuple's partition key.
+// touched tuple's partition key. One partition's sub-delta is d itself.
 func (p *Placement) splitDelta(d *live.Delta) ([]*live.Delta, error) {
+	if p.k == 1 {
+		return []*live.Delta{d}, nil
+	}
 	subs := make([]*live.Delta, p.k)
 	for i := range subs {
 		subs[i] = live.NewDelta(p.schema)
@@ -114,13 +118,24 @@ func (p *Placement) splitDelta(d *live.Delta) ([]*live.Delta, error) {
 	return subs, nil
 }
 
-// split hash-partitions d in one pass: out[i] receives partition i's
-// tuples; a nil out[i] drops that share.
-func (p *Placement) split(d *data.Instance, out []*data.Instance) error {
+// split hash-partitions d in one pass, one instance per partition; with
+// only ≥ 0 it builds just partition only's share and leaves the others
+// nil. One partition's share is d itself: nothing is copied.
+func (p *Placement) split(d *data.Instance, only int) ([]*data.Instance, error) {
+	out := make([]*data.Instance, p.k)
+	if p.k == 1 {
+		out[0] = d
+		return out, nil
+	}
+	for i := range out {
+		if only < 0 || i == only {
+			out[i] = data.NewInstance(p.schema)
+		}
+	}
 	for _, rs := range p.schema.Relations() {
 		rel := d.Relation(rs.Name)
 		if rel == nil {
-			return fmt.Errorf("shard: instance has no relation %s", rs.Name)
+			return nil, fmt.Errorf("shard: instance has no relation %s", rs.Name)
 		}
 		pos := p.keys[rs.Name].pos
 		var buf data.Tuple
@@ -133,21 +148,20 @@ func (p *Placement) split(d *data.Instance, out []*data.Instance) error {
 			}
 			buf = rel.AppendRow(buf, ri)
 			if _, err := sub.Relation(rs.Name).Insert(buf); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // Share returns the sub-instance of d owned by partition id: exactly
-// the tuples ShardOf places there. Partition servers use it so every
-// node of a fleet can be pointed at the same dataset and keep only its
-// share.
+// the tuples ShardOf places there (d itself when there is one
+// partition). Partition servers use it so every node of a fleet can be
+// pointed at the same dataset and keep only its share.
 func (p *Placement) Share(d *data.Instance, id int) (*data.Instance, error) {
-	out := make([]*data.Instance, p.k)
-	out[id] = data.NewInstance(p.schema)
-	if err := p.split(d, out); err != nil {
+	out, err := p.split(d, id)
+	if err != nil {
 		return nil, err
 	}
 	return out[id], nil

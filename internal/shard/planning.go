@@ -10,9 +10,9 @@ import (
 	"repro/internal/specialize"
 )
 
-// Planning is the data-independent half of core.Queryable for an engine
-// that serves data a core.Engine does not hold itself: the coordinator
-// and a partition server both embed it, so Explain, IsCovered, Plan,
+// Planning is the data-independent surface of an engine that serves
+// data a core.Engine does not hold itself: the coordinator and a
+// partition server both embed it, so Explain, IsCovered, Plan,
 // Specialize, CacheStats and the Stats assembly are written once, as
 // delegations to one shared planner at the size the embedder publishes.
 type Planning struct {

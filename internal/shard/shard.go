@@ -28,6 +28,13 @@
 // with the same *live.ViolationError a single-node engine would
 // produce.
 //
+// Durability lives here and only here: each Local partition owns its
+// WAL and checkpoints, so the CLIs serve every -shards K, K = 1
+// included, as a fleet. A fleet of one costs what the in-memory
+// core.Engine costs: the split hands its input through, every
+// constraint counts as aligned, a fetch reads the partition's index
+// directly and a scan its own instance — nothing is copied or merged.
+//
 // Deliberately NOT nested core.Engines: a per-partition engine would
 // re-validate constraints against its local |D| and its local groups,
 // which both misses violations (a group split across partitions) and
@@ -60,7 +67,7 @@ import (
 // Options configures a sharded engine.
 type Options struct {
 	// Shards is K, the number of hash partitions New builds; 0 or 1
-	// means a single one (useful as the degenerate baseline).
+	// means a single one, which holds the loaded instance itself.
 	Shards int
 	// Core configures the planner engine (plan cache size, default exec
 	// options, checker options) exactly as for a single-node engine.
@@ -101,7 +108,7 @@ type snapshot struct {
 // The merge walks every tuple in the database, so it observes ctx
 // between relations: a canceled request must not pay for a union nobody
 // will read. Nothing is cached unless every partition delivered its
-// whole share.
+// whole share. One partition's instance is the union itself.
 func (sn *snapshot) instance(ctx context.Context, s *schema.Schema) (*data.Instance, error) {
 	sn.mergeMu.Lock()
 	defer sn.mergeMu.Unlock()
@@ -115,6 +122,10 @@ func (sn *snapshot) instance(ctx context.Context, s *schema.Schema) (*data.Insta
 	})
 	if err != nil {
 		return nil, err
+	}
+	if len(parts) == 1 {
+		sn.merged = parts[0].Instance
+		return sn.merged, nil
 	}
 	m := data.NewInstance(s)
 	for _, part := range parts {
@@ -144,11 +155,11 @@ func (sn *snapshot) instance(ctx context.Context, s *schema.Schema) (*data.Insta
 
 // fan runs f(i) for every i in [0, n) and returns the first error in
 // index order: on a goroutine each when concurrent, so the partitions'
-// work (or round trips) overlaps; otherwise in order on the caller's
-// goroutine — where f may open trace spans — stopping at the first
-// error.
+// work (or round trips) overlaps; otherwise — or when there is only one
+// — in order on the caller's goroutine, stopping at the first error.
+// Only a non-concurrent f may open trace spans.
 func fan(n int, concurrent bool, f func(i int) error) error {
-	if !concurrent {
+	if !concurrent || n == 1 {
 		for i := 0; i < n; i++ {
 			if err := f(i); err != nil {
 				return err
@@ -175,8 +186,8 @@ func fan(n int, concurrent bool, f func(i int) error) error {
 }
 
 // Engine is the coordinator: core.Queryable over K partitions, so
-// serving code switches between a single-node engine, an in-process
-// sharded engine and a networked cluster with a constructor change.
+// serving code switches between the in-memory engine, an in-process
+// fleet and a networked cluster with a constructor change.
 type Engine struct {
 	Schema *schema.Schema
 	Access *access.Schema
@@ -202,17 +213,6 @@ type Engine struct {
 }
 
 var _ core.Queryable = (*Engine)(nil)
-
-// NewOrCore builds the serving engine for a K-shard deployment: the
-// plain single-node core.Engine for K ≤ 1, a sharded engine otherwise.
-// The CLIs (bequery, beserve) share it so "-shards 1" means exactly the
-// single-node engine, not a one-shard coordinator, in both binaries.
-func NewOrCore(s *schema.Schema, a *access.Schema, opts core.Options, shards int) (core.Queryable, error) {
-	if shards > 1 {
-		return New(s, a, Options{Shards: shards, Core: opts})
-	}
-	return core.New(s, a, opts)
-}
 
 // New builds a sharded engine over opts.Shards partitions in this
 // process, deriving the partition map from the access schema (see
@@ -284,20 +284,18 @@ func (e *Engine) publish(version uint64, size int, merged *data.Instance) error 
 // its share (which its indexes were validated on: nothing is indexed
 // twice), restarting the fleet at version 0. A violating dataset is
 // refused before any partition changes. Ownership of d transfers to the
-// engine: it becomes the new snapshot's cached union instance.
+// engine: it becomes the new snapshot's cached union instance (and, with
+// one partition, that partition's share).
 func (e *Engine) Load(d *data.Instance) error {
 	k := len(e.parts)
-	subs := make([]*data.Instance, k)
-	for i := range subs {
-		subs[i] = data.NewInstance(e.Schema)
-	}
-	if err := e.place.split(d, subs); err != nil {
+	subs, err := e.place.split(d, -1)
+	if err != nil {
 		return err
 	}
 	// BuildIndexed's own violation lists are computed against local
 	// sizes; the global check below is the authoritative one.
 	ixs := make([]*access.Indexed, k)
-	err := fan(k, true, func(i int) (err error) {
+	err = fan(k, true, func(i int) (err error) {
 		ixs[i], _, err = access.BuildIndexed(e.Access, subs[i])
 		return err
 	})
@@ -647,6 +645,10 @@ func (e *Engine) Query(ctx context.Context, q core.Query, opts ...core.QueryOpti
 		Size:   sn.size,
 		Source: src,
 		Instance: func(ctx context.Context) (*data.Instance, error) {
+			if len(sn.views) == 1 && !e.remote {
+				// One local partition: its instance, nothing merged.
+				return sn.instance(ctx, e.Schema)
+			}
 			sp := obs.FromContext(ctx).Start(e.mergeSpan)
 			inst, err := sn.instance(ctx, e.Schema)
 			if inst != nil {
@@ -702,7 +704,7 @@ func (e *Engine) Stats() core.EngineStats {
 // compacts each WAL behind it, returning the version captured. It writes
 // the snapshot's pinned views — never a partition's own newest version,
 // which a commit fanout in flight may not complete — so Applies proceed
-// concurrently. core.ErrNotDurable if the partitions have no durable
+// concurrently. durable.ErrNotDurable if the partitions have no durable
 // stores.
 func (e *Engine) Checkpoint(ctx context.Context) (uint64, error) {
 	sn := e.snap.Load()
@@ -719,9 +721,10 @@ func (e *Engine) Checkpoint(ctx context.Context) (uint64, error) {
 }
 
 // Durable gives every partition of an in-process fleet its own
-// durability directory, dir/shard-<i>: each WAL-logs its commits and
-// checkpoints its share. If every directory already holds state, each
-// partition recovers its newest committed version and the engine
+// durability directory, dir/shard-<i>, or dir itself for a fleet of one
+// (the layout single-node deployments have always had): each WAL-logs
+// its commits and checkpoints its share. If every directory already
+// holds state, each partition recovers its newest committed version and the engine
 // attaches to them like to any fleet — onto the minimum committed
 // version, truncating what a crash mid-fanout left ahead (restored ==
 // true). Directories where only SOME partitions have state — an initial
@@ -735,7 +738,11 @@ func (e *Engine) Durable(ctx context.Context, dir string, hook durable.Hook) (re
 		if !ok {
 			return fmt.Errorf("shard: partition %d is remote; its durability lives on its node", i)
 		}
-		ok, err := l.Durable(ctx, filepath.Join(dir, fmt.Sprintf("shard-%d", i)), hook)
+		pdir := dir
+		if len(e.parts) > 1 {
+			pdir = filepath.Join(dir, fmt.Sprintf("shard-%d", i))
+		}
+		ok, err := l.Durable(ctx, pdir, hook)
 		if ok {
 			withState.Add(1)
 		}

@@ -380,26 +380,27 @@ func TestShrinkRecheckAcrossShards(t *testing.T) {
 }
 
 // TestQueryablePolymorphism drives both engines through the shared
-// interface, the way cmd/bequery does.
+// interface, the way internal/server does, and the sharded one through
+// the concrete surface cmd/bequery uses.
 func TestQueryablePolymorphism(t *testing.T) {
 	single, sharded := newAccidents(t, 2, 2)
 	for _, eng := range []core.Queryable{single, sharded} {
-		if eng.Instance() == nil {
-			t.Fatal("Instance() nil after Load")
-		}
 		if _, err := eng.Explain(workload.Q0(), nil); err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.IsCovered(workload.Q0())
-		if err != nil || !res.Covered {
-			t.Fatalf("Q0 covered check: %v %v", res, err)
-		}
-		if _, err := eng.Baseline(workload.Q0(), 0); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.Query(context.Background(), workload.Q0()); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if sharded.Instance() == nil {
+		t.Fatal("Instance() nil after Load")
+	}
+	res, err := sharded.IsCovered(workload.Q0())
+	if err != nil || !res.Covered {
+		t.Fatalf("Q0 covered check: %v %v", res, err)
+	}
+	if _, err := sharded.Baseline(workload.Q0(), 0); err != nil {
+		t.Fatal(err)
 	}
 	if got := sharded.Stats().Shards; got != 2 {
 		t.Fatalf("Stats().Shards = %d, want 2", got)

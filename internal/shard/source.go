@@ -36,6 +36,10 @@ func (g *gatherSource) FetcherFor(c access.Constraint) plan.Fetcher {
 	if ci < 0 {
 		return nil
 	}
+	if len(g.views) == 1 && !g.e.remote {
+		// One local partition: its index IS the global index.
+		return g.views[0].Fetcher(ci)
+	}
 	fs := make([]plan.Fetcher, len(g.views))
 	for i, v := range g.views {
 		if fs[i] = v.Fetcher(ci); fs[i] == nil {
@@ -44,10 +48,7 @@ func (g *gatherSource) FetcherFor(c access.Constraint) plan.Fetcher {
 	}
 	parts := partitioned{fs: fs, sc: g.sc, remote: g.e.remote}
 	switch {
-	case len(fs) == 1 && !g.e.remote:
-		// One local partition: its index IS the global index.
-		return fs[0]
-	case len(fs) == 1 || g.e.place.aligned(c):
+	case g.e.place.aligned(c):
 		return routedFetcher{parts}
 	default:
 		return scatterFetcher{parts}
