@@ -49,8 +49,10 @@ func NewNode(s *schema.Schema, a *access.Schema, id, k int, opts Options) (*Node
 		return nil, err
 	}
 	n := &Node{Schema: s, Access: a, id: id, k: k, part: part, place: place}
-	n.Planner = planner
-	part.OnPublish = n.SetSize
+	n.Planning = shard.NewPlanning(planner, func() (int, uint64) {
+		st, _ := part.Status(context.Background()) // a local status never fails
+		return st.Size, st.Version
+	})
 	n.internal = newPartitionHandler(part, s, a)
 	return n, nil
 }
@@ -112,12 +114,11 @@ func (n *Node) Query(ctx context.Context, q core.Query, opts ...core.QueryOption
 	return n.Planner.QueryView(ctx, q, v, opts...)
 }
 
-// Stats reports the node's local share: size is the partition's, Shards
-// the cluster's K, Version the node's committed version, Applies the
+// Stats reports the node's local share: size and version are its
+// partition's current ones, Shards the cluster's K, Applies the
 // transactions it committed.
 func (n *Node) Stats() core.EngineStats {
-	_, version := n.part.Snapshot()
-	return n.EngineStats(n.k, n.part.Commits(), version)
+	return n.EngineStats(n.k, n.part.Commits())
 }
 
 // Durable attaches a durability directory: WAL + checkpoints for this

@@ -41,6 +41,23 @@ type planEntry struct {
 	// diagnostics, an envelope's Qu — and serves its own params only.
 	// dec embeds them too, so a rebound plan is served without it.
 	bindable bool
+	// sized marks a plan whose bound is a function of |D| — some fetch
+	// goes through a general-form constraint s(|D|) — so bound holds
+	// only at its own SizeHint.
+	sized bool
+}
+
+// boundAt is the entry's bound at instance size size: the cached bound
+// re-labelled with size, or — for a size-dependent plan asked at
+// another size — recomputed at it. Entries thus hold no |D| of their
+// own: every request gets the bound of the version it executes.
+func (ent *planEntry) boundAt(size int) (plan.Bound, error) {
+	if ent.sized && size != ent.bound.SizeHint {
+		return plan.AccessBound(ent.p, size)
+	}
+	b := ent.bound
+	b.SizeHint = size
+	return b, nil
 }
 
 // sameParams reports whether the entry was computed for params.
@@ -81,12 +98,6 @@ type planCache struct {
 	items    map[string]*list.Element // guarded by mu
 	hits     int64                    // guarded by mu
 	misses   int64                    // guarded by mu
-	// size is the |D| of the latest restamp. Entries are normalized to it
-	// on put, so a planning pass that read an older snapshot cannot land
-	// a bound the concurrent restamp would have refreshed.
-	//
-	// guarded by mu
-	size int
 }
 
 func newPlanCache(capacity int) *planCache {
@@ -101,33 +112,33 @@ func newPlanCache(capacity int) *planCache {
 }
 
 // get returns the entry for key when it can serve a query whose
-// constants are params, promoting it to most-recently-used. An entry
-// computed for params serves as is; a bindable one serves any params
-// when the caller rebinds its plan (rebind set). Any other entry is a
-// miss: the caller recomputes the outcome, and its put replaces the
-// entry.
-func (c *planCache) get(key string, params []value.Value, rebind bool) (*planEntry, bool) {
+// constants are params, with its bound at instance size size (boundAt),
+// promoting it to most-recently-used. An entry computed for params
+// serves as is; a bindable one serves any params when the caller
+// rebinds its plan (rebind set). Any other entry — or one whose bound
+// cannot be recomputed at size — is a miss: the caller recomputes the
+// outcome, and its put replaces the entry.
+func (c *planCache) get(key string, params []value.Value, rebind bool, size int) (*planEntry, plan.Bound, bool) {
 	if c == nil {
-		return nil, false
+		return nil, plan.Bound{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		if ent := el.Value.(*planEntry); rebind && ent.bindable || ent.sameParams(params) {
-			c.hits++
-			c.ll.MoveToFront(el)
-			return ent, true
+			if b, err := ent.boundAt(size); err == nil {
+				c.hits++
+				c.ll.MoveToFront(el)
+				return ent, b, true
+			}
 		}
 	}
 	c.misses++
-	return nil, false
+	return nil, plan.Bound{}, false
 }
 
 // put inserts (or refreshes) an entry, evicting the least-recently-used
-// one beyond capacity. The entry's bound is normalized to the cache's
-// current instance size first: planning runs outside the writer lock, so
-// without this a put racing a Load/Apply could publish a bound computed
-// against the pre-update size and have it served until the next update.
+// one beyond capacity.
 func (c *planCache) put(e *planEntry) {
 	if c == nil {
 		return
@@ -135,19 +146,9 @@ func (c *planCache) put(e *planEntry) {
 	// Bind with the entry's own params rebinds nothing: it only checks
 	// that every constant of the plan is one of them.
 	e.bindable = e.p != nil && e.envelope == nil && plan.Bind(e.p, e.params, e.params) != nil
+	e.sized = e.p != nil && planDependsOnSize(e.p)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e.p != nil && e.bound.SizeHint != c.size {
-		if planDependsOnSize(e.p) {
-			b, err := plan.AccessBound(e.p, c.size)
-			if err != nil {
-				return // cannot normalize: skip caching rather than serve a stale bound
-			}
-			e.bound = b
-		} else {
-			e.bound.SizeHint = c.size
-		}
-	}
 	if el, ok := c.items[e.key]; ok {
 		el.Value = e
 		c.ll.MoveToFront(el)
@@ -158,48 +159,6 @@ func (c *planCache) put(e *planEntry) {
 		last := c.ll.Back()
 		c.ll.Remove(last)
 		delete(c.items, last.Value.(*planEntry).key)
-	}
-}
-
-// restamp refreshes the cache for a new instance size (after Load or
-// Apply). Plans and not-bounded verdicts are data-independent given the
-// access schema, so entries survive; only a bound that embeds the |D|
-// size hint — a plan fetching through a general-form constraint s(|D|) —
-// is stale, and those entries are re-stamped with a bound recomputed at
-// the new size rather than dropped. Hit/miss counters are cumulative and
-// survive too. An entry whose bound cannot be recomputed (cannot happen
-// for plans that bounded once, but guarded anyway) is evicted.
-func (c *planCache) restamp(newSize int) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.size = newSize
-	var drop []*list.Element
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		ent := el.Value.(*planEntry)
-		if ent.p == nil {
-			continue // not-bounded / negative-envelope verdicts: size-free
-		}
-		restamped := *ent
-		if planDependsOnSize(ent.p) {
-			b, err := plan.AccessBound(ent.p, newSize)
-			if err != nil {
-				drop = append(drop, el)
-				continue
-			}
-			restamped.bound = b
-		} else {
-			// The bound's values are size-independent; refresh only the
-			// size hint it reports.
-			restamped.bound.SizeHint = newSize
-		}
-		el.Value = &restamped
-	}
-	for _, el := range drop {
-		c.ll.Remove(el)
-		delete(c.items, el.Value.(*planEntry).key)
 	}
 }
 

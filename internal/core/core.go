@@ -70,7 +70,7 @@ type Engine struct {
 
 	// snap is the current immutable snapshot (nil before the first Load).
 	snap atomic.Pointer[snapshot]
-	// writeMu serializes the writers (Load, Apply, SetSizeHint).
+	// writeMu serializes the writers (Load and Apply).
 	writeMu sync.Mutex
 	cache   *planCache
 	// queries and applies count served requests, for Stats.
@@ -155,11 +155,10 @@ func New(s *schema.Schema, a *access.Schema, opts Options) (*Engine, error) {
 // After the caller hands d to Load it must not mutate it — ownership
 // transfers to the engine.
 //
-// Loading re-stamps rather than purges the plan cache: cached plans and
-// not-bounded verdicts are data-independent given A, so only entries
-// whose static bound embeds the instance-size hint (plans fetching
-// through general-form constraints s(|D|)) are recomputed at the new
-// size; everything else, and the cumulative hit/miss counters, survive.
+// Loading leaves the plan cache alone: cached plans and not-bounded
+// verdicts are data-independent given A, and a cached bound is computed
+// at each request's |D| when it is served, so entries and the
+// cumulative hit/miss counters survive.
 func (e *Engine) Load(d *data.Instance) error {
 	ix, viols, err := access.BuildIndexed(e.Access, d)
 	if err != nil {
@@ -174,7 +173,6 @@ func (e *Engine) Load(d *data.Instance) error {
 	// it; drop the load-time dedup maps (rebuilt on demand by writers).
 	d.ReleaseDedup()
 	e.snap.Store(&snapshot{instance: d, indexed: ix, version: 0})
-	e.cache.restamp(d.Size())
 	return nil
 }
 
@@ -186,13 +184,16 @@ func (e *Engine) Load(d *data.Instance) error {
 // would break a bound is rejected with a *live.ViolationError listing
 // every violation, and has no visible effect.
 //
-// The plan cache survives an Apply the same way it survives Load: only
-// size-dependent bounds are re-stamped. Apply is safe to call
-// concurrently with queries and with other Apply/Load calls (writers are
-// serialized internally); ctx cancels a long apply before it publishes.
+// The plan cache survives an Apply the same way it survives Load. Apply
+// is safe to call concurrently with queries and with other Apply/Load
+// calls (writers are serialized internally); ctx cancels a long apply
+// before it publishes, and a nil ctx means context.Background().
 func (e *Engine) Apply(ctx context.Context, delta *live.Delta) (*live.Result, error) {
 	if delta == nil {
 		return nil, fmt.Errorf("core: nil delta")
+	}
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
@@ -205,20 +206,8 @@ func (e *Engine) Apply(ctx context.Context, delta *live.Delta) (*live.Result, er
 		return nil, err
 	}
 	e.snap.Store(&snapshot{instance: res.Instance, indexed: res.Indexed, version: sn.version + 1})
-	e.cache.restamp(res.Instance.Size())
 	e.applies.Add(1)
 	return res, nil
-}
-
-// SetSizeHint re-stamps the plan cache for an externally tracked |D|. It
-// is the coordinator hook (internal/shard) for a planner engine that
-// plans and serves on behalf of data it does not hold itself: cached
-// general-form bounds s(|D|) are recomputed at the global size, exactly
-// as Load and Apply do automatically for the engine's own instance.
-func (e *Engine) SetSizeHint(size int) {
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	e.cache.restamp(size)
 }
 
 // CacheStats reports cumulative plan-cache hit/miss counters; they
@@ -284,8 +273,8 @@ func (e *Engine) CheckBounded(q *cq.CQ) (*bep.Decision, error) {
 // skip the BEP check and plan synthesis entirely: a cached plan is
 // rebound to the query's constants (plan.Bind). A not-bounded verdict
 // names the constants it was computed for, so it serves only a query
-// with those constants. Entries survive Load and Apply; only
-// size-dependent bounds are re-stamped.
+// with those constants. Entries survive Load and Apply: a cached bound
+// is served at the current |D|.
 func (e *Engine) Plan(q *cq.CQ) (*plan.Plan, plan.Bound, error) {
 	return e.PlanAt(q, e.sizeHint())
 }
@@ -311,8 +300,8 @@ func (e *Engine) sizeHint() int {
 // planWithDecision is Plan plus the cached BEP decision and a cache-hit
 // flag, for callers (Query, Explain) that need the diagnostics without
 // re-running the checker. sizeHint is the |D| the caller's snapshot
-// reports, so a request's bound is computed against the same version it
-// executes (the cache normalizes stored bounds to the latest size).
+// reports: hit or miss, the bound returned is computed at it, so a
+// request's bound describes the same version it executes.
 //
 // A cached plan for q's template serves q rebound to q's constants,
 // without its decision: the decision names the constants it was made
@@ -324,7 +313,7 @@ func (e *Engine) planWithDecision(q *cq.CQ, sizeHint int, explain bool) (*plan.P
 	var params []value.Value
 	if e.cache != nil {
 		key, params = q.KeyParams()
-		if ent, ok := e.cache.get(key, params, !explain); ok {
+		if ent, b, ok := e.cache.get(key, params, !explain, sizeHint); ok {
 			if ent.notBounded != nil {
 				return nil, plan.Bound{}, ent.notBounded.Decision, true, ent.notBounded
 			}
@@ -332,7 +321,7 @@ func (e *Engine) planWithDecision(q *cq.CQ, sizeHint int, explain bool) (*plan.P
 			if !ent.sameParams(params) {
 				dec = nil
 			}
-			return ent.planFor(params, q.Label), ent.bound, dec, true, nil
+			return ent.planFor(params, q.Label), b, dec, true, nil
 		}
 	}
 	p, b, dec, err := e.planUncached(q, sizeHint)

@@ -415,8 +415,8 @@ func (e *Engine) envelopePlanCached(q *cq.CQ, sizeHint int) (*plan.Plan, plan.Bo
 		key, params = q.KeyParams()
 		key = "env:" + key
 		// Qu embeds q's constants, so only q's own constants are served.
-		if ent, ok := e.cache.get(key, params, false); ok {
-			return ent.p, ent.bound, ent.envelope, true, nil
+		if ent, b, ok := e.cache.get(key, params, false, sizeHint); ok {
+			return ent.p, b, ent.envelope, true, nil
 		}
 	}
 	up, err := e.UpperEnvelope(q)

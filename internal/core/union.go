@@ -38,7 +38,7 @@ func (e *Engine) planUCQCached(u *ucq.UCQ, sizeHint int) (*plan.Plan, plan.Bound
 		key, params = u.KeyParams()
 		// The "ucq:" prefix keeps union keys disjoint from CQ keys.
 		key = "ucq:" + key
-		if ent, ok := e.cache.get(key, params, true); ok {
+		if ent, b, ok := e.cache.get(key, params, true, sizeHint); ok {
 			if ent.notBounded != nil {
 				// Copy so the refusal carries the caller's label without
 				// mutating the shared cached entry.
@@ -46,7 +46,7 @@ func (e *Engine) planUCQCached(u *ucq.UCQ, sizeHint int) (*plan.Plan, plan.Bound
 				nb.Label = u.Label
 				return nil, plan.Bound{}, true, &nb
 			}
-			return ent.planFor(params, u.Label), ent.bound, true, nil
+			return ent.planFor(params, u.Label), b, true, nil
 		}
 	}
 	p, b, err := e.planUCQUncached(u, sizeHint)

@@ -69,17 +69,13 @@ type stagedTxn struct {
 // holds its snapshot for as long as the reader holds the View, however
 // many commits follow. (A server of remote readers, who name a version
 // on every RPC instead of holding a View, keeps the Views for them; see
-// internal/cluster's handler.)
+// internal/cluster's handler.) Whoever plans over the partition reads
+// its |D| and version from Status.
 type Local struct {
 	schema  *schema.Schema
 	access  *access.Schema
 	id, k   int
 	catalog uint32 // catalogHash(schema, access)
-
-	// OnPublish, when set before the partition is shared, is told the
-	// partition's size each time its current version changes — a node's
-	// planner re-stamps its size-dependent bounds from it.
-	OnPublish func(size int)
 
 	// cur is the current committed snapshot (nil before data arrives).
 	// mu serializes writes — load, stage, commit, rollback — and guards
@@ -132,15 +128,7 @@ func (l *Local) install(sn *localSnap) {
 	l.prev = nil
 	l.staged = nil
 	l.lastTxn = ""
-	l.publish(sn)
-}
-
-// publish swaps in sn as the current version. Callers hold mu.
-func (l *Local) publish(sn *localSnap) {
 	l.cur.Store(sn)
-	if l.OnPublish != nil {
-		l.OnPublish(sn.size)
-	}
 }
 
 func (l *Local) Status(context.Context) (Status, error) {
@@ -357,7 +345,7 @@ func (l *Local) Commit(ctx context.Context, txn string, v uint64) (int, error) {
 	l.prev = sn
 	l.lastTxn, l.lastSize = txn, next.size
 	l.commits.Add(1)
-	l.publish(next)
+	l.cur.Store(next)
 	return next.size, nil
 }
 

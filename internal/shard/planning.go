@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"sync/atomic"
-
 	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/cq"
@@ -14,29 +12,25 @@ import (
 // data a core.Engine does not hold itself: the coordinator and a
 // partition server both embed it, so Explain, IsCovered, Plan,
 // Specialize, CacheStats and the Stats assembly are written once, as
-// delegations to one shared planner at the size the embedder publishes.
+// delegations to one shared planner. It keeps no |D| of its own: each
+// call reads size and version from the embedder's published snapshot.
 type Planning struct {
 	// Planner plans, admits and serves (QueryView) for the embedder;
 	// there is one plan cache however many partitions hold the data.
-	Planner *core.Engine
-	size    atomic.Int64
+	Planner   *core.Engine
+	published func() (size int, version uint64)
 }
 
-// SetSize records |D| of the data now planned for — the input to
-// general-form cardinality bounds s(|D|) — and re-stamps the planner's
-// cached bounds at it. The embedder calls it whenever it publishes a
-// version.
-func (p *Planning) SetSize(size int) {
-	p.size.Store(int64(size))
-	p.Planner.SetSizeHint(size)
+// NewPlanning delegates to planner; published reports the embedder's
+// current |D| and version from one snapshot (0, 0 before data arrives).
+func NewPlanning(planner *core.Engine, published func() (size int, version uint64)) Planning {
+	return Planning{Planner: planner, published: published}
 }
-
-// Size is the last published |D|; 0 before data arrives.
-func (p *Planning) Size() int { return int(p.size.Load()) }
 
 // Explain reports coverage, verdict, plan and bound like core's.
 func (p *Planning) Explain(q *cq.CQ, params []string) (string, error) {
-	return p.Planner.ExplainAt(q, params, p.Size())
+	size, _ := p.published()
+	return p.Planner.ExplainAt(q, params, size)
 }
 
 // IsCovered runs the PTIME covered-query check (data-independent).
@@ -44,7 +38,8 @@ func (p *Planning) IsCovered(q *cq.CQ) (*cover.Result, error) { return p.Planner
 
 // Plan synthesizes the bounded plan with its static bound.
 func (p *Planning) Plan(q *cq.CQ) (*plan.Plan, plan.Bound, error) {
-	return p.Planner.PlanAt(q, p.Size())
+	size, _ := p.published()
+	return p.Planner.PlanAt(q, size)
 }
 
 // Specialize solves QSP (data-independent).
@@ -57,11 +52,13 @@ func (p *Planning) CacheStats() core.CacheStats { return p.Planner.CacheStats() 
 
 // EngineStats assembles the embedder's core.EngineStats: every query is
 // served through the planner's QueryView, so its request and access
-// counters cover whatever the embedder is made of.
-func (p *Planning) EngineStats(shards int, applies, version uint64) core.EngineStats {
+// counters cover whatever the embedder is made of, and size and version
+// come from one published snapshot.
+func (p *Planning) EngineStats(shards int, applies uint64) core.EngineStats {
 	ps := p.Planner.Stats()
+	size, version := p.published()
 	return core.EngineStats{
-		Size:    p.Size(),
+		Size:    size,
 		Shards:  shards,
 		Queries: ps.Queries,
 		Applies: applies,

@@ -247,7 +247,7 @@ func NewCoordinator(s *schema.Schema, a *access.Schema, parts []Partition, copts
 		return nil, err
 	}
 	e := &Engine{Schema: s, Access: a, place: place, parts: parts}
-	e.Planner = planner
+	e.Planning = NewPlanning(planner, e.published)
 	e.mergeSpan, e.counters = "shard.merge", obs.NewShardCounters
 	for _, p := range parts {
 		if _, local := p.(*Local); !local {
@@ -273,8 +273,16 @@ func (e *Engine) publish(version uint64, size int, merged *data.Instance) error 
 		views[i] = v
 	}
 	e.snap.Store(&snapshot{views: views, size: size, version: version, merged: merged})
-	e.SetSize(size)
 	return nil
+}
+
+// published is the current snapshot's |D| and version; 0, 0 before
+// the first Load or Attach.
+func (e *Engine) published() (int, uint64) {
+	if sn := e.snap.Load(); sn != nil {
+		return sn.size, sn.version
+	}
+	return 0, 0
 }
 
 // Load hash-partitions d, indexes every share in parallel, validates
@@ -693,11 +701,7 @@ func (e *Engine) PartitionKey(rel string) []schema.Attribute {
 // Stats aggregates across the partitions: global |D|, partition count,
 // and the serving counters.
 func (e *Engine) Stats() core.EngineStats {
-	version := uint64(0)
-	if sn := e.snap.Load(); sn != nil {
-		version = sn.version
-	}
-	return e.EngineStats(len(e.parts), e.applies.Load(), version)
+	return e.EngineStats(len(e.parts), e.applies.Load())
 }
 
 // Checkpoint persists the published version on every partition and
