@@ -176,15 +176,15 @@ func TestJoinProbeAllocs(t *testing.T) {
 // a Q0-shaped plan over the accidents generator, run through
 // ExecuteSource on a warm state pool, allocates a small constant — the
 // answer table and the stats — not a table, hash index and arena per plan
-// step, which for these 24 steps costs ~700 allocations and ~250 KB.
+// step.
 func TestQueryAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop puts at random")
 	}
 	acc, src := accidentsSource(t, 30, 1)
 	p := builtPlan(t, workload.Q0(), acc.Access, acc.Schema)
-	if len(p.Steps) != 24 {
-		t.Fatalf("Q0 plan has %d steps, want the 24-step shape", len(p.Steps))
+	if len(p.Steps) != 18 {
+		t.Fatalf("Q0 plan has %d steps, want the 18-step shape", len(p.Steps))
 	}
 	ctx := context.Background()
 	run := func() {

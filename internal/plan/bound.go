@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -13,13 +14,13 @@ import (
 // evaluable. General-form constraints R(X -> Y, s(·)) evaluate s at the
 // SizeHint, so the bound is a function of |D| but still sublinear.
 //
-// The analysis tracks, per column name, a bound on the number of distinct
-// candidate values that can flow through it (1 for constants, |X-bound|·N
-// for fetched columns). Table bounds take the minimum of the operational
-// bound (product for ×/⋈, carry-through for σ/π) and the product of the
-// column bounds — this reproduces the paper's Example 1.1 arithmetic
-// (610 + 610·192·2 plus our verification re-fetches) instead of the naive
-// exponential join blow-up.
+// The analysis tracks, per column of each step, a bound on the number of
+// distinct candidate values that can flow through it (1 for constants,
+// |X-bound|·N for fetched columns). Table bounds take the minimum of the
+// operational bound (product for ×/⋈, carry-through for σ/π) and the
+// product of the column bounds — this reproduces the paper's Example 1.1
+// arithmetic (610 + 610·192·2, plus 610·1 for the check that carries the
+// district) instead of the naive exponential join blow-up.
 type Bound struct {
 	// Fetched bounds the total tuples retrieved via indices (|D_Q|).
 	Fetched int64
@@ -74,27 +75,24 @@ func AccessBound(p *Plan, sizeHint int) (Bound, error) {
 	}
 	bounds := make([]int64, len(p.Steps))
 	cols := make([][]string, len(p.Steps))
-	// colBound bounds the distinct values a named column can carry,
-	// across the whole plan (column names are class representatives).
-	colBound := make(map[string]int64)
-	cb := func(name string) int64 {
-		if b, ok := colBound[name]; ok {
-			return b
+	// colBounds[i][j] bounds the distinct values column cols[i][j] carries.
+	// The bounds flow along the plan's edges, so the sub-plans of a UCQ,
+	// which reuse column names for unrelated classes, stay apart.
+	colBounds := make([][]int64, len(p.Steps))
+	colOf := func(step int, name string) int64 {
+		for j, c := range cols[step] {
+			if c == name {
+				return colBounds[step][j]
+			}
 		}
 		return boundCap
 	}
-	narrow := func(name string, b int64) {
-		colBound[name] = satMin(cb(name), b)
-	}
-	colProduct := func(names []string) int64 {
+	colProduct := func(step int, names []string) int64 {
 		out := int64(1)
-		seen := make(map[string]bool, len(names))
-		for _, n := range names {
-			if seen[n] {
-				continue
+		for k, n := range names {
+			if !slices.Contains(names[:k], n) {
+				out = satMul(out, colOf(step, n))
 			}
-			seen[n] = true
-			out = satMul(out, cb(n))
 		}
 		return out
 	}
@@ -103,65 +101,85 @@ func AccessBound(p *Plan, sizeHint int) (Bound, error) {
 	for i, op := range p.Steps {
 		switch o := op.(type) {
 		case unitOp:
-			bounds[i], cols[i] = 1, nil
+			bounds[i] = 1
 		case ConstOp:
-			narrow(o.Col, 1)
-			bounds[i], cols[i] = 1, []string{o.Col}
+			bounds[i], cols[i], colBounds[i] = 1, []string{o.Col}, []int64{1}
 		case EmptyOp:
 			bounds[i], cols[i] = 0, append([]string(nil), o.Cols...)
+			colBounds[i] = make([]int64, len(o.Cols))
 		case FetchOp:
 			n := int64(o.Constraint.Card.Bound(sizeHint))
-			in := satMin(bounds[o.Input], colProduct(o.XCols))
-			xBound := colProduct(o.XCols)
-			out := satMul(satMin(in, xBound), n)
-			for _, y := range o.YOut {
-				if y != "" {
-					narrow(y, out)
+			out := satMul(satMin(bounds[o.Input], colProduct(o.Input, o.XCols)), n)
+			bounds[i], cols[i] = out, o.outCols()
+			colBounds[i] = slices.Repeat([]int64{out}, len(cols[i]))
+			for j, c := range cols[i] {
+				if slices.Contains(o.XCols, c) && !slices.Contains(o.YOut, c) {
+					colBounds[i][j] = colOf(o.Input, c)
 				}
 			}
-			bounds[i] = out
-			cols[i] = o.outCols()
 			fetched = satAdd(fetched, out)
 		case ProjectOp:
-			outCols := o.Cols
+			bounds[i] = satMin(bounds[o.Input], colProduct(o.Input, o.Cols))
+			cols[i] = append([]string(nil), o.Cols...)
 			if o.As != nil {
-				outCols = o.As
+				cols[i] = append([]string(nil), o.As...)
 			}
-			bounds[i] = satMin(bounds[o.Input], colProduct(o.Cols))
-			cols[i] = append([]string(nil), outCols...)
+			colBounds[i] = make([]int64, len(o.Cols))
+			for j, c := range o.Cols {
+				colBounds[i][j] = colOf(o.Input, c)
+			}
 		case SelectOp:
 			bounds[i], cols[i] = bounds[o.Input], cols[o.Input]
-		case ProductOp:
-			cols[i] = append(append([]string(nil), cols[o.L]...), cols[o.R]...)
-			bounds[i] = satMin(satMul(bounds[o.L], bounds[o.R]), colProduct(cols[i]))
-		case JoinOp:
-			merged := append([]string(nil), cols[o.L]...)
-			ls := make(map[string]bool, len(merged))
-			for _, c := range merged {
-				ls[c] = true
-			}
-			for _, c := range cols[o.R] {
-				if !ls[c] {
-					merged = append(merged, c)
+			colBounds[i] = append([]int64(nil), colBounds[o.Input]...)
+			// σ L = R leaves both columns the values they have in common.
+			for _, c := range o.Conds {
+				if c.R == "" {
+					continue
+				}
+				l, r := slices.Index(cols[i], c.L), slices.Index(cols[i], c.R)
+				if l >= 0 && r >= 0 {
+					m := satMin(colBounds[i][l], colBounds[i][r])
+					colBounds[i][l], colBounds[i][r] = m, m
 				}
 			}
-			cols[i] = merged
-			bounds[i] = satMin(satMul(bounds[o.L], bounds[o.R]), colProduct(merged))
+			bounds[i] = satMin(bounds[i], colProduct(i, cols[i]))
+		case ProductOp:
+			cols[i] = append(append([]string(nil), cols[o.L]...), cols[o.R]...)
+			colBounds[i] = append(append([]int64(nil), colBounds[o.L]...), colBounds[o.R]...)
+			bounds[i] = satMin(satMul(bounds[o.L], bounds[o.R]), colProduct(i, cols[i]))
+		case JoinOp:
+			cols[i] = append([]string(nil), cols[o.L]...)
+			colBounds[i] = append([]int64(nil), colBounds[o.L]...)
+			for j, c := range cols[i] {
+				colBounds[i][j] = satMin(colBounds[i][j], colOf(o.R, c))
+			}
+			for j, c := range cols[o.R] {
+				if !slices.Contains(cols[o.L], c) {
+					cols[i] = append(cols[i], c)
+					colBounds[i] = append(colBounds[i], colBounds[o.R][j])
+				}
+			}
+			bounds[i] = satMin(satMul(bounds[o.L], bounds[o.R]), colProduct(i, cols[i]))
 		case UnionOp:
 			bounds[i], cols[i] = satAdd(bounds[o.L], bounds[o.R]), cols[o.L]
+			colBounds[i] = append([]int64(nil), colBounds[o.L]...)
+			for j := range colBounds[i] {
+				if j < len(colBounds[o.R]) {
+					colBounds[i][j] = satAdd(colBounds[i][j], colBounds[o.R][j])
+				}
+			}
 		case DiffOp:
-			bounds[i], cols[i] = bounds[o.L], cols[o.L]
+			bounds[i], cols[i], colBounds[i] = bounds[o.L], cols[o.L], colBounds[o.L]
 		case RenameOp:
 			cc := append([]string(nil), cols[o.Input]...)
 			for k, f := range o.From {
 				for j, c := range cc {
 					if c == f {
 						cc[j] = o.To[k]
-						narrow(o.To[k], cb(f))
 					}
 				}
 			}
-			bounds[i], cols[i] = bounds[o.Input], cc
+			bounds[i], cols[i], colBounds[i] = bounds[o.Input], cc, colBounds[o.Input]
 		default:
 			return Bound{}, fmt.Errorf("plan: bound: unknown operation %T", op)
 		}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/cover"
-	"repro/internal/cq"
 )
 
 // BuildOptions tunes plan synthesis.
@@ -37,10 +36,23 @@ func (e *NotCoveredError) Error() string {
 }
 
 // Build synthesizes a boundedly evaluable query plan for a covered CQ,
-// following the constructive proof of Theorem 3.11: replay the cov(Q,A)
-// fixpoint as fetches to enumerate candidate values for covered variables,
-// then verify every relation atom through its indexing constraint, and
-// finally project onto the head.
+// following the constructive proof of Theorem 3.11 but fetching only what
+// the proof needs:
+//
+//   - Seed the accumulated table with one constant column per pinned class.
+//   - Replay the cov(Q,A) fixpoint as fetches that enumerate candidate
+//     values for covered classes. A fetch keeps only the Y classes some
+//     later step reads (the head, a class occurring more than once, the X
+//     of any fetch); an application that binds no new read class is
+//     skipped.
+//   - Verify every relation atom through its indexing constraint (a
+//     semijoin). An atom the fixpoint already fetched through the same
+//     constraint is verified by that fetch and needs no step of its own.
+//     Every other check runs as soon as its columns are bound — after the
+//     seed or after the fetch that binds its last column — so selective
+//     checks shrink the table before the next fan-out; any left over run
+//     at the end.
+//   - Project onto the head.
 //
 // A-unsatisfiable queries (conflicting equalities) yield the empty plan.
 // Non-covered queries yield NotCoveredError with diagnostics.
@@ -61,102 +73,160 @@ func Build(res *cover.Result, opt BuildOptions) (*Plan, error) {
 
 	cls := an.EqPlus
 	rep := cls.Root
+	reps := func(vs []string) []string {
+		out := make([]string, len(vs))
+		for i, v := range vs {
+			out[i] = rep(v)
+		}
+		return out
+	}
+
+	// The verifications: every atom through its indexing constraint, with
+	// unconstrained singletons dropped from the Y side.
+	freeSet := make(map[string]bool, len(q.Free))
+	for _, f := range q.Free {
+		freeSet[f] = true
+	}
+	type check struct {
+		key   [2]int  // (AtomIdx, ConstraintIdx)
+		fetch FetchOp // Input is set when emitted
+		done  bool
+	}
+	checks := make([]check, len(res.Atoms))
+	for i, ai := range res.Atoms {
+		atom := q.Atoms[ai.AtomIdx]
+		c := an.Access.Constraints[ai.ConstraintIdx]
+		rs, _ := an.Schema.Relation(atom.Rel)
+		xreps := make([]string, len(c.X))
+		for j, a := range c.X {
+			xreps[j] = rep(atom.Args[rs.AttrIndex(a)].V)
+		}
+		yout := make([]string, len(c.Y))
+		for j, a := range c.Y {
+			if v := atom.Args[rs.AttrIndex(a)].V; freeSet[v] || an.Occurs[v] > 1 {
+				yout[j] = rep(v)
+			}
+		}
+		checks[i] = check{key: [2]int{ai.AtomIdx, ai.ConstraintIdx},
+			fetch: FetchOp{Constraint: c, XCols: xreps, YOut: yout}}
+	}
+
+	// read holds the classes some step reads after they are bound: the
+	// head, any class occurring more than once, and the X of any fetch.
+	read := make(map[string]bool)
+	for v, n := range an.Occurs {
+		if n > 1 || freeSet[v] {
+			read[rep(v)] = true
+		}
+	}
+	for _, ck := range checks {
+		for _, x := range ck.fetch.XCols {
+			read[x] = true
+		}
+	}
+	for _, ap := range an.Applications {
+		for _, x := range ap.XVars {
+			read[rep(x)] = true
+		}
+	}
+
+	// bound mirrors acc's columns, kept up to date as acc grows.
+	bound := make(map[string]bool)
+	acc := b.emit(unitOp{})
+	extend := func(step int) {
+		acc = b.join(acc, step, sharedCols(b.cols(acc), b.cols(step)))
+		for _, c := range b.cols(step) {
+			bound[c] = true
+		}
+	}
+	verify := func(ck *check) {
+		ck.done = true
+		ft := ck.fetch
+		ft.Input = b.emit(ProjectOp{Input: acc, Cols: dedup(ft.XCols)})
+		fs := b.emit(ft)
+		keep := b.cols(acc)
+		acc = b.join(acc, fs, sharedCols(keep, b.cols(fs)))
+		// Drop any throwaway columns the verification introduced.
+		if len(b.cols(acc)) != len(keep) {
+			acc = b.emit(ProjectOp{Input: acc, Cols: keep})
+		}
+	}
+	ready := func(ck *check) bool {
+		for _, x := range ck.fetch.XCols {
+			if !bound[x] {
+				return false
+			}
+		}
+		for _, y := range ck.fetch.YOut {
+			if y != "" && !bound[y] {
+				return false
+			}
+		}
+		return true
+	}
+	// filter emits every pending verification whose columns are all bound,
+	// or all of them when final.
+	filter := func(final bool) {
+		for i := range checks {
+			if ck := &checks[i]; !ck.done && (final || ready(ck)) {
+				verify(ck)
+			}
+		}
+	}
 
 	// Seed: the unit table, extended with one constant column per pinned
 	// class that the query mentions.
-	acc := b.emit(unitOp{})
-	seeded := map[string]bool{}
-	for _, v := range neededVars(q) {
+	for _, v := range q.Vars() {
 		r := rep(v)
-		if seeded[r] || !cls.IsConstantVar(v) {
+		if bound[r] || !cls.IsConstantVar(v) {
 			continue
 		}
-		seeded[r] = true
-		cstep := b.emit(ConstOp{Col: r, Val: cls.ConstOf(v)})
-		acc = b.join(acc, cstep, sharedCols(b.cols(acc), b.cols(cstep)))
+		extend(b.emit(ConstOp{Col: r, Val: cls.ConstOf(v)}))
 	}
-	accCols := func() map[string]bool { return b.colSet(acc) }
+	filter(false)
 
 	// Phase 1: replay the fixpoint applications as fetches, extending the
 	// accumulated table with candidate values for each covered class.
 	for _, ap := range an.Applications {
-		xreps := make([]string, len(ap.XVars))
+		xreps := reps(ap.XVars)
 		for i, x := range ap.XVars {
-			xreps[i] = rep(x)
-		}
-		yreps := make([]string, len(ap.YVars))
-		for i, y := range ap.YVars {
-			yreps[i] = rep(y)
-		}
-		// Skip applications that add no new column (they only widened cov
-		// through eq⁺; values are already constrained elsewhere).
-		have := accCols()
-		anyNew := false
-		for _, y := range yreps {
-			if !have[y] {
-				anyNew = true
-			}
-		}
-		for i, x := range ap.XVars {
-			if an.ConstantVars[x] && !have[xreps[i]] {
+			if an.ConstantVars[x] && !bound[xreps[i]] {
 				// Pinned classes were all seeded above.
 				return nil, fmt.Errorf("plan: internal: pinned class %s not seeded", xreps[i])
+			}
+		}
+		// Keep only the Y classes a later step reads; skip applications
+		// that bind none of those anew (they only widened cov through eq⁺,
+		// or covered a class nothing reads).
+		yout := reps(ap.YVars)
+		anyNew := false
+		for i, y := range yout {
+			if !read[y] {
+				yout[i] = ""
+			} else if !bound[y] {
+				anyNew = true
 			}
 		}
 		if !anyNew {
 			continue
 		}
 		xt := b.emit(ProjectOp{Input: acc, Cols: dedup(xreps)})
-		ft := b.emit(FetchOp{
-			Input:      xt,
-			Constraint: ap.Constraint,
-			XCols:      xreps,
-			YOut:       yreps,
-		})
-		acc = b.join(acc, ft, sharedCols(b.cols(acc), b.cols(ft)))
-	}
-
-	// Phase 2: verify every atom through its indexing constraint
-	// (semijoin). This also binds nothing new: it filters the candidate
-	// combinations down to those witnessed by real tuples.
-	for _, ai := range res.Atoms {
-		atom := q.Atoms[ai.AtomIdx]
-		c := an.Access.Constraints[ai.ConstraintIdx]
-		rs, _ := an.Schema.Relation(atom.Rel)
-		xreps := make([]string, len(c.X))
-		for i, a := range c.X {
-			xreps[i] = rep(atom.Args[rs.AttrIndex(a)].V)
-		}
-		yout := make([]string, len(c.Y))
-		freeSet := map[string]bool{}
-		for _, f := range q.Free {
-			freeSet[f] = true
-		}
-		for i, a := range c.Y {
-			v := atom.Args[rs.AttrIndex(a)].V
-			if !freeSet[v] && an.Occurs[v] == 1 {
-				yout[i] = "" // unconstrained singleton: drop
-			} else {
-				yout[i] = rep(v)
+		extend(b.emit(FetchOp{Input: xt, Constraint: ap.Constraint, XCols: xreps, YOut: yout}))
+		// This fetch already verified its atom through its constraint.
+		for i := range checks {
+			if checks[i].key == [2]int{ap.AtomIdx, ap.ConstraintIdx} {
+				checks[i].done = true
 			}
 		}
-		xt := b.emit(ProjectOp{Input: acc, Cols: dedup(xreps)})
-		ft := b.emit(FetchOp{Input: xt, Constraint: c, XCols: xreps, YOut: yout})
-		keep := b.cols(acc)
-		acc = b.join(acc, ft, sharedCols(keep, b.cols(ft)))
-		// Drop any throwaway columns the verification introduced.
-		if len(b.cols(acc)) != len(keep) {
-			acc = b.emit(ProjectOp{Input: acc, Cols: keep})
-		}
+		filter(false)
 	}
+
+	// Phase 2: the verifications no fetch has performed or bound yet.
+	filter(true)
 
 	// Phase 3: project onto the head, renaming class representatives back
 	// to the free variable names (repeats allowed, e.g. Q(x, x)).
-	heads := make([]string, len(q.Free))
-	for i, f := range q.Free {
-		heads[i] = rep(f)
-	}
-	b.emit(ProjectOp{Input: acc, Cols: heads, As: append([]string(nil), q.Free...)})
+	b.emit(ProjectOp{Input: acc, Cols: reps(q.Free), As: append([]string(nil), q.Free...)})
 	return p, nil
 }
 
@@ -220,14 +290,6 @@ func (b *builder) emit(op Op) int {
 }
 
 func (b *builder) cols(i int) []string { return b.colsOf[i] }
-
-func (b *builder) colSet(i int) map[string]bool {
-	m := make(map[string]bool)
-	for _, c := range b.colsOf[i] {
-		m[c] = true
-	}
-	return m
-}
 
 func (b *builder) deriveCols(op Op) []string {
 	switch o := op.(type) {
@@ -351,12 +413,6 @@ func shiftOp(op Op, k int) Op {
 	default:
 		return op
 	}
-}
-
-// neededVars lists variables whose values the plan must materialize:
-// everything mentioned in atoms or the head, plus equality-only variables.
-func neededVars(q *cq.CQ) []string {
-	return q.Vars()
 }
 
 func dedup(xs []string) []string {

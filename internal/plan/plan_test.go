@@ -12,6 +12,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/schema"
 	"repro/internal/value"
+	"repro/internal/workload"
 )
 
 func iv(i int64) value.Value                          { return value.NewInt(i) }
@@ -157,11 +158,10 @@ func TestQ0AccessBoundMatchesPaperArithmetic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The paper derives 610 + 610·192·2 = 234850 for its hand plan; ours
-	// re-fetches the Accident tuple per aid (one extra 610·1 term) and
-	// verifies atoms independently, so allow the same order of magnitude:
-	// strictly positive, independent of |D|, below 1e6.
-	if b.Fetched <= 0 || b.Fetched > 1_000_000 {
-		t.Errorf("Q0 static fetch bound = %d, want within (0, 1e6]", b.Fetched)
+	// adds one 610·1 term for the Accident(aid -> district date, 1) check
+	// that carries the district.
+	if want := int64(610 + 610*1 + 2*610*192); b.Fetched != want {
+		t.Errorf("Q0 static fetch bound = %d, want 610 + 610·1 + 2·610·192 = %d", b.Fetched, want)
 	}
 	// The headline property: the bound must not change with |D|
 	// (all psi constraints are constant-form).
@@ -171,6 +171,49 @@ func TestQ0AccessBoundMatchesPaperArithmetic(t *testing.T) {
 	}
 	if b2.Fetched != b.Fetched {
 		t.Errorf("bound must be independent of |D|: %d vs %d", b.Fetched, b2.Fetched)
+	}
+}
+
+// TestPlanFetchCounts pins the plans' shapes: phase 2 re-fetches no atom
+// phase 1 already fetched through the same constraint, and a fetch keeps
+// no column nothing reads, so Q0 fetches dates → aids → the district
+// check → casualties → vehicles and nothing twice.
+func TestPlanFetchCounts(t *testing.T) {
+	soc := workload.SocialConstraints(15, 5)
+	var path2 *cq.CQ
+	for _, q := range workload.PatternQueries(1) {
+		if q.Label == "path2" {
+			path2 = q
+		}
+	}
+	for _, tc := range []struct {
+		q              *cq.CQ
+		a              *access.Schema
+		s              *schema.Schema
+		steps, fetches int
+	}{
+		{q0(), psi(), accidentSchema(), 18, 4},
+		{workload.GraphSearchQuery(1, "NYC", "cycling"), soc, workload.SocialSchema(), 0, 3},
+		{path2, soc, workload.SocialSchema(), 0, 2},
+	} {
+		res, err := cover.Check(tc.q, tc.a, tc.s, cover.Options{})
+		if err != nil || !res.Covered {
+			t.Fatalf("%s must be covered: %v", tc.q.Label, err)
+		}
+		p, err := Build(res, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, op := range p.Steps {
+			if _, ok := op.(FetchOp); ok {
+				n++
+			}
+		}
+		if n != tc.fetches || (tc.steps > 0 && len(p.Steps) != tc.steps) {
+			t.Errorf("%s: %d steps with %d fetches, want %d fetches (and %d steps when pinned)\n%s",
+				tc.q.Label, len(p.Steps), n, tc.fetches, tc.steps, p)
+		}
 	}
 }
 
@@ -479,6 +522,57 @@ func TestUCQPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameSet(t, got, want.Rows)
+}
+
+// TestUCQBoundKeepsSubPlansApart: the sub-plans of a UCQ reuse column
+// names for unrelated classes. Here the first sub-query's x is a name
+// (one value per person) and the second's is a friend id (up to three),
+// so the bound must not carry the first's narrowing into the second.
+func TestUCQBoundKeepsSubPlansApart(t *testing.T) {
+	s := workload.SocialSchema()
+	a := workload.SocialConstraints(3, 1)
+	q1 := &cq.CQ{Label: "A", Free: []string{"x", "y"},
+		Atoms: []cq.Atom{cq.NewAtom("Person", cq.Const(iv(1)), cq.Var("x"), cq.Var("y"))}}
+	q2 := &cq.CQ{Label: "A", Free: []string{"x", "y"},
+		Atoms: []cq.Atom{
+			cq.NewAtom("Friend", cq.Const(iv(1)), cq.Var("x")),
+			cq.NewAtom("Friend", cq.Var("x"), cq.Var("y")),
+		}}
+	ures, err := cover.CheckUCQ([]*cq.CQ{q1, q2}, a, s, cover.Options{})
+	if err != nil || !ures.Covered {
+		t.Fatalf("A must be covered: %v", err)
+	}
+	p, err := BuildUCQ(ures, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := AccessBound(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Person by pid (1), friends of 1 (3), friends of those (3·3).
+	if want := int64(1 + 3 + 3*3); b.Fetched != want {
+		t.Errorf("UCQ fetch bound = %d, want 1 + 3 + 3·3 = %d\n%s", b.Fetched, want, p)
+	}
+	d := data.NewInstance(s)
+	d.MustInsert("Person", iv(1), sv("user1"), sv("NYC"))
+	for f := int64(2); f <= 4; f++ {
+		d.MustInsert("Friend", iv(1), iv(f))
+		for g := int64(0); g < 3; g++ {
+			d.MustInsert("Friend", iv(f), iv(10*f+g))
+		}
+	}
+	ix, viols, err := access.BuildIndexed(a, d)
+	if err != nil || len(viols) > 0 {
+		t.Fatalf("BuildIndexed: %v %v", viols, err)
+	}
+	_, stats, err := Execute(p, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Fetched > b.Fetched {
+		t.Errorf("fetched %d exceeds the static bound %d", stats.Fetched, b.Fetched)
+	}
 }
 
 func TestAccessBoundSaturates(t *testing.T) {
