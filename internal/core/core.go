@@ -371,7 +371,6 @@ func (e *Engine) planUncached(q *cq.CQ, sizeHint int) (*plan.Plan, plan.Bound, *
 			if err != nil {
 				return nil, plan.Bound{}, dec, err
 			}
-			p = plan.Optimize(p)
 		}
 		p.Label = q.Label
 		b, err := plan.AccessBound(p, sizeHint)

@@ -183,8 +183,8 @@ func TestQueryAllocCeiling(t *testing.T) {
 	}
 	acc, src := accidentsSource(t, 30, 1)
 	p := builtPlan(t, workload.Q0(), acc.Access, acc.Schema)
-	if len(p.Steps) != 18 {
-		t.Fatalf("Q0 plan has %d steps, want the 18-step shape", len(p.Steps))
+	if len(p.Steps) != 10 {
+		t.Fatalf("Q0 plan has %d steps, want the 10-step shape", len(p.Steps))
 	}
 	ctx := context.Background()
 	run := func() {

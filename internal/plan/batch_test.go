@@ -103,7 +103,7 @@ func dupKeysPlan(t *testing.T) (*Plan, *access.Indexed) {
 		t.Fatalf("BuildIndexed: %v %v", viols, err)
 	}
 	return &Plan{Label: "dup", Steps: []Op{
-		ConstOp{Col: "a", Val: iv(0)},
+		lit("a", iv(0)),
 		FetchOp{Input: 0, Constraint: byA, XCols: []string{"a"}, YOut: []string{"c", "b"}},
 		FetchOp{Input: 1, Constraint: byB, XCols: []string{"b"}, YOut: []string{"a"}},
 	}}, ix

@@ -9,11 +9,9 @@ import (
 func TestBind(t *testing.T) {
 	one, two, s := value.NewInt(1), value.NewInt(2), value.NewString("s")
 	p := &Plan{Label: "Q", OutCols: []string{"a"}, Steps: []Op{
-		ConstOp{Col: "a", Val: one},
-		ConstOp{Col: "b", Val: s},
-		JoinOp{L: 0, R: 1},
-		SelectOp{Input: 2, Conds: []EqCond{{L: "a", R: "b"}, {L: "b", C: s}}},
-		ProjectOp{Input: 3, Cols: []string{"a"}},
+		ConstOp{Cols: []string{"a", "b", "c"}, Rows: [][]value.Value{{one, s, s}}},
+		SelectOp{Input: 0, Conds: []EqCond{{L: "b", R: "c"}}},
+		ProjectOp{Input: 1, Cols: []string{"a"}},
 	}}
 	before := p.String()
 
@@ -22,12 +20,10 @@ func TestBind(t *testing.T) {
 		t.Fatalf("Bind must return a rebound copy, got %v", got)
 	}
 	want := `plan Q:
-  T0 = {2} as a
-  T1 = {"t"} as b
-  T2 = T0 ⋈ T1
-  T3 = σ[a = b ∧ b = "t"](T2)
-  T4 = π[a](T3)
-  answer: T4(a)`
+  T0 = {(2, "t", "t")} as (a, b, c)
+  T1 = σ[b = c](T0)
+  T2 = π[a](T1)
+  answer: T2(a)`
 	if got.String() != want {
 		t.Fatalf("rebound plan:\n%s\nwant\n%s", got, want)
 	}
@@ -43,5 +39,9 @@ func TestBind(t *testing.T) {
 	}
 	if Bind(p, []value.Value{one, s}, []value.Value{two}) != nil {
 		t.Error("from and to of different lengths cannot rebind")
+	}
+	empty := Empty("E", []string{"a"})
+	if Bind(empty, nil, nil) != empty || Bind(empty, []value.Value{one}, []value.Value{two}) != empty {
+		t.Error("a plan holding no constant rebinds to itself")
 	}
 }

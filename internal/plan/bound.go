@@ -15,12 +15,12 @@ import (
 // SizeHint, so the bound is a function of |D| but still sublinear.
 //
 // The analysis tracks, per column of each step, a bound on the number of
-// distinct candidate values that can flow through it (1 for constants,
-// |X-bound|·N for fetched columns). Table bounds take the minimum of the
-// operational bound (product for ×/⋈, carry-through for σ/π) and the
-// product of the column bounds — this reproduces the paper's Example 1.1
-// arithmetic (610 + 610·192·2, plus 610·1 for the check that carries the
-// district) instead of the naive exponential join blow-up.
+// distinct candidate values that can flow through it (a literal's row
+// count, |X-bound|·N for fetched columns). Table bounds take the minimum
+// of the operational bound (product for ×/⋈, carry-through for σ/π) and
+// the product of the column bounds — this reproduces the paper's Example
+// 1.1 arithmetic (610 + 610·192·2, plus 610·1 for the check that carries
+// the district) instead of the naive exponential join blow-up.
 type Bound struct {
 	// Fetched bounds the total tuples retrieved via indices (|D_Q|).
 	Fetched int64
@@ -100,13 +100,10 @@ func AccessBound(p *Plan, sizeHint int) (Bound, error) {
 	var fetched int64
 	for i, op := range p.Steps {
 		switch o := op.(type) {
-		case unitOp:
-			bounds[i] = 1
 		case ConstOp:
-			bounds[i], cols[i], colBounds[i] = 1, []string{o.Col}, []int64{1}
-		case EmptyOp:
-			bounds[i], cols[i] = 0, append([]string(nil), o.Cols...)
-			colBounds[i] = make([]int64, len(o.Cols))
+			n := int64(len(o.Rows))
+			bounds[i], cols[i] = n, o.Cols
+			colBounds[i] = slices.Repeat([]int64{n}, len(o.Cols))
 		case FetchOp:
 			n := int64(o.Constraint.Card.Bound(sizeHint))
 			out := satMul(satMin(bounds[o.Input], colProduct(o.Input, o.XCols)), n)
@@ -133,9 +130,6 @@ func AccessBound(p *Plan, sizeHint int) (Bound, error) {
 			colBounds[i] = append([]int64(nil), colBounds[o.Input]...)
 			// σ L = R leaves both columns the values they have in common.
 			for _, c := range o.Conds {
-				if c.R == "" {
-					continue
-				}
 				l, r := slices.Index(cols[i], c.L), slices.Index(cols[i], c.R)
 				if l >= 0 && r >= 0 {
 					m := satMin(colBounds[i][l], colBounds[i][r])
@@ -168,8 +162,6 @@ func AccessBound(p *Plan, sizeHint int) (Bound, error) {
 					colBounds[i][j] = satAdd(colBounds[i][j], colBounds[o.R][j])
 				}
 			}
-		case DiffOp:
-			bounds[i], cols[i], colBounds[i] = bounds[o.L], cols[o.L], colBounds[o.L]
 		case RenameOp:
 			cc := append([]string(nil), cols[o.Input]...)
 			for k, f := range o.From {

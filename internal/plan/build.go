@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/cover"
+	"repro/internal/value"
 )
 
 // BuildOptions tunes plan synthesis.
@@ -16,11 +17,11 @@ type BuildOptions struct {
 }
 
 // Empty returns the plan that answers an A-unsatisfiable query: a single
-// EmptyOp producing no rows over the given head columns.
+// literal with no rows over the given head columns.
 func Empty(label string, outCols []string) *Plan {
 	return &Plan{
 		Label:   label,
-		Steps:   []Op{EmptyOp{Cols: append([]string(nil), outCols...)}},
+		Steps:   []Op{ConstOp{Cols: append([]string(nil), outCols...)}},
 		OutCols: append([]string(nil), outCols...),
 	}
 }
@@ -37,9 +38,13 @@ func (e *NotCoveredError) Error() string {
 
 // Build synthesizes a boundedly evaluable query plan for a covered CQ,
 // following the constructive proof of Theorem 3.11 but fetching only what
-// the proof needs:
+// the proof needs. The plan is its fetches: each reads its X keys
+// straight from the accumulated table acc and is joined back into it,
+// acc ⋈ fetch(X ∈ acc, …).
 //
-//   - Seed the accumulated table with one constant column per pinned class.
+//   - Seed acc with the plan's parameter row: one literal row holding the
+//     query's constants, a column per pinned class. The constants live
+//     nowhere else in the plan, so Bind rebinds that row alone.
 //   - Replay the cov(Q,A) fixpoint as fetches that enumerate candidate
 //     values for covered classes. A fetch keeps only the Y classes some
 //     later step reads (the head, a class occurring more than once, the X
@@ -54,23 +59,22 @@ func (e *NotCoveredError) Error() string {
 //     at the end.
 //   - Project onto the head.
 //
-// A-unsatisfiable queries (conflicting equalities) yield the empty plan.
-// Non-covered queries yield NotCoveredError with diagnostics.
+// Every step but the last is an input of a later one. A-unsatisfiable
+// queries (conflicting equalities) yield the empty plan. Non-covered
+// queries yield NotCoveredError with diagnostics.
 func Build(res *cover.Result, opt BuildOptions) (*Plan, error) {
 	an := res.Analysis
 	q := an.Q
-	p := &Plan{Label: q.Label, OutCols: append([]string(nil), q.Free...)}
-	b := &builder{plan: p, opt: opt}
-
 	// Unsatisfiable: the empty plan answers the query on every D |= A.
 	if q.Canonicalize().Unsat {
-		b.emit(EmptyOp{Cols: append([]string(nil), q.Free...)})
-		return p, nil
+		return Empty(q.Label, q.Free), nil
 	}
 	if !res.Covered {
 		return nil, &NotCoveredError{Result: res}
 	}
 
+	p := &Plan{Label: q.Label, OutCols: append([]string(nil), q.Free...)}
+	b := &builder{plan: p, opt: opt}
 	cls := an.EqPlus
 	rep := cls.Root
 	reps := func(vs []string) []string {
@@ -130,19 +134,22 @@ func Build(res *cover.Result, opt BuildOptions) (*Plan, error) {
 		}
 	}
 
-	// bound mirrors acc's columns, kept up to date as acc grows.
+	// Seed: the parameter row, one column per pinned class that the query
+	// mentions. bound mirrors acc's columns, kept up to date as acc grows.
 	bound := make(map[string]bool)
-	acc := b.emit(unitOp{})
-	extend := func(step int) {
-		acc = b.join(acc, step, sharedCols(b.cols(acc), b.cols(step)))
-		for _, c := range b.cols(step) {
-			bound[c] = true
+	seed := ConstOp{Rows: [][]value.Value{nil}}
+	for _, v := range q.Vars() {
+		if r := rep(v); !bound[r] && cls.IsConstantVar(v) {
+			bound[r] = true
+			seed.Cols = append(seed.Cols, r)
+			seed.Rows[0] = append(seed.Rows[0], cls.ConstOf(v))
 		}
 	}
+	acc := b.emit(seed)
 	verify := func(ck *check) {
 		ck.done = true
 		ft := ck.fetch
-		ft.Input = b.emit(ProjectOp{Input: acc, Cols: dedup(ft.XCols)})
+		ft.Input = acc
 		fs := b.emit(ft)
 		keep := b.cols(acc)
 		acc = b.join(acc, fs, sharedCols(keep, b.cols(fs)))
@@ -173,16 +180,6 @@ func Build(res *cover.Result, opt BuildOptions) (*Plan, error) {
 			}
 		}
 	}
-
-	// Seed: the unit table, extended with one constant column per pinned
-	// class that the query mentions.
-	for _, v := range q.Vars() {
-		r := rep(v)
-		if bound[r] || !cls.IsConstantVar(v) {
-			continue
-		}
-		extend(b.emit(ConstOp{Col: r, Val: cls.ConstOf(v)}))
-	}
 	filter(false)
 
 	// Phase 1: replay the fixpoint applications as fetches, extending the
@@ -210,8 +207,11 @@ func Build(res *cover.Result, opt BuildOptions) (*Plan, error) {
 		if !anyNew {
 			continue
 		}
-		xt := b.emit(ProjectOp{Input: acc, Cols: dedup(xreps)})
-		extend(b.emit(FetchOp{Input: xt, Constraint: ap.Constraint, XCols: xreps, YOut: yout}))
+		fs := b.emit(FetchOp{Input: acc, Constraint: ap.Constraint, XCols: xreps, YOut: yout})
+		acc = b.join(acc, fs, sharedCols(b.cols(acc), b.cols(fs)))
+		for _, c := range b.cols(fs) {
+			bound[c] = true
+		}
 		// This fetch already verified its atom through its constraint.
 		for i := range checks {
 			if checks[i].key == [2]int{ap.AtomIdx, ap.ConstraintIdx} {
@@ -270,12 +270,6 @@ func BuildUCQ(ures *cover.UCQResult, opt BuildOptions) (*Plan, error) {
 	return p, nil
 }
 
-// unitOp produces the unit table; it is an internal seed, rendered as {()}.
-type unitOp struct{}
-
-func (unitOp) String() string        { return "{()}" }
-func (unitOp) inputs() ([2]int, int) { return [2]int{}, 0 }
-
 type builder struct {
 	plan *Plan
 	opt  BuildOptions
@@ -293,11 +287,7 @@ func (b *builder) cols(i int) []string { return b.colsOf[i] }
 
 func (b *builder) deriveCols(op Op) []string {
 	switch o := op.(type) {
-	case unitOp:
-		return nil
 	case ConstOp:
-		return []string{o.Col}
-	case EmptyOp:
 		return append([]string(nil), o.Cols...)
 	case FetchOp:
 		return o.outCols()
@@ -323,9 +313,8 @@ func (b *builder) deriveCols(op Op) []string {
 			}
 		}
 		return out
-	case UnionOp, DiffOp:
-		in, _ := op.inputs()
-		return b.cols(in[0])
+	case UnionOp:
+		return b.cols(o.L)
 	case RenameOp:
 		cols := append([]string(nil), b.cols(o.Input)...)
 		for i, f := range o.From {
@@ -403,28 +392,12 @@ func shiftOp(op Op, k int) Op {
 		o.L += k
 		o.R += k
 		return o
-	case DiffOp:
-		o.L += k
-		o.R += k
-		return o
 	case RenameOp:
 		o.Input += k
 		return o
 	default:
 		return op
 	}
-}
-
-func dedup(xs []string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 func sharedCols(a, b []string) []string {

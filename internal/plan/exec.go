@@ -89,7 +89,7 @@ type execState struct {
 	results []*Table // this run's step results, indexed by step
 	fetch   fetchEval
 	join    joinState
-	buf     data.Tuple // the output row of const, project, product and join
+	buf     data.Tuple // the output row of project, product and join
 	pos     []int      // project input positions
 	conds   []cond
 }
@@ -208,12 +208,8 @@ func startStepSpan(tr *obs.Trace, i int, op Op, streamed bool, stats *ExecStats)
 // goes in the span's Detail.
 func opKind(op Op) string {
 	switch op.(type) {
-	case unitOp:
-		return "unit"
 	case ConstOp:
 		return "const"
-	case EmptyOp:
-		return "empty"
 	case FetchOp:
 		return "fetch"
 	case ProjectOp:
@@ -226,8 +222,6 @@ func opKind(op Op) string {
 		return "join"
 	case UnionOp:
 		return "union"
-	case DiffOp:
-		return "diff"
 	case RenameOp:
 		return "rename"
 	default:
@@ -281,16 +275,21 @@ func (st *execState) execOp(ctx context.Context, op Op, out *Table, src Source, 
 	emit := s.add
 	results := st.results
 	switch o := op.(type) {
-	case unitOp:
-		out.reset()
-		emit(data.Tuple{})
-		return out, nil
 	case ConstOp:
-		out.reset(o.Col)
-		emit(append(st.row(1), o.Val))
-		return out, nil
-	case EmptyOp:
 		out.reset(o.Cols...)
+		for i, row := range o.Rows {
+			if i%cancelStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return out, err
+				}
+			}
+			if len(row) != len(o.Cols) {
+				return nil, fmt.Errorf("literal row of %d values for %d columns", len(row), len(o.Cols))
+			}
+			if !emit(row) {
+				break
+			}
+		}
 		return out, nil
 	case FetchOp:
 		f := &st.fetch
@@ -378,15 +377,6 @@ func (st *execState) execOp(ctx context.Context, op Op, out *Table, src Source, 
 			return out, err
 		}
 		return out, eachRow(ctx, r.Rows, emit)
-	case DiffOp:
-		l, r := results[o.L], results[o.R]
-		if len(l.Cols) != len(r.Cols) {
-			return nil, fmt.Errorf("difference: arity mismatch %d vs %d", len(l.Cols), len(r.Cols))
-		}
-		out.reset(l.Cols...)
-		return out, eachRow(ctx, l.Rows, func(row data.Tuple) bool {
-			return r.Has(row) || emit(row)
-		})
 	case RenameOp:
 		in := results[o.Input]
 		if len(o.From) != len(o.To) {
@@ -574,11 +564,9 @@ func (f *fetchEval) run(ctx context.Context, stats *ExecStats, sink func(data.Tu
 	return nil
 }
 
-// cond is one compiled selection predicate; r == -1 means comparison with
-// the constant c.
+// cond is one compiled selection predicate: row[l] == row[r].
 type cond struct {
 	l, r int
-	c    value.Value
 }
 
 // compileConds appends o's predicates, resolved against in, to dst.
@@ -588,15 +576,11 @@ func compileConds(dst []cond, o SelectOp, in *Table) ([]cond, error) {
 		if l < 0 {
 			return dst, fmt.Errorf("select: no column %q", ec.L)
 		}
-		if ec.R != "" {
-			r := in.ColIndex(ec.R)
-			if r < 0 {
-				return dst, fmt.Errorf("select: no column %q", ec.R)
-			}
-			dst = append(dst, cond{l: l, r: r})
-		} else {
-			dst = append(dst, cond{l: l, r: -1, c: ec.C})
+		r := in.ColIndex(ec.R)
+		if r < 0 {
+			return dst, fmt.Errorf("select: no column %q", ec.R)
 		}
+		dst = append(dst, cond{l: l, r: r})
 	}
 	return dst, nil
 }
@@ -606,11 +590,7 @@ func compileConds(dst []cond, o SelectOp, in *Table) ([]cond, error) {
 //bevet:hotpath
 func condsMatch(conds []cond, row data.Tuple) bool {
 	for _, c := range conds {
-		if c.r >= 0 {
-			if row[c.l] != row[c.r] {
-				return false
-			}
-		} else if row[c.l] != c.c {
+		if row[c.l] != row[c.r] {
 			return false
 		}
 	}

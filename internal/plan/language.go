@@ -7,15 +7,13 @@ import "fmt"
 //
 //   - CQ:    each δ is fetch, π, σ, × or ρ;
 //   - UCQ:   additionally ∪, but only as the LAST k−1 operations;
-//   - ∃FO⁺:  fetch, π, σ, ×, ∪ or ρ anywhere;
-//   - FO:    additionally set difference −.
+//   - ∃FO⁺:  fetch, π, σ, ×, ∪ or ρ anywhere.
 type Language int
 
 const (
 	LangCQ Language = iota
 	LangUCQ
 	LangPosFO
-	LangFO
 )
 
 func (l Language) String() string {
@@ -26,16 +24,14 @@ func (l Language) String() string {
 		return "UCQ"
 	case LangPosFO:
 		return "∃FO⁺"
-	case LangFO:
-		return "FO"
 	default:
 		return fmt.Sprintf("language(%d)", int(l))
 	}
 }
 
 // ConformsTo verifies the plan against the language's operation grammar.
-// Leaf operations ({a}, the unit seed, and the empty plan) are allowed
-// everywhere; JoinOp counts as the σ∘× it abbreviates.
+// The literal leaf is allowed everywhere; JoinOp counts as the σ∘× it
+// abbreviates.
 func (p *Plan) ConformsTo(l Language) error {
 	lastUnionBlock := len(p.Steps)
 	// For UCQ: find where the trailing ∪-block starts.
@@ -48,7 +44,7 @@ func (p *Plan) ConformsTo(l Language) error {
 	}
 	for i, op := range p.Steps {
 		switch op.(type) {
-		case ConstOp, EmptyOp, unitOp, FetchOp, ProjectOp, SelectOp, ProductOp, JoinOp, RenameOp:
+		case ConstOp, FetchOp, ProjectOp, SelectOp, ProductOp, JoinOp, RenameOp:
 			// Allowed in every language.
 		case UnionOp:
 			switch l {
@@ -58,10 +54,6 @@ func (p *Plan) ConformsTo(l Language) error {
 				if i < lastUnionBlock {
 					return fmt.Errorf("plan: step T%d is ∪ before the trailing union block (UCQ grammar)", i)
 				}
-			}
-		case DiffOp:
-			if l != LangFO {
-				return fmt.Errorf("plan: step T%d is −, only allowed in FO plans", i)
 			}
 		default:
 			return fmt.Errorf("plan: step T%d has unknown operation %T", i, op)

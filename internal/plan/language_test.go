@@ -19,7 +19,7 @@ func TestBuiltCQPlanConformsToCQ(t *testing.T) {
 	if err := p.ConformsTo(LangCQ); err != nil {
 		t.Errorf("CQ plan must conform to the CQ grammar: %v", err)
 	}
-	if err := p.ConformsTo(LangFO); err != nil {
+	if err := p.ConformsTo(LangPosFO); err != nil {
 		t.Errorf("CQ plan conforms to every superset grammar: %v", err)
 	}
 	// Lowered plans conform too (ρ/×/σ/π are all CQ operations).
@@ -33,7 +33,7 @@ func TestBuiltCQPlanConformsToCQ(t *testing.T) {
 }
 
 func TestUnionPlacementRules(t *testing.T) {
-	c := func(col string) Op { return ConstOp{Col: col, Val: value.NewInt(1)} }
+	c := func(col string) Op { return lit(col, value.NewInt(1)) }
 	trailing := &Plan{Steps: []Op{c("a"), c("a"), UnionOp{L: 0, R: 1}}, OutCols: []string{"a"}}
 	if err := trailing.ConformsTo(LangUCQ); err != nil {
 		t.Errorf("trailing union is legal UCQ: %v", err)
@@ -53,19 +53,6 @@ func TestUnionPlacementRules(t *testing.T) {
 	}
 	if err := interior.ConformsTo(LangPosFO); err != nil {
 		t.Errorf("interior union is fine in ∃FO⁺: %v", err)
-	}
-}
-
-func TestDiffOnlyInFO(t *testing.T) {
-	c := func(col string) Op { return ConstOp{Col: col, Val: value.NewInt(1)} }
-	p := &Plan{Steps: []Op{c("a"), c("a"), DiffOp{L: 0, R: 1}}, OutCols: []string{"a"}}
-	if err := p.ConformsTo(LangFO); err != nil {
-		t.Errorf("difference is legal FO: %v", err)
-	}
-	for _, l := range []Language{LangCQ, LangUCQ, LangPosFO} {
-		if err := p.ConformsTo(l); err == nil {
-			t.Errorf("difference must be rejected in %s plans", l)
-		}
 	}
 }
 
@@ -93,7 +80,7 @@ func TestBuiltUCQPlanConformsToUCQ(t *testing.T) {
 }
 
 func TestLanguageStrings(t *testing.T) {
-	for _, l := range []Language{LangCQ, LangUCQ, LangPosFO, LangFO} {
+	for _, l := range []Language{LangCQ, LangUCQ, LangPosFO} {
 		if l.String() == "" {
 			t.Errorf("language %d has empty rendering", int(l))
 		}

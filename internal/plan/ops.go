@@ -19,28 +19,41 @@ type Op interface {
 	inputs() (in [2]int, n int)
 }
 
-// ConstOp is δ = {a}: a one-row, one-column table holding a constant.
+// ConstOp is a literal table: Rows over Cols, and every plan's one leaf.
+// A built plan starts from its seed, one row holding the query's
+// constants with a column per pinned class ({()} when there is none), so
+// rebinding a plan to other constants rewrites that row alone (Bind).
+// With no rows it is the plan of an A-unsatisfiable query ("a query plan
+// for empty query suffices", Example 3.1(2)).
 type ConstOp struct {
-	Col string
-	Val value.Value
+	Cols []string
+	Rows [][]value.Value
 }
 
-func (o ConstOp) String() string        { return fmt.Sprintf("{%s} as %s", o.Val, o.Col) }
+func (o ConstOp) String() string {
+	switch {
+	case len(o.Rows) == 0:
+		return fmt.Sprintf("∅(%s)", strings.Join(o.Cols, ", "))
+	case len(o.Cols) == 0:
+		return "{()}"
+	}
+	rows := make([]string, len(o.Rows))
+	for i, row := range o.Rows {
+		vs := make([]string, len(row))
+		for j, v := range row {
+			vs[j] = v.String()
+		}
+		rows[i] = "(" + strings.Join(vs, ", ") + ")"
+	}
+	return fmt.Sprintf("{%s} as (%s)", strings.Join(rows, ", "), strings.Join(o.Cols, ", "))
+}
 func (o ConstOp) inputs() ([2]int, int) { return [2]int{}, 0 }
 
-// EmptyOp produces an empty table with the given columns. It is the plan
-// for A-unsatisfiable queries ("a query plan for empty query suffices",
-// Example 3.1(2)).
-type EmptyOp struct {
-	Cols []string
-}
-
-func (o EmptyOp) String() string        { return fmt.Sprintf("∅(%s)", strings.Join(o.Cols, ", ")) }
-func (o EmptyOp) inputs() ([2]int, int) { return [2]int{}, 0 }
-
-// FetchOp is δ = fetch(X ∈ T_j, R, Y): for each (distinct) row of the
-// input, look up the index of Constraint and emit the X-values extended
-// with each fetched Y-projection.
+// FetchOp is δ = fetch(X ∈ T_j, R, Y): for each distinct X-projection of
+// the input's rows, in first-occurrence order, look up the index of
+// Constraint and emit the X-values extended with each fetched
+// Y-projection. The input may carry columns beyond X, so a built plan
+// fetches straight from its accumulated table.
 //
 // XCols names the input columns corresponding to Constraint.X, in order.
 // YOut names the output column for each attribute of Constraint.Y; when a
@@ -98,19 +111,12 @@ func (o ProjectOp) String() string {
 }
 func (o ProjectOp) inputs() ([2]int, int) { return [2]int{o.Input}, 1 }
 
-// EqCond is one selection predicate: column L equals column R (when R is
-// set) or constant C (when R is empty).
+// EqCond is one selection predicate: column L equals column R.
 type EqCond struct {
 	L, R string
-	C    value.Value
 }
 
-func (c EqCond) String() string {
-	if c.R != "" {
-		return c.L + " = " + c.R
-	}
-	return c.L + " = " + c.C.String()
-}
+func (c EqCond) String() string { return c.L + " = " + c.R }
 
 // SelectOp is δ = σ_C(T_j) for a conjunction of equality conditions.
 type SelectOp struct {
@@ -135,10 +141,13 @@ type ProductOp struct {
 func (o ProductOp) String() string        { return fmt.Sprintf("T%d × T%d", o.L, o.R) }
 func (o ProductOp) inputs() ([2]int, int) { return [2]int{o.L, o.R}, 2 }
 
-// JoinOp is the natural join T_j ⋈ T_k on shared column names. It is not a
-// primitive of the paper's plan grammar but the standard σ(×) fusion; the
-// builder can lower it to ρ/×/σ/π (see BuildOptions.LowerJoins), and the
-// ablation benchmark measures the difference.
+// JoinOp is the natural join T_j ⋈ T_k on shared column names. A built
+// plan extends its accumulated table with each fetch over it,
+// acc ⋈ fetch(X ∈ acc, …); when the fetch binds no new column the join
+// is a semijoin that only filters acc. JoinOp is not a primitive of the
+// paper's plan grammar but the standard σ(×) fusion; the builder can
+// lower it to ρ/×/σ/π (see BuildOptions.LowerJoins), and the ablation
+// benchmark measures the difference.
 type JoinOp struct {
 	L, R int
 }
@@ -153,14 +162,6 @@ type UnionOp struct {
 
 func (o UnionOp) String() string        { return fmt.Sprintf("T%d ∪ T%d", o.L, o.R) }
 func (o UnionOp) inputs() ([2]int, int) { return [2]int{o.L, o.R}, 2 }
-
-// DiffOp is δ = T_j − T_k. Column counts must agree.
-type DiffOp struct {
-	L, R int
-}
-
-func (o DiffOp) String() string        { return fmt.Sprintf("T%d − T%d", o.L, o.R) }
-func (o DiffOp) inputs() ([2]int, int) { return [2]int{o.L, o.R}, 2 }
 
 // RenameOp is δ = ρ(T_j), renaming columns From[i] to To[i].
 type RenameOp struct {

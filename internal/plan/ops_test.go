@@ -36,7 +36,49 @@ func mustFail(t *testing.T, ix *access.Indexed, why string, steps ...Op) {
 	}
 }
 
-func c(col string, v int64) Op { return ConstOp{Col: col, Val: value.NewInt(v)} }
+// lit is a one-column literal holding one row per value.
+func lit(col string, vs ...value.Value) ConstOp {
+	op := ConstOp{Cols: []string{col}}
+	for _, v := range vs {
+		op.Rows = append(op.Rows, []value.Value{v})
+	}
+	return op
+}
+
+// unit is the literal with no columns and one row, {()}.
+var unit = ConstOp{Rows: [][]value.Value{nil}}
+
+func c(col string, v int64) Op { return lit(col, value.NewInt(v)) }
+
+func TestLiteralLeaf(t *testing.T) {
+	ix := opsIndexed(t)
+	pair := ConstOp{Cols: []string{"a", "b"}, Rows: [][]value.Value{
+		{iv(1), value.NewString("x")}, {iv(2), value.NewString("y")}, {iv(1), value.NewString("x")},
+	}}
+	for _, tc := range []struct {
+		op   ConstOp
+		text string
+		rows int
+	}{
+		{unit, "{()}", 1},
+		{ConstOp{Cols: []string{"a", "b"}}, "∅(a, b)", 0},
+		{lit("a", iv(7)), "{(7)} as (a)", 1},
+		// A repeated row collapses (set semantics).
+		{pair, `{(1, "x"), (2, "y"), (1, "x")} as (a, b)`, 2},
+	} {
+		if got := tc.op.String(); got != tc.text {
+			t.Errorf("literal renders %q, want %q", got, tc.text)
+		}
+		if tbl := runPlan(t, ix, tc.op); tbl.Len() != tc.rows || len(tbl.Cols) != len(tc.op.Cols) {
+			t.Errorf("%s: %d rows over %v, want %d rows", tc.text, tbl.Len(), tbl.Cols, tc.rows)
+		}
+		b, err := AccessBound(&Plan{Steps: []Op{tc.op}}, 0)
+		if err != nil || b.Output != int64(len(tc.op.Rows)) {
+			t.Errorf("%s: bound %+v, %v; want its row count %d", tc.text, b, err, len(tc.op.Rows))
+		}
+	}
+	mustFail(t, ix, "literal row arity", ConstOp{Cols: []string{"a", "b"}, Rows: [][]value.Value{{iv(1)}}})
+}
 
 func TestUnionOpSemantics(t *testing.T) {
 	ix := opsIndexed(t)
@@ -52,25 +94,6 @@ func TestUnionOpSemantics(t *testing.T) {
 	mustFail(t, ix, "union arity mismatch",
 		c("a", 1),
 		ProductOp{L: 0, R: 0},
-	)
-}
-
-func TestDiffOpSemantics(t *testing.T) {
-	ix := opsIndexed(t)
-	tbl := runPlan(t, ix,
-		c("a", 1),
-		c("a", 2),
-		UnionOp{L: 0, R: 1}, // {1, 2}
-		DiffOp{L: 2, R: 0},  // minus {1} = {2}
-	)
-	if tbl.Len() != 1 || tbl.Rows[0][0] != value.NewInt(2) {
-		t.Errorf("diff rows = %v", tbl.Rows)
-	}
-	mustFail(t, ix, "diff arity mismatch",
-		c("a", 1),
-		c("b", 2),
-		ProductOp{L: 0, R: 1}, // arity 2
-		DiffOp{L: 2, R: 0},    // arity 2 vs 1
 	)
 }
 
@@ -101,28 +124,29 @@ func TestSelectOpConditions(t *testing.T) {
 	// Build (a, b) pairs {1,1} and {1,2}; select a = b keeps one.
 	tbl := runPlan(t, ix,
 		c("a", 1),
-		c("b", 1),
-		c("b", 2),
-		UnionOp{L: 1, R: 2},
-		ProductOp{L: 0, R: 3},
-		SelectOp{Input: 4, Conds: []EqCond{{L: "a", R: "b"}}},
+		lit("b", iv(1), iv(2)),
+		ProductOp{L: 0, R: 1},
+		SelectOp{Input: 2, Conds: []EqCond{{L: "a", R: "b"}}},
 	)
 	if tbl.Len() != 1 {
 		t.Errorf("select rows = %v", tbl.Rows)
 	}
-	// Constant condition.
+	// A constant condition is a join with a literal row.
 	tbl = runPlan(t, ix,
-		c("a", 1),
+		lit("a", iv(1), iv(2)),
 		c("a", 2),
-		UnionOp{L: 0, R: 1},
-		SelectOp{Input: 2, Conds: []EqCond{{L: "a", C: value.NewInt(2)}}},
+		JoinOp{L: 0, R: 1},
 	)
 	if tbl.Len() != 1 || tbl.Rows[0][0] != value.NewInt(2) {
 		t.Errorf("const select rows = %v", tbl.Rows)
 	}
 	mustFail(t, ix, "select on missing column",
 		c("a", 1),
-		SelectOp{Input: 0, Conds: []EqCond{{L: "zz", C: value.NewInt(1)}}},
+		SelectOp{Input: 0, Conds: []EqCond{{L: "zz", R: "a"}}},
+	)
+	mustFail(t, ix, "select against a missing column",
+		c("a", 1),
+		SelectOp{Input: 0, Conds: []EqCond{{L: "a", R: "zz"}}},
 	)
 }
 
@@ -148,7 +172,7 @@ func TestFetchOpValidation(t *testing.T) {
 	)
 	// Fetch key missing from the index: empty result, not an error.
 	tbl := runPlan(t, ix,
-		ConstOp{Col: "d", Val: value.NewString("no-such-date")},
+		lit("d", value.NewString("no-such-date")),
 		FetchOp{Input: 0, Constraint: psi1, XCols: []string{"d"}, YOut: []string{"aid"}},
 	)
 	if tbl.Len() != 0 {
@@ -162,7 +186,7 @@ func TestFetchEquatedYColumns(t *testing.T) {
 	// Fetch (district, date) but demand date equals the input column d:
 	// reuse the X column name in YOut to force the equality check.
 	tbl := runPlan(t, ix,
-		ConstOp{Col: "aid", Val: value.NewInt(1)},
+		lit("aid", value.NewInt(1)),
 		FetchOp{Input: 0, Constraint: psi3, XCols: []string{"aid"},
 			YOut: []string{"dist", "dist"}}, // district must equal date: impossible
 	)

@@ -177,7 +177,9 @@ func TestQ0AccessBoundMatchesPaperArithmetic(t *testing.T) {
 // TestPlanFetchCounts pins the plans' shapes: phase 2 re-fetches no atom
 // phase 1 already fetched through the same constraint, and a fetch keeps
 // no column nothing reads, so Q0 fetches dates → aids → the district
-// check → casualties → vehicles and nothing twice.
+// check → casualties → vehicles and nothing twice. Its 10 steps are the
+// seed row, four fetch → ⋈ pairs over the accumulated table, and the
+// head projection.
 func TestPlanFetchCounts(t *testing.T) {
 	soc := workload.SocialConstraints(15, 5)
 	var path2 *cq.CQ
@@ -192,7 +194,7 @@ func TestPlanFetchCounts(t *testing.T) {
 		s              *schema.Schema
 		steps, fetches int
 	}{
-		{q0(), psi(), accidentSchema(), 18, 4},
+		{q0(), psi(), accidentSchema(), 10, 4},
 		{workload.GraphSearchQuery(1, "NYC", "cycling"), soc, workload.SocialSchema(), 0, 3},
 		{path2, soc, workload.SocialSchema(), 0, 2},
 	} {
@@ -578,7 +580,7 @@ func TestUCQBoundKeepsSubPlansApart(t *testing.T) {
 func TestAccessBoundSaturates(t *testing.T) {
 	// A chain of fetches with huge bounds must saturate, not overflow.
 	c := access.NewConstraint("R", attrs("A"), attrs("B"), 1<<40)
-	p := &Plan{Label: "big", Steps: []Op{unitOp{}}}
+	p := &Plan{Label: "big", Steps: []Op{unit}}
 	for i := 0; i < 4; i++ {
 		p.Steps = append(p.Steps, FetchOp{Input: i, Constraint: c, XCols: nil, YOut: []string{"y"}})
 	}
@@ -593,7 +595,7 @@ func TestAccessBoundSaturates(t *testing.T) {
 }
 
 func TestValidateRejectsForwardReference(t *testing.T) {
-	p := &Plan{Steps: []Op{ProjectOp{Input: 1, Cols: nil}, unitOp{}}}
+	p := &Plan{Steps: []Op{ProjectOp{Input: 1, Cols: nil}, unit}}
 	if err := p.Validate(); err == nil {
 		t.Error("forward reference must be rejected")
 	}

@@ -23,7 +23,7 @@ import (
 // storage; answers handed out survive later runs; and state that grew
 // past the retention bound is trimmed instead of pooled.
 
-// builtPlan plans q the way the engine does: cover check, Build, Optimize.
+// builtPlan plans q the way the engine does: cover check, then Build.
 func builtPlan(t testing.TB, q *cq.CQ, a *access.Schema, s *schema.Schema) *Plan {
 	t.Helper()
 	res, err := cover.Check(q, a, s, cover.Options{})
@@ -37,7 +37,7 @@ func builtPlan(t testing.TB, q *cq.CQ, a *access.Schema, s *schema.Schema) *Plan
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Optimize(p)
+	return p
 }
 
 // q0At is Q0 with its district and date constants replaced: the shape of
@@ -101,7 +101,7 @@ func q0UnionPlan(t testing.TB, acc *workload.Accidents) *Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Optimize(p)
+	return p
 }
 
 // render encodes rows injectively, so two answers compare byte for byte.
@@ -327,7 +327,7 @@ func TestPoolTrimsOversizedState(t *testing.T) {
 	// T1, T2, T3 and T4 hold n rows each; the join builds over n rows and
 	// the second fetch dedups n distinct keys.
 	p := &Plan{Label: "wide", Steps: []Op{
-		ConstOp{Col: "a", Val: iv(0)},
+		lit("a", iv(0)),
 		FetchOp{Input: 0, Constraint: byA, XCols: []string{"a"}, YOut: []string{"b", "c"}},
 		ProjectOp{Input: 1, Cols: []string{"a", "c"}},
 		JoinOp{L: 1, R: 2},

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -227,10 +228,82 @@ func sameRows(got *Table, want []data.Tuple) bool {
 	return true
 }
 
+// withParams returns q with each constant from[i] replaced by to[i].
+func withParams(q *cq.CQ, from, to []value.Value) *cq.CQ {
+	out := q.Clone()
+	sub := func(t *cq.Term) {
+		if !t.IsVar() {
+			t.C = to[slices.Index(from, t.C)]
+		}
+	}
+	for i := range out.Atoms {
+		for j := range out.Atoms[i].Args {
+			sub(&out.Atoms[i].Args[j])
+		}
+	}
+	for i := range out.Eqs {
+		sub(&out.Eqs[i].L)
+		sub(&out.Eqs[i].R)
+	}
+	return out
+}
+
 // checkPlan executes p on every instance of fx and compares it with naive
-// evaluation of the union of qs (one CQ, or the UCQ's sub-queries).
-func checkPlan(t *testing.T, fx *propFixture, qs []*cq.CQ, p *Plan) {
+// evaluation of the union of qs (one CQ, or the UCQ's sub-queries). It
+// also checks p's shape: every step but the last feeds a later step,
+// every sub-plan holds exactly one literal, and rebinding p's constants
+// (Bind) gives exactly the plan build makes for qs with those constants
+// replaced by fresh ones.
+func checkPlan(t *testing.T, fx *propFixture, qs []*cq.CQ, p *Plan, build func([]*cq.CQ) (*Plan, error)) {
 	t.Helper()
+	read := make([]bool, len(p.Steps))
+	literals, unions := 0, 0
+	for _, op := range p.Steps {
+		in, n := op.inputs()
+		for _, j := range in[:n] {
+			read[j] = true
+		}
+		switch op.(type) {
+		case ConstOp:
+			literals++
+		case UnionOp:
+			unions++
+		}
+	}
+	if i := slices.Index(read[:len(read)-1], false); i >= 0 {
+		t.Fatalf("%v: step T%d is read by no later step\nplan:\n%s", qs, i, p)
+	}
+	if literals != unions+1 {
+		t.Fatalf("%v: %d literals for %d sub-plans\nplan:\n%s", qs, literals, unions+1, p)
+	}
+	var params []value.Value
+	for _, q := range qs {
+		_, ps := q.KeyParams()
+		for _, v := range ps {
+			if !slices.Contains(params, v) {
+				params = append(params, v)
+			}
+		}
+	}
+	fresh := make([]value.Value, len(params))
+	for i, v := range params {
+		fresh[i] = value.NewString(fmt.Sprintf("fresh-%d", i))
+		if v.Kind() == value.Int {
+			fresh[i] = value.NewInt(1_000_000 + int64(i))
+		}
+	}
+	rebuilt := make([]*cq.CQ, len(qs))
+	for i, q := range qs {
+		rebuilt[i] = withParams(q, params, fresh)
+	}
+	want, err := build(rebuilt)
+	if err != nil {
+		t.Fatalf("%v: %v", rebuilt, err)
+	}
+	if got := Bind(p, params, fresh); got == nil || got.String() != want.String() {
+		t.Fatalf("%v: rebinding %v to %v gives\n%v\nwant the plan of %v:\n%s", qs, params, fresh, got, rebuilt, want)
+	}
+
 	bound, err := AccessBound(p, 0)
 	if err != nil {
 		t.Fatalf("%v: bound: %v\nplan:\n%s", qs, err, p)
@@ -283,11 +356,18 @@ func TestPropertyCoveredPlansAgreeWithEval(t *testing.T) {
 		covered++
 		feat.observe(q, res)
 		// Every other plan lowers its joins to ρ/×/σ/π.
-		p, err := Build(res, BuildOptions{LowerJoins: covered%2 == 0})
+		opt := BuildOptions{LowerJoins: covered%2 == 0}
+		p, err := Build(res, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		checkPlan(t, fx, []*cq.CQ{q}, p)
+		checkPlan(t, fx, []*cq.CQ{q}, p, func(qs []*cq.CQ) (*Plan, error) {
+			res, err := cover.Check(qs[0], fx.access, fx.schema, cover.Options{})
+			if err != nil {
+				return nil, err
+			}
+			return Build(res, opt)
+		})
 
 		key := fmt.Sprintf("%s/%d", fx.name, len(q.Free))
 		mate := pending[key]
@@ -308,7 +388,13 @@ func TestPropertyCoveredPlansAgreeWithEval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", pair, err)
 		}
-		checkPlan(t, fx, pair, up)
+		checkPlan(t, fx, pair, up, func(qs []*cq.CQ) (*Plan, error) {
+			ures, err := cover.CheckUCQ(qs, fx.access, fx.schema, cover.Options{})
+			if err != nil {
+				return nil, err
+			}
+			return BuildUCQ(ures, BuildOptions{})
+		})
 		feat.ucqPairs++
 	}
 	t.Logf("%d generated, %d covered; features %+v", queries, covered, feat)

@@ -121,14 +121,6 @@ func (t *Table) record(h uint64) {
 	t.more[h] = append(t.more[h], int32(len(t.Rows)))
 }
 
-// Has reports whether an equal row is stored; it is the membership probe
-// of a set difference and allocates nothing.
-//
-//bevet:hotpath
-func (t *Table) Has(row data.Tuple) bool {
-	return t.contains(hashRow(row), row)
-}
-
 // Add inserts a row under set semantics, reporting whether it was new.
 // The row itself is stored — callers passing a buffer they will reuse
 // must use AddScratch.

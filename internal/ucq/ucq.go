@@ -16,7 +16,6 @@ import (
 	"repro/internal/cq"
 	"repro/internal/data"
 	"repro/internal/eval"
-	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/value"
 )
@@ -109,21 +108,6 @@ func AEquivalent(u, v *UCQ, a *access.Schema, s *schema.Schema, opt ainstance.Op
 // Covered runs the covered-UCQ check (Lemma 3.6 / Theorem 3.14).
 func (u *UCQ) Covered(a *access.Schema, s *schema.Schema, opt cover.Options) (*cover.UCQResult, error) {
 	return cover.CheckUCQ(u.Subs, a, s, opt)
-}
-
-// Plan synthesizes the bounded plan for a covered UCQ: the union of its
-// covered sub-queries' plans.
-func (u *UCQ) Plan(a *access.Schema, s *schema.Schema, copt cover.Options, popt plan.BuildOptions) (*plan.Plan, error) {
-	res, err := u.Covered(a, s, copt)
-	if err != nil {
-		return nil, err
-	}
-	p, err := plan.BuildUCQ(res, popt)
-	if err != nil {
-		return nil, err
-	}
-	p.Label = u.Label
-	return p, nil
 }
 
 // Minimize removes sub-queries classically contained in the rest of the
