@@ -110,12 +110,6 @@ func (c Constraint) Covers(a schema.Attribute) bool {
 	return attrIn(c.X, a) || attrIn(c.Y, a)
 }
 
-// HasX reports whether a ∈ X.
-func (c Constraint) HasX(a schema.Attribute) bool { return attrIn(c.X, a) }
-
-// HasY reports whether a ∈ Y.
-func (c Constraint) HasY(a schema.Attribute) bool { return attrIn(c.Y, a) }
-
 func attrIn(as []schema.Attribute, a schema.Attribute) bool {
 	for _, b := range as {
 		if a == b {
@@ -181,19 +175,6 @@ func (a *Schema) Size() int {
 		n += 1 + len(c.X) + len(c.Y)
 	}
 	return n
-}
-
-// MaxConstBound returns the largest constant bound, used when deriving
-// worst-case access bounds. General-form constraints evaluate at the given
-// dataset size.
-func (a *Schema) MaxConstBound(size int) int {
-	m := 0
-	for _, c := range a.Constraints {
-		if b := c.Card.Bound(size); b > m {
-			m = b
-		}
-	}
-	return m
 }
 
 // CoversSchema implements the syntactic condition of Proposition 5.4:

@@ -172,9 +172,6 @@ func TestForRelationAndSize(t *testing.T) {
 	if a.Size() == 0 {
 		t.Error("Size should be positive")
 	}
-	if got := a.MaxConstBound(0); got != 610 {
-		t.Errorf("MaxConstBound = %d, want 610", got)
-	}
 }
 
 func TestCoversSchema(t *testing.T) {

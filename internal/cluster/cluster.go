@@ -39,14 +39,10 @@ import (
 	"repro/internal/shard"
 )
 
-// Options configures a cluster node or coordinator.
+// Options configures a coordinator's peer RPCs; a node takes none of
+// them. The planner and the placement of both derive from the catalog
+// and the partition count alone, so they agree by construction.
 type Options struct {
-	// Core configures the planner engine exactly as for a single-node
-	// engine.
-	Core core.Options
-	// PartitionKeys overrides the per-relation partition key, as in
-	// shard.Options. Every node and the coordinator must agree.
-	PartitionKeys map[string][]schema.Attribute
 	// Client is the HTTP client for peer RPCs (coordinator only). Nil
 	// gets a dedicated client with connection pooling.
 	Client *http.Client
@@ -84,7 +80,7 @@ func New(s *schema.Schema, a *access.Schema, peerURLs []string, opts Options) (*
 		peers[i] = newPeerClient(i, u, s, a, opts)
 		parts[i] = peers[i]
 	}
-	co, err := shard.NewCoordinator(s, a, parts, opts.Core, opts.PartitionKeys)
+	co, err := shard.NewCoordinator(s, a, parts)
 	if err != nil {
 		return nil, err
 	}

@@ -254,7 +254,7 @@ func newFleet(t *testing.T, tb testbed, kind string, k int) *fleet {
 		}
 		f.parts[i] = l
 	}
-	eng, err := shard.NewCoordinator(tb.schema, tb.access, f.parts, core.Options{}, nil)
+	eng, err := shard.NewCoordinator(tb.schema, tb.access, f.parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +575,7 @@ func TestFleetAttachAdoptsFleet(t *testing.T) {
 		grow.MustInsert("Accident", iv(900001), sv("Nowhere"), sv("9/9/1999"))
 		applyBoth(t, "grow", single, f, grow)
 
-		second, err := shard.NewCoordinator(tb.schema, tb.access, f.parts, core.Options{}, nil)
+		second, err := shard.NewCoordinator(tb.schema, tb.access, f.parts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -645,7 +645,7 @@ func TestAttachRollsBackPartitionRestartedAheadOfCut(t *testing.T) {
 						f.parts[i] = newPeerClient(i, ts.URL, tb.schema, tb.access, testOptions(t))
 					}
 				}
-				eng, err := shard.NewCoordinator(tb.schema, tb.access, f.parts, core.Options{}, nil)
+				eng, err := shard.NewCoordinator(tb.schema, tb.access, f.parts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -34,9 +34,11 @@ type Node struct {
 
 var _ core.Queryable = (*Node)(nil)
 
-// NewNode builds shard server id of k over the shared catalog.
-func NewNode(s *schema.Schema, a *access.Schema, id, k int, opts Options) (*Node, error) {
-	place, err := shard.NewPlacement(s, a, k, opts.PartitionKeys)
+// NewNode builds shard server id of k over the shared catalog. A node
+// is configured by the catalog and k alone: Options holds only a
+// coordinator's RPC settings, so NewNode ignores it.
+func NewNode(s *schema.Schema, a *access.Schema, id, k int, _ Options) (*Node, error) {
+	place, err := shard.NewPlacement(s, a, k)
 	if err != nil {
 		return nil, err
 	}
@@ -44,7 +46,7 @@ func NewNode(s *schema.Schema, a *access.Schema, id, k int, opts Options) (*Node
 	if err != nil {
 		return nil, err
 	}
-	planner, err := core.New(s, a, opts.Core)
+	planner, err := core.New(s, a, core.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -175,7 +175,7 @@ func TestLoadRefusesForeignImage(t *testing.T) {
 	applyBoth(t, "grow", single, &fleet{eng: coord.Engine}, grow)
 
 	other := access.NewSchema(tb.access.Constraints[1:]...)
-	place, err := shard.NewPlacement(tb.schema, tb.access, 2, nil)
+	place, err := shard.NewPlacement(tb.schema, tb.access, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

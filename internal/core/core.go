@@ -35,13 +35,10 @@ import (
 	"repro/internal/value"
 )
 
-// Options configures an Engine; the zero value is sensible.
+// Options configures an Engine; the zero value is sensible. Everything
+// else an engine decides — coverage, the BEP verdict, the plan and its
+// bound — is a function of the query and the catalog (R, A).
 type Options struct {
-	Cover      cover.Options
-	BEP        bep.Options
-	Envelope   envelope.Options
-	Specialize specialize.Options
-	Plan       plan.BuildOptions
 	// PlanCache sizes the LRU plan cache: 0 means DefaultPlanCacheSize,
 	// negative disables caching.
 	PlanCache int
@@ -66,7 +63,6 @@ type Options struct {
 type Engine struct {
 	Schema *schema.Schema
 	Access *access.Schema
-	Opts   Options
 
 	// snap is the current immutable snapshot (nil before the first Load).
 	snap atomic.Pointer[snapshot]
@@ -146,7 +142,7 @@ func New(s *schema.Schema, a *access.Schema, opts Options) (*Engine, error) {
 	if size == 0 {
 		size = DefaultPlanCacheSize
 	}
-	return &Engine{Schema: s, Access: a, Opts: opts, cache: newPlanCache(size)}, nil
+	return &Engine{Schema: s, Access: a, cache: newPlanCache(size)}, nil
 }
 
 // Load attaches an instance: it builds every index in A and verifies
@@ -248,17 +244,12 @@ func (e *Engine) Snapshot() (*data.Instance, *access.Indexed) {
 
 // IsCovered runs the PTIME covered-query check with diagnostics.
 func (e *Engine) IsCovered(q *cq.CQ) (*cover.Result, error) {
-	return cover.Check(q, e.Access, e.Schema, e.Opts.Cover)
-}
-
-// IsCoveredUCQ runs the UCQ/∃FO⁺ covered check (covered or dominated subs).
-func (e *Engine) IsCoveredUCQ(qs []*cq.CQ) (*cover.UCQResult, error) {
-	return cover.CheckUCQ(qs, e.Access, e.Schema, e.Opts.Cover)
+	return cover.Check(q, e.Access, e.Schema, cover.Options{})
 }
 
 // CheckBounded runs the BEP checker (coverage + A-equivalent rewrites).
 func (e *Engine) CheckBounded(q *cq.CQ) (*bep.Decision, error) {
-	return bep.Decide(q, e.Access, e.Schema, e.Opts.BEP)
+	return bep.Decide(q, e.Access, e.Schema, bep.Options{})
 }
 
 // Plan synthesizes a boundedly evaluable plan for q, going through the BEP
@@ -367,7 +358,7 @@ func (e *Engine) planUncached(q *cq.CQ, sizeHint int) (*plan.Plan, plan.Bound, *
 			if err != nil {
 				return nil, plan.Bound{}, dec, err
 			}
-			p, err = plan.Build(res, e.Opts.Plan)
+			p, err = plan.Build(res, plan.BuildOptions{})
 			if err != nil {
 				return nil, plan.Bound{}, dec, err
 			}
@@ -467,17 +458,17 @@ func (e *Engine) Baseline(q *cq.CQ, mode eval.Mode) (*eval.Result, error) {
 
 // UpperEnvelope searches for a covered relaxation of q (UEP).
 func (e *Engine) UpperEnvelope(q *cq.CQ) (*envelope.Upper, error) {
-	return envelope.FindUpper(q, e.Access, e.Schema, e.Opts.Envelope)
+	return envelope.FindUpper(q, e.Access, e.Schema, envelope.Options{})
 }
 
 // LowerEnvelope searches for a covered, A-satisfiable k-expansion (LEP).
 func (e *Engine) LowerEnvelope(q *cq.CQ, k int) (*envelope.Lower, error) {
-	return envelope.FindLower(q, e.Access, e.Schema, k, e.Opts.Envelope)
+	return envelope.FindLower(q, e.Access, e.Schema, k, envelope.Options{})
 }
 
 // Specialize solves QSP for q with parameter set X and budget k.
 func (e *Engine) Specialize(q *cq.CQ, X []string, k int) (*specialize.Result, error) {
-	return specialize.Decide(q, e.Access, e.Schema, X, k, e.Opts.Specialize)
+	return specialize.Decide(q, e.Access, e.Schema, X, k, specialize.Options{})
 }
 
 // Explain renders a one-stop report: coverage, BEP verdict, plan and bound

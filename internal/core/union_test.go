@@ -13,7 +13,6 @@ import (
 	"repro/internal/schema"
 	"repro/internal/ucq"
 	"repro/internal/value"
-	"repro/internal/workload"
 )
 
 func iv(i int64) value.Value { return value.NewInt(i) }
@@ -52,26 +51,18 @@ func example35Engine(t *testing.T) (*Engine, *ucq.UCQ) {
 
 func TestEngineUCQPipeline(t *testing.T) {
 	eng, u := example35Engine(t)
-	dec, err := eng.CheckBoundedUCQ(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Verdict.String() != "bounded" {
-		t.Fatalf("UCQ verdict = %v", dec.Verdict)
-	}
-	p, bound, err := eng.PlanUCQ(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.ConformsTo(plan.LangUCQ); err != nil {
-		t.Fatal(err)
-	}
-	if bound.Fetched <= 0 {
-		t.Errorf("bound = %v", bound)
-	}
 	got, err := eng.Query(context.Background(), u, WithFallback(FallbackRefuse))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got.Mode != ViaBoundedPlan {
+		t.Fatalf("mode = %v, want bounded plan", got.Mode)
+	}
+	if err := got.Plan.ConformsTo(plan.LangUCQ); err != nil {
+		t.Fatal(err)
+	}
+	if got.Bound.Fetched <= 0 {
+		t.Errorf("bound = %v", got.Bound)
 	}
 	want, err := u.Eval(eng.Instance(), eval.ScanJoin)
 	if err != nil {
@@ -80,8 +71,8 @@ func TestEngineUCQPipeline(t *testing.T) {
 	if len(got.Rows) != len(want.Rows) {
 		t.Fatalf("bounded=%d naive=%d", len(got.Rows), len(want.Rows))
 	}
-	if got.Stats.Fetched > bound.Fetched {
-		t.Errorf("fetched %d > bound %d", got.Stats.Fetched, bound.Fetched)
+	if got.Stats.Fetched > got.Bound.Fetched {
+		t.Errorf("fetched %d > bound %d", got.Stats.Fetched, got.Bound.Fetched)
 	}
 }
 
@@ -127,37 +118,5 @@ func TestQueryPosFO(t *testing.T) {
 	// {10, 20} from the first disjunct, {2} from the second.
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %v", res.Rows)
-	}
-}
-
-func TestClassifyWorkload(t *testing.T) {
-	acc, err := workload.GenerateAccidents(workload.AccidentConfig{
-		Days: 2, AccidentsPerDay: 3, MaxVehicles: 2, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(acc.Schema, acc.Access, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q51, _ := workload.Q51()
-	qs := []*cq.CQ{workload.Q0(), q51}
-	rep, err := eng.ClassifyWorkload(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Total != 2 || rep.Covered != 1 || rep.Unknown != 1 {
-		t.Errorf("report = %+v", rep)
-	}
-	if rep.Bounded() != 1 || rep.Rate() != 0.5 {
-		t.Errorf("bounded=%d rate=%f", rep.Bounded(), rep.Rate())
-	}
-	empty, err := eng.ClassifyWorkload(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.Rate() != 0 {
-		t.Error("empty workload rate should be 0")
 	}
 }

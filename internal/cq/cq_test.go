@@ -303,33 +303,6 @@ func TestArityMismatchNotContained(t *testing.T) {
 	}
 }
 
-func TestMinimize(t *testing.T) {
-	// R(x,y) ∧ R(x,z) minimizes to R(x,y) (z,y both existential).
-	q := &CQ{Free: []string{"x"}, Atoms: []Atom{
-		NewAtom("R", Var("x"), Var("y")),
-		NewAtom("R", Var("x"), Var("z")),
-	}}
-	m := q.Minimize()
-	if len(m.Atoms) != 1 {
-		t.Errorf("Minimize left %d atoms, want 1", len(m.Atoms))
-	}
-	if !Equivalent(q, m) {
-		t.Error("Minimize must preserve equivalence")
-	}
-}
-
-func TestMinimizeKeepsNonRedundant(t *testing.T) {
-	// Path of length 2 with free endpoints is already minimal.
-	q := &CQ{Free: []string{"x", "z"}, Atoms: []Atom{
-		NewAtom("R", Var("x"), Var("y")),
-		NewAtom("R", Var("y"), Var("z")),
-	}}
-	m := q.Minimize()
-	if len(m.Atoms) != 2 {
-		t.Errorf("Minimize dropped a needed atom: %v", m)
-	}
-}
-
 func TestCanonicalizeAppliesEqualities(t *testing.T) {
 	// Q(x) :- R(x,y), x=y: canonical form should use one variable.
 	q := &CQ{Free: []string{"x"}, Atoms: []Atom{NewAtom("R", Var("x"), Var("y"))},

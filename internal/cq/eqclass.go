@@ -168,20 +168,6 @@ func (e *EqClasses) AnyConflict() bool {
 	return false
 }
 
-// Roots returns all class representatives, sorted.
-func (e *EqClasses) Roots() []string {
-	set := make(map[string]bool)
-	for v := range e.parent {
-		set[e.find(v)] = true
-	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // DataDependent reports whether v is data-dependent: eq(v,Q) (this closure)
 // contains a variable occurring in a relation atom of q.
 func (e *EqClasses) DataDependent(v string, q *CQ) bool {

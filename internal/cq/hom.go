@@ -1,9 +1,5 @@
 package cq
 
-import (
-	"repro/internal/value"
-)
-
 // Canonical is a CQ frozen modulo its equality atoms: every variable is
 // replaced by its eq⁺ class representative, and pinned classes by their
 // constant. It is the tableau representation (T_Q, u) the paper's
@@ -170,43 +166,3 @@ func Contains(q1, q2 *CQ) bool {
 
 // Equivalent reports classical equivalence q1 ≡ q2.
 func Equivalent(q1, q2 *CQ) bool { return Contains(q1, q2) && Contains(q2, q1) }
-
-// Minimize returns an equivalent CQ with a minimal set of relation atoms
-// (the core), obtained by repeatedly dropping atoms whose removal preserves
-// classical equivalence. Safety is preserved: an atom is not dropped if a
-// remaining head variable would lose its only tie to the data.
-func (q *CQ) Minimize() *CQ {
-	cur := q.DropDuplicateAtoms()
-	for {
-		dropped := false
-		for i := range cur.Atoms {
-			cand := cur.Clone()
-			cand.Atoms = append(cand.Atoms[:i:i], cand.Atoms[i+1:]...)
-			if len(cand.unsafeVars()) > 0 {
-				continue
-			}
-			// cur ⊆ cand always holds (removing a conjunct relaxes); the
-			// atom is redundant iff cand ⊆ cur too.
-			if Contains(cand, cur) {
-				cur = cand
-				dropped = true
-				break
-			}
-		}
-		if !dropped {
-			return cur
-		}
-	}
-}
-
-// HeadConstants returns, for each head position, the pinned constant or the
-// Null value when the position is a genuine variable.
-func (c *Canonical) HeadConstants() []value.Value {
-	out := make([]value.Value, len(c.Head))
-	for i, t := range c.Head {
-		if !t.IsVar() {
-			out[i] = t.C
-		}
-	}
-	return out
-}

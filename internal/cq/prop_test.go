@@ -54,25 +54,6 @@ func TestContainmentTransitive(t *testing.T) {
 	}
 }
 
-func TestMinimizeLawsRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 200; i++ {
-		q := genCQ(rng)
-		m := q.Minimize()
-		if !Equivalent(q, m) {
-			t.Fatalf("Minimize must preserve equivalence:\n%s\n%s", q, m)
-		}
-		if len(m.Atoms) > len(q.Atoms) {
-			t.Fatalf("Minimize must not grow the query")
-		}
-		// Idempotence.
-		mm := m.Minimize()
-		if len(mm.Atoms) != len(m.Atoms) {
-			t.Fatalf("Minimize must be idempotent:\n%s\n%s", m, mm)
-		}
-	}
-}
-
 func TestRenameApartPreservesEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 200; i++ {

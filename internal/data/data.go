@@ -18,7 +18,6 @@ package data
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -29,15 +28,6 @@ type Tuple []value.Value
 
 // Key returns the injective encoding of the whole tuple.
 func (t Tuple) Key() value.Key { return value.KeyOf(t...) }
-
-// Project returns the sub-tuple at the given column positions.
-func (t Tuple) Project(cols []int) Tuple {
-	out := make(Tuple, len(cols))
-	for i, c := range cols {
-		out[i] = t[c]
-	}
-	return out
-}
 
 // Equal reports element-wise equality.
 func (t Tuple) Equal(u Tuple) bool {
@@ -684,23 +674,4 @@ func (d *Instance) Size() int {
 		n += r.Len()
 	}
 	return n
-}
-
-// ActiveDomain returns every constant appearing in D, sorted, without
-// duplicates. This is adom(D) less the query constants (callers add those).
-func (d *Instance) ActiveDomain() []value.Value {
-	set := make(map[value.Value]bool)
-	for _, r := range d.rels {
-		for i := 0; i < r.n; i++ {
-			for c := range r.cols {
-				set[r.ValueAt(i, c)] = true
-			}
-		}
-	}
-	out := make([]value.Value, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
 }

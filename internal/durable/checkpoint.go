@@ -42,12 +42,13 @@ import (
 //
 // Tuples and projections are stored AS their canonical value.Key
 // encodings — the injective kind-tagged byte string every index probe
-// already computes. Decode gets both the values (value.DecodeKey) and
-// the dedup-map / bucket keys from one blob with no per-cell text
-// parsing and no key re-encoding, which is what makes recovery beat a
-// cold TSV re-ingest (benchmark/ measures it as durable.recover_s).
-// DecodeKey rejects non-canonical varint paddings, so decode-then-encode
-// is still a byte-for-byte fixed point (FuzzCheckpoint).
+// already computes. Decode gets both the values
+// (value.AppendDecodeKey) and the dedup-map / bucket keys from one blob
+// with no per-cell text parsing and no key re-encoding, which is what
+// makes recovery beat a cold TSV re-ingest (benchmark/ measures it as
+// durable.recover_s). AppendDecodeKey rejects non-canonical varint
+// paddings, so decode-then-encode is still a byte-for-byte fixed point
+// (FuzzCheckpoint).
 //
 // The section length prefixes exist for decode parallelism: every
 // section fills disjoint state (one relation, or one constraint's
@@ -56,7 +57,7 @@ import (
 // sequential cold ingest cannot do.
 //
 // Tuples are serialized in relation row order and bulk-installed in that
-// order on decode, and buckets install verbatim via index.InstallBucket
+// order on decode, and buckets install verbatim via index.InstallBucketFlat
 // — so a recovered snapshot's scan order, bucket order, and
 // multiplicities are bit-for-bit those of the snapshot that was
 // checkpointed. That is what lets the crash suite demand byte-identical
@@ -375,9 +376,10 @@ func decodeIndexSection(sec string, sc *schema.Schema, c access.Constraint) (*in
 // reader is a bounds-checked cursor over a checkpoint payload; every
 // read returns an error instead of panicking when the buffer runs out.
 // It walks a string, not a []byte: bytesVal substrings are then free to
-// use directly as value.Key map keys and as DecodeKey input without a
-// per-item copy — they pin the whole payload, which is fine because the
-// decoded instance retains most of it as tuple values anyway.
+// use directly as value.Key map keys and as AppendDecodeKey input
+// without a per-item copy — they pin the whole payload, which is fine
+// because the decoded instance retains most of it as tuple values
+// anyway.
 type reader struct {
 	b   string
 	off int

@@ -15,7 +15,7 @@
 //   - snapshot checkpoints (checkpoint-<version>.ckpt): a compact
 //     binary serialization of the instance AND the canonical-sorted
 //     index buckets at one committed version, so recovery installs the
-//     indexes verbatim (index.InstallBucket) instead of re-running
+//     indexes verbatim (index.InstallBucketFlat) instead of re-running
 //     Build's scan-and-sort. Checkpoints are written to a temp file,
 //     fsynced, then atomically renamed; a crash mid-write leaves only
 //     an ignored *.tmp. The two newest checkpoints are retained, and

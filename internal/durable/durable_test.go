@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/data"
-	"repro/internal/index"
 	"repro/internal/live"
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -410,24 +409,5 @@ func TestDumpWALGoldenShape(t *testing.T) {
 	}
 	if !strings.HasSuffix(strings.TrimRight(out, "\n"), "bytes") {
 		t.Fatalf("dump missing trailer:\n%s", out)
-	}
-}
-
-func TestInstallBucketRejectsNonCanonical(t *testing.T) {
-	sc := workload.AccidentSchema()
-	rs, _ := sc.Relation("Casualty")
-	ix, err := index.New(rs, []schema.Attribute{"aid"}, []schema.Attribute{"cid", "class", "aid", "vid"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1 := data.Tuple{value.NewInt(2), value.NewInt(1), value.NewInt(1), value.NewInt(1)}
-	p2 := data.Tuple{value.NewInt(1), value.NewInt(1), value.NewInt(1), value.NewInt(1)}
-	if p1.Key() <= p2.Key() {
-		t.Fatal("test projections not in reverse canonical order")
-	}
-	err = ix.InstallBucket(value.KeyOf(value.NewInt(1)), []data.Tuple{p1, p2},
-		[]value.Key{p1.Key(), p2.Key()}, []int{1, 1})
-	if err == nil {
-		t.Fatal("out-of-order bucket installed without error")
 	}
 }

@@ -23,9 +23,6 @@ import (
 
 // Options tunes the envelope searches.
 type Options struct {
-	// MaxCandidates caps the number of candidate queries examined per
-	// search (default 100000).
-	MaxCandidates int
 	// AInstance configures A-satisfiability / A-equivalence checks.
 	AInstance ainstance.Options
 	// Cover configures coverage checks.
@@ -35,12 +32,9 @@ type Options struct {
 	DisableSplitRewrite bool
 }
 
-func (o Options) maxCandidates() int {
-	if o.MaxCandidates > 0 {
-		return o.MaxCandidates
-	}
-	return 100000
-}
+// maxCandidates caps the number of candidate queries examined per
+// search.
+const maxCandidates = 100000
 
 // Bounded implements Lemma 4.2(b): a CQ Q is bounded under A iff all free
 // variables of Q are covered by A.
@@ -150,7 +144,7 @@ func FindUpper(q *cq.CQ, a *access.Schema, s *schema.Schema, opt Options) (*Uppe
 	if m > 20 {
 		return nil, fmt.Errorf("envelope: too many atoms (%d) for relaxation search", m)
 	}
-	budget := opt.maxCandidates()
+	budget := maxCandidates
 	// Enumerate subsets by descending popcount.
 	type cand struct {
 		mask int
@@ -280,7 +274,7 @@ func FindLower(q *cq.CQ, a *access.Schema, s *schema.Schema, k int, opt Options)
 		added int
 	}
 	frontier := []node{{q: n, added: 0}}
-	budget := opt.maxCandidates()
+	budget := maxCandidates
 	seen := map[string]bool{n.String(): true}
 	fresh := 0
 	for len(frontier) > 0 && budget > 0 {

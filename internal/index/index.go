@@ -257,7 +257,7 @@ func New(rs schema.Relation, x, y []schema.Attribute) (*Index, error) {
 }
 
 // Grow presizes an EMPTY index for buckets X-groups holding pairs
-// distinct (X, Y) pairs in total, so a bulk restore (InstallBucket per
+// distinct (X, Y) pairs in total, so a bulk restore (InstallBucketFlat per
 // bucket) fills the structures without incremental rehashing. Go maps
 // only take a size hint at make time, hence the replace-while-empty rule;
 // on a non-empty index Grow is a no-op rather than an error, since it is
@@ -537,7 +537,7 @@ func (ix *Index) Clone() *Index {
 // canonical order and, aligned with them, each projection's Key and the
 // multiplicity of each (X, Y) pair — the complete serializable state of
 // the index. It is the checkpoint-writing hook of internal/durable: Dump
-// plus InstallBucket round-trips an index exactly, so recovery restores
+// plus InstallBucketFlat round-trips an index exactly, so recovery restores
 // buckets verbatim instead of re-running Build's scan-and-sort. The
 // projection keys are surfaced so the checkpoint codec can serialize
 // tuples AS their keys without re-encoding. It stops at the first error
@@ -571,59 +571,21 @@ func (ix *Index) Dump(f func(k value.Key, projs []data.Tuple, projKeys []value.K
 	return nil
 }
 
-// InstallBucket installs one serialized bucket into a fresh index (built
-// with New) — the recovery fast path: no per-tuple canonical-position
-// search, no end-of-build sort, no projection-key re-encode. projs must
-// already be in canonical (strictly ascending projection-key) order with
-// their keys in projKeys and multiplicities in counts; all three come
-// from a Dump of the index being restored, and projKeys[i] = projs[i].Key()
-// is the caller's contract (the checkpoint codec decodes each projection
-// FROM its key, so the correspondence holds by construction). The bucket
-// must not already be present. The projections' cells are copied into the
-// index's flat storage; projs itself is not retained.
-func (ix *Index) InstallBucket(k value.Key, projs []data.Tuple, projKeys []value.Key, counts []int) error {
-	if len(projs) == 0 || len(projs) != len(counts) || len(projs) != len(projKeys) {
-		return fmt.Errorf("index: bucket of %d projections with %d keys, %d counts", len(projs), len(projKeys), len(counts))
-	}
-	if _, ok := ix.ids[k]; ok {
-		return fmt.Errorf("index: bucket %q installed twice", string(k))
-	}
-	stride := len(ix.ypos)
-	prev := value.Key("")
-	for i, proj := range projs {
-		if len(proj) != stride {
-			return fmt.Errorf("index: projection arity %d, want %d", len(proj), stride)
-		}
-		if counts[i] < 1 {
-			return fmt.Errorf("index: projection multiplicity %d", counts[i])
-		}
-		pk := projKeys[i]
-		if i > 0 && pk <= prev {
-			return fmt.Errorf("index: bucket not in canonical order")
-		}
-		prev = pk
-		if counts[i] > 1 {
-			ix.counts[pairKey(k, pk)] = counts[i]
-		}
-	}
-	flat := make([]value.Value, 0, len(projs)*stride)
-	for _, proj := range projs {
-		flat = append(flat, proj...)
-	}
-	slot := uint32(len(ix.buckets))
-	ix.buckets = append(ix.buckets, bucket{vals: flat, n: len(projs)})
-	ix.ids[k] = slot
-	return nil
-}
-
-// InstallBucketFlat is InstallBucket for restorers that decode
-// projections straight into stride-aligned flat storage: cells holds the
-// bucket's projections back to back (projection i at cells[i*stride :
-// (i+1)*stride]), and the index takes ownership of cells instead of
-// copying it — the checkpoint decoder carves all buckets of a section
-// out of one arena, so a restore costs one cell allocation per section,
-// not one per bucket. Ordering, multiplicity and arity validation match
-// InstallBucket exactly.
+// InstallBucketFlat installs one serialized bucket into a fresh index
+// (built with New) — the recovery fast path: no per-tuple
+// canonical-position search, no end-of-build sort, no projection-key
+// re-encode. cells holds the bucket's projections back to back
+// (projection i at cells[i*stride : (i+1)*stride]), projKeys their keys
+// and counts their multiplicities; all three come from a Dump of the
+// index being restored, and projKeys[i] = value.KeyOf(projection i) is
+// the caller's contract (the checkpoint codec decodes each projection
+// FROM its key, so the correspondence holds by construction). The index
+// takes ownership of cells instead of copying it — the checkpoint
+// decoder carves all buckets of a section out of one arena, so a restore
+// costs one cell allocation per section, not one per bucket. A bucket
+// already present, projections out of canonical (strictly ascending
+// key) order, a multiplicity below 1, or a cell count other than
+// len(projKeys) × stride is refused.
 func (ix *Index) InstallBucketFlat(k value.Key, cells []value.Value, projKeys []value.Key, counts []int) error {
 	stride := len(ix.ypos)
 	if len(projKeys) == 0 || len(projKeys) != len(counts) || len(cells) != len(projKeys)*stride {

@@ -366,3 +366,51 @@ func TestCanonicalBucketOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestInstallBucketFlatRejectsNonCanonical feeds the recovery installer
+// each malformed bucket a corrupt checkpoint could carry: every one
+// must be refused.
+func TestInstallBucketFlatRejectsNonCanonical(t *testing.T) {
+	rs := schema.MustRelation("R", "A", "B", "C")
+	x := []schema.Attribute{"A"}
+	y := []schema.Attribute{"B", "C"}
+	iv := value.NewInt
+	lo, hi := []value.Value{iv(1), iv(1)}, []value.Value{iv(2), iv(1)}
+	loKey, hiKey := value.KeyOf(lo...), value.KeyOf(hi...)
+	if loKey >= hiKey {
+		t.Fatal("fixture projections not in canonical order")
+	}
+	cells := func(ps ...[]value.Value) []value.Value {
+		var out []value.Value
+		for _, p := range ps {
+			out = append(out, p...)
+		}
+		return out
+	}
+	k := value.KeyOf(iv(7))
+	for _, tc := range []struct {
+		name   string
+		cells  []value.Value
+		keys   []value.Key
+		counts []int
+		twice  bool
+	}{
+		{"out of canonical order", cells(hi, lo), []value.Key{hiKey, loKey}, []int{1, 1}, false},
+		{"multiplicity below 1", cells(lo, hi), []value.Key{loKey, hiKey}, []int{1, 0}, false},
+		{"cells not keys × stride", cells(lo, hi)[:3], []value.Key{loKey, hiKey}, []int{1, 1}, false},
+		{"installed twice", cells(lo, hi), []value.Key{loKey, hiKey}, []int{1, 1}, true},
+	} {
+		ix, err := New(rs, x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.twice {
+			if err := ix.InstallBucketFlat(k, cells(lo), []value.Key{loKey}, []int{1}); err != nil {
+				t.Fatalf("%s: first install: %v", tc.name, err)
+			}
+		}
+		if err := ix.InstallBucketFlat(k, tc.cells, tc.keys, tc.counts); err == nil {
+			t.Errorf("%s: installed without error", tc.name)
+		}
+	}
+}

@@ -27,7 +27,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"runtime/metrics"
 	"sync"
 	"sync/atomic"
@@ -289,9 +288,6 @@ func (t *Trace) Root() *Span {
 	defer t.mu.Unlock()
 	return t.root
 }
-
-// JSON renders the finished span tree as a single JSON document.
-func (s *Span) JSON() ([]byte, error) { return json.Marshal(s) }
 
 // Walk visits every span of the tree depth-first, root included.
 func (s *Span) Walk(fn func(*Span)) {

@@ -94,11 +94,3 @@ func (l *SlowLog) Record(entry SlowEntry, elapsed time.Duration, root *Span) {
 	defer l.mu.Unlock()
 	l.w.Write(append(line, '\n'))
 }
-
-// Threshold returns the configured slow threshold (0 when disabled).
-func (l *SlowLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.threshold
-}

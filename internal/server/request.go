@@ -40,8 +40,8 @@ type QueryRequest struct {
 
 // decodeQueryRequest reads and decodes the JSON body. Every failure is
 // a structured 4xx — this is the surface FuzzQueryRequest hammers.
-func decodeQueryRequest(r *http.Request, maxBody int64) (*QueryRequest, *apiError) {
-	body := http.MaxBytesReader(nil, r.Body, maxBody)
+func decodeQueryRequest(r *http.Request) (*QueryRequest, *apiError) {
+	body := http.MaxBytesReader(nil, r.Body, DefaultMaxBodyBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var req QueryRequest
@@ -49,7 +49,7 @@ func decodeQueryRequest(r *http.Request, maxBody int64) (*QueryRequest, *apiErro
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return nil, &apiError{Code: "body_too_large",
-				Message: fmt.Sprintf("request body exceeds the %d-byte limit", maxBody)}
+				Message: fmt.Sprintf("request body exceeds the %d-byte limit", DefaultMaxBodyBytes)}
 		}
 		return nil, &apiError{Code: "bad_request", Message: "malformed JSON request: " + err.Error()}
 	}

@@ -92,9 +92,6 @@ type Options struct {
 	// before being answered 503; it doubles as the Retry-After hint.
 	// 0 means DefaultQueueTimeout.
 	QueueTimeout time.Duration
-	// MaxBodyBytes caps request bodies (JSON and delta TSV alike).
-	// 0 means DefaultMaxBodyBytes.
-	MaxBodyBytes int64
 	// StallTimeout bounds how long a single read from (or write to) the
 	// client may block. Without it, a connected-but-stalled client — a
 	// reader that stops draining a streaming response, or an uploader
@@ -119,8 +116,10 @@ type Options struct {
 const (
 	DefaultMaxInFlight  = 64
 	DefaultQueueTimeout = time.Second
-	DefaultMaxBodyBytes = 8 << 20
 	DefaultStallTimeout = 30 * time.Second
+	// DefaultMaxBodyBytes caps request bodies (JSON and delta TSV
+	// alike).
+	DefaultMaxBodyBytes = 8 << 20
 
 	// maxQueryText bounds ad-hoc query text; planning cost grows with
 	// query size, and no legitimate query is this long.
@@ -158,9 +157,6 @@ func New(eng core.Queryable, cat Catalog, opts Options) (*Server, error) {
 	}
 	if opts.QueueTimeout <= 0 {
 		opts.QueueTimeout = DefaultQueueTimeout
-	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if opts.StallTimeout <= 0 {
 		opts.StallTimeout = DefaultStallTimeout
@@ -293,7 +289,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (func(), bool) {
 // body never carries an empty trailer, so clients can tell short from
 // complete.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	req, apiErr := decodeQueryRequest(r, s.opts.MaxBodyBytes)
+	req, apiErr := decodeQueryRequest(r)
 	if apiErr != nil {
 		writeError(w, apiErr.status(), *apiErr)
 		return
@@ -457,7 +453,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer done()
-	body := &stallReader{r: http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes),
+	body := &stallReader{r: http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes),
 		rc: http.NewResponseController(w), stall: s.opts.StallTimeout}
 	delta, err := live.ReadDeltaTSV(body, s.cat.Schema)
 	if err != nil {
@@ -465,7 +461,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, apiError{
 				Code:    "body_too_large",
-				Message: fmt.Sprintf("delta body exceeds the %d-byte limit", s.opts.MaxBodyBytes),
+				Message: fmt.Sprintf("delta body exceeds the %d-byte limit", DefaultMaxBodyBytes),
 			})
 			return
 		}

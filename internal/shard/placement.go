@@ -28,24 +28,23 @@ type partKey struct {
 	pos   []int // positions of attrs in the relation's attribute order
 }
 
-// NewPlacement derives the placement of s over k partitions; overrides
-// replaces the default partition key per relation (see
-// Options.PartitionKeys).
-func NewPlacement(s *schema.Schema, a *access.Schema, k int, overrides map[string][]schema.Attribute) (*Placement, error) {
+// NewPlacement derives the placement of s over k partitions: each
+// relation is partitioned by its DefaultPartitionKey. It is a function
+// of the catalog and k alone, so a coordinator and its partition
+// servers that agree on both (Attach checks the catalog fingerprint and
+// the partition count) agree on every tuple's owner.
+func NewPlacement(s *schema.Schema, a *access.Schema, k int) (*Placement, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("shard: need at least one partition, got %d", k)
 	}
 	p := &Placement{schema: s, k: k, keys: make(map[string]partKey)}
 	for _, rs := range s.Relations() {
-		attrs, ok := overrides[rs.Name]
-		if !ok {
-			attrs = DefaultPartitionKey(rs, a)
-		}
+		attrs := DefaultPartitionKey(rs, a)
 		pos, err := rs.Positions(attrs)
 		if err != nil {
 			return nil, fmt.Errorf("shard: bad partition key for %s: %w", rs.Name, err)
 		}
-		p.keys[rs.Name] = partKey{attrs: append([]schema.Attribute(nil), attrs...), pos: pos}
+		p.keys[rs.Name] = partKey{attrs: attrs, pos: pos}
 	}
 	return p, nil
 }
@@ -169,8 +168,9 @@ func (p *Placement) Share(d *data.Instance, id int) (*data.Instance, error) {
 
 // catalogHash fingerprints the (relational schema, access schema) pair
 // so a coordinator refuses to attach to a partition serving a different
-// catalog — partition routing and constraint indices are only
-// meaningful when both sides derived them from the same definitions.
+// catalog. The catalog is all that placement and constraint indices
+// derive from, so equal fingerprints (with equal K) mean both sides
+// route every tuple and fetch alike.
 func catalogHash(s *schema.Schema, a *access.Schema) uint32 {
 	h := fnv.New32a()
 	for _, rs := range s.Relations() {

@@ -64,22 +64,12 @@ import (
 	"repro/internal/value"
 )
 
-// Options configures a sharded engine.
+// Options configures a sharded engine. Everything else — the planner,
+// the placement — derives from the catalog (R, A) and K alone.
 type Options struct {
 	// Shards is K, the number of hash partitions New builds; 0 or 1
 	// means a single one, which holds the loaded instance itself.
 	Shards int
-	// Core configures the planner engine (plan cache size, default exec
-	// options, checker options) exactly as for a single-node engine.
-	Core core.Options
-	// PartitionKeys overrides the per-relation partition key. The
-	// default for each relation is the X-attributes of its first access
-	// constraint with a nonempty X (so that constraint's fetches route
-	// to one partition), falling back to all attributes when no
-	// constraint offers one. Fetches route only when a constraint's X
-	// matches the partition key exactly (same attributes, same order);
-	// everything else scatters.
-	PartitionKeys map[string][]schema.Attribute
 }
 
 // repairTimeout bounds the best-effort abort/rollback fanout after a
@@ -216,7 +206,7 @@ var _ core.Queryable = (*Engine)(nil)
 
 // New builds a sharded engine over opts.Shards partitions in this
 // process, deriving the partition map from the access schema (see
-// Options.PartitionKeys).
+// NewPlacement).
 func New(s *schema.Schema, a *access.Schema, opts Options) (*Engine, error) {
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("shard: negative shard count %d", opts.Shards)
@@ -230,19 +220,18 @@ func New(s *schema.Schema, a *access.Schema, opts Options) (*Engine, error) {
 		}
 		parts[i] = l
 	}
-	return NewCoordinator(s, a, parts, opts.Core, opts.PartitionKeys)
+	return NewCoordinator(s, a, parts)
 }
 
 // NewCoordinator builds the engine over the given partitions, in
-// partition order: parts[i] must be partition i of len(parts). copts
-// and keys are Options.Core and Options.PartitionKeys. Over partitions
-// that already hold data, call Attach before serving.
-func NewCoordinator(s *schema.Schema, a *access.Schema, parts []Partition, copts core.Options, keys map[string][]schema.Attribute) (*Engine, error) {
-	place, err := NewPlacement(s, a, len(parts), keys)
+// partition order: parts[i] must be partition i of len(parts). Over
+// partitions that already hold data, call Attach before serving.
+func NewCoordinator(s *schema.Schema, a *access.Schema, parts []Partition) (*Engine, error) {
+	place, err := NewPlacement(s, a, len(parts))
 	if err != nil {
 		return nil, err
 	}
-	planner, err := core.New(s, a, copts)
+	planner, err := core.New(s, a, core.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -31,8 +31,6 @@ type Options struct {
 	// (add the parameter covering the most new variables first). The greedy
 	// answer is sound (the returned set works) but may not be minimum.
 	Greedy bool
-	// MaxSubsets caps exact enumeration (default 200000).
-	MaxSubsets int
 	// CheckSatisfiable additionally verifies condition (b) of bounded
 	// specialization: Q itself is A-satisfiable (which, per the paper's
 	// lemma, is equivalent to some valuation yielding an A-satisfiable
@@ -44,12 +42,8 @@ type Options struct {
 	Cover cover.Options
 }
 
-func (o Options) maxSubsets() int {
-	if o.MaxSubsets > 0 {
-		return o.MaxSubsets
-	}
-	return 200000
-}
+// maxSubsets caps exact enumeration.
+const maxSubsets = 200000
 
 // Result is the outcome of a QSP decision.
 type Result struct {
@@ -146,7 +140,7 @@ func Decide(q *cq.CQ, a *access.Schema, s *schema.Schema, X []string, k int, opt
 
 // exact enumerates subsets in ascending size; the first hit is minimum.
 func exact(q *cq.CQ, a *access.Schema, s *schema.Schema, params []string, k int, opt Options, res *Result) (*Result, error) {
-	budget := opt.maxSubsets()
+	budget := maxSubsets
 	n := len(params)
 	if k > n {
 		k = n
@@ -158,7 +152,7 @@ func exact(q *cq.CQ, a *access.Schema, s *schema.Schema, params []string, k int,
 	rec = func(start, size int) (bool, error) {
 		if len(idx) == size {
 			if budget == 0 {
-				return false, fmt.Errorf("specialize: subset budget exhausted (%d subsets)", opt.maxSubsets())
+				return false, fmt.Errorf("specialize: subset budget exhausted (%d subsets)", maxSubsets)
 			}
 			budget--
 			res.Tried++

@@ -1,7 +1,7 @@
 // Package ucq gives unions of conjunctive queries (UCQ) a first-class
 // type: Q = Q1 ∪ ... ∪ Qk with all sub-queries sharing one head arity
 // (Section 2 of the paper). It wraps the per-sub-query machinery —
-// validation, classical and A-containment, coverage, bounded plans, and
+// validation, classical containment, coverage, bounded plans, and
 // evaluation — behind one surface.
 package ucq
 
@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"repro/internal/access"
-	"repro/internal/ainstance"
 	"repro/internal/cover"
 	"repro/internal/cq"
 	"repro/internal/data"
@@ -89,49 +88,9 @@ func Contains(u, v *UCQ) bool {
 // Equivalent decides classical equivalence.
 func Equivalent(u, v *UCQ) bool { return Contains(u, v) && Contains(v, u) }
 
-// AContained decides A-containment u ⊑A v. Per Example 3.5 this is
-// strictly weaker than per-pair containment: each sub-query of u is
-// checked against the whole union of v over its A-instances.
-func AContained(u, v *UCQ, a *access.Schema, s *schema.Schema, opt ainstance.Options) (bool, error) {
-	return ainstance.UCQContained(u.Subs, v.Subs, a, s, opt)
-}
-
-// AEquivalent decides A-equivalence.
-func AEquivalent(u, v *UCQ, a *access.Schema, s *schema.Schema, opt ainstance.Options) (bool, error) {
-	ok, err := AContained(u, v, a, s, opt)
-	if err != nil || !ok {
-		return false, err
-	}
-	return AContained(v, u, a, s, opt)
-}
-
 // Covered runs the covered-UCQ check (Lemma 3.6 / Theorem 3.14).
 func (u *UCQ) Covered(a *access.Schema, s *schema.Schema, opt cover.Options) (*cover.UCQResult, error) {
 	return cover.CheckUCQ(u.Subs, a, s, opt)
-}
-
-// Minimize removes sub-queries classically contained in the rest of the
-// union (they contribute no answers on any instance).
-func (u *UCQ) Minimize() *UCQ {
-	kept := append([]*cq.CQ(nil), u.Subs...)
-	for i := 0; i < len(kept); {
-		others := make([]*cq.CQ, 0, len(kept)-1)
-		others = append(others, kept[:i]...)
-		others = append(others, kept[i+1:]...)
-		redundant := false
-		for _, o := range others {
-			if cq.Contains(kept[i], o) {
-				redundant = true
-				break
-			}
-		}
-		if redundant && len(others) > 0 {
-			kept = others
-		} else {
-			i++
-		}
-	}
-	return &UCQ{Label: u.Label, Subs: kept}
 }
 
 // QueryLabel implements the serving-layer Query interface of

@@ -61,23 +61,6 @@ func TestSagivYannakakisContainment(t *testing.T) {
 	}
 }
 
-func TestMinimize(t *testing.T) {
-	edge := q("edge", []string{"x"}, []cq.Atom{cq.NewAtom("R", cq.Var("x"), cq.Var("y"))}, nil)
-	path2 := q("path2", []string{"x"}, []cq.Atom{
-		cq.NewAtom("R", cq.Var("x"), cq.Var("y")),
-		cq.NewAtom("R", cq.Var("y"), cq.Var("z")),
-	}, nil)
-	u, _ := New("U", edge, path2)
-	m := u.Minimize()
-	if len(m.Subs) != 1 || m.Subs[0].Label != "edge" {
-		t.Errorf("Minimize should keep only edge: %v", m)
-	}
-	// Equivalence is preserved.
-	if !Equivalent(u, m) {
-		t.Error("minimization must preserve equivalence")
-	}
-}
-
 func TestEvalUnion(t *testing.T) {
 	s := schema.MustNew(schema.MustRelation("R", "A", "B"))
 	d := data.NewInstance(s)
@@ -124,7 +107,7 @@ func TestAContainment(t *testing.T) {
 		[]cq.Eq{{L: cq.Var("y"), R: cq.Const(iv(0))}})
 	uQ, _ := New("UQ", whole)
 	uU, _ := New("UU", q1, q2)
-	ok, err := AContained(uQ, uU, a, s, ainstance.Options{})
+	ok, err := ainstance.UCQContained(uQ.Subs, uU.Subs, a, s, ainstance.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

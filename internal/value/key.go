@@ -89,20 +89,16 @@ func uvarintStr(s string, i int) (uint64, int) {
 	return 0, 0 // truncated
 }
 
-// DecodeKey parses a Key back into the value sequence that produced it.
-// It is the exact inverse of KeyOf: on success, KeyOf(vals...) reproduces
-// k byte for byte. Non-canonical encodings are rejected rather than
-// normalised, so a Key either round-trips exactly or fails to decode.
-// The checkpoint codec relies on this to store tuples as their Keys and
-// still guarantee that decode-then-encode is a fixed point. Decoded
-// string values share k's backing memory.
-func DecodeKey(k Key) ([]Value, error) {
-	return AppendDecodeKey(nil, k)
-}
-
-// AppendDecodeKey is DecodeKey appending into dst, for bulk decoders
-// that carve many small value slices out of one arena allocation
-// instead of paying one allocation per key.
+// AppendDecodeKey parses a Key back into the value sequence that
+// produced it, appending to dst, so bulk decoders can carve many small
+// value slices out of one arena allocation instead of paying one
+// allocation per key. It is the exact inverse of KeyOf: on success,
+// KeyOf of the appended values reproduces k byte for byte.
+// Non-canonical encodings are rejected rather than normalised, so a Key
+// either round-trips exactly or fails to decode. The checkpoint codec
+// relies on this to store tuples as their Keys and still guarantee that
+// decode-then-encode is a fixed point. Decoded string values share k's
+// backing memory.
 func AppendDecodeKey(dst []Value, k Key) ([]Value, error) {
 	vals := dst
 	for i := 0; i < len(k); {

@@ -27,12 +27,6 @@ type RandomCQConfig struct {
 	Seed     int64
 }
 
-// DefaultRandomCQConfig mirrors the paper's workload shape: a few joins,
-// mostly anchored queries.
-func DefaultRandomCQConfig() RandomCQConfig {
-	return RandomCQConfig{Queries: 200, MaxAtoms: 4, StartProb: 0.85, FreeVars: 2, Seed: 3}
-}
-
 // RandomCQs generates random join queries over the given schema. Each
 // query joins a chain of atoms through shared variables; anchored queries
 // pin one attribute of the first atom to a constant drawn from consts.
