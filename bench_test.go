@@ -381,42 +381,6 @@ func BenchmarkAblationEqPlus(b *testing.B) {
 	b.Run("eqonly", func(b *testing.B) { run(b, cover.Options{UseEqOnly: true}) })
 }
 
-// BenchmarkAblationFusedJoin compares natural-join plans with plans
-// lowered to the paper's primitive ρ/×/σ/π grammar.
-func BenchmarkAblationFusedJoin(b *testing.B) {
-	acc, _ := mustAccidents(b, 40)
-	ix, _, err := access.BuildIndexed(acc.Access, acc.Instance)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := cover.Check(workload.Q0(), acc.Access, acc.Schema, cover.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	natural, err := plan.Build(res, plan.BuildOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	lowered, err := plan.Build(res, plan.BuildOptions{LowerJoins: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := plan.Execute(natural, ix); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("lowered", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := plan.Execute(lowered, ix); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationAnchoring sweeps the workload's anchored-query
 // probability: coverage rates collapse as anchoring disappears, showing
 // that personalized (anchored) workloads are what bounded evaluation wins.

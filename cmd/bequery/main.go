@@ -40,7 +40,7 @@
 // -profile traces the request and prints an EXPLAIN ANALYZE span tree —
 // one {"profile": ...} JSON line after the answer (the stream's last
 // line with -stream, the same wire shape beserve's "profile": true
-// speaks) — covering planning, every index fetch, joins, dedup, and the
+// speaks) — covering planning, every plan step (its fetch), dedup, and the
 // per-shard route/scatter traffic under -shards. With -apply it also
 // profiles the update (stage/validate/commit, WAL append). -slow-query-ms
 // N logs a structured JSON line to stderr when the request exceeds N ms.

@@ -358,7 +358,7 @@ func (e *Engine) planUncached(q *cq.CQ, sizeHint int) (*plan.Plan, plan.Bound, *
 			if err != nil {
 				return nil, plan.Bound{}, dec, err
 			}
-			p, err = plan.Build(res, plan.BuildOptions{})
+			p, err = plan.Build(res)
 			if err != nil {
 				return nil, plan.Bound{}, dec, err
 			}

@@ -71,7 +71,7 @@ func TestInvariantCoveredPlansAgreeWithNaive(t *testing.T) {
 			continue
 		}
 		coveredCount++
-		p, err := plan.Build(res, plan.BuildOptions{})
+		p, err := plan.Build(res)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Label, err)
 		}

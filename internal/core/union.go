@@ -60,7 +60,7 @@ func (e *Engine) planUCQUncached(u *ucq.UCQ, sizeHint int) (*plan.Plan, plan.Bou
 	if !res.Covered {
 		return nil, plan.Bound{}, &NotBoundedError{UCQCover: res, Label: u.Label}
 	}
-	p, err := plan.BuildUCQ(res, plan.BuildOptions{})
+	p, err := plan.BuildUCQ(res)
 	if err != nil {
 		return nil, plan.Bound{}, err
 	}

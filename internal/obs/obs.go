@@ -81,11 +81,11 @@ func fromContextSlow(ctx context.Context) *Trace {
 // wall-clock and per-operator accounting. Fields are written under the
 // owning trace's lock and are read-only after Trace.Finish.
 type Span struct {
-	// Name is the phase: "plan", "fetch", "join", "stream+dedup",
+	// Name is the phase: "plan", "fetch", "project", "stream+dedup",
 	// "scan", "apply.stage", "wal.append+fsync", "shard 2 scatter", …
 	Name string `json:"name"`
-	// Detail qualifies the phase: the fetch's access constraint, the
-	// join's operands, cache hit/miss.
+	// Detail qualifies the phase: the plan step with its access
+	// constraint, cache hit/miss.
 	Detail string `json:"detail,omitempty"`
 	// ElapsedNS is the span's monotonic wall-clock in nanoseconds.
 	// Synthesized counter spans (per-shard accounting) report 0.

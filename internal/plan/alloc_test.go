@@ -13,7 +13,7 @@ import (
 )
 
 // Allocation-regression tests for the execution hot path: the per-row
-// work of fetch (key encode → index probe → row assembly), join probe
+// work of fetch (key dedup → key encode → index probe → row assembly)
 // and dedup must allocate nothing. Each test pins one primitive with
 // testing.AllocsPerRun at exactly 0 allocations per row, so any future
 // boxing, map-key copy or buffer regrowth sneaking back in fails loudly
@@ -25,7 +25,8 @@ var raceEnabled bool
 
 // allocFixture builds a small indexed instance: R(A -> B,C) with
 // STRING B values (strings are the easy way to re-introduce per-row
-// allocations) and an input table of rows keying into it.
+// allocations) and an input table of rows keying into it, each key
+// carried by two rows.
 func allocFixture(t testing.TB) (*access.Indexed, *Table, FetchOp) {
 	t.Helper()
 	sc := schema.MustNew(schema.MustRelation("R", "A", "B", "C"))
@@ -41,9 +42,9 @@ func allocFixture(t testing.TB) (*access.Indexed, *Table, FetchOp) {
 	if err != nil || len(viols) > 0 {
 		t.Fatalf("BuildIndexed: %v %v", viols, err)
 	}
-	in := NewTable("x")
-	for i := int64(0); i < 16; i++ {
-		in.Add(data.Tuple{value.NewInt(i)})
+	in := &Table{Cols: []string{"x", "k"}}
+	for i := int64(0); i < 32; i++ {
+		in.Add(data.Tuple{value.NewInt(i % 16), value.NewInt(i)})
 	}
 	return ix, in, FetchOp{Constraint: c, Input: 0, XCols: []string{"x"}, YOut: []string{"b", "c"}}
 }
@@ -54,21 +55,22 @@ func allocFixture(t testing.TB) (*access.Indexed, *Table, FetchOp) {
 // Once the sink's table is warm every measured row is a duplicate, so
 // the streaming leg must cost nothing either.
 func allocSinks(cols []string) map[string]func(data.Tuple) bool {
-	stream := &sink{out: NewTable(cols...), yield: func(data.Tuple) bool { return true }}
+	stream := &sink{out: &Table{Cols: cols}, yield: func(data.Tuple) bool { return true }}
 	return map[string]func(data.Tuple) bool{
 		"drop":   func(data.Tuple) bool { return true },
 		"stream": stream.add,
 	}
 }
 
-// TestFetchRowPathAllocs drives the full fetch inner loop — argDedup, key
-// encoding into scratch, FetchBytes probe, emitBucket row assembly, sink
+// TestFetchRowPathAllocs drives the full fetch inner loop — argDedup and
+// its row-to-key mapping over input rows that repeat their keys, key
+// encoding into scratch, FetchBytes probe, emitRow row assembly, sink
 // insert — and demands zero allocations per input row once the fetchEval
 // scratch and the sink's table are warm.
 func TestFetchRowPathAllocs(t *testing.T) {
 	ix, in, op := allocFixture(t)
 	var f fetchEval
-	out := NewTable()
+	out := new(Table)
 	if err := f.setup(op, in, NewSource(ix), out); err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +83,9 @@ func TestFetchRowPathAllocs(t *testing.T) {
 			}
 		}
 		run() // warm
-		// Each run re-walks all 16 input rows and every bucket row; the
-		// argDedup is reset, not rebuilt, so the whole run allocates
-		// nothing.
+		// Each run re-walks all 32 input rows and, for each, its key's
+		// bucket; the argDedup is reset, not rebuilt, so the whole run
+		// allocates nothing.
 		if avg := testing.AllocsPerRun(100, run); avg != 0 {
 			t.Fatalf("%s: fetch inner loop allocates %.1f/run, want 0", name, avg)
 		}
@@ -119,7 +121,7 @@ func TestScanRowPathAllocs(t *testing.T) {
 // existing row through the scratch-buffer insert allocates nothing, with
 // or without a yield behind it.
 func TestDedupAllocs(t *testing.T) {
-	tab := NewTable("a", "b")
+	tab := &Table{Cols: []string{"a", "b"}}
 	row := data.Tuple{value.NewInt(1), value.NewString("dup")}
 	tab.Add(row.Clone())
 	scratch := row.Clone()
@@ -140,38 +142,6 @@ func TestDedupAllocs(t *testing.T) {
 	}
 }
 
-// TestJoinProbeAllocs pins the join probe: hashing the left row,
-// scanning the group, verifying equality, assembling the joined row in a
-// caller buffer and handing it to the sink allocate nothing.
-func TestJoinProbeAllocs(t *testing.T) {
-	l := NewTable("a", "b")
-	r := NewTable("b", "c")
-	for i := int64(0); i < 8; i++ {
-		l.Add(data.Tuple{value.NewInt(i), value.NewString("k")})
-		r.Add(data.Tuple{value.NewString("k"), value.NewInt(i * 10)})
-	}
-	var js joinState
-	out := NewTable()
-	js.setup(l, r, out)
-	if err := js.build(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	buf := make(data.Tuple, 0, len(out.Cols))
-	for name, sink := range allocSinks(out.Cols) {
-		run := func() {
-			for _, lr := range l.Rows {
-				if !js.probe(lr, buf, sink) {
-					t.Fatal("sink stopped")
-				}
-			}
-		}
-		run() // warm
-		if avg := testing.AllocsPerRun(200, run); avg != 0 {
-			t.Fatalf("%s: join probe allocates %.1f/run, want 0", name, avg)
-		}
-	}
-}
-
 // TestQueryAllocCeiling pins the per-QUERY cost beside the per-row zeros:
 // a Q0-shaped plan over the accidents generator, run through
 // ExecuteSource on a warm state pool, allocates a small constant — the
@@ -183,8 +153,8 @@ func TestQueryAllocCeiling(t *testing.T) {
 	}
 	acc, src := accidentsSource(t, 30, 1)
 	p := builtPlan(t, workload.Q0(), acc.Access, acc.Schema)
-	if len(p.Steps) != 10 {
-		t.Fatalf("Q0 plan has %d steps, want the 10-step shape", len(p.Steps))
+	if len(p.Steps) != 6 {
+		t.Fatalf("Q0 plan has %d steps, want the 6-step shape", len(p.Steps))
 	}
 	ctx := context.Background()
 	run := func() {

@@ -3,14 +3,16 @@ package plan
 import (
 	"testing"
 
+	"repro/internal/access"
 	"repro/internal/value"
 )
 
 func TestBind(t *testing.T) {
 	one, two, s := value.NewInt(1), value.NewInt(2), value.NewString("s")
+	byA := access.NewConstraint("R", attrs("A"), attrs("B", "C"), 2)
 	p := &Plan{Label: "Q", OutCols: []string{"a"}, Steps: []Op{
 		ConstOp{Cols: []string{"a", "b", "c"}, Rows: [][]value.Value{{one, s, s}}},
-		SelectOp{Input: 0, Conds: []EqCond{{L: "b", R: "c"}}},
+		FetchOp{Input: 0, Constraint: byA, XCols: []string{"a"}, YOut: []string{"b", "c"}},
 		ProjectOp{Input: 1, Cols: []string{"a"}},
 	}}
 	before := p.String()
@@ -21,7 +23,7 @@ func TestBind(t *testing.T) {
 	}
 	want := `plan Q:
   T0 = {(2, "t", "t")} as (a, b, c)
-  T1 = σ[b = c](T0)
+  T1 = fetch(a ∈ T0, R, R(A -> B C, 2))
   T2 = π[a](T1)
   answer: T2(a)`
 	if got.String() != want {

@@ -17,10 +17,11 @@ import (
 // The analysis tracks, per column of each step, a bound on the number of
 // distinct candidate values that can flow through it (a literal's row
 // count, |X-bound|·N for fetched columns). Table bounds take the minimum
-// of the operational bound (product for ×/⋈, carry-through for σ/π) and
-// the product of the column bounds — this reproduces the paper's Example
-// 1.1 arithmetic (610 + 610·192·2, plus 610·1 for the check that carries
-// the district) instead of the naive exponential join blow-up.
+// of the operational bound (input rows × fetched tuples for a fetch,
+// carry-through for π, sum for ∪) and the product of the column bounds —
+// this reproduces the paper's Example 1.1 arithmetic (610 + 610·192·2,
+// plus 610·1 for the check that carries the district) instead of the
+// naive exponential join blow-up.
 type Bound struct {
 	// Fetched bounds the total tuples retrieved via indices (|D_Q|).
 	Fetched int64
@@ -105,16 +106,22 @@ func AccessBound(p *Plan, sizeHint int) (Bound, error) {
 			bounds[i], cols[i] = n, o.Cols
 			colBounds[i] = slices.Repeat([]int64{n}, len(o.Cols))
 		case FetchOp:
+			// The fetch's X-keys, each fetching at most N tuples, and the
+			// input rows each extended by at most all of them.
 			n := int64(o.Constraint.Card.Bound(sizeHint))
 			out := satMul(satMin(bounds[o.Input], colProduct(o.Input, o.XCols)), n)
-			bounds[i], cols[i] = out, o.outCols()
-			colBounds[i] = slices.Repeat([]int64{out}, len(cols[i]))
-			for j, c := range cols[i] {
-				if slices.Contains(o.XCols, c) && !slices.Contains(o.YOut, c) {
-					colBounds[i][j] = colOf(o.Input, c)
+			fetched = satAdd(fetched, out)
+			cols[i] = o.appendOutCols(nil, cols[o.Input])
+			colBounds[i] = append([]int64(nil), colBounds[o.Input]...)
+			for j, c := range cols[o.Input] {
+				if slices.Contains(o.YOut, c) {
+					colBounds[i][j] = satMin(colBounds[i][j], out)
 				}
 			}
-			fetched = satAdd(fetched, out)
+			for range cols[i][len(cols[o.Input]):] {
+				colBounds[i] = append(colBounds[i], out)
+			}
+			bounds[i] = satMin(satMul(bounds[o.Input], out), colProduct(i, cols[i]))
 		case ProjectOp:
 			bounds[i] = satMin(bounds[o.Input], colProduct(o.Input, o.Cols))
 			cols[i] = append([]string(nil), o.Cols...)
@@ -125,35 +132,6 @@ func AccessBound(p *Plan, sizeHint int) (Bound, error) {
 			for j, c := range o.Cols {
 				colBounds[i][j] = colOf(o.Input, c)
 			}
-		case SelectOp:
-			bounds[i], cols[i] = bounds[o.Input], cols[o.Input]
-			colBounds[i] = append([]int64(nil), colBounds[o.Input]...)
-			// σ L = R leaves both columns the values they have in common.
-			for _, c := range o.Conds {
-				l, r := slices.Index(cols[i], c.L), slices.Index(cols[i], c.R)
-				if l >= 0 && r >= 0 {
-					m := satMin(colBounds[i][l], colBounds[i][r])
-					colBounds[i][l], colBounds[i][r] = m, m
-				}
-			}
-			bounds[i] = satMin(bounds[i], colProduct(i, cols[i]))
-		case ProductOp:
-			cols[i] = append(append([]string(nil), cols[o.L]...), cols[o.R]...)
-			colBounds[i] = append(append([]int64(nil), colBounds[o.L]...), colBounds[o.R]...)
-			bounds[i] = satMin(satMul(bounds[o.L], bounds[o.R]), colProduct(i, cols[i]))
-		case JoinOp:
-			cols[i] = append([]string(nil), cols[o.L]...)
-			colBounds[i] = append([]int64(nil), colBounds[o.L]...)
-			for j, c := range cols[i] {
-				colBounds[i][j] = satMin(colBounds[i][j], colOf(o.R, c))
-			}
-			for j, c := range cols[o.R] {
-				if !slices.Contains(cols[o.L], c) {
-					cols[i] = append(cols[i], c)
-					colBounds[i] = append(colBounds[i], colBounds[o.R][j])
-				}
-			}
-			bounds[i] = satMin(satMul(bounds[o.L], bounds[o.R]), colProduct(i, cols[i]))
 		case UnionOp:
 			bounds[i], cols[i] = satAdd(bounds[o.L], bounds[o.R]), cols[o.L]
 			colBounds[i] = append([]int64(nil), colBounds[o.L]...)
@@ -162,16 +140,6 @@ func AccessBound(p *Plan, sizeHint int) (Bound, error) {
 					colBounds[i][j] = satAdd(colBounds[i][j], colBounds[o.R][j])
 				}
 			}
-		case RenameOp:
-			cc := append([]string(nil), cols[o.Input]...)
-			for k, f := range o.From {
-				for j, c := range cc {
-					if c == f {
-						cc[j] = o.To[k]
-					}
-				}
-			}
-			bounds[i], cols[i], colBounds[i] = bounds[o.Input], cc, colBounds[o.Input]
 		default:
 			return Bound{}, fmt.Errorf("plan: bound: unknown operation %T", op)
 		}

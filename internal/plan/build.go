@@ -2,19 +2,10 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cover"
 	"repro/internal/value"
 )
-
-// BuildOptions tunes plan synthesis.
-type BuildOptions struct {
-	// LowerJoins expands every natural join into the paper's primitive
-	// grammar (ρ, ×, σ, π) instead of emitting JoinOp. Semantically
-	// identical; the ablation benchmark measures the cost.
-	LowerJoins bool
-}
 
 // Empty returns the plan that answers an A-unsatisfiable query: a single
 // literal with no rows over the given head columns.
@@ -39,8 +30,8 @@ func (e *NotCoveredError) Error() string {
 // Build synthesizes a boundedly evaluable query plan for a covered CQ,
 // following the constructive proof of Theorem 3.11 but fetching only what
 // the proof needs. The plan is its fetches: each reads its X keys
-// straight from the accumulated table acc and is joined back into it,
-// acc ⋈ fetch(X ∈ acc, …).
+// straight from the accumulated table acc and extends acc's rows with
+// what it fetched (FetchOp), so each step's output is the next acc.
 //
 //   - Seed acc with the plan's parameter row: one literal row holding the
 //     query's constants, a column per pinned class. The constants live
@@ -62,7 +53,7 @@ func (e *NotCoveredError) Error() string {
 // Every step but the last is an input of a later one. A-unsatisfiable
 // queries (conflicting equalities) yield the empty plan. Non-covered
 // queries yield NotCoveredError with diagnostics.
-func Build(res *cover.Result, opt BuildOptions) (*Plan, error) {
+func Build(res *cover.Result) (*Plan, error) {
 	an := res.Analysis
 	q := an.Q
 	// Unsatisfiable: the empty plan answers the query on every D |= A.
@@ -74,7 +65,7 @@ func Build(res *cover.Result, opt BuildOptions) (*Plan, error) {
 	}
 
 	p := &Plan{Label: q.Label, OutCols: append([]string(nil), q.Free...)}
-	b := &builder{plan: p, opt: opt}
+	b := &builder{plan: p}
 	cls := an.EqPlus
 	rep := cls.Root
 	reps := func(vs []string) []string {
@@ -148,11 +139,10 @@ func Build(res *cover.Result, opt BuildOptions) (*Plan, error) {
 	acc := b.emit(seed)
 	verify := func(ck *check) {
 		ck.done = true
+		keep := b.cols(acc)
 		ft := ck.fetch
 		ft.Input = acc
-		fs := b.emit(ft)
-		keep := b.cols(acc)
-		acc = b.join(acc, fs, sharedCols(keep, b.cols(fs)))
+		acc = b.emit(ft)
 		// Drop any throwaway columns the verification introduced.
 		if len(b.cols(acc)) != len(keep) {
 			acc = b.emit(ProjectOp{Input: acc, Cols: keep})
@@ -207,9 +197,8 @@ func Build(res *cover.Result, opt BuildOptions) (*Plan, error) {
 		if !anyNew {
 			continue
 		}
-		fs := b.emit(FetchOp{Input: acc, Constraint: ap.Constraint, XCols: xreps, YOut: yout})
-		acc = b.join(acc, fs, sharedCols(b.cols(acc), b.cols(fs)))
-		for _, c := range b.cols(fs) {
+		acc = b.emit(FetchOp{Input: acc, Constraint: ap.Constraint, XCols: xreps, YOut: yout})
+		for _, c := range b.cols(acc) {
 			bound[c] = true
 		}
 		// This fetch already verified its atom through its constraint.
@@ -233,18 +222,18 @@ func Build(res *cover.Result, opt BuildOptions) (*Plan, error) {
 // BuildUCQ synthesizes a plan for a covered UCQ: per Lemma 3.6 the union of
 // the covered sub-queries' plans answers the whole query (dominated
 // sub-queries contribute no additional answers on instances satisfying A).
-func BuildUCQ(ures *cover.UCQResult, opt BuildOptions) (*Plan, error) {
+func BuildUCQ(ures *cover.UCQResult) (*Plan, error) {
 	if !ures.Covered {
 		return nil, fmt.Errorf("plan: UCQ is not covered by the access schema")
 	}
 	p := &Plan{}
-	b := &builder{plan: p, opt: opt}
+	b := &builder{plan: p}
 	last := -1
 	for i, st := range ures.Subs {
 		if st != cover.SubCovered {
 			continue
 		}
-		sub, err := Build(ures.SubResults[i], opt)
+		sub, err := Build(ures.SubResults[i])
 		if err != nil {
 			return nil, err
 		}
@@ -272,7 +261,6 @@ func BuildUCQ(ures *cover.UCQResult, opt BuildOptions) (*Plan, error) {
 
 type builder struct {
 	plan *Plan
-	opt  BuildOptions
 	// colsOf tracks the column list of each emitted step.
 	colsOf [][]string
 }
@@ -290,83 +278,17 @@ func (b *builder) deriveCols(op Op) []string {
 	case ConstOp:
 		return append([]string(nil), o.Cols...)
 	case FetchOp:
-		return o.outCols()
+		return o.appendOutCols(nil, b.cols(o.Input))
 	case ProjectOp:
 		if o.As != nil {
 			return append([]string(nil), o.As...)
 		}
 		return append([]string(nil), o.Cols...)
-	case SelectOp:
-		return b.cols(o.Input)
-	case ProductOp:
-		return append(append([]string(nil), b.cols(o.L)...), b.cols(o.R)...)
-	case JoinOp:
-		l := b.cols(o.L)
-		ls := make(map[string]bool, len(l))
-		for _, c := range l {
-			ls[c] = true
-		}
-		out := append([]string(nil), l...)
-		for _, c := range b.cols(o.R) {
-			if !ls[c] {
-				out = append(out, c)
-			}
-		}
-		return out
 	case UnionOp:
 		return b.cols(o.L)
-	case RenameOp:
-		cols := append([]string(nil), b.cols(o.Input)...)
-		for i, f := range o.From {
-			for j, c := range cols {
-				if c == f {
-					cols[j] = o.To[i]
-				}
-			}
-		}
-		return cols
 	default:
 		return nil
 	}
-}
-
-// join emits a natural join of steps l and r on their shared columns —
-// either as JoinOp or, under LowerJoins, as the primitive ρ/×/σ/π sequence
-// of the paper's plan grammar.
-func (b *builder) join(l, r int, shared []string) int {
-	if !b.opt.LowerJoins {
-		return b.emit(JoinOp{L: l, R: r})
-	}
-	rcols := b.cols(r)
-	// Rename shared columns on the right to temporaries.
-	var from, to []string
-	for _, c := range rcols {
-		if contains(shared, c) {
-			from = append(from, c)
-			to = append(to, "_j_"+c)
-		}
-	}
-	rr := r
-	if len(from) > 0 {
-		rr = b.emit(RenameOp{Input: r, From: from, To: to})
-	}
-	prod := b.emit(ProductOp{L: l, R: rr})
-	var conds []EqCond
-	for i := range from {
-		conds = append(conds, EqCond{L: from[i], R: to[i]})
-	}
-	sel := prod
-	if len(conds) > 0 {
-		sel = b.emit(SelectOp{Input: prod, Conds: conds})
-	}
-	// Keep the natural-join column layout: left columns then right extras.
-	keep := append([]string(nil), b.cols(l)...)
-	for _, c := range rcols {
-		if !contains(shared, c) && !contains(keep, c) {
-			keep = append(keep, c)
-		}
-	}
-	return b.emit(ProjectOp{Input: sel, Cols: keep})
 }
 
 func shiftOp(op Op, k int) Op {
@@ -377,49 +299,11 @@ func shiftOp(op Op, k int) Op {
 	case ProjectOp:
 		o.Input += k
 		return o
-	case SelectOp:
-		o.Input += k
-		return o
-	case ProductOp:
-		o.L += k
-		o.R += k
-		return o
-	case JoinOp:
-		o.L += k
-		o.R += k
-		return o
 	case UnionOp:
 		o.L += k
 		o.R += k
 		return o
-	case RenameOp:
-		o.Input += k
-		return o
 	default:
 		return op
 	}
-}
-
-func sharedCols(a, b []string) []string {
-	set := make(map[string]bool, len(a))
-	for _, c := range a {
-		set[c] = true
-	}
-	var out []string
-	for _, c := range b {
-		if set[c] {
-			out = append(out, c)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func contains(xs []string, x string) bool {
-	for _, y := range xs {
-		if x == y {
-			return true
-		}
-	}
-	return false
 }

@@ -41,7 +41,7 @@ func forEachCoveredPlan(t *testing.T, queries int, fn func(fx *propFixture, qs [
 			if err != nil {
 				return nil, err
 			}
-			return Build(res, BuildOptions{})
+			return Build(res)
 		}
 		res, err := cover.Check(q, fx.access, fx.schema, cover.Options{})
 		if err != nil {
@@ -50,7 +50,7 @@ func forEachCoveredPlan(t *testing.T, queries int, fn func(fx *propFixture, qs [
 		if !res.Covered {
 			continue
 		}
-		p, err := Build(res, BuildOptions{})
+		p, err := Build(res)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -71,7 +71,7 @@ func forEachCoveredPlan(t *testing.T, queries int, fn func(fx *propFixture, qs [
 			if !ures.Covered {
 				return nil, fmt.Errorf("a union of covered queries must be covered: %v", qs)
 			}
-			return BuildUCQ(ures, BuildOptions{})
+			return BuildUCQ(ures)
 		}
 		pair := []*cq.CQ{mate, q}
 		up, err := buildUCQ(pair)

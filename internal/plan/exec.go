@@ -22,8 +22,6 @@ type ExecStats struct {
 	Fetched int64
 	// FetchKeys counts distinct index lookups performed.
 	FetchKeys int64
-	// OpsRun counts executed plan steps.
-	OpsRun int
 	// MaxIntermediate is the largest intermediate table size.
 	MaxIntermediate int
 }
@@ -82,16 +80,14 @@ func ExecuteStreamSource(ctx context.Context, p *Plan, src Source, yield func(da
 var statePool = sync.Pool{New: func() any { return new(execState) }}
 
 // execState is the storage a run reuses from earlier runs: a table per
-// intermediate step, the fetch's and join's hash structures and buffers,
-// and the operators' row scratch. release returns it to statePool.
+// intermediate step, the fetch's key dedup and buffers, and the
+// projection's row scratch. release returns it to statePool.
 type execState struct {
 	tables  []*Table // tables[i] backs intermediate step i
 	results []*Table // this run's step results, indexed by step
 	fetch   fetchEval
-	join    joinState
-	buf     data.Tuple // the output row of project, product and join
+	buf     data.Tuple // the output row of project
 	pos     []int      // project input positions
-	conds   []cond
 }
 
 // run is the one step loop: every step's rows are inserted into its
@@ -133,7 +129,6 @@ func (st *execState) run(ctx context.Context, p *Plan, src Source, yield func(da
 			return nil, stats, fmt.Errorf("plan: step T%d (%s): %w", i, op, err)
 		}
 		st.results = append(st.results, t)
-		stats.OpsRun++
 		if t.Len() > stats.MaxIntermediate {
 			stats.MaxIntermediate = t.Len()
 		}
@@ -184,9 +179,7 @@ func (st *execState) trim() {
 		}
 	}
 	st.fetch.trim()
-	st.join.trim()
 	clear(st.buf[:cap(st.buf)])
-	clear(st.conds[:cap(st.conds)])
 }
 
 // startStepSpan opens the per-operator profile span for plan step i and
@@ -214,16 +207,8 @@ func opKind(op Op) string {
 		return "fetch"
 	case ProjectOp:
 		return "project"
-	case SelectOp:
-		return "select"
-	case ProductOp:
-		return "product"
-	case JoinOp:
-		return "join"
 	case UnionOp:
 		return "union"
-	case RenameOp:
-		return "rename"
 	default:
 		return "op"
 	}
@@ -320,53 +305,6 @@ func (st *execState) execOp(ctx context.Context, op Op, out *Table, src Source, 
 			}
 			return emit(buf)
 		})
-	case SelectOp:
-		in := results[o.Input]
-		conds, err := compileConds(st.conds[:0], o, in)
-		st.conds = conds
-		if err != nil {
-			return nil, err
-		}
-		out.reset(in.Cols...)
-		return out, eachRow(ctx, in.Rows, func(row data.Tuple) bool {
-			return !condsMatch(conds, row) || emit(row)
-		})
-	case ProductOp:
-		l, r := results[o.L], results[o.R]
-		for _, c := range r.Cols {
-			if l.ColIndex(c) >= 0 {
-				return nil, fmt.Errorf("product: duplicate column %q (rename first)", c)
-			}
-		}
-		out.reset(l.Cols...)
-		out.Cols = append(out.Cols, r.Cols...)
-		buf := st.row(len(out.Cols))
-		n := 0
-		for _, lr := range l.Rows {
-			for _, rr := range r.Rows {
-				if n%cancelStride == 0 {
-					if err := ctx.Err(); err != nil {
-						return out, err
-					}
-				}
-				n++
-				buf = append(append(buf[:0], lr...), rr...)
-				if !emit(buf) {
-					return out, nil
-				}
-			}
-		}
-		return out, nil
-	case JoinOp:
-		l, js := results[o.L], &st.join
-		js.setup(l, results[o.R], out)
-		if err := js.build(ctx); err != nil {
-			return nil, err
-		}
-		buf := st.row(len(out.Cols))
-		return out, eachRow(ctx, l.Rows, func(lr data.Tuple) bool {
-			return js.probe(lr, buf, emit)
-		})
 	case UnionOp:
 		l, r := results[o.L], results[o.R]
 		if len(l.Cols) != len(r.Cols) {
@@ -377,20 +315,6 @@ func (st *execState) execOp(ctx context.Context, op Op, out *Table, src Source, 
 			return out, err
 		}
 		return out, eachRow(ctx, r.Rows, emit)
-	case RenameOp:
-		in := results[o.Input]
-		if len(o.From) != len(o.To) {
-			return nil, fmt.Errorf("rename arity mismatch")
-		}
-		out.reset(in.Cols...)
-		for i, f := range o.From {
-			p := in.ColIndex(f)
-			if p < 0 {
-				return nil, fmt.Errorf("rename: no column %q", f)
-			}
-			out.Cols[p] = o.To[i]
-		}
-		return out, eachRow(ctx, in.Rows, emit)
 	default:
 		return nil, fmt.Errorf("unknown operation %T", op)
 	}
@@ -405,23 +329,23 @@ type fetchEval struct {
 	fetch Fetcher
 	xpos  []int
 	// ypos is the output position of each Y attribute, -1 when it is
-	// dropped: its own fresh column, or the X or earlier Y column it is
-	// equated with, which emitBucket then checks instead of overwriting.
+	// dropped: its own fresh column, or the input or earlier Y column it
+	// is equated with, which emitRow then checks instead of overwriting.
 	ypos  []int
 	dedup argDedup
 	// The step's distinct keys in first-occurrence order: key j is
-	// keyBuf[keyEnds[j-1]:keyEnds[j]], viewed as keys[j], the encoding of
-	// input row rows[j]; buckets[j] is what it fetched.
+	// keyBuf[keyEnds[j-1]:keyEnds[j]], viewed as keys[j]; buckets[j] is
+	// what it fetched, and keyOf[i] is the key of input row i.
 	keyBuf  []byte
 	keyEnds []int
 	keys    [][]byte
-	rows    []int
+	keyOf   []int32
 	buckets []index.Bucket
 	rowBuf  data.Tuple
 }
 
 // setup binds f to fetch step o over input in and resets out to the
-// step's columns: X columns, then fresh Y names.
+// step's columns: in's, then fresh Y names.
 func (f *fetchEval) setup(o FetchOp, in *Table, src Source, out *Table) error {
 	fetch := src.FetcherFor(o.Constraint)
 	if fetch == nil {
@@ -439,29 +363,18 @@ func (f *fetchEval) setup(o FetchOp, in *Table, src Source, out *Table) error {
 		return err
 	}
 	out.reset()
-	out.Cols = o.appendOutCols(out.Cols)
+	out.Cols = o.appendOutCols(out.Cols, in.Cols)
 	f.ypos = f.ypos[:0]
 	for _, name := range o.YOut {
 		p := -1
 		if name != "" {
-			p = lastIndex(out.Cols, name)
+			p = out.ColIndex(name)
 		}
 		f.ypos = append(f.ypos, p)
 	}
 	f.in, f.fetch = in, fetch
 	f.rowBuf = slices.Grow(f.rowBuf[:0], len(out.Cols))[:len(out.Cols)]
 	return nil
-}
-
-// lastIndex returns the position of the last name in cols equal to c, or
-// -1, so a Y attribute equated with a repeated X name checks its last copy.
-func lastIndex(cols []string, c string) int {
-	for i := len(cols) - 1; i >= 0; i-- {
-		if cols[i] == c {
-			return i
-		}
-	}
-	return -1
 }
 
 // trim drops f's references into the run and whatever outgrew the
@@ -475,31 +388,23 @@ func (f *fetchEval) trim() {
 	clear(f.rowBuf[:cap(f.rowBuf)])
 	clear(f.keys[:cap(f.keys)])
 	clear(f.buckets[:cap(f.buckets)])
-	if cap(f.rows) > retainCells {
-		f.keyBuf, f.keyEnds, f.keys, f.rows, f.buckets = nil, nil, nil, nil, nil
+	if cap(f.keyOf) > retainCells {
+		f.keyBuf, f.keyEnds, f.keys, f.keyOf, f.buckets = nil, nil, nil, nil, nil
 	}
 }
 
-// emitBucket assembles the output rows of one bucket into the out scratch
-// buffer and sends each to sink, stopping when sink returns false. It
-// runs once per distinct key of every fetch node and out is reused across
-// every bucket row, so the loop allocates nothing; sinks copy a row iff
-// they keep it.
+// emitRow assembles input row row extended with each row of its key's
+// bucket b into the out scratch buffer and sends each to sink, stopping
+// when sink returns false. It runs once per input row of every fetch
+// step and out is reused across every bucket row, so the loop allocates
+// nothing; sinks copy a row iff they keep it.
 //
 //bevet:hotpath
-func (f *fetchEval) emitBucket(row data.Tuple, b index.Bucket, out data.Tuple, stats *ExecStats, sink func(data.Tuple) bool) bool {
-	stats.FetchKeys++
-	stats.Fetched += int64(b.Len())
-	nx := len(f.xpos)
+func (f *fetchEval) emitRow(row data.Tuple, b index.Bucket, out data.Tuple, sink func(data.Tuple) bool) bool {
 	for bi := 0; bi < b.Len(); bi++ {
-		for i, p := range f.xpos {
-			out[i] = row[p]
-		}
-		// Y positions start null: the equate check uses null as its
-		// "not yet bound" sentinel.
-		for i := nx; i < len(out); i++ {
-			out[i] = value.Value{}
-		}
+		// Fresh Y positions start null: the equate check uses null as
+		// its "not yet bound" sentinel.
+		clear(out[copy(out, row):])
 		ok := true
 		for i, p := range f.ypos {
 			if p < 0 {
@@ -520,26 +425,27 @@ func (f *fetchEval) emitBucket(row data.Tuple, b index.Bucket, out data.Tuple, s
 }
 
 // run is the fetch over the step's whole key set, in three passes: dedup
-// the input rows' X-keys into the key scratch, in first-occurrence order;
-// resolve them all with one FetchAll, whose error aborts the step; emit
-// each key's bucket against its input row, in input order. With the
-// scratch warm, the per-row path — hash dedup, key encoding, bucket
-// probe, row assembly — is allocation-free.
+// the input rows' X-keys into the key scratch, in first-occurrence order,
+// noting each row's key; resolve them all with one FetchAll, whose error
+// aborts the step; emit each input row against its key's bucket, in
+// input order. With the scratch warm, the per-row path — hash dedup, key
+// encoding, bucket probe, row assembly — is allocation-free.
 func (f *fetchEval) run(ctx context.Context, stats *ExecStats, sink func(data.Tuple) bool) error {
 	f.dedup.reset(f.in.Rows, f.xpos)
-	f.keyBuf, f.keyEnds, f.rows = f.keyBuf[:0], f.keyEnds[:0], f.rows[:0]
+	f.keyBuf, f.keyEnds, f.keyOf = f.keyBuf[:0], f.keyEnds[:0], f.keyOf[:0]
 	for i, row := range f.in.Rows {
 		if i%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		if f.dedup.seen(i) {
+		if j, seen := f.dedup.seen(i); seen {
+			f.keyOf = append(f.keyOf, f.keyOf[j])
 			continue
 		}
+		f.keyOf = append(f.keyOf, int32(len(f.keyEnds)))
 		f.keyBuf = value.AppendKeyAt(f.keyBuf, row, f.xpos)
 		f.keyEnds = append(f.keyEnds, len(f.keyBuf))
-		f.rows = append(f.rows, i)
 	}
 	f.keys = f.keys[:0]
 	start := 0
@@ -551,156 +457,19 @@ func (f *fetchEval) run(ctx context.Context, stats *ExecStats, sink func(data.Tu
 	if err := FetchAll(ctx, f.fetch, f.keys, f.buckets); err != nil {
 		return err
 	}
-	for j, i := range f.rows {
-		if j%cancelStride == 0 {
+	for _, b := range f.buckets {
+		stats.FetchKeys++
+		stats.Fetched += int64(b.Len())
+	}
+	for i, row := range f.in.Rows {
+		if i%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		if !f.emitBucket(f.in.Rows[i], f.buckets[j], f.rowBuf, stats, sink) {
+		if !f.emitRow(row, f.buckets[f.keyOf[i]], f.rowBuf, sink) {
 			return nil
 		}
 	}
 	return nil
-}
-
-// cond is one compiled selection predicate: row[l] == row[r].
-type cond struct {
-	l, r int
-}
-
-// compileConds appends o's predicates, resolved against in, to dst.
-func compileConds(dst []cond, o SelectOp, in *Table) ([]cond, error) {
-	for _, ec := range o.Conds {
-		l := in.ColIndex(ec.L)
-		if l < 0 {
-			return dst, fmt.Errorf("select: no column %q", ec.L)
-		}
-		r := in.ColIndex(ec.R)
-		if r < 0 {
-			return dst, fmt.Errorf("select: no column %q", ec.R)
-		}
-		dst = append(dst, cond{l: l, r: r})
-	}
-	return dst, nil
-}
-
-// condsMatch runs once per fetched row; it must stay allocation-free.
-//
-//bevet:hotpath
-func condsMatch(conds []cond, row data.Tuple) bool {
-	for _, c := range conds {
-		if row[c.l] != row[c.r] {
-			return false
-		}
-	}
-	return true
-}
-
-// joinState is the column analysis and hash table of a natural join. The
-// hash table chains right-row INDEXES by the 64-bit hash of their join
-// columns; probes confirm the join element-wise, so hash collisions cost
-// a compare, never a wrong row. One lives in each execution state; setup
-// rebinds it to a step, reusing its storage.
-type joinState struct {
-	r                *Table
-	sharedL, sharedR []int
-	extraR           []int
-	// head maps a join-column hash to the first right row bearing it;
-	// next[i] is the following right row with the same hash, -1 at the
-	// end. Chains run in ascending row order, so join output order is
-	// the right side's row order within each left row.
-	head map[uint64]int32
-	next []int32
-}
-
-// setup binds js to l ⋈ r and resets out to the join's columns: l's, then
-// r's columns not in l. Shared columns become the hash key; right-only
-// columns extend rows.
-func (js *joinState) setup(l, r, out *Table) {
-	js.r = r
-	js.sharedL, js.sharedR, js.extraR = js.sharedL[:0], js.sharedR[:0], js.extraR[:0]
-	out.reset(l.Cols...)
-	for j, c := range r.Cols {
-		if i := l.ColIndex(c); i >= 0 {
-			js.sharedL = append(js.sharedL, i)
-			js.sharedR = append(js.sharedR, j)
-		} else {
-			js.extraR = append(js.extraR, j)
-			out.Cols = append(out.Cols, c)
-		}
-	}
-}
-
-// build fills the hash table from the right side. Rows are chained last
-// to first, so each chain ends up in ascending row order.
-func (js *joinState) build(ctx context.Context) error {
-	n := js.r.Len()
-	if js.head == nil {
-		js.head = make(map[uint64]int32, n)
-	} else {
-		clear(js.head)
-	}
-	js.next = slices.Grow(js.next[:0], n)[:n]
-	for k := 0; k < n; k++ {
-		if k%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		i := n - 1 - k
-		h := hashRowAt(js.r.Rows[i], js.sharedR)
-		if j, ok := js.head[h]; ok {
-			js.next[i] = j
-		} else {
-			js.next[i] = -1
-		}
-		js.head[h] = int32(i)
-	}
-	return nil
-}
-
-// trim drops js's references into the run and whatever outgrew the
-// retention bound.
-func (js *joinState) trim() {
-	js.r = nil
-	if cap(js.next) > retainCells {
-		js.head, js.next = nil, nil
-	}
-}
-
-// probe matches one left row against the hash table, assembling joined
-// rows in the out scratch buffer and sending each to sink; it reports
-// whether the consumer still wants more rows. It runs once per left row,
-// so it must stay allocation-free — out is caller-owned with capacity for
-// the full output width, and sinks copy a row iff they keep it.
-//
-//bevet:hotpath
-func (js *joinState) probe(lr data.Tuple, out data.Tuple, sink func(data.Tuple) bool) bool {
-	ri, ok := js.head[hashRowAt(lr, js.sharedL)]
-	if !ok {
-		return true
-	}
-	for ; ri >= 0; ri = js.next[ri] {
-		rr := js.r.Rows[ri]
-		match := true
-		for i, lc := range js.sharedL {
-			if lr[lc] != rr[js.sharedR[i]] {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		out = out[:0]
-		out = append(out, lr...)
-		for _, p := range js.extraR {
-			out = append(out, rr[p])
-		}
-		if !sink(out) {
-			return false
-		}
-	}
-	return true
 }

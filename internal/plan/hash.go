@@ -95,8 +95,10 @@ func rowsEqualAt(a, b data.Tuple, cols []int) bool {
 // argDedup deduplicates input rows of a fetch on their X-columns: row i
 // is "seen" when an earlier row projects to the same X-values. It is the
 // distinct-key pass that keeps FetchKeys at the number of distinct keys
-// regardless of input duplication, without encoding a key per row. One
-// lives in each pooled execution state and is reset per fetch step.
+// regardless of input duplication, without encoding a key per row, and
+// that names each row's key by its first row, so the emit pass finds the
+// row's bucket without hashing it again. One lives in each pooled
+// execution state and is reset per fetch step.
 type argDedup struct {
 	rows  []data.Tuple
 	cols  []int
@@ -115,26 +117,26 @@ func (d *argDedup) reset(rows []data.Tuple, cols []int) {
 }
 
 // seen checks-and-records row i; it reports whether an earlier row
-// already covered its X-projection.
+// already covered its X-projection and, if so, the first such row j.
 //
 //bevet:hotpath
-func (d *argDedup) seen(i int) bool {
+func (d *argDedup) seen(i int) (j int, ok bool) {
 	h := hashRowAt(d.rows[i], d.cols)
-	j, ok := d.first[h]
+	first, ok := d.first[h]
 	if !ok {
 		d.first[h] = int32(i)
-		return false
+		return 0, false
 	}
-	if rowsEqualAt(d.rows[j], d.rows[i], d.cols) {
-		return true
+	if rowsEqualAt(d.rows[first], d.rows[i], d.cols) {
+		return int(first), true
 	}
 	for _, jj := range d.more[h] {
 		if rowsEqualAt(d.rows[jj], d.rows[i], d.cols) {
-			return true
+			return int(jj), true
 		}
 	}
 	d.collide(h, int32(i))
-	return false
+	return 0, false
 }
 
 // collide records an additional row index under a colliding hash; rare by

@@ -8,6 +8,10 @@ import "fmt"
 //   - CQ:    each δ is fetch, π, σ, × or ρ;
 //   - UCQ:   additionally ∪, but only as the LAST k−1 operations;
 //   - ∃FO⁺:  fetch, π, σ, ×, ∪ or ρ anywhere.
+//
+// A plan here spells σ, × and ρ only inside its fetches: a FetchOp is the
+// paper's fetch together with the σ∘× that joins it to its input. So the
+// three languages differ only in where ∪ may stand.
 type Language int
 
 const (
@@ -30,8 +34,8 @@ func (l Language) String() string {
 }
 
 // ConformsTo verifies the plan against the language's operation grammar.
-// The literal leaf is allowed everywhere; JoinOp counts as the σ∘× it
-// abbreviates.
+// The literal leaf is allowed everywhere; a FetchOp counts as the paper's
+// fetch followed by the σ∘× with its input.
 func (p *Plan) ConformsTo(l Language) error {
 	lastUnionBlock := len(p.Steps)
 	// For UCQ: find where the trailing ∪-block starts.
@@ -44,7 +48,7 @@ func (p *Plan) ConformsTo(l Language) error {
 	}
 	for i, op := range p.Steps {
 		switch op.(type) {
-		case ConstOp, FetchOp, ProjectOp, SelectOp, ProductOp, JoinOp, RenameOp:
+		case ConstOp, FetchOp, ProjectOp:
 			// Allowed in every language.
 		case UnionOp:
 			switch l {

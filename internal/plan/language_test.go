@@ -12,7 +12,7 @@ func TestBuiltCQPlanConformsToCQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Build(res, BuildOptions{})
+	p, err := Build(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,14 +21,6 @@ func TestBuiltCQPlanConformsToCQ(t *testing.T) {
 	}
 	if err := p.ConformsTo(LangPosFO); err != nil {
 		t.Errorf("CQ plan conforms to every superset grammar: %v", err)
-	}
-	// Lowered plans conform too (ρ/×/σ/π are all CQ operations).
-	lp, err := Build(res, BuildOptions{LowerJoins: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lp.ConformsTo(LangCQ); err != nil {
-		t.Errorf("lowered plan must conform: %v", err)
 	}
 }
 
@@ -67,7 +59,7 @@ func TestBuiltUCQPlanConformsToUCQ(t *testing.T) {
 		Subs:       []cover.SubStatus{cover.SubCovered, cover.SubCovered},
 		SubResults: []*cover.Result{res, res},
 	}
-	p, err := BuildUCQ(ures, BuildOptions{})
+	p, err := BuildUCQ(ures)
 	if err != nil {
 		t.Fatal(err)
 	}

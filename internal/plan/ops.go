@@ -49,17 +49,21 @@ func (o ConstOp) String() string {
 }
 func (o ConstOp) inputs() ([2]int, int) { return [2]int{}, 0 }
 
-// FetchOp is δ = fetch(X ∈ T_j, R, Y): for each distinct X-projection of
-// the input's rows, in first-occurrence order, look up the index of
-// Constraint and emit the X-values extended with each fetched
-// Y-projection. The input may carry columns beyond X, so a built plan
-// fetches straight from its accumulated table.
+// FetchOp is δ = fetch(X ∈ T_j, R, Y) fused with the σ∘× that joins the
+// fetched XY-tuples back to T_j, the form every fetch of a built plan
+// takes: each input row is extended with each Y-projection that the index
+// of Constraint holds for the row's X-values. Each distinct X-projection
+// is looked up once, however many input rows carry it. The output is the
+// input's columns followed by the fresh Y names, its rows the input rows
+// in order, each followed by its key's bucket in bucket order.
 //
 // XCols names the input columns corresponding to Constraint.X, in order.
 // YOut names the output column for each attribute of Constraint.Y; when a
-// YOut name duplicates an X column or an earlier YOut (the query equates
+// YOut name is an input column or an earlier YOut (the query equates
 // them), the fetched value is required to match instead of producing a
-// duplicate column. An empty YOut entry drops that attribute.
+// duplicate column. An empty YOut entry drops that attribute. A fetch
+// whose YOut names no fresh column is a semijoin: it keeps each input row
+// whose key's bucket has a match, once.
 type FetchOp struct {
 	Input      int
 	Constraint access.Constraint
@@ -73,14 +77,12 @@ func (o FetchOp) String() string {
 }
 func (o FetchOp) inputs() ([2]int, int) { return [2]int{o.Input}, 1 }
 
-// outCols computes the output column list: X columns then fresh Y names.
-func (o FetchOp) outCols() []string { return o.appendOutCols(nil) }
-
-// appendOutCols appends the output column list to dst. Column lists are a
-// handful long, so a linear scan finds the names already present.
-func (o FetchOp) appendOutCols(dst []string) []string {
+// appendOutCols appends the output column list over input columns in to
+// dst: in, then the fresh Y names. Column lists are a handful long, so a
+// linear scan finds the names already present.
+func (o FetchOp) appendOutCols(dst, in []string) []string {
 	base := len(dst)
-	dst = append(dst, o.XCols...)
+	dst = append(dst, in...)
 	for _, y := range o.YOut {
 		if y != "" && !slices.Contains(dst[base:], y) {
 			dst = append(dst, y)
@@ -111,50 +113,6 @@ func (o ProjectOp) String() string {
 }
 func (o ProjectOp) inputs() ([2]int, int) { return [2]int{o.Input}, 1 }
 
-// EqCond is one selection predicate: column L equals column R.
-type EqCond struct {
-	L, R string
-}
-
-func (c EqCond) String() string { return c.L + " = " + c.R }
-
-// SelectOp is δ = σ_C(T_j) for a conjunction of equality conditions.
-type SelectOp struct {
-	Input int
-	Conds []EqCond
-}
-
-func (o SelectOp) String() string {
-	parts := make([]string, len(o.Conds))
-	for i, c := range o.Conds {
-		parts[i] = c.String()
-	}
-	return fmt.Sprintf("σ[%s](T%d)", strings.Join(parts, " ∧ "), o.Input)
-}
-func (o SelectOp) inputs() ([2]int, int) { return [2]int{o.Input}, 1 }
-
-// ProductOp is δ = T_j × T_k. Column names must be disjoint.
-type ProductOp struct {
-	L, R int
-}
-
-func (o ProductOp) String() string        { return fmt.Sprintf("T%d × T%d", o.L, o.R) }
-func (o ProductOp) inputs() ([2]int, int) { return [2]int{o.L, o.R}, 2 }
-
-// JoinOp is the natural join T_j ⋈ T_k on shared column names. A built
-// plan extends its accumulated table with each fetch over it,
-// acc ⋈ fetch(X ∈ acc, …); when the fetch binds no new column the join
-// is a semijoin that only filters acc. JoinOp is not a primitive of the
-// paper's plan grammar but the standard σ(×) fusion; the builder can
-// lower it to ρ/×/σ/π (see BuildOptions.LowerJoins), and the ablation
-// benchmark measures the difference.
-type JoinOp struct {
-	L, R int
-}
-
-func (o JoinOp) String() string        { return fmt.Sprintf("T%d ⋈ T%d", o.L, o.R) }
-func (o JoinOp) inputs() ([2]int, int) { return [2]int{o.L, o.R}, 2 }
-
 // UnionOp is δ = T_j ∪ T_k. Column counts must agree.
 type UnionOp struct {
 	L, R int
@@ -162,21 +120,6 @@ type UnionOp struct {
 
 func (o UnionOp) String() string        { return fmt.Sprintf("T%d ∪ T%d", o.L, o.R) }
 func (o UnionOp) inputs() ([2]int, int) { return [2]int{o.L, o.R}, 2 }
-
-// RenameOp is δ = ρ(T_j), renaming columns From[i] to To[i].
-type RenameOp struct {
-	Input    int
-	From, To []string
-}
-
-func (o RenameOp) String() string {
-	parts := make([]string, len(o.From))
-	for i := range o.From {
-		parts[i] = o.From[i] + "→" + o.To[i]
-	}
-	return fmt.Sprintf("ρ[%s](T%d)", strings.Join(parts, ", "), o.Input)
-}
-func (o RenameOp) inputs() ([2]int, int) { return [2]int{o.Input}, 1 }
 
 // Plan is a full query plan ξ(Q,R): an operation sequence whose last step
 // is the query answer.

@@ -1,9 +1,11 @@
 package plan
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/access"
+	"repro/internal/data"
 	"repro/internal/value"
 )
 
@@ -93,60 +95,8 @@ func TestUnionOpSemantics(t *testing.T) {
 	}
 	mustFail(t, ix, "union arity mismatch",
 		c("a", 1),
-		ProductOp{L: 0, R: 0},
-	)
-}
-
-func TestRenameAndProduct(t *testing.T) {
-	ix := opsIndexed(t)
-	tbl := runPlan(t, ix,
-		c("a", 1),
-		RenameOp{Input: 0, From: []string{"a"}, To: []string{"b"}},
-		ProductOp{L: 0, R: 1}, // (a, b)
-	)
-	if len(tbl.Cols) != 2 || tbl.Cols[0] != "a" || tbl.Cols[1] != "b" {
-		t.Errorf("cols = %v", tbl.Cols)
-	}
-	// Product with clashing column names must fail.
-	mustFail(t, ix, "product duplicate column",
-		c("a", 1),
-		c("a", 2),
-		ProductOp{L: 0, R: 1},
-	)
-	mustFail(t, ix, "rename of missing column",
-		c("a", 1),
-		RenameOp{Input: 0, From: []string{"zz"}, To: []string{"b"}},
-	)
-}
-
-func TestSelectOpConditions(t *testing.T) {
-	ix := opsIndexed(t)
-	// Build (a, b) pairs {1,1} and {1,2}; select a = b keeps one.
-	tbl := runPlan(t, ix,
-		c("a", 1),
-		lit("b", iv(1), iv(2)),
-		ProductOp{L: 0, R: 1},
-		SelectOp{Input: 2, Conds: []EqCond{{L: "a", R: "b"}}},
-	)
-	if tbl.Len() != 1 {
-		t.Errorf("select rows = %v", tbl.Rows)
-	}
-	// A constant condition is a join with a literal row.
-	tbl = runPlan(t, ix,
-		lit("a", iv(1), iv(2)),
-		c("a", 2),
-		JoinOp{L: 0, R: 1},
-	)
-	if tbl.Len() != 1 || tbl.Rows[0][0] != value.NewInt(2) {
-		t.Errorf("const select rows = %v", tbl.Rows)
-	}
-	mustFail(t, ix, "select on missing column",
-		c("a", 1),
-		SelectOp{Input: 0, Conds: []EqCond{{L: "zz", R: "a"}}},
-	)
-	mustFail(t, ix, "select against a missing column",
-		c("a", 1),
-		SelectOp{Input: 0, Conds: []EqCond{{L: "a", R: "zz"}}},
+		ConstOp{Cols: []string{"a", "b"}, Rows: [][]value.Value{{iv(1), iv(2)}}},
+		UnionOp{L: 0, R: 1},
 	)
 }
 
@@ -180,17 +130,66 @@ func TestFetchOpValidation(t *testing.T) {
 	}
 }
 
+// TestFetchEquatedYColumns pins the σ that a fetch carries: a YOut that
+// names an input column or an earlier YOut is an equality check, and the
+// input's columns pass through ahead of the fresh Y columns.
 func TestFetchEquatedYColumns(t *testing.T) {
 	ix := opsIndexed(t)
-	psi3 := psi().Constraints[2] // Accident(aid -> district date, 1)
-	// Fetch (district, date) but demand date equals the input column d:
-	// reuse the X column name in YOut to force the equality check.
-	tbl := runPlan(t, ix,
-		lit("aid", value.NewInt(1)),
-		FetchOp{Input: 0, Constraint: psi3, XCols: []string{"aid"},
-			YOut: []string{"dist", "dist"}}, // district must equal date: impossible
-	)
-	if tbl.Len() != 0 {
-		t.Errorf("district never equals date in the fixture: %v", tbl.Rows)
+	byDate := psi().Constraints[0] // Accident(date -> aid, 610)
+	byAid := psi().Constraints[2]  // Accident(aid -> district date, 1)
+	day := sv("1/5/2005")          // the fixture's one date, with aids 1 and 2
+	for _, tc := range []struct {
+		name          string
+		in            ConstOp
+		op            FetchOp
+		cols          []string
+		n             int
+		rows          [][]value.Value // when pinned
+		fetched, keys int64
+	}{{
+		// district must equal date: impossible.
+		name: "two Y attributes equated",
+		in:   lit("aid", iv(1)),
+		op:   FetchOp{Constraint: byAid, XCols: []string{"aid"}, YOut: []string{"dist", "dist"}},
+		cols: []string{"aid", "dist"}, n: 0, fetched: 1, keys: 1,
+	}, {
+		// dt is an input column outside X: the fetched date must equal it.
+		name: "Y equated with an input column",
+		in: ConstOp{Cols: []string{"aid", "dt"}, Rows: [][]value.Value{
+			{iv(1), day}, {iv(2), sv("day-B")},
+		}},
+		op:   FetchOp{Constraint: byAid, XCols: []string{"aid"}, YOut: []string{"dist", "dt"}},
+		cols: []string{"aid", "dt", "dist"}, n: 1, fetched: 2, keys: 2,
+	}, {
+		// Both aids of the day match, and the input row is kept once;
+		// its other column passes through.
+		name: "no new column",
+		in: ConstOp{Cols: []string{"d", "k"}, Rows: [][]value.Value{
+			{day, iv(1)}, {day, iv(2)}, {sv("no-such-date"), iv(3)},
+		}},
+		op:   FetchOp{Constraint: byDate, XCols: []string{"d"}, YOut: []string{""}},
+		cols: []string{"d", "k"}, n: 2, rows: [][]value.Value{{day, iv(1)}, {day, iv(2)}},
+		fetched: 2, keys: 2,
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.op.Input = 0
+			got, stats, err := Execute(&Plan{Label: tc.name, Steps: []Op{tc.in, tc.op}}, ix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Cols, tc.cols) || got.Len() != tc.n {
+				t.Errorf("%d rows over %v, want %d over %v", got.Len(), got.Cols, tc.n, tc.cols)
+			}
+			if tc.rows != nil {
+				want := make([]data.Tuple, len(tc.rows))
+				for i, r := range tc.rows {
+					want[i] = r
+				}
+				assertRows(t, tc.name, got.Rows, want)
+			}
+			if stats.Fetched != tc.fetched || stats.FetchKeys != tc.keys {
+				t.Errorf("fetched %d over %d keys, want %d over %d", stats.Fetched, stats.FetchKeys, tc.fetched, tc.keys)
+			}
+		})
 	}
 }

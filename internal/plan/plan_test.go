@@ -79,7 +79,7 @@ func dateName(i int) string {
 	return "day-" + string(rune('A'+i))
 }
 
-func buildQ0Plan(t *testing.T, opt BuildOptions) *Plan {
+func buildQ0Plan(t *testing.T) *Plan {
 	t.Helper()
 	res, err := cover.Check(q0(), psi(), accidentSchema(), cover.Options{})
 	if err != nil {
@@ -88,7 +88,7 @@ func buildQ0Plan(t *testing.T, opt BuildOptions) *Plan {
 	if !res.Covered {
 		t.Fatalf("Q0 must be covered:\n%s", res.Explain())
 	}
-	p, err := Build(res, opt)
+	p, err := Build(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestQ0PlanMatchesNaiveEvaluation(t *testing.T) {
 	if len(viols) != 0 {
 		t.Fatalf("instance must satisfy psi: %v", viols)
 	}
-	p := buildQ0Plan(t, BuildOptions{})
+	p := buildQ0Plan(t)
 	got, stats, err := Execute(p, ix)
 	if err != nil {
 		t.Fatal(err)
@@ -126,33 +126,8 @@ func TestQ0PlanMatchesNaiveEvaluation(t *testing.T) {
 	}
 }
 
-func TestQ0PlanLoweredJoinsAgree(t *testing.T) {
-	d := accidentInstance(t, 2, 4, 2)
-	ix, _, err := access.BuildIndexed(psi(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	natural := buildQ0Plan(t, BuildOptions{})
-	lowered := buildQ0Plan(t, BuildOptions{LowerJoins: true})
-	// The lowered plan must use only paper-primitive operations.
-	for _, op := range lowered.Steps {
-		if _, isJoin := op.(JoinOp); isJoin {
-			t.Fatal("lowered plan must not contain JoinOp")
-		}
-	}
-	gn, _, err := Execute(natural, ix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gl, _, err := Execute(lowered, ix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameSet(t, gn, gl.Rows)
-}
-
 func TestQ0AccessBoundMatchesPaperArithmetic(t *testing.T) {
-	p := buildQ0Plan(t, BuildOptions{})
+	p := buildQ0Plan(t)
 	b, err := AccessBound(p, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -177,8 +152,8 @@ func TestQ0AccessBoundMatchesPaperArithmetic(t *testing.T) {
 // TestPlanFetchCounts pins the plans' shapes: phase 2 re-fetches no atom
 // phase 1 already fetched through the same constraint, and a fetch keeps
 // no column nothing reads, so Q0 fetches dates → aids → the district
-// check → casualties → vehicles and nothing twice. Its 10 steps are the
-// seed row, four fetch → ⋈ pairs over the accumulated table, and the
+// check → casualties → vehicles and nothing twice. Its 6 steps are the
+// seed row, four fetches each extending the accumulated table, and the
 // head projection.
 func TestPlanFetchCounts(t *testing.T) {
 	soc := workload.SocialConstraints(15, 5)
@@ -194,7 +169,7 @@ func TestPlanFetchCounts(t *testing.T) {
 		s              *schema.Schema
 		steps, fetches int
 	}{
-		{q0(), psi(), accidentSchema(), 10, 4},
+		{q0(), psi(), accidentSchema(), 6, 4},
 		{workload.GraphSearchQuery(1, "NYC", "cycling"), soc, workload.SocialSchema(), 0, 3},
 		{path2, soc, workload.SocialSchema(), 0, 2},
 	} {
@@ -202,7 +177,7 @@ func TestPlanFetchCounts(t *testing.T) {
 		if err != nil || !res.Covered {
 			t.Fatalf("%s must be covered: %v", tc.q.Label, err)
 		}
-		p, err := Build(res, BuildOptions{})
+		p, err := Build(res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +195,7 @@ func TestPlanFetchCounts(t *testing.T) {
 }
 
 func TestBoundedAccessFlatAsDataGrows(t *testing.T) {
-	p := buildQ0Plan(t, BuildOptions{})
+	p := buildQ0Plan(t)
 	var prev int64 = -1
 	for _, scale := range []int{2, 8, 24} {
 		d := accidentInstance(t, scale, 4, 2)
@@ -265,7 +240,7 @@ func TestQ3PlanAgainstNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Build(res, BuildOptions{})
+	p, err := Build(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +289,7 @@ func TestUnsatisfiableQueryGetsEmptyPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Build(res, BuildOptions{})
+	p, err := Build(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +324,7 @@ func TestDataIndependentQueryPlan(t *testing.T) {
 	if !res.Covered {
 		t.Fatalf("data-independent query must be covered:\n%s", res.Explain())
 	}
-	p, err := Build(res, BuildOptions{})
+	p, err := Build(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +350,7 @@ func TestNotCoveredQueryRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Build(res, BuildOptions{})
+	_, err = Build(res)
 	if err == nil {
 		t.Fatal("non-covered query must be rejected")
 	}
@@ -400,7 +375,7 @@ func TestRepeatedHeadVariable(t *testing.T) {
 	if !res.Covered {
 		t.Fatalf("QXX must be covered:\n%s", res.Explain())
 	}
-	p, err := Build(res, BuildOptions{})
+	p, err := Build(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +402,7 @@ func TestRepeatedHeadVariable(t *testing.T) {
 }
 
 func TestPlanStringRendersXiList(t *testing.T) {
-	p := buildQ0Plan(t, BuildOptions{})
+	p := buildQ0Plan(t)
 	out := p.String()
 	for _, want := range []string{"plan Q0", "T0 =", "fetch(", "answer:"} {
 		if !strings.Contains(out, want) {
@@ -445,7 +420,7 @@ func TestPlanStringRendersXiList(t *testing.T) {
 // Randomized agreement: random instances satisfying psi, plan result equals
 // naive evaluation. This is the core soundness property of Theorem 3.11(2).
 func TestPlanAgreesWithNaiveRandomized(t *testing.T) {
-	p := buildQ0Plan(t, BuildOptions{})
+	p := buildQ0Plan(t)
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
 		d := data.NewInstance(accidentSchema())
@@ -500,7 +475,7 @@ func TestUCQPlan(t *testing.T) {
 	if !ures.Covered {
 		t.Fatal("Q1 ∪ Q2 must be covered (Example 3.5)")
 	}
-	p, err := BuildUCQ(ures, BuildOptions{})
+	p, err := BuildUCQ(ures)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +519,7 @@ func TestUCQBoundKeepsSubPlansApart(t *testing.T) {
 	if err != nil || !ures.Covered {
 		t.Fatalf("A must be covered: %v", err)
 	}
-	p, err := BuildUCQ(ures, BuildOptions{})
+	p, err := BuildUCQ(ures)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func builtPlan(t testing.TB, q *cq.CQ, a *access.Schema, s *schema.Schema) *Plan
 	if !res.Covered {
 		t.Fatalf("%s must be covered:\n%s", q.Label, res.Explain())
 	}
-	p, err := Build(res, BuildOptions{})
+	p, err := Build(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func q0UnionPlan(t testing.TB, acc *workload.Accidents) *Plan {
 	if err != nil || !ures.Covered {
 		t.Fatalf("UCQ must be covered: %v", err)
 	}
-	p, err := BuildUCQ(ures, BuildOptions{})
+	p, err := BuildUCQ(ures)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,8 +307,8 @@ func TestAnswersSurviveLaterRuns(t *testing.T) {
 	}
 }
 
-// TestPoolTrimsOversizedState runs a plan whose intermediates, join build
-// side and fetch key set all exceed retainCells, and checks that trimming
+// TestPoolTrimsOversizedState runs a plan whose intermediates and fetch
+// key set all exceed retainCells, and checks that trimming
 // the state drops them — keeping the small table, emptied — and holds no
 // reference into the run.
 func TestPoolTrimsOversizedState(t *testing.T) {
@@ -324,15 +324,14 @@ func TestPoolTrimsOversizedState(t *testing.T) {
 	if err != nil || len(viols) > 0 {
 		t.Fatalf("BuildIndexed: %v %v", viols, err)
 	}
-	// T1, T2, T3 and T4 hold n rows each; the join builds over n rows and
-	// the second fetch dedups n distinct keys.
+	// T1, T2 and T3 hold n rows each, and the second fetch dedups n
+	// distinct keys.
 	p := &Plan{Label: "wide", Steps: []Op{
 		lit("a", iv(0)),
 		FetchOp{Input: 0, Constraint: byA, XCols: []string{"a"}, YOut: []string{"b", "c"}},
 		ProjectOp{Input: 1, Cols: []string{"a", "c"}},
-		JoinOp{L: 1, R: 2},
-		FetchOp{Input: 3, Constraint: byC, XCols: []string{"c"}, YOut: []string{"a2"}},
-		ProjectOp{Input: 4, Cols: []string{"a2"}},
+		FetchOp{Input: 2, Constraint: byC, XCols: []string{"c"}, YOut: []string{"a2"}},
+		ProjectOp{Input: 3, Cols: []string{"a2"}},
 	}}
 
 	st := new(execState)
@@ -362,16 +361,13 @@ func TestPoolTrimsOversizedState(t *testing.T) {
 				t.Errorf("T%d (%d rows at most %d cells) was kept", i+1, n, retainCells)
 			}
 		}
-		if st.join.head != nil || st.join.next != nil {
-			t.Error("the join's hash chains were kept")
-		}
 		if st.fetch.dedup.first != nil {
 			t.Error("the fetch's key dedup map was kept")
 		}
-		if st.fetch.keyBuf != nil || st.fetch.keyEnds != nil || st.fetch.keys != nil || st.fetch.rows != nil || st.fetch.buckets != nil {
+		if st.fetch.keyBuf != nil || st.fetch.keyEnds != nil || st.fetch.keys != nil || st.fetch.keyOf != nil || st.fetch.buckets != nil {
 			t.Error("the fetch's key set scratch was kept")
 		}
-		if len(st.results) != 0 || st.join.r != nil || st.fetch.in != nil || st.fetch.fetch != nil {
+		if len(st.results) != 0 || st.fetch.in != nil || st.fetch.fetch != nil {
 			t.Error("the trimmed state still references the run")
 		}
 	}

@@ -333,70 +333,21 @@ func TestPropertyCoveredPlansAgreeWithEval(t *testing.T) {
 	if testing.Short() {
 		queries = 2_000
 	}
-	fxs := propFixtures(t)
-	rng := rand.New(rand.NewSource(31))
 	var feat propFeatures
 	covered := 0
-	// pending holds, per fixture and arity, a covered query awaiting a
-	// UCQ partner.
-	pending := map[string]*cq.CQ{}
-	for i := 0; i < queries; i++ {
-		fx := fxs[i%len(fxs)]
-		q := genCQ(rng, fx, fmt.Sprintf("P%d", i))
-		if err := q.Validate(fx.schema); err != nil {
-			t.Fatalf("generated an invalid query %s: %v", q, err)
-		}
-		res, err := cover.Check(q, fx.access, fx.schema, cover.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Covered {
-			continue
-		}
-		covered++
-		feat.observe(q, res)
-		// Every other plan lowers its joins to ρ/×/σ/π.
-		opt := BuildOptions{LowerJoins: covered%2 == 0}
-		p, err := Build(res, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		checkPlan(t, fx, []*cq.CQ{q}, p, func(qs []*cq.CQ) (*Plan, error) {
+	forEachCoveredPlan(t, queries, func(fx *propFixture, qs []*cq.CQ, p *Plan, build func([]*cq.CQ) (*Plan, error)) {
+		if len(qs) == 1 {
+			covered++
 			res, err := cover.Check(qs[0], fx.access, fx.schema, cover.Options{})
 			if err != nil {
-				return nil, err
+				t.Fatal(err)
 			}
-			return Build(res, opt)
-		})
-
-		key := fmt.Sprintf("%s/%d", fx.name, len(q.Free))
-		mate := pending[key]
-		if mate == nil {
-			pending[key] = q
-			continue
+			feat.observe(qs[0], res)
+		} else {
+			feat.ucqPairs++
 		}
-		delete(pending, key)
-		pair := []*cq.CQ{mate, q}
-		ures, err := cover.CheckUCQ(pair, fx.access, fx.schema, cover.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ures.Covered {
-			t.Fatalf("a union of covered queries must be covered: %v", pair)
-		}
-		up, err := BuildUCQ(ures, BuildOptions{})
-		if err != nil {
-			t.Fatalf("%v: %v", pair, err)
-		}
-		checkPlan(t, fx, pair, up, func(qs []*cq.CQ) (*Plan, error) {
-			ures, err := cover.CheckUCQ(qs, fx.access, fx.schema, cover.Options{})
-			if err != nil {
-				return nil, err
-			}
-			return BuildUCQ(ures, BuildOptions{})
-		})
-		feat.ucqPairs++
-	}
+		checkPlan(t, fx, qs, p, build)
+	})
 	t.Logf("%d generated, %d covered; features %+v", queries, covered, feat)
 	for name, n := range map[string]int{
 		"variable repeated inside one atom":    feat.repeatInAtom,

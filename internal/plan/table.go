@@ -53,11 +53,6 @@ const (
 // dropped instead of pooled, so a wide run does not pin its memory.
 const retainCells = arenaChunkMax
 
-// NewTable returns an empty table with the given columns.
-func NewTable(cols ...string) *Table {
-	return &Table{Cols: append([]string(nil), cols...)}
-}
-
 // reset empties t for reuse as a step table with columns cols. The row
 // slice, hash index and current arena chunk keep their storage; the cells
 // a previous use wrote are cleared so a pooled table pins no values.
@@ -75,14 +70,6 @@ func (t *Table) reset(cols ...string) {
 // execution state (see retainCells).
 func (t *Table) retainable() bool {
 	return len(t.Rows)*len(t.Cols) <= retainCells && cap(t.arena) <= retainCells
-}
-
-// Unit returns the zero-column table holding the single empty row — the
-// identity for products and the seed of plan construction.
-func Unit() *Table {
-	t := NewTable()
-	t.Add(data.Tuple{})
-	return t
 }
 
 // contains reports whether an equal row is already stored under hash h.
@@ -137,7 +124,7 @@ func (t *Table) Add(row data.Tuple) bool {
 // AddScratch inserts the row currently held in a reused scratch buffer:
 // duplicates are detected without copying, and a new row is copied into
 // the table's arena. Every executor step inserts through it — the
-// zero-allocation-per-row insert of the fetch/join hot path.
+// zero-allocation-per-row insert of the fetch hot path.
 //
 //bevet:hotpath
 func (t *Table) AddScratch(row data.Tuple) bool {

@@ -140,7 +140,7 @@ func TestCoveredAndPlan(t *testing.T) {
 	if !res.Covered {
 		t.Fatal("Example 3.5 union must be covered")
 	}
-	p, err := plan.BuildUCQ(res, plan.BuildOptions{})
+	p, err := plan.BuildUCQ(res)
 	if err != nil {
 		t.Fatal(err)
 	}
