@@ -32,13 +32,17 @@
 //	beserve -addr :8080 -demo accidents -peers http://localhost:8081,http://localhost:8082,http://localhost:8083
 //
 // A -shard-id node loads only its hash share of the dataset and serves
-// the public read surface over that share, plus the /v1/internal/*
-// protocol; writes are refused with 421 not_coordinator. A -peers
-// coordinator loads nothing: it attaches to the fleet (retrying until
-// every node is up) and serves the whole dataset — reads route or
-// scatter-gather by partition key, writes run a two-phase staged commit
-// across all nodes. Its wire output is byte-identical to a single-node
-// beserve over the same data.
+// the /v1/internal/* protocol its coordinator drives, plus its own
+// /healthz, /metrics and POST /v1/checkpoint; every other public
+// endpoint (/v1/query, /v1/apply, /v1/explain, /v1/schema) answers 421
+// not_coordinator, since an answer over one share would look exact
+// while covering part of the data. A -peers coordinator loads nothing:
+// it attaches to the fleet (retrying until every node is up) and serves
+// the whole dataset — reads route or scatter-gather by partition key,
+// writes run a two-phase staged commit across all nodes. Its wire
+// output is byte-identical to a single-node beserve over the same data.
+// -shards belongs to the in-process mode alone, and -shard-id needs
+// -shard-count: either one elsewhere is refused, not ignored.
 //
 // -slow-query-ms N logs every /v1/query slower than N ms as one
 // structured JSON line on stderr (canonical plan-cache key, bound,
@@ -82,10 +86,11 @@ import (
 	"repro/internal/workload"
 )
 
-// recoverable is what -data-dir needs of an engine: shard.Engine for
-// an in-process fleet, cluster.Node for one shard server.
+// recoverable is what -data-dir needs of what a process serves:
+// shard.Engine for an in-process fleet, cluster.Node for one shard
+// server.
 type recoverable interface {
-	core.Queryable
+	Load(d *data.Instance) error
 	Durable(ctx context.Context, dir string, hook durable.Hook) (bool, error)
 	Checkpoint(ctx context.Context) (uint64, error)
 	CloseDurable() error
@@ -211,31 +216,18 @@ func debugMux() *http.ServeMux {
 	return mux
 }
 
-// build assembles the engine and catalog from the flags, mirroring
+// build assembles what the process serves from the flags, mirroring
 // bequery's input sources (document+TSV data, or a built-in demo). The
 // returned finalize runs at shutdown (after the drain): it writes the
 // parting checkpoint and closes the durable store; a no-op without
 // -data-dir.
-func build(ctx context.Context, cfg cliConfig) (*server.Server, func() error, error) {
-	eng, dur, cat, loaded, err := setup(ctx, cfg)
+func build(ctx context.Context, cfg cliConfig) (http.Handler, func() error, error) {
+	h, dur, loaded, err := setup(ctx, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !loaded {
 		return nil, nil, fmt.Errorf("no data loaded (use -demo, or -file with -data, or -data-dir with recoverable state)")
-	}
-	sopts := server.Options{
-		MaxInFlight:  cfg.maxInFlight,
-		QueueTimeout: cfg.queueTimeout,
-		StallTimeout: cfg.stallTimeout,
-		SlowLog:      obs.NewSlowLog(os.Stderr, time.Duration(cfg.slowMS)*time.Millisecond),
-	}
-	if node, ok := eng.(*cluster.Node); ok {
-		sopts.Internal = node.InternalHandler()
-	}
-	srv, err := server.New(eng, cat, sopts)
-	if err != nil {
-		return nil, nil, err
 	}
 	finalize := func() error { return nil }
 	if dur != nil {
@@ -249,14 +241,25 @@ func build(ctx context.Context, cfg cliConfig) (*server.Server, func() error, er
 			return dur.CloseDurable()
 		}
 	}
-	return srv, finalize, nil
+	return h, finalize, nil
+}
+
+// newServer fronts eng with the public API under the admission flags.
+func newServer(cfg cliConfig, eng core.Queryable, cat server.Catalog) (*server.Server, error) {
+	return server.New(eng, cat, server.Options{
+		MaxInFlight:  cfg.maxInFlight,
+		QueueTimeout: cfg.queueTimeout,
+		StallTimeout: cfg.stallTimeout,
+		SlowLog:      obs.NewSlowLog(os.Stderr, time.Duration(cfg.slowMS)*time.Millisecond),
+	})
 }
 
 // loadOrRecover wires -data-dir into eng — recovery if the directory
 // holds state, otherwise just the WAL/checkpoint plumbing for writes to
 // come — and loads the source's data unless the recovered snapshot
 // already is the data. It returns eng as the durable store build
-// finalizes (nil without -data-dir) and whether data is loaded.
+// finalizes (nil without -data-dir) and whether data is loaded;
+// /healthz reports the version a recovery resumed at.
 func loadOrRecover(ctx context.Context, cfg cliConfig, src *source, eng recoverable) (recoverable, bool, error) {
 	var dur recoverable
 	if cfg.durableDir != "" {
@@ -266,7 +269,7 @@ func loadOrRecover(ctx context.Context, cfg cliConfig, src *source, eng recovera
 		}
 		dur = eng
 		if restored {
-			log.Printf("beserve: recovered committed state from %s (version %d)", cfg.durableDir, eng.Stats().Version)
+			log.Printf("beserve: recovered committed state from %s", cfg.durableDir)
 			return dur, true, nil
 		}
 	}
@@ -329,50 +332,58 @@ func resolveSource(cfg cliConfig) (*source, error) {
 	}
 }
 
-// setup builds the engine and catalog; dur is the engine's durable
-// store under -data-dir (nil otherwise), and loaded reports whether data
-// was attached (checked in O(1) — materializing a sharded engine's
-// merged instance just to test for data would copy the whole dataset).
-// With -data-dir, a directory already holding durable state
-// short-circuits the load: the recovered snapshot IS the data.
-func setup(ctx context.Context, cfg cliConfig) (eng core.Queryable, dur recoverable, cat server.Catalog, loaded bool, err error) {
-	if cfg.shardCount > 0 && cfg.peers != "" {
-		return nil, nil, cat, false, fmt.Errorf("-shard-count and -peers are mutually exclusive")
+// setup builds what the process serves: the public API over an engine,
+// or a shard node's own handler. dur is the durable store under
+// -data-dir (nil otherwise), and loaded reports whether data was
+// attached (checked in O(1) — materializing a sharded engine's merged
+// instance just to test for data would copy the whole dataset). With
+// -data-dir, a directory already holding durable state short-circuits
+// the load: the recovered snapshot IS the data.
+func setup(ctx context.Context, cfg cliConfig) (h http.Handler, dur recoverable, loaded bool, err error) {
+	switch {
+	case cfg.shardCount > 0 && cfg.peers != "":
+		return nil, nil, false, fmt.Errorf("-shard-count and -peers are mutually exclusive")
+	case cfg.shards != 1 && (cfg.peers != "" || cfg.shardCount > 0):
+		return nil, nil, false, fmt.Errorf("-shards is an in-process flag; a cluster's partition count is its -shard-count, one partition per node")
+	case cfg.shardID != 0 && cfg.shardCount == 0:
+		return nil, nil, false, fmt.Errorf("-shard-id needs -shard-count")
 	}
 	src, err := resolveSource(cfg)
 	if err != nil {
-		return nil, nil, cat, false, err
+		return nil, nil, false, err
 	}
 	switch {
 	case cfg.peers != "":
 		coord, err := setupCoordinator(ctx, cfg, src)
 		if err != nil {
-			return nil, nil, cat, false, err
+			return nil, nil, false, err
 		}
-		return coord, nil, src.cat, true, nil
+		srv, err := newServer(cfg, coord, src.cat)
+		return srv, nil, true, err
 	case cfg.shardCount > 0:
 		// A cluster shard node keeps only its hash share of the dataset
 		// (the whole dataset may be offered — every node in a fleet can be
-		// pointed at the same -demo or -data) and exposes the internal
-		// protocol the coordinator drives.
+		// pointed at the same -demo or -data) and serves the partition
+		// wire the coordinator drives, never the public API.
 		node, err := cluster.NewNode(src.cat.Schema, src.cat.Access, cfg.shardID, cfg.shardCount, cluster.Options{})
 		if err != nil {
-			return nil, nil, cat, false, err
+			return nil, nil, false, err
 		}
 		if dur, loaded, err = loadOrRecover(ctx, cfg, src, node); err != nil {
-			return nil, nil, cat, false, err
+			return nil, nil, false, err
 		}
-		log.Printf("beserve: shard node %d of %d (local size %d)", cfg.shardID, cfg.shardCount, node.Stats().Size)
-		return node, dur, src.cat, loaded, nil
+		log.Printf("beserve: shard node %d of %d", cfg.shardID, cfg.shardCount)
+		return node.InternalHandler(), dur, loaded, nil
 	default:
 		fleet, err := shard.New(src.cat.Schema, src.cat.Access, shard.Options{Shards: cfg.shards})
 		if err != nil {
-			return nil, nil, cat, false, err
+			return nil, nil, false, err
 		}
 		if dur, loaded, err = loadOrRecover(ctx, cfg, src, fleet); err != nil {
-			return nil, nil, cat, false, err
+			return nil, nil, false, err
 		}
-		return fleet, dur, src.cat, loaded, nil
+		srv, err := newServer(cfg, fleet, src.cat)
+		return srv, dur, loaded, err
 	}
 }
 
@@ -380,7 +391,7 @@ func setup(ctx context.Context, cfg cliConfig) (eng core.Queryable, dur recovera
 // to the fleet, retrying while the nodes come up. The coordinator loads
 // no data of its own — the nodes' committed state is the dataset — so
 // -data-dir is refused here (durability lives on the nodes).
-func setupCoordinator(ctx context.Context, cfg cliConfig, src *source) (core.Queryable, error) {
+func setupCoordinator(ctx context.Context, cfg cliConfig, src *source) (*cluster.Engine, error) {
 	if cfg.durableDir != "" {
 		return nil, fmt.Errorf("-data-dir is a shard-node flag; the coordinator holds no data")
 	}

@@ -33,6 +33,49 @@ func TestSetupErrors(t *testing.T) {
 	if _, _, err := build(ctx, cfg(func(c *cliConfig) { c.file = "does-not-exist.bq" })); err == nil {
 		t.Error("missing document must error")
 	}
+	// Topology flags the chosen mode would ignore are refused, not
+	// dropped.
+	for name, fn := range map[string]func(*cliConfig){
+		"-shards with -peers":       func(c *cliConfig) { c.demo = "accidents"; c.shards = 4; c.peers = "http://127.0.0.1:1" },
+		"-shards with -shard-count": func(c *cliConfig) { c.demo = "accidents"; c.shards = 4; c.shardCount = 2 },
+		"-shard-id alone":           func(c *cliConfig) { c.demo = "accidents"; c.shardID = 2 },
+	} {
+		if _, _, err := build(ctx, cfg(fn)); err == nil {
+			t.Errorf("%s must error", name)
+		}
+	}
+}
+
+// serve runs beserve with c on an ephemeral port and returns its base
+// URL; stop cancels it and demands a graceful shutdown.
+func serve(t *testing.T, c cliConfig) (base string, stop func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	addrCh := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, c, func(addr string) { addrCh <- addr }) }()
+	select {
+	case addr := <-addrCh:
+		base = "http://" + addr
+	case err := <-done:
+		cancel()
+		t.Fatalf("server exited before listening: %v", err)
+	case <-time.After(10 * time.Second):
+		cancel()
+		t.Fatal("server never came up")
+	}
+	return base, func() {
+		t.Helper()
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("graceful shutdown returned %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("shutdown never completed")
+		}
+	}
 }
 
 // TestServeAndShutdown boots the real server on an ephemeral port,
@@ -40,23 +83,7 @@ func TestSetupErrors(t *testing.T) {
 // gracefully via context cancellation (the SIGINT path).
 func TestServeAndShutdown(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		addrCh := make(chan string, 1)
-		done := make(chan error, 1)
-		go func() {
-			done <- run(ctx, cfg(func(c *cliConfig) { c.demo = "accidents"; c.shards = shards }),
-				func(addr string) { addrCh <- addr })
-		}()
-		var base string
-		select {
-		case addr := <-addrCh:
-			base = "http://" + addr
-		case err := <-done:
-			t.Fatalf("shards=%d: server exited before listening: %v", shards, err)
-		case <-time.After(10 * time.Second):
-			t.Fatalf("shards=%d: server never came up", shards)
-		}
-
+		base, stop := serve(t, cfg(func(c *cliConfig) { c.demo = "accidents"; c.shards = shards }))
 		resp, err := http.Get(base + "/healthz")
 		if err != nil {
 			t.Fatal(err)
@@ -86,14 +113,79 @@ func TestServeAndShutdown(t *testing.T) {
 			t.Errorf("shards=%d: rows lack the xa column:\n%s", shards, body)
 		}
 
-		cancel()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Errorf("shards=%d: graceful shutdown returned %v", shards, err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("shards=%d: shutdown never completed", shards)
+		stop()
+	}
+}
+
+// TestShardNodeSurface pins what a -shard-count node serves: its
+// /healthz, /metrics, /v1/checkpoint and the partition wire, and a 421
+// not_coordinator refusal on every public endpoint a coordinator serves
+// — a node's answer over its share alone would look exact while
+// covering half the data.
+func TestShardNodeSurface(t *testing.T) {
+	base, stop := serve(t, cfg(func(c *cliConfig) { c.demo = "accidents"; c.shardCount = 2; c.shardID = 0 }))
+	defer stop()
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+
+	code, body := get("/healthz")
+	var health struct {
+		Status string
+		Size   int
+	}
+	if err := json.Unmarshal([]byte(body), &health); err != nil || code != http.StatusOK || health.Status != "ok" || health.Size == 0 {
+		t.Errorf("healthz: %d %s", code, body)
+	}
+	if code, body := get("/metrics"); code != http.StatusOK || !strings.Contains(body, "beserve_engine_shards 2\n") {
+		t.Errorf("metrics: %d\n%s", code, body)
+	}
+	if code, body := get("/v1/internal/status"); code != http.StatusOK {
+		t.Errorf("internal status: %d %s", code, body)
+	}
+	// Without -data-dir the node's own checkpoint is a structured 409.
+	resp, err := http.Post(base+"/v1/checkpoint", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(ckpt), `"not_durable"`) {
+		t.Errorf("checkpoint: %d %s", resp.StatusCode, ckpt)
+	}
+
+	for _, req := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/query", `{"query":"Q0"}`},
+		{http.MethodGet, "/v1/explain?query=Q0", ""},
+		{http.MethodPost, "/v1/apply", "+\tAccident\t900002\tAngel\t1/6/2005\n"},
+		{http.MethodGet, "/v1/schema", ""},
+	} {
+		r, err := http.NewRequest(req.method, base+req.path, strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var refusal struct {
+			Error struct{ Code, Message string }
+		}
+		err = json.NewDecoder(resp.Body).Decode(&refusal)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusMisdirectedRequest || refusal.Error.Code != "not_coordinator" ||
+			!strings.Contains(refusal.Error.Message, "coordinator") {
+			t.Errorf("%s %s: %d %+v (err %v), want 421 not_coordinator", req.method, req.path, resp.StatusCode, refusal, err)
 		}
 	}
 }

@@ -14,7 +14,8 @@ import (
 // hand the caller the instance of one published version and the
 // indices of another when an Apply lands between the two loads — the
 // exact tear internal/core's TestSnapshotPinnedUnderApply counts.
-// The fix is always the same: take one pinned Snapshot() pair.
+// The fix is always the same: read the snapshot once — one Indexed(),
+// whose Instance is the same version's.
 //
 // Exempt: the accessor methods themselves (receiver is the Engine) and
 // functions carrying //bevet:allow snapshottear (e.g. the race test
@@ -72,7 +73,7 @@ func runSnapshotTear(pass *Pass) error {
 			switch {
 			case has(m, "Instance") && has(m, "Indexed"):
 				pass.Reportf(laterPos(m["Instance"], m["Indexed"]),
-					"calls both %s.Instance() and %s.Indexed(): two snapshot reads can tear across a concurrent Apply; take one pinned %s.Snapshot()", recv, recv, recv)
+					"calls both %s.Instance() and %s.Indexed(): two snapshot reads can tear across a concurrent Apply; read %s.Indexed() once and use its Instance", recv, recv, recv)
 			case has(m, "Snapshot") && has(m, "Instance"):
 				pass.Reportf(laterPos(m["Snapshot"], m["Instance"]),
 					"mixes %s.Snapshot() with %s.Instance(): the extra snapshot read can tear across a concurrent Apply; use the pinned Snapshot() pair alone", recv, recv)

@@ -254,7 +254,7 @@ func coreSingle(tb testbed) (*core.Engine, error) {
 func TestChaosCommitFailureFailsWhole(t *testing.T) {
 	tb := accidentsBed(t)
 	opts, rt := chaosOptions(t)
-	coord, nodes, urls := startCluster(t, tb, 2, opts)
+	coord, _, urls := startCluster(t, tb, 2, opts)
 	if err := coord.Load(tb.build()); err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +292,8 @@ func TestChaosCommitFailureFailsWhole(t *testing.T) {
 
 	// No half-commit: every node back at version 0, coordinator size
 	// unchanged, pre-delta reads exact.
-	for i, n := range nodes {
-		if v := n.Stats().Version; v != 0 {
+	for i, url := range urls {
+		if _, v := nodeHealth(t, url); v != 0 {
 			t.Fatalf("node %d at version %d after failed apply (torn commit)", i, v)
 		}
 	}
@@ -311,8 +311,8 @@ func TestChaosCommitFailureFailsWhole(t *testing.T) {
 	if _, err := single.Apply(context.Background(), delta); err != nil {
 		t.Fatal(err)
 	}
-	for i, n := range nodes {
-		if v := n.Stats().Version; v != 1 {
+	for i, url := range urls {
+		if _, v := nodeHealth(t, url); v != 1 {
 			t.Fatalf("node %d at version %d after healed apply, want 1", i, v)
 		}
 	}
@@ -325,7 +325,7 @@ func TestChaosCommitFailureFailsWhole(t *testing.T) {
 func TestChaosDuplicateCommitIdempotent(t *testing.T) {
 	tb := accidentsBed(t)
 	opts, rt := chaosOptions(t)
-	coord, nodes, _ := startCluster(t, tb, 2, opts)
+	coord, _, urls := startCluster(t, tb, 2, opts)
 	if err := coord.Load(tb.build()); err != nil {
 		t.Fatal(err)
 	}
@@ -359,8 +359,8 @@ func TestChaosDuplicateCommitIdempotent(t *testing.T) {
 		if _, err := single.Apply(context.Background(), delta); err != nil {
 			t.Fatal(err)
 		}
-		for i, n := range nodes {
-			if v := n.Stats().Version; v != uint64(step) {
+		for i, url := range urls {
+			if _, v := nodeHealth(t, url); v != uint64(step) {
 				t.Fatalf("step %d: node %d at version %d (duplicate commit double-applied?)", step, i, v)
 			}
 		}

@@ -10,9 +10,11 @@
 //     shard.NewCoordinator over K of them;
 //   - Node owns a shard.Local — the same partition state machine an
 //     in-process fleet runs — and serves it over that wire
-//     (InternalHandler, handler.go), next to a read-only /v1/* surface
-//     over its own share. A node refuses /v1/apply with a
-//     not_coordinator error: writes go through the coordinator.
+//     (InternalHandler, handler.go), with its own /healthz, /metrics
+//     and /v1/checkpoint. A node is a partition, not an engine: every
+//     other public endpoint answers 421 not_coordinator, because
+//     reads over one share would look exact while covering part of the
+//     data, and writes need the coordinator's global validation.
 //
 // The partition function is shard.ShardOf over the partition keys both
 // sides derive from the shared catalog, so a tuple lives on the same

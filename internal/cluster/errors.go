@@ -32,16 +32,3 @@ func (e *UnavailableError) Unwrap() error { return e.Err }
 // ErrorCode marks the error for the API envelope (see
 // internal/server/error.go's coded-error mapping).
 func (e *UnavailableError) ErrorCode() string { return "shard_unavailable" }
-
-// NotCoordinatorError is a shard node's refusal of a direct write:
-// /v1/apply must go through the coordinator, which owns the two-phase
-// global validation. Mapped to HTTP 421 (misdirected request).
-type NotCoordinatorError struct {
-	Shard int
-}
-
-func (e *NotCoordinatorError) Error() string {
-	return fmt.Sprintf("cluster: shard %d does not accept direct writes; apply through the coordinator", e.Shard)
-}
-
-func (e *NotCoordinatorError) ErrorCode() string { return "not_coordinator" }

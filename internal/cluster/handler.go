@@ -50,7 +50,7 @@ type partitionHandler struct {
 }
 
 // newPartitionHandler builds the /v1/internal/* surface over part.
-func newPartitionHandler(part shard.Partition, s *schema.Schema, a *access.Schema) http.Handler {
+func newPartitionHandler(part shard.Partition, s *schema.Schema, a *access.Schema) *http.ServeMux {
 	h := &partitionHandler{part: part, schema: s, access: a, views: make(map[uint64]shard.View)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/internal/status", h.status)

@@ -2,37 +2,30 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 
 	"repro/internal/access"
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/durable"
-	"repro/internal/live"
-	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/shard"
 )
 
 // Node is one shard server: a local partition (shard.Local — the same
-// state machine an in-process fleet runs) plus InternalHandler, the
-// /v1/internal/* wire a remote coordinator drives it through, plus the
-// read-only /v1/* surface over its share (it implements core.Queryable
-// through the same planner machinery as every other engine). Direct
-// writes are refused — Apply through the coordinator.
+// state machine an in-process fleet runs) served over the /v1/internal/*
+// wire a remote coordinator drives it through. A node is a partition,
+// not an engine: it plans nothing, and it answers every public query or
+// write endpoint with a not_coordinator refusal, because an answer over
+// its share alone would look exact while covering about 1/K of the data.
 type Node struct {
-	Schema *schema.Schema
-	Access *access.Schema
-	shard.Planning
-
-	id, k    int
-	part     *shard.Local
-	place    *shard.Placement
-	internal http.Handler
+	acc     *access.Schema
+	id, k   int
+	part    *shard.Local
+	place   *shard.Placement
+	handler http.Handler
 }
-
-var _ core.Queryable = (*Node)(nil)
 
 // NewNode builds shard server id of k over the shared catalog. A node
 // is configured by the catalog and k alone: Options holds only a
@@ -46,31 +39,65 @@ func NewNode(s *schema.Schema, a *access.Schema, id, k int, _ Options) (*Node, e
 	if err != nil {
 		return nil, err
 	}
-	planner, err := core.New(s, a, core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	n := &Node{Schema: s, Access: a, id: id, k: k, part: part, place: place}
-	n.Planning = shard.NewPlanning(planner, func() (int, uint64) {
-		st, _ := part.Status(context.Background()) // a local status never fails
-		return st.Size, st.Version
-	})
-	n.internal = newPartitionHandler(part, s, a)
+	n := &Node{acc: a, id: id, k: k, part: part, place: place}
+	mux := newPartitionHandler(part, s, a)
+	mux.HandleFunc("GET /healthz", n.healthz)
+	mux.HandleFunc("GET /metrics", n.metrics)
+	mux.HandleFunc("POST /v1/checkpoint", n.checkpoint)
+	mux.HandleFunc("/", n.misdirected)
+	n.handler = mux
 	return n, nil
 }
 
-// InternalHandler returns the /v1/internal/* surface the coordinator
-// drives: status, versioned fetch/dump reads, and the staged two-phase
-// write protocol (stage → commit/abort, plus the group-measurement and
-// rollback endpoints the global validation and failure repair use).
-// Mount it via server.Options.Internal so it shares the node's
-// listener, admission-exempt: internal traffic must not compete with
-// public queries for admission slots, or a busy node would deadlock its
-// own coordinator.
-func (n *Node) InternalHandler() http.Handler { return n.internal }
+// InternalHandler returns the node's whole HTTP surface: the
+// /v1/internal/* wire the coordinator drives (status, versioned
+// fetch/dump reads, and the staged two-phase write protocol — stage →
+// commit/abort, plus the group-measurement and rollback endpoints the
+// global validation and failure repair use), the node's own GET
+// /healthz, GET /metrics and POST /v1/checkpoint, and a 421
+// not_coordinator refusal for every other path.
+func (n *Node) InternalHandler() http.Handler { return n.handler }
 
-func (n *Node) errNoInstance() error {
-	return fmt.Errorf("cluster: shard %d has no instance loaded", n.id)
+// healthz answers liveness with the partition's size and version, read
+// from one snapshot — the JSON shape of the server's /healthz.
+func (n *Node) healthz(w http.ResponseWriter, r *http.Request) {
+	st, err := n.part.Status(r.Context())
+	reply(w, struct {
+		Status  string `json:"status"`
+		Size    int    `json:"size"`
+		Version uint64 `json:"version"`
+	}{"ok", st.Size, st.Version}, err)
+}
+
+// metrics exposes the partition's engine series under the names the
+// server uses for a whole engine's.
+func (n *Node) metrics(w http.ResponseWriter, r *http.Request) {
+	st, _ := n.part.Status(r.Context()) // a local status never fails
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	fmt.Fprintf(w, "beserve_engine_size %d\n", st.Size)
+	fmt.Fprintf(w, "beserve_engine_shards %d\n", st.Shards)
+	fmt.Fprintf(w, "beserve_engine_version %d\n", st.Version)
+	fmt.Fprintf(w, "beserve_engine_applies_total %d\n", n.part.Commits())
+}
+
+// checkpoint serves an operator's POST /v1/checkpoint: the partition's
+// own newest version, answered as {"version":V}; 409 not_durable
+// without a durable store.
+func (n *Node) checkpoint(w http.ResponseWriter, r *http.Request) {
+	v, err := n.Checkpoint(r.Context())
+	if errors.Is(err, durable.ErrNotDurable) {
+		err = &shard.Refusal{Status: http.StatusConflict, Code: "not_durable", Message: "node was started without a data directory"}
+	}
+	reply(w, struct {
+		Version uint64 `json:"version"`
+	}{v}, err)
+}
+
+// misdirected refuses every public endpoint a coordinator serves.
+func (n *Node) misdirected(w http.ResponseWriter, r *http.Request) {
+	reply(w, nil, &shard.Refusal{Status: http.StatusMisdirectedRequest, Code: "not_coordinator",
+		Message: fmt.Sprintf("shard node %d of %d holds one partition and serves only the coordinator's wire; send %s %s to the coordinator",
+			n.id, n.k, r.Method, r.URL.Path)})
 }
 
 // Load filters d down to this node's partition and installs it at
@@ -83,44 +110,11 @@ func (n *Node) Load(d *data.Instance) error {
 	if err != nil {
 		return err
 	}
-	ix, _, err := access.BuildIndexed(n.Access, sub)
+	ix, _, err := access.BuildIndexed(n.acc, sub)
 	if err != nil {
 		return err
 	}
 	return n.part.Load(context.Background(), ix)
-}
-
-// Apply refuses: writes go through the coordinator's two-phase global
-// validation — a node cannot validate cardinality bounds it only holds
-// a partition of.
-func (n *Node) Apply(ctx context.Context, delta *live.Delta) (*live.Result, error) {
-	return nil, &NotCoordinatorError{Shard: n.id}
-}
-
-// Query serves q over this node's partition, through the same planner,
-// admission and streaming machinery as every other engine. Answers
-// cover the local share only — the operational surface for inspecting
-// one shard; whole-dataset answers come from the coordinator.
-func (n *Node) Query(ctx context.Context, q core.Query, opts ...core.QueryOption) (*core.Result, error) {
-	ix, _ := n.part.Snapshot()
-	if ix == nil {
-		return nil, n.errNoInstance()
-	}
-	v := &core.View{
-		Size:   ix.Instance.Size(),
-		Source: plan.NewSource(ix),
-		Instance: func(context.Context) (*data.Instance, error) {
-			return ix.Instance, nil
-		},
-	}
-	return n.Planner.QueryView(ctx, q, v, opts...)
-}
-
-// Stats reports the node's local share: size and version are its
-// partition's current ones, Shards the cluster's K, Applies the
-// transactions it committed.
-func (n *Node) Stats() core.EngineStats {
-	return n.EngineStats(n.k, n.part.Commits())
 }
 
 // Durable attaches a durability directory: WAL + checkpoints for this

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -139,25 +141,29 @@ func checkBoundsMatch(t *testing.T, label string, doc *parser.Document, ref *cor
 }
 
 // TestNodeStatsSizeMatchesVersionUnderWrites is the node-side soak of
-// Stats: a coordinator applies one-tuple inserts to a one-node HTTP
-// fleet while readers assert that the node and the coordinator each
-// report the size of the version they report, |D| = base + Version.
+// size/version pairing: a coordinator applies one-tuple inserts to a
+// one-node HTTP fleet while readers assert that the node's GET /healthz
+// and the coordinator's Stats each report the size of the version they
+// report, |D| = base + Version.
 func TestNodeStatsSizeMatchesVersionUnderWrites(t *testing.T) {
 	tb, _ := logBed(t)
-	coord, nodes, _ := startCluster(t, tb, 1, testOptions(t))
+	coord, _, urls := startCluster(t, tb, 1, testOptions(t))
 	if err := coord.Load(tb.build()); err != nil {
 		t.Fatal(err)
 	}
 	const base, writes = 16, 150
 	var done atomic.Bool
 	var wg sync.WaitGroup
-	for _, e := range []core.Queryable{nodes[0], coord} {
+	for _, read := range []func() (int, uint64){
+		func() (int, uint64) { return nodeHealth(t, urls[0]) },
+		func() (int, uint64) { st := coord.Stats(); return st.Size, st.Version },
+	} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for !done.Load() {
-				if st := e.Stats(); uint64(st.Size) != base+st.Version {
-					t.Errorf("%T Stats pairs size %d with version %d", e, st.Size, st.Version)
+				if size, version := read(); uint64(size) != base+version {
+					t.Errorf("size %d paired with version %d", size, version)
 					return
 				}
 			}
@@ -173,7 +179,29 @@ func TestNodeStatsSizeMatchesVersionUnderWrites(t *testing.T) {
 	}
 	done.Store(true)
 	wg.Wait()
-	if st := nodes[0].Stats(); st.Version != writes || st.Size != base+writes {
-		t.Fatalf("node after the writes: %+v", st)
+	if size, version := nodeHealth(t, urls[0]); version != writes || size != base+writes {
+		t.Fatalf("node after the writes: size %d, version %d", size, version)
 	}
+}
+
+// nodeHealth reads a node's size and version from its GET /healthz.
+// Safe to call from any goroutine: a failure is reported with Error and
+// reads as size 0 at version 0.
+func nodeHealth(t *testing.T, url string) (size int, version uint64) {
+	t.Helper()
+	resp, err := http.Get(url + "/healthz")
+	if err != nil {
+		t.Error(err)
+		return 0, 0
+	}
+	defer resp.Body.Close()
+	var h struct {
+		Status  string `json:"status"`
+		Size    int    `json:"size"`
+		Version uint64 `json:"version"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil || resp.StatusCode != http.StatusOK || h.Status != "ok" {
+		t.Errorf("GET %s/healthz: status %d, %+v (err %v)", url, resp.StatusCode, h, err)
+	}
+	return h.Size, h.Version
 }

@@ -144,7 +144,7 @@ func TestNodeImageIsCoordinatorsShare(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, url := range urls {
-					ix, _ := local.parts[i].(*shard.Local).Snapshot()
+					ix := pinnedIndexed(t, local.parts[i], 0)
 					want, err := durable.EncodeCheckpoint(tb.schema, &durable.State{Instance: ix.Instance, Indexed: ix})
 					if err != nil {
 						t.Fatal(err)
@@ -187,7 +187,7 @@ func TestLoadRefusesForeignImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, _ := nodes[0].part.Snapshot()
+	ix := pinnedIndexed(t, nodes[0].part, 1)
 	corrupt, err := durable.EncodeCheckpoint(tb.schema, &durable.State{Instance: ix.Instance, Indexed: ix})
 	if err != nil {
 		t.Fatal(err)
@@ -209,9 +209,23 @@ func TestLoadRefusesForeignImage(t *testing.T) {
 		if !errors.As(err, &re) || re.Status != http.StatusBadRequest || re.Code != "bad_request" {
 			t.Fatalf("%s: load answered %v, want a 400 bad_request refusal", name, err)
 		}
-		if v := nodes[0].Stats().Version; v != 1 {
+		if _, v := nodeHealth(t, urls[0]); v != 1 {
 			t.Fatalf("%s: node 0 at version %d after a refused load, want 1", name, v)
 		}
 	}
 	checkEquivalent(t, "Q0 after refused loads", single, coord, workload.Q0())
+}
+
+// pinnedIndexed is partition p's indexed share at version v.
+func pinnedIndexed(t *testing.T, p shard.Partition, v uint64) *access.Indexed {
+	t.Helper()
+	view, err := p.Pin(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := view.Indexed(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
 }

@@ -229,19 +229,6 @@ func (e *Engine) Indexed() *access.Indexed {
 	return nil
 }
 
-// Snapshot returns the current (instance, indexed) pair from ONE
-// snapshot read, or (nil, nil) before Load. Calling Instance() and
-// Indexed() back to back reads the snapshot pointer twice, so a
-// concurrent Apply landing between the two calls hands the caller the
-// instance of one version and the indices of another; Snapshot cannot
-// tear that way. Use it whenever both halves are needed together.
-func (e *Engine) Snapshot() (*data.Instance, *access.Indexed) {
-	if sn := e.current(); sn != nil {
-		return sn.instance, sn.indexed
-	}
-	return nil, nil
-}
-
 // IsCovered runs the PTIME covered-query check with diagnostics.
 func (e *Engine) IsCovered(q *cq.CQ) (*cover.Result, error) {
 	return cover.Check(q, e.Access, e.Schema, cover.Options{})

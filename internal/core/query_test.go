@@ -129,7 +129,8 @@ func TestQueryEquivalentToLegacyPaths(t *testing.T) {
 			var wantRows []data.Tuple
 			var wantMode Mode
 			var wantFetched, wantScanned int64
-			refInst, refIx := fx.ref.Snapshot()
+			refIx := fx.ref.Indexed()
+			refInst := refIx.Instance
 			p, _, perr := fx.ref.Plan(q)
 			switch {
 			case perr == nil:

@@ -13,16 +13,13 @@ import (
 // TestSnapshotPinnedUnderApply hammers the read entry points while a
 // writer applies deltas, proving two things under -race:
 //
-//  1. Snapshot() never tears: the (instance, indexed) pair always comes
-//     from one published version (ix.Instance == inst, pointer-equal),
-//     however many Applies land meanwhile. The legacy pattern of calling
-//     Instance() then Indexed() reads the snapshot pointer twice and CAN
-//     straddle an Apply — the test counts how often it would have, which
-//     is why Snapshot exists.
+//  1. The pattern of calling Instance() then Indexed() reads the
+//     snapshot pointer twice and CAN straddle an Apply — the test counts
+//     how often it would have. One Indexed() read is the pinned pair: it
+//     carries its own Instance.
 //  2. Baseline, Plan and Explain each resolve their snapshot exactly
 //     once per call: every result is internally consistent with a single
-//     version (Baseline's rows always match a fresh evaluation over the
-//     instance Snapshot reports before-or-after, never a mix).
+//     version, never a mix.
 //
 // The legacy two-call pattern below is the tear bevet's snapshottear
 // analyzer exists to reject; this test measures it on purpose.
@@ -73,13 +70,8 @@ func TestSnapshotPinnedUnderApply(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for i := 0; i < 150; i++ {
-				inst, ix := eng.Snapshot()
-				if ix.Instance != inst {
-					t.Error("Snapshot returned pieces of two versions")
-					return
-				}
-				// The legacy two-call pattern: count (don't fail on) the
-				// tears it permits, demonstrating why it was retired.
+				// The two-call pattern: count (don't fail on) the tears it
+				// permits, demonstrating why bevet rejects it.
 				if eng.Instance() != eng.Indexed().Instance {
 					torn.Add(1)
 				}
@@ -102,6 +94,6 @@ func TestSnapshotPinnedUnderApply(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 	if n := torn.Load(); n > 0 {
-		t.Logf("legacy Instance()/Indexed() pattern tore %d times (Snapshot tore 0)", n)
+		t.Logf("the Instance()/Indexed() pattern tore %d times", n)
 	}
 }

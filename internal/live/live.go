@@ -229,6 +229,9 @@ type Result struct {
 	// semantics (inserting a present tuple or deleting an absent one is a
 	// no-op).
 	Inserted, Deleted int
+	// Size is |D| of the post-delta version: what the write produced,
+	// whatever commits after it.
+	Size int
 }
 
 // checkEvery is how many tuple operations Apply processes between
@@ -432,6 +435,7 @@ func (st *Staged) Commit() (*Result, error) {
 		Indexed:  newIx,
 		Inserted: st.inserted,
 		Deleted:  st.deleted,
+		Size:     st.Size(),
 	}, nil
 }
 

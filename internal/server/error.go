@@ -49,10 +49,6 @@ func (e apiError) status() int {
 		return 499
 	case "saturated", "shard_unavailable":
 		return http.StatusServiceUnavailable
-	case "not_coordinator":
-		// 421: the write was sent to a shard node; it belongs at the
-		// coordinator.
-		return http.StatusMisdirectedRequest
 	case "internal":
 		return http.StatusInternalServerError
 	default: // bad_request, bad_query_text, bad_delta
@@ -89,11 +85,12 @@ func queryError(err error) apiError {
 			Violations: viol.Violations,
 		}
 	}
-	// Coded errors (internal/cluster's unavailable/misdirected refusals,
-	// and any future engine that tags its errors) carry their own stable
-	// code. Checked before the context classification: an RPC that timed
-	// out inside the engine wraps DeadlineExceeded, but the REQUEST's
-	// deadline did not expire — the honest answer is the coded refusal.
+	// Coded errors (internal/cluster's unavailable refusal, shard
+	// protocol refusals, and any future engine that tags its errors)
+	// carry their own stable code. Checked before the context
+	// classification: an RPC that timed out inside the engine wraps
+	// DeadlineExceeded, but the REQUEST's deadline did not expire — the
+	// honest answer is the coded refusal.
 	var coded interface{ ErrorCode() string }
 	if errors.As(err, &coded) {
 		return apiError{Code: coded.ErrorCode(), Message: err.Error()}

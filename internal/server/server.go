@@ -105,12 +105,6 @@ type Options struct {
 	// bound, stats, top-3 spans). Requests then carry a trace even
 	// without "profile": true, so the log has spans to digest.
 	SlowLog *obs.SlowLog
-	// Internal, when non-nil, is mounted at /v1/internal/ — the
-	// shard-to-coordinator protocol of a cluster node (see
-	// internal/cluster). It bypasses the admission semaphore: internal
-	// traffic competing with public queries for slots would let a busy
-	// node deadlock its own coordinator.
-	Internal http.Handler
 }
 
 const (
@@ -176,9 +170,6 @@ func New(eng core.Queryable, cat Catalog, opts Options) (*Server, error) {
 	mux.HandleFunc("GET /v1/schema", s.handleSchema)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if opts.Internal != nil {
-		mux.Handle("/v1/internal/", opts.Internal)
-	}
 	s.mux = mux
 	return s, nil
 }
@@ -445,8 +436,9 @@ func (c *stallReader) Read(p []byte) (int, error) {
 
 // handleApply serves POST /v1/apply: the body is a delta TSV (the same
 // format bequery -apply reads), applied atomically. The response
-// reports the net effect and the new |D|; a rejected delta is a 409
-// carrying every violation.
+// reports the net effect and the |D| of the version this write
+// committed, not of whatever committed after it; a rejected delta is a
+// 409 carrying every violation.
 func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	done, ok := s.admit(w, r)
 	if !ok {
@@ -481,12 +473,12 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		Inserted int `json:"inserted"`
 		Deleted  int `json:"deleted"`
 		Size     int `json:"size"`
-	}{res.Inserted, res.Deleted, s.eng.Stats().Size})
+	}{res.Inserted, res.Deleted, res.Size})
 }
 
 // Checkpointer is the optional durability surface of an engine:
-// shard.Engine (and so cluster.Engine) and cluster.Node implement it;
-// the in-memory core.Engine does not. The server discovers it by
+// shard.Engine (and so cluster.Engine) implements it; the in-memory
+// core.Engine does not. The server discovers it by
 // assertion rather than widening core.Queryable — engines that persist
 // nothing owe nothing to durability.
 type Checkpointer interface {

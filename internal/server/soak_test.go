@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -185,6 +186,84 @@ func TestSoakStreamingReadersUnderWriter(t *testing.T) {
 						before, runtime.NumGoroutine(), buf.String())
 				}
 				time.Sleep(20 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestApplyReportsItsOwnSize runs two HTTP writers, each inserting
+// distinct one-tuple deltas, so every commit grows |D| by exactly one:
+// each 200 /v1/apply must report the size of the version it committed,
+// and no two responses may report the same size — a size read after
+// Apply returned would let a second writer's commit land in between.
+// For the in-memory engine and in-process fleets of one and four
+// partitions; run under -race in CI.
+func TestApplyReportsItsOwnSize(t *testing.T) {
+	s := schema.MustNew(schema.MustRelation("R", "a", "b"))
+	a := access.NewSchema(access.NewConstraint("R", []schema.Attribute{"a"}, []schema.Attribute{"b"}, 1))
+	const base, writers, writes = 8, 2, 100
+	engines := []struct {
+		name  string
+		build func() (core.Queryable, error)
+	}{
+		{"core", func() (core.Queryable, error) { return core.New(s, a, core.Options{}) }},
+		{"shard K=1", func() (core.Queryable, error) { return shard.New(s, a, shard.Options{Shards: 1}) }},
+		{"shard K=4", func() (core.Queryable, error) { return shard.New(s, a, shard.Options{Shards: 4}) }},
+	}
+	for _, tc := range engines {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := data.NewInstance(s)
+			for i := 0; i < base; i++ {
+				d.MustInsert("R", value.NewString(fmt.Sprintf("base%d", i)), value.NewString("b"))
+			}
+			if err := eng.Load(d); err != nil {
+				t.Fatal(err)
+			}
+			srv, err := New(eng, Catalog{Schema: s, Access: a}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			var mu sync.Mutex
+			seen := map[int]string{}
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < writes; i++ {
+						key := fmt.Sprintf("w%d-%d", w, i)
+						resp, err := ts.Client().Post(ts.URL+"/v1/apply", "text/tab-separated-values",
+							strings.NewReader("+\tR\t"+key+"\tb\n"))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						body := readAll(t, resp)
+						var res struct{ Inserted, Size int }
+						if resp.StatusCode != http.StatusOK || json.Unmarshal([]byte(body), &res) != nil || res.Inserted != 1 {
+							t.Errorf("apply %s: status %d: %s", key, resp.StatusCode, body)
+							return
+						}
+						mu.Lock()
+						if prev, dup := seen[res.Size]; dup {
+							t.Errorf("apply %s and apply %s both report size %d", prev, key, res.Size)
+						}
+						seen[res.Size] = key
+						mu.Unlock()
+					}
+				}()
+			}
+			wg.Wait()
+			for size := base + 1; size <= base+writers*writes; size++ {
+				if _, ok := seen[size]; !ok {
+					t.Errorf("no apply reported size %d", size)
+				}
 			}
 		})
 	}

@@ -111,15 +111,6 @@ func (l *Local) errNoInstance() error {
 	return fmt.Errorf("shard: partition %d has no instance loaded", l.id)
 }
 
-// Snapshot returns the current committed version's indexed instance,
-// or nil before data arrives.
-func (l *Local) Snapshot() (*access.Indexed, uint64) {
-	if sn := l.cur.Load(); sn != nil {
-		return sn.ix, sn.version
-	}
-	return nil, 0
-}
-
 // Commits counts the transactions this partition has committed.
 func (l *Local) Commits() uint64 { return l.commits.Load() }
 

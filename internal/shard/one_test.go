@@ -67,7 +67,7 @@ func TestOnePartitionCopiesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	part := e.parts[0].(*Local)
-	if ix, _ := part.Snapshot(); ix.Instance != d {
+	if ix := part.cur.Load().ix; ix.Instance != d {
 		t.Fatal("the partition holds a copy of the loaded instance")
 	}
 	if e.Instance() != d {
@@ -78,11 +78,11 @@ func TestOnePartitionCopiesNothing(t *testing.T) {
 	if _, err := e.Apply(context.Background(), delta); err != nil {
 		t.Fatal(err)
 	}
-	ix, v := part.Snapshot()
-	if v != 1 {
-		t.Fatalf("partition at version %d after one Apply", v)
+	sn := part.cur.Load()
+	if sn.version != 1 {
+		t.Fatalf("partition at version %d after one Apply", sn.version)
 	}
-	if e.Instance() != ix.Instance {
+	if e.Instance() != sn.ix.Instance {
 		t.Fatal("Instance() after Apply is not the partition's snapshot instance")
 	}
 }

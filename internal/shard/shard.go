@@ -54,13 +54,16 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/core"
+	"repro/internal/cover"
 	"repro/internal/cq"
 	"repro/internal/data"
 	"repro/internal/durable"
 	"repro/internal/eval"
 	"repro/internal/live"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/schema"
+	"repro/internal/specialize"
 	"repro/internal/value"
 )
 
@@ -181,10 +184,13 @@ func fan(n int, concurrent bool, f func(i int) error) error {
 type Engine struct {
 	Schema *schema.Schema
 	Access *access.Schema
-	Planning
 
-	place *Placement
-	parts []Partition
+	// planner plans, admits and serves (QueryView) for the whole fleet:
+	// there is one plan cache however many partitions hold the data. It
+	// keeps no |D| of its own; each call reads the published snapshot's.
+	planner *core.Engine
+	place   *Placement
+	parts   []Partition
 	// remote says some partition lives outside this process — all the
 	// partition kind decides: round trips overlap (fetch steps and
 	// commits fan out on goroutines) and profiles label traffic
@@ -235,8 +241,7 @@ func NewCoordinator(s *schema.Schema, a *access.Schema, parts []Partition) (*Eng
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{Schema: s, Access: a, place: place, parts: parts}
-	e.Planning = NewPlanning(planner, e.published)
+	e := &Engine{Schema: s, Access: a, planner: planner, place: place, parts: parts}
 	e.mergeSpan, e.counters = "shard.merge", obs.NewShardCounters
 	for _, p := range parts {
 		if _, local := p.(*Local); !local {
@@ -392,11 +397,11 @@ func (e *Engine) Attach(ctx context.Context) error {
 //
 // A violation on any partition rejects the whole delta with a
 // *live.ViolationError and NO partition publishes. The returned Result
-// carries the net insert/delete counts; its Instance/Indexed are nil
-// (use Instance() for the union). Queries in flight keep their
-// pre-delta snapshot. A caller either observes the full delta applied
-// at version V+1, or an error with the fleet still at V — never a
-// half-applied write.
+// carries the net insert/delete counts and the post-delta |D|; its
+// Instance/Indexed are nil (use Instance() for the union). Queries in
+// flight keep their pre-delta snapshot. A caller either observes the
+// full delta applied at version V+1, or an error with the fleet still at
+// V — never a half-applied write.
 func (e *Engine) Apply(ctx context.Context, delta *live.Delta) (*live.Result, error) {
 	if delta == nil {
 		return nil, fmt.Errorf("shard: nil delta")
@@ -431,17 +436,16 @@ func (e *Engine) Apply(ctx context.Context, delta *live.Delta) (*live.Result, er
 		e.abortAll(txn)
 		return nil, err
 	}
-	newSize := sn.size
-	res := &live.Result{}
+	res := &live.Result{Size: sn.size}
 	for _, st := range staged {
-		newSize += st.Size - st.OldSize
+		res.Size += st.Size - st.OldSize
 		res.Inserted += st.Inserted
 		res.Deleted += st.Deleted
 	}
 
 	// Phase 2: global validation, then all-or-nothing commit.
 	sp = tr.Start("apply.validate")
-	viols, err := e.validate(ctx, txn, sn.version, staged, sn.size, newSize)
+	viols, err := e.validate(ctx, txn, sn.version, staged, sn.size, res.Size)
 	sp.End()
 	if err == nil && len(viols) > 0 {
 		err = &live.ViolationError{Violations: viols}
@@ -478,7 +482,7 @@ func (e *Engine) Apply(ctx context.Context, delta *live.Delta) (*live.Result, er
 		}
 		return nil, err
 	}
-	if err := e.publish(sn.version+1, newSize, nil); err != nil {
+	if err := e.publish(sn.version+1, res.Size, nil); err != nil {
 		return nil, err
 	}
 	e.applies.Add(1)
@@ -655,7 +659,7 @@ func (e *Engine) Query(ctx context.Context, q core.Query, opts ...core.QueryOpti
 			return inst, err
 		},
 	}
-	return e.Planner.QueryView(ctx, q, v, opts...)
+	return e.planner.QueryView(ctx, q, v, opts...)
 }
 
 // Baseline evaluates q conventionally over the union of the partitions.
@@ -687,10 +691,47 @@ func (e *Engine) PartitionKey(rel string) []schema.Attribute {
 	return append([]schema.Attribute(nil), e.place.keys[rel].attrs...)
 }
 
-// Stats aggregates across the partitions: global |D|, partition count,
-// and the serving counters.
+// Explain reports coverage, verdict, plan and bound like core's, at the
+// published |D|.
+func (e *Engine) Explain(q *cq.CQ, params []string) (string, error) {
+	size, _ := e.published()
+	return e.planner.ExplainAt(q, params, size)
+}
+
+// IsCovered runs the PTIME covered-query check (data-independent).
+func (e *Engine) IsCovered(q *cq.CQ) (*cover.Result, error) { return e.planner.IsCovered(q) }
+
+// Plan synthesizes the bounded plan with its static bound at the
+// published |D|.
+func (e *Engine) Plan(q *cq.CQ) (*plan.Plan, plan.Bound, error) {
+	size, _ := e.published()
+	return e.planner.PlanAt(q, size)
+}
+
+// Specialize solves QSP (data-independent).
+func (e *Engine) Specialize(q *cq.CQ, X []string, k int) (*specialize.Result, error) {
+	return e.planner.Specialize(q, X, k)
+}
+
+// CacheStats reports the planner's plan-cache counters.
+func (e *Engine) CacheStats() core.CacheStats { return e.planner.CacheStats() }
+
+// Stats aggregates across the partitions: global |D| and version from
+// one published snapshot, partition count, and the serving counters —
+// every query is served through the planner's QueryView, so its request
+// and access counters cover the whole fleet.
 func (e *Engine) Stats() core.EngineStats {
-	return e.EngineStats(len(e.parts), e.applies.Load())
+	ps := e.planner.Stats()
+	size, version := e.published()
+	return core.EngineStats{
+		Size:    size,
+		Shards:  len(e.parts),
+		Queries: ps.Queries,
+		Applies: e.applies.Load(),
+		Fetched: ps.Fetched,
+		Scanned: ps.Scanned,
+		Version: version,
+	}
 }
 
 // Checkpoint persists the published version on every partition and
