@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -17,6 +19,9 @@ import (
 	"repro/internal/schema"
 	"repro/internal/value"
 )
+
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
 
 // noteRows is the answer size of noteQuery: comfortably more rows than
 // the executor's cancellation stride, so a cancel after the first row
@@ -172,5 +177,76 @@ func TestWriteProfileNil(t *testing.T) {
 	}
 	if buf.Len() != 0 || flushed {
 		t.Errorf("nil profile wrote %q (flushed %v), want nothing", buf.String(), flushed)
+	}
+}
+
+// FuzzAppendString pins the string appender to encoding/json: whatever
+// the input, the fast path (HTML-safe ASCII copied between quotes) and
+// the fallback together produce exactly json.Marshal's bytes.
+func FuzzAppendString(f *testing.F) {
+	for _, s := range awkward {
+		f.Add(s)
+	}
+	for _, s := range []string{
+		"", "plain", "\xff", "\xe2\x82", // invalid UTF-8: a stray byte, a truncated 3-byte rune
+		"\u2028", "\u2029", "\b", "\f", "\x00", "\x1f", "\x7f", "a\x7fb",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := []byte("x")
+		if got := ndjson.AppendString(prefix, s); !bytes.Equal(got[1:], want) || got[0] != 'x' {
+			t.Fatalf("appendString(%q) = %s, want x%s", s, got, want)
+		}
+	})
+}
+
+// An int cell is json.Marshal's rendering of its int64, extremes
+// included.
+func TestAppendIntMatchesMarshal(t *testing.T) {
+	for _, n := range []int64{0, -1, 1, math.MinInt64, math.MaxInt64} {
+		want, _ := json.Marshal(n)
+		if got := ndjson.AppendValue(nil, value.NewInt(n)); !bytes.Equal(got, want) {
+			t.Errorf("appendValue(%d) = %s, want %s", n, got, want)
+		}
+	}
+}
+
+// TestWriteAllocsPerCall pins the append encoder's cost: a call allocates
+// a fixed handful (the row iterator and the loop state it captures, the
+// line buffer, one prefix per column) and nothing per row, so a 600-row
+// answer allocates exactly what a 6-row one does. Strings outside the
+// HTML-safe ASCII set go through json.Marshal and do allocate, so the
+// answers here carry ints and plain strings only.
+func TestWriteAllocsPerCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the plain build's")
+	}
+	const ceiling = 12 // two columns allocate 10
+	answer := func(rows int) *core.Result {
+		res := &core.Result{Columns: []string{"n", "s"}}
+		for i := 0; i < rows; i++ {
+			res.Rows = append(res.Rows, data.Tuple{value.NewInt(int64(i)), value.NewString(fmt.Sprintf("s-%d", i))})
+		}
+		return res
+	}
+	allocs := func(rows int) float64 {
+		res := answer(rows)
+		return testing.AllocsPerRun(20, func() {
+			if err := ndjson.Write(io.Discard, res, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(6), allocs(600)
+	if small != large {
+		t.Errorf("allocs per call: %v for 6 rows, %v for 600; want equal", small, large)
+	}
+	if large > ceiling {
+		t.Errorf("allocs per call = %v, want ≤ %d", large, ceiling)
 	}
 }

@@ -32,6 +32,8 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -39,6 +41,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -121,7 +124,15 @@ const (
 	// flushStride is how many NDJSON rows are written between explicit
 	// response flushes.
 	flushStride = 256
+	// chunkSize is the response buffer between the NDJSON encoder and
+	// the connection: a wide answer reaches the ResponseWriter in writes
+	// of this many bytes, each guarded by one stall deadline.
+	chunkSize = 32 << 10
 )
+
+// chunkPool recycles the per-request chunk buffers across requests, so
+// an answer costs its bytes and not a fresh buffer.
+var chunkPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, chunkSize) }}
 
 // Server is an http.Handler serving a Queryable engine. Construct with
 // New; the zero value is not usable.
@@ -326,22 +337,37 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	h.Set("X-Beserve-Mode", res.Mode.String())
 	h.Set("X-Beserve-Cache-Hit", strconv.FormatBool(res.Stats.CacheHit))
 	w.WriteHeader(http.StatusOK)
-	// Flush the first row immediately (streaming clients see data as
-	// soon as it exists), then every flushStride rows; the handler
-	// return flushes the tail. Per-row flushing would cost a syscall and
-	// an undersized chunk per line on large scans. The flush goes
-	// through ResponseController so it traverses the statusWriter
+	// Rows are encoded into a pooled chunk buffer in front of the
+	// stallWriter, so the connection sees one guarded write per chunk
+	// rather than one per row. The flush closure empties the buffer and
+	// flushes the response on the first row (streaming clients see data
+	// as soon as it exists) and every flushStride rows after it; the
+	// handler empties the tail below. Per-row flushing would cost a
+	// syscall and an undersized chunk per line on large scans. The flush
+	// goes through ResponseController so it traverses the statusWriter
 	// wrapper (Unwrap), where a direct http.Flusher assertion would not.
 	rc := http.NewResponseController(w)
+	out := &stallWriter{w: w, rc: rc, stall: s.opts.StallTimeout, rows: &s.metrics.rows}
+	buf := chunkPool.Get().(*bufio.Writer)
+	buf.Reset(out)
+	defer func() {
+		buf.Reset(nil)
+		chunkPool.Put(buf)
+	}()
 	n := 0
 	flush := func() {
-		if n%flushStride == 0 {
+		if n%flushStride == 0 && buf.Flush() == nil {
 			_ = rc.Flush()
 		}
 		n++
 	}
-	out := &stallWriter{w: w, rc: rc, stall: s.opts.StallTimeout, rows: &s.metrics.rows}
-	werr := ndjson.Write(out, res, flush)
+	werr := ndjson.Write(buf, res, flush)
+	// The rows still buffered go out whether or not the stream was cut:
+	// a deadline keeps the rows produced before it. A failed final write
+	// is a cut like any other.
+	if err := buf.Flush(); werr == nil {
+		werr = err
+	}
 	root := tr.Finish()
 	if req.Profile && werr == nil {
 		// EXPLAIN ANALYZE trailer: one {"profile": <span tree>} line
@@ -389,15 +415,16 @@ func (s *Server) recordSlowQuery(req *QueryRequest, q core.Query, res *core.Resu
 	sl.Record(entry, res.Stats.Elapsed, root)
 }
 
-// stallWriter is the streaming response writer: it counts emitted
-// NDJSON lines for /metrics, and it arms a rolling write deadline
-// before every write so a connected-but-stalled client (TCP zero
+// stallWriter is the streaming response writer under the chunk
+// buffer: it counts emitted NDJSON lines for /metrics (one bytes.Count
+// and one atomic add per chunk), and it arms a rolling write deadline
+// before every chunk write so a connected-but-stalled client (TCP zero
 // window) unblocks the handler after StallTimeout instead of pinning
-// its admission slot forever. The deadline is re-armed per write —
-// a slow-but-draining client never hits it, and slow row PRODUCTION
-// (engine side) does not count against it. SetWriteDeadline errors are
-// ignored: a ResponseWriter without deadline support (httptest's
-// recorder) just runs unguarded.
+// its admission slot forever. The deadline is re-armed per chunk
+// write — a slow-but-draining client never hits it, and slow row
+// PRODUCTION (engine side) does not count against it. SetWriteDeadline
+// errors are ignored: a ResponseWriter without deadline support
+// (httptest's recorder) just runs unguarded.
 type stallWriter struct {
 	w     io.Writer
 	rc    *http.ResponseController
@@ -411,12 +438,9 @@ type stallWriter struct {
 func (c *stallWriter) Write(p []byte) (int, error) {
 	_ = c.rc.SetWriteDeadline(time.Now().Add(c.stall))
 	n, err := c.w.Write(p)
-	for _, b := range p[:n] {
-		if b == '\n' {
-			c.rows.Add(1)
-			c.n++
-		}
-	}
+	lines := int64(bytes.Count(p[:n], []byte{'\n'}))
+	c.rows.Add(lines)
+	c.n += lines
 	return n, err
 }
 
