@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,12 +40,12 @@ const (
 )
 
 // peerClient is the shard.Partition that lives behind HTTP: the
-// coordinator's handle to one shard node. JSON RPCs (and image or delta
-// bodies) with a per-attempt timeout, bounded retries with doubling
-// backoff on idempotent calls, a down-marker circuit so a dead peer
-// costs one timeout rather than one per request, and a per-peer RPC
-// latency histogram for /metrics. Native types in, native types out:
-// base64, JSON and checkpoint images stop here.
+// coordinator's handle to one shard node. JSON RPCs (and binary fetch,
+// image or delta bodies) with a per-attempt timeout, bounded retries
+// with doubling backoff on idempotent calls, a down-marker circuit so a
+// dead peer costs one timeout rather than one per request, and a
+// per-peer RPC latency histogram for /metrics. Native types in, native
+// types out: the wire's encodings stop here.
 type peerClient struct {
 	id      int
 	base    string
@@ -251,7 +252,7 @@ func (p *peerClient) Load(ctx context.Context, ix *access.Indexed) error {
 	if err != nil {
 		return err
 	}
-	return p.do(ctx, http.MethodPost, "/v1/internal/load", imageType, img, false, jsonInto(p.id, nil))
+	return p.do(ctx, http.MethodPost, "/v1/internal/load", binaryType, img, false, jsonInto(p.id, nil))
 }
 
 func (p *peerClient) Stage(ctx context.Context, txn string, base uint64, d *live.Delta) (*shard.Staged, error) {
@@ -361,15 +362,20 @@ func (f peerFetcher) FetchBatch(ctx context.Context, keys [][]byte, out []index.
 	if !f.p.available() {
 		return f.p.unavailable(errPeerDown)
 	}
-	req := fetchRequest{V: f.v, CI: f.ci, Keys: make([]value.Key, len(keys))}
-	for i, k := range keys {
-		req.Keys[i] = value.Key(k)
+	size := 3 * binary.MaxVarintLen64
+	for _, k := range keys {
+		size += binary.MaxVarintLen64 + len(k)
 	}
-	var resp fetchResponse
-	if err := f.p.call(ctx, http.MethodPost, "/v1/internal/fetch", req, &resp, true); err != nil {
+	req := appendFetchRequest(make([]byte, 0, size), f.v, uint64(f.ci), keys)
+	var body []byte
+	err := f.p.do(ctx, http.MethodPost, "/v1/internal/fetch", binaryType, req, true, func(r io.Reader) (err error) {
+		body, err = io.ReadAll(r)
+		return err
+	})
+	if err != nil {
 		return err
 	}
-	if err := decodeBuckets(resp.Buckets, len(keys), len(f.p.access.Constraints[f.ci].Y), out); err != nil {
+	if err := decodeBuckets(body, len(keys), len(f.p.access.Constraints[f.ci].Y), out); err != nil {
 		return f.p.unavailable(err)
 	}
 	return nil

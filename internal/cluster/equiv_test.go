@@ -175,7 +175,7 @@ func (tb testbed) single(t *testing.T) *core.Engine {
 // fast retry/cooldown schedules, and a private HTTP client whose idle
 // connections the cleanup can drain (so goroutine-leak checks see a
 // quiet process).
-func testOptions(t *testing.T) Options {
+func testOptions(t testing.TB) Options {
 	t.Helper()
 	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
 	t.Cleanup(hc.CloseIdleConnections)
@@ -192,7 +192,7 @@ func testOptions(t *testing.T) Options {
 // server speaking the /v1/internal/* wire, and a coordinator over them.
 // The returned nodes allow tests to inspect per-shard state (versions,
 // sizes) that a real deployment would read via /status.
-func startCluster(t *testing.T, tb testbed, k int, opts Options) (*Engine, []*Node, []string) {
+func startCluster(t testing.TB, tb testbed, k int, opts Options) (*Engine, []*Node, []string) {
 	t.Helper()
 	nodes := make([]*Node, k)
 	urls := make([]string, k)

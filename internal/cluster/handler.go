@@ -17,7 +17,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/shard"
-	"repro/internal/value"
 )
 
 // maxInternalBody bounds internal request bodies (deltas, partition
@@ -37,7 +36,7 @@ const historyLen = 8
 
 // partitionHandler serves one shard.Partition over the /v1/internal/*
 // wire — the inverse of peerClient, which is a shard.Partition over
-// that wire. JSON and base64 start here.
+// that wire. The wire's encodings start here.
 type partitionHandler struct {
 	part   shard.Partition
 	schema *schema.Schema
@@ -58,7 +57,7 @@ func newPartitionHandler(part shard.Partition, s *schema.Schema, a *access.Schem
 	mux.HandleFunc("/v1/internal/load", post(h.load))
 	mux.HandleFunc("/v1/internal/stage", post(h.stage))
 	mux.HandleFunc("/v1/internal/checkpoint", post(h.checkpoint))
-	mux.HandleFunc("/v1/internal/fetch", rpc(h.fetch))
+	mux.HandleFunc("/v1/internal/fetch", post(h.fetch))
 	mux.HandleFunc("/v1/internal/maxgroup", rpc(h.maxGroup))
 	mux.HandleFunc("/v1/internal/groups", rpc(h.groups))
 	mux.HandleFunc("/v1/internal/commit", rpc(h.commit))
@@ -184,29 +183,43 @@ func (h *partitionHandler) status(w http.ResponseWriter, r *http.Request) {
 }
 
 // fetch serves one fetch step's index lookups at the reader's pinned
-// version: for each key, constraint ci's bucket on this partition.
-func (h *partitionHandler) fetch(ctx context.Context, req fetchRequest) (resp fetchResponse, err error) {
-	view, err := h.pin(req.V)
+// version: for each key, constraint ci's bucket on this partition, in
+// the binary exchange wire.go describes.
+func (h *partitionHandler) fetch(w http.ResponseWriter, r *http.Request) {
+	if ct := r.Header.Get("Content-Type"); ct != binaryType {
+		reply(w, nil, badRequest("fetch body must be "+binaryType+", not "+strconv.Quote(ct)))
+		return
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxInternalBody))
 	if err != nil {
-		return resp, err
+		reply(w, nil, badRequest(err.Error()))
+		return
 	}
-	f := view.Fetcher(req.CI)
+	v, ci, keys, err := parseFetchRequest(body)
+	if err != nil {
+		reply(w, nil, badRequest(err.Error()))
+		return
+	}
+	view, err := h.pin(v)
+	if err != nil {
+		reply(w, nil, err)
+		return
+	}
+	var f plan.Fetcher
+	if ci < uint64(len(h.access.Constraints)) {
+		f = view.Fetcher(int(ci))
+	}
 	if f == nil {
-		return resp, badRequest(fmt.Sprintf("no constraint %d", req.CI))
-	}
-	keys := make([][]byte, len(req.Keys))
-	for i, k := range req.Keys {
-		keys[i] = []byte(k)
+		reply(w, nil, badRequest(fmt.Sprintf("no constraint %d", ci)))
+		return
 	}
 	buckets := make([]index.Bucket, len(keys))
-	if err := plan.FetchAll(ctx, f, keys, buckets); err != nil {
-		return resp, err
+	if err := plan.FetchAll(r.Context(), f, keys, buckets); err != nil {
+		reply(w, nil, err)
+		return
 	}
-	resp.Buckets = make([][]value.Key, len(buckets))
-	for i, b := range buckets {
-		resp.Buckets[i] = b.Keys()
-	}
-	return resp, nil
+	w.Header().Set("Content-Type", binaryType)
+	_, _ = w.Write(appendBuckets(make([]byte, 0, 512), buckets))
 }
 
 // dump answers the partition at the pinned version as its checkpoint
@@ -225,7 +238,7 @@ func (h *partitionHandler) dump(w http.ResponseWriter, r *http.Request) {
 		reply(w, nil, err)
 		return
 	}
-	w.Header().Set("Content-Type", imageType)
+	w.Header().Set("Content-Type", binaryType)
 	// A write cut short reaches the client as a truncated image, which
 	// its length and CRC checks refuse.
 	_, _ = w.Write(img)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -30,6 +31,19 @@ func keyOf(vs ...int64) value.Key {
 	return value.KeyOf(vals...)
 }
 
+// answerBody encodes a fetch answer: per bucket its projection count,
+// then each projection's key bytes — a projection's cells are its key.
+func answerBody(buckets ...[]value.Key) []byte {
+	var body []byte
+	for _, projs := range buckets {
+		body = binary.AppendUvarint(body, uint64(len(projs)))
+		for _, pk := range projs {
+			body = append(body, pk...)
+		}
+	}
+	return body
+}
+
 // TestFetchRefusesMalformedBuckets stands a node up that answers every
 // fetch with one fixed body and demands the client refuse each
 // malformed shape as shard_unavailable — never a panic, never a bucket
@@ -38,44 +52,46 @@ func keyOf(vs ...int64) value.Key {
 // randomBed's constraint 0 is R(a → b): one cell per projection.
 func TestFetchRefusesMalformedBuckets(t *testing.T) {
 	tb := randomBed(t)
-	valid := [][]value.Key{{keyOf(1), keyOf(2)}, {}}
+	str := value.KeyOf(sv("abc"))
+	valid := answerBody([]value.Key{keyOf(1), keyOf(2)}, []value.Key{str})
 	for _, tc := range []struct {
-		name    string
-		buckets [][]value.Key
-		ok      bool
+		name string
+		body []byte
+		ok   bool
 	}{
 		{"well-formed", valid, true},
-		{"fewer buckets than keys", valid[:1], false},
-		{"more buckets than keys", append(valid, []value.Key{keyOf(3)}), false},
-		{"projection too wide", [][]value.Key{{keyOf(1, 2)}, {}}, false},
-		{"empty projection", [][]value.Key{{""}, {}}, false},
-		{"projections descending", [][]value.Key{{keyOf(2), keyOf(1)}, {}}, false},
-		{"projection repeated", [][]value.Key{{}, {keyOf(1), keyOf(1)}}, false},
-		{"undecodable projection", [][]value.Key{{"\xff"}, {}}, false},
+		{"well-formed, empty buckets", answerBody(nil, nil), true},
+		{"empty body", nil, false},
+		{"fewer buckets than keys", answerBody([]value.Key{keyOf(1), keyOf(2)}), false},
+		{"more buckets than keys", answerBody([]value.Key{keyOf(1)}, nil, []value.Key{keyOf(3)}), false},
+		{"body cut mid-cell", valid[:len(valid)-1], false},
+		{"trailing bytes", append(slices.Clip(valid), 0), false},
+		{"projection count past the body", append([]byte{0x7f}, answerBody([]value.Key{keyOf(1)}, nil)[1:]...), false},
+		{"non-minimal projection count", []byte{0x80, 0x00, 0x00}, false},
+		{"empty projection", []byte{0x00, 0x01}, false},
+		{"projection too wide", answerBody([]value.Key{keyOf(1, 2)}, nil), false},
+		{"projections descending", answerBody([]value.Key{keyOf(2), keyOf(1)}, nil), false},
+		{"projection repeated", answerBody(nil, []value.Key{keyOf(1), keyOf(1)}), false},
+		{"unknown cell kind", answerBody([]value.Key{"\xff"}, nil), false},
+		{"undecodable projection", answerBody([]value.Key{"\x01\x80\x00"}, nil), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			body, err := json.Marshal(fetchResponse{Buckets: tc.buckets})
-			if err != nil {
-				t.Fatal(err)
-			}
 			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set("Content-Type", "application/json")
-				w.Write(body)
+				w.Header().Set("Content-Type", binaryType)
+				w.Write(tc.body)
 			}))
 			t.Cleanup(ts.Close)
 			opts := testOptions(t)
 			opts.Retries = -1
 			view, _ := newPeerClient(0, ts.URL, tb.schema, tb.access, opts).Pin(0)
 			out := make([]index.Bucket, 2)
-			err = view.Fetcher(0).(plan.BatchFetcher).FetchBatch(context.Background(), [][]byte{[]byte(keyOf(1)), []byte(keyOf(2))}, out)
+			err := view.Fetcher(0).(plan.BatchFetcher).FetchBatch(context.Background(), [][]byte{[]byte(keyOf(1)), []byte(keyOf(2))}, out)
 			if tc.ok {
 				if err != nil {
 					t.Fatalf("well-formed answer refused: %v", err)
 				}
-				for i, b := range out {
-					if !slices.Equal(b.Keys(), tc.buckets[i]) {
-						t.Fatalf("bucket %d decoded to %q, sent %q", i, b.Keys(), tc.buckets[i])
-					}
+				if got := appendBuckets(nil, out); !bytes.Equal(got, tc.body) {
+					t.Fatalf("answer %x decoded to buckets that re-encode to %x", tc.body, got)
 				}
 				return
 			}
@@ -89,26 +105,112 @@ func TestFetchRefusesMalformedBuckets(t *testing.T) {
 
 // FuzzFetchResponse holds the fetch decoder to its contract on arbitrary
 // bodies: it never panics, and a body it accepts re-encodes to exactly
-// the buckets it carried.
+// the bytes it carried.
 func FuzzFetchResponse(f *testing.F) {
-	seed, _ := json.Marshal(fetchResponse{Buckets: [][]value.Key{{keyOf(1), keyOf(2, 3)}, {}}})
-	f.Add(seed, uint8(2), uint8(1))
-	f.Add([]byte(`{"buckets":[["AgI="],[]]}`), uint8(2), uint8(1))
-	f.Add([]byte(`{"buckets":null}`), uint8(0), uint8(2))
-	f.Add([]byte(`{"buckets":[["/w=="]]}`), uint8(1), uint8(1))
+	f.Add(answerBody([]value.Key{keyOf(1), keyOf(2, 3)}, nil), uint8(2), uint8(1))
+	f.Add(answerBody([]value.Key{keyOf(1, 2), keyOf(2, 3)}, nil), uint8(2), uint8(2))
+	f.Add(answerBody([]value.Key{value.KeyOf(sv("a"), iv(-1)), value.KeyOf(value.Value{}, sv(""))}), uint8(1), uint8(2))
+	f.Add([]byte{}, uint8(0), uint8(2))
+	f.Add([]byte{0x01, 0xff}, uint8(1), uint8(1))
 	f.Fuzz(func(t *testing.T, body []byte, n, arity uint8) {
-		var resp fetchResponse
-		if json.Unmarshal(body, &resp) != nil || arity == 0 {
+		if arity == 0 {
 			return
 		}
 		out := make([]index.Bucket, n)
-		if decodeBuckets(resp.Buckets, int(n), int(arity), out) != nil {
+		if decodeBuckets(body, int(n), int(arity), out) != nil {
 			return
 		}
-		for i, b := range out {
-			if got := b.Keys(); !slices.Equal(got, resp.Buckets[i]) {
-				t.Fatalf("bucket %d: accepted %q, re-encodes to %q", i, resp.Buckets[i], got)
+		if got := appendBuckets(nil, out); !bytes.Equal(got, body) {
+			t.Fatalf("accepted %x, re-encodes to %x", body, got)
+		}
+	})
+}
+
+// TestFetchRequestRefusals posts a node fetch bodies it must refuse and
+// demands a structured 400 bad_request for each — a truncated body,
+// trailing bytes, counts and lengths past the end, the JSON body the
+// wire no longer speaks — while the well-formed request is answered.
+func TestFetchRequestRefusals(t *testing.T) {
+	tb := randomBed(t)
+	coord, _, urls := startCluster(t, tb, 1, testOptions(t))
+	if err := coord.Load(tb.build()); err != nil {
+		t.Fatal(err)
+	}
+	valid := appendFetchRequest(nil, 0, 0, [][]byte{[]byte(keyOf(1)), []byte(keyOf(2))})
+	head := func(n uint64) []byte { return binary.AppendUvarint([]byte{0, 0}, n) }
+	for _, tc := range []struct {
+		name   string
+		method string
+		ctype  string
+		body   []byte
+		status int
+	}{
+		{"well-formed", "POST", binaryType, valid, http.StatusOK},
+		{"no keys", "POST", binaryType, head(0), http.StatusOK},
+		{"empty body", "POST", binaryType, nil, http.StatusBadRequest},
+		{"truncated body", "POST", binaryType, valid[:len(valid)-1], http.StatusBadRequest},
+		{"trailing bytes", "POST", binaryType, append(slices.Clip(valid), 0), http.StatusBadRequest},
+		{"key count past the body", "POST", binaryType, append(head(1<<40), 1, 2), http.StatusBadRequest},
+		{"key length past the body", "POST", binaryType, append(head(1), 50, 1, 2), http.StatusBadRequest},
+		{"non-minimal varint", "POST", binaryType, []byte{0x80, 0x00, 0, 0}, http.StatusBadRequest},
+		{"unknown constraint", "POST", binaryType, appendFetchRequest(nil, 0, 99, nil), http.StatusBadRequest},
+		{"JSON body", "POST", "application/json", []byte(`{"v":0,"ci":0,"keys":["AQI="]}`), http.StatusBadRequest},
+		{"no content type", "POST", "", valid, http.StatusBadRequest},
+		{"GET", "GET", "", nil, http.StatusMethodNotAllowed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := http.NewRequest(tc.method, urls[0]+"/v1/internal/fetch", bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
 			}
+			if tc.ctype != "" {
+				req.Header.Set("Content-Type", tc.ctype)
+			}
+			resp, err := testOptions(t).Client.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d (%s), want %d", resp.StatusCode, raw, tc.status)
+			}
+			if tc.status == http.StatusOK {
+				_, _, keys, _ := parseFetchRequest(tc.body)
+				if err := decodeBuckets(raw, len(keys), 1, make([]index.Bucket, len(keys))); err != nil {
+					t.Fatalf("answer %x: %v", raw, err)
+				}
+				return
+			}
+			var we wireError
+			if err := json.Unmarshal(raw, &we); err != nil || we.Error.Code == "" {
+				t.Fatalf("refusal %q is not the error envelope", raw)
+			}
+			if tc.status == http.StatusBadRequest && we.Error.Code != "bad_request" {
+				t.Fatalf("refused with code %q, want bad_request", we.Error.Code)
+			}
+		})
+	}
+}
+
+// FuzzFetchRequest holds the node's request parser to its contract on
+// arbitrary bodies: it never panics, and a body it accepts re-encodes
+// byte for byte.
+func FuzzFetchRequest(f *testing.F) {
+	f.Add(appendFetchRequest(nil, 3, 1, [][]byte{[]byte(keyOf(1)), []byte(keyOf(2, 3)), nil}))
+	f.Add(appendFetchRequest(nil, 1<<40, 0, nil))
+	f.Add([]byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 1})
+	f.Add([]byte{0, 0, 1, 0x80, 0x00})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		v, ci, keys, err := parseFetchRequest(body)
+		if err != nil {
+			return
+		}
+		if got := appendFetchRequest(nil, v, ci, keys); !bytes.Equal(got, body) {
+			t.Fatalf("accepted %x, re-encodes to %x", body, got)
 		}
 	})
 }
@@ -201,7 +303,7 @@ func TestLoadRefusesForeignImage(t *testing.T) {
 	}{
 		{"another access schema", func() error { return p.Load(ctx, foreign) }},
 		{"bad CRC", func() error {
-			return p.do(ctx, http.MethodPost, "/v1/internal/load", imageType, corrupt, false, jsonInto(0, nil))
+			return p.do(ctx, http.MethodPost, "/v1/internal/load", binaryType, corrupt, false, jsonInto(0, nil))
 		}},
 	} {
 		name, err := tc.name, tc.load()

@@ -62,7 +62,7 @@ func (b Bucket) AppendKeyOf(dst []byte, i int) []byte {
 
 // Keys returns the key encodings of the bucket's projections in
 // canonical (strictly increasing) order: a bucket's identity, and its
-// form on internal/cluster's wire. The keys share one backing string.
+// form in a shard.Group. The keys share one backing string.
 func (b Bucket) Keys() []value.Key {
 	ends := make([]int, b.n)
 	var buf []byte
@@ -161,8 +161,8 @@ func MergeBuckets(parts []Bucket) Bucket {
 // to back — as an immutable Bucket view. The caller must supply the
 // projections already in canonical (key-sorted) order and must not
 // mutate cells afterwards; the bucket aliases it. This is the decode
-// seam for wire transports (internal/cluster) that receive a remote
-// fetch result as Keys and need to re-enter the Bucket contract, e.g.
+// seam for wire transports (internal/cluster) that decode a remote
+// fetch result's cells and need to re-enter the Bucket contract, e.g.
 // to feed MergeBuckets.
 func NewBucket(cells []value.Value, stride int) Bucket {
 	if stride <= 0 || len(cells) == 0 {

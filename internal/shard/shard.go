@@ -148,11 +148,11 @@ func (sn *snapshot) instance(ctx context.Context, s *schema.Schema) (*data.Insta
 
 // fan runs f(i) for every i in [0, n) and returns the first error in
 // index order: on a goroutine each when concurrent, so the partitions'
-// work (or round trips) overlaps; otherwise — or when there is only one
-// — in order on the caller's goroutine, stopping at the first error.
+// work (or round trips) overlaps; otherwise — or when there is at most
+// one — in order on the caller's goroutine, stopping at the first error.
 // Only a non-concurrent f may open trace spans.
 func fan(n int, concurrent bool, f func(i int) error) error {
-	if !concurrent || n == 1 {
+	if !concurrent || n <= 1 {
 		for i := 0; i < n; i++ {
 			if err := f(i); err != nil {
 				return err

@@ -101,8 +101,17 @@ func (f routedFetcher) FetchBatch(ctx context.Context, keys [][]byte, out []inde
 		grouped[slot[i]] = key
 		next[part[i]]++
 	}
+	// Ask only the partitions that hold keys: a point step touches one,
+	// and fan calls a lone partition on this goroutine.
+	busy := make([]int, 0, k)
+	for p := 0; p < k; p++ {
+		if start[p] < start[p+1] {
+			busy = append(busy, p)
+		}
+	}
 	got := make([]index.Bucket, len(keys))
-	err := fan(k, f.remote, func(p int) error {
+	err := fan(len(busy), f.remote, func(j int) error {
+		p := busy[j]
 		lo, hi := start[p], start[p+1]
 		return plan.FetchAll(ctx, f.fs[p], grouped[lo:hi], got[lo:hi])
 	})
