@@ -287,7 +287,8 @@ func eachFleet(t *testing.T, ks []int, fn func(t *testing.T, kind string, k int)
 }
 
 // checkEquivalent queries both engines and demands identical outcomes:
-// same error presence, same serving mode, same rows in the same order.
+// same error presence, same serving mode, same rows in the same order,
+// and the same Fetched, FetchKeys and Scanned.
 func checkEquivalent(t *testing.T, label string, single *core.Engine, got core.Queryable, q core.Query, opts ...core.QueryOption) {
 	t.Helper()
 	want, errW := single.Query(context.Background(), q, opts...)
@@ -308,6 +309,13 @@ func checkEquivalent(t *testing.T, label string, single *core.Engine, got core.Q
 		if want.Rows[i].Key() != have.Rows[i].Key() {
 			t.Fatalf("%s: row %d: %v vs %v", label, i, have.Rows[i], want.Rows[i])
 		}
+	}
+	// The fleet reads exactly what the single engine reads: routing a
+	// step to fewer partitions must never lose or double a tuple.
+	ws, hs := want.Stats, have.Stats
+	if ws.Fetched != hs.Fetched || ws.FetchKeys != hs.FetchKeys || ws.Scanned != hs.Scanned {
+		t.Fatalf("%s: fetched/keys/scanned %d/%d/%d vs %d/%d/%d", label,
+			hs.Fetched, hs.FetchKeys, hs.Scanned, ws.Fetched, ws.FetchKeys, ws.Scanned)
 	}
 }
 
