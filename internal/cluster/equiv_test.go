@@ -36,13 +36,15 @@ func iv(i int64) value.Value  { return value.NewInt(i) }
 func sv(s string) value.Value { return value.NewString(s) }
 
 // testbed is one workload the suite runs: a schema, its access schema,
-// a fresh-instance factory and a random-CQ const pool.
+// a fresh-instance factory, a random-CQ const pool and hand-written
+// queries the generator rarely draws.
 type testbed struct {
 	name   string
 	schema *schema.Schema
 	access *access.Schema
 	build  func() *data.Instance
 	consts map[schema.Attribute][]cq.Term
+	extra  []*cq.CQ
 }
 
 func accidentsBed(t *testing.T) testbed {
@@ -56,6 +58,18 @@ func accidentsBed(t *testing.T) testbed {
 		}
 		return acc.Instance
 	}
+	// Q0 on each day, whose aid step routes by the date its rows carry,
+	// and aid 3 asked under each day's date, which must not route: the
+	// row's date is the query's constant, not aid 3's own.
+	var extra []*cq.CQ
+	for day := 0; day < 3; day++ {
+		date := cq.Const(sv(workload.DateName(day)))
+		q0 := workload.Q0()
+		q0.Label = fmt.Sprintf("Q0_day%d", day)
+		q0.Atoms[0].Args[2] = date
+		extra = append(extra, q0, &cq.CQ{Label: fmt.Sprintf("aid3_day%d", day), Free: []string{"d"},
+			Atoms: []cq.Atom{cq.NewAtom("Accident", cq.Const(iv(3)), cq.Var("d"), date)}})
+	}
 	return testbed{
 		name:   "accidents",
 		schema: workload.AccidentSchema(),
@@ -67,6 +81,7 @@ func accidentsBed(t *testing.T) testbed {
 			"aid":      {cq.Const(iv(3))},
 			"vid":      {cq.Const(iv(5))},
 		},
+		extra: extra,
 	}
 }
 
@@ -129,7 +144,7 @@ func randomBed(t *testing.T) testbed {
 }
 
 // queries generates the random CQ workload plus UCQs paired from
-// same-arity CQs.
+// same-arity CQs, then appends the testbed's extra CQs.
 func (tb testbed) queries(t *testing.T, n int) ([]*cq.CQ, []*ucq.UCQ) {
 	t.Helper()
 	qs, err := workload.RandomCQs(tb.schema, workload.RandomCQConfig{
@@ -155,7 +170,7 @@ func (tb testbed) queries(t *testing.T, n int) ([]*cq.CQ, []*ucq.UCQ) {
 			unions = append(unions, u)
 		}
 	}
-	return qs, unions
+	return append(qs, tb.extra...), unions
 }
 
 // single builds the loaded single-node oracle.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/schema"
 	"repro/internal/shard"
 )
 
@@ -140,15 +142,18 @@ func (c *fetchCounter) CloseIdleConnections() { c.base.CloseIdleConnections() }
 
 // stepRecorder is a plan.Source over one index whose fetchers record each
 // fetch step's key set: FetchAll hands a batch fetcher a step's keys in
-// one call.
+// one call. A step over a constraint whose groups each lie on one
+// partition (routeBy) also records each key's partition key, when the
+// executor can give it.
 type stepRecorder struct {
-	src   plan.Source
-	steps []recordedStep
+	src     plan.Source
+	routeBy func(access.Constraint) []schema.Attribute
+	steps   []recordedStep
 }
 
 type recordedStep struct {
-	c    access.Constraint
-	keys [][]byte
+	c            access.Constraint
+	keys, routes [][]byte
 }
 
 type recordingFetcher struct {
@@ -165,12 +170,39 @@ func (r *stepRecorder) FetcherFor(c access.Constraint) plan.Fetcher {
 }
 
 func (f recordingFetcher) FetchBatch(ctx context.Context, keys [][]byte, out []index.Bucket) error {
+	return f.FetchRouted(ctx, keys, nil, out)
+}
+
+func (f recordingFetcher) RouteBy() []schema.Attribute { return f.rec.routeBy(f.c) }
+
+func (f recordingFetcher) FetchRouted(ctx context.Context, keys, routes [][]byte, out []index.Bucket) error {
 	step := recordedStep{c: f.c}
-	for _, k := range keys {
+	for i, k := range keys {
 		step.keys = append(step.keys, append([]byte(nil), k...))
+		if routes != nil {
+			step.routes = append(step.routes, append([]byte(nil), routes[i]...))
+		}
 	}
 	f.rec.steps = append(f.rec.steps, step)
 	return plan.FetchAll(ctx, f.f, keys, out)
+}
+
+// groupOnOnePartition restates the routing rule's condition on the
+// constraints: some R(X′ → Y′, 1) in a has X′ ⊆ X_c and P ⊆ X′ ∪ Y′.
+func groupOnOnePartition(a *access.Schema, c access.Constraint, p []schema.Attribute) bool {
+	for _, fd := range a.Constraints {
+		ok := fd.Rel == c.Rel && fd.Card.IsConst() && fd.Card.Const == 1
+		for _, x := range fd.X {
+			ok = ok && slices.Contains(c.X, x)
+		}
+		for _, x := range p {
+			ok = ok && (slices.Contains(fd.X, x) || slices.Contains(fd.Y, x))
+		}
+		if ok {
+			return true
+		}
+	}
+	return false
 }
 
 func (f recordingFetcher) FetchBytes(k []byte) index.Bucket { return f.f.FetchBytes(k) }
@@ -178,10 +210,12 @@ func (f recordingFetcher) FetchBytes(k []byte) index.Bucket { return f.f.FetchBy
 // TestPropertyOneRPCPerPartitionPerStep is the batching property over
 // the wire: on HTTP fleets of K ∈ {2, 4}, every random CQ and UCQ sends
 // exactly one /v1/internal/fetch per partition each of its fetch steps
-// touches — the distinct ShardOf values of the keys of a routed step, all
-// K for a scattered one — so at most K per fetch step, and none for a
-// scan. The steps and their key sets are recomputed by running the plan
-// the coordinator served on the single-node oracle's index.
+// touches — the distinct ShardOf values of the keys of an aligned step,
+// of the keys' partition keys for a step whose rows carry them and whose
+// groups each lie on one partition, all K for a scattered one — so at
+// most K per fetch step, and none for a scan. The steps, their key sets
+// and their partition keys are recomputed by running the plan the
+// coordinator served on the single-node oracle's index.
 func TestPropertyOneRPCPerPartitionPerStep(t *testing.T) {
 	ctx := context.Background()
 	for _, tb := range []testbed{accidentsBed(t), socialBed(t), randomBed(t)} {
@@ -204,7 +238,7 @@ func TestPropertyOneRPCPerPartitionPerStep(t *testing.T) {
 				if err := coord.Load(tb.build()); err != nil {
 					t.Fatal(err)
 				}
-				batched := 0
+				batched, routedBy := 0, 0
 				for i, q := range queries {
 					before := rt.fetches.Load()
 					res, err := coord.Query(ctx, q)
@@ -219,17 +253,28 @@ func TestPropertyOneRPCPerPartitionPerStep(t *testing.T) {
 								steps++
 							}
 						}
-						rec := &stepRecorder{src: plan.NewSource(single.Indexed())}
+						rec := &stepRecorder{src: plan.NewSource(single.Indexed()), routeBy: func(c access.Constraint) []schema.Attribute {
+							if p := coord.PartitionKey(c.Rel); groupOnOnePartition(tb.access, c, p) {
+								return p
+							}
+							return nil
+						}}
 						if _, _, err := plan.ExecuteSource(ctx, res.Plan, rec, plan.ExecOptions{}); err != nil {
 							t.Fatal(err)
 						}
 						for _, s := range rec.steps {
-							if !shard.AttrsEqual(coord.PartitionKey(s.c.Rel), s.c.X) {
+							owners := s.routes
+							switch {
+							case shard.AttrsEqual(coord.PartitionKey(s.c.Rel), s.c.X):
+								owners = s.keys
+							case owners == nil:
 								want += int64(k)
 								continue
+							default:
+								routedBy++
 							}
 							touched := map[int]bool{}
-							for _, key := range s.keys {
+							for _, key := range owners {
 								touched[shard.ShardOf(key, k)] = true
 							}
 							want += int64(len(touched))
@@ -245,6 +290,9 @@ func TestPropertyOneRPCPerPartitionPerStep(t *testing.T) {
 				}
 				if batched == 0 {
 					t.Fatal("no query sent more RPCs than it had fetch steps: the fan-out was not exercised")
+				}
+				if len(tb.extra) > 0 && routedBy == 0 {
+					t.Fatal("no step routed by its rows' partition key: the testbed's Q0 variants did not route")
 				}
 			})
 		}

@@ -2,8 +2,11 @@ package plan
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/cover"
+	"repro/internal/schema"
 	"repro/internal/value"
 )
 
@@ -137,12 +140,35 @@ func Build(res *cover.Result) (*Plan, error) {
 		}
 	}
 	acc := b.emit(seed)
+	// tuples holds, per atom, what the latest fetch on it bound: in each
+	// row that fetch output, these columns hold these attributes of one
+	// tuple. A later fetch on the atom keyed by that tuple inherits them.
+	tuples := make(map[int]map[schema.Attribute]string)
+	emitFetch := func(atom int, ft FetchOp) {
+		prev, key := tuples[atom], tuples[atom] != nil
+		for j, a := range ft.Constraint.X {
+			key = key && prev[a] == ft.XCols[j]
+		}
+		if key {
+			ft.Tuple = maps.Clone(prev)
+			maps.DeleteFunc(ft.Tuple, func(_ schema.Attribute, c string) bool { return !slices.Contains(b.cols(ft.Input), c) })
+		}
+		tc := make(map[schema.Attribute]string)
+		cols := slices.Concat(ft.XCols, ft.YOut)
+		for i, a := range slices.Concat(ft.Constraint.X, ft.Constraint.Y) {
+			if cols[i] != "" {
+				tc[a] = cols[i]
+			}
+		}
+		tuples[atom] = tc
+		acc = b.emit(ft)
+	}
 	verify := func(ck *check) {
 		ck.done = true
 		keep := b.cols(acc)
 		ft := ck.fetch
 		ft.Input = acc
-		acc = b.emit(ft)
+		emitFetch(ck.key[0], ft)
 		// Drop any throwaway columns the verification introduced.
 		if len(b.cols(acc)) != len(keep) {
 			acc = b.emit(ProjectOp{Input: acc, Cols: keep})
@@ -197,7 +223,7 @@ func Build(res *cover.Result) (*Plan, error) {
 		if !anyNew {
 			continue
 		}
-		acc = b.emit(FetchOp{Input: acc, Constraint: ap.Constraint, XCols: xreps, YOut: yout})
+		emitFetch(ap.AtomIdx, FetchOp{Input: acc, Constraint: ap.Constraint, XCols: xreps, YOut: yout})
 		for _, c := range b.cols(acc) {
 			bound[c] = true
 		}

@@ -342,6 +342,12 @@ type fetchEval struct {
 	keyOf   []int32
 	buckets []index.Bucket
 	rowBuf  data.Tuple
+	// route is the fetcher when it routes this step by the Tuple columns
+	// at rpos, else nil; key j's route is routes[j], kept like keys[j].
+	route           RoutingFetcher
+	rpos, routeEnds []int
+	routeBuf        []byte
+	routes          [][]byte
 }
 
 // setup binds f to fetch step o over input in and resets out to the
@@ -373,6 +379,18 @@ func (f *fetchEval) setup(o FetchOp, in *Table, src Source, out *Table) error {
 		f.ypos = append(f.ypos, p)
 	}
 	f.in, f.fetch = in, fetch
+	f.route, f.rpos = nil, f.rpos[:0]
+	if rf, ok := fetch.(RoutingFetcher); ok && len(rf.RouteBy()) > 0 {
+		f.route = rf
+		for _, a := range rf.RouteBy() {
+			c, ok := o.Tuple[a]
+			if p := in.ColIndex(c); ok && p >= 0 {
+				f.rpos = append(f.rpos, p)
+			} else {
+				f.route = nil
+			}
+		}
+	}
 	f.rowBuf = slices.Grow(f.rowBuf[:0], len(out.Cols))[:len(out.Cols)]
 	return nil
 }
@@ -380,7 +398,7 @@ func (f *fetchEval) setup(o FetchOp, in *Table, src Source, out *Table) error {
 // trim drops f's references into the run and whatever outgrew the
 // retention bound.
 func (f *fetchEval) trim() {
-	f.in, f.fetch = nil, nil
+	f.in, f.fetch, f.route = nil, nil, nil
 	f.dedup.rows, f.dedup.cols = nil, nil
 	if len(f.dedup.first) > retainCells {
 		f.dedup.first = nil
@@ -389,7 +407,7 @@ func (f *fetchEval) trim() {
 	clear(f.keys[:cap(f.keys)])
 	clear(f.buckets[:cap(f.buckets)])
 	if cap(f.keyOf) > retainCells {
-		f.keyBuf, f.keyEnds, f.keys, f.keyOf, f.buckets = nil, nil, nil, nil, nil
+		f.keyBuf, f.keyEnds, f.keys, f.keyOf, f.buckets, f.routeBuf, f.routeEnds, f.routes = nil, nil, nil, nil, nil, nil, nil, nil
 	}
 }
 
@@ -426,13 +444,16 @@ func (f *fetchEval) emitRow(row data.Tuple, b index.Bucket, out data.Tuple, sink
 
 // run is the fetch over the step's whole key set, in three passes: dedup
 // the input rows' X-keys into the key scratch, in first-occurrence order,
-// noting each row's key; resolve them all with one FetchAll, whose error
+// noting each row's key and a routed step's route from the key's first
+// row; resolve them all with one FetchAll (or FetchRouted), whose error
 // aborts the step; emit each input row against its key's bucket, in
 // input order. With the scratch warm, the per-row path — hash dedup, key
 // encoding, bucket probe, row assembly — is allocation-free.
 func (f *fetchEval) run(ctx context.Context, stats *ExecStats, sink func(data.Tuple) bool) error {
 	f.dedup.reset(f.in.Rows, f.xpos)
 	f.keyBuf, f.keyEnds, f.keyOf = f.keyBuf[:0], f.keyEnds[:0], f.keyOf[:0]
+	f.routeBuf, f.routeEnds = f.routeBuf[:0], f.routeEnds[:0]
+	routed := f.route != nil
 	for i, row := range f.in.Rows {
 		if i%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -440,21 +461,30 @@ func (f *fetchEval) run(ctx context.Context, stats *ExecStats, sink func(data.Tu
 			}
 		}
 		if j, seen := f.dedup.seen(i); seen {
+			// Every row of a key carries its group's one route on D |= A;
+			// rows that disagree send the step to every partition.
+			routed = routed && rowsEqualAt(f.in.Rows[j], row, f.rpos)
 			f.keyOf = append(f.keyOf, f.keyOf[j])
 			continue
 		}
 		f.keyOf = append(f.keyOf, int32(len(f.keyEnds)))
 		f.keyBuf = value.AppendKeyAt(f.keyBuf, row, f.xpos)
 		f.keyEnds = append(f.keyEnds, len(f.keyBuf))
+		if routed {
+			f.routeBuf = value.AppendKeyAt(f.routeBuf, row, f.rpos)
+			f.routeEnds = append(f.routeEnds, len(f.routeBuf))
+		}
 	}
-	f.keys = f.keys[:0]
-	start := 0
-	for _, end := range f.keyEnds {
-		f.keys = append(f.keys, f.keyBuf[start:end:end])
-		start = end
-	}
+	f.keys = appendViews(f.keys[:0], f.keyBuf, f.keyEnds)
 	f.buckets = slices.Grow(f.buckets[:0], len(f.keys))[:len(f.keys)]
-	if err := FetchAll(ctx, f.fetch, f.keys, f.buckets); err != nil {
+	var err error
+	if routed && len(f.keys) > 0 {
+		f.routes = appendViews(f.routes[:0], f.routeBuf, f.routeEnds)
+		err = f.route.FetchRouted(ctx, f.keys, f.routes, f.buckets)
+	} else {
+		err = FetchAll(ctx, f.fetch, f.keys, f.buckets)
+	}
+	if err != nil {
 		return err
 	}
 	for _, b := range f.buckets {
@@ -472,4 +502,15 @@ func (f *fetchEval) run(ctx context.Context, stats *ExecStats, sink func(data.Tu
 		}
 	}
 	return nil
+}
+
+// appendViews appends to dst the consecutive slices of buf that ends
+// delimits, each capped at its end.
+func appendViews(dst [][]byte, buf []byte, ends []int) [][]byte {
+	start := 0
+	for _, end := range ends {
+		dst = append(dst, buf[start:end:end])
+		start = end
+	}
+	return dst
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/access"
+	"repro/internal/schema"
 	"repro/internal/value"
 )
 
@@ -64,11 +65,17 @@ func (o ConstOp) inputs() ([2]int, int) { return [2]int{}, 0 }
 // duplicate column. An empty YOut entry drops that attribute. A fetch
 // whose YOut names no fresh column is a semijoin: it keeps each input row
 // whose key's bucket has a match, once.
+//
+// Tuple is provenance, set when an earlier fetch on the same atom bound
+// XCols: in every input row, column Tuple[a] then holds attribute a of
+// one real tuple whose X-values are the row's key. A partitioned source
+// may route the key by it (RoutingFetcher). String does not print it.
 type FetchOp struct {
 	Input      int
 	Constraint access.Constraint
 	XCols      []string
 	YOut       []string
+	Tuple      map[schema.Attribute]string
 }
 
 func (o FetchOp) String() string {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/index"
+	"repro/internal/schema"
 )
 
 // Fetcher resolves the index lookups of one fetch step: given an encoded
@@ -28,6 +29,17 @@ type Fetcher interface {
 // they keep past the call.
 type BatchFetcher interface {
 	FetchBatch(ctx context.Context, keys [][]byte, out []index.Bucket) error
+}
+
+// RoutingFetcher is a Fetcher over partitioned data that can ask one
+// partition per key, given the RouteBy values (the partition key) of a
+// tuple in each key's group; RouteBy is nil when it cannot. When the
+// step's FetchOp.Tuple holds every RouteBy attribute, the executor calls
+// FetchRouted, not FetchAll, with routes[i] their value.Key encoding
+// from keys[i]'s first input row.
+type RoutingFetcher interface {
+	RouteBy() []schema.Attribute
+	FetchRouted(ctx context.Context, keys, routes [][]byte, out []index.Bucket) error
 }
 
 // FetchAll resolves keys into out through f: one FetchBatch call when f

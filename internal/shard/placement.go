@@ -83,11 +83,27 @@ func ShardOf[T ~string | ~[]byte](k T, n int) int {
 }
 
 // aligned reports whether each group D_Y(X = ā) of constraint c lives
-// wholly on partition ShardOf(ā) — the route-vs-scatter decision: there
-// is one partition, or c's fetch keys coincide with its relation's
-// partition key.
+// wholly on partition ShardOf(ā): there is one partition, or c's fetch
+// keys coincide with its relation's partition key. A constraint that is
+// not aligned may still route by its rows' partition key (groupKey).
 func (p *Placement) aligned(c access.Constraint) bool {
 	return p.k == 1 || AttrsEqual(p.keys[c.Rel].attrs, c.X)
+}
+
+// groupKey returns the partition key P of c's relation R when each group
+// of c lies wholly on one partition, nil otherwise. That holds when A has
+// some R(X′ → Y′, 1) with X′ ⊆ X_c and P ⊆ X′ ∪ Y′: the tuples of one
+// group agree on X′, so on their one Y′-projection, so on P.
+func (p *Placement) groupKey(c access.Constraint, a *access.Schema) []schema.Attribute {
+	pk := p.keys[c.Rel].attrs
+	for _, fd := range a.Constraints {
+		if fd.Rel == c.Rel && fd.Card.IsConst() && fd.Card.Const == 1 &&
+			!slices.ContainsFunc(fd.X, func(x schema.Attribute) bool { return !slices.Contains(c.X, x) }) &&
+			!slices.ContainsFunc(pk, func(x schema.Attribute) bool { return !fd.Covers(x) }) {
+			return pk
+		}
+	}
+	return nil
 }
 
 // splitDelta partitions a delta into per-partition sub-deltas by each

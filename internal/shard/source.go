@@ -7,6 +7,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/schema"
 )
 
 // gatherSource is the plan.Source of one request over one cross-
@@ -47,12 +48,10 @@ func (g *gatherSource) FetcherFor(c access.Constraint) plan.Fetcher {
 		}
 	}
 	parts := partitioned{fs: fs, sc: g.sc, remote: g.e.remote}
-	switch {
-	case g.e.place.aligned(c):
+	if g.e.place.aligned(c) {
 		return routedFetcher{parts}
-	default:
-		return scatterFetcher{parts}
 	}
+	return scatterFetcher{parts, g.e.place.groupKey(c, g.e.Access)}
 }
 
 // partitioned is what the routed and scatter fetchers share: one fetcher
@@ -76,18 +75,24 @@ func (partitioned) FetchBytes([]byte) index.Bucket {
 // routedFetcher serves a constraint whose X equals the relation's
 // partition key: the whole group D_Y(X = ā) lives on partition
 // ShardOf(ā), so a fetch step asks each partition its keys map to once,
-// for exactly those keys — the same lookups as unsharded.
+// for exactly those keys — the same lookups as unsharded. A scatter
+// fetcher's step that routes by its rows shares the counting sort.
 type routedFetcher struct{ partitioned }
 
 func (f routedFetcher) FetchBatch(ctx context.Context, keys [][]byte, out []index.Bucket) error {
+	return f.route(ctx, keys, keys, out)
+}
+
+// route asks partition ShardOf(routes[i]), which holds keys[i]'s group.
+func (f partitioned) route(ctx context.Context, keys, routes [][]byte, out []index.Bucket) error {
 	k := len(f.fs)
 	// Counting sort by partition: partition p's keys are
 	// grouped[start[p]:start[p+1]], in input order, and keys[i] sits at
 	// grouped[slot[i]].
 	part := make([]int, len(keys))
 	start := make([]int, k+1)
-	for i, key := range keys {
-		part[i] = ShardOf(key, k)
+	for i := range keys {
+		part[i] = ShardOf(routes[i], k)
 		start[part[i]+1]++
 	}
 	for p := 0; p < k; p++ {
@@ -131,7 +136,18 @@ func (f routedFetcher) FetchBatch(ctx context.Context, keys [][]byte, out []inde
 // per key. Buckets are in canonical (key-sorted) order everywhere, so an
 // ordered merge with cross-partition dedup reproduces exactly the bucket
 // a single-node index would serve — same projections, same order.
-type scatterFetcher struct{ partitioned }
+// When by is set each group lies on one partition (Placement.groupKey),
+// so a step whose rows carry each key's by-values routes (FetchRouted).
+type scatterFetcher struct {
+	partitioned
+	by []schema.Attribute
+}
+
+func (f scatterFetcher) RouteBy() []schema.Attribute { return f.by }
+
+func (f scatterFetcher) FetchRouted(ctx context.Context, keys, routes [][]byte, out []index.Bucket) error {
+	return f.route(ctx, keys, routes, out)
+}
 
 func (f scatterFetcher) FetchBatch(ctx context.Context, keys [][]byte, out []index.Bucket) error {
 	k, n := len(f.fs), len(keys)
