@@ -32,7 +32,8 @@
 //	beserve -addr :8080 -demo accidents -peers http://localhost:8081,http://localhost:8082,http://localhost:8083
 //
 // A -shard-id node loads only its hash share of the dataset and serves
-// the /v1/internal/* protocol its coordinator drives, plus its own
+// the partition wire its coordinator drives — persistent framed
+// connections upgraded from GET /v1/internal/conn — plus its own
 // /healthz, /metrics and POST /v1/checkpoint; every other public
 // endpoint (/v1/query, /v1/apply, /v1/explain, /v1/schema) answers 421
 // not_coordinator, since an answer over one share would look exact
@@ -55,13 +56,15 @@
 // data directory that already holds state is recovered (checkpoint +
 // WAL replay) and the initial -demo/-data load is skipped; /healthz
 // reports the recovered version. On SIGINT/SIGTERM the server stops
-// accepting, drains in-flight streaming responses for up to
+// accepting, drains in-flight streaming responses — and on a shard
+// node, the calls in flight on its framed connections — for up to
 // -shutdown-grace, then writes a final checkpoint so the next start
 // recovers without replay.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -187,20 +190,22 @@ func run(ctx context.Context, cfg cliConfig, ready func(addr string)) error {
 	go func() {
 		<-ctx.Done()
 		// Stop accepting and drain in-flight (including streaming)
-		// responses; past the grace window they are cut.
+		// responses; past the grace window they are cut. finalize
+		// drains, within the same window, what Shutdown cannot see — a
+		// shard node's framed connections — before its parting
+		// checkpoint.
 		gctx, cancel := context.WithTimeout(context.Background(), cfg.shutdownGrace)
 		defer cancel()
-		shutdownErr <- hs.Shutdown(gctx)
+		err := hs.Shutdown(gctx)
+		if ferr := finalize(gctx); ferr != nil && err == nil {
+			err = ferr
+		}
+		shutdownErr <- err
 	}()
 	if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
 		return err
 	}
-	err = <-shutdownErr
-	// The drain is over: no writer can race the parting checkpoint.
-	if ferr := finalize(); ferr != nil && err == nil {
-		err = ferr
-	}
-	return err
+	return <-shutdownErr
 }
 
 // debugMux serves net/http/pprof on explicit routes — registering on a
@@ -218,28 +223,34 @@ func debugMux() *http.ServeMux {
 
 // build assembles what the process serves from the flags, mirroring
 // bequery's input sources (document+TSV data, or a built-in demo). The
-// returned finalize runs at shutdown (after the drain): it writes the
-// parting checkpoint and closes the durable store; a no-op without
+// returned finalize runs at shutdown, after http.Server.Shutdown: on a
+// shard node it first drains the framed connections within ctx; then —
+// once no call runs, so no writer can race it — it writes the parting
+// checkpoint and closes the durable store, which is skipped without
 // -data-dir.
-func build(ctx context.Context, cfg cliConfig) (http.Handler, func() error, error) {
-	h, dur, loaded, err := setup(ctx, cfg)
+func build(ctx context.Context, cfg cliConfig) (http.Handler, func(context.Context) error, error) {
+	h, drain, dur, loaded, err := setup(ctx, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !loaded {
 		return nil, nil, fmt.Errorf("no data loaded (use -demo, or -file with -data, or -data-dir with recoverable state)")
 	}
-	finalize := func() error { return nil }
-	if dur != nil {
-		finalize = func() error {
-			v, err := dur.Checkpoint(context.Background())
-			if err != nil {
-				dur.CloseDurable()
-				return fmt.Errorf("parting checkpoint: %w", err)
-			}
-			log.Printf("beserve: checkpointed version %d", v)
-			return dur.CloseDurable()
+	finalize := func(ctx context.Context) error {
+		var err error
+		if drain != nil {
+			err = drain(ctx)
 		}
+		if dur == nil {
+			return err
+		}
+		v, cerr := dur.Checkpoint(context.Background())
+		if cerr != nil {
+			dur.CloseDurable()
+			return errors.Join(err, fmt.Errorf("parting checkpoint: %w", cerr))
+		}
+		log.Printf("beserve: checkpointed version %d", v)
+		return errors.Join(err, dur.CloseDurable())
 	}
 	return h, finalize, nil
 }
@@ -333,33 +344,34 @@ func resolveSource(cfg cliConfig) (*source, error) {
 }
 
 // setup builds what the process serves: the public API over an engine,
-// or a shard node's own handler. dur is the durable store under
+// or a shard node's own handler and the drain of its framed connections
+// (nil in every other mode). dur is the durable store under
 // -data-dir (nil otherwise), and loaded reports whether data was
 // attached (checked in O(1) — materializing a sharded engine's merged
 // instance just to test for data would copy the whole dataset). With
 // -data-dir, a directory already holding durable state short-circuits
 // the load: the recovered snapshot IS the data.
-func setup(ctx context.Context, cfg cliConfig) (h http.Handler, dur recoverable, loaded bool, err error) {
+func setup(ctx context.Context, cfg cliConfig) (h http.Handler, drain func(context.Context) error, dur recoverable, loaded bool, err error) {
 	switch {
 	case cfg.shardCount > 0 && cfg.peers != "":
-		return nil, nil, false, fmt.Errorf("-shard-count and -peers are mutually exclusive")
+		return nil, nil, nil, false, fmt.Errorf("-shard-count and -peers are mutually exclusive")
 	case cfg.shards != 1 && (cfg.peers != "" || cfg.shardCount > 0):
-		return nil, nil, false, fmt.Errorf("-shards is an in-process flag; a cluster's partition count is its -shard-count, one partition per node")
+		return nil, nil, nil, false, fmt.Errorf("-shards is an in-process flag; a cluster's partition count is its -shard-count, one partition per node")
 	case cfg.shardID != 0 && cfg.shardCount == 0:
-		return nil, nil, false, fmt.Errorf("-shard-id needs -shard-count")
+		return nil, nil, nil, false, fmt.Errorf("-shard-id needs -shard-count")
 	}
 	src, err := resolveSource(cfg)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, nil, false, err
 	}
 	switch {
 	case cfg.peers != "":
 		coord, err := setupCoordinator(ctx, cfg, src)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, nil, nil, false, err
 		}
 		srv, err := newServer(cfg, coord, src.cat)
-		return srv, nil, true, err
+		return srv, nil, nil, true, err
 	case cfg.shardCount > 0:
 		// A cluster shard node keeps only its hash share of the dataset
 		// (the whole dataset may be offered — every node in a fleet can be
@@ -367,23 +379,23 @@ func setup(ctx context.Context, cfg cliConfig) (h http.Handler, dur recoverable,
 		// wire the coordinator drives, never the public API.
 		node, err := cluster.NewNode(src.cat.Schema, src.cat.Access, cfg.shardID, cfg.shardCount, cluster.Options{})
 		if err != nil {
-			return nil, nil, false, err
+			return nil, nil, nil, false, err
 		}
 		if dur, loaded, err = loadOrRecover(ctx, cfg, src, node); err != nil {
-			return nil, nil, false, err
+			return nil, nil, nil, false, err
 		}
 		log.Printf("beserve: shard node %d of %d", cfg.shardID, cfg.shardCount)
-		return node.InternalHandler(), dur, loaded, nil
+		return node.InternalHandler(), node.Drain, dur, loaded, nil
 	default:
 		fleet, err := shard.New(src.cat.Schema, src.cat.Access, shard.Options{Shards: cfg.shards})
 		if err != nil {
-			return nil, nil, false, err
+			return nil, nil, nil, false, err
 		}
 		if dur, loaded, err = loadOrRecover(ctx, cfg, src, fleet); err != nil {
-			return nil, nil, false, err
+			return nil, nil, nil, false, err
 		}
 		srv, err := newServer(cfg, fleet, src.cat)
-		return srv, dur, loaded, err
+		return srv, nil, dur, loaded, err
 	}
 }
 

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -118,7 +122,8 @@ func TestServeAndShutdown(t *testing.T) {
 }
 
 // TestShardNodeSurface pins what a -shard-count node serves: its
-// /healthz, /metrics, /v1/checkpoint and the partition wire, and a 421
+// /healthz, /metrics, /v1/checkpoint and the framed partition wire — a
+// 426 for the retired per-call paths — and a 421
 // not_coordinator refusal on every public endpoint a coordinator serves
 // — a node's answer over its share alone would look exact while
 // covering half the data.
@@ -150,8 +155,15 @@ func TestShardNodeSurface(t *testing.T) {
 	if code, body := get("/metrics"); code != http.StatusOK || !strings.Contains(body, "beserve_engine_shards 2\n") {
 		t.Errorf("metrics: %d\n%s", code, body)
 	}
-	if code, body := get("/v1/internal/status"); code != http.StatusOK {
-		t.Errorf("internal status: %d %s", code, body)
+	// The retired per-call wire is refused with the protocol to upgrade
+	// to; the partition wire is a framed connection.
+	if code, body := get("/v1/internal/status"); code != http.StatusUpgradeRequired || !strings.Contains(body, `"upgrade_required"`) {
+		t.Errorf("internal status over plain HTTP: %d %s, want 426 upgrade_required", code, body)
+	}
+	conn, st := framedStatus(t, strings.TrimPrefix(base, "http://"))
+	defer conn.Close()
+	if st.Shard != 0 || st.Shards != 2 || st.Size == 0 {
+		t.Errorf("framed status = %+v, want shard 0 of 2 holding data", st)
 	}
 	// Without -data-dir the node's own checkpoint is a structured 409.
 	resp, err := http.Post(base+"/v1/checkpoint", "", nil)
@@ -187,5 +199,59 @@ func TestShardNodeSurface(t *testing.T) {
 			!strings.Contains(refusal.Error.Message, "coordinator") {
 			t.Errorf("%s %s: %d %+v (err %v), want 421 not_coordinator", req.method, req.path, resp.StatusCode, refusal, err)
 		}
+	}
+}
+
+// framedStatus upgrades a connection to addr's partition wire and makes
+// one status call on it by hand — request frame: method 1 (status),
+// empty body; answer frame: uvarint status, uvarint length, JSON — so
+// the test pins the bytes a node speaks, not a client's idea of them.
+func framedStatus(t *testing.T, addr string) (net.Conn, struct{ Shard, Shards, Size int }) {
+	t.Helper()
+	var st struct{ Shard, Shards, Size int }
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fmt.Fprintf(conn, "GET /v1/internal/conn HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: beserve-partition/1\r\n\r\n", addr)
+	r := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(r, nil)
+	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("upgrade: %v %v", resp, err)
+	}
+	if _, err := conn.Write([]byte{1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	status, err := binary.ReadUvarint(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r, body); err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusOK || json.Unmarshal(body, &st) != nil {
+		t.Fatalf("framed status: %d %s", status, body)
+	}
+	return conn, st
+}
+
+// TestShutdownDrainsFramedConnections pins that a shard node's graceful
+// shutdown ends the framed connections http.Server.Shutdown does not
+// track: a coordinator's connection, idle when the signal comes, is
+// closed by the node before run returns.
+func TestShutdownDrainsFramedConnections(t *testing.T) {
+	base, stop := serve(t, cfg(func(c *cliConfig) { c.demo = "accidents"; c.shardCount = 2; c.shardID = 1 }))
+	conn, _ := framedStatus(t, strings.TrimPrefix(base, "http://"))
+	defer conn.Close()
+	stop()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("framed connection after shutdown: read %d bytes, %v; want EOF", n, err)
 	}
 }

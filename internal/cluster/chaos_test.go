@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -18,141 +19,85 @@ import (
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/data"
+	"repro/internal/index"
 	"repro/internal/live"
+	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/workload"
 )
 
-// chaosRT is a fault-injecting http.RoundTripper. A swappable rule
-// inspects each outgoing request and names the fault to inject:
+// chaosRT is a fault injector on the framed wire. A swappable rule
+// inspects each call a coordinator sends — the peer and the method —
+// and names the fault to inject:
 //
 //	""     pass through
-//	"drop" fail the request at the transport (connection lost)
-//	"500"  answer a synthetic 500 without reaching the peer
-//	"cut"  forward, then sever the response body mid-stream
-//	"dup"  deliver the request TWICE (duplicate commit), answer the second
+//	"drop" fail the call at the transport (connection lost), unsent
+//	"500"  answer a synthetic 500 error frame without reaching the peer
+//	"cut"  send the call, then sever its answer mid-frame
+//	"dup"  send the request frame TWICE (duplicate commit), discard the
+//	       first answer and answer the second
 //
 // Faults are injected at the coordinator's client, so the suite proves
 // the coordinator's failure handling — retries, circuit breaking,
 // rollback repair, idempotency — not the test server's.
 type chaosRT struct {
-	base http.RoundTripper
 	mu   sync.Mutex
-	rule func(*http.Request) string
-}
-
-func newChaosRT() *chaosRT {
-	return &chaosRT{base: &http.Transport{MaxIdleConnsPerHost: 4}}
+	rule func(peer int, m method) string
 }
 
 // setRule swaps the active fault rule; nil heals everything.
-func (c *chaosRT) setRule(f func(*http.Request) string) {
+func (c *chaosRT) setRule(f func(peer int, m method) string) {
 	c.mu.Lock()
 	c.rule = f
 	c.mu.Unlock()
 }
 
+// install routes every call of peers through the injector.
+func (c *chaosRT) install(peers ...*peerClient) {
+	for _, p := range peers {
+		p.exchange = func(pc *peerConn, m method, body []byte) (int, []byte, error) {
+			c.mu.Lock()
+			rule := c.rule
+			c.mu.Unlock()
+			fault := ""
+			if rule != nil {
+				fault = rule(p.id, m)
+			}
+			switch fault {
+			case "drop":
+				return 0, nil, errChaosDrop
+			case "500":
+				return http.StatusInternalServerError, []byte("chaos"), nil
+			case "dup":
+				// A commit that is not idempotent-by-txn would double-apply
+				// here.
+				if _, _, err := pc.roundTrip(m, body); err != nil {
+					return 0, nil, err
+				}
+			case "cut":
+				if err := writeFrame(pc.w, uint64(m), body); err != nil {
+					return 0, nil, err
+				}
+				return readAnswer(bufio.NewReader(io.LimitReader(pc.r, 64)))
+			}
+			return pc.roundTrip(m, body)
+		}
+	}
+}
+
 var errChaosDrop = errors.New("chaos: connection dropped")
 
-func (c *chaosRT) RoundTrip(req *http.Request) (*http.Response, error) {
-	c.mu.Lock()
-	rule := c.rule
-	c.mu.Unlock()
-	fault := ""
-	if rule != nil {
-		fault = rule(req)
-	}
-	switch fault {
-	case "drop":
-		if req.Body != nil {
-			req.Body.Close()
-		}
-		return nil, errChaosDrop
-	case "500":
-		if req.Body != nil {
-			io.Copy(io.Discard, req.Body)
-			req.Body.Close()
-		}
-		return &http.Response{
-			StatusCode: http.StatusInternalServerError,
-			Status:     "500 Internal Server Error",
-			Proto:      "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-			Header:  make(http.Header),
-			Body:    io.NopCloser(strings.NewReader("chaos")),
-			Request: req,
-		}, nil
-	case "dup":
-		// Replay the body and deliver the request once ahead of the real
-		// one; the caller sees only the second response. A commit that is
-		// not idempotent-by-txn would double-apply here.
-		if req.GetBody != nil {
-			if b, err := req.GetBody(); err == nil {
-				first := req.Clone(req.Context())
-				first.Body = b
-				if resp, err := c.base.RoundTrip(first); err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-				}
-			}
-		}
-		return c.base.RoundTrip(req)
-	case "cut":
-		resp, err := c.base.RoundTrip(req)
-		if err != nil {
-			return resp, err
-		}
-		resp.Body = &cutBody{rc: resp.Body, left: 64}
-		resp.ContentLength = -1
-		return resp, nil
-	default:
-		return c.base.RoundTrip(req)
-	}
-}
-
-// cutBody severs a response body after `left` bytes, simulating a peer
-// dying mid-stream.
-type cutBody struct {
-	rc   io.ReadCloser
-	left int
-}
-
-func (c *cutBody) Read(p []byte) (int, error) {
-	if c.left <= 0 {
-		return 0, errors.New("chaos: stream cut")
-	}
-	if len(p) > c.left {
-		p = p[:c.left]
-	}
-	n, err := c.rc.Read(p)
-	c.left -= n
-	if c.left <= 0 && err == nil {
-		err = errors.New("chaos: stream cut")
-	}
-	return n, err
-}
-
-func (c *cutBody) Close() error { return c.rc.Close() }
-
-// chaosOptions builds coordinator options routed through a chaos
-// transport, with fast retry/cooldown schedules so fault windows clear
-// in milliseconds.
+// chaosOptions builds coordinator options with fast retry/cooldown
+// schedules so fault windows clear in milliseconds, and the injector to
+// install on the coordinator's peers.
 func chaosOptions(t *testing.T) (Options, *chaosRT) {
 	t.Helper()
-	rt := newChaosRT()
-	hc := &http.Client{Transport: rt}
-	t.Cleanup(hc.CloseIdleConnections)
 	return Options{
-		Client:     hc,
 		RPCTimeout: 5 * time.Second,
 		Retries:    2,
 		Backoff:    time.Millisecond,
 		Cooldown:   20 * time.Millisecond,
-	}, rt
-}
-
-// hostOf extracts the host:port of a test server URL for rule matching.
-func hostOf(u string) string {
-	return strings.TrimPrefix(strings.TrimPrefix(u, "http://"), "https://")
+	}, &chaosRT{}
 }
 
 // codedError extracts the stable error code of a structured refusal, or
@@ -175,7 +120,8 @@ func codedError(err error) string {
 func TestChaosPeerDownStructuredDegradation(t *testing.T) {
 	tb := accidentsBed(t)
 	opts, rt := chaosOptions(t)
-	coord, _, urls := startCluster(t, tb, 2, opts)
+	coord, _, _ := startCluster(t, tb, 2, opts)
+	rt.install(coord.peers...)
 	if err := coord.Load(tb.build()); err != nil {
 		t.Fatal(err)
 	}
@@ -185,9 +131,8 @@ func TestChaosPeerDownStructuredDegradation(t *testing.T) {
 	}
 	qs, _ := tb.queries(t, 30)
 
-	deadHost := hostOf(urls[1])
-	rt.setRule(func(req *http.Request) string {
-		if req.URL.Host == deadHost {
+	rt.setRule(func(peer int, _ method) string {
+		if peer == 1 {
 			return "drop"
 		}
 		return ""
@@ -255,6 +200,7 @@ func TestChaosCommitFailureFailsWhole(t *testing.T) {
 	tb := accidentsBed(t)
 	opts, rt := chaosOptions(t)
 	coord, _, urls := startCluster(t, tb, 2, opts)
+	rt.install(coord.peers...)
 	if err := coord.Load(tb.build()); err != nil {
 		t.Fatal(err)
 	}
@@ -277,9 +223,8 @@ func TestChaosCommitFailureFailsWhole(t *testing.T) {
 	delta := st.Next()
 	sizeBefore := coord.Stats().Size
 
-	deadHost := hostOf(urls[1])
-	rt.setRule(func(req *http.Request) string {
-		if req.URL.Host == deadHost && strings.HasSuffix(req.URL.Path, "/commit") {
+	rt.setRule(func(peer int, m method) string {
+		if peer == 1 && m == mCommit {
 			return "500"
 		}
 		return ""
@@ -326,6 +271,7 @@ func TestChaosDuplicateCommitIdempotent(t *testing.T) {
 	tb := accidentsBed(t)
 	opts, rt := chaosOptions(t)
 	coord, _, urls := startCluster(t, tb, 2, opts)
+	rt.install(coord.peers...)
 	if err := coord.Load(tb.build()); err != nil {
 		t.Fatal(err)
 	}
@@ -333,8 +279,8 @@ func TestChaosDuplicateCommitIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.setRule(func(req *http.Request) string {
-		if strings.HasSuffix(req.URL.Path, "/commit") {
+	rt.setRule(func(_ int, m method) string {
+		if m == mCommit {
 			return "dup"
 		}
 		return ""
@@ -379,6 +325,7 @@ func TestChaosCutDumpNoPartialState(t *testing.T) {
 	tb := randomBed(t)
 	opts, rt := chaosOptions(t)
 	coord, _, _ := startCluster(t, tb, 2, opts)
+	rt.install(coord.peers...)
 	if err := coord.Load(tb.build()); err != nil {
 		t.Fatal(err)
 	}
@@ -404,8 +351,8 @@ func TestChaosCutDumpNoPartialState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rt.setRule(func(req *http.Request) string {
-		if strings.HasSuffix(req.URL.Path, "/dump") {
+	rt.setRule(func(_ int, m method) string {
+		if m == mDump {
 			return "cut"
 		}
 		return ""
@@ -453,9 +400,8 @@ func TestChaosWireSoakExactlyOneSnapshot(t *testing.T) {
 		nodes[i] = node
 		urls[i] = servers[i].URL
 	}
-	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
 	coord, err := New(s, a, urls, Options{
-		Client: hc, RPCTimeout: 5 * time.Second, Retries: 2,
+		RPCTimeout: 5 * time.Second, Retries: 2,
 		Backoff: time.Millisecond, Cooldown: 20 * time.Millisecond,
 	})
 	if err != nil {
@@ -536,7 +482,7 @@ func TestChaosWireSoakExactlyOneSnapshot(t *testing.T) {
 	for _, ts := range servers {
 		ts.Close()
 	}
-	hc.CloseIdleConnections()
+	closePeers(coord.peers...)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if runtime.NumGoroutine() <= before+2 {
@@ -564,21 +510,23 @@ func TestZeroOptionsRetryIdempotentCalls(t *testing.T) {
 	}
 	ts := httptest.NewServer(node.InternalHandler())
 	t.Cleanup(ts.Close)
-	chaos, rt := chaosOptions(t)
+	_, rt := chaosOptions(t)
 	var attempts atomic.Int32
-	rt.setRule(func(*http.Request) string {
+	rt.setRule(func(int, method) string {
 		if attempts.Add(1) == 1 {
 			return "drop"
 		}
 		return ""
 	})
 	ctx := context.Background()
-	p := newPeerClient(0, ts.URL, tb.schema, tb.access, Options{Client: chaos.Client})
+	p := testPeer(t, 0, ts.URL, tb, Options{})
+	rt.install(p)
 	if _, err := p.Status(ctx); err != nil {
 		t.Fatalf("zero Options: a dropped first attempt failed the call: %v", err)
 	}
 	attempts.Store(0)
-	p = newPeerClient(0, ts.URL, tb.schema, tb.access, Options{Client: chaos.Client, Retries: -1})
+	p = testPeer(t, 0, ts.URL, tb, Options{Retries: -1})
+	rt.install(p)
 	if _, err := p.Status(ctx); !errors.Is(err, errChaosDrop) {
 		t.Fatalf("Retries -1: a dropped attempt answered %v, want the drop", err)
 	}
@@ -614,5 +562,39 @@ func TestCanceledCallLeavesBreakerClosed(t *testing.T) {
 	}
 	if res.Mode != core.ViaBoundedPlan || len(res.Rows) == 0 {
 		t.Fatalf("probe served via %v with %d rows, want a bounded fetch with rows", res.Mode, len(res.Rows))
+	}
+}
+
+// TestCanceledCallClosesItsConnection pins that a connection whose call
+// was cancelled is closed, never pooled: here a fetch's request frame is
+// out and its answer on the way when the caller gives up, and the
+// peer's next call — a status — must read its own answer, not the
+// fetch's.
+func TestCanceledCallClosesItsConnection(t *testing.T) {
+	tb := randomBed(t)
+	coord, _, urls := startCluster(t, tb, 1, testOptions(t))
+	if err := coord.Load(tb.build()); err != nil {
+		t.Fatal(err)
+	}
+	opts := testOptions(t)
+	opts.Retries = -1
+	p := testPeer(t, 0, urls[0], tb, opts)
+	ctx, cancel := context.WithCancel(context.Background())
+	p.exchange = func(pc *peerConn, m method, body []byte) (int, []byte, error) {
+		if err := writeFrame(pc.w, uint64(m), body); err != nil {
+			return 0, nil, err
+		}
+		cancel()
+		return 0, nil, context.Canceled
+	}
+	view, _ := p.Pin(0)
+	keys := [][]byte{[]byte(keyOf(1))}
+	if err := view.Fetcher(0).(plan.BatchFetcher).FetchBatch(ctx, keys, make([]index.Bucket, 1)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled fetch answered %v", err)
+	}
+	p.exchange = (*peerConn).roundTrip
+	st, err := p.Status(context.Background())
+	if err != nil || st.Shards != 1 || st.Size == 0 {
+		t.Fatalf("status after a cancelled fetch: %+v, %v", st, err)
 	}
 }

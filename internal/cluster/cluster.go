@@ -1,27 +1,28 @@
-// Package cluster puts internal/shard's partitions behind HTTP: the
-// transport of a networked fleet, and nothing of its protocol. The
+// Package cluster puts internal/shard's partitions behind a network:
+// the transport of a networked fleet, and nothing of its protocol. The
 // coordinator — placement, two-phase Apply, global validation, Attach,
 // route/scatter reads — is shard.Engine, written once against
 // shard.Partition; this package supplies the two halves that carry a
 // Partition across a network and back:
 //
-//   - peerClient IS a shard.Partition whose methods are RPCs to
-//     /v1/internal/* on a shard node (client.go, wire.go), so New is
-//     shard.NewCoordinator over K of them;
+//   - peerClient IS a shard.Partition whose methods are calls on
+//     persistent framed connections to a shard node (client.go,
+//     wire.go), so New is shard.NewCoordinator over K of them;
 //   - Node owns a shard.Local — the same partition state machine an
-//     in-process fleet runs — and serves it over that wire
-//     (InternalHandler, handler.go), with its own /healthz, /metrics
-//     and /v1/checkpoint. A node is a partition, not an engine: every
-//     other public endpoint answers 421 not_coordinator, because
-//     reads over one share would look exact while covering part of the
-//     data, and writes need the coordinator's global validation.
+//     in-process fleet runs — and serves it over that wire, upgraded
+//     from HTTP on the node's one listener (InternalHandler, node.go,
+//     handler.go), with its own /healthz, /metrics and /v1/checkpoint.
+//     A node is a partition, not an engine: every other public endpoint
+//     answers 421 not_coordinator, because reads over one share would
+//     look exact while covering part of the data, and writes need the
+//     coordinator's global validation.
 //
 // The partition function is shard.ShardOf over the partition keys both
 // sides derive from the shared catalog, so a tuple lives on the same
 // shard whether the deployment is in-process or networked, and the
 // coordinator's wire output is byte-identical to a single-node beserve.
 //
-// Failure model: every RPC has a per-request timeout; idempotent calls
+// Failure model: every call attempt has a deadline; idempotent calls
 // (status, fetch, dump, group measurement, commit-by-txn, rollback) get
 // bounded retries with doubling backoff; a peer that keeps failing is
 // marked down and queries refuse fast with a structured
@@ -45,8 +46,9 @@ import (
 // them. The planner and the placement of both derive from the catalog
 // and the partition count alone, so they agree by construction.
 type Options struct {
-	// Client is the HTTP client for peer RPCs (coordinator only). Nil
-	// gets a dedicated client with connection pooling.
+	// Client is unused: a coordinator dials and pools its framed
+	// connections itself. It remains only because the benchmark harness
+	// (benchmark/fixture.go) still sets it, and goes when that stops.
 	Client *http.Client
 	// RPCTimeout bounds one request attempt to a peer; Retries and
 	// Backoff shape the retry schedule of idempotent calls; Cooldown is
@@ -59,7 +61,7 @@ type Options struct {
 }
 
 // Engine is the coordinator over K networked shard nodes: shard.Engine
-// built over HTTP partitions, plus the per-peer RPC metrics only such
+// built over networked partitions, plus the per-peer RPC metrics only such
 // partitions have.
 type Engine struct {
 	*shard.Engine
@@ -73,14 +75,14 @@ var _ core.Queryable = (*Engine)(nil)
 // before serving to verify the fleet and adopt its committed version,
 // or Load to push it a dataset.
 func New(s *schema.Schema, a *access.Schema, peerURLs []string, opts Options) (*Engine, error) {
-	if opts.Client == nil {
-		opts.Client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
-	}
 	peers := make([]*peerClient, len(peerURLs))
 	parts := make([]shard.Partition, len(peerURLs))
 	for i, u := range peerURLs {
-		peers[i] = newPeerClient(i, u, s, a, opts)
-		parts[i] = peers[i]
+		p, err := newPeerClient(i, u, s, a, opts)
+		if err != nil {
+			return nil, err
+		}
+		peers[i], parts[i] = p, p
 	}
 	co, err := shard.NewCoordinator(s, a, parts)
 	if err != nil {

@@ -15,15 +15,15 @@ import (
 var raceEnabled bool
 
 // TestPeerFetchAllocs pins what one 16-key peer fetch costs the whole
-// process — the coordinator's encode and decode, the node's parse,
-// lookups and answer, and net/http on both sides — so a codec that
-// allocates per key or per cell cannot creep back unnoticed. A round
-// trip measures 104 allocations, most of them net/http's.
+// process — the coordinator's encode, frames and decode, the node's
+// frame read, parse, lookups and answer — so a codec or a transport
+// that allocates per key, per cell or per header cannot creep back
+// unnoticed. A round trip measures 10 allocations.
 func TestPeerFetchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the plain build's")
 	}
-	const ceiling = 130
+	const ceiling = 20
 	tb := randomBed(t)
 	coord, _, _ := startCluster(t, tb, 1, testOptions(t))
 	if err := coord.Load(tb.build()); err != nil {
@@ -58,7 +58,8 @@ func TestPeerFetchAllocs(t *testing.T) {
 // BenchmarkClusterQ0 serves a 64-variant mix of Example 1.1's Q0 (each
 // a district and a date of its own) through a coordinator over 4 shard
 // nodes on loopback httptest servers: beyond one engine's work, what it
-// measures is peer RPCs, their codec and the merge.
+// measures is peer calls on framed connections, their codec and the
+// merge.
 func BenchmarkClusterQ0(b *testing.B) {
 	tb := testbed{
 		schema: workload.AccidentSchema(),

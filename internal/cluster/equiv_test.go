@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -186,16 +185,11 @@ func (tb testbed) single(t *testing.T) *core.Engine {
 	return single
 }
 
-// testOptions are coordinator options tuned for tests: short timeouts,
-// fast retry/cooldown schedules, and a private HTTP client whose idle
-// connections the cleanup can drain (so goroutine-leak checks see a
-// quiet process).
+// testOptions are coordinator options tuned for tests: short timeouts
+// and fast retry/cooldown schedules.
 func testOptions(t testing.TB) Options {
 	t.Helper()
-	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
-	t.Cleanup(hc.CloseIdleConnections)
 	return Options{
-		Client:     hc,
 		RPCTimeout: 5 * time.Second,
 		Retries:    2,
 		Backoff:    time.Millisecond,
@@ -204,7 +198,7 @@ func testOptions(t testing.TB) Options {
 }
 
 // startCluster builds K shard nodes, each behind its own httptest
-// server speaking the /v1/internal/* wire, and a coordinator over them.
+// server serving the framed wire, and a coordinator over them.
 // The returned nodes allow tests to inspect per-shard state (versions,
 // sizes) that a real deployment would read via /status.
 func startCluster(t testing.TB, tb testbed, k int, opts Options) (*Engine, []*Node, []string) {
@@ -225,11 +219,33 @@ func startCluster(t testing.TB, tb testbed, k int, opts Options) (*Engine, []*No
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { closePeers(coord.peers...) })
 	return coord, nodes, urls
 }
 
-// fleetKinds are the partition kinds every property runs over. "mixed"
-// puts the odd partitions behind HTTP and keeps the even ones local.
+// testPeer is a peer client of node i at url whose idle connections the
+// test's cleanup closes, so that the node's serve loops end with it.
+func testPeer(t testing.TB, i int, url string, tb testbed, opts Options) *peerClient {
+	t.Helper()
+	p, err := newPeerClient(i, url, tb.schema, tb.access, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.closeIdle)
+	return p
+}
+
+// closePeers closes the idle connections of peers: the coordinator side
+// of a fleet's teardown.
+func closePeers(peers ...*peerClient) {
+	for _, p := range peers {
+		p.closeIdle()
+	}
+}
+
+// fleetKinds are the partition kinds every property runs over: "http"
+// puts every partition behind a node's framed wire, and "mixed" puts the
+// odd ones there and keeps the even ones local.
 var fleetKinds = []string{"local", "http", "mixed"}
 
 // fleet is one coordinator under test plus its partitions, for the
@@ -260,7 +276,7 @@ func newFleet(t *testing.T, tb testbed, kind string, k int) *fleet {
 			}
 			ts := httptest.NewServer(node.InternalHandler())
 			t.Cleanup(ts.Close)
-			f.parts[i] = newPeerClient(i, ts.URL, tb.schema, tb.access, testOptions(t))
+			f.parts[i] = testPeer(t, i, ts.URL, tb, testOptions(t))
 			continue
 		}
 		l, err := shard.NewLocal(tb.schema, tb.access, i, k)
@@ -665,7 +681,7 @@ func TestAttachRollsBackPartitionRestartedAheadOfCut(t *testing.T) {
 					if kind == "http" {
 						ts := httptest.NewServer(node.InternalHandler())
 						stops = append(stops, ts.Close)
-						f.parts[i] = newPeerClient(i, ts.URL, tb.schema, tb.access, testOptions(t))
+						f.parts[i] = testPeer(t, i, ts.URL, tb, testOptions(t))
 					}
 				}
 				eng, err := shard.NewCoordinator(tb.schema, tb.access, f.parts)

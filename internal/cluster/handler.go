@@ -1,13 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"sync"
 
 	"repro/internal/access"
@@ -19,11 +18,6 @@ import (
 	"repro/internal/shard"
 )
 
-// maxInternalBody bounds internal request bodies (deltas, partition
-// images). Generous — this surface is coordinator-to-node, not public —
-// but still bounded so a confused peer cannot balloon memory.
-const maxInternalBody = 1 << 30
-
 // historyLen bounds the versions a node keeps readable for remote
 // readers. A reader in the coordinator's process holds its pinned View,
 // and with it its snapshot, for as long as it reads; a remote reader
@@ -34,13 +28,14 @@ const maxInternalBody = 1 << 30
 // never served a different version.
 const historyLen = 8
 
-// partitionHandler serves one shard.Partition over the /v1/internal/*
-// wire — the inverse of peerClient, which is a shard.Partition over
-// that wire. The wire's encodings start here.
+// partitionHandler serves one shard.Partition over the framed wire —
+// the inverse of peerClient, which is a shard.Partition over that wire.
+// The wire's encodings start here.
 type partitionHandler struct {
 	part   shard.Partition
 	schema *schema.Schema
 	access *access.Schema
+	calls  [numMethods]frameCall
 
 	// views holds the last historyLen committed versions, pinned as they
 	// commit. guarded by mu.
@@ -48,22 +43,86 @@ type partitionHandler struct {
 	views map[uint64]shard.View
 }
 
-// newPartitionHandler builds the /v1/internal/* surface over part.
-func newPartitionHandler(part shard.Partition, s *schema.Schema, a *access.Schema) *http.ServeMux {
+// frameCall answers one request body, appending the answer body to out
+// or returning a slice of its own.
+type frameCall func(ctx context.Context, body, out []byte) ([]byte, error)
+
+func newPartitionHandler(part shard.Partition, s *schema.Schema, a *access.Schema) *partitionHandler {
 	h := &partitionHandler{part: part, schema: s, access: a, views: make(map[uint64]shard.View)}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/internal/status", h.status)
-	mux.HandleFunc("/v1/internal/dump", h.dump)
-	mux.HandleFunc("/v1/internal/load", post(h.load))
-	mux.HandleFunc("/v1/internal/stage", post(h.stage))
-	mux.HandleFunc("/v1/internal/checkpoint", post(h.checkpoint))
-	mux.HandleFunc("/v1/internal/fetch", post(h.fetch))
-	mux.HandleFunc("/v1/internal/maxgroup", rpc(h.maxGroup))
-	mux.HandleFunc("/v1/internal/groups", rpc(h.groups))
-	mux.HandleFunc("/v1/internal/commit", rpc(h.commit))
-	mux.HandleFunc("/v1/internal/abort", rpc(h.abort))
-	mux.HandleFunc("/v1/internal/rollback", rpc(h.rollback))
-	return mux
+	h.calls = [numMethods]frameCall{
+		mStatus:     h.status,
+		mLoad:       h.load,
+		mStage:      h.stage,
+		mFetch:      h.fetch,
+		mDump:       h.dump,
+		mMaxGroup:   jsonCall(h.maxGroup),
+		mGroups:     jsonCall(h.groups),
+		mCommit:     jsonCall(h.commit),
+		mAbort:      jsonCall(h.abort),
+		mRollback:   jsonCall(h.rollback),
+		mCheckpoint: jsonCall(h.checkpoint),
+	}
+	return h
+}
+
+// serve answers one request frame: the answer's status, and its body
+// appended to out or a slice of its own.
+func (h *partitionHandler) serve(ctx context.Context, m method, body, out []byte) (int, []byte) {
+	var call frameCall
+	if m < numMethods {
+		call = h.calls[m]
+	}
+	if call == nil {
+		return errorAnswer(out, badRequest(fmt.Sprintf("unknown %s", m)))
+	}
+	answer, err := call(ctx, body, out)
+	if err != nil {
+		return errorAnswer(out, err)
+	}
+	return http.StatusOK, answer
+}
+
+// errorAnswer appends err's envelope to out, under its status.
+func errorAnswer(out []byte, err error) (int, []byte) {
+	status, we := envelope(err)
+	b, _ := json.Marshal(we) // strings only: always encodes
+	return status, append(out[:0], b...)
+}
+
+// envelope is err as the {"error":{code,message}} envelope and its
+// status, the same shape as the public API's. Refusals carry their own
+// status, code and bare message (the client re-attaches the shard);
+// anything else is an internal error.
+func envelope(err error) (int, wireError) {
+	var we wireError
+	status := http.StatusInternalServerError
+	we.Error.Code, we.Error.Message = "internal", err.Error()
+	var re *shard.Refusal
+	if errors.As(err, &re) {
+		status, we.Error.Code, we.Error.Message = re.Status, re.Code, re.Message
+	}
+	return status, we
+}
+
+// jsonCall adapts a typed call to a frame: JSON request in, JSON answer
+// out.
+func jsonCall[Req, Resp any](call func(context.Context, Req) (Resp, error)) frameCall {
+	return func(ctx context.Context, body, out []byte) ([]byte, error) {
+		var req Req
+		if err := json.Unmarshal(body, &req); err != nil {
+			return nil, badRequest(err.Error())
+		}
+		resp, err := call(ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		return appendJSON(out, resp)
+	}
+}
+
+func appendJSON(out []byte, v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	return append(out, b...), err
 }
 
 // remember pins version v on the partition and keeps its View for later
@@ -111,180 +170,102 @@ func (h *partitionHandler) pin(v uint64) (shard.View, error) {
 	return h.remember(v)
 }
 
-// pinned resolves the ?v=<version> a dump or checkpoint names.
-func (h *partitionHandler) pinned(r *http.Request) (uint64, shard.View, error) {
-	v, err := strconv.ParseUint(r.URL.Query().Get("v"), 10, 64)
-	if err != nil {
-		return 0, nil, badRequest(r.URL.Path + " needs ?v=<version>")
-	}
-	view, err := h.pin(v)
-	return v, view, err
-}
-
 func badRequest(msg string) error {
 	return &shard.Refusal{Status: http.StatusBadRequest, Code: "bad_request", Message: msg}
-}
-
-// reply writes v as the JSON answer, or err in the same
-// {"error":{code,message}} envelope as the public API. Refusals carry
-// their own status, code and bare message (the client re-attaches the
-// shard); anything else is an internal error.
-func reply(w http.ResponseWriter, v any, err error) {
-	status := http.StatusOK
-	if err != nil {
-		var we wireError
-		status, we.Error.Code, we.Error.Message = http.StatusInternalServerError, "internal", err.Error()
-		var re *shard.Refusal
-		if errors.As(err, &re) {
-			status, we.Error.Code, we.Error.Message = re.Status, re.Code, re.Message
-		}
-		v = we
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// post guards the mutating endpoints.
-func post(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			reply(w, nil, &shard.Refusal{Status: http.StatusMethodNotAllowed, Code: "method_not_allowed", Message: "use POST"})
-			return
-		}
-		h(w, r)
-	}
-}
-
-// rpc adapts a typed call to a POST endpoint: JSON request in, JSON
-// response or error envelope out.
-func rpc[Req, Resp any](call func(context.Context, Req) (Resp, error)) http.HandlerFunc {
-	return post(func(w http.ResponseWriter, r *http.Request) {
-		var req Req
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInternalBody)).Decode(&req); err != nil {
-			reply(w, nil, badRequest(err.Error()))
-			return
-		}
-		resp, err := call(r.Context(), req)
-		reply(w, resp, err)
-	})
 }
 
 // status is what a coordinator attaches by, so the version it reports is
 // one readers are about to pin: remember it — nothing else has, on a
 // node restarted since that version committed.
-func (h *partitionHandler) status(w http.ResponseWriter, r *http.Request) {
-	st, err := h.part.Status(r.Context())
-	if err == nil {
-		h.remember(st.Version)
+func (h *partitionHandler) status(ctx context.Context, body, out []byte) ([]byte, error) {
+	if len(body) != 0 {
+		return nil, badRequest("status takes no body")
 	}
-	reply(w, st, err)
+	st, err := h.part.Status(ctx)
+	if err != nil {
+		return nil, err
+	}
+	h.remember(st.Version)
+	return appendJSON(out, st)
 }
 
 // fetch serves one fetch step's index lookups at the reader's pinned
 // version: for each key, constraint ci's bucket on this partition, in
 // the binary exchange wire.go describes.
-func (h *partitionHandler) fetch(w http.ResponseWriter, r *http.Request) {
-	if ct := r.Header.Get("Content-Type"); ct != binaryType {
-		reply(w, nil, badRequest("fetch body must be "+binaryType+", not "+strconv.Quote(ct)))
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxInternalBody))
-	if err != nil {
-		reply(w, nil, badRequest(err.Error()))
-		return
-	}
+func (h *partitionHandler) fetch(ctx context.Context, body, out []byte) ([]byte, error) {
 	v, ci, keys, err := parseFetchRequest(body)
 	if err != nil {
-		reply(w, nil, badRequest(err.Error()))
-		return
+		return nil, badRequest(err.Error())
 	}
 	view, err := h.pin(v)
 	if err != nil {
-		reply(w, nil, err)
-		return
+		return nil, err
 	}
 	var f plan.Fetcher
 	if ci < uint64(len(h.access.Constraints)) {
 		f = view.Fetcher(int(ci))
 	}
 	if f == nil {
-		reply(w, nil, badRequest(fmt.Sprintf("no constraint %d", ci)))
-		return
+		return nil, badRequest(fmt.Sprintf("no constraint %d", ci))
 	}
 	buckets := make([]index.Bucket, len(keys))
-	if err := plan.FetchAll(r.Context(), f, keys, buckets); err != nil {
-		reply(w, nil, err)
-		return
+	if err := plan.FetchAll(ctx, f, keys, buckets); err != nil {
+		return nil, err
 	}
-	w.Header().Set("Content-Type", binaryType)
-	_, _ = w.Write(appendBuckets(make([]byte, 0, 512), buckets))
+	return appendBuckets(out, buckets), nil
 }
 
 // dump answers the partition at the pinned version as its checkpoint
 // image — the bulk feed for the coordinator's scan fallback and
 // baseline evaluation.
-func (h *partitionHandler) dump(w http.ResponseWriter, r *http.Request) {
-	var img []byte
-	v, view, err := h.pinned(r)
-	if err == nil {
-		var ix *access.Indexed
-		if ix, err = view.Indexed(r.Context()); err == nil {
-			img, err = durable.EncodeCheckpoint(h.schema, &durable.State{Instance: ix.Instance, Indexed: ix, Version: v})
-		}
+func (h *partitionHandler) dump(ctx context.Context, body, _ []byte) ([]byte, error) {
+	var req versionRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, badRequest(err.Error())
 	}
+	view, err := h.pin(req.V)
 	if err != nil {
-		reply(w, nil, err)
-		return
+		return nil, err
 	}
-	w.Header().Set("Content-Type", binaryType)
-	// A write cut short reaches the client as a truncated image, which
-	// its length and CRC checks refuse.
-	_, _ = w.Write(img)
+	ix, err := view.Indexed(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return durable.EncodeCheckpoint(h.schema, &durable.State{Instance: ix.Instance, Indexed: ix, Version: req.V})
 }
 
 // load installs the checkpoint image the coordinator built from the
 // share it indexed and validated, exactly as a local Load would install
 // that share. An image that fails its checks — another catalog, a bad
 // CRC — is refused before the partition changes.
-func (h *partitionHandler) load(w http.ResponseWriter, r *http.Request) {
-	var st *durable.State
-	img, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxInternalBody))
-	if err == nil {
-		st, err = durable.DecodeCheckpoint(img, h.schema, h.access)
-	}
+func (h *partitionHandler) load(ctx context.Context, body, out []byte) ([]byte, error) {
+	st, err := durable.DecodeCheckpoint(body, h.schema, h.access)
 	if err != nil {
-		reply(w, nil, badRequest(err.Error()))
-		return
+		return nil, badRequest(err.Error())
 	}
-	if err = h.part.Load(r.Context(), st.Indexed); err == nil {
-		h.forgetAfter(0)
-		h.remember(0)
+	if err := h.part.Load(ctx, st.Indexed); err != nil {
+		return nil, err
 	}
-	reply(w, versionResponse{Version: 0, Size: st.Instance.Size()}, err)
+	h.forgetAfter(0)
+	h.remember(0)
+	return appendJSON(out, versionResponse{Version: 0, Size: st.Instance.Size()})
 }
 
-func (h *partitionHandler) stage(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	txn := q.Get("txn")
-	base, err := strconv.ParseUint(q.Get("base"), 10, 64)
-	if txn == "" || err != nil {
-		reply(w, nil, badRequest("stage needs ?txn=<id>&base=<version>"))
-		return
-	}
-	d, err := live.ReadDeltaTSV(http.MaxBytesReader(w, r.Body, maxInternalBody), h.schema)
+func (h *partitionHandler) stage(ctx context.Context, body, out []byte) ([]byte, error) {
+	txn, base, tsv, err := parseStageRequest(body)
 	if err != nil {
-		reply(w, nil, badRequest(err.Error()))
-		return
+		return nil, badRequest(err.Error())
 	}
-	st, err := h.part.Stage(r.Context(), txn, base, d)
+	d, err := live.ReadDeltaTSV(bytes.NewReader(tsv), h.schema)
 	if err != nil {
-		reply(w, nil, err)
-		return
+		return nil, badRequest(err.Error())
+	}
+	st, err := h.part.Stage(ctx, txn, base, d)
+	if err != nil {
+		return nil, err
 	}
 	h.forgetAfter(base)
-	reply(w, st, nil)
+	return appendJSON(out, st)
 }
 
 func (h *partitionHandler) maxGroup(ctx context.Context, req groupsRequest) (resp maxGroupResponse, err error) {
@@ -314,7 +295,7 @@ func (h *partitionHandler) abort(ctx context.Context, req abortRequest) (okRespo
 	return okResponse{true}, h.part.Abort(ctx, req.Txn)
 }
 
-func (h *partitionHandler) rollback(ctx context.Context, req rollbackRequest) (versionResponse, error) {
+func (h *partitionHandler) rollback(ctx context.Context, req versionRequest) (versionResponse, error) {
 	size, err := h.part.Rollback(ctx, req.V)
 	if err == nil {
 		h.forgetAfter(req.V)
@@ -326,18 +307,17 @@ func (h *partitionHandler) rollback(ctx context.Context, req rollbackRequest) (v
 // checkpoint persists the version the coordinator has published — named
 // in the request, never "whatever this node holds": its newest version
 // may belong to a commit fanout that does not complete.
-func (h *partitionHandler) checkpoint(w http.ResponseWriter, r *http.Request) {
-	v, view, err := h.pinned(r)
+func (h *partitionHandler) checkpoint(ctx context.Context, req versionRequest) (versionResponse, error) {
+	view, err := h.pin(req.V)
 	if err != nil {
-		reply(w, nil, err)
-		return
+		return versionResponse{}, err
 	}
-	err = view.Checkpoint(r.Context())
+	err = view.Checkpoint(ctx)
 	switch {
 	case errors.Is(err, durable.ErrNotDurable):
 		err = &shard.Refusal{Status: http.StatusPreconditionFailed, Code: "not_durable", Message: "node has no durable store"}
 	case err != nil:
 		err = fmt.Errorf("checkpoint: %w", err)
 	}
-	reply(w, versionResponse{Version: v}, err)
+	return versionResponse{Version: req.V}, err
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -123,22 +122,22 @@ func TestPropertyProfileReconcilesWithStats(t *testing.T) {
 	})
 }
 
-// fetchCounter is an http.RoundTripper counting the /v1/internal/fetch
-// requests a coordinator sends.
+// fetchCounter counts the fetch calls a coordinator's peers send.
 type fetchCounter struct {
-	base    *http.Transport
 	fetches atomic.Int64
 }
 
-func (c *fetchCounter) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path == "/v1/internal/fetch" {
-		c.fetches.Add(1)
+// install counts every fetch frame peers send.
+func (c *fetchCounter) install(peers ...*peerClient) {
+	for _, p := range peers {
+		p.exchange = func(pc *peerConn, m method, body []byte) (int, []byte, error) {
+			if m == mFetch {
+				c.fetches.Add(1)
+			}
+			return pc.roundTrip(m, body)
+		}
 	}
-	return c.base.RoundTrip(req)
 }
-
-// CloseIdleConnections lets the client's cleanup drain the transport.
-func (c *fetchCounter) CloseIdleConnections() { c.base.CloseIdleConnections() }
 
 // stepRecorder is a plan.Source over one index whose fetchers record each
 // fetch step's key set: FetchAll hands a batch fetcher a step's keys in
@@ -208,8 +207,8 @@ func groupOnOnePartition(a *access.Schema, c access.Constraint, p []schema.Attri
 func (f recordingFetcher) FetchBytes(k []byte) index.Bucket { return f.f.FetchBytes(k) }
 
 // TestPropertyOneRPCPerPartitionPerStep is the batching property over
-// the wire: on HTTP fleets of K ∈ {2, 4}, every random CQ and UCQ sends
-// exactly one /v1/internal/fetch per partition each of its fetch steps
+// the wire: on networked fleets of K ∈ {2, 4}, every random CQ and UCQ
+// sends exactly one fetch call per partition each of its fetch steps
 // touches — the distinct ShardOf values of the keys of an aligned step,
 // of the keys' partition keys for a step whose rows carry them and whose
 // groups each lie on one partition, all K for a scattered one — so at
@@ -230,11 +229,9 @@ func TestPropertyOneRPCPerPartitionPerStep(t *testing.T) {
 		single := tb.single(t)
 		for _, k := range []int{2, 4} {
 			t.Run(fmt.Sprintf("%s/K=%d", tb.name, k), func(t *testing.T) {
-				rt := &fetchCounter{base: &http.Transport{MaxIdleConnsPerHost: 4}}
-				opts := testOptions(t)
-				opts.Client = &http.Client{Transport: rt}
-				t.Cleanup(opts.Client.CloseIdleConnections)
-				coord, _, _ := startCluster(t, tb, k, opts)
+				rt := &fetchCounter{}
+				coord, _, _ := startCluster(t, tb, k, testOptions(t))
+				rt.install(coord.peers...)
 				if err := coord.Load(tb.build()); err != nil {
 					t.Fatal(err)
 				}

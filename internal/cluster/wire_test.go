@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -11,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/access"
@@ -44,14 +46,15 @@ func answerBody(buckets ...[]value.Key) []byte {
 	return body
 }
 
-// TestFetchRefusesMalformedBuckets stands a node up that answers every
-// fetch with one fixed body and demands the client refuse each
-// malformed shape as shard_unavailable — never a panic, never a bucket
-// that breaks the canonical order NewBucket and MergeBuckets rely on —
-// while a well-formed answer decodes to exactly the buckets it carries.
+// TestFetchRefusesMalformedBuckets answers every fetch with one fixed
+// body and demands the client refuse each malformed shape as
+// shard_unavailable — never a panic, never a bucket that breaks the
+// canonical order NewBucket and MergeBuckets rely on — while a
+// well-formed answer decodes to exactly the buckets it carries.
 // randomBed's constraint 0 is R(a → b): one cell per projection.
 func TestFetchRefusesMalformedBuckets(t *testing.T) {
 	tb := randomBed(t)
+	_, _, urls := startCluster(t, tb, 1, testOptions(t))
 	str := value.KeyOf(sv("abc"))
 	valid := answerBody([]value.Key{keyOf(1), keyOf(2)}, []value.Key{str})
 	for _, tc := range []struct {
@@ -76,14 +79,11 @@ func TestFetchRefusesMalformedBuckets(t *testing.T) {
 		{"undecodable projection", answerBody([]value.Key{"\x01\x80\x00"}, nil), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set("Content-Type", binaryType)
-				w.Write(tc.body)
-			}))
-			t.Cleanup(ts.Close)
 			opts := testOptions(t)
 			opts.Retries = -1
-			view, _ := newPeerClient(0, ts.URL, tb.schema, tb.access, opts).Pin(0)
+			p := testPeer(t, 0, urls[0], tb, opts)
+			p.exchange = func(*peerConn, method, []byte) (int, []byte, error) { return http.StatusOK, tc.body, nil }
+			view, _ := p.Pin(0)
 			out := make([]index.Bucket, 2)
 			err := view.Fetcher(0).(plan.BatchFetcher).FetchBatch(context.Background(), [][]byte{[]byte(keyOf(1)), []byte(keyOf(2))}, out)
 			if tc.ok {
@@ -126,71 +126,79 @@ func FuzzFetchResponse(f *testing.F) {
 	})
 }
 
-// TestFetchRequestRefusals posts a node fetch bodies it must refuse and
-// demands a structured 400 bad_request for each — a truncated body,
-// trailing bytes, counts and lengths past the end, the JSON body the
-// wire no longer speaks — while the well-formed request is answered.
+// TestFetchRequestRefusals sends a node fetch bodies it must refuse
+// and demands a structured refusal for each: 400 bad_request for a
+// frame with a truncated body, trailing bytes, counts and lengths past
+// the end, the JSON body the wire no longer speaks or a method it does
+// not know, and 426 upgrade_required for a fetch sent as plain HTTP —
+// while the well-formed request is answered.
 func TestFetchRequestRefusals(t *testing.T) {
 	tb := randomBed(t)
 	coord, _, urls := startCluster(t, tb, 1, testOptions(t))
 	if err := coord.Load(tb.build()); err != nil {
 		t.Fatal(err)
 	}
+	opts := testOptions(t)
+	opts.Retries = -1
+	p := testPeer(t, 0, urls[0], tb, opts)
+	hc := &http.Client{Transport: &http.Transport{}}
+	t.Cleanup(hc.CloseIdleConnections)
 	valid := appendFetchRequest(nil, 0, 0, [][]byte{[]byte(keyOf(1)), []byte(keyOf(2))})
 	head := func(n uint64) []byte { return binary.AppendUvarint([]byte{0, 0}, n) }
 	for _, tc := range []struct {
 		name   string
-		method string
-		ctype  string
+		m      method
 		body   []byte
 		status int
+		plain  string // the method of a plain-HTTP request, "" for a frame
 	}{
-		{"well-formed", "POST", binaryType, valid, http.StatusOK},
-		{"no keys", "POST", binaryType, head(0), http.StatusOK},
-		{"empty body", "POST", binaryType, nil, http.StatusBadRequest},
-		{"truncated body", "POST", binaryType, valid[:len(valid)-1], http.StatusBadRequest},
-		{"trailing bytes", "POST", binaryType, append(slices.Clip(valid), 0), http.StatusBadRequest},
-		{"key count past the body", "POST", binaryType, append(head(1<<40), 1, 2), http.StatusBadRequest},
-		{"key length past the body", "POST", binaryType, append(head(1), 50, 1, 2), http.StatusBadRequest},
-		{"non-minimal varint", "POST", binaryType, []byte{0x80, 0x00, 0, 0}, http.StatusBadRequest},
-		{"unknown constraint", "POST", binaryType, appendFetchRequest(nil, 0, 99, nil), http.StatusBadRequest},
-		{"JSON body", "POST", "application/json", []byte(`{"v":0,"ci":0,"keys":["AQI="]}`), http.StatusBadRequest},
-		{"no content type", "POST", "", valid, http.StatusBadRequest},
-		{"GET", "GET", "", nil, http.StatusMethodNotAllowed},
+		{"well-formed", mFetch, valid, http.StatusOK, ""},
+		{"no keys", mFetch, head(0), http.StatusOK, ""},
+		{"empty body", mFetch, nil, http.StatusBadRequest, ""},
+		{"truncated body", mFetch, valid[:len(valid)-1], http.StatusBadRequest, ""},
+		{"trailing bytes", mFetch, append(slices.Clip(valid), 0), http.StatusBadRequest, ""},
+		{"key count past the body", mFetch, append(head(1<<40), 1, 2), http.StatusBadRequest, ""},
+		{"key length past the body", mFetch, append(head(1), 50, 1, 2), http.StatusBadRequest, ""},
+		{"non-minimal varint", mFetch, []byte{0x80, 0x00, 0, 0}, http.StatusBadRequest, ""},
+		{"unknown constraint", mFetch, appendFetchRequest(nil, 0, 99, nil), http.StatusBadRequest, ""},
+		{"JSON body", mFetch, []byte(`{"v":0,"ci":0,"keys":["AQI="]}`), http.StatusBadRequest, ""},
+		{"unknown method", numMethods, valid, http.StatusBadRequest, ""},
+		{"method zero", 0, valid, http.StatusBadRequest, ""},
+		{"GET", mFetch, nil, http.StatusUpgradeRequired, http.MethodGet},
+		{"no content type", mFetch, valid, http.StatusUpgradeRequired, http.MethodPost},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			req, err := http.NewRequest(tc.method, urls[0]+"/v1/internal/fetch", bytes.NewReader(tc.body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.ctype != "" {
-				req.Header.Set("Content-Type", tc.ctype)
-			}
-			resp, err := testOptions(t).Client.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			raw, err := io.ReadAll(resp.Body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != tc.status {
-				t.Fatalf("status %d (%s), want %d", resp.StatusCode, raw, tc.status)
-			}
-			if tc.status == http.StatusOK {
-				_, _, keys, _ := parseFetchRequest(tc.body)
-				if err := decodeBuckets(raw, len(keys), 1, make([]index.Bucket, len(keys))); err != nil {
-					t.Fatalf("answer %x: %v", raw, err)
+			if tc.plain != "" {
+				req, err := http.NewRequest(tc.plain, urls[0]+"/v1/internal/fetch", bytes.NewReader(tc.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := hc.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var we wireError
+				err = json.NewDecoder(resp.Body).Decode(&we)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != tc.status || we.Error.Code != "upgrade_required" {
+					t.Fatalf("plain %s: %d %+v (%v), want %d upgrade_required", tc.plain, resp.StatusCode, we, err, tc.status)
 				}
 				return
 			}
-			var we wireError
-			if err := json.Unmarshal(raw, &we); err != nil || we.Error.Code == "" {
-				t.Fatalf("refusal %q is not the error envelope", raw)
+			answer, err := p.do(context.Background(), tc.m, tc.body, false)
+			if tc.status == http.StatusOK {
+				if err != nil {
+					t.Fatalf("refused: %v", err)
+				}
+				_, _, keys, _ := parseFetchRequest(tc.body)
+				if err := decodeBuckets(answer, len(keys), 1, make([]index.Bucket, len(keys))); err != nil {
+					t.Fatalf("answer %x: %v", answer, err)
+				}
+				return
 			}
-			if tc.status == http.StatusBadRequest && we.Error.Code != "bad_request" {
-				t.Fatalf("refused with code %q, want bad_request", we.Error.Code)
+			var re *shard.Refusal
+			if !errors.As(err, &re) || re.Status != tc.status || re.Code != "bad_request" {
+				t.Fatalf("answered %v, want a structured %d bad_request", err, tc.status)
 			}
 		})
 	}
@@ -215,17 +223,12 @@ func FuzzFetchRequest(f *testing.F) {
 	})
 }
 
-// dumpImage reads a node's /v1/internal/dump answer for version v.
-func dumpImage(t *testing.T, url string, v uint64) []byte {
+// dumpImage reads a node's dump answer for version v.
+func dumpImage(t *testing.T, tb testbed, url string, v uint64) []byte {
 	t.Helper()
-	resp, err := testOptions(t).Client.Get(fmt.Sprintf("%s/v1/internal/dump?v=%d", url, v))
+	img, err := testPeer(t, 0, url, tb, testOptions(t)).do(context.Background(), mDump, versionBody(v), true)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	img, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("dump: status %d, %v", resp.StatusCode, err)
+		t.Fatalf("dump: %v", err)
 	}
 	return img
 }
@@ -251,7 +254,7 @@ func TestNodeImageIsCoordinatorsShare(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := dumpImage(t, url, 0); !bytes.Equal(got, want) {
+					if got := dumpImage(t, tb, url, 0); !bytes.Equal(got, want) {
 						t.Fatalf("node %d pins a %d-byte image, the coordinator's share encodes to %d bytes", i, len(got), len(want))
 					}
 				}
@@ -296,14 +299,15 @@ func TestLoadRefusesForeignImage(t *testing.T) {
 	}
 	corrupt[len(corrupt)-1] ^= 0xff
 
-	p := newPeerClient(0, urls[0], tb.schema, other, testOptions(t))
+	p := testPeer(t, 0, urls[0], testbed{schema: tb.schema, access: other}, testOptions(t))
 	for _, tc := range []struct {
 		name string
 		load func() error
 	}{
 		{"another access schema", func() error { return p.Load(ctx, foreign) }},
 		{"bad CRC", func() error {
-			return p.do(ctx, http.MethodPost, "/v1/internal/load", binaryType, corrupt, false, jsonInto(0, nil))
+			_, err := p.do(ctx, mLoad, corrupt, false)
+			return err
 		}},
 	} {
 		name, err := tc.name, tc.load()
@@ -330,4 +334,115 @@ func pinnedIndexed(t *testing.T, p shard.Partition, v uint64) *access.Indexed {
 		t.Fatal(err)
 	}
 	return ix
+}
+
+// frameBytes is one frame as writeFrame sends it.
+func frameBytes(head uint64, body []byte) []byte {
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	writeFrame(w, head, body)
+	return buf.Bytes()
+}
+
+// FuzzFrame holds both frame readers — the node's request reader and
+// the client's answer reader — to their contract on arbitrary bytes:
+// they never panic, a frame they accept re-encodes to exactly the bytes
+// it took, and a frame cut short anywhere or claiming more than
+// maxInternalBody is refused, so every byte read belongs to a whole
+// frame.
+func FuzzFrame(f *testing.F) {
+	f.Add(frameBytes(uint64(mFetch), appendFetchRequest(nil, 1, 0, [][]byte{[]byte(keyOf(1))})))
+	f.Add(append(frameBytes(uint64(mStatus), nil), frameBytes(uint64(mCommit), []byte(`{"txn":"t","v":1}`))...))
+	f.Add(frameBytes(http.StatusOK, answerBody([]value.Key{keyOf(1)})))
+	f.Add(frameBytes(http.StatusUpgradeRequired, []byte(`{"error":{"code":"upgrade_required"}}`)))
+	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0x0f})       // claims 4 GiB
+	f.Add([]byte{0xc8, 0x01, 0x80, 0x80, 0x80, 0x02, 1}) // claims 4 MiB, carries 1 byte
+	f.Add([]byte{0x80, 0x00, 0})                         // non-minimal head
+	f.Fuzz(func(t *testing.T, data []byte) {
+		readers := map[string]func(*bufio.Reader) (uint64, []byte, error){
+			"request": func(r *bufio.Reader) (uint64, []byte, error) {
+				m, body, err := readRequest(r)
+				return uint64(m), body, err
+			},
+			"answer": func(r *bufio.Reader) (uint64, []byte, error) {
+				status, body, err := readAnswer(r)
+				return uint64(status), body, err
+			},
+		}
+		for name, read := range readers {
+			r := bufio.NewReader(bytes.NewReader(data))
+			var took []byte
+			for {
+				head, body, err := read(r)
+				if err != nil {
+					if err == io.EOF && len(took) != len(data) {
+						t.Fatalf("%s reader: clean EOF after %d of %d bytes", name, len(took), len(data))
+					}
+					break
+				}
+				if len(body) > maxInternalBody {
+					t.Fatalf("%s reader: accepted a %d-byte body", name, len(body))
+				}
+				took = append(took, frameBytes(head, body)...)
+				if !bytes.HasPrefix(data, took) {
+					t.Fatalf("%s reader: accepted frames re-encode to %x, not a prefix of %x", name, took, data)
+				}
+			}
+		}
+	})
+}
+
+// TestRetiredWireRefused pins the node's answer to anything but the
+// upgrade to its framed wire — a plain-HTTP call of a retired per-call
+// path, an upgrade to another protocol — as 426 upgrade_required naming
+// the protocol it speaks, and a coordinator's answer to a handshake that
+// is not switched as shard_unavailable carrying the status it got.
+func TestRetiredWireRefused(t *testing.T) {
+	tb := randomBed(t)
+	_, _, urls := startCluster(t, tb, 1, testOptions(t))
+	hc := &http.Client{Transport: &http.Transport{}}
+	t.Cleanup(hc.CloseIdleConnections)
+	for _, tc := range []struct{ method, path, upgrade string }{
+		{http.MethodGet, "/v1/internal/status", ""},
+		{http.MethodPost, "/v1/internal/commit", wireProtocol},
+		{http.MethodGet, connPath, ""},
+		{http.MethodGet, connPath, "beserve-partition/0"},
+		{http.MethodPost, connPath, wireProtocol},
+	} {
+		req, err := http.NewRequest(tc.method, urls[0]+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.upgrade != "" {
+			req.Header.Set("Connection", "Upgrade")
+			req.Header.Set("Upgrade", tc.upgrade)
+		}
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var we wireError
+		err = json.NewDecoder(resp.Body).Decode(&we)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusUpgradeRequired || we.Error.Code != "upgrade_required" ||
+			resp.Header.Get("Upgrade") != wireProtocol || !strings.Contains(we.Error.Message, wireProtocol) {
+			t.Errorf("%s %s (Upgrade %q): %d Upgrade %q %+v (%v), want 426 upgrade_required naming %s",
+				tc.method, tc.path, tc.upgrade, resp.StatusCode, resp.Header.Get("Upgrade"), we, err, wireProtocol)
+		}
+	}
+
+	// A coordinator pointed at something that does not switch — here an
+	// endpoint answering like a coordinator's public API — is refused at
+	// the handshake.
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		reply(w, nil, &shard.Refusal{Status: http.StatusMisdirectedRequest, Code: "not_coordinator", Message: "not a node"})
+	}))
+	t.Cleanup(ts.Close)
+	opts := testOptions(t)
+	opts.Retries = -1
+	_, err := testPeer(t, 0, ts.URL, tb, opts).Status(context.Background())
+	var ue *UnavailableError
+	if !errors.As(err, &ue) || codedError(err) != "shard_unavailable" || !strings.Contains(err.Error(), "421") {
+		t.Fatalf("handshake refused with 421 gave %v, want shard_unavailable naming the status", err)
+	}
 }

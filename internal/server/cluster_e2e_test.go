@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -20,8 +21,8 @@ import (
 )
 
 // clusterCoordinator builds a loaded scatter-gather coordinator over k
-// networked shard nodes (each behind its own httptest server speaking
-// /v1/internal/*), mirroring a real multi-process deployment in one
+// networked shard nodes (each behind its own httptest server serving
+// the framed partition wire), mirroring a real multi-process deployment in one
 // test process.
 func clusterCoordinator(t testing.TB, s *schema.Schema, a *access.Schema, k int) *cluster.Engine {
 	t.Helper()
@@ -35,9 +36,7 @@ func clusterCoordinator(t testing.TB, s *schema.Schema, a *access.Schema, k int)
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
 	}
-	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
-	t.Cleanup(hc.CloseIdleConnections)
-	coord, err := cluster.New(s, a, urls, cluster.Options{Client: hc})
+	coord, err := cluster.New(s, a, urls, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,6 +223,7 @@ func TestClusterShardUnavailableOverWire(t *testing.T) {
 	k := 2
 	urls := make([]string, k)
 	peerServers := make([]*httptest.Server, k)
+	nodes := make([]*cluster.Node, k)
 	for i := 0; i < k; i++ {
 		node, err := cluster.NewNode(acc.Schema, acc.Access, i, k, cluster.Options{})
 		if err != nil {
@@ -231,11 +231,9 @@ func TestClusterShardUnavailableOverWire(t *testing.T) {
 		}
 		peerServers[i] = httptest.NewServer(node.InternalHandler())
 		t.Cleanup(peerServers[i].Close)
-		urls[i] = peerServers[i].URL
+		urls[i], nodes[i] = peerServers[i].URL, node
 	}
-	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
-	t.Cleanup(hc.CloseIdleConnections)
-	coord, err := cluster.New(acc.Schema, acc.Access, urls, cluster.Options{Client: hc})
+	coord, err := cluster.New(acc.Schema, acc.Access, urls, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,9 +257,14 @@ func TestClusterShardUnavailableOverWire(t *testing.T) {
 		t.Fatalf("healthy query: status %d\n%s", resp.StatusCode, body)
 	}
 
-	// Kill every peer: whatever shard Q0's keys route to is now gone.
-	for _, ps := range peerServers {
+	// Kill every peer: whatever shard Q0's keys route to is now gone. A
+	// node's framed connections outlive its HTTP server, so a drain with
+	// no grace left cuts them, as a dying process would.
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i, ps := range peerServers {
 		ps.Close()
+		nodes[i].Drain(dead)
 	}
 
 	// Non-streaming surface: /v1/apply fails whole with the envelope.
