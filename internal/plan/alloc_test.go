@@ -49,16 +49,31 @@ func allocFixture(t testing.TB) (*access.Indexed, *Table, FetchOp) {
 	return ix, in, FetchOp{Constraint: c, Input: 0, XCols: []string{"x"}, YOut: []string{"b", "c"}}
 }
 
-// allocSinks are the two row consumers every per-row assertion runs
-// through: a drop sink (the operator's own work in isolation) and the
-// executor's streaming sink — table insert plus yield of each new row.
-// Once the sink's table is warm every measured row is a duplicate, so
-// the streaming leg must cost nothing either.
-func allocSinks(cols []string) map[string]func(data.Tuple) bool {
-	stream := &sink{out: &Table{Cols: cols}, yield: func(data.Tuple) bool { return true }}
-	return map[string]func(data.Tuple) bool{
-		"drop":   func(data.Tuple) bool { return true },
-		"stream": stream.add,
+// allocSink is a row consumer a per-row assertion runs through: add
+// takes each row, reset readies it for the next run, and out is its
+// table (nil for a consumer that keeps nothing).
+type allocSink struct {
+	add   func(data.Tuple) bool
+	reset func()
+	out   *Table
+}
+
+// allocSinks are the row consumers every per-row assertion runs through:
+// a drop sink (the operator's own work in isolation) and the executor's
+// streaming sink — table insert plus yield of each new row — on both of
+// its paths, the append of a step proven distinct and the hash dedup of
+// any other. The streaming sinks' table is emptied before each run,
+// keeping its storage, so every run inserts every row anew: neither path
+// may allocate once the table has grown to the run's size.
+func allocSinks(cols []string) map[string]allocSink {
+	stream := func(distinct bool) allocSink {
+		s := &sink{out: new(Table), yield: func(data.Tuple) bool { return true }, distinct: distinct}
+		return allocSink{add: s.add, reset: func() { s.out.reset(cols...) }, out: s.out}
+	}
+	return map[string]allocSink{
+		"drop":         {add: func(data.Tuple) bool { return true }, reset: func() {}},
+		"stream/fresh": stream(true),
+		"stream/dedup": stream(false),
 	}
 }
 
@@ -78,16 +93,27 @@ func TestFetchRowPathAllocs(t *testing.T) {
 	ctx := context.Background()
 	for name, sink := range allocSinks(out.Cols) {
 		run := func() {
-			if err := f.run(ctx, stats, sink); err != nil {
+			sink.reset()
+			if _, err := f.resolve(ctx, stats); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.emit(ctx, sink.add); err != nil {
 				t.Fatal(err)
 			}
 		}
-		run() // warm
+		// Warm twice: the arena keeps only its last chunk across a
+		// reset, which the second run grows to hold the whole run.
+		run()
+		run()
 		// Each run re-walks all 32 input rows and, for each, its key's
 		// bucket; the argDedup is reset, not rebuilt, so the whole run
 		// allocates nothing.
 		if avg := testing.AllocsPerRun(100, run); avg != 0 {
 			t.Fatalf("%s: fetch inner loop allocates %.1f/run, want 0", name, avg)
+		}
+		// 32 input rows, each extended by its key's 4 projections.
+		if sink.out != nil && sink.out.Len() != 128 {
+			t.Fatalf("%s: the run kept %d rows, want 128", name, sink.out.Len())
 		}
 	}
 }
@@ -177,5 +203,86 @@ func TestQueryAllocCeiling(t *testing.T) {
 	t.Logf("Q0 per run: %d allocations, %d bytes", allocs, bytes)
 	if allocs > 80 || bytes > 16<<10 {
 		t.Fatalf("Q0 allocates %d times / %d bytes per run, want <= 80 / <= 16 KiB", allocs, bytes)
+	}
+}
+
+// widePath2Plan plans path2 over a social instance with the serving
+// benchmark's degree caps, anchored at the first person whose two-hop
+// answer fills at least three arena chunks.
+func widePath2Plan(t testing.TB) (*Plan, Source) {
+	t.Helper()
+	soc, err := workload.GenerateSocial(workload.SocialConfig{People: 2000, MaxFriends: 50, MaxLikes: 10, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, _, err := access.BuildIndexed(soc.Access, soc.Instance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewSource(ix)
+	for me := int64(1); me <= 2000; me++ {
+		p := builtPlan(t, workload.PatternQueries(me)[1], soc.Access, soc.Schema)
+		tab, _, err := ExecuteSource(context.Background(), p, src, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tab.Len() > 3*arenaChunkMin {
+			return p, src
+		}
+	}
+	t.Fatal("no person has a wide enough two-hop answer")
+	return nil, nil
+}
+
+// arenaChunks is the number of chunks a table's arena carves to hold
+// cells cells: the first holds arenaChunkMin, each next one twice the
+// last, up to arenaChunkMax.
+func arenaChunks(cells int) int {
+	n := 0
+	for size, held := arenaChunkMin, 0; held < cells; size = min(2*size, arenaChunkMax) {
+		held += size
+		n++
+	}
+	return n
+}
+
+// TestStreamedRunAllocs pins the pooled final table of a streamed run: on
+// a warm state pool, a streamed path2 — the wide served shape, hundreds
+// of answer rows — allocates only the arena chunks its yielded rows keep
+// and the stats it returns. The final table's row headers and hash index
+// are reused from earlier runs.
+func TestStreamedRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop puts at random")
+	}
+	p, src := widePath2Plan(t)
+	ctx := context.Background()
+	rows := 0
+	yield := func(data.Tuple) bool {
+		rows++
+		return true
+	}
+	run := func() {
+		rows = 0
+		if _, err := ExecuteStreamSource(ctx, p, src, yield); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the pool
+	run()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	cells := rows * len(p.OutCols)
+	limit := uint64(arenaChunks(cells)) + 1
+	t.Logf("%s streamed: %d rows, %d allocations per run (limit %d)", p.Label, rows, allocs, limit)
+	if allocs > limit {
+		t.Fatalf("a warm streamed run allocates %d times, want <= %d: the final arena's chunks for %d cells, and the stats", allocs, limit, cells)
 	}
 }

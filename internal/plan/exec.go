@@ -60,6 +60,10 @@ func ExecuteSource(ctx context.Context, p *Plan, src Source, _ ExecOptions) (*Ta
 // consumer sees the answer before it is complete. yield returning false
 // stops the final step early (no error). The yielded sequence is exactly
 // ExecuteSource's result rows, in order; consumers may retain the rows.
+// A yielded row's cells are the only storage of the run that escapes:
+// the final table's row headers and hash index stay in the pooled
+// execution state and are reused by later runs, while the arena chunks
+// holding the cells are let go, never cleared or written again.
 func ExecuteStreamSource(ctx context.Context, p *Plan, src Source, yield func(data.Tuple) bool) (*ExecStats, error) {
 	_, stats, err := run(ctx, p, src, yield)
 	return stats, err
@@ -71,20 +75,25 @@ func ExecuteStreamSource(ctx context.Context, p *Plan, src Source, yield func(da
 // sync.Pool is a vet copylocks error), and so every caller — core, the
 // shard coordinator, cluster nodes, the benchmarks — shares it unplumbed.
 //
-// The invariant that makes reuse safe: nothing of a pooled table outlives
-// its run. The final step's table is never pooled — its rows escape,
-// returned materialised or yielded to a consumer that may keep them — so
-// it is allocated fresh on every run. Intermediate rows never escape,
-// because every step inserts through AddScratch, which copies the row into
-// the step's own arena: no table ever holds another table's rows.
+// The invariant that makes reuse safe: nothing of a pooled table that a
+// consumer can see is reused. Intermediate rows never escape, because
+// every step copies its rows into its own table's arena: no table ever
+// holds another table's rows. The final step's rows do escape. A
+// materialised run returns its final table, so that one is allocated
+// fresh. A streamed run yields only rows, so its final table is pooled
+// like the others, but trim lets go of its arena, whose cells the yielded
+// rows share, instead of clearing it.
 var statePool = sync.Pool{New: func() any { return new(execState) }}
 
 // execState is the storage a run reuses from earlier runs: a table per
-// intermediate step, the fetch's key dedup and buffers, and the
-// projection's row scratch. release returns it to statePool.
+// step, the fetch's key dedup and buffers, and the projection's row
+// scratch. release returns it to statePool.
 type execState struct {
-	tables  []*Table // tables[i] backs intermediate step i
+	tables  []*Table // tables[i] backs step i, unless it is a materialised final step
 	results []*Table // this run's step results, indexed by step
+	// escaped is the pooled final table of a streamed run: its arena's
+	// cells reached the consumer.
+	escaped *Table
 	fetch   fetchEval
 	buf     data.Tuple // the output row of project
 	pos     []int      // project input positions
@@ -117,7 +126,7 @@ func (st *execState) run(ctx context.Context, p *Plan, src Source, yield func(da
 			stepYield = yield
 		}
 		sp, f0, k0 := startStepSpan(tr, i, op, stepYield != nil, stats)
-		t, err := st.execOp(ctx, op, st.table(i, last), src, stats, stepYield)
+		t, err := st.execOp(ctx, op, st.table(i, last, yield != nil), src, stats, stepYield)
 		if sp != nil {
 			if t != nil {
 				sp.SetRows(int64(t.Len()))
@@ -136,10 +145,11 @@ func (st *execState) run(ctx context.Context, p *Plan, src Source, yield func(da
 	return st.results[last], stats, nil
 }
 
-// table returns the table step i fills: a fresh one for the final step,
-// whose rows escape, and the state's reused one for any other.
-func (st *execState) table(i, last int) *Table {
-	if i == last {
+// table returns the table step i fills: a fresh one for the final step
+// of a materialised run, which is returned, and the state's reused one
+// for any other step. A streamed run's final table is marked escaped.
+func (st *execState) table(i, last int, streamed bool) *Table {
+	if i == last && !streamed {
 		return new(Table)
 	}
 	for len(st.tables) <= i {
@@ -147,6 +157,9 @@ func (st *execState) table(i, last int) *Table {
 	}
 	if st.tables[i] == nil {
 		st.tables[i] = new(Table)
+	}
+	if i == last {
+		st.escaped = st.tables[i]
 	}
 	return st.tables[i]
 }
@@ -165,19 +178,24 @@ func (st *execState) release() {
 
 // trim cuts the state to its retention bound (retainCells) and drops
 // every reference into the run: its final table, its source, the values
-// it copied.
+// it copied. The escaped table's arena is dropped, not cleared, so rows a
+// consumer kept never change.
 func (st *execState) trim() {
 	clear(st.results)
 	st.results = st.results[:0]
 	for i, t := range st.tables {
 		switch {
 		case t == nil:
-		case t.retainable():
-			t.reset()
-		default:
+		case !t.retainable():
 			st.tables[i] = nil
+		default:
+			if t == st.escaped {
+				t.arena = nil
+			}
+			t.reset()
 		}
 	}
+	st.escaped = nil
 	st.fetch.trim()
 	clear(st.buf[:cap(st.buf)])
 }
@@ -234,10 +252,30 @@ func eachRow(ctx context.Context, rows []data.Tuple, fn func(data.Tuple) bool) e
 // table under set semantics and, when yield is non-nil, every NEW row —
 // the table's stored copy, so consumers may retain it — is handed to
 // yield. A yield returning false stops the operator (stopped; no error).
+//
+// distinct is set when the step cannot produce a row twice; its rows are
+// then appended with no hash. Every step's table is duplicate-free, by
+// induction over the steps, and the operator's shape proves the rest:
+//   - a literal with at most one row;
+//   - a projection that keeps every input column: it is injective;
+//   - a fetch that drops no Y attribute. Its output rows are input rows,
+//     each extended by the projections of its key's bucket. Rows of two
+//     distinct input rows differ in the input's columns. Two projections
+//     of one bucket are distinct (Fetcher's contract), so they differ in
+//     some Y attribute, and every Y attribute lands in a column the row
+//     keeps: a fresh one, or one it is equated with, which then holds
+//     the projection's own value;
+//   - a fetch that drops a Y attribute, when every bucket it fetched
+//     this run holds at most one projection: each input row then yields
+//     at most one row. This is read off the buckets, not the declared N,
+//     so it holds on an instance that violates its constraints too.
+//
+// A union, a wider literal and a projection that drops a column dedup.
 type sink struct {
-	out     *Table
-	yield   func(data.Tuple) bool
-	stopped bool
+	out      *Table
+	yield    func(data.Tuple) bool
+	distinct bool
+	stopped  bool
 }
 
 // add takes one row, typically held in the operator's reused scratch
@@ -245,7 +283,13 @@ type sink struct {
 //
 //bevet:hotpath
 func (s *sink) add(row data.Tuple) bool {
-	if s.out.AddScratch(row) && s.yield != nil && !s.yield(s.out.Rows[len(s.out.Rows)-1]) {
+	fresh := s.distinct
+	if fresh {
+		s.out.appendScratch(row)
+	} else {
+		fresh = s.out.AddScratch(row)
+	}
+	if fresh && s.yield != nil && !s.yield(s.out.Rows[len(s.out.Rows)-1]) {
 		s.stopped = true
 	}
 	return !s.stopped
@@ -262,6 +306,7 @@ func (st *execState) execOp(ctx context.Context, op Op, out *Table, src Source, 
 	switch o := op.(type) {
 	case ConstOp:
 		out.reset(o.Cols...)
+		s.distinct = len(o.Rows) <= 1
 		for i, row := range o.Rows {
 			if i%cancelStride == 0 {
 				if err := ctx.Err(); err != nil {
@@ -281,7 +326,12 @@ func (st *execState) execOp(ctx context.Context, op Op, out *Table, src Source, 
 		if err := f.setup(o, results[o.Input], src, out); err != nil {
 			return nil, err
 		}
-		return out, f.run(ctx, stats, emit)
+		distinct, err := f.resolve(ctx, stats)
+		if err != nil {
+			return out, err
+		}
+		s.distinct = distinct
+		return out, f.emit(ctx, emit)
 	case ProjectOp:
 		in := results[o.Input]
 		pos, err := in.appendColIndexes(st.pos[:0], o.Cols)
@@ -297,6 +347,7 @@ func (st *execState) execOp(ctx context.Context, op Op, out *Table, src Source, 
 			cols = o.As
 		}
 		out.reset(cols...)
+		s.distinct = keepsAll(pos, len(in.Cols))
 		buf := st.row(len(pos))
 		return out, eachRow(ctx, in.Rows, func(row data.Tuple) bool {
 			buf = buf[:0]
@@ -320,6 +371,17 @@ func (st *execState) execOp(ctx context.Context, op Op, out *Table, src Source, 
 	}
 }
 
+// keepsAll reports whether the input positions pos name every one of n
+// columns, so that a projection reading them is injective.
+func keepsAll(pos []int, n int) bool {
+	for c := 0; c < n; c++ {
+		if !slices.Contains(pos, c) {
+			return false
+		}
+	}
+	return true
+}
+
 // fetchEval is the state of a fetch step: resolved index, input key
 // positions, where each Y attribute lands, the input-key dedup, the
 // step's key set and the output row scratch. One lives in each execution
@@ -331,8 +393,10 @@ type fetchEval struct {
 	// ypos is the output position of each Y attribute, -1 when it is
 	// dropped: its own fresh column, or the input or earlier Y column it
 	// is equated with, which emitRow then checks instead of overwriting.
-	ypos  []int
-	dedup argDedup
+	ypos []int
+	// dropsY is set when some Y attribute has no output column.
+	dropsY bool
+	dedup  argDedup
 	// The step's distinct keys in first-occurrence order: key j is
 	// keyBuf[keyEnds[j-1]:keyEnds[j]], viewed as keys[j]; buckets[j] is
 	// what it fetched, and keyOf[i] is the key of input row i.
@@ -370,11 +434,13 @@ func (f *fetchEval) setup(o FetchOp, in *Table, src Source, out *Table) error {
 	}
 	out.reset()
 	out.Cols = o.appendOutCols(out.Cols, in.Cols)
-	f.ypos = f.ypos[:0]
+	f.ypos, f.dropsY = f.ypos[:0], false
 	for _, name := range o.YOut {
 		p := -1
 		if name != "" {
 			p = out.ColIndex(name)
+		} else {
+			f.dropsY = true
 		}
 		f.ypos = append(f.ypos, p)
 	}
@@ -442,14 +508,17 @@ func (f *fetchEval) emitRow(row data.Tuple, b index.Bucket, out data.Tuple, sink
 	return true
 }
 
-// run is the fetch over the step's whole key set, in three passes: dedup
-// the input rows' X-keys into the key scratch, in first-occurrence order,
-// noting each row's key and a routed step's route from the key's first
-// row; resolve them all with one FetchAll (or FetchRouted), whose error
-// aborts the step; emit each input row against its key's bucket, in
-// input order. With the scratch warm, the per-row path — hash dedup, key
-// encoding, bucket probe, row assembly — is allocation-free.
-func (f *fetchEval) run(ctx context.Context, stats *ExecStats, sink func(data.Tuple) bool) error {
+// resolve and emit are the fetch over the step's whole key set, in three
+// passes. resolve makes the first two: dedup the input rows' X-keys into
+// the key scratch, in first-occurrence order, noting each row's key and a
+// routed step's route from the key's first row; then resolve them all
+// with one FetchAll (or FetchRouted), whose error aborts the step. It
+// reports whether the step's rows are distinct (see sink): the step drops
+// no Y attribute, or no bucket holds two projections. emit makes the
+// third: each input row against its key's bucket, in input order. With
+// the scratch warm, the per-row path — hash dedup, key encoding, bucket
+// probe, row assembly — is allocation-free.
+func (f *fetchEval) resolve(ctx context.Context, stats *ExecStats) (distinct bool, err error) {
 	f.dedup.reset(f.in.Rows, f.xpos)
 	f.keyBuf, f.keyEnds, f.keyOf = f.keyBuf[:0], f.keyEnds[:0], f.keyOf[:0]
 	f.routeBuf, f.routeEnds = f.routeBuf[:0], f.routeEnds[:0]
@@ -457,7 +526,7 @@ func (f *fetchEval) run(ctx context.Context, stats *ExecStats, sink func(data.Tu
 	for i, row := range f.in.Rows {
 		if i%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return err
+				return false, err
 			}
 		}
 		if j, seen := f.dedup.seen(i); seen {
@@ -477,7 +546,6 @@ func (f *fetchEval) run(ctx context.Context, stats *ExecStats, sink func(data.Tu
 	}
 	f.keys = appendViews(f.keys[:0], f.keyBuf, f.keyEnds)
 	f.buckets = slices.Grow(f.buckets[:0], len(f.keys))[:len(f.keys)]
-	var err error
 	if routed && len(f.keys) > 0 {
 		f.routes = appendViews(f.routes[:0], f.routeBuf, f.routeEnds)
 		err = f.route.FetchRouted(ctx, f.keys, f.routes, f.buckets)
@@ -485,12 +553,19 @@ func (f *fetchEval) run(ctx context.Context, stats *ExecStats, sink func(data.Tu
 		err = FetchAll(ctx, f.fetch, f.keys, f.buckets)
 	}
 	if err != nil {
-		return err
+		return false, err
 	}
+	single := true
 	for _, b := range f.buckets {
 		stats.FetchKeys++
 		stats.Fetched += int64(b.Len())
+		single = single && b.Len() <= 1
 	}
+	return !f.dropsY || single, nil
+}
+
+// emit sends each input row, extended by its key's bucket, to sink.
+func (f *fetchEval) emit(ctx context.Context, sink func(data.Tuple) bool) error {
 	for i, row := range f.in.Rows {
 		if i%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {

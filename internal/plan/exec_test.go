@@ -131,7 +131,7 @@ func TestEveryOperatorAsFinalStep(t *testing.T) {
 			}
 			st := new(execState)
 			for i, op := range p.Steps[:last] {
-				tab, err := st.execOp(ctx, op, st.table(i, last), src, &ExecStats{}, nil)
+				tab, err := st.execOp(ctx, op, st.table(i, last, false), src, &ExecStats{}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -141,7 +141,7 @@ func TestEveryOperatorAsFinalStep(t *testing.T) {
 				"materialized": nil,
 				"streamed":     func(data.Tuple) bool { return true },
 			} {
-				if _, err := st.execOp(canceled, p.Steps[last], st.table(last, last), src, &ExecStats{}, yield); !errors.Is(err, context.Canceled) {
+				if _, err := st.execOp(canceled, p.Steps[last], st.table(last, last, yield != nil), src, &ExecStats{}, yield); !errors.Is(err, context.Canceled) {
 					t.Fatalf("%s operator ignored its canceled ctx: %v", mode, err)
 				}
 			}

@@ -155,7 +155,11 @@ const (
 // as handed out (no copies) until all runs end, then compares each byte
 // for byte with a reference taken before the goroutines started. A state
 // returned to the pool while still in use, or a pooled table whose rows
-// reached a consumer, shows up as a changed answer or as a race.
+// reached a consumer, shows up as a changed answer or as a race. Each
+// worker also re-checks, after every run, the fully streamed answers it
+// kept so far: a streamed run's final table is pooled, and the further
+// runs of other shapes on the same goroutine must never clear or reuse
+// the arena its rows live in.
 func TestPoolSoakConcurrentModes(t *testing.T) {
 	acc, accSrc := accidentsSource(t, 8, 1)
 	path2, socSrc := path2Plan(t)
@@ -193,7 +197,7 @@ func TestPoolSoakConcurrentModes(t *testing.T) {
 		stats      *ExecStats
 		err        error
 	}
-	const workers, iters = 4, 60
+	const workers, iters = 4, 150
 	answers := make([][]answer, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -227,6 +231,14 @@ func TestPoolSoakConcurrentModes(t *testing.T) {
 					cancel()
 				}
 				answers[w] = append(answers[w], a)
+				for j, kept := range answers[w] {
+					full := cases[kept.c].rows[len(cases[kept.c].rows)-1]
+					if kept.mode == modeStreamed && kept.err == nil && render(kept.rows) != full {
+						t.Errorf("worker %d: streamed run %d (%s) changed by run %d:\n%s\nwant\n%s",
+							w, j, cases[kept.c].p.Label, i, render(kept.rows), full)
+						return
+					}
+				}
 			}
 		}(w)
 	}

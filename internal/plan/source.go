@@ -15,6 +15,13 @@ import (
 // *index.Index implements it directly. The executor reaches every
 // Fetcher through FetchAll, so a Fetcher that can fail — a networked
 // one — implements BatchFetcher as well and reports its failures there.
+//
+// A bucket is a set: no two of its projections are equal. The executor
+// relies on it to append a fetch step's rows without a dedup pass (see
+// sink), so every implementer keeps it, however it fills a bucket: an
+// index stores each group's projections once, index.MergeBuckets drops
+// the projections partitions share, and the peer fetch decoder refuses
+// an answer whose projections are not strictly increasing.
 type Fetcher interface {
 	FetchBytes(k []byte) index.Bucket
 }

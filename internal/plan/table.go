@@ -15,12 +15,15 @@ import (
 )
 
 // Table is an intermediate result T_i: named columns over rows with set
-// semantics (duplicate rows are not stored). Dedup is hash-based — a
-// 64-bit row hash resolves to candidate row indexes verified by
-// element-wise comparison — so inserting through a reused scratch buffer
-// (AddScratch) encodes no per-row keys and allocates nothing for
-// duplicates; new rows are carved from a chunked arena instead of one
-// allocation each.
+// semantics. Every table the executor fills is duplicate-free, but only a
+// step whose shape lets rows repeat pays for it: such a step inserts
+// through AddScratch, whose dedup is hash-based — a 64-bit row hash
+// resolves to candidate row indexes verified by element-wise comparison,
+// so inserting through a reused scratch buffer encodes no per-row keys
+// and allocates nothing for duplicates — and a step proven to produce
+// distinct rows appends through appendScratch, with no hash and no index
+// (see sink). Either way new rows are carved from a chunked arena instead
+// of one allocation each.
 type Table struct {
 	Cols []string
 	Rows []data.Tuple
@@ -32,9 +35,10 @@ type Table struct {
 	first map[uint64]int32
 	more  map[uint64][]int32
 
-	// arena backs rows copied in via AddScratch: rows are carved from
-	// chunked slabs, so a million-row table costs hundreds of allocations
-	// instead of a million. Committed rows are never moved or reused.
+	// arena backs rows copied in via AddScratch or appendScratch: rows
+	// are carved from chunked slabs, so a million-row table costs
+	// hundreds of allocations instead of a million. Committed rows are
+	// never moved or reused.
 	arena []value.Value
 }
 
@@ -123,8 +127,8 @@ func (t *Table) Add(row data.Tuple) bool {
 
 // AddScratch inserts the row currently held in a reused scratch buffer:
 // duplicates are detected without copying, and a new row is copied into
-// the table's arena. Every executor step inserts through it — the
-// zero-allocation-per-row insert of the fetch hot path.
+// the table's arena. Every executor step whose rows can repeat inserts
+// through it, allocating nothing per row.
 //
 //bevet:hotpath
 func (t *Table) AddScratch(row data.Tuple) bool {
@@ -135,6 +139,17 @@ func (t *Table) AddScratch(row data.Tuple) bool {
 	t.record(h)
 	t.Rows = append(t.Rows, t.arenaRow(row))
 	return true
+}
+
+// appendScratch appends the row currently held in a reused scratch
+// buffer without a dedup check, copying it into the arena: the insert of
+// a step whose rows are distinct by construction. It leaves the hash
+// index empty, so a table must be filled through AddScratch alone or
+// appendScratch alone.
+//
+//bevet:hotpath
+func (t *Table) appendScratch(row data.Tuple) {
+	t.Rows = append(t.Rows, t.arenaRow(row))
 }
 
 // arenaRow copies row into the arena and returns the stored copy. The
