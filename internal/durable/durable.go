@@ -1,7 +1,6 @@
 // Package durable persists the serving engine's state so a restart
 // recovers every committed delta instead of re-ingesting TSV from
-// scratch — ROADMAP item 3, and the prerequisite for cheap replica
-// bootstrap.
+// scratch.
 //
 // A Store owns one directory holding two kinds of on-disk state:
 //
@@ -10,7 +9,9 @@
 //     version it commits, and fsynced BEFORE the engine's atomic
 //     snapshot swap. A record that made it to disk is committed; a
 //     record cut short by a crash is a torn tail, detected by the
-//     length/CRC frame and truncated away on Open.
+//     length/CRC frame and truncated away on Open. Every write lands at
+//     an offset of the record ledger, and Open, replay, compaction and
+//     -wal-dump read the log one frame at a time, never as a whole.
 //
 //   - snapshot checkpoints (checkpoint-<version>.ckpt): a compact
 //     binary serialization of the instance AND the canonical-sorted
@@ -24,10 +25,10 @@
 //     pair.
 //
 // Recovery (Recover) = latest readable checkpoint + WAL replay: each
-// record's delta goes through live.Stage/Commit directly, skipping
-// re-validation — the delta was validated against the access schema
-// when it was first committed, and replaying it cannot produce a state
-// that was never live. The recovered (instance, indexes, version)
+// record's delta goes through live.Replay, skipping re-validation — the
+// delta was validated against the access schema when it was first
+// committed, and replaying it cannot produce a state that was never
+// live. The recovered (instance, indexes, version)
 // triple is bit-for-bit the state the engine served at that version:
 // relation tuple order, bucket order, and multiplicity counts all
 // round-trip.
@@ -40,9 +41,9 @@
 // crash-injection suite kills the process at every fsync/rename
 // boundary and checks exactly that.
 //
-// Value cells inside both formats reuse the fuzz-hardened TSV cell
-// codec (load.EncodeValue/DecodeValue), length-prefixed so arbitrary
-// bytes are safe; both container formats have their own fuzz harnesses
+// A WAL record's body is the delta TSV format, with its fuzz-hardened
+// cell codec; checkpoint tuples are their length-prefixed value.Key
+// encodings. Both container formats have their own fuzz harnesses
 // (FuzzWALRecord, FuzzCheckpoint).
 package durable
 
@@ -130,7 +131,8 @@ type Store struct {
 	// pinned immutable snapshot), taking mu just for the final
 	// rename-and-compact step.
 	mu sync.Mutex
-	// wal is the open append handle. guarded by mu.
+	// wal is the open log. Every read and write names its offset, so
+	// the handle's own file offset is never used. guarded by mu.
 	wal *os.File
 	// recs is the ledger of committed records: version and end offset of
 	// each, in file order — what torn-tail truncation, replay and
@@ -155,8 +157,8 @@ func (s *Store) fire(point string) {
 }
 
 // Open opens (creating if needed) the durability directory: stale temp
-// files are removed, the WAL is scanned and any torn tail truncated
-// away, and the append handle is positioned at the end. hook installs
+// files are removed, and the WAL is scanned into the record ledger and
+// any torn tail truncated away. hook installs
 // crash-injection failpoints; pass nil outside tests.
 //
 // The store is unpublished until Open returns, so no lock is needed for
@@ -273,9 +275,6 @@ func (s *Store) Reset() error {
 		}
 	}
 	if err := s.wal.Truncate(0); err != nil {
-		return fmt.Errorf("durable: reset: %w", err)
-	}
-	if _, err := s.wal.Seek(0, 0); err != nil {
 		return fmt.Errorf("durable: reset: %w", err)
 	}
 	if err := s.wal.Sync(); err != nil {

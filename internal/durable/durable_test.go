@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -95,7 +96,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, d, n, err := DecodeWALRecord(frame, sc)
+	v, d, n, err := decodeWALRecord(frame, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	// A flipped payload byte must fail the CRC.
 	bad := append([]byte(nil), frame...)
 	bad[len(bad)-1] ^= 0x01
-	if _, _, _, err := DecodeWALRecord(bad, sc); err == nil {
+	if _, _, _, err := decodeWALRecord(bad, sc); err == nil {
 		t.Fatal("corrupted record decoded without error")
 	}
 }
@@ -410,4 +411,13 @@ func TestDumpWALGoldenShape(t *testing.T) {
 	if !strings.HasSuffix(strings.TrimRight(out, "\n"), "bytes") {
 		t.Fatalf("dump missing trailer:\n%s", out)
 	}
+}
+
+// decodeWALRecord decodes the first frame in buf through the log's frame
+// reader, returning the committed version, the delta and the frame's
+// size in bytes.
+func decodeWALRecord(buf []byte, sc *schema.Schema) (uint64, *live.Delta, int, error) {
+	fr := &frameReader{r: bytes.NewReader(buf), end: int64(len(buf))}
+	v, d, err := fr.readRecord(sc)
+	return v, d, int(fr.off), err
 }

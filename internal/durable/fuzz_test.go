@@ -42,7 +42,7 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		v, d, n, err := DecodeWALRecord(b, sc)
+		v, d, n, err := decodeWALRecord(b, sc)
 		if err != nil {
 			return
 		}
@@ -61,7 +61,7 @@ func FuzzWALRecord(f *testing.F) {
 		for _, i := range []int{0, 4, frameHeader, n - 1} {
 			bad := append([]byte(nil), b[:n]...)
 			bad[i] ^= 0x20
-			if _, _, _, err := DecodeWALRecord(bad, sc); err == nil {
+			if _, _, _, err := decodeWALRecord(bad, sc); err == nil {
 				// Flipping a length byte can still frame a valid shorter
 				// record only if the CRC matches, which the checksum makes
 				// astronomically unlikely; treat acceptance as a bug.

@@ -76,28 +76,12 @@ func (s *Store) Recover(ctx context.Context, sc *schema.Schema, a *access.Schema
 	}
 
 	rsp := tr.Start("recover.replay")
-	recs, err := s.records(sc, base.Version, last)
-	if err != nil {
-		rsp.End()
-		return nil, err
-	}
-	want := base.Version
 	cur := base.Indexed
-	for _, r := range recs {
-		want++
-		if r.version != want {
-			rsp.End()
-			return nil, fmt.Errorf("durable: WAL replay expected version %d, found %d", want, r.version)
-		}
-		if err := live.Replay(ctx, r.delta, cur); err != nil {
-			rsp.End()
-			return nil, fmt.Errorf("durable: replaying version %d: %w", r.version, err)
-		}
-	}
-	rsp.SetRows(int64(len(recs)))
+	n, err := s.replay(sc, base.Version, last, func(d *live.Delta) error { return live.Replay(ctx, d, cur) })
+	rsp.SetRows(int64(n))
 	rsp.End()
-	if want != last {
-		return nil, fmt.Errorf("durable: WAL replay reached version %d, expected %d", want, last)
+	if err != nil {
+		return nil, err
 	}
 
 	// Drop any diverged suffix past the cut so future appends at

@@ -1,8 +1,10 @@
 package durable
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -58,106 +60,114 @@ func EncodeWALRecord(version uint64, d *live.Delta) ([]byte, error) {
 	return frame, nil
 }
 
-// DecodeWALRecord decodes the first framed record in buf, returning the
-// committed version, the delta, and how many bytes the frame consumed.
-// It never panics on arbitrary input: any malformed frame — short
-// header, oversized or short payload, CRC mismatch, bad payload — is an
-// error. io.ErrUnexpectedEOF specifically means "frame cut short", the
-// torn-tail signature.
-func DecodeWALRecord(buf []byte, s *schema.Schema) (version uint64, d *live.Delta, consumed int, err error) {
-	if len(buf) < frameHeader {
-		return 0, nil, 0, fmt.Errorf("durable: WAL frame header: %w", io.ErrUnexpectedEOF)
+// badFrame is a malformed frame — what a torn tail or bit rot leaves —
+// as opposed to a read that failed.
+type badFrame struct{ error }
+
+func (b badFrame) Unwrap() error { return b.error }
+
+// frameReader reads WAL frames in file order from the byte range
+// [off, end) of the log, one frame at a time through a small buffer.
+type frameReader struct {
+	r        io.Reader
+	off, end int64  // where the next frame starts; where the range ends
+	buf      []byte // the payload buffer, reused frame to frame
+}
+
+func newFrameReader(f io.ReaderAt, off, end int64) *frameReader {
+	return &frameReader{r: bufio.NewReader(io.NewSectionReader(f, off, end-off)), off: off, end: end}
+}
+
+// readFrame reads the next frame. It checks the header, then the length
+// against maxWALPayload and against the bytes the range still holds
+// before allocating anything, then the payload's CRC32C, format byte and
+// commit version, and never panics on arbitrary bytes. It returns the commit version and the delta TSV body,
+// which is valid until the next call. io.EOF means the range ended at a
+// frame boundary; a malformed frame is a badFrame. off moves past a frame
+// only when the frame is returned.
+func (fr *frameReader) readFrame() (version uint64, body []byte, err error) {
+	remain := fr.end - fr.off
+	if remain == 0 {
+		return 0, nil, io.EOF
 	}
-	n := binary.LittleEndian.Uint32(buf[0:4])
+	if remain < frameHeader {
+		return 0, nil, badFrame{fmt.Errorf("durable: WAL frame header: %w", io.ErrUnexpectedEOF)}
+	}
+	var h [frameHeader]byte
+	if _, err := io.ReadFull(fr.r, h[:]); err != nil {
+		return 0, nil, fmt.Errorf("durable: reading WAL: %w", err)
+	}
+	n := binary.LittleEndian.Uint32(h[0:4])
 	if n > maxWALPayload {
-		return 0, nil, 0, fmt.Errorf("durable: WAL record claims %d bytes, limit %d", n, maxWALPayload)
+		return 0, nil, badFrame{fmt.Errorf("durable: WAL record claims %d bytes, limit %d", n, maxWALPayload)}
 	}
-	if len(buf) < frameHeader+int(n) {
-		return 0, nil, 0, fmt.Errorf("durable: WAL payload: %w", io.ErrUnexpectedEOF)
+	if remain < frameHeader+int64(n) {
+		return 0, nil, badFrame{fmt.Errorf("durable: WAL payload: %w", io.ErrUnexpectedEOF)}
 	}
-	payload := buf[frameHeader : frameHeader+int(n)]
-	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(buf[4:8]); got != want {
-		return 0, nil, 0, fmt.Errorf("durable: WAL record checksum mismatch (%08x != %08x)", got, want)
+	if cap(fr.buf) < int(n) {
+		fr.buf = make([]byte, n)
+	}
+	payload := fr.buf[:n]
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
+		return 0, nil, fmt.Errorf("durable: reading WAL: %w", err)
+	}
+	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(h[4:8]); got != want {
+		return 0, nil, badFrame{fmt.Errorf("durable: WAL record checksum mismatch (%08x != %08x)", got, want)}
 	}
 	if len(payload) == 0 {
-		return 0, nil, 0, fmt.Errorf("durable: empty WAL payload")
+		return 0, nil, badFrame{fmt.Errorf("durable: empty WAL payload")}
 	}
 	if payload[0] != walFormatVersion {
-		return 0, nil, 0, fmt.Errorf("durable: WAL format version %d, want %d", payload[0], walFormatVersion)
+		return 0, nil, badFrame{fmt.Errorf("durable: WAL format version %d, want %d", payload[0], walFormatVersion)}
 	}
 	v, vn := binary.Uvarint(payload[1:])
 	if vn <= 0 {
-		return 0, nil, 0, fmt.Errorf("durable: bad WAL commit version varint")
+		return 0, nil, badFrame{fmt.Errorf("durable: bad WAL commit version varint")}
 	}
-	d, err = live.ReadDeltaTSV(bytes.NewReader(payload[1+vn:]), s)
-	if err != nil {
-		return 0, nil, 0, fmt.Errorf("durable: WAL delta: %w", err)
-	}
-	return v, d, frameHeader + int(n), nil
+	fr.off += frameHeader + int64(n)
+	return v, payload[1+vn:], nil
 }
 
-// scanWAL walks the log from offset 0, validating each frame and
-// rebuilding the record ledger. The first malformed frame is treated as
-// a torn tail: the file is truncated at the last intact frame boundary.
-// Frame validation here checks length and CRC only — payload decoding
-// belongs to replay, which has the schema.
+// readRecord is readFrame plus the decode of the frame's delta.
+func (fr *frameReader) readRecord(sc *schema.Schema) (uint64, *live.Delta, error) {
+	v, body, err := fr.readFrame()
+	if err != nil {
+		return 0, nil, err
+	}
+	d, err := live.ReadDeltaTSV(bytes.NewReader(body), sc)
+	if err != nil {
+		return 0, nil, badFrame{fmt.Errorf("durable: WAL delta: %w", err)}
+	}
+	return v, d, nil
+}
+
+// scanWAL walks the log frame by frame from offset 0, rebuilding the
+// record ledger. The first malformed frame is treated as a torn tail:
+// the file is truncated at the last intact frame boundary. Only frames
+// are checked here — decoding their deltas belongs to replay, which has
+// the schema.
 func (s *Store) scanWAL() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	buf, err := readAll(s.wal)
+	fi, err := s.wal.Stat()
 	if err != nil {
 		return fmt.Errorf("durable: reading WAL: %w", err)
 	}
-	var good int64
+	fr := newFrameReader(s.wal, 0, fi.Size())
 	s.recs = nil
-	for off := 0; off < len(buf); {
-		rest := buf[off:]
-		if len(rest) < frameHeader {
-			break
+	for {
+		v, _, err := fr.readFrame()
+		if err == io.EOF {
+			return nil
 		}
-		n := binary.LittleEndian.Uint32(rest[0:4])
-		if n > maxWALPayload || len(rest) < frameHeader+int(n) {
-			break
+		if errors.As(err, new(badFrame)) {
+			return s.truncateLocked(fr.off)
 		}
-		payload := rest[frameHeader : frameHeader+int(n)]
-		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rest[4:8]) {
-			break
-		}
-		v, ok := peekVersion(payload)
-		if !ok {
-			break
-		}
-		off += frameHeader + int(n)
-		good = int64(off)
-		s.recs = append(s.recs, recMeta{version: v, end: good})
-	}
-	if good < int64(len(buf)) {
-		if err := s.truncateLocked(good); err != nil {
+		if err != nil {
 			return err
 		}
+		s.recs = append(s.recs, recMeta{version: v, end: fr.off})
 	}
-	if _, err := s.wal.Seek(good, io.SeekStart); err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	return nil
-}
-
-// peekVersion reads the commit version out of a CRC-validated payload.
-func peekVersion(payload []byte) (uint64, bool) {
-	if len(payload) == 0 || payload[0] != walFormatVersion {
-		return 0, false
-	}
-	v, vn := binary.Uvarint(payload[1:])
-	return v, vn > 0
-}
-
-// readAll reads f from the start without disturbing concurrent state;
-// the caller repositions the handle afterwards.
-func readAll(f *os.File) ([]byte, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return io.ReadAll(f)
 }
 
 // truncateLocked cuts the WAL (and its ledger) back to size off.
@@ -213,52 +223,43 @@ func (s *Store) AppendDelta(version uint64, d *live.Delta) error {
 	return nil
 }
 
-// records decodes the committed WAL records with from < version <= to,
-// in order. Frames outside the range are skipped by the ledger scanWAL
-// built — their boundaries and versions are known and their CRCs were
-// already validated on open, so checkpoint-covered records cost nothing
-// at replay time. Decoding errors here mean on-disk corruption past the
-// CRC (or a schema mismatch) and abort recovery rather than guessing.
-func (s *Store) records(sc *schema.Schema, from, to uint64) ([]walRecord, error) {
+// replay decodes the deltas committing versions from+1 .. to and hands
+// each to apply, in order, one frame in memory at a time. It reads the
+// one byte range the ledger names — from the end of the last record at
+// or below from to the end of the last record at or below to — so the
+// records a checkpoint covers are never read. A missing version, or a
+// frame that no longer decodes (corruption past the CRC, or a schema
+// mismatch), aborts recovery rather than guessing. n counts the deltas
+// applied.
+func (s *Store) replay(sc *schema.Schema, from, to uint64, apply func(*live.Delta) error) (n int, err error) {
 	s.mu.Lock()
-	buf, err := readAll(s.wal)
-	var metas []recMeta
-	if err == nil {
-		metas = append([]recMeta(nil), s.recs...)
-		var end int64
-		if n := len(metas); n > 0 {
-			end = metas[n-1].end
+	defer s.mu.Unlock()
+	var off, end int64
+	for _, m := range s.recs {
+		if m.version <= from {
+			off = m.end
 		}
-		buf = buf[:end]
-		_, err = s.wal.Seek(end, io.SeekStart)
+		if m.version <= to {
+			end = m.end
+		}
 	}
-	s.mu.Unlock()
-	if err != nil {
-		return nil, fmt.Errorf("durable: reading WAL: %w", err)
+	fr := newFrameReader(s.wal, off, max(off, end))
+	for want := from + 1; want <= to; want++ {
+		v, d, err := fr.readRecord(sc)
+		switch {
+		case err == io.EOF:
+			return n, fmt.Errorf("durable: WAL replay reached version %d, expected %d", want-1, to)
+		case err != nil:
+			return n, err
+		case v != want:
+			return n, fmt.Errorf("durable: WAL replay expected version %d, found %d", want, v)
+		}
+		if err := apply(d); err != nil {
+			return n, fmt.Errorf("durable: replaying version %d: %w", v, err)
+		}
+		n++
 	}
-	var out []walRecord
-	prev := int64(0)
-	for _, m := range metas {
-		frame := buf[prev:m.end]
-		prev = m.end
-		if m.version <= from || m.version > to {
-			continue
-		}
-		v, d, _, err := DecodeWALRecord(frame, sc)
-		if err != nil {
-			return nil, err
-		}
-		if v != m.version {
-			return nil, fmt.Errorf("durable: WAL frame holds version %d, ledger says %d", v, m.version)
-		}
-		out = append(out, walRecord{version: v, delta: d})
-	}
-	return out, nil
-}
-
-type walRecord struct {
-	version uint64
-	delta   *live.Delta
+	return n, nil
 }
 
 // TruncateAfter drops every committed record with version > v, and
@@ -299,44 +300,31 @@ func (s *Store) TruncateAfter(v uint64) error {
 	if n := len(s.recs); n > 0 && s.recs[n-1].end == cut {
 		return nil
 	}
-	if err := s.truncateLocked(cut); err != nil {
-		return err
-	}
-	if _, err := s.wal.Seek(cut, io.SeekStart); err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	return nil
+	return s.truncateLocked(cut)
 }
 
 // compactLocked rewrites the WAL keeping only records with
-// version > keep, via temp file + fsync + atomic rename. Called with
-// ckptMu held; takes mu itself around the swap.
+// version > keep, via temp file + fsync + atomic rename. AppendDelta
+// only ever appends last+1, so the kept records are a suffix of the
+// file: they are copied from a section of the old file, and the ledger
+// shifts by the cut. Called with ckptMu held; takes mu itself around the
+// swap.
 func (s *Store) compactLocked(keep uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	buf, err := readAll(s.wal)
-	if err != nil {
-		return fmt.Errorf("durable: reading WAL for compaction: %w", err)
-	}
-	var kept []byte
-	var keptRecs []recMeta
-	off := int64(0)
-	prev := int64(0)
-	for _, r := range s.recs {
-		frame := buf[prev:r.end]
-		prev = r.end
-		if r.version > keep {
-			kept = append(kept, frame...)
-			off += int64(len(frame))
-			keptRecs = append(keptRecs, recMeta{version: r.version, end: off})
+	drop, cut, end := 0, int64(0), int64(0)
+	for i, r := range s.recs {
+		if r.version <= keep {
+			drop, cut = i+1, r.end
 		}
+		end = r.end
 	}
 	tmp := s.walPath() + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
-	if _, err := f.Write(kept); err != nil {
+	if _, err := io.Copy(f, io.NewSectionReader(s.wal, cut, end-cut)); err != nil {
 		f.Close()
 		return fmt.Errorf("durable: compacting WAL: %w", err)
 	}
@@ -359,13 +347,12 @@ func (s *Store) compactLocked(keep uint64) error {
 	if err != nil {
 		return fmt.Errorf("durable: reopening compacted WAL: %w", err)
 	}
-	if _, err := nf.Seek(off, io.SeekStart); err != nil {
-		nf.Close()
-		return fmt.Errorf("durable: %w", err)
-	}
 	s.wal.Close()
 	s.wal = nf
-	s.recs = keptRecs
+	s.recs = append(s.recs[:0], s.recs[drop:]...)
+	for i := range s.recs {
+		s.recs[i].end -= cut
+	}
 	return nil
 }
 
@@ -375,20 +362,32 @@ func (s *Store) compactLocked(keep uint64) error {
 // golden tests can pin it. A torn tail is reported, not an error — the
 // dump tool exists to inspect exactly such logs.
 func DumpWAL(w io.Writer, dir string, sc *schema.Schema) error {
-	buf, err := os.ReadFile(filepath.Join(dir, walName))
+	f, err := os.Open(filepath.Join(dir, walName))
 	if err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
-	off := 0
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("durable: %w", err)
+	}
+	fr := newFrameReader(f, 0, fi.Size())
 	n := 0
-	for off < len(buf) {
-		v, d, consumed, err := DecodeWALRecord(buf[off:], sc)
-		if err != nil {
-			fmt.Fprintf(w, "!! torn tail at offset %d (%d trailing bytes): %v\n", off, len(buf)-off, err)
+	for {
+		start := fr.off
+		v, d, err := fr.readRecord(sc)
+		if err == io.EOF {
+			break
+		}
+		if errors.As(err, new(badFrame)) {
+			fmt.Fprintf(w, "!! torn tail at offset %d (%d trailing bytes): %v\n", start, fr.end-start, err)
 			return nil
 		}
+		if err != nil {
+			return err
+		}
 		n++
-		fmt.Fprintf(w, "record %d: version=%d ops=%d bytes=%d %s\n", n, v, d.Len(), consumed, d)
+		fmt.Fprintf(w, "record %d: version=%d ops=%d bytes=%d %s\n", n, v, d.Len(), fr.off-start, d)
 		var body bytes.Buffer
 		if err := live.WriteDeltaTSV(&body, d); err != nil {
 			return fmt.Errorf("durable: %w", err)
@@ -399,8 +398,7 @@ func DumpWAL(w io.Writer, dir string, sc *schema.Schema) error {
 			}
 			fmt.Fprintf(w, "  %s\n", line)
 		}
-		off += consumed
 	}
-	fmt.Fprintf(w, "%d records, %d bytes\n", n, off)
+	fmt.Fprintf(w, "%d records, %d bytes\n", n, fr.off)
 	return nil
 }

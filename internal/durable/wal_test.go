@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/access"
@@ -40,7 +41,7 @@ func TestOpenKeepsIntactPrefix(t *testing.T) {
 	// ends[i] is the end offset of the first i records.
 	ends := []int64{0}
 	for off := 0; off < len(wal); {
-		_, _, n, err := DecodeWALRecord(wal[off:], sc)
+		_, _, n, err := decodeWALRecord(wal[off:], sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,5 +185,39 @@ func TestAppendAfterCompactionCut(t *testing.T) {
 	}
 	if rec.Version != 6 || fingerprint(t, sc, rec.Indexed) != fingerprint(t, sc, after[5]) {
 		t.Fatalf("recovered version %d, want the replay through version 6", rec.Version)
+	}
+}
+
+// TestOpenAllocationIsBelowTheWAL pins that Open reads the log frame by
+// frame: on a 2 000-record WAL it may allocate the ledger and one frame's
+// buffers, but less than a quarter of the file — not a copy of it.
+func TestOpenAllocationIsBelowTheWAL(t *testing.T) {
+	_, _, _, deltas := fixture(t, 2000)
+	var wal []byte
+	for i, d := range deltas {
+		frame, err := EncodeWALRecord(uint64(i+1), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal = append(wal, frame...)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := Open(dir, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if v, _ := s.LastVersion(); v != 2000 {
+		t.Fatalf("Open found last version %d, want 2000", v)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(len(wal))/4 {
+		t.Fatalf("Open allocated %d bytes on a %d-byte WAL (%.2fx), want below a quarter of it",
+			got, len(wal), float64(got)/float64(len(wal)))
 	}
 }
