@@ -87,12 +87,12 @@ func (c *chaosRT) install(peers ...*peerClient) {
 
 var errChaosDrop = errors.New("chaos: connection dropped")
 
-// chaosOptions builds coordinator options with fast retry/cooldown
-// schedules so fault windows clear in milliseconds, and the injector to
-// install on the coordinator's peers.
-func chaosOptions(t *testing.T) (Options, *chaosRT) {
+// chaosOptions builds peer settings with fast retry/cooldown schedules
+// so fault windows clear in milliseconds, and the injector to install on
+// the coordinator's peers.
+func chaosOptions(t *testing.T) (peerOpts, *chaosRT) {
 	t.Helper()
-	return Options{
+	return peerOpts{
 		RPCTimeout: 5 * time.Second,
 		Retries:    2,
 		Backoff:    time.Millisecond,
@@ -400,13 +400,14 @@ func TestChaosWireSoakExactlyOneSnapshot(t *testing.T) {
 		nodes[i] = node
 		urls[i] = servers[i].URL
 	}
-	coord, err := New(s, a, urls, Options{
-		RPCTimeout: 5 * time.Second, Retries: 2,
-		Backoff: time.Millisecond, Cooldown: 20 * time.Millisecond,
-	})
+	coord, err := New(s, a, urls, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	peerOpts{
+		RPCTimeout: 5 * time.Second, Retries: 2,
+		Backoff: time.Millisecond, Cooldown: 20 * time.Millisecond,
+	}.tune(coord.peers...)
 	d := data.NewInstance(s)
 	d.MustInsert("A", sv("w"), sv("v0"))
 	d.MustInsert("B", sv("w"), sv("v0"))
@@ -498,10 +499,10 @@ func TestChaosWireSoakExactlyOneSnapshot(t *testing.T) {
 	}
 }
 
-// TestZeroOptionsRetryIdempotentCalls pins the documented default: a
-// peer client built from zero-valued Options — what beserve -peers
-// passes — retries an idempotent call, so one dropped attempt costs a
-// retry, not the request. A negative Retries turns retries off.
+// TestZeroOptionsRetryIdempotentCalls pins the fixed default: a peer
+// client as New builds it — what beserve -peers runs — retries an
+// idempotent call, so one dropped attempt costs a retry, not the
+// request. A peer tuned to a negative Retries does not retry.
 func TestZeroOptionsRetryIdempotentCalls(t *testing.T) {
 	tb := randomBed(t)
 	node, err := NewNode(tb.schema, tb.access, 0, 1, Options{})
@@ -519,13 +520,13 @@ func TestZeroOptionsRetryIdempotentCalls(t *testing.T) {
 		return ""
 	})
 	ctx := context.Background()
-	p := testPeer(t, 0, ts.URL, tb, Options{})
+	p := testPeer(t, 0, ts.URL, tb, peerOpts{})
 	rt.install(p)
 	if _, err := p.Status(ctx); err != nil {
 		t.Fatalf("zero Options: a dropped first attempt failed the call: %v", err)
 	}
 	attempts.Store(0)
-	p = testPeer(t, 0, ts.URL, tb, Options{Retries: -1})
+	p = testPeer(t, 0, ts.URL, tb, peerOpts{Retries: -1})
 	rt.install(p)
 	if _, err := p.Status(ctx); !errors.Is(err, errChaosDrop) {
 		t.Fatalf("Retries -1: a dropped attempt answered %v, want the drop", err)

@@ -28,19 +28,19 @@ import (
 	"repro/internal/value"
 )
 
-// Default failure-handling knobs; Options overrides them.
+// A peer client's failure handling.
 const (
-	// DefaultRPCTimeout bounds one request attempt to a peer.
-	DefaultRPCTimeout = 5 * time.Second
-	// DefaultRetries is how many times an idempotent call is retried
-	// after its first failure.
-	DefaultRetries = 2
-	// DefaultBackoff is the delay before the first retry; it doubles per
+	// rpcTimeout bounds one request attempt to a peer.
+	rpcTimeout = 5 * time.Second
+	// rpcRetries is how many times an idempotent call is retried after
+	// its first failure.
+	rpcRetries = 2
+	// rpcBackoff is the delay before the first retry; it doubles per
 	// attempt.
-	DefaultBackoff = 10 * time.Millisecond
-	// DefaultCooldown is how long a peer marked down refuses fast before
+	rpcBackoff = 10 * time.Millisecond
+	// downCooldown is how long a peer marked down refuses fast before
 	// the next request is allowed through to re-probe it.
-	DefaultCooldown = time.Second
+	downCooldown = time.Second
 )
 
 // idleConns bounds the idle connections a coordinator keeps open to one
@@ -58,10 +58,12 @@ const idleConns = 16
 // and a per-peer RPC latency histogram for /metrics. Native types in,
 // native types out: the wire's encodings stop here.
 type peerClient struct {
-	id      int
-	addr    string // the node's host:port
-	schema  *schema.Schema
-	access  *access.Schema
+	id     int
+	addr   string // the node's host:port
+	schema *schema.Schema
+	access *access.Schema
+	// timeout, retries, backoff and cooldown (below) start as the
+	// constants above; only tests change them.
 	timeout time.Duration
 	retries int
 	backoff time.Duration
@@ -83,41 +85,25 @@ type peerClient struct {
 
 var _ shard.Partition = (*peerClient)(nil)
 
-func newPeerClient(id int, base string, s *schema.Schema, a *access.Schema, opts Options) (*peerClient, error) {
+func newPeerClient(id int, base string, s *schema.Schema, a *access.Schema) (*peerClient, error) {
 	addr, err := peerAddr(base)
 	if err != nil {
 		return nil, err
 	}
-	p := &peerClient{
+	return &peerClient{
 		id:       id,
 		addr:     addr,
 		schema:   s,
 		access:   a,
-		timeout:  opts.RPCTimeout,
-		retries:  opts.Retries,
-		backoff:  opts.Backoff,
-		cooldown: opts.Cooldown,
+		timeout:  rpcTimeout,
+		retries:  rpcRetries,
+		backoff:  rpcBackoff,
+		cooldown: downCooldown,
 		idle:     make(chan *peerConn, idleConns),
 		exchange: (*peerConn).roundTrip,
 		lat: obs.NewLabeledHistogram("beserve_peer_rpc_latency_seconds",
 			"peer", strconv.Itoa(id), obs.LatencyBuckets()),
-	}
-	if p.timeout <= 0 {
-		p.timeout = DefaultRPCTimeout
-	}
-	switch {
-	case p.retries == 0:
-		p.retries = DefaultRetries
-	case p.retries < 0:
-		p.retries = 0
-	}
-	if p.backoff <= 0 {
-		p.backoff = DefaultBackoff
-	}
-	if p.cooldown <= 0 {
-		p.cooldown = DefaultCooldown
-	}
-	return p, nil
+	}, nil
 }
 
 // peerAddr is the host:port of a node's base URL, http://host[:port].
@@ -233,7 +219,7 @@ func (p *peerClient) do(ctx context.Context, m method, payload []byte, idem bool
 }
 
 // attempt is one call under one deadline: the sooner of the caller's
-// and RPCTimeout from now, set on the connection, and the caller's
+// and the peer's timeout from now, set on the connection, and the caller's
 // cancellation breaks a blocked read or write. A connection whose call
 // failed, timed out or was cancelled may hold half a frame, so it is
 // closed, never pooled — a late answer cannot be read as another

@@ -33,7 +33,6 @@ package cluster
 import (
 	"io"
 	"net/http"
-	"time"
 
 	"repro/internal/access"
 	"repro/internal/core"
@@ -42,22 +41,15 @@ import (
 	"repro/internal/shard"
 )
 
-// Options configures a coordinator's peer RPCs; a node takes none of
-// them. The planner and the placement of both derive from the catalog
-// and the partition count alone, so they agree by construction.
+// Options configures a coordinator; a node takes none of it. The planner
+// and the placement of both derive from the catalog and the partition
+// count alone, so they agree by construction, and the peer clients'
+// failure handling is fixed (see rpcTimeout).
 type Options struct {
 	// Client is unused: a coordinator dials and pools its framed
 	// connections itself. It remains only because the benchmark harness
 	// (benchmark/fixture.go) still sets it, and goes when that stops.
 	Client *http.Client
-	// RPCTimeout bounds one request attempt to a peer; Retries and
-	// Backoff shape the retry schedule of idempotent calls; Cooldown is
-	// the circuit breaker's down window. Zero values take the defaults;
-	// a negative Retries turns retries off.
-	RPCTimeout time.Duration
-	Retries    int
-	Backoff    time.Duration
-	Cooldown   time.Duration
 }
 
 // Engine is the coordinator over K networked shard nodes: shard.Engine
@@ -74,11 +66,11 @@ var _ core.Queryable = (*Engine)(nil)
 // shard order: peer i must be the node with -shard-id i). Call Attach
 // before serving to verify the fleet and adopt its committed version,
 // or Load to push it a dataset.
-func New(s *schema.Schema, a *access.Schema, peerURLs []string, opts Options) (*Engine, error) {
+func New(s *schema.Schema, a *access.Schema, peerURLs []string, _ Options) (*Engine, error) {
 	peers := make([]*peerClient, len(peerURLs))
 	parts := make([]shard.Partition, len(peerURLs))
 	for i, u := range peerURLs {
-		p, err := newPeerClient(i, u, s, a, opts)
+		p, err := newPeerClient(i, u, s, a)
 		if err != nil {
 			return nil, err
 		}

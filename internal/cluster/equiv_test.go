@@ -185,11 +185,37 @@ func (tb testbed) single(t *testing.T) *core.Engine {
 	return single
 }
 
-// testOptions are coordinator options tuned for tests: short timeouts
-// and fast retry/cooldown schedules.
-func testOptions(t testing.TB) Options {
+// peerOpts are the failure-handling settings of a coordinator's peer
+// clients, which tests set in package: a zero field keeps the client's
+// constant, and a negative Retries turns retries off.
+type peerOpts struct {
+	RPCTimeout, Backoff, Cooldown time.Duration
+	Retries                       int
+}
+
+// tune applies o to peers.
+func (o peerOpts) tune(peers ...*peerClient) {
+	for _, p := range peers {
+		if o.RPCTimeout > 0 {
+			p.timeout = o.RPCTimeout
+		}
+		if o.Retries != 0 {
+			p.retries = max(o.Retries, 0)
+		}
+		if o.Backoff > 0 {
+			p.backoff = o.Backoff
+		}
+		if o.Cooldown > 0 {
+			p.cooldown = o.Cooldown
+		}
+	}
+}
+
+// testOptions are peer settings tuned for tests: short timeouts and fast
+// retry/cooldown schedules.
+func testOptions(t testing.TB) peerOpts {
 	t.Helper()
-	return Options{
+	return peerOpts{
 		RPCTimeout: 5 * time.Second,
 		Retries:    2,
 		Backoff:    time.Millisecond,
@@ -201,7 +227,7 @@ func testOptions(t testing.TB) Options {
 // server serving the framed wire, and a coordinator over them.
 // The returned nodes allow tests to inspect per-shard state (versions,
 // sizes) that a real deployment would read via /status.
-func startCluster(t testing.TB, tb testbed, k int, opts Options) (*Engine, []*Node, []string) {
+func startCluster(t testing.TB, tb testbed, k int, opts peerOpts) (*Engine, []*Node, []string) {
 	t.Helper()
 	nodes := make([]*Node, k)
 	urls := make([]string, k)
@@ -215,23 +241,25 @@ func startCluster(t testing.TB, tb testbed, k int, opts Options) (*Engine, []*No
 		nodes[i] = node
 		urls[i] = ts.URL
 	}
-	coord, err := New(tb.schema, tb.access, urls, opts)
+	coord, err := New(tb.schema, tb.access, urls, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { closePeers(coord.peers...) })
+	opts.tune(coord.peers...)
 	return coord, nodes, urls
 }
 
 // testPeer is a peer client of node i at url whose idle connections the
 // test's cleanup closes, so that the node's serve loops end with it.
-func testPeer(t testing.TB, i int, url string, tb testbed, opts Options) *peerClient {
+func testPeer(t testing.TB, i int, url string, tb testbed, opts peerOpts) *peerClient {
 	t.Helper()
-	p, err := newPeerClient(i, url, tb.schema, tb.access, opts)
+	p, err := newPeerClient(i, url, tb.schema, tb.access)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.closeIdle)
+	opts.tune(p)
 	return p
 }
 

@@ -48,7 +48,7 @@ type Node struct {
 
 // NewNode builds shard server id of k over the shared catalog. A node
 // is configured by the catalog and k alone: Options holds only a
-// coordinator's RPC settings, so NewNode ignores it.
+// coordinator's settings, so NewNode ignores it.
 func NewNode(s *schema.Schema, a *access.Schema, id, k int, _ Options) (*Node, error) {
 	place, err := shard.NewPlacement(s, a, k)
 	if err != nil {

@@ -54,11 +54,12 @@ func TestDrainFinishesCommitInFlight(t *testing.T) {
 			t.Cleanup(ts.Close)
 			opts := testOptions(t)
 			opts.Backoff, opts.Cooldown = time.Millisecond, time.Millisecond
-			coord, err := New(tb.schema, tb.access, []string{ts.URL}, opts)
+			coord, err := New(tb.schema, tb.access, []string{ts.URL}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { closePeers(coord.peers...) })
+			opts.tune(coord.peers...)
 			if err := coord.Load(tb.build()); err != nil {
 				t.Fatal(err)
 			}
