@@ -24,7 +24,7 @@ import (
 //
 //	u8  ckptFormatVersion (=1)
 //	uvarint version
-//	u32 catalogHash                      (schema+access fingerprint)
+//	u32 CatalogHash                      (schema+access fingerprint)
 //	relation sections, in schema order, each length-prefixed
 //	(uvarint sectionLen | section):
 //	    uvarint nameLen | name
@@ -86,7 +86,7 @@ func EncodeCheckpoint(sc *schema.Schema, st *State) ([]byte, error) {
 	p.WriteByte(ckptFormatVersion)
 	p.Write(binary.AppendUvarint(nil, st.Version))
 	var h [4]byte
-	binary.LittleEndian.PutUint32(h[:], catalogHash(sc, st.Indexed.Access))
+	binary.LittleEndian.PutUint32(h[:], CatalogHash(sc, st.Indexed.Access))
 	p.Write(h[:])
 
 	var sect bytes.Buffer
@@ -199,7 +199,7 @@ func DecodeCheckpoint(buf []byte, sc *schema.Schema, a *access.Schema) (*State, 
 	if err != nil {
 		return nil, err
 	}
-	if want := catalogHash(sc, a); ch != want {
+	if want := CatalogHash(sc, a); ch != want {
 		return nil, fmt.Errorf("durable: checkpoint catalog hash %08x, running catalog %08x — was it written under a different schema?", ch, want)
 	}
 

@@ -297,10 +297,12 @@ func (s *Store) syncDir() error {
 	return nil
 }
 
-// catalogHash fingerprints the (relational schema, access schema) pair a
-// checkpoint was written under, so recovery under a different catalog
-// fails loudly instead of mis-decoding positionally.
-func catalogHash(s *schema.Schema, a *access.Schema) uint32 {
+// CatalogHash fingerprints the (relational schema, access schema) pair.
+// Every checkpoint records the one it was written under, so recovery
+// under a different catalog fails loudly instead of mis-decoding
+// positionally; a coordinator refuses a partition that reports another
+// one, since placement and constraint indices derive from the catalog.
+func CatalogHash(s *schema.Schema, a *access.Schema) uint32 {
 	var b strings.Builder
 	for _, rs := range s.Relations() {
 		b.WriteString(rs.Name)

@@ -152,6 +152,15 @@ func TestCheckpointCatalogMismatch(t *testing.T) {
 	}
 }
 
+// TestCatalogHashIsStable pins the accidents catalog's fingerprint.
+// Every checkpoint carries it, so a changed value would make every
+// existing data directory unrecoverable.
+func TestCatalogHashIsStable(t *testing.T) {
+	if got := CatalogHash(workload.AccidentSchema(), workload.AccidentConstraints()); got != 0x3fd780f5 {
+		t.Fatalf("accidents catalog fingerprint %08x, want 3fd780f5", got)
+	}
+}
+
 // seedStore writes a base checkpoint at version 0 and appends deltas as
 // versions 1..n, mirroring the engine's commit protocol.
 func seedStore(t *testing.T, dir string, sc *schema.Schema, ix *access.Indexed, deltas []*live.Delta) *Store {

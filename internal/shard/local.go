@@ -75,7 +75,7 @@ type Local struct {
 	schema  *schema.Schema
 	access  *access.Schema
 	id, k   int
-	catalog uint32 // catalogHash(schema, access)
+	catalog uint32 // durable.CatalogHash(schema, access)
 
 	// cur is the current committed snapshot (nil before data arrives).
 	// mu serializes writes — load, stage, commit, rollback — and guards
@@ -100,7 +100,7 @@ func NewLocal(s *schema.Schema, a *access.Schema, id, k int) (*Local, error) {
 	if id < 0 || id >= k {
 		return nil, fmt.Errorf("shard: partition id %d out of range [0,%d)", id, k)
 	}
-	return &Local{schema: s, access: a, id: id, k: k, catalog: catalogHash(s, a)}, nil
+	return &Local{schema: s, access: a, id: id, k: k, catalog: durable.CatalogHash(s, a)}, nil
 }
 
 func (l *Local) refuse(status int, code, format string, args ...any) error {

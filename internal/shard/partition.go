@@ -82,7 +82,7 @@ type Status struct {
 	Version uint64 `json:"version"`
 	Size    int    `json:"size"`
 	// Catalog fingerprints the (schema, access schema) pair the
-	// partition serves; see catalogHash.
+	// partition serves; see durable.CatalogHash.
 	Catalog uint32 `json:"catalog"`
 }
 

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"hash/fnv"
 	"slices"
 
 	"repro/internal/access"
@@ -180,22 +179,4 @@ func (p *Placement) Share(d *data.Instance, id int) (*data.Instance, error) {
 		return nil, err
 	}
 	return out[id], nil
-}
-
-// catalogHash fingerprints the (relational schema, access schema) pair
-// so a coordinator refuses to attach to a partition serving a different
-// catalog. The catalog is all that placement and constraint indices
-// derive from, so equal fingerprints (with equal K) mean both sides
-// route every tuple and fetch alike.
-func catalogHash(s *schema.Schema, a *access.Schema) uint32 {
-	h := fnv.New32a()
-	for _, rs := range s.Relations() {
-		h.Write([]byte(rs.String()))
-		h.Write([]byte{0})
-	}
-	for _, c := range a.Constraints {
-		h.Write([]byte(c.String()))
-		h.Write([]byte{0})
-	}
-	return h.Sum32()
 }

@@ -356,7 +356,7 @@ func (e *Engine) Attach(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	want := catalogHash(e.Schema, e.Access)
+	want := durable.CatalogHash(e.Schema, e.Access)
 	cut := stats[0].Version
 	for i, st := range stats {
 		if st.Shard != i || st.Shards != k {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/access"
@@ -443,5 +444,27 @@ func TestScanMergeObservesContext(t *testing.T) {
 	}
 	if len(res.Rows) == 0 {
 		t.Fatal("scan after merge returned no rows")
+	}
+}
+
+// TestAttachRefusesAnotherCatalog pins Attach's catalog check: a
+// partition serving the same relations under fewer constraints reports
+// another fingerprint, and the coordinator refuses the fleet.
+func TestAttachRefusesAnotherCatalog(t *testing.T) {
+	s, a := workload.AccidentSchema(), workload.AccidentConstraints()
+	same, err := NewLocal(s, a, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := NewLocal(s, access.NewSchema(a.Constraints[1:]...), 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := NewCoordinator(s, a, []Partition{same, other})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Attach(context.Background()); err == nil || !strings.Contains(err.Error(), "partition 1 serves a different catalog") {
+		t.Fatalf("Attach over a partition with another catalog: %v", err)
 	}
 }
