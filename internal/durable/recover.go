@@ -76,13 +76,20 @@ func (s *Store) Recover(ctx context.Context, sc *schema.Schema, a *access.Schema
 	}
 
 	rsp := tr.Start("recover.replay")
-	cur := base.Indexed
-	n, err := s.replay(sc, base.Version, last, func(d *live.Delta) error { return live.Replay(ctx, d, cur) })
-	rsp.SetRows(int64(n))
-	rsp.End()
+	deltas, err := s.records(sc, base.Version, last)
 	if err != nil {
+		rsp.End()
 		return nil, err
 	}
+	cur := base.Indexed
+	for i, d := range deltas {
+		if err := live.Replay(ctx, d, cur); err != nil {
+			rsp.End()
+			return nil, fmt.Errorf("durable: replaying version %d: %w", base.Version+uint64(i)+1, err)
+		}
+	}
+	rsp.SetRows(int64(len(deltas)))
+	rsp.End()
 
 	// Drop any diverged suffix past the cut so future appends at
 	// last+1 line up with the recovered state.

@@ -81,10 +81,10 @@ func newFrameReader(f io.ReaderAt, off, end int64) *frameReader {
 // readFrame reads the next frame. It checks the header, then the length
 // against maxWALPayload and against the bytes the range still holds
 // before allocating anything, then the payload's CRC32C, format byte and
-// commit version, and never panics on arbitrary bytes. It returns the commit version and the delta TSV body,
-// which is valid until the next call. io.EOF means the range ended at a
-// frame boundary; a malformed frame is a badFrame. off moves past a frame
-// only when the frame is returned.
+// commit version; it never panics on arbitrary bytes. It returns the
+// commit version and the delta TSV body, which is valid until the next
+// call. io.EOF means the range ended at a frame boundary; a malformed
+// frame is a badFrame. off moves past a frame only when it is returned.
 func (fr *frameReader) readFrame() (version uint64, body []byte, err error) {
 	remain := fr.end - fr.off
 	if remain == 0 {
@@ -223,15 +223,13 @@ func (s *Store) AppendDelta(version uint64, d *live.Delta) error {
 	return nil
 }
 
-// replay decodes the deltas committing versions from+1 .. to and hands
-// each to apply, in order, one frame in memory at a time. It reads the
-// one byte range the ledger names — from the end of the last record at
-// or below from to the end of the last record at or below to — so the
-// records a checkpoint covers are never read. A missing version, or a
-// frame that no longer decodes (corruption past the CRC, or a schema
-// mismatch), aborts recovery rather than guessing. n counts the deltas
-// applied.
-func (s *Store) replay(sc *schema.Schema, from, to uint64, apply func(*live.Delta) error) (n int, err error) {
+// records decodes the deltas committing versions from+1 .. to, in
+// order. It reads the one byte range the ledger names — from the end of
+// the last record at or below from to the end of the last record at or
+// below to — so the records a checkpoint covers are never read. A
+// missing version, or a frame that no longer decodes (corruption past
+// the CRC, or a schema mismatch), aborts recovery rather than guessing.
+func (s *Store) records(sc *schema.Schema, from, to uint64) ([]*live.Delta, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var off, end int64
@@ -244,22 +242,20 @@ func (s *Store) replay(sc *schema.Schema, from, to uint64, apply func(*live.Delt
 		}
 	}
 	fr := newFrameReader(s.wal, off, max(off, end))
+	var out []*live.Delta
 	for want := from + 1; want <= to; want++ {
 		v, d, err := fr.readRecord(sc)
 		switch {
 		case err == io.EOF:
-			return n, fmt.Errorf("durable: WAL replay reached version %d, expected %d", want-1, to)
+			return nil, fmt.Errorf("durable: WAL replay reached version %d, expected %d", want-1, to)
 		case err != nil:
-			return n, err
+			return nil, err
 		case v != want:
-			return n, fmt.Errorf("durable: WAL replay expected version %d, found %d", want, v)
+			return nil, fmt.Errorf("durable: WAL replay expected version %d, found %d", want, v)
 		}
-		if err := apply(d); err != nil {
-			return n, fmt.Errorf("durable: replaying version %d: %w", v, err)
-		}
-		n++
+		out = append(out, d)
 	}
-	return n, nil
+	return out, nil
 }
 
 // TruncateAfter drops every committed record with version > v, and
