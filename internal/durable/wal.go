@@ -227,9 +227,14 @@ func (s *Store) AppendDelta(version uint64, d *live.Delta) error {
 // order. It reads the one byte range the ledger names — from the end of
 // the last record at or below from to the end of the last record at or
 // below to — so the records a checkpoint covers are never read. A
-// missing version, or a frame that no longer decodes (corruption past
-// the CRC, or a schema mismatch), aborts recovery rather than guessing.
+// missing version, a base checkpoint newer than the log's last record
+// (from > to, when Open truncated records the checkpoint covers), or a
+// frame that no longer decodes (corruption past the CRC, or a schema
+// mismatch), aborts recovery rather than guessing.
 func (s *Store) records(sc *schema.Schema, from, to uint64) ([]*live.Delta, error) {
+	if from > to {
+		return nil, fmt.Errorf("durable: WAL replay reached version %d, expected %d", from, to)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var off, end int64

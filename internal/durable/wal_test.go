@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/access"
@@ -219,5 +220,70 @@ func TestOpenAllocationIsBelowTheWAL(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(len(wal))/4 {
 		t.Fatalf("Open allocated %d bytes on a %d-byte WAL (%.2fx), want below a quarter of it",
 			got, len(wal), float64(got)/float64(len(wal)))
+	}
+}
+
+// TestRecoverRefusesCheckpointPastTheWAL damages a record the newest
+// checkpoint covers: with checkpoints {3, 6} and WAL {4, 5, 6}, a flipped
+// byte in record 5 makes Open keep only {4}, so the newest readable
+// checkpoint (6) is past the log's last version. Recover must refuse,
+// not label checkpoint 6's state as version 4, and must leave
+// checkpoint 6 on disk.
+func TestRecoverRefusesCheckpointPastTheWAL(t *testing.T) {
+	sc, a, ix, deltas := fixture(t, 6)
+	dir := t.TempDir()
+	s := seedStore(t, dir, sc, ix, deltas[:3])
+	after := applyAll(t, ix, deltas)
+	if err := s.WriteCheckpoint(sc, &State{Instance: after[2].Instance, Indexed: after[2], Version: 3}); err != nil {
+		t.Fatal(err)
+	}
+	for v := 4; v <= 6; v++ {
+		if err := s.AppendDelta(uint64(v), deltas[v-1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.WriteCheckpoint(sc, &State{Instance: after[5].Instance, Indexed: after[5], Version: 6}); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	var versions []uint64
+	for _, r := range s.recs {
+		versions = append(versions, r.version)
+	}
+	mid := s.recs[0].end + (s.recs[1].end-s.recs[0].end)/2
+	s.mu.Unlock()
+	if len(versions) != 3 || versions[0] != 4 || versions[2] != 6 {
+		t.Fatalf("WAL holds versions %v, want [4 5 6]", versions)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, walName)
+	wal, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal[mid] ^= 0x10
+	if err := os.WriteFile(walPath, wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if v, _ := s2.LastVersion(); v != 4 {
+		t.Fatalf("Open kept records through version %d, want 4", v)
+	}
+	rec, err := s2.Recover(context.Background(), sc, a, NoLimit)
+	if err == nil {
+		t.Fatalf("Recover returned version %d over checkpoint 6 and a WAL ending at 4, want an error", rec.Version)
+	}
+	if want := "WAL replay reached version 6, expected 4"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("Recover: %v, want %q", err, want)
+	}
+	if _, err := os.Stat(s2.checkpointPath(6)); err != nil {
+		t.Fatalf("checkpoint 6 after the refused Recover: %v", err)
 	}
 }
