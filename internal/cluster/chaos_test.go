@@ -87,18 +87,9 @@ func (c *chaosRT) install(peers ...*peerClient) {
 
 var errChaosDrop = errors.New("chaos: connection dropped")
 
-// chaosOptions builds peer settings with fast retry/cooldown schedules
-// so fault windows clear in milliseconds, and the injector to install on
-// the coordinator's peers.
-func chaosOptions(t *testing.T) (peerOpts, *chaosRT) {
-	t.Helper()
-	return peerOpts{
-		RPCTimeout: 5 * time.Second,
-		Retries:    2,
-		Backoff:    time.Millisecond,
-		Cooldown:   20 * time.Millisecond,
-	}, &chaosRT{}
-}
+// chaosCooldown is the breaker cooldown of the chaos suite's peers, so
+// fault windows clear in milliseconds.
+const chaosCooldown = 20 * time.Millisecond
 
 // codedError extracts the stable error code of a structured refusal, or
 // "" when err carries none (which the chaos suite treats as a failure:
@@ -119,8 +110,8 @@ func codedError(err error) string {
 // circuit's cooldown.
 func TestChaosPeerDownStructuredDegradation(t *testing.T) {
 	tb := accidentsBed(t)
-	opts, rt := chaosOptions(t)
-	coord, _, _ := startCluster(t, tb, 2, opts)
+	rt := &chaosRT{}
+	coord, _, _ := startCluster(t, tb, 2, chaosCooldown)
 	rt.install(coord.peers...)
 	if err := coord.Load(tb.build()); err != nil {
 		t.Fatal(err)
@@ -198,8 +189,8 @@ func coreSingle(tb testbed) (*core.Engine, error) {
 // healing the same delta applies cleanly.
 func TestChaosCommitFailureFailsWhole(t *testing.T) {
 	tb := accidentsBed(t)
-	opts, rt := chaosOptions(t)
-	coord, _, urls := startCluster(t, tb, 2, opts)
+	rt := &chaosRT{}
+	coord, _, urls := startCluster(t, tb, 2, chaosCooldown)
 	rt.install(coord.peers...)
 	if err := coord.Load(tb.build()); err != nil {
 		t.Fatal(err)
@@ -269,8 +260,8 @@ func TestChaosCommitFailureFailsWhole(t *testing.T) {
 // one per Apply and sizes track the single-node oracle.
 func TestChaosDuplicateCommitIdempotent(t *testing.T) {
 	tb := accidentsBed(t)
-	opts, rt := chaosOptions(t)
-	coord, _, urls := startCluster(t, tb, 2, opts)
+	rt := &chaosRT{}
+	coord, _, urls := startCluster(t, tb, 2, chaosCooldown)
 	rt.install(coord.peers...)
 	if err := coord.Load(tb.build()); err != nil {
 		t.Fatal(err)
@@ -323,8 +314,8 @@ func TestChaosDuplicateCommitIdempotent(t *testing.T) {
 // single-node-exact result (a half-merged cache would not).
 func TestChaosCutDumpNoPartialState(t *testing.T) {
 	tb := randomBed(t)
-	opts, rt := chaosOptions(t)
-	coord, _, _ := startCluster(t, tb, 2, opts)
+	rt := &chaosRT{}
+	coord, _, _ := startCluster(t, tb, 2, chaosCooldown)
 	rt.install(coord.peers...)
 	if err := coord.Load(tb.build()); err != nil {
 		t.Fatal(err)
@@ -404,10 +395,7 @@ func TestChaosWireSoakExactlyOneSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peerOpts{
-		RPCTimeout: 5 * time.Second, Retries: 2,
-		Backoff: time.Millisecond, Cooldown: 20 * time.Millisecond,
-	}.tune(coord.peers...)
+	fastRetry(chaosCooldown, coord.peers...)
 	d := data.NewInstance(s)
 	d.MustInsert("A", sv("w"), sv("v0"))
 	d.MustInsert("B", sv("w"), sv("v0"))
@@ -502,7 +490,7 @@ func TestChaosWireSoakExactlyOneSnapshot(t *testing.T) {
 // TestZeroOptionsRetryIdempotentCalls pins the fixed default: a peer
 // client as New builds it — what beserve -peers runs — retries an
 // idempotent call, so one dropped attempt costs a retry, not the
-// request. A peer tuned to a negative Retries does not retry.
+// request. With its retries set to 0 it does not retry.
 func TestZeroOptionsRetryIdempotentCalls(t *testing.T) {
 	tb := randomBed(t)
 	node, err := NewNode(tb.schema, tb.access, 0, 1, Options{})
@@ -511,7 +499,7 @@ func TestZeroOptionsRetryIdempotentCalls(t *testing.T) {
 	}
 	ts := httptest.NewServer(node.InternalHandler())
 	t.Cleanup(ts.Close)
-	_, rt := chaosOptions(t)
+	rt := &chaosRT{}
 	var attempts atomic.Int32
 	rt.setRule(func(int, method) string {
 		if attempts.Add(1) == 1 {
@@ -520,16 +508,19 @@ func TestZeroOptionsRetryIdempotentCalls(t *testing.T) {
 		return ""
 	})
 	ctx := context.Background()
-	p := testPeer(t, 0, ts.URL, tb, peerOpts{})
+	p, err := newPeerClient(0, ts.URL, tb.schema, tb.access)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.closeIdle)
 	rt.install(p)
 	if _, err := p.Status(ctx); err != nil {
 		t.Fatalf("zero Options: a dropped first attempt failed the call: %v", err)
 	}
 	attempts.Store(0)
-	p = testPeer(t, 0, ts.URL, tb, peerOpts{Retries: -1})
-	rt.install(p)
+	p.retries = 0
 	if _, err := p.Status(ctx); !errors.Is(err, errChaosDrop) {
-		t.Fatalf("Retries -1: a dropped attempt answered %v, want the drop", err)
+		t.Fatalf("retries 0: a dropped attempt answered %v, want the drop", err)
 	}
 }
 
@@ -540,9 +531,8 @@ func TestZeroOptionsRetryIdempotentCalls(t *testing.T) {
 // query's fetch is sent, not refused as circuit open.
 func TestCanceledCallLeavesBreakerClosed(t *testing.T) {
 	tb := randomBed(t)
-	opts := testOptions(t)
-	opts.Retries, opts.Cooldown = -1, time.Minute
-	coord, _, _ := startCluster(t, tb, 1, opts)
+	coord, _, _ := startCluster(t, tb, 1, time.Minute)
+	coord.peers[0].retries = 0
 	if err := coord.Load(tb.build()); err != nil {
 		t.Fatal(err)
 	}
@@ -573,13 +563,12 @@ func TestCanceledCallLeavesBreakerClosed(t *testing.T) {
 // fetch's.
 func TestCanceledCallClosesItsConnection(t *testing.T) {
 	tb := randomBed(t)
-	coord, _, urls := startCluster(t, tb, 1, testOptions(t))
+	coord, _, urls := startCluster(t, tb, 1, testCooldown)
 	if err := coord.Load(tb.build()); err != nil {
 		t.Fatal(err)
 	}
-	opts := testOptions(t)
-	opts.Retries = -1
-	p := testPeer(t, 0, urls[0], tb, opts)
+	p := testPeer(t, 0, urls[0], tb)
+	p.retries = 0
 	ctx, cancel := context.WithCancel(context.Background())
 	p.exchange = func(pc *peerConn, m method, body []byte) (int, []byte, error) {
 		if err := writeFrame(pc.w, uint64(m), body); err != nil {

@@ -25,7 +25,7 @@ func TestPeerFetchAllocs(t *testing.T) {
 	}
 	const ceiling = 20
 	tb := randomBed(t)
-	coord, _, _ := startCluster(t, tb, 1, testOptions(t))
+	coord, _, _ := startCluster(t, tb, 1, testCooldown)
 	if err := coord.Load(tb.build()); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func BenchmarkClusterQ0(b *testing.B) {
 			return acc.Instance
 		},
 	}
-	coord, _, _ := startCluster(b, tb, 4, testOptions(b))
+	coord, _, _ := startCluster(b, tb, 4, testCooldown)
 	if err := coord.Load(tb.build()); err != nil {
 		b.Fatal(err)
 	}

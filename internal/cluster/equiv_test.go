@@ -185,49 +185,25 @@ func (tb testbed) single(t *testing.T) *core.Engine {
 	return single
 }
 
-// peerOpts are the failure-handling settings of a coordinator's peer
-// clients, which tests set in package: a zero field keeps the client's
-// constant, and a negative Retries turns retries off.
-type peerOpts struct {
-	RPCTimeout, Backoff, Cooldown time.Duration
-	Retries                       int
-}
+// testCooldown is the breaker cooldown of the peers tests build, so a
+// peer marked down is re-probed within milliseconds.
+const testCooldown = 50 * time.Millisecond
 
-// tune applies o to peers.
-func (o peerOpts) tune(peers ...*peerClient) {
+// fastRetry gives peers a millisecond retry backoff and the given
+// breaker cooldown; their timeout and retries keep the client's
+// constants.
+func fastRetry(cooldown time.Duration, peers ...*peerClient) {
 	for _, p := range peers {
-		if o.RPCTimeout > 0 {
-			p.timeout = o.RPCTimeout
-		}
-		if o.Retries != 0 {
-			p.retries = max(o.Retries, 0)
-		}
-		if o.Backoff > 0 {
-			p.backoff = o.Backoff
-		}
-		if o.Cooldown > 0 {
-			p.cooldown = o.Cooldown
-		}
-	}
-}
-
-// testOptions are peer settings tuned for tests: short timeouts and fast
-// retry/cooldown schedules.
-func testOptions(t testing.TB) peerOpts {
-	t.Helper()
-	return peerOpts{
-		RPCTimeout: 5 * time.Second,
-		Retries:    2,
-		Backoff:    time.Millisecond,
-		Cooldown:   50 * time.Millisecond,
+		p.backoff, p.cooldown = time.Millisecond, cooldown
 	}
 }
 
 // startCluster builds K shard nodes, each behind its own httptest
 // server serving the framed wire, and a coordinator over them.
 // The returned nodes allow tests to inspect per-shard state (versions,
-// sizes) that a real deployment would read via /status.
-func startCluster(t testing.TB, tb testbed, k int, opts peerOpts) (*Engine, []*Node, []string) {
+// sizes) that a real deployment would read via /status. The
+// coordinator's peers retry fast and cool down for cooldown.
+func startCluster(t testing.TB, tb testbed, k int, cooldown time.Duration) (*Engine, []*Node, []string) {
 	t.Helper()
 	nodes := make([]*Node, k)
 	urls := make([]string, k)
@@ -246,20 +222,21 @@ func startCluster(t testing.TB, tb testbed, k int, opts peerOpts) (*Engine, []*N
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { closePeers(coord.peers...) })
-	opts.tune(coord.peers...)
+	fastRetry(cooldown, coord.peers...)
 	return coord, nodes, urls
 }
 
 // testPeer is a peer client of node i at url whose idle connections the
-// test's cleanup closes, so that the node's serve loops end with it.
-func testPeer(t testing.TB, i int, url string, tb testbed, opts peerOpts) *peerClient {
+// test's cleanup closes, so that the node's serve loops end with it. It
+// retries fast and cools down for testCooldown.
+func testPeer(t testing.TB, i int, url string, tb testbed) *peerClient {
 	t.Helper()
 	p, err := newPeerClient(i, url, tb.schema, tb.access)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.closeIdle)
-	opts.tune(p)
+	fastRetry(testCooldown, p)
 	return p
 }
 
@@ -289,7 +266,7 @@ func newFleet(t *testing.T, tb testbed, kind string, k int) *fleet {
 	t.Helper()
 	f := &fleet{parts: make([]shard.Partition, k)}
 	if kind == "http" {
-		coord, _, _ := startCluster(t, tb, k, testOptions(t))
+		coord, _, _ := startCluster(t, tb, k, testCooldown)
 		for i, p := range coord.peers {
 			f.parts[i] = p
 		}
@@ -304,7 +281,7 @@ func newFleet(t *testing.T, tb testbed, kind string, k int) *fleet {
 			}
 			ts := httptest.NewServer(node.InternalHandler())
 			t.Cleanup(ts.Close)
-			f.parts[i] = testPeer(t, i, ts.URL, tb, testOptions(t))
+			f.parts[i] = testPeer(t, i, ts.URL, tb)
 			continue
 		}
 		l, err := shard.NewLocal(tb.schema, tb.access, i, k)
@@ -709,7 +686,7 @@ func TestAttachRollsBackPartitionRestartedAheadOfCut(t *testing.T) {
 					if kind == "http" {
 						ts := httptest.NewServer(node.InternalHandler())
 						stops = append(stops, ts.Close)
-						f.parts[i] = testPeer(t, i, ts.URL, tb, testOptions(t))
+						f.parts[i] = testPeer(t, i, ts.URL, tb)
 					}
 				}
 				eng, err := shard.NewCoordinator(tb.schema, tb.access, f.parts)

@@ -52,14 +52,12 @@ func TestDrainFinishesCommitInFlight(t *testing.T) {
 			}
 			ts := httptest.NewServer(node.InternalHandler())
 			t.Cleanup(ts.Close)
-			opts := testOptions(t)
-			opts.Backoff, opts.Cooldown = time.Millisecond, time.Millisecond
 			coord, err := New(tb.schema, tb.access, []string{ts.URL}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { closePeers(coord.peers...) })
-			opts.tune(coord.peers...)
+			fastRetry(time.Millisecond, coord.peers...)
 			if err := coord.Load(tb.build()); err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +141,7 @@ func TestRestartedNodeTakesTheNextWrite(t *testing.T) {
 		return node, srv, ln.Addr().String()
 	}
 	node, srv, addr := serveAt("127.0.0.1:0")
-	p := testPeer(t, 0, "http://"+addr, tb, testOptions(t))
+	p := testPeer(t, 0, "http://"+addr, tb)
 	if _, err := p.Status(context.Background()); err != nil {
 		t.Fatal(err)
 	}

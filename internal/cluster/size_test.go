@@ -147,7 +147,7 @@ func checkBoundsMatch(t *testing.T, label string, doc *parser.Document, ref *cor
 // report, |D| = base + Version.
 func TestNodeStatsSizeMatchesVersionUnderWrites(t *testing.T) {
 	tb, _ := logBed(t)
-	coord, _, urls := startCluster(t, tb, 1, testOptions(t))
+	coord, _, urls := startCluster(t, tb, 1, testCooldown)
 	if err := coord.Load(tb.build()); err != nil {
 		t.Fatal(err)
 	}

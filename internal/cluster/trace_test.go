@@ -230,7 +230,7 @@ func TestPropertyOneRPCPerPartitionPerStep(t *testing.T) {
 		for _, k := range []int{2, 4} {
 			t.Run(fmt.Sprintf("%s/K=%d", tb.name, k), func(t *testing.T) {
 				rt := &fetchCounter{}
-				coord, _, _ := startCluster(t, tb, k, testOptions(t))
+				coord, _, _ := startCluster(t, tb, k, testCooldown)
 				rt.install(coord.peers...)
 				if err := coord.Load(tb.build()); err != nil {
 					t.Fatal(err)

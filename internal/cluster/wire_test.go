@@ -54,7 +54,7 @@ func answerBody(buckets ...[]value.Key) []byte {
 // randomBed's constraint 0 is R(a → b): one cell per projection.
 func TestFetchRefusesMalformedBuckets(t *testing.T) {
 	tb := randomBed(t)
-	_, _, urls := startCluster(t, tb, 1, testOptions(t))
+	_, _, urls := startCluster(t, tb, 1, testCooldown)
 	str := value.KeyOf(sv("abc"))
 	valid := answerBody([]value.Key{keyOf(1), keyOf(2)}, []value.Key{str})
 	for _, tc := range []struct {
@@ -79,9 +79,8 @@ func TestFetchRefusesMalformedBuckets(t *testing.T) {
 		{"undecodable projection", answerBody([]value.Key{"\x01\x80\x00"}, nil), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := testOptions(t)
-			opts.Retries = -1
-			p := testPeer(t, 0, urls[0], tb, opts)
+			p := testPeer(t, 0, urls[0], tb)
+			p.retries = 0
 			p.exchange = func(*peerConn, method, []byte) (int, []byte, error) { return http.StatusOK, tc.body, nil }
 			view, _ := p.Pin(0)
 			out := make([]index.Bucket, 2)
@@ -134,13 +133,12 @@ func FuzzFetchResponse(f *testing.F) {
 // while the well-formed request is answered.
 func TestFetchRequestRefusals(t *testing.T) {
 	tb := randomBed(t)
-	coord, _, urls := startCluster(t, tb, 1, testOptions(t))
+	coord, _, urls := startCluster(t, tb, 1, testCooldown)
 	if err := coord.Load(tb.build()); err != nil {
 		t.Fatal(err)
 	}
-	opts := testOptions(t)
-	opts.Retries = -1
-	p := testPeer(t, 0, urls[0], tb, opts)
+	p := testPeer(t, 0, urls[0], tb)
+	p.retries = 0
 	hc := &http.Client{Transport: &http.Transport{}}
 	t.Cleanup(hc.CloseIdleConnections)
 	valid := appendFetchRequest(nil, 0, 0, [][]byte{[]byte(keyOf(1)), []byte(keyOf(2))})
@@ -226,7 +224,7 @@ func FuzzFetchRequest(f *testing.F) {
 // dumpImage reads a node's dump answer for version v.
 func dumpImage(t *testing.T, tb testbed, url string, v uint64) []byte {
 	t.Helper()
-	img, err := testPeer(t, 0, url, tb, testOptions(t)).do(context.Background(), mDump, versionBody(v), true)
+	img, err := testPeer(t, 0, url, tb).do(context.Background(), mDump, versionBody(v), true)
 	if err != nil {
 		t.Fatalf("dump: %v", err)
 	}
@@ -244,7 +242,7 @@ func TestNodeImageIsCoordinatorsShare(t *testing.T) {
 		for _, k := range []int{2, 4} {
 			t.Run(fmt.Sprintf("%s/K=%d", tb.name, k), func(t *testing.T) {
 				local := loadedFleet(t, tb, "local", k)
-				coord, _, urls := startCluster(t, tb, k, testOptions(t))
+				coord, _, urls := startCluster(t, tb, k, testCooldown)
 				if err := coord.Load(tb.build()); err != nil {
 					t.Fatal(err)
 				}
@@ -271,7 +269,7 @@ func TestLoadRefusesForeignImage(t *testing.T) {
 	tb := accidentsBed(t)
 	ctx := context.Background()
 	single := tb.single(t)
-	coord, nodes, urls := startCluster(t, tb, 2, testOptions(t))
+	coord, nodes, urls := startCluster(t, tb, 2, testCooldown)
 	if err := coord.Load(tb.build()); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +297,7 @@ func TestLoadRefusesForeignImage(t *testing.T) {
 	}
 	corrupt[len(corrupt)-1] ^= 0xff
 
-	p := testPeer(t, 0, urls[0], testbed{schema: tb.schema, access: other}, testOptions(t))
+	p := testPeer(t, 0, urls[0], testbed{schema: tb.schema, access: other})
 	for _, tc := range []struct {
 		name string
 		load func() error
@@ -399,7 +397,7 @@ func FuzzFrame(f *testing.F) {
 // is not switched as shard_unavailable carrying the status it got.
 func TestRetiredWireRefused(t *testing.T) {
 	tb := randomBed(t)
-	_, _, urls := startCluster(t, tb, 1, testOptions(t))
+	_, _, urls := startCluster(t, tb, 1, testCooldown)
 	hc := &http.Client{Transport: &http.Transport{}}
 	t.Cleanup(hc.CloseIdleConnections)
 	for _, tc := range []struct{ method, path, upgrade string }{
@@ -438,9 +436,9 @@ func TestRetiredWireRefused(t *testing.T) {
 		reply(w, nil, &shard.Refusal{Status: http.StatusMisdirectedRequest, Code: "not_coordinator", Message: "not a node"})
 	}))
 	t.Cleanup(ts.Close)
-	opts := testOptions(t)
-	opts.Retries = -1
-	_, err := testPeer(t, 0, ts.URL, tb, opts).Status(context.Background())
+	p := testPeer(t, 0, ts.URL, tb)
+	p.retries = 0
+	_, err := p.Status(context.Background())
 	var ue *UnavailableError
 	if !errors.As(err, &ue) || codedError(err) != "shard_unavailable" || !strings.Contains(err.Error(), "421") {
 		t.Fatalf("handshake refused with 421 gave %v, want shard_unavailable naming the status", err)
