@@ -191,7 +191,7 @@ func run(cfg cliConfig) error {
 		// sharded engine would materialize the whole union just to count.
 		fmt.Printf("applied %s: +%d -%d tuples, |D| now %d\n",
 			cfg.apply, res.Inserted, res.Deleted, eng.Stats().Size)
-		if err := ndjson.WriteProfile(os.Stdout, aroot, nil); err != nil {
+		if err := ndjson.WriteProfile(os.Stdout, aroot); err != nil {
 			return err
 		}
 	}
@@ -271,7 +271,7 @@ func run(cfg cliConfig) error {
 			}
 			root := tr.Finish()
 			if cfg.profile {
-				if err := ndjson.WriteProfile(os.Stdout, root, nil); err != nil {
+				if err := ndjson.WriteProfile(os.Stdout, root); err != nil {
 					return err
 				}
 			}
@@ -300,7 +300,7 @@ func run(cfg cliConfig) error {
 			fmt.Println("  " + strings.Join(cells, "\t"))
 		}
 		if cfg.profile {
-			if err := ndjson.WriteProfile(os.Stdout, root, nil); err != nil {
+			if err := ndjson.WriteProfile(os.Stdout, root); err != nil {
 				return err
 			}
 		}

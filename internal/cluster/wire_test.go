@@ -221,6 +221,25 @@ func FuzzFetchRequest(f *testing.F) {
 	})
 }
 
+// FuzzStageRequest holds the node's stage request parser to the same
+// contract: it never panics, and a body it accepts re-encodes byte for
+// byte.
+func FuzzStageRequest(f *testing.F) {
+	f.Add(appendStageRequest(nil, "txn-1", 7, []byte("+\tAccident\t1\tx\n")))
+	f.Add(appendStageRequest(nil, "", 7, nil))
+	f.Add([]byte{7, 0x7f, 't'})
+	f.Add([]byte{0x87, 0x00, 1, 't'})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		txn, base, tsv, err := parseStageRequest(body)
+		if err != nil {
+			return
+		}
+		if got := appendStageRequest(nil, txn, base, tsv); !bytes.Equal(got, body) {
+			t.Fatalf("accepted %x, re-encodes to %x", body, got)
+		}
+	})
+}
+
 // dumpImage reads a node's dump answer for version v.
 func dumpImage(t *testing.T, tb testbed, url string, v uint64) []byte {
 	t.Helper()

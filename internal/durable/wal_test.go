@@ -223,6 +223,42 @@ func TestOpenAllocationIsBelowTheWAL(t *testing.T) {
 	}
 }
 
+// TestReplayAllocationIsAFewTimesTheWAL pins what replay costs on top
+// of the records it decodes: over a 2 000-record WAL, records allocates
+// at most 25 times the log, the decoded deltas included — not a fresh
+// line buffer per record.
+func TestReplayAllocationIsAFewTimesTheWAL(t *testing.T) {
+	sc, _, _, deltas := fixture(t, 2000)
+	dir := t.TempDir()
+	s, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i, d := range deltas {
+		if err := s.AppendDelta(uint64(i+1), d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fi, err := os.Stat(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := s.records(sc, 0, 2000)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(got) != 2000 {
+		t.Fatalf("records = %d deltas, %v; want 2000", len(got), err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("replay allocated %d bytes on a %d-byte WAL (%.1fx)", alloc, fi.Size(), float64(alloc)/float64(fi.Size()))
+	if alloc > 25*uint64(fi.Size()) {
+		t.Fatalf("replay allocated %d bytes on a %d-byte WAL (%.1fx), want at most 25x",
+			alloc, fi.Size(), float64(alloc)/float64(fi.Size()))
+	}
+}
+
 // TestRecoverRefusesCheckpointPastTheWAL damages a record the newest
 // checkpoint covers: with checkpoints {3, 6} and WAL {4, 5, 6}, a flipped
 // byte in record 5 makes Open keep only {4}, so the newest readable

@@ -28,9 +28,8 @@ func ReadDeltaTSV(r io.Reader, s *schema.Schema) (*Delta, error) {
 	sc := bufio.NewScanner(r)
 	// Start small and let the scanner grow toward the 16MB line cap:
 	// this runs once per WAL record on recovery and once per request on
-	// /v1/apply, and eagerly zeroing a 1MB buffer per call dominated the
-	// WAL replay profile.
-	sc.Buffer(make([]byte, 64<<10), 1<<24)
+	// /v1/apply, so a buffer allocated up front is paid per record.
+	sc.Buffer(nil, 1<<24)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

@@ -35,9 +35,9 @@ const lineCap = 512
 // execution error, so a stream cut short by a deadline or disconnect
 // surfaces to the caller instead of reading as a complete answer.
 //
-// flush, when non-nil, runs after every line — the server passes a
-// closure that hands the buffered lines to the HTTP flusher, so rows
-// reach a streaming client as they are produced.
+// flush, when non-nil, runs after every line. Every product caller
+// passes nil — the server hands w's bytes to the connection a chunk at
+// a time — and the argument stays only for the benchmark's callers.
 func Write(w io.Writer, res *core.Result, flush func()) error {
 	names := make([][]byte, 0, len(res.Columns))
 	line := make([]byte, 0, lineCap)
@@ -105,7 +105,7 @@ func appendString(dst []byte, s string) []byte {
 // "profile" column because column names come from query variables.
 // Shared by bequery -profile and the server's "profile": true so the
 // wire output stays byte-identical to the CLI.
-func WriteProfile(w io.Writer, root *obs.Span, flush func()) error {
+func WriteProfile(w io.Writer, root *obs.Span) error {
 	if root == nil {
 		return nil
 	}
@@ -115,11 +115,6 @@ func WriteProfile(w io.Writer, root *obs.Span, flush func()) error {
 	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintln(w, string(enc)); err != nil {
-		return err
-	}
-	if flush != nil {
-		flush()
-	}
-	return nil
+	_, err = fmt.Fprintln(w, string(enc))
+	return err
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/cq"
 	"repro/internal/data"
 	"repro/internal/eval"
+	"repro/internal/index"
 	"repro/internal/schema"
 	"repro/internal/value"
 	"repro/internal/workload"
@@ -248,12 +250,80 @@ func withParams(q *cq.CQ, from, to []value.Value) *cq.CQ {
 	return out
 }
 
+// orderLog records the order of a streamed run's fetch calls and
+// yields: a fetch call made after the first yielded row is late.
+type orderLog struct {
+	yields int
+	late   []string
+}
+
+func (l *orderLog) fetch(call string) {
+	if l.yields > 0 {
+		l.late = append(l.late, call)
+	}
+}
+
+// orderSource resolves every constraint to a fetcher of one kind —
+// FetchBytes only, FetchBatch, or FetchRouted by the constraint's X —
+// that logs each call and answers from the wrapped Source.
+type orderSource struct {
+	Source
+	kind string
+	log  *orderLog
+}
+
+func (s orderSource) FetcherFor(c access.Constraint) Fetcher {
+	f := s.Source.FetcherFor(c)
+	if f == nil {
+		return nil
+	}
+	o := orderFetcher{f: f, c: c, log: s.log}
+	switch s.kind {
+	case "batch":
+		return batchOrderFetcher{o}
+	case "routed":
+		return routedOrderFetcher{o}
+	}
+	return o
+}
+
+type orderFetcher struct {
+	f   Fetcher
+	c   access.Constraint
+	log *orderLog
+}
+
+func (o orderFetcher) FetchBytes(k []byte) index.Bucket {
+	o.log.fetch("FetchBytes")
+	return o.f.FetchBytes(k)
+}
+
+type batchOrderFetcher struct{ orderFetcher }
+
+func (o batchOrderFetcher) FetchBatch(ctx context.Context, keys [][]byte, out []index.Bucket) error {
+	o.log.fetch("FetchBatch")
+	return FetchAll(ctx, o.f, keys, out)
+}
+
+type routedOrderFetcher struct{ orderFetcher }
+
+func (o routedOrderFetcher) RouteBy() []schema.Attribute { return o.c.X }
+
+func (o routedOrderFetcher) FetchRouted(ctx context.Context, keys, _ [][]byte, out []index.Bucket) error {
+	o.log.fetch("FetchRouted")
+	return FetchAll(ctx, o.f, keys, out)
+}
+
 // checkPlan executes p on every instance of fx and compares it with naive
 // evaluation of the union of qs (one CQ, or the UCQ's sub-queries). It
-// also checks p's shape: every step but the last feeds a later step,
-// every sub-plan holds exactly one literal, and rebinding p's constants
-// (Bind) gives exactly the plan build makes for qs with those constants
-// replaced by fresh ones.
+// streams p through each kind of fetcher to check that every fetch call
+// comes before the first yielded row: the server writes an answer in
+// whole chunks on that ground, so an executor that fetches after it has
+// begun to yield must revisit that policy. It also checks p's shape:
+// every step but the last feeds a later step, every sub-plan holds
+// exactly one literal, and rebinding p's constants (Bind) gives exactly
+// the plan build makes for qs with those constants replaced by fresh
+// ones.
 func checkPlan(t *testing.T, fx *propFixture, qs []*cq.CQ, p *Plan, build func([]*cq.CQ) (*Plan, error)) {
 	t.Helper()
 	read := make([]bool, len(p.Steps))
@@ -324,6 +394,20 @@ func checkPlan(t *testing.T, fx *propFixture, qs []*cq.CQ, p *Plan, build func([
 		if stats.Fetched > bound.Fetched {
 			t.Fatalf("%v on %s #%d: fetched %d exceeds the static bound %d\nplan:\n%s",
 				qs, fx.name, i, stats.Fetched, bound.Fetched, p)
+		}
+		for _, kind := range []string{"per-key", "batch", "routed"} {
+			log := &orderLog{}
+			src := orderSource{Source: NewSource(ix), kind: kind, log: log}
+			if _, err := ExecuteStreamSource(context.Background(), p, src, func(data.Tuple) bool {
+				log.yields++
+				return true
+			}); err != nil {
+				t.Fatalf("%v on %s #%d through %s fetchers: %v\nplan:\n%s", qs, fx.name, i, kind, err, p)
+			}
+			if log.yields != got.Len() || len(log.late) > 0 {
+				t.Fatalf("%v on %s #%d through %s fetchers: %d rows yielded (want %d), fetch calls after the first: %v\nplan:\n%s",
+					qs, fx.name, i, kind, log.yields, got.Len(), log.late, p)
+			}
 		}
 	}
 }

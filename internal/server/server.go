@@ -121,12 +121,10 @@ const (
 	// maxQueryText bounds ad-hoc query text; planning cost grows with
 	// query size, and no legitimate query is this long.
 	maxQueryText = 16 << 10
-	// flushStride is how many NDJSON rows are written between explicit
-	// response flushes.
-	flushStride = 256
 	// chunkSize is the response buffer between the NDJSON encoder and
-	// the connection: a wide answer reaches the ResponseWriter in writes
-	// of this many bytes, each guarded by one stall deadline.
+	// the connection: an answer reaches the ResponseWriter in writes of
+	// this many bytes, each guarded by one stall deadline, and its tail
+	// goes out with the trailers.
 	chunkSize = 32 << 10
 )
 
@@ -198,7 +196,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // statusWriter records the response status for the status-class
-// counters. Unwrap keeps http.ResponseController (flush, deadlines)
+// counters. Unwrap keeps http.ResponseController (deadlines)
 // working through the wrapper — handlers must use the controller, not
 // direct type assertions, for those optional interfaces.
 type statusWriter struct {
@@ -338,30 +336,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	h.Set("X-Beserve-Cache-Hit", strconv.FormatBool(res.Stats.CacheHit))
 	w.WriteHeader(http.StatusOK)
 	// Rows are encoded into a pooled chunk buffer in front of the
-	// stallWriter, so the connection sees one guarded write per chunk
-	// rather than one per row. The flush closure empties the buffer and
-	// flushes the response on the first row (streaming clients see data
-	// as soon as it exists) and every flushStride rows after it; the
-	// handler empties the tail below. Per-row flushing would cost a
-	// syscall and an undersized chunk per line on large scans. The flush
-	// goes through ResponseController so it traverses the statusWriter
-	// wrapper (Unwrap), where a direct http.Flusher assertion would not.
-	rc := http.NewResponseController(w)
-	out := &stallWriter{w: w, rc: rc, stall: s.opts.StallTimeout, rows: &s.metrics.rows}
+	// stallWriter, so the connection sees one guarded write per full
+	// chunk rather than one per row, and the tail goes out with the
+	// trailers when the handler returns. Nothing is flushed early: a
+	// bounded plan does all of its data access before it yields its
+	// first row (internal/plan's property test pins this), so a flush
+	// ahead of the chunk would only add a socket write and a client
+	// wakeup.
+	out := &stallWriter{w: w, rc: http.NewResponseController(w), stall: s.opts.StallTimeout, rows: &s.metrics.rows}
 	buf := chunkPool.Get().(*bufio.Writer)
 	buf.Reset(out)
 	defer func() {
 		buf.Reset(nil)
 		chunkPool.Put(buf)
 	}()
-	n := 0
-	flush := func() {
-		if n%flushStride == 0 && buf.Flush() == nil {
-			_ = rc.Flush()
-		}
-		n++
-	}
-	werr := ndjson.Write(buf, res, flush)
+	werr := ndjson.Write(buf, res, nil)
 	// The rows still buffered go out whether or not the stream was cut:
 	// a deadline keeps the rows produced before it. A failed final write
 	// is a cut like any other.
@@ -373,7 +362,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// EXPLAIN ANALYZE trailer: one {"profile": <span tree>} line
 		// after the rows. Written to w directly so the rows-streamed
 		// counters keep counting answer rows only.
-		werr = ndjson.WriteProfile(w, root, func() { _ = rc.Flush() })
+		werr = ndjson.WriteProfile(w, root)
 	}
 	h.Set("X-Beserve-Fetched", strconv.FormatInt(res.Stats.Fetched, 10))
 	h.Set("X-Beserve-Scanned", strconv.FormatInt(res.Stats.Scanned, 10))

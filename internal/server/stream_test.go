@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -108,35 +109,40 @@ func TestStalledReaderIsCut(t *testing.T) {
 	}
 }
 
-// flushRecorder is a ResponseWriter that snapshots the body at every
-// Flush, so a test sees what a streaming client could have read at each
-// point. It supports no deadlines, so the stall guard runs unarmed.
-type flushRecorder struct {
+// writeRecorder is a ResponseWriter that records the length of every
+// Write and counts Flush calls, so a test sees the writes the handler
+// hands its connection. It supports no deadlines, so the stall guard
+// runs unarmed.
+type writeRecorder struct {
 	header  http.Header
 	body    bytes.Buffer
-	flushes []string
+	writes  []int
+	flushes int
 }
 
-func (r *flushRecorder) Header() http.Header  { return r.header }
-func (r *flushRecorder) WriteHeader(code int) {}
-func (r *flushRecorder) Flush()               { r.flushes = append(r.flushes, r.body.String()) }
+func (r *writeRecorder) Header() http.Header  { return r.header }
+func (r *writeRecorder) WriteHeader(code int) {}
+func (r *writeRecorder) Flush()               { r.flushes++ }
 
-func (r *flushRecorder) Write(p []byte) (int, error) { return r.body.Write(p) }
+func (r *writeRecorder) Write(p []byte) (int, error) {
+	r.writes = append(r.writes, len(p))
+	return r.body.Write(p)
+}
 
-// TestStreamFlushesAndCountsRows pins the flush and counting contract of
-// /v1/query over an answer that crosses several chunk boundaries and
-// flushStride: the first flush carries exactly the first row, every
-// flush falls on a line boundary (one row, then flushStride more each
-// time), the rows-streamed counter and histogram count answer rows
-// exactly, and a profile line comes after every row without being
-// counted as one.
-func TestStreamFlushesAndCountsRows(t *testing.T) {
+// TestStreamWritesWholeChunksAndCountsRows pins the write and counting
+// contract of /v1/query over an answer that crosses several chunk
+// boundaries: nothing is flushed, the rows reach the ResponseWriter in
+// writes of exactly chunkSize bytes but the last, the rows-streamed
+// counter and histogram count answer rows exactly, and a profile line
+// comes after every row, in one write of its own, without being counted
+// as one.
+func TestStreamWritesWholeChunksAndCountsRows(t *testing.T) {
 	const rows = 1000
 	srv := noteServer(t, rows, 100, Options{})
 	for _, profile := range []bool{false, true} {
 		t.Run(fmt.Sprintf("profile=%v", profile), func(t *testing.T) {
 			before, beforeHist := srv.metrics.rows.Load(), srv.metrics.rowsOut.Sum()
-			rec := &flushRecorder{header: http.Header{}}
+			rec := &writeRecorder{header: http.Header{}}
 			body := fmt.Sprintf(`{"query":"Z","profile":%v}`, profile)
 			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body)))
 			out := rec.body.String()
@@ -146,19 +152,26 @@ func TestStreamFlushesAndCountsRows(t *testing.T) {
 			if len(out) < 3*chunkSize {
 				t.Fatalf("answer is %d bytes, want several %d-byte chunks", len(out), chunkSize)
 			}
+			if rec.flushes != 0 {
+				t.Errorf("%d flushes, want none", rec.flushes)
+			}
 
-			rowFlushes := (rows + flushStride - 1) / flushStride
-			wantFlushes := rowFlushes
+			rowBytes := len(out)
+			writes := rec.writes
 			if profile {
-				wantFlushes++
+				last := out[strings.LastIndexByte(out[:len(out)-1], '\n')+1:]
+				rowBytes -= len(last)
+				if n := len(writes); n == 0 || writes[n-1] != len(last) {
+					t.Fatalf("writes %v: the %d-byte profile line is not the last write", writes, len(last))
+				}
+				writes = writes[:len(writes)-1]
 			}
-			if len(rec.flushes) != wantFlushes {
-				t.Fatalf("%d flushes, want %d", len(rec.flushes), wantFlushes)
+			if want := (rowBytes + chunkSize - 1) / chunkSize; len(writes) != want {
+				t.Fatalf("%d row writes for %d bytes, want %d", len(writes), rowBytes, want)
 			}
-			for i, snap := range rec.flushes[:rowFlushes] {
-				if want := 1 + i*flushStride; strings.Count(snap, "\n") != want || !strings.HasSuffix(snap, "\n") {
-					t.Errorf("flush %d holds %d newlines (ends on a line: %v), want %d complete lines",
-						i, strings.Count(snap, "\n"), strings.HasSuffix(snap, "\n"), want)
+			for i, n := range writes[:len(writes)-1] {
+				if n != chunkSize {
+					t.Errorf("row write %d is %d bytes, want %d", i, n, chunkSize)
 				}
 			}
 
@@ -190,9 +203,6 @@ func TestStreamFlushesAndCountsRows(t *testing.T) {
 				if err := json.Unmarshal([]byte(lines[rows]), &p); err != nil || p.Profile == nil {
 					t.Errorf("last line is not the profile: %.80q", lines[rows])
 				}
-				if rec.flushes[rowFlushes] != out {
-					t.Error("the profile line is not flushed")
-				}
 			}
 
 			if got := srv.metrics.rows.Load() - before; got != rows {
@@ -205,5 +215,73 @@ func TestStreamFlushesAndCountsRows(t *testing.T) {
 	}
 	if got := srv.metrics.rowsOut.Count(); got != 2 {
 		t.Errorf("beserve_query_rows_streamed_count = %d, want 2", got)
+	}
+}
+
+// countingListener hands out connections that count their Write calls:
+// each call is one write to the socket.
+type countingListener struct {
+	net.Listener
+	writes atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: c, writes: &l.writes}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestAnswerSocketWrites pins how many socket writes an answer costs,
+// from the status line to the trailers: a bounded plan has done all of
+// its data access before its first row exists, so nothing is gained by
+// sending rows ahead of the chunk they fill, and an answer leaves in
+// the writes its bytes need.
+func TestAnswerSocketWrites(t *testing.T) {
+	acc, _ := accidentsServer(t, 2, 1, Options{})
+	for _, tc := range []struct {
+		name   string
+		srv    *Server
+		body   string
+		status int
+		// max is the ceiling on socket writes; exact makes it the count.
+		max   int64
+		exact bool
+	}{
+		{"Q0", acc, `{"query":"Q0"}`, http.StatusOK, 1, true},
+		{"budget_refused", acc, `{"query":"Q0","budget":0}`, http.StatusUnprocessableEntity, 1, true},
+		{"Q0 profiled", acc, `{"query":"Q0","profile":true}`, http.StatusOK, 2, false},
+		{"700 rows of 10 bytes", noteServer(t, 700, 10, Options{}), `{"query":"Z"}`, http.StatusOK, 3, false},
+		{"1000 rows of 100 bytes", noteServer(t, 1000, 100, Options{}), `{"query":"Z"}`, http.StatusOK, 9, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewUnstartedServer(tc.srv)
+			ln := &countingListener{Listener: ts.Listener}
+			ts.Listener = ln
+			ts.Start()
+			defer ts.Close()
+			resp := postQuery(t, ts, tc.body)
+			body := readAll(t, resp)
+			if e := resp.Trailer.Get("X-Beserve-Error"); resp.StatusCode != tc.status || body == "" || e != "" {
+				t.Fatalf("status %d (want %d), error trailer %q, body %.80q", resp.StatusCode, tc.status, e, body)
+			}
+			got := ln.writes.Load()
+			if tc.exact && got != tc.max {
+				t.Errorf("%d socket writes for a %d-byte answer, want %d", got, len(body), tc.max)
+			} else if got > tc.max {
+				t.Errorf("%d socket writes for a %d-byte answer, want at most %d", got, len(body), tc.max)
+			}
+		})
 	}
 }
