@@ -201,8 +201,8 @@ func TestQueryAllocCeiling(t *testing.T) {
 	allocs := (after.Mallocs - before.Mallocs) / runs
 	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
 	t.Logf("Q0 per run: %d allocations, %d bytes", allocs, bytes)
-	if allocs > 80 || bytes > 16<<10 {
-		t.Fatalf("Q0 allocates %d times / %d bytes per run, want <= 80 / <= 16 KiB", allocs, bytes)
+	if allocs > 12 || bytes > 4<<10 {
+		t.Fatalf("Q0 allocates %d times / %d bytes per run, want <= 12 / <= 4 KiB", allocs, bytes)
 	}
 }
 

@@ -18,29 +18,38 @@ import (
 // re-inserts every such step's rows through Add over every plan the
 // property generator draws; two hand-built fixtures pin the fetch arms
 // where rows do repeat, and Q0 and path2 pin where the rule leaves the
-// hash.
+// hash. They read the tables of a step-by-step run, where no fetch is
+// fused and so every step's table holds its rows; the property suite
+// checks that run against the fused one.
 
-// runSteps executes p on a fresh execution state and returns every
-// step's table.
-func runSteps(t *testing.T, p *Plan, src Source) []*Table {
+// runSteps executes p step by step through execOp on a fresh execution
+// state, fusing nothing, and returns every step's table and the stats.
+func runSteps(t *testing.T, p *Plan, src Source) ([]*Table, *ExecStats) {
 	t.Helper()
 	st := new(execState)
-	if _, _, err := st.run(context.Background(), p, src, nil); err != nil {
-		t.Fatalf("%s: %v", p.Label, err)
+	stats := &ExecStats{}
+	for i, op := range p.Steps {
+		tab, err := st.execOp(context.Background(), op, new(Table), src, stats, nil, false)
+		if err != nil {
+			t.Fatalf("%s: step T%d: %v", p.Label, i, err)
+		}
+		st.results = append(st.results, tab)
+		stats.MaxIntermediate = max(stats.MaxIntermediate, tab.Len())
 	}
-	return st.results
+	return st.results, stats
 }
 
 // hashed reports whether a step's table was filled through the hash
 // dedup: that indexes every row it keeps, while a step proven distinct
 // leaves the index empty.
-func hashed(tab *Table) bool { return len(tab.first) > 0 }
+func hashed(tab *Table) bool { return tab.index.n > 0 }
 
 // hashedSteps lists the steps of p, run on src, that deduplicated.
 func hashedSteps(t *testing.T, p *Plan, src Source) []int {
 	t.Helper()
 	var out []int
-	for i, tab := range runSteps(t, p, src) {
+	tabs, _ := runSteps(t, p, src)
+	for i, tab := range tabs {
 		if hashed(tab) {
 			out = append(out, i)
 		}
@@ -65,7 +74,8 @@ func TestSkippedDedupStepsHoldDistinctRows(t *testing.T) {
 	var skipped, dedup int
 	forEachCoveredPlan(t, 10_000, func(fx *propFixture, qs []*cq.CQ, p *Plan, _ func([]*cq.CQ) (*Plan, error)) {
 		for i, ix := range fx.ixs {
-			for s, tab := range runSteps(t, p, NewSource(ix)) {
+			tabs, _ := runSteps(t, p, NewSource(ix))
+			for s, tab := range tabs {
 				switch {
 				case hashed(tab):
 					dedup++
@@ -176,7 +186,8 @@ func TestDedupOnlyWhereRowsCanRepeat(t *testing.T) {
 			t.Errorf("%s: steps %v deduplicated, want %v\n%s", c.p.Label, got, c.want, c.p)
 		}
 		// An empty table reads as unhashed whichever path filled it.
-		for i, tab := range runSteps(t, c.p, c.src) {
+		tabs, _ := runSteps(t, c.p, c.src)
+		for i, tab := range tabs {
 			if tab.Len() == 0 {
 				t.Errorf("%s: fixture: T%d is empty", c.p.Label, i)
 			}

@@ -22,7 +22,9 @@ type ExecStats struct {
 	Fetched int64
 	// FetchKeys counts distinct index lookups performed.
 	FetchKeys int64
-	// MaxIntermediate is the largest intermediate table size.
+	// MaxIntermediate is the largest step's row count: the rows its table
+	// holds or, for a fetch fused into the projection after it, the rows
+	// it emitted, the same number because those rows are distinct.
 	MaxIntermediate int
 }
 
@@ -61,7 +63,7 @@ func ExecuteSource(ctx context.Context, p *Plan, src Source, _ ExecOptions) (*Ta
 // stops the final step early (no error). The yielded sequence is exactly
 // ExecuteSource's result rows, in order; consumers may retain the rows.
 // A yielded row's cells are the only storage of the run that escapes:
-// the final table's row headers and hash index stay in the pooled
+// the final table's row headers and row index stay in the pooled
 // execution state and are reused by later runs, while the arena chunks
 // holding the cells are let go, never cleared or written again.
 func ExecuteStreamSource(ctx context.Context, p *Plan, src Source, yield func(data.Tuple) bool) (*ExecStats, error) {
@@ -102,8 +104,12 @@ type execState struct {
 // run is the one step loop: every step's rows are inserted into its
 // table, and the final step's new rows also go to yield when it is
 // non-nil. The final step's span then carries the "+stream+dedup" suffix.
-// The run's execution state comes from statePool and goes back on every
-// exit path: drained, stopped by yield, canceled or failed.
+// A fetch whose rows only the projection right after it reads is fused
+// with it when its rows are distinct (see fuses): the fetch's span
+// covers its setup and resolve, the projection's span the emit pass, and
+// the fetch's table keeps its columns but no rows. The run's execution
+// state comes from statePool and goes back on every exit path: drained,
+// stopped by yield, canceled or failed.
 func run(ctx context.Context, p *Plan, src Source, yield func(data.Tuple) bool) (*Table, *ExecStats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
@@ -117,6 +123,7 @@ func (st *execState) run(ctx context.Context, p *Plan, src Source, yield func(da
 	stats := &ExecStats{}
 	tr := obs.FromContext(ctx)
 	last := len(p.Steps) - 1
+	var prev *obs.Span
 	for i, op := range p.Steps {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, fmt.Errorf("plan: canceled before step T%d: %w", i, err)
@@ -126,7 +133,15 @@ func (st *execState) run(ctx context.Context, p *Plan, src Source, yield func(da
 			stepYield = yield
 		}
 		sp, f0, k0 := startStepSpan(tr, i, op, stepYield != nil, stats)
-		t, err := st.execOp(ctx, op, st.table(i, last, yield != nil), src, stats, stepYield)
+		drains := st.fetch.fused
+		t, err := st.execOp(ctx, op, st.table(i, last, yield != nil), src, stats, stepYield, fuses(p, i))
+		if drains {
+			// Step i read the fused fetch T(i-1) as it emitted: those
+			// rows are T(i-1)'s.
+			st.fetch.fused = false
+			prev.SetRows(int64(st.fetch.emitted))
+			stats.MaxIntermediate = max(stats.MaxIntermediate, st.fetch.emitted)
+		}
 		if sp != nil {
 			if t != nil {
 				sp.SetRows(int64(t.Len()))
@@ -134,6 +149,7 @@ func (st *execState) run(ctx context.Context, p *Plan, src Source, yield func(da
 			sp.SetFetch(stats.Fetched-f0, stats.FetchKeys-k0)
 			sp.End()
 		}
+		prev = sp
 		if err != nil {
 			return nil, stats, fmt.Errorf("plan: step T%d (%s): %w", i, op, err)
 		}
@@ -298,8 +314,10 @@ func (s *sink) add(row data.Tuple) bool {
 // execOp runs one plan step, the operator emitting its rows into a sink
 // over out, the step's table, which it resets to the step's columns. On an
 // error the partially filled table is still returned, for the step's row
-// count; a step that fails before producing rows returns nil.
-func (st *execState) execOp(ctx context.Context, op Op, out *Table, src Source, stats *ExecStats, yield func(data.Tuple) bool) (*Table, error) {
+// count; a step that fails before producing rows returns nil. fuse lets a
+// fetch step whose rows are distinct leave them to the next step, a
+// projection, which then reads them as the fetch emits them.
+func (st *execState) execOp(ctx context.Context, op Op, out *Table, src Source, stats *ExecStats, yield func(data.Tuple) bool, fuse bool) (*Table, error) {
 	s := &sink{out: out, yield: yield}
 	emit := s.add
 	results := st.results
@@ -330,6 +348,10 @@ func (st *execState) execOp(ctx context.Context, op Op, out *Table, src Source, 
 		if err != nil {
 			return out, err
 		}
+		if distinct && fuse {
+			f.fused, f.emitted = true, 0
+			return out, nil
+		}
 		s.distinct = distinct
 		return out, f.emit(ctx, emit)
 	case ProjectOp:
@@ -349,13 +371,17 @@ func (st *execState) execOp(ctx context.Context, op Op, out *Table, src Source, 
 		out.reset(cols...)
 		s.distinct = keepsAll(pos, len(in.Cols))
 		buf := st.row(len(pos))
-		return out, eachRow(ctx, in.Rows, func(row data.Tuple) bool {
+		project := func(row data.Tuple) bool {
 			buf = buf[:0]
 			for _, p := range pos {
 				buf = append(buf, row[p])
 			}
 			return emit(buf)
-		})
+		}
+		if st.fetch.fused {
+			return out, st.fetch.drain(ctx, project)
+		}
+		return out, eachRow(ctx, in.Rows, project)
 	case UnionOp:
 		l, r := results[o.L], results[o.R]
 		if len(l.Cols) != len(r.Cols) {
@@ -369,6 +395,26 @@ func (st *execState) execOp(ctx context.Context, op Op, out *Table, src Source, 
 	default:
 		return nil, fmt.Errorf("unknown operation %T", op)
 	}
+}
+
+// fuses reports whether fetch step i of p may hand its rows straight to
+// step i+1 instead of storing them: that step is a projection of Ti, and
+// no other step reads Ti. The fetch fuses only if its rows are distinct
+// too, which resolve decides, so the rows the projection reads are the
+// rows Ti would have held.
+func fuses(p *Plan, i int) bool {
+	if i+1 >= len(p.Steps) {
+		return false
+	}
+	if pr, ok := p.Steps[i+1].(ProjectOp); !ok || pr.Input != i {
+		return false
+	}
+	for _, op := range p.Steps[i+2:] {
+		if in, n := op.inputs(); slices.Contains(in[:n], i) {
+			return false
+		}
+	}
+	return true
 }
 
 // keepsAll reports whether the input positions pos name every one of n
@@ -397,6 +443,10 @@ type fetchEval struct {
 	// dropsY is set when some Y attribute has no output column.
 	dropsY bool
 	dedup  argDedup
+	// fused is set while the step's rows are owed to the projection
+	// after it (see fuses); emitted counts the rows drain fed it.
+	fused   bool
+	emitted int
 	// The step's distinct keys in first-occurrence order: key j is
 	// keyBuf[keyEnds[j-1]:keyEnds[j]], viewed as keys[j]; buckets[j] is
 	// what it fetched, and keyOf[i] is the key of input row i.
@@ -466,8 +516,9 @@ func (f *fetchEval) setup(o FetchOp, in *Table, src Source, out *Table) error {
 func (f *fetchEval) trim() {
 	f.in, f.fetch, f.route = nil, nil, nil
 	f.dedup.rows, f.dedup.cols = nil, nil
-	if len(f.dedup.first) > retainCells {
-		f.dedup.first = nil
+	f.fused = false
+	if f.dedup.index.n > retainCells {
+		f.dedup.index = rowIndex{}
 	}
 	clear(f.rowBuf[:cap(f.rowBuf)])
 	clear(f.keys[:cap(f.keys)])
@@ -480,15 +531,17 @@ func (f *fetchEval) trim() {
 // emitRow assembles input row row extended with each row of its key's
 // bucket b into the out scratch buffer and sends each to sink, stopping
 // when sink returns false. It runs once per input row of every fetch
-// step and out is reused across every bucket row, so the loop allocates
-// nothing; sinks copy a row iff they keep it.
+// step: row is copied into out once, and only the fresh Y cells after it
+// are rewritten per bucket row, so the loop allocates nothing; sinks
+// copy a row iff they keep it.
 //
 //bevet:hotpath
 func (f *fetchEval) emitRow(row data.Tuple, b index.Bucket, out data.Tuple, sink func(data.Tuple) bool) bool {
+	fresh := out[copy(out, row):]
 	for bi := 0; bi < b.Len(); bi++ {
 		// Fresh Y positions start null: the equate check uses null as
 		// its "not yet bound" sentinel.
-		clear(out[copy(out, row):])
+		clear(fresh)
 		ok := true
 		for i, p := range f.ypos {
 			if p < 0 {
@@ -529,7 +582,7 @@ func (f *fetchEval) resolve(ctx context.Context, stats *ExecStats) (distinct boo
 				return false, err
 			}
 		}
-		if j, seen := f.dedup.seen(i); seen {
+		if j, seen := f.dedup.seen(hashRowAt(row, f.xpos), i); seen {
 			// Every row of a key carries its group's one route on D |= A;
 			// rows that disagree send the step to every partition.
 			routed = routed && rowsEqualAt(f.in.Rows[j], row, f.rpos)
@@ -577,6 +630,26 @@ func (f *fetchEval) emit(ctx context.Context, sink func(data.Tuple) bool) error 
 		}
 	}
 	return nil
+}
+
+// drain feeds the rows of a fused fetch to fn as emit makes them,
+// counting them in f.emitted and observing ctx every cancelStride rows
+// it feeds, as eachRow does over a stored table. fn returning false
+// stops the fetch.
+func (f *fetchEval) drain(ctx context.Context, fn func(data.Tuple) bool) error {
+	var err error
+	if e := f.emit(ctx, func(row data.Tuple) bool {
+		if f.emitted%cancelStride == 0 {
+			if err = ctx.Err(); err != nil {
+				return false
+			}
+		}
+		f.emitted++
+		return fn(row)
+	}); e != nil {
+		return e
+	}
+	return err
 }
 
 // appendViews appends to dst the consecutive slices of buf that ends

@@ -131,7 +131,7 @@ func TestEveryOperatorAsFinalStep(t *testing.T) {
 			}
 			st := new(execState)
 			for i, op := range p.Steps[:last] {
-				tab, err := st.execOp(ctx, op, st.table(i, last, false), src, &ExecStats{}, nil)
+				tab, err := st.execOp(ctx, op, st.table(i, last, false), src, &ExecStats{}, nil, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -141,11 +141,44 @@ func TestEveryOperatorAsFinalStep(t *testing.T) {
 				"materialized": nil,
 				"streamed":     func(data.Tuple) bool { return true },
 			} {
-				if _, err := st.execOp(canceled, p.Steps[last], st.table(last, last, yield != nil), src, &ExecStats{}, yield); !errors.Is(err, context.Canceled) {
+				if _, err := st.execOp(canceled, p.Steps[last], st.table(last, last, yield != nil), src, &ExecStats{}, yield, false); !errors.Is(err, context.Canceled) {
 					t.Fatalf("%s operator ignored its canceled ctx: %v", mode, err)
 				}
 			}
 		})
+	}
+}
+
+// TestFusedFetchStopsWithItsReader pins the fused fetch's loop, whose
+// one key emits wideRows rows straight into the final projection: it
+// observes its context every cancelStride rows it emits, not once per
+// input row, and a consumer that stops stops the fetch, which then
+// counts only the rows it emitted.
+func TestFusedFetchStopsWithItsReader(t *testing.T) {
+	ix, c := finalStepFixture(t)
+	p := &Plan{Label: "fused", Steps: []Op{
+		lit("a", iv(0)),
+		FetchOp{Input: 0, Constraint: c, XCols: []string{"a"}, YOut: []string{"b", "c"}},
+		ProjectOp{Input: 1, Cols: []string{"c"}},
+	}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rows := 0
+	_, err := ExecuteStreamSource(ctx, p, NewSource(ix), func(data.Tuple) bool {
+		rows++
+		cancel()
+		return true
+	})
+	if !errors.Is(err, context.Canceled) || rows != cancelStride {
+		t.Fatalf("canceled at the first row: %d rows, err %v; want %d rows and context.Canceled", rows, err, cancelStride)
+	}
+	rows = 0
+	stats, err := ExecuteStreamSource(context.Background(), p, NewSource(ix), func(data.Tuple) bool {
+		rows++
+		return rows < 3
+	})
+	if err != nil || rows != 3 || stats.MaxIntermediate != 3 {
+		t.Fatalf("stopped at row 3: %d rows, err %v, max intermediate %d; want 3, nil, 3", rows, err, stats.MaxIntermediate)
 	}
 }
 

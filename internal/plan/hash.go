@@ -1,52 +1,49 @@
 package plan
 
 import (
+	"hash/maphash"
+	"math/bits"
+	"math/rand/v2"
+
 	"repro/internal/data"
 	"repro/internal/value"
 )
 
-// Row hashing for the executor's set-semantics dedup: FNV-1a over each
-// cell's kind and payload. Hashes are only a pre-filter — equality is
-// always confirmed element-wise — so a collision costs a compare, never
-// a wrong row. Replacing the old injective-key-encoding dedup
-// (map[value.Key]bool, one string allocation per row) with hash+verify
-// is what makes the dedup leg of the hot path allocation-free; it keeps
-// the exact same first-occurrence-wins semantics because key equality
-// and element-wise equality coincide (the key encoding is injective).
+// Row hashing for the executor's set-semantics dedup is word-wise: an
+// int cell is folded in with one 64-bit multiply-mix, a string cell with
+// its hash/maphash hash. Both are keyed once per process (hashKey,
+// hashSeed), so rows a client writes cannot be chosen to share one probe
+// chain. Hashes are only a pre-filter — equality is always confirmed
+// element-wise — so a collision costs a compare, never a wrong row, and
+// dedup keeps first-occurrence-wins semantics with no key encoded per
+// row.
 
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
+var (
+	hashSeed = maphash.MakeSeed()
+	hashKey  = rand.Uint64()
 )
 
-// hashCell folds one value into h.
+// hashMul is the mix's odd multiplier, the 64-bit golden ratio.
+const hashMul = 0x9e3779b97f4a7c15
+
+// hashCell folds one value into h: the high and low words of the 128-bit
+// product of h ^ payload and hashMul, xored.
 //
 //bevet:hotpath
 func hashCell(h uint64, v value.Value) uint64 {
-	h ^= uint64(v.Kind())
-	h *= fnvPrime64
-	switch v.Kind() {
-	case value.Int:
-		x := uint64(v.Int())
-		for s := 0; s < 64; s += 8 {
-			h ^= (x >> s) & 0xff
-			h *= fnvPrime64
-		}
-	case value.String:
-		s := v.Str()
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= fnvPrime64
-		}
+	x := uint64(v.Int())
+	if v.Kind() == value.String {
+		x = maphash.String(hashSeed, v.Str())
 	}
-	return h
+	hi, lo := bits.Mul64(h^x, hashMul)
+	return hi ^ lo
 }
 
 // hashRow hashes a whole row.
 //
 //bevet:hotpath
 func hashRow(row data.Tuple) uint64 {
-	h := fnvOffset64
+	h := hashKey
 	for _, v := range row {
 		h = hashCell(h, v)
 	}
@@ -57,7 +54,7 @@ func hashRow(row data.Tuple) uint64 {
 //
 //bevet:hotpath
 func hashRowAt(row data.Tuple, cols []int) uint64 {
-	h := fnvOffset64
+	h := hashKey
 	for _, c := range cols {
 		h = hashCell(h, row[c])
 	}
@@ -92,6 +89,73 @@ func rowsEqualAt(a, b data.Tuple, cols []int) bool {
 	return true
 }
 
+// rowIndex is the executor's one dedup index: an open-addressed set of
+// row numbers keyed by row hash. Its slots are a power of two, each
+// holding the low 32 bits of a row's hash beside the row number + 1 (0
+// marks a free slot); a row's probe starts at its hash's slot and walks
+// linearly. It stays at most half full, and it stores no rows: the
+// caller's eq confirms a candidate element-wise.
+type rowIndex struct {
+	slots []rowSlot
+	n     int
+}
+
+type rowSlot struct {
+	hash uint32
+	row  int32
+}
+
+// reset empties x, keeping its slots.
+func (x *rowIndex) reset() {
+	if x.n > 0 {
+		clear(x.slots)
+		x.n = 0
+	}
+}
+
+// insert looks row i up under hash h in one probe, eq(j) reporting
+// whether stored row j equals it: it returns the first equal row and
+// true, or records i and returns false. Inserting an equal row is thus
+// the lookup; it leaves x unchanged.
+//
+//bevet:hotpath
+func (x *rowIndex) insert(h uint64, i int, eq func(j int) bool) (int, bool) {
+	if 2*(x.n+1) > len(x.slots) {
+		x.grow()
+	}
+	mask := uint32(len(x.slots) - 1)
+	for p := uint32(h) & mask; ; p = (p + 1) & mask {
+		switch s := x.slots[p]; {
+		case s.row == 0:
+			x.slots[p] = rowSlot{uint32(h), int32(i + 1)}
+			x.n++
+			return 0, false
+		case s.hash == uint32(h) && eq(int(s.row-1)):
+			return int(s.row - 1), true
+		}
+	}
+}
+
+// grow doubles the slots and re-places every entry by its stored hash.
+// The first 32 slots, 256 bytes, index 16 rows, about a point query's
+// answer. Kept out of the hot-path annotations: it allocates, once per
+// doubling.
+func (x *rowIndex) grow() {
+	old := x.slots
+	x.slots = make([]rowSlot, max(2*len(old), 32))
+	mask := uint32(len(x.slots) - 1)
+	for _, s := range old {
+		if s.row == 0 {
+			continue
+		}
+		p := s.hash & mask
+		for x.slots[p].row != 0 {
+			p = (p + 1) & mask
+		}
+		x.slots[p] = s
+	}
+}
+
 // argDedup deduplicates input rows of a fetch on their X-columns: row i
 // is "seen" when an earlier row projects to the same X-values. It is the
 // distinct-key pass that keeps FetchKeys at the number of distinct keys
@@ -102,48 +166,20 @@ func rowsEqualAt(a, b data.Tuple, cols []int) bool {
 type argDedup struct {
 	rows  []data.Tuple
 	cols  []int
-	first map[uint64]int32
-	more  map[uint64][]int32
+	index rowIndex
 }
 
-// reset prepares d for the rows of one fetch step, keeping its map storage.
+// reset prepares d for the rows of one fetch step, keeping its slots.
 func (d *argDedup) reset(rows []data.Tuple, cols []int) {
-	d.rows, d.cols, d.more = rows, cols, nil
-	if d.first == nil {
-		d.first = make(map[uint64]int32, len(rows))
-	} else {
-		clear(d.first)
-	}
+	d.rows, d.cols = rows, cols
+	d.index.reset()
 }
 
-// seen checks-and-records row i; it reports whether an earlier row
-// already covered its X-projection and, if so, the first such row j.
+// seen checks-and-records row i, whose X-projection hashes to h; it
+// reports whether an earlier row already covered that projection and, if
+// so, the first such row.
 //
 //bevet:hotpath
-func (d *argDedup) seen(i int) (j int, ok bool) {
-	h := hashRowAt(d.rows[i], d.cols)
-	first, ok := d.first[h]
-	if !ok {
-		d.first[h] = int32(i)
-		return 0, false
-	}
-	if rowsEqualAt(d.rows[first], d.rows[i], d.cols) {
-		return int(first), true
-	}
-	for _, jj := range d.more[h] {
-		if rowsEqualAt(d.rows[jj], d.rows[i], d.cols) {
-			return int(jj), true
-		}
-	}
-	d.collide(h, int32(i))
-	return 0, false
-}
-
-// collide records an additional row index under a colliding hash; rare by
-// construction, allocates by design.
-func (d *argDedup) collide(h uint64, i int32) {
-	if d.more == nil {
-		d.more = make(map[uint64][]int32)
-	}
-	d.more[h] = append(d.more[h], i)
+func (d *argDedup) seen(h uint64, i int) (int, bool) {
+	return d.index.insert(h, i, func(j int) bool { return rowsEqualAt(d.rows[j], d.rows[i], d.cols) })
 }

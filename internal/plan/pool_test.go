@@ -322,7 +322,8 @@ func TestAnswersSurviveLaterRuns(t *testing.T) {
 // TestPoolTrimsOversizedState runs a plan whose intermediates and fetch
 // key set all exceed retainCells, and checks that trimming
 // the state drops them — keeping the small table, emptied — and holds no
-// reference into the run.
+// reference into the run. The union reads both fetches, so neither is
+// fused into the projection after it and both tables fill.
 func TestPoolTrimsOversizedState(t *testing.T) {
 	const n = retainCells + 904
 	sc := schema.MustNew(schema.MustRelation("R", "A", "B", "C"))
@@ -336,13 +337,15 @@ func TestPoolTrimsOversizedState(t *testing.T) {
 	if err != nil || len(viols) > 0 {
 		t.Fatalf("BuildIndexed: %v %v", viols, err)
 	}
-	// T1, T2 and T3 hold n rows each, and the second fetch dedups n
-	// distinct keys.
+	// T1, T2 and T3 hold n rows each, the second fetch dedups n
+	// distinct keys, and T4 = T1 ∪ T3 holds 2n-1 rows: (0, i%7, i) and
+	// (0, i, 0) meet only at i = 0.
 	p := &Plan{Label: "wide", Steps: []Op{
 		lit("a", iv(0)),
 		FetchOp{Input: 0, Constraint: byA, XCols: []string{"a"}, YOut: []string{"b", "c"}},
 		ProjectOp{Input: 1, Cols: []string{"a", "c"}},
 		FetchOp{Input: 2, Constraint: byC, XCols: []string{"c"}, YOut: []string{"a2"}},
+		UnionOp{L: 1, R: 3},
 		ProjectOp{Input: 3, Cols: []string{"a2"}},
 	}}
 
@@ -352,16 +355,16 @@ func TestPoolTrimsOversizedState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tab.Len() != 1 || stats.MaxIntermediate != n {
-			t.Fatalf("run %d: %d answer rows, max intermediate %d; want 1 and %d", run, tab.Len(), stats.MaxIntermediate, n)
+		if tab.Len() != 1 || stats.MaxIntermediate != 2*n-1 {
+			t.Fatalf("run %d: %d answer rows, max intermediate %d; want 1 and %d", run, tab.Len(), stats.MaxIntermediate, 2*n-1)
 		}
 		st.trim()
 		kept := st.tables[0]
 		if kept == nil {
 			t.Fatal("the one-row table was dropped")
 		}
-		if kept.Len() != 0 || len(kept.first) != 0 || len(kept.arena) != 0 {
-			t.Errorf("kept table not emptied: %d rows, %d hashes, %d cells", kept.Len(), len(kept.first), len(kept.arena))
+		if kept.Len() != 0 || kept.index.n != 0 || len(kept.arena) != 0 {
+			t.Errorf("kept table not emptied: %d rows, %d indexed, %d cells", kept.Len(), kept.index.n, len(kept.arena))
 		}
 		for _, v := range kept.arena[:cap(kept.arena)] {
 			if v != (value.Value{}) {
@@ -370,11 +373,11 @@ func TestPoolTrimsOversizedState(t *testing.T) {
 		}
 		for i, tb := range st.tables[1:] {
 			if tb != nil {
-				t.Errorf("T%d (%d rows at most %d cells) was kept", i+1, n, retainCells)
+				t.Errorf("T%d (%d rows or more, at most %d cells) was kept", i+1, n, retainCells)
 			}
 		}
-		if st.fetch.dedup.first != nil {
-			t.Error("the fetch's key dedup map was kept")
+		if st.fetch.dedup.index.slots != nil {
+			t.Error("the fetch's key dedup index was kept")
 		}
 		if st.fetch.keyBuf != nil || st.fetch.keyEnds != nil || st.fetch.keys != nil || st.fetch.keyOf != nil || st.fetch.buckets != nil {
 			t.Error("the fetch's key set scratch was kept")

@@ -14,6 +14,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/eval"
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/value"
 	"repro/internal/workload"
@@ -314,6 +315,44 @@ func (o routedOrderFetcher) FetchRouted(ctx context.Context, keys, _ [][]byte, o
 	return FetchAll(ctx, o.f, keys, out)
 }
 
+// checkFusion runs p on src twice: through run, which fuses each fetch
+// it can into the projection after it, and step by step through execOp
+// with no fusion. The runs must agree on the answer rows and their
+// order, on each step's row count (the fused run's from its span), and
+// on Fetched, FetchKeys and MaxIntermediate. A step whose table differs
+// must be a fused fetch, holding no rows. It returns how many steps
+// fused with rows to hand on.
+func checkFusion(t *testing.T, where string, p *Plan, src Source) (fused int) {
+	t.Helper()
+	steps, wantStats := runSteps(t, p, src)
+	tr := obs.NewTrace("run")
+	st := new(execState)
+	got, stats, err := st.run(obs.NewContext(context.Background(), tr), p, src, nil)
+	spans := tr.Finish().Children
+	if err != nil {
+		t.Fatalf("%s: %v\nplan:\n%s", where, err, p)
+	}
+	if render(got.Rows) != render(steps[len(steps)-1].Rows) || *stats != *wantStats {
+		t.Fatalf("%s: fused run answers %v with %+v, step by step %v with %+v\nplan:\n%s",
+			where, got.Rows, *stats, steps[len(steps)-1].Rows, *wantStats, p)
+	}
+	if len(spans) != len(p.Steps) {
+		t.Fatalf("%s: %d step spans for %d steps", where, len(spans), len(p.Steps))
+	}
+	for i, tab := range steps {
+		if spans[i].Rows != int64(tab.Len()) {
+			t.Fatalf("%s: T%d's span counts %d rows, step by step %d\nplan:\n%s", where, i, spans[i].Rows, tab.Len(), p)
+		}
+		if n := st.results[i].Len(); n != tab.Len() {
+			if _, fetch := p.Steps[i].(FetchOp); !fetch || n != 0 || !fuses(p, i) {
+				t.Fatalf("%s: T%d holds %d rows, step by step %d, and is no fused fetch\nplan:\n%s", where, i, n, tab.Len(), p)
+			}
+			fused++
+		}
+	}
+	return fused
+}
+
 // checkPlan executes p on every instance of fx and compares it with naive
 // evaluation of the union of qs (one CQ, or the UCQ's sub-queries). It
 // streams p through each kind of fetcher to check that every fetch call
@@ -323,8 +362,9 @@ func (o routedOrderFetcher) FetchRouted(ctx context.Context, keys, _ [][]byte, o
 // every step but the last feeds a later step, every sub-plan holds
 // exactly one literal, and rebinding p's constants (Bind) gives exactly
 // the plan build makes for qs with those constants replaced by fresh
-// ones.
-func checkPlan(t *testing.T, fx *propFixture, qs []*cq.CQ, p *Plan, build func([]*cq.CQ) (*Plan, error)) {
+// ones. It runs p fused and step by step (checkFusion) and returns how
+// many steps fused.
+func checkPlan(t *testing.T, fx *propFixture, qs []*cq.CQ, p *Plan, build func([]*cq.CQ) (*Plan, error)) (fused int) {
 	t.Helper()
 	read := make([]bool, len(p.Steps))
 	literals, unions := 0, 0
@@ -395,6 +435,7 @@ func checkPlan(t *testing.T, fx *propFixture, qs []*cq.CQ, p *Plan, build func([
 			t.Fatalf("%v on %s #%d: fetched %d exceeds the static bound %d\nplan:\n%s",
 				qs, fx.name, i, stats.Fetched, bound.Fetched, p)
 		}
+		fused += checkFusion(t, fmt.Sprintf("%v on %s #%d", qs, fx.name, i), p, NewSource(ix))
 		for _, kind := range []string{"per-key", "batch", "routed"} {
 			log := &orderLog{}
 			src := orderSource{Source: NewSource(ix), kind: kind, log: log}
@@ -410,6 +451,7 @@ func checkPlan(t *testing.T, fx *propFixture, qs []*cq.CQ, p *Plan, build func([
 			}
 		}
 	}
+	return fused
 }
 
 func TestPropertyCoveredPlansAgreeWithEval(t *testing.T) {
@@ -419,6 +461,7 @@ func TestPropertyCoveredPlansAgreeWithEval(t *testing.T) {
 	}
 	var feat propFeatures
 	covered := 0
+	fused := map[string]int{}
 	forEachCoveredPlan(t, queries, func(fx *propFixture, qs []*cq.CQ, p *Plan, build func([]*cq.CQ) (*Plan, error)) {
 		if len(qs) == 1 {
 			covered++
@@ -430,9 +473,14 @@ func TestPropertyCoveredPlansAgreeWithEval(t *testing.T) {
 		} else {
 			feat.ucqPairs++
 		}
-		checkPlan(t, fx, qs, p, build)
+		fused[fx.name] += checkPlan(t, fx, qs, p, build)
 	})
-	t.Logf("%d generated, %d covered; features %+v", queries, covered, feat)
+	t.Logf("%d generated, %d covered; features %+v; fused steps %v", queries, covered, feat, fused)
+	for _, name := range []string{"accidents", "social"} {
+		if fused[name] == 0 {
+			t.Errorf("no step fused on the %s fixture", name)
+		}
+	}
 	for name, n := range map[string]int{
 		"variable repeated inside one atom":    feat.repeatInAtom,
 		"two or more constants":                feat.multiConst,

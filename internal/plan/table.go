@@ -17,23 +17,21 @@ import (
 // Table is an intermediate result T_i: named columns over rows with set
 // semantics. Every table the executor fills is duplicate-free, but only a
 // step whose shape lets rows repeat pays for it: such a step inserts
-// through AddScratch, whose dedup is hash-based — a 64-bit row hash
-// resolves to candidate row indexes verified by element-wise comparison,
-// so inserting through a reused scratch buffer encodes no per-row keys
-// and allocates nothing for duplicates — and a step proven to produce
-// distinct rows appends through appendScratch, with no hash and no index
-// (see sink). Either way new rows are carved from a chunked arena instead
-// of one allocation each.
+// through AddScratch, whose dedup is one open-addressed rowIndex probe —
+// a row's word-wise hash finds candidate row numbers verified by
+// element-wise comparison, so inserting through a reused scratch buffer
+// encodes no per-row keys and allocates nothing for duplicates — and a
+// step proven to produce distinct rows appends through appendScratch,
+// with no hash and no index (see sink). Either way new rows are carved
+// from a chunked arena instead of one allocation each.
 type Table struct {
 	Cols []string
 	Rows []data.Tuple
 
-	// first maps a row hash to the first row index bearing it; more holds
-	// the (astronomically rare) additional indexes of colliding hashes.
-	// Row equality is always confirmed element-wise, so hash collisions
-	// cost a compare, never a wrong answer.
-	first map[uint64]int32
-	more  map[uint64][]int32
+	// index holds the number of every row inserted through Add or
+	// AddScratch. Row equality is always confirmed element-wise, so a
+	// hash collision costs a compare, never a wrong answer.
+	index rowIndex
 
 	// arena backs rows copied in via AddScratch or appendScratch: rows
 	// are carved from chunked slabs, so a million-row table costs
@@ -58,14 +56,13 @@ const (
 const retainCells = arenaChunkMax
 
 // reset empties t for reuse as a step table with columns cols. The row
-// slice, hash index and current arena chunk keep their storage; the cells
+// slice, row index and current arena chunk keep their storage; the cells
 // a previous use wrote are cleared so a pooled table pins no values.
 func (t *Table) reset(cols ...string) {
 	t.Cols = append(t.Cols[:0], cols...)
 	clear(t.Rows)
 	t.Rows = t.Rows[:0]
-	clear(t.first)
-	t.more = nil
+	t.index.reset()
 	clear(t.arena)
 	t.arena = t.arena[:0]
 }
@@ -76,51 +73,22 @@ func (t *Table) retainable() bool {
 	return len(t.Rows)*len(t.Cols) <= retainCells && cap(t.arena) <= retainCells
 }
 
-// contains reports whether an equal row is already stored under hash h.
+// insert indexes row, hashing to h, as the row about to be appended,
+// unless an equal row is already stored; it reports whether it was new.
 //
 //bevet:hotpath
-func (t *Table) contains(h uint64, row data.Tuple) bool {
-	i, ok := t.first[h]
-	if !ok {
-		return false
-	}
-	if rowsEqual(t.Rows[i], row) {
-		return true
-	}
-	for _, j := range t.more[h] {
-		if rowsEqual(t.Rows[j], row) {
-			return true
-		}
-	}
-	return false
-}
-
-// record indexes the row about to be appended under hash h. Kept out of
-// the hot-path annotations: the collision branch allocates by design and
-// runs ~never.
-func (t *Table) record(h uint64) {
-	if t.first == nil {
-		t.first = make(map[uint64]int32)
-	}
-	if _, ok := t.first[h]; !ok {
-		t.first[h] = int32(len(t.Rows))
-		return
-	}
-	if t.more == nil {
-		t.more = make(map[uint64][]int32)
-	}
-	t.more[h] = append(t.more[h], int32(len(t.Rows)))
+func (t *Table) insert(h uint64, row data.Tuple) bool {
+	_, found := t.index.insert(h, len(t.Rows), func(j int) bool { return rowsEqual(t.Rows[j], row) })
+	return !found
 }
 
 // Add inserts a row under set semantics, reporting whether it was new.
 // The row itself is stored — callers passing a buffer they will reuse
 // must use AddScratch.
 func (t *Table) Add(row data.Tuple) bool {
-	h := hashRow(row)
-	if t.contains(h, row) {
+	if !t.insert(hashRow(row), row) {
 		return false
 	}
-	t.record(h)
 	t.Rows = append(t.Rows, row)
 	return true
 }
@@ -132,18 +100,16 @@ func (t *Table) Add(row data.Tuple) bool {
 //
 //bevet:hotpath
 func (t *Table) AddScratch(row data.Tuple) bool {
-	h := hashRow(row)
-	if t.contains(h, row) {
+	if !t.insert(hashRow(row), row) {
 		return false
 	}
-	t.record(h)
 	t.Rows = append(t.Rows, t.arenaRow(row))
 	return true
 }
 
 // appendScratch appends the row currently held in a reused scratch
 // buffer without a dedup check, copying it into the arena: the insert of
-// a step whose rows are distinct by construction. It leaves the hash
+// a step whose rows are distinct by construction. It leaves the row
 // index empty, so a table must be filled through AddScratch alone or
 // appendScratch alone.
 //
