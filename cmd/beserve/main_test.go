@@ -204,8 +204,9 @@ func TestShardNodeSurface(t *testing.T) {
 
 // framedStatus upgrades a connection to addr's partition wire and makes
 // one status call on it by hand — request frame: method 1 (status),
-// empty body; answer frame: uvarint status, uvarint length, JSON — so
-// the test pins the bytes a node speaks, not a client's idea of them.
+// empty body; answer frame: uvarint status, uvarint length, then the
+// uvarints shard, shards, version, size and catalog — so the test pins
+// the bytes a node speaks, not a client's idea of them.
 func framedStatus(t *testing.T, addr string) (net.Conn, struct{ Shard, Shards, Size int }) {
 	t.Helper()
 	var st struct{ Shard, Shards, Size int }
@@ -214,7 +215,7 @@ func framedStatus(t *testing.T, addr string) (net.Conn, struct{ Shard, Shards, S
 		t.Fatal(err)
 	}
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	fmt.Fprintf(conn, "GET /v1/internal/conn HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: beserve-partition/1\r\n\r\n", addr)
+	fmt.Fprintf(conn, "GET /v1/internal/conn HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: beserve-partition/2\r\n\r\n", addr)
 	r := bufio.NewReader(conn)
 	resp, err := http.ReadResponse(r, nil)
 	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
@@ -235,9 +236,19 @@ func framedStatus(t *testing.T, addr string) (net.Conn, struct{ Shard, Shards, S
 	if _, err := io.ReadFull(r, body); err != nil {
 		t.Fatal(err)
 	}
-	if status != http.StatusOK || json.Unmarshal(body, &st) != nil {
-		t.Fatalf("framed status: %d %s", status, body)
+	var fields [5]uint64
+	rest := body
+	for i := range fields {
+		x, k := binary.Uvarint(rest)
+		if k <= 0 {
+			t.Fatalf("framed status: %d %x", status, body)
+		}
+		fields[i], rest = x, rest[k:]
 	}
+	if status != http.StatusOK || len(rest) != 0 {
+		t.Fatalf("framed status: %d %x", status, body)
+	}
+	st.Shard, st.Shards, st.Size = int(fields[0]), int(fields[1]), int(fields[3])
 	return conn, st
 }
 

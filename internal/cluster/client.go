@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -158,21 +157,14 @@ func (p *peerClient) unavailable(err error) error {
 	return &UnavailableError{Peer: p.id, Err: err}
 }
 
-// call runs one JSON call: in (when non-nil) is the JSON request body,
-// out (when non-nil) receives the decoded answer.
-func (p *peerClient) call(ctx context.Context, m method, in, out any, idem bool) error {
-	var payload []byte
-	if in != nil {
-		var err error
-		if payload, err = json.Marshal(in); err != nil {
-			return err
-		}
-	}
-	answer, err := p.do(ctx, m, payload, idem)
-	if err != nil || out == nil {
+// call runs one control call: req is the request body, and answer (when
+// non-nil) decodes the answer.
+func (p *peerClient) call(ctx context.Context, m method, req []byte, idem bool, answer func(*coder)) error {
+	body, err := p.do(ctx, m, req, idem)
+	if err != nil || answer == nil {
 		return err
 	}
-	if err := json.Unmarshal(answer, out); err != nil {
+	if err := decode(body, answer); err != nil {
 		return fmt.Errorf("cluster: shard %d: bad %s answer: %w", p.id, m, err)
 	}
 	return nil
@@ -375,9 +367,8 @@ func hasToken(h http.Header, key, token string) bool {
 	return false
 }
 
-func (p *peerClient) Status(ctx context.Context) (shard.Status, error) {
-	var st shard.Status
-	err := p.call(ctx, mStatus, nil, &st, true)
+func (p *peerClient) Status(ctx context.Context) (st shard.Status, err error) {
+	err = p.call(ctx, mStatus, nil, true, func(c *coder) { c.status(&st) })
 	return st, err
 }
 
@@ -396,50 +387,38 @@ func (p *peerClient) Load(ctx context.Context, ix *access.Indexed) error {
 	return err
 }
 
-func (p *peerClient) Stage(ctx context.Context, txn string, base uint64, d *live.Delta) (*shard.Staged, error) {
-	var buf bytes.Buffer
-	if err := live.WriteDeltaTSV(&buf, d); err != nil {
-		return nil, err
-	}
-	answer, err := p.do(ctx, mStage, appendStageRequest(nil, txn, base, buf.Bytes()), false)
-	if err != nil {
-		return nil, err
-	}
-	var st shard.Staged
-	if err := json.Unmarshal(answer, &st); err != nil {
-		return nil, fmt.Errorf("cluster: shard %d: bad stage answer: %w", p.id, err)
-	}
-	return &st, nil
-}
-func (p *peerClient) MaxGroup(ctx context.Context, txn string, v uint64, ci int) (int, error) {
-	var resp maxGroupResponse
-	err := p.call(ctx, mMaxGroup, groupsRequest{Txn: txn, V: v, CI: ci}, &resp, true)
-	return resp.Max, err
+func (p *peerClient) Stage(ctx context.Context, txn string, base uint64, d *live.Delta) (st *shard.Staged, err error) {
+	req := live.AppendDelta(request{txn: txn, v: base}.body(mStage), d)
+	st = new(shard.Staged)
+	return st, p.call(ctx, mStage, req, false, func(c *coder) { c.staged(st) })
 }
 
-func (p *peerClient) Groups(ctx context.Context, txn string, v uint64, ci int, keys []value.Key, all bool) ([]shard.Group, error) {
-	var resp groupsResponse
-	req := groupsRequest{Txn: txn, V: v, CI: ci, Keys: keys, All: all}
-	err := p.call(ctx, mGroups, req, &resp, true)
-	return resp.Groups, err
+func (p *peerClient) MaxGroup(ctx context.Context, txn string, v uint64, ci int) (g int, err error) {
+	req := request{txn: txn, v: v, ci: uint64(ci)}.body(mMaxGroup)
+	err = p.call(ctx, mMaxGroup, req, true, func(c *coder) { c.int(&g) })
+	return g, err
 }
 
-func (p *peerClient) Commit(ctx context.Context, txn string, v uint64) (int, error) {
-	var resp versionResponse
-	// Idempotent by transaction id: a retry after a lost response gets
-	// the recorded result, not a double apply.
-	err := p.call(ctx, mCommit, commitRequest{Txn: txn, V: v}, &resp, true)
-	return resp.Size, err
+func (p *peerClient) Groups(ctx context.Context, txn string, v uint64, ci int, keys []value.Key, all bool) (gs []shard.Group, err error) {
+	req := request{txn: txn, v: v, ci: uint64(ci), all: all, keys: keys}.body(mGroups)
+	err = p.call(ctx, mGroups, req, true, func(c *coder) { c.groups(&gs) })
+	return gs, err
+}
+
+// Commit is idempotent by transaction id: a retry after a lost answer
+// gets the recorded result, not a double apply.
+func (p *peerClient) Commit(ctx context.Context, txn string, v uint64) (size int, err error) {
+	err = p.call(ctx, mCommit, request{txn: txn, v: v}.body(mCommit), true, func(c *coder) { c.versionSize(&v, &size) })
+	return size, err
 }
 
 func (p *peerClient) Abort(ctx context.Context, txn string) error {
-	return p.call(ctx, mAbort, abortRequest{Txn: txn}, nil, false)
+	return p.call(ctx, mAbort, request{txn: txn}.body(mAbort), false, nil)
 }
 
-func (p *peerClient) Rollback(ctx context.Context, v uint64) (int, error) {
-	var resp versionResponse
-	err := p.call(ctx, mRollback, versionRequest{V: v}, &resp, true)
-	return resp.Size, err
+func (p *peerClient) Rollback(ctx context.Context, v uint64) (size int, err error) {
+	err = p.call(ctx, mRollback, request{v: v}.body(mRollback), true, func(c *coder) { c.versionSize(&v, &size) })
+	return size, err
 }
 
 // peerView is the peer pinned at one version: every read names v, so a
@@ -463,7 +442,7 @@ func (pv peerView) Fetcher(ci int) plan.Fetcher {
 // length and CRC checks, so a dump severed mid-stream cannot leave half
 // a partition behind.
 func (pv peerView) Indexed(ctx context.Context) (*access.Indexed, error) {
-	img, err := pv.p.do(ctx, mDump, versionBody(pv.v), true)
+	img, err := pv.p.do(ctx, mDump, request{v: pv.v}.body(mDump), true)
 	if err != nil {
 		return nil, err
 	}
@@ -478,18 +457,12 @@ func (pv peerView) Indexed(ctx context.Context) (*access.Indexed, error) {
 // without durability surfaces as durable.ErrNotDurable, like a local
 // partition.
 func (pv peerView) Checkpoint(ctx context.Context) error {
-	_, err := pv.p.do(ctx, mCheckpoint, versionBody(pv.v), false)
+	_, err := pv.p.do(ctx, mCheckpoint, request{v: pv.v}.body(mCheckpoint), false)
 	var re *shard.Refusal
 	if errors.As(err, &re) && re.Code == "not_durable" {
 		return durable.ErrNotDurable
 	}
 	return err
-}
-
-// versionBody is the JSON versionRequest for v.
-func versionBody(v uint64) []byte {
-	body, _ := json.Marshal(versionRequest{V: v}) // a struct of one integer always encodes
-	return body
 }
 
 // peerFetcher serves one constraint's buckets from the pinned peer as a

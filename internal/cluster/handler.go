@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -43,24 +42,17 @@ type partitionHandler struct {
 	views map[uint64]shard.View
 }
 
-// frameCall answers one request body, appending the answer body to out
-// or returning a slice of its own.
-type frameCall func(ctx context.Context, body, out []byte) ([]byte, error)
+// frameCall answers one request — a control call's decoded request r, a
+// load or fetch call's raw body — appending the answer body to out or
+// returning a slice of its own.
+type frameCall func(ctx context.Context, r request, body, out []byte) ([]byte, error)
 
 func newPartitionHandler(part shard.Partition, s *schema.Schema, a *access.Schema) *partitionHandler {
 	h := &partitionHandler{part: part, schema: s, access: a, views: make(map[uint64]shard.View)}
 	h.calls = [numMethods]frameCall{
-		mStatus:     h.status,
-		mLoad:       h.load,
-		mStage:      h.stage,
-		mFetch:      h.fetch,
-		mDump:       h.dump,
-		mMaxGroup:   jsonCall(h.maxGroup),
-		mGroups:     jsonCall(h.groups),
-		mCommit:     jsonCall(h.commit),
-		mAbort:      jsonCall(h.abort),
-		mRollback:   jsonCall(h.rollback),
-		mCheckpoint: jsonCall(h.checkpoint),
+		mStatus: h.status, mLoad: h.load, mStage: h.stage, mFetch: h.fetch, mDump: h.dump,
+		mMaxGroup: h.maxGroup, mGroups: h.groups, mCommit: h.commit, mAbort: h.abort,
+		mRollback: h.rollback, mCheckpoint: h.checkpoint,
 	}
 	return h
 }
@@ -75,7 +67,13 @@ func (h *partitionHandler) serve(ctx context.Context, m method, body, out []byte
 	if call == nil {
 		return errorAnswer(out, badRequest(fmt.Sprintf("unknown %s", m)))
 	}
-	answer, err := call(ctx, body, out)
+	var r request
+	if m != mLoad && m != mFetch {
+		if err := decode(body, func(c *coder) { c.request(m, &r) }); err != nil {
+			return errorAnswer(out, badRequest(fmt.Sprintf("%s request: %v", m, err)))
+		}
+	}
+	answer, err := call(ctx, r, body, out)
 	if err != nil {
 		return errorAnswer(out, err)
 	}
@@ -102,27 +100,6 @@ func envelope(err error) (int, wireError) {
 		status, we.Error.Code, we.Error.Message = re.Status, re.Code, re.Message
 	}
 	return status, we
-}
-
-// jsonCall adapts a typed call to a frame: JSON request in, JSON answer
-// out.
-func jsonCall[Req, Resp any](call func(context.Context, Req) (Resp, error)) frameCall {
-	return func(ctx context.Context, body, out []byte) ([]byte, error) {
-		var req Req
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, badRequest(err.Error())
-		}
-		resp, err := call(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		return appendJSON(out, resp)
-	}
-}
-
-func appendJSON(out []byte, v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	return append(out, b...), err
 }
 
 // remember pins version v on the partition and keeps its View for later
@@ -177,22 +154,19 @@ func badRequest(msg string) error {
 // status is what a coordinator attaches by, so the version it reports is
 // one readers are about to pin: remember it — nothing else has, on a
 // node restarted since that version committed.
-func (h *partitionHandler) status(ctx context.Context, body, out []byte) ([]byte, error) {
-	if len(body) != 0 {
-		return nil, badRequest("status takes no body")
-	}
+func (h *partitionHandler) status(ctx context.Context, _ request, _, out []byte) ([]byte, error) {
 	st, err := h.part.Status(ctx)
 	if err != nil {
 		return nil, err
 	}
 	h.remember(st.Version)
-	return appendJSON(out, st)
+	return encode(out, func(c *coder) { c.status(&st) }), nil
 }
 
 // fetch serves one fetch step's index lookups at the reader's pinned
 // version: for each key, constraint ci's bucket on this partition, in
 // the binary exchange wire.go describes.
-func (h *partitionHandler) fetch(ctx context.Context, body, out []byte) ([]byte, error) {
+func (h *partitionHandler) fetch(ctx context.Context, _ request, body, out []byte) ([]byte, error) {
 	v, ci, keys, err := parseFetchRequest(body)
 	if err != nil {
 		return nil, badRequest(err.Error())
@@ -218,12 +192,8 @@ func (h *partitionHandler) fetch(ctx context.Context, body, out []byte) ([]byte,
 // dump answers the partition at the pinned version as its checkpoint
 // image — the bulk feed for the coordinator's scan fallback and
 // baseline evaluation.
-func (h *partitionHandler) dump(ctx context.Context, body, _ []byte) ([]byte, error) {
-	var req versionRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, badRequest(err.Error())
-	}
-	view, err := h.pin(req.V)
+func (h *partitionHandler) dump(ctx context.Context, r request, _, _ []byte) ([]byte, error) {
+	view, err := h.pin(r.v)
 	if err != nil {
 		return nil, err
 	}
@@ -231,14 +201,14 @@ func (h *partitionHandler) dump(ctx context.Context, body, _ []byte) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	return durable.EncodeCheckpoint(h.schema, &durable.State{Instance: ix.Instance, Indexed: ix, Version: req.V})
+	return durable.EncodeCheckpoint(h.schema, &durable.State{Instance: ix.Instance, Indexed: ix, Version: r.v})
 }
 
 // load installs the checkpoint image the coordinator built from the
 // share it indexed and validated, exactly as a local Load would install
 // that share. An image that fails its checks — another catalog, a bad
 // CRC — is refused before the partition changes.
-func (h *partitionHandler) load(ctx context.Context, body, out []byte) ([]byte, error) {
+func (h *partitionHandler) load(ctx context.Context, _ request, body, out []byte) ([]byte, error) {
 	st, err := durable.DecodeCheckpoint(body, h.schema, h.access)
 	if err != nil {
 		return nil, badRequest(err.Error())
@@ -248,76 +218,75 @@ func (h *partitionHandler) load(ctx context.Context, body, out []byte) ([]byte, 
 	}
 	h.forgetAfter(0)
 	h.remember(0)
-	return appendJSON(out, versionResponse{Version: 0, Size: st.Instance.Size()})
+	return versionSize(out, 0, st.Instance.Size()), nil
 }
 
-func (h *partitionHandler) stage(ctx context.Context, body, out []byte) ([]byte, error) {
-	txn, base, tsv, err := parseStageRequest(body)
+func (h *partitionHandler) stage(ctx context.Context, r request, _, out []byte) ([]byte, error) {
+	d, err := live.DecodeDelta(r.delta, h.schema)
 	if err != nil {
 		return nil, badRequest(err.Error())
 	}
-	d, err := live.ReadDeltaTSV(bytes.NewReader(tsv), h.schema)
-	if err != nil {
-		return nil, badRequest(err.Error())
-	}
-	st, err := h.part.Stage(ctx, txn, base, d)
+	st, err := h.part.Stage(ctx, r.txn, r.v, d)
 	if err != nil {
 		return nil, err
 	}
-	h.forgetAfter(base)
-	return appendJSON(out, st)
+	h.forgetAfter(r.v)
+	return encode(out, func(c *coder) { c.staged(st) }), nil
 }
 
-func (h *partitionHandler) maxGroup(ctx context.Context, req groupsRequest) (resp maxGroupResponse, err error) {
-	resp.Max, err = h.part.MaxGroup(ctx, req.Txn, req.V, req.CI)
-	return resp, err
+func (h *partitionHandler) maxGroup(ctx context.Context, r request, _, out []byte) ([]byte, error) {
+	g, err := h.part.MaxGroup(ctx, r.txn, r.v, int(r.ci))
+	return encode(out, func(c *coder) { c.int(&g) }), err
 }
 
-func (h *partitionHandler) groups(ctx context.Context, req groupsRequest) (resp groupsResponse, err error) {
-	resp.Groups, err = h.part.Groups(ctx, req.Txn, req.V, req.CI, req.Keys, req.All)
-	return resp, err
+func (h *partitionHandler) groups(ctx context.Context, r request, _, out []byte) ([]byte, error) {
+	gs, err := h.part.Groups(ctx, r.txn, r.v, int(r.ci), r.keys, r.all)
+	return encode(out, func(c *coder) { c.groups(&gs) }), err
 }
 
-func (h *partitionHandler) commit(ctx context.Context, req commitRequest) (versionResponse, error) {
-	size, err := h.part.Commit(ctx, req.Txn, req.V)
-	if err == nil {
-		h.remember(req.V + 1)
+func (h *partitionHandler) commit(ctx context.Context, r request, _, out []byte) ([]byte, error) {
+	size, err := h.part.Commit(ctx, r.txn, r.v)
+	if err != nil {
+		return nil, err
 	}
-	return versionResponse{Version: req.V + 1, Size: size}, err
+	h.remember(r.v + 1)
+	return versionSize(out, r.v+1, size), nil
 }
 
-// okResponse acknowledges an abort.
-type okResponse struct {
-	OK bool `json:"ok"`
+func (h *partitionHandler) abort(ctx context.Context, r request, _, out []byte) ([]byte, error) {
+	return out, h.part.Abort(ctx, r.txn)
 }
 
-func (h *partitionHandler) abort(ctx context.Context, req abortRequest) (okResponse, error) {
-	return okResponse{true}, h.part.Abort(ctx, req.Txn)
-}
-
-func (h *partitionHandler) rollback(ctx context.Context, req versionRequest) (versionResponse, error) {
-	size, err := h.part.Rollback(ctx, req.V)
-	if err == nil {
-		h.forgetAfter(req.V)
-		h.remember(req.V)
+func (h *partitionHandler) rollback(ctx context.Context, r request, _, out []byte) ([]byte, error) {
+	size, err := h.part.Rollback(ctx, r.v)
+	if err != nil {
+		return nil, err
 	}
-	return versionResponse{Version: req.V, Size: size}, err
+	h.forgetAfter(r.v)
+	h.remember(r.v)
+	return versionSize(out, r.v, size), nil
 }
 
 // checkpoint persists the version the coordinator has published — named
 // in the request, never "whatever this node holds": its newest version
 // may belong to a commit fanout that does not complete.
-func (h *partitionHandler) checkpoint(ctx context.Context, req versionRequest) (versionResponse, error) {
-	view, err := h.pin(req.V)
+func (h *partitionHandler) checkpoint(ctx context.Context, r request, _, out []byte) ([]byte, error) {
+	view, err := h.pin(r.v)
 	if err != nil {
-		return versionResponse{}, err
+		return nil, err
 	}
 	err = view.Checkpoint(ctx)
 	switch {
 	case errors.Is(err, durable.ErrNotDurable):
-		err = &shard.Refusal{Status: http.StatusPreconditionFailed, Code: "not_durable", Message: "node has no durable store"}
+		return nil, &shard.Refusal{Status: http.StatusPreconditionFailed, Code: "not_durable", Message: "node has no durable store"}
 	case err != nil:
-		err = fmt.Errorf("checkpoint: %w", err)
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return versionResponse{Version: req.V}, err
+	return encode(out, func(c *coder) { c.uvarint(&r.v) }), nil
+}
+
+// versionSize appends the answer of a call that moves the partition: the
+// version it is at and its size.
+func versionSize(out []byte, v uint64, size int) []byte {
+	return encode(out, func(c *coder) { c.versionSize(&v, &size) })
 }

@@ -3,7 +3,7 @@
 //
 //	GET /v1/internal/conn HTTP/1.1
 //	Connection: Upgrade
-//	Upgrade: beserve-partition/1
+//	Upgrade: beserve-partition/2
 //
 // and the node answers 101 Switching Protocols and hijacks the
 // connection. From then on every shard.Partition call is one request
@@ -17,20 +17,24 @@
 // envelope. A body of at most maxInternalBody bytes is read only as it
 // arrives, so a length that lies costs no memory. Any other request to
 // /v1/internal/*, or an upgrade naming another protocol, answers 426
-// upgrade_required. Five things ride in the bodies:
+// upgrade_required — beserve-partition/1, the JSON-bodied wire before
+// this one, included. Below the envelope every body is one binary
+// encoding: minimal uvarints, uvarint-length-prefixed byte strings and
+// value.Key cells, all read by value.Decoder:
 //
-//   - JSON control bodies: versions, transaction ids, sizes, errors;
+//   - control bodies: versions, transaction ids, sizes, flags and the
+//     X-keys and projection keys of the write path's group checks (see
+//     request and the table above appendRequest);
 //   - the binary fetch exchange: a step's X-keys and their buckets, each
 //     tuple as its raw value.Key cells (the bytes Bucket.AppendKeyOf
-//     writes) with uvarint counts and lengths — no base64, no JSON;
-//   - value.Key in its text form (base64 of the raw injective encoding)
-//     inside the group bodies of the write path, the one place keys
-//     still ride JSON — so a key round-trips bit-exactly and the
-//     receiving side hashes it to the same shard the sender would;
+//     writes) with uvarint counts;
 //   - checkpoint images (durable.EncodeCheckpoint) for whole
 //     partitions: the load body and the dump answer;
-//   - delta TSV (live.WriteDeltaTSV) for stage, the WAL record's own
-//     payload, behind the stage's base version and transaction id.
+//   - live's binary delta (live.AppendDelta), the WAL record's own
+//     payload, as the stage body behind its base version and
+//     transaction id.
+//
+// Only the refusal envelope is JSON, the public API's shape.
 //
 // Nothing authenticates or encrypts a connection: the wire is for a
 // trusted network between one coordinator and its nodes.
@@ -43,6 +47,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/index"
 	"repro/internal/shard"
@@ -52,7 +57,7 @@ import (
 // wireProtocol is the Upgrade token of the framed partition wire, and
 // connPath the one internal path a node answers: the upgrade to it.
 const (
-	wireProtocol = "beserve-partition/1"
+	wireProtocol = "beserve-partition/2"
 	connPath     = "/v1/internal/conn"
 )
 
@@ -151,7 +156,7 @@ func readAnswer(r *bufio.Reader) (status int, body []byte, err error) {
 	return int(head), body, noEOF(err)
 }
 
-// readUvarint reads a minimal uvarint (see uvarint) byte by byte.
+// readUvarint reads a minimal uvarint byte by byte.
 func readUvarint(r *bufio.Reader) (uint64, error) {
 	var buf [binary.MaxVarintLen64]byte
 	for i := range buf {
@@ -162,13 +167,14 @@ func readUvarint(r *bufio.Reader) (uint64, error) {
 			}
 			return 0, err
 		}
-		buf[i] = b
-		if b < 0x80 {
-			x, n := uvarint(buf[:i+1])
-			if n == 0 {
-				return 0, errors.New("frame: non-minimal or overflowing uvarint")
+		if buf[i] = b; b < 0x80 {
+			// Only test the decoder's error: returning it would let buf
+			// escape, one allocation per frame head.
+			dec := value.NewDecoder(buf[:i+1])
+			if x := dec.Uvarint(); dec.Err() == nil {
+				return x, nil
 			}
-			return x, nil
+			return 0, errors.New("frame: non-minimal uvarint")
 		}
 	}
 	return 0, errors.New("frame: uvarint overflows 64 bits")
@@ -182,56 +188,6 @@ func noEOF(err error) error {
 	return err
 }
 
-// The answers of status, stage and groups are shard.Status, shard.Staged
-// and []shard.Group themselves, in the JSON shape their tags give.
-
-// maxGroupResponse answers a maxgroup call (a groupsRequest without
-// keys): the post-delta MaxGroup of constraint CI — the staged index
-// when transaction Txn touched it, the committed version-V index
-// otherwise. Used for the shrink-|D| recheck of aligned constraints.
-type maxGroupResponse struct {
-	Max int `json:"max"`
-}
-
-// groupsRequest asks for the projection-key sets of constraint CI's
-// post-delta buckets: for the named keys, or for every key when All is
-// set. The coordinator unions the per-node sets to measure true group
-// sizes of constraints whose groups straddle shards.
-type groupsRequest struct {
-	Txn  string      `json:"txn"`
-	V    uint64      `json:"v"`
-	CI   int         `json:"ci"`
-	Keys []value.Key `json:"keys,omitempty"`
-	All  bool        `json:"all,omitempty"`
-}
-
-type groupsResponse struct {
-	Groups []shard.Group `json:"groups"`
-}
-
-// commitRequest publishes staged transaction Txn on top of committed
-// version V, answering a versionResponse. Idempotent: a node that
-// already committed Txn answers with the same result again.
-type commitRequest struct {
-	Txn string `json:"txn"`
-	V   uint64 `json:"v"`
-}
-
-type abortRequest struct {
-	Txn string `json:"txn"`
-}
-
-// versionRequest names the version a rollback returns to, a dump reads
-// or a checkpoint persists.
-type versionRequest struct {
-	V uint64 `json:"v"`
-}
-
-type versionResponse struct {
-	Version uint64 `json:"version"`
-	Size    int    `json:"size"`
-}
-
 // wireError is the {"error":{code,message}} envelope a refused call
 // answers with — the same shape as the public API's, so a coordinator
 // can propagate a peer's code outward unchanged.
@@ -242,31 +198,204 @@ type wireError struct {
 	} `json:"error"`
 }
 
-// A stage request carries the base version, the transaction id and the
-// partition's sub-delta as delta TSV:
+// Control bodies are minimal uvarints and byte strings (a uvarint length,
+// then the bytes: a transaction id, a value.Key), in this order, with
+// flags as 0 or 1 and nothing after them, so a body either decodes and
+// re-encodes byte for byte or is refused:
 //
-//	uvarint base, uvarint len, len txn bytes, delta TSV
+//	call        request                         answer
+//	status      —                               shard shards version size catalog
+//	stage       txn v delta                     size old_size inserted deleted
+//	                                            n, n × (touched max_insert keys)
+//	maxgroup    txn v ci                        max
+//	groups      txn v ci all keys               n, n × (key keys)
+//	commit      txn v                           version size
+//	abort       txn                             —
+//	rollback    v                               version size
+//	load        checkpoint image                version size
+//	dump        v                               checkpoint image
+//	checkpoint  v                               version
+//
+// where keys is a uvarint count and that many byte strings, and a
+// stage's delta, on top of version v, is the rest of its body in live's
+// binary delta codec.
 
-// appendStageRequest appends the stage request of txn on base to dst.
-func appendStageRequest(dst []byte, txn string, base uint64, tsv []byte) []byte {
-	dst = binary.AppendUvarint(dst, base)
-	dst = binary.AppendUvarint(dst, uint64(len(txn)))
-	dst = append(dst, txn...)
-	return append(dst, tsv...)
+// A coder walks one control body field by field: encoding, it appends
+// each field it is handed; decoding, it reads each into the field. So a
+// body is spelled once for both directions, and they cannot disagree.
+type coder struct {
+	out []byte                 // encoding: the body so far
+	dec *value.Decoder[string] // decoding; nil when encoding
 }
 
-// parseStageRequest is appendStageRequest's inverse; tsv aliases body.
-func parseStageRequest(body []byte) (txn string, base uint64, tsv []byte, err error) {
-	base, at := uvarint(body)
-	if at == 0 {
-		return "", 0, nil, errors.New("stage request: truncated or non-minimal base")
+// encode appends the body that code spells to dst.
+func encode(dst []byte, code func(*coder)) []byte {
+	c := coder{out: dst}
+	code(&c)
+	return c.out
+}
+
+// decode reads body with code, refusing a malformed body or one with
+// bytes left over. Decoded strings and keys share one copy of body.
+func decode(body []byte, code func(*coder)) error {
+	dec := value.NewDecoder(string(body))
+	code(&coder{dec: &dec})
+	return dec.Done()
+}
+
+func (c *coder) uvarint(x *uint64) {
+	if c.dec != nil {
+		*x = c.dec.Uvarint()
+	} else {
+		c.out = binary.AppendUvarint(c.out, *x)
 	}
-	l, w := uvarint(body[at:])
-	if w == 0 || l == 0 || l > uint64(len(body)-at-w) {
-		return "", 0, nil, errors.New("stage request: missing or overrunning transaction id")
+}
+
+func (c *coder) int(x *int) {
+	u := uint64(*x)
+	c.uvarint(&u)
+	*x = int(u)
+}
+
+// count codes a slice length, min being the fewest bytes an item takes:
+// a decoded count is one the bytes left can hold.
+func (c *coder) count(n *int, min int) {
+	if c.dec != nil {
+		*n = c.dec.Count(min)
+	} else {
+		c.out = binary.AppendUvarint(c.out, uint64(*n))
 	}
-	at += w
-	return string(body[at : at+int(l)]), base, body[at+int(l):], nil
+}
+
+func (c *coder) bool(b *bool) {
+	var u uint64
+	if *b {
+		u = 1
+	}
+	if c.uvarint(&u); u > 1 {
+		c.dec.Fail("flag %d is not 0 or 1", u)
+	}
+	*b = u == 1
+}
+
+// str codes a byte string: a transaction id or a value.Key.
+func str[S ~string](c *coder, s *S) {
+	if c.dec != nil {
+		*s = S(c.dec.Bytes())
+	} else {
+		c.out = value.AppendBytes(c.out, *s)
+	}
+}
+
+// keys codes a key list; an empty one decodes as nil.
+func (c *coder) keys(ks *[]value.Key) {
+	n := len(*ks)
+	if c.count(&n, 1); c.dec != nil && n > 0 {
+		*ks = make([]value.Key, n)
+	}
+	for i := range *ks {
+		str(c, &(*ks)[i])
+	}
+}
+
+// request is every control call's request: reqFields names the fields
+// its method carries, in the order they are declared.
+type request struct {
+	txn   string
+	v     uint64
+	ci    uint64
+	all   bool
+	keys  []value.Key
+	delta string
+}
+
+const (
+	fTxn = 1 << iota
+	fV
+	fCI
+	fKeys  // all, then keys
+	fDelta // the rest of the body
+)
+
+var reqFields = [numMethods]uint8{
+	mStage: fTxn | fV | fDelta, mMaxGroup: fTxn | fV | fCI, mGroups: fTxn | fV | fCI | fKeys,
+	mCommit: fTxn | fV, mAbort: fTxn, mRollback: fV, mDump: fV, mCheckpoint: fV,
+}
+
+// body is method m's request r.
+func (r request) body(m method) []byte {
+	return encode(nil, func(c *coder) { c.request(m, &r) })
+}
+
+// request codes method m's request r.
+func (c *coder) request(m method, r *request) {
+	f := reqFields[m]
+	if f&fTxn != 0 {
+		str(c, &r.txn)
+	}
+	if f&fV != 0 {
+		c.uvarint(&r.v)
+	}
+	if f&fCI != 0 {
+		c.uvarint(&r.ci)
+	}
+	if f&fKeys != 0 {
+		c.bool(&r.all)
+		c.keys(&r.keys)
+	}
+	if f&fDelta == 0 {
+		return
+	}
+	if c.dec != nil {
+		r.delta = c.dec.Rest()
+	} else {
+		c.out = append(c.out, r.delta...)
+	}
+}
+
+func (c *coder) versionSize(v *uint64, size *int) {
+	c.uvarint(v)
+	c.int(size)
+}
+
+func (c *coder) status(st *shard.Status) {
+	c.int(&st.Shard)
+	c.int(&st.Shards)
+	c.uvarint(&st.Version)
+	c.int(&st.Size)
+	catalog := uint64(st.Catalog)
+	if c.uvarint(&catalog); catalog > math.MaxUint32 {
+		c.dec.Fail("catalog %d overflows 32 bits", catalog)
+	}
+	st.Catalog = uint32(catalog)
+}
+
+func (c *coder) staged(st *shard.Staged) {
+	c.int(&st.Size)
+	c.int(&st.OldSize)
+	c.int(&st.Inserted)
+	c.int(&st.Deleted)
+	n := len(st.Constraints)
+	if c.count(&n, 3); c.dec != nil {
+		st.Constraints = make([]shard.StagedConstraint, n)
+	}
+	for i := range st.Constraints {
+		sc := &st.Constraints[i]
+		c.bool(&sc.Touched)
+		c.int(&sc.MaxInsert)
+		c.keys(&sc.InsertKeys)
+	}
+}
+
+func (c *coder) groups(gs *[]shard.Group) {
+	n := len(*gs)
+	if c.count(&n, 2); c.dec != nil {
+		*gs = make([]shard.Group, n)
+	}
+	for i := range *gs {
+		str(c, &(*gs)[i].Key)
+		c.keys(&(*gs)[i].Projs)
+	}
 }
 
 // A fetch request carries one fetch step's keys
@@ -292,48 +421,25 @@ func appendFetchRequest(dst []byte, v, ci uint64, keys [][]byte) []byte {
 	dst = binary.AppendUvarint(dst, ci)
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for _, k := range keys {
-		dst = binary.AppendUvarint(dst, uint64(len(k)))
-		dst = append(dst, k...)
+		dst = value.AppendBytes(dst, k)
 	}
 	return dst
 }
 
 // parseFetchRequest is appendFetchRequest's inverse; the keys alias
-// body. The key count and every key length are checked against the
-// bytes left before anything is allocated or sliced, so a hostile count
-// cannot balloon memory.
+// body. The key count is checked against the bytes left before the key
+// slice is allocated, so a hostile count cannot balloon memory.
 func parseFetchRequest(body []byte) (v, ci uint64, keys [][]byte, err error) {
-	var head [3]uint64
-	at := 0
-	for i := range head {
-		x, w := uvarint(body[at:])
-		if w == 0 {
-			return 0, 0, nil, errors.New("fetch request: truncated or non-minimal header")
-		}
-		head[i], at = x, at+w
-	}
-	n := head[2]
-	if n > uint64(len(body)-at) {
-		// Every key costs at least its length byte.
-		return 0, 0, nil, fmt.Errorf("fetch request: %d keys in %d bytes", n, len(body)-at)
-	}
-	keys = make([][]byte, n)
+	dec := value.NewDecoder(body)
+	v, ci = dec.Uvarint(), dec.Uvarint()
+	keys = make([][]byte, dec.Count(1)) // every key takes at least its length byte
 	for i := range keys {
-		l, w := uvarint(body[at:])
-		if w == 0 {
-			return 0, 0, nil, fmt.Errorf("fetch request: key %d: truncated or non-minimal length", i)
-		}
-		at += w
-		if l > uint64(len(body)-at) {
-			return 0, 0, nil, fmt.Errorf("fetch request: key %d of %d bytes overruns the body", i, l)
-		}
-		keys[i] = body[at : at+int(l) : at+int(l)]
-		at += int(l)
+		keys[i] = slices.Clip(dec.Bytes())
 	}
-	if at != len(body) {
-		return 0, 0, nil, fmt.Errorf("fetch request: %d trailing bytes", len(body)-at)
+	if err := dec.Done(); err != nil {
+		return 0, 0, nil, fmt.Errorf("fetch request: %w", err)
 	}
-	return head[0], head[1], keys, nil
+	return v, ci, keys, nil
 }
 
 // appendBuckets appends the fetch answer for buckets to dst.
@@ -355,61 +461,43 @@ func appendBuckets(dst []byte, buckets []index.Bucket) []byte {
 // counts the cells; a second decodes them into one arena of exactly
 // that size. Decoded strings share one copy of body.
 func decodeBuckets(body []byte, n, arity int, out []index.Bucket) error {
-	key := value.Key(body)
-	cells, at := 0, 0
+	key := string(body)
+	dec := value.NewDecoder(key)
+	cells := 0
 	for i := 0; i < n; i++ {
-		if at == len(body) {
+		if dec.Len() == 0 {
 			return fmt.Errorf("fetch answered %d buckets for %d keys", i, n)
 		}
-		m, w := uvarint(body[at:])
-		if w == 0 {
-			return fmt.Errorf("bucket %d: truncated or non-minimal projection count", i)
-		}
-		at += w
-		// Every cell costs at least its kind byte.
-		if m > uint64(len(body)-at)/uint64(arity) {
-			return fmt.Errorf("bucket %d: %d projections overrun the body", i, m)
-		}
-		var prev value.Key
-		for j := 0; j < int(m); j++ {
-			start := at
+		m := dec.Count(arity) // every cell takes at least its kind byte
+		prev := ""
+		for j := 0; j < m; j++ {
+			start := dec.Offset()
 			for c := 0; c < arity; c++ {
-				var err error
-				if _, at, err = value.DecodeKeyCell(key, at); err != nil {
-					return fmt.Errorf("bucket %d: %w", i, err)
-				}
+				dec.Cell()
 			}
-			if j > 0 && key[start:at] <= prev {
-				return fmt.Errorf("bucket %d: projections out of canonical order", i)
+			if proj := key[start:dec.Offset()]; j > 0 && proj <= prev {
+				dec.Fail("projections out of canonical order")
+			} else {
+				prev = proj
 			}
-			prev = key[start:at]
 		}
-		cells += int(m) * arity
+		if err := dec.Err(); err != nil {
+			return fmt.Errorf("bucket %d: %w", i, err)
+		}
+		cells += m * arity
 	}
-	if at != len(body) {
-		return fmt.Errorf("fetch answered %d bytes past its %d buckets", len(body)-at, n)
+	if dec.Len() != 0 {
+		return fmt.Errorf("fetch answered %d bytes past its %d buckets", dec.Len(), n)
 	}
 	arena := make([]value.Value, cells)
-	at, c := 0, 0
+	dec = value.NewDecoder(key)
+	c := 0
 	for i := 0; i < n; i++ {
-		m, w := uvarint(body[at:])
-		at += w
 		start := c
-		for end := c + int(m)*arity; c < end; c++ {
-			arena[c], at, _ = value.DecodeKeyCell(key, at)
+		for end := c + dec.Count(arity)*arity; c < end; c++ {
+			arena[c] = dec.Cell()
 		}
 		out[i] = index.NewBucket(arena[start:c:c], arity)
 	}
 	return nil
-}
-
-// uvarint is binary.Uvarint refusing a non-minimal encoding (a last
-// group of zero), so every count and length a fetch body carries has
-// exactly one encoding. It reports 0 bytes read on bad input.
-func uvarint(b []byte) (uint64, int) {
-	x, n := binary.Uvarint(b)
-	if n <= 0 || n > 1 && b[n-1] == 0 {
-		return 0, 0
-	}
-	return x, n
 }

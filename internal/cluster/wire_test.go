@@ -221,21 +221,92 @@ func FuzzFetchRequest(f *testing.F) {
 	})
 }
 
-// FuzzStageRequest holds the node's stage request parser to the same
-// contract: it never panics, and a body it accepts re-encodes byte for
-// byte.
+// FuzzStageRequest holds the node's stage request decoding — the
+// request, then its binary delta — to the same contract: it never
+// panics, and a body it accepts re-encodes byte for byte.
 func FuzzStageRequest(f *testing.F) {
-	f.Add(appendStageRequest(nil, "txn-1", 7, []byte("+\tAccident\t1\tx\n")))
-	f.Add(appendStageRequest(nil, "", 7, nil))
-	f.Add([]byte{7, 0x7f, 't'})
-	f.Add([]byte{0x87, 0x00, 1, 't'})
+	sc := workload.AccidentSchema()
+	d := live.NewDelta(sc)
+	d.MustInsert("Accident", iv(900001), sv("Nowhere"), sv("9/9/1999"))
+	d.MustDelete("Vehicle", iv(7), sv("alice-1"), iv(30))
+	f.Add(live.AppendDelta(request{txn: "txn-1", v: 7}.body(mStage), d))
+	f.Add(request{txn: "t", v: 7}.body(mStage))
+	f.Add([]byte{1, 't', 7, 8, 'A', 'c', 'c', 'i', 'd', 'e', 'n', 't', 0, 0})
+	f.Add([]byte{1, 't', 0x87, 0x00})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		txn, base, tsv, err := parseStageRequest(body)
-		if err != nil {
+		var r request
+		if decode(body, func(c *coder) { c.request(mStage, &r) }) != nil {
 			return
 		}
-		if got := appendStageRequest(nil, txn, base, tsv); !bytes.Equal(got, body) {
+		if got := r.body(mStage); !bytes.Equal(got, body) {
 			t.Fatalf("accepted %x, re-encodes to %x", body, got)
+		}
+		if d, err := live.DecodeDelta(r.delta, sc); err == nil {
+			if got := live.AppendDelta(request{txn: r.txn, v: r.v}.body(mStage), d); !bytes.Equal(got, body) {
+				t.Fatalf("accepted %x, its delta re-encodes to %x", body, got)
+			}
+		}
+	})
+}
+
+// FuzzControlBodies holds every control body's coder — each method's
+// request, and the status, stage, groups and number answers — to the
+// wire's contract on arbitrary bodies: decoding never panics, and a body
+// it accepts re-encodes byte for byte. The first byte picks the body: a
+// method's request below numMethods, an answer above.
+func FuzzControlBodies(f *testing.F) {
+	const (
+		aStatus = 0x80 + iota
+		aStaged
+		aGroups
+		aVersionSize
+	)
+	keys := []value.Key{keyOf(1), value.KeyOf(sv("x"), iv(-2))}
+	for m := method(1); m < numMethods; m++ {
+		f.Add(append([]byte{byte(m)}, request{txn: "txn-9", v: 1 << 40, ci: 2, all: true, keys: keys}.body(m)...))
+	}
+	with := func(sel byte, code func(*coder)) []byte { return encode([]byte{sel}, code) }
+	f.Add(with(aStatus, func(c *coder) {
+		c.status(&shard.Status{Shard: 1, Shards: 4, Version: 9, Size: 300, Catalog: 0xdeadbeef})
+	}))
+	f.Add(with(aStaged, func(c *coder) {
+		c.staged(&shard.Staged{Size: 5, OldSize: 3, Inserted: 2,
+			Constraints: []shard.StagedConstraint{{}, {Touched: true, MaxInsert: 2, InsertKeys: keys}}})
+	}))
+	f.Add(with(aGroups, func(c *coder) { c.groups(&[]shard.Group{{Key: keyOf(3), Projs: keys}, {}}) }))
+	f.Add([]byte{aVersionSize, 7, 0x80, 0x80, 0x01})
+	f.Add([]byte{byte(mCommit), 1, 't', 0x80, 0x00})
+	f.Add([]byte{byte(mGroups), 0, 0, 0, 2, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		var code func(*coder)
+		switch sel := in[0]; {
+		case sel < byte(numMethods):
+			var r request
+			code = func(c *coder) { c.request(method(sel), &r) }
+		case sel == aStatus:
+			var st shard.Status
+			code = func(c *coder) { c.status(&st) }
+		case sel == aStaged:
+			var st shard.Staged
+			code = func(c *coder) { c.staged(&st) }
+		case sel == aGroups:
+			var gs []shard.Group
+			code = func(c *coder) { c.groups(&gs) }
+		case sel == aVersionSize:
+			var v uint64
+			var size int
+			code = func(c *coder) { c.versionSize(&v, &size) }
+		default:
+			return
+		}
+		if decode(in[1:], code) != nil {
+			return
+		}
+		if got := encode(nil, code); !bytes.Equal(got, in[1:]) {
+			t.Fatalf("body %#x accepted %x, re-encodes to %x", in[0], in[1:], got)
 		}
 	})
 }
@@ -243,7 +314,7 @@ func FuzzStageRequest(f *testing.F) {
 // dumpImage reads a node's dump answer for version v.
 func dumpImage(t *testing.T, tb testbed, url string, v uint64) []byte {
 	t.Helper()
-	img, err := testPeer(t, 0, url, tb).do(context.Background(), mDump, versionBody(v), true)
+	img, err := testPeer(t, 0, url, tb).do(context.Background(), mDump, request{v: v}.body(mDump), true)
 	if err != nil {
 		t.Fatalf("dump: %v", err)
 	}
@@ -369,7 +440,7 @@ func frameBytes(head uint64, body []byte) []byte {
 // frame.
 func FuzzFrame(f *testing.F) {
 	f.Add(frameBytes(uint64(mFetch), appendFetchRequest(nil, 1, 0, [][]byte{[]byte(keyOf(1))})))
-	f.Add(append(frameBytes(uint64(mStatus), nil), frameBytes(uint64(mCommit), []byte(`{"txn":"t","v":1}`))...))
+	f.Add(append(frameBytes(uint64(mStatus), nil), frameBytes(uint64(mCommit), request{txn: "t", v: 1}.body(mCommit))...))
 	f.Add(frameBytes(http.StatusOK, answerBody([]value.Key{keyOf(1)})))
 	f.Add(frameBytes(http.StatusUpgradeRequired, []byte(`{"error":{"code":"upgrade_required"}}`)))
 	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0x0f})       // claims 4 GiB
@@ -424,6 +495,7 @@ func TestRetiredWireRefused(t *testing.T) {
 		{http.MethodPost, "/v1/internal/commit", wireProtocol},
 		{http.MethodGet, connPath, ""},
 		{http.MethodGet, connPath, "beserve-partition/0"},
+		{http.MethodGet, connPath, "beserve-partition/1"},
 		{http.MethodPost, connPath, wireProtocol},
 	} {
 		req, err := http.NewRequest(tc.method, urls[0]+tc.path, nil)

@@ -529,13 +529,9 @@ func (r *Relation) InstallKeys(keys []value.Key) error {
 			return fmt.Errorf("data: %s: duplicate tuple key %q", r.Schema.Name, string(k))
 		}
 		seen[k] = true
-		off := 0
+		dec := value.NewDecoder(string(k))
 		for c := 0; c < arity; c++ {
-			v, next, err := value.DecodeKeyCell(k, off)
-			if err != nil {
-				return fmt.Errorf("data: %s: tuple %d: %w", r.Schema.Name, i, err)
-			}
-			off = next
+			v := dec.Cell()
 			col := &cols[c]
 			col.kinds[i] = uint8(v.Kind())
 			switch v.Kind() {
@@ -545,8 +541,8 @@ func (r *Relation) InstallKeys(keys []value.Key) error {
 				col.nums[i] = int64(d.intern(v.Str()))
 			}
 		}
-		if off != len(k) {
-			return fmt.Errorf("data: %s: tuple %d encodes more than %d values", r.Schema.Name, i, arity)
+		if err := dec.Done(); err != nil {
+			return fmt.Errorf("data: %s: tuple %d is not %d cells: %w", r.Schema.Name, i, arity, err)
 		}
 	}
 	r.dict, r.cols, r.n = d, cols, len(keys)

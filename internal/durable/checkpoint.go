@@ -42,13 +42,12 @@ import (
 //
 // Tuples and projections are stored AS their canonical value.Key
 // encodings — the injective kind-tagged byte string every index probe
-// already computes. Decode gets both the values
-// (value.AppendDecodeKey) and the dedup-map / bucket keys from one blob
-// with no per-cell text parsing and no key re-encoding, which is what
-// makes recovery beat a cold TSV re-ingest (benchmark/ measures it as
-// durable.recover_s). AppendDecodeKey rejects non-canonical varint
-// paddings, so decode-then-encode is still a byte-for-byte fixed point
-// (FuzzCheckpoint).
+// already computes. Decode gets both the values (value.Decoder's cells)
+// and the dedup-map / bucket keys from one blob with no per-cell text
+// parsing and no key re-encoding, which is what makes recovery beat a
+// cold TSV re-ingest (benchmark/ measures it as durable.recover_s). The
+// decoder rejects non-canonical varint paddings, so decode-then-encode
+// is still a byte-for-byte fixed point (FuzzCheckpoint).
 //
 // The section length prefixes exist for decode parallelism: every
 // section fills disjoint state (one relation, or one constraint's
@@ -82,28 +81,26 @@ type State struct {
 
 // EncodeCheckpoint renders the full checkpoint file image for st.
 func EncodeCheckpoint(sc *schema.Schema, st *State) ([]byte, error) {
-	var p bytes.Buffer
-	p.WriteByte(ckptFormatVersion)
-	p.Write(binary.AppendUvarint(nil, st.Version))
-	var h [4]byte
-	binary.LittleEndian.PutUint32(h[:], CatalogHash(sc, st.Indexed.Access))
-	p.Write(h[:])
+	// The header's length and CRC are filled in once the payload is
+	// known.
+	head := len(ckptMagic) + frameHeader
+	p := append(append(make([]byte, 0, 4096), ckptMagic...), make([]byte, frameHeader)...)
+	p = append(p, ckptFormatVersion)
+	p = binary.AppendUvarint(p, st.Version)
+	p = binary.LittleEndian.AppendUint32(p, CatalogHash(sc, st.Indexed.Access))
 
-	var sect bytes.Buffer
+	var sect, kb []byte
 	for _, rs := range sc.Relations() {
 		r := st.Instance.Relation(rs.Name)
 		if r == nil {
 			return nil, fmt.Errorf("durable: instance has no relation %s", rs.Name)
 		}
-		sect.Reset()
-		writeBytes(&sect, []byte(rs.Name))
-		sect.Write(binary.AppendUvarint(nil, uint64(r.Len())))
-		var kb []byte
+		sect = binary.AppendUvarint(value.AppendBytes(sect[:0], rs.Name), uint64(r.Len()))
 		for ri := 0; ri < r.Len(); ri++ {
 			kb = r.AppendRowKey(kb[:0], ri)
-			writeBytes(&sect, kb)
+			sect = value.AppendBytes(sect, kb)
 		}
-		writeBytes(&p, sect.Bytes())
+		p = value.AppendBytes(p, sect)
 	}
 
 	for ci := range st.Indexed.Access.Constraints {
@@ -120,40 +117,27 @@ func EncodeCheckpoint(sc *schema.Schema, st *State) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		sect.Reset()
-		sect.Write(binary.AppendUvarint(nil, uint64(buckets)))
-		sect.Write(binary.AppendUvarint(nil, uint64(pairs)))
+		sect = binary.AppendUvarint(binary.AppendUvarint(sect[:0], uint64(buckets)), uint64(pairs))
 		err = ix.Dump(func(k value.Key, projs []data.Tuple, projKeys []value.Key, counts []int) error {
-			writeBytes(&sect, []byte(k))
-			sect.Write(binary.AppendUvarint(nil, uint64(len(projs))))
+			sect = binary.AppendUvarint(value.AppendBytes(sect, k), uint64(len(projs)))
 			for i := range projs {
-				writeBytes(&sect, []byte(projKeys[i]))
-				sect.Write(binary.AppendUvarint(nil, uint64(counts[i])))
+				sect = binary.AppendUvarint(value.AppendBytes(sect, projKeys[i]), uint64(counts[i]))
 			}
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		writeBytes(&p, sect.Bytes())
+		p = value.AppendBytes(p, sect)
 	}
 
-	payload := p.Bytes()
+	payload := p[head:]
 	if len(payload) > maxCkptPayload {
 		return nil, fmt.Errorf("durable: checkpoint of %d bytes exceeds limit", len(payload))
 	}
-	out := make([]byte, 0, len(ckptMagic)+frameHeader+len(payload))
-	out = append(out, ckptMagic...)
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	out = append(out, hdr[:]...)
-	return append(out, payload...), nil
-}
-
-func writeBytes(p *bytes.Buffer, b []byte) {
-	p.Write(binary.AppendUvarint(nil, uint64(len(b))))
-	p.Write(b)
+	binary.LittleEndian.PutUint32(p[len(ckptMagic):], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(p[len(ckptMagic)+4:], crc32.Checksum(payload, crcTable))
+	return p, nil
 }
 
 // DecodeCheckpoint parses a checkpoint file image, rebuilding the
@@ -181,23 +165,16 @@ func DecodeCheckpoint(buf []byte, sc *schema.Schema, a *access.Schema) (*State, 
 		return nil, fmt.Errorf("durable: checkpoint checksum mismatch (%08x != %08x)", got, want)
 	}
 
-	// One string conversion up front; every bytesVal below is then a
-	// zero-copy substring.
-	r := &reader{b: string(payload)}
-	fv, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	if fv != ckptFormatVersion {
+	// One string conversion up front; every section, tuple and key
+	// below is then a zero-copy substring of it.
+	r := value.NewDecoder(string(payload))
+	if fv := r.Byte(); r.Err() == nil && fv != ckptFormatVersion {
 		return nil, fmt.Errorf("durable: checkpoint format version %d, want %d", fv, ckptFormatVersion)
 	}
-	version, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	ch, err := r.u32()
-	if err != nil {
-		return nil, err
+	version := r.Uvarint()
+	ch := r.Uint32()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("durable: checkpoint payload: %w", err)
 	}
 	if want := CatalogHash(sc, a); ch != want {
 		return nil, fmt.Errorf("durable: checkpoint catalog hash %08x, running catalog %08x — was it written under a different schema?", ch, want)
@@ -211,14 +188,10 @@ func DecodeCheckpoint(buf []byte, sc *schema.Schema, a *access.Schema) (*State, 
 	rels := sc.Relations()
 	sections := make([]string, len(rels)+len(a.Constraints))
 	for i := range sections {
-		s, err := r.bytesVal()
-		if err != nil {
-			return nil, err
-		}
-		sections[i] = s
+		sections[i] = r.Bytes()
 	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("durable: %d trailing bytes after checkpoint payload", len(r.b)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("durable: checkpoint payload: %w", err)
 	}
 
 	inst := data.NewInstance(sc)
@@ -258,33 +231,21 @@ func DecodeCheckpoint(buf []byte, sc *schema.Schema, a *access.Schema) (*State, 
 // decodeRelationSection restores one relation of inst from its
 // checkpoint section.
 func decodeRelationSection(sec string, rs schema.Relation, inst *data.Instance) error {
-	r := &reader{b: sec}
-	name, err := r.bytesVal()
-	if err != nil {
-		return err
-	}
-	if name != rs.Name {
+	r := value.NewDecoder(sec)
+	if name := r.Bytes(); r.Err() == nil && name != rs.Name {
 		return fmt.Errorf("durable: checkpoint relation %q, schema expects %s", name, rs.Name)
 	}
-	nt, err := r.uvarint()
-	if err != nil {
-		return err
-	}
 	// Claimed counts are attacker-controlled; a tuple blob takes at
-	// least one payload byte (arity one per value), so the remaining
-	// payload bounds honest preallocation exactly. The blob substrings
-	// ARE the tuples: InstallKeys decodes their cells straight into the
-	// columns, so no []Tuple is materialized here at all.
-	keys := make([]value.Key, 0, min(int(nt), r.remaining()))
-	for i := uint64(0); i < nt; i++ {
-		blob, err := r.bytesVal()
-		if err != nil {
-			return err
-		}
-		keys = append(keys, value.Key(blob))
+	// least one payload byte (arity one per value), so Count bounds
+	// honest preallocation exactly. The blob substrings ARE the tuples:
+	// InstallKeys decodes their cells straight into the columns, so no
+	// []Tuple is materialized here at all.
+	keys := make([]value.Key, r.Count(1))
+	for i := range keys {
+		keys[i] = value.Key(r.Bytes())
 	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("durable: %d trailing bytes in relation section %s", len(r.b)-r.off, rs.Name)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("durable: checkpoint relation section %s: %w", rs.Name, err)
 	}
 	if err := inst.Relation(rs.Name).InstallKeys(keys); err != nil {
 		return fmt.Errorf("durable: checkpoint tuples: %w", err)
@@ -303,61 +264,43 @@ func decodeIndexSection(sec string, sc *schema.Schema, c access.Constraint) (*in
 	if err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	r := &reader{b: sec}
-	nb, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	npairs, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
+	r := value.NewDecoder(sec)
+	nb := r.Count(1)
 	// Presize the index maps from the file's own totals, clamped by
 	// the bytes actually left in the payload.
-	ix.Grow(min(int(nb), r.remaining()), min(int(npairs), r.remaining()))
+	npairs := min(r.Uvarint(), uint64(r.Len()))
+	ix.Grow(nb, int(npairs))
 	// Buckets here are tiny (bounded by the constraint's cardinality) and
 	// numerous, so everything per-bucket is carved out of section-wide
 	// arenas: projection cells are decoded straight into flat storage the
 	// index takes ownership of (InstallBucketFlat), and the key/count
 	// slices ride section arenas too — a restore costs a handful of
 	// allocations per section, not several per bucket.
-	arena := make([]value.Value, 0, min(int(npairs)*len(c.Y), r.remaining()))
-	pairHint := min(int(npairs), r.remaining())
-	keyArena := make([]value.Key, 0, pairHint)
-	countArena := make([]int, 0, pairHint)
-	for b := uint64(0); b < nb; b++ {
-		key, err := r.bytesVal()
-		if err != nil {
-			return nil, err
-		}
-		np, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
+	arena := make([]value.Value, 0, min(int(npairs)*len(c.Y), r.Len()))
+	keyArena := make([]value.Key, 0, npairs)
+	countArena := make([]int, 0, npairs)
+	for range nb {
+		key := r.Bytes()
+		np := r.Count(1)
 		astart, kstart, cstart := len(arena), len(keyArena), len(countArena)
-		for p := uint64(0); p < np; p++ {
-			blob, err := r.bytesVal()
-			if err != nil {
-				return nil, err
+		for range np {
+			pk := r.Bytes()
+			proj := value.NewDecoder(pk)
+			for range c.Y {
+				arena = append(arena, proj.Cell())
 			}
-			pk := value.Key(blob)
-			start := len(arena)
-			arena, err = value.AppendDecodeKey(arena, pk)
-			if err != nil {
-				return nil, fmt.Errorf("durable: checkpoint projection: %w", err)
+			if err := proj.Done(); err != nil {
+				r.Fail("projection is not %d cells: %v", len(c.Y), err)
 			}
-			if len(arena)-start != len(c.Y) {
-				return nil, fmt.Errorf("durable: checkpoint projection of arity %d, constraint %s wants %d", len(arena)-start, c, len(c.Y))
+			cnt := r.Uvarint()
+			if cnt == 0 || cnt > maxCkptPayload {
+				r.Fail("multiplicity %d out of range", cnt)
 			}
-			cnt, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if cnt == 0 || cnt > uint64(maxCkptPayload) {
-				return nil, fmt.Errorf("durable: checkpoint multiplicity %d out of range", cnt)
-			}
-			keyArena = append(keyArena, pk)
+			keyArena = append(keyArena, value.Key(pk))
 			countArena = append(countArena, int(cnt))
+		}
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("durable: checkpoint index section for %s: %w", c, err)
 		}
 		err = ix.InstallBucketFlat(value.Key(key),
 			arena[astart:len(arena):len(arena)],
@@ -367,81 +310,10 @@ func decodeIndexSection(sec string, sc *schema.Schema, c access.Constraint) (*in
 			return nil, fmt.Errorf("durable: %w", err)
 		}
 	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("durable: %d trailing bytes in index section for %s", len(r.b)-r.off, c)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("durable: checkpoint index section for %s: %w", c, err)
 	}
 	return ix, nil
-}
-
-// reader is a bounds-checked cursor over a checkpoint payload; every
-// read returns an error instead of panicking when the buffer runs out.
-// It walks a string, not a []byte: bytesVal substrings are then free to
-// use directly as value.Key map keys and as AppendDecodeKey input
-// without a per-item copy — they pin the whole payload, which is fine
-// because the decoded instance retains most of it as tuple values
-// anyway.
-type reader struct {
-	b   string
-	off int
-}
-
-// remaining returns the unread payload bytes — the honest upper bound
-// for any claimed item count, since every item costs at least one byte.
-func (r *reader) remaining() int { return len(r.b) - r.off }
-
-func (r *reader) byte() (byte, error) {
-	if r.off >= len(r.b) {
-		return 0, fmt.Errorf("durable: checkpoint payload: %w", io.ErrUnexpectedEOF)
-	}
-	b := r.b[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	if r.off+4 > len(r.b) {
-		return 0, fmt.Errorf("durable: checkpoint payload: %w", io.ErrUnexpectedEOF)
-	}
-	v := binary.LittleEndian.Uint32([]byte(r.b[r.off : r.off+4]))
-	r.off += 4
-	return v, nil
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	var v uint64
-	var shift uint
-	for n := 0; r.off+n < len(r.b); n++ {
-		c := r.b[r.off+n]
-		if c < 0x80 {
-			if n > 0 && c == 0 {
-				break // non-canonical zero padding: re-encode wouldn't be a fixed point
-			}
-			if n == 9 && c > 1 {
-				break // overflows uint64
-			}
-			r.off += n + 1
-			return v | uint64(c)<<shift, nil
-		}
-		if n == 9 {
-			break
-		}
-		v |= uint64(c&0x7f) << shift
-		shift += 7
-	}
-	return 0, fmt.Errorf("durable: checkpoint payload: bad varint")
-}
-
-func (r *reader) bytesVal() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(len(r.b)-r.off) {
-		return "", fmt.Errorf("durable: checkpoint payload: %w", io.ErrUnexpectedEOF)
-	}
-	b := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b, nil
 }
 
 // WriteCheckpoint persists st as a checkpoint: temp-file write, fsync,

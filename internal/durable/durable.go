@@ -41,9 +41,10 @@
 // crash-injection suite kills the process at every fsync/rename
 // boundary and checks exactly that.
 //
-// A WAL record's body is the delta TSV format, with its fuzz-hardened
-// cell codec; checkpoint tuples are their length-prefixed value.Key
-// encodings. Both container formats have their own fuzz harnesses
+// A WAL record's body is live's binary delta (format 2; format-1
+// records, delta TSV, still replay) and checkpoint tuples are their
+// length-prefixed value.Key encodings: one encoding, read by one
+// value.Decoder. Both container formats have their own fuzz harnesses
 // (FuzzWALRecord, FuzzCheckpoint).
 package durable
 

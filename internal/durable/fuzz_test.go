@@ -3,11 +3,15 @@ package durable
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/access"
+	"repro/internal/live"
 	"repro/internal/workload"
 )
 
@@ -33,11 +37,13 @@ func FuzzWALRecord(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	frame, err := EncodeWALRecord(7, st.Next())
+	d := st.Next()
+	frame, err := EncodeWALRecord(7, d)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(frame)
+	f.Add(encodeTSVRecord(7, d))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
 
@@ -46,11 +52,14 @@ func FuzzWALRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// An accepted record must re-encode to the exact accepted frame:
-		// acceptance of a frame that is not a fixed point would mean two
-		// on-disk spellings of one record, and a corruption the CRC let
-		// through.
+		// An accepted record must re-encode, in its own format, to the
+		// exact accepted frame: acceptance of a frame that is not a
+		// fixed point would mean two on-disk spellings of one record,
+		// and a corruption the CRC let through.
 		re, err := EncodeWALRecord(v, d)
+		if b[frameHeader] == walFormatTSV {
+			re = encodeTSVRecord(v, d)
+		}
 		if err != nil {
 			t.Fatalf("accepted record failed to re-encode: %v", err)
 		}
@@ -119,6 +128,19 @@ func FuzzRecoverDir(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	st, err := workload.NewAccidentStream(acc, workload.AccidentStreamConfig{
+		InsertAccidents: 2, DeleteAccidents: 1, Seed: 9,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	d1, d2 := st.Next(), st.Next()
+	frame2, err := EncodeWALRecord(2, d2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(encodeTSVRecord(1, d1), frame2...))
+	f.Add(frame2)
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1})
 
@@ -128,10 +150,27 @@ func FuzzRecoverDir(f *testing.F) {
 			t.Fatal(err)
 		}
 		s, err := Open(dir, nil)
+		if errors.As(err, new(*FormatError)) {
+			return // an intact record of an unknown format: refused whole
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
 		_, _ = s.Recover(context.Background(), acc.Schema, acc.Access, NoLimit)
 	})
+}
+
+// encodeTSVRecord frames d as a format-1 record, its delta in delta TSV,
+// as binaries before the binary delta codec wrote every record.
+func encodeTSVRecord(version uint64, d *live.Delta) []byte {
+	p := binary.AppendUvarint([]byte{walFormatTSV}, version)
+	var tsv bytes.Buffer
+	if err := live.WriteDeltaTSV(&tsv, d); err != nil {
+		panic(err)
+	}
+	p = append(p, tsv.Bytes()...)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(p)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(p, crcTable))
+	return append(frame, p...)
 }

@@ -10,9 +10,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/live"
 	"repro/internal/schema"
+	"repro/internal/value"
 )
 
 // WAL frame layout, little-endian:
@@ -21,18 +23,24 @@ import (
 //
 // payload:
 //
-//	u8 walFormatVersion (=1) | uvarint commitVersion | delta TSV bytes
+//	u8 format | uvarint commitVersion | delta
 //
-// The delta body reuses the delta TSV format verbatim
-// (live.WriteDeltaTSV / live.ReadDeltaTSV), so the WAL inherits the
-// fuzz-hardened cell codec and -wal-dump can render records without a
-// second decoder. Any frame that fails the length or CRC check — a
-// torn tail from a crash mid-append — marks the end of the committed
-// log; everything before it is intact by construction (appends are
-// fsynced in order).
+// Format 2, the one written, carries the delta in live's binary codec
+// (live.AppendDelta): uvarint counts and each tuple as its value.Key
+// cells. Format 1, written by older binaries, carried delta TSV
+// (live.WriteDeltaTSV); its records still replay. Any frame that fails
+// the length or CRC check — a torn tail from a crash mid-append — marks
+// the end of the committed log; everything before it is intact by
+// construction (appends are fsynced in order). A frame whose CRC holds
+// but whose format byte is neither is no torn tail but a record this
+// binary cannot read: Open refuses the log with a *FormatError and
+// leaves it as it is.
 
 const (
-	walFormatVersion = 1
+	// walFormatTSV and walFormatBinary are the payload formats a log may
+	// hold; AppendDelta writes walFormatBinary.
+	walFormatTSV    = 1
+	walFormatBinary = 2
 	// maxWALPayload bounds a single record; a length field above it is
 	// corruption, not a huge delta.
 	maxWALPayload = 1 << 28
@@ -42,21 +50,16 @@ const (
 // EncodeWALRecord renders one framed WAL record for d committing
 // version.
 func EncodeWALRecord(version uint64, d *live.Delta) ([]byte, error) {
-	var payload bytes.Buffer
-	payload.WriteByte(walFormatVersion)
-	var vbuf [binary.MaxVarintLen64]byte
-	payload.Write(vbuf[:binary.PutUvarint(vbuf[:], version)])
-	if err := live.WriteDeltaTSV(&payload, d); err != nil {
-		return nil, fmt.Errorf("durable: encoding delta: %w", err)
-	}
-	p := payload.Bytes()
+	frame := make([]byte, frameHeader, 64)
+	frame = append(frame, walFormatBinary)
+	frame = binary.AppendUvarint(frame, version)
+	frame = live.AppendDelta(frame, d)
+	p := frame[frameHeader:]
 	if len(p) > maxWALPayload {
 		return nil, fmt.Errorf("durable: WAL record of %d bytes exceeds limit", len(p))
 	}
-	frame := make([]byte, frameHeader+len(p))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(p)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(p, crcTable))
-	copy(frame[frameHeader:], p)
 	return frame, nil
 }
 
@@ -66,11 +69,26 @@ type badFrame struct{ error }
 
 func (b badFrame) Unwrap() error { return b.error }
 
+// FormatError is a WAL frame whose checksum holds but whose format byte
+// this binary does not read — a record a newer binary committed, not a
+// torn tail. Dropping it would drop committed writes, so Open refuses
+// the log instead of truncating it.
+type FormatError struct {
+	Offset int64 // where the frame starts
+	Format byte
+}
+
+func (e *FormatError) Error() string {
+	return fmt.Sprintf("durable: WAL record at offset %d has format %d; this binary reads formats %d and %d",
+		e.Offset, e.Format, walFormatTSV, walFormatBinary)
+}
+
 // frameReader reads WAL frames in file order from the byte range
 // [off, end) of the log, one frame at a time through a small buffer.
 type frameReader struct {
 	r        io.Reader
-	off, end int64  // where the next frame starts; where the range ends
+	off, end int64 // where the next frame starts; where the range ends
+	hdr      [frameHeader]byte
 	buf      []byte // the payload buffer, reused frame to frame
 }
 
@@ -82,59 +100,65 @@ func newFrameReader(f io.ReaderAt, off, end int64) *frameReader {
 // against maxWALPayload and against the bytes the range still holds
 // before allocating anything, then the payload's CRC32C, format byte and
 // commit version; it never panics on arbitrary bytes. It returns the
-// commit version and the delta TSV body, which is valid until the next
-// call. io.EOF means the range ended at a frame boundary; a malformed
-// frame is a badFrame. off moves past a frame only when it is returned.
-func (fr *frameReader) readFrame() (version uint64, body []byte, err error) {
+// commit version, the payload format and the delta body, which is valid
+// until the next call. io.EOF means the range ended at a frame
+// boundary; a malformed frame is a badFrame, and an intact one of an
+// unknown format a *FormatError. off moves past a frame only when it is
+// returned.
+func (fr *frameReader) readFrame() (version uint64, format byte, body []byte, err error) {
 	remain := fr.end - fr.off
 	if remain == 0 {
-		return 0, nil, io.EOF
+		return 0, 0, nil, io.EOF
 	}
 	if remain < frameHeader {
-		return 0, nil, badFrame{fmt.Errorf("durable: WAL frame header: %w", io.ErrUnexpectedEOF)}
+		return 0, 0, nil, badFrame{fmt.Errorf("durable: WAL frame header: %w", io.ErrUnexpectedEOF)}
 	}
-	var h [frameHeader]byte
-	if _, err := io.ReadFull(fr.r, h[:]); err != nil {
-		return 0, nil, fmt.Errorf("durable: reading WAL: %w", err)
+	h := fr.hdr[:]
+	if _, err := io.ReadFull(fr.r, h); err != nil {
+		return 0, 0, nil, fmt.Errorf("durable: reading WAL: %w", err)
 	}
 	n := binary.LittleEndian.Uint32(h[0:4])
 	if n > maxWALPayload {
-		return 0, nil, badFrame{fmt.Errorf("durable: WAL record claims %d bytes, limit %d", n, maxWALPayload)}
+		return 0, 0, nil, badFrame{fmt.Errorf("durable: WAL record claims %d bytes, limit %d", n, maxWALPayload)}
 	}
 	if remain < frameHeader+int64(n) {
-		return 0, nil, badFrame{fmt.Errorf("durable: WAL payload: %w", io.ErrUnexpectedEOF)}
+		return 0, 0, nil, badFrame{fmt.Errorf("durable: WAL payload: %w", io.ErrUnexpectedEOF)}
 	}
 	if cap(fr.buf) < int(n) {
 		fr.buf = make([]byte, n)
 	}
 	payload := fr.buf[:n]
 	if _, err := io.ReadFull(fr.r, payload); err != nil {
-		return 0, nil, fmt.Errorf("durable: reading WAL: %w", err)
+		return 0, 0, nil, fmt.Errorf("durable: reading WAL: %w", err)
 	}
 	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(h[4:8]); got != want {
-		return 0, nil, badFrame{fmt.Errorf("durable: WAL record checksum mismatch (%08x != %08x)", got, want)}
+		return 0, 0, nil, badFrame{fmt.Errorf("durable: WAL record checksum mismatch (%08x != %08x)", got, want)}
 	}
-	if len(payload) == 0 {
-		return 0, nil, badFrame{fmt.Errorf("durable: empty WAL payload")}
+	dec := value.NewDecoder(payload)
+	format = dec.Byte()
+	if dec.Err() == nil && format != walFormatTSV && format != walFormatBinary {
+		return 0, 0, nil, &FormatError{Offset: fr.off, Format: format}
 	}
-	if payload[0] != walFormatVersion {
-		return 0, nil, badFrame{fmt.Errorf("durable: WAL format version %d, want %d", payload[0], walFormatVersion)}
-	}
-	v, vn := binary.Uvarint(payload[1:])
-	if vn <= 0 {
-		return 0, nil, badFrame{fmt.Errorf("durable: bad WAL commit version varint")}
+	v := dec.Uvarint()
+	if err := dec.Err(); err != nil {
+		return 0, 0, nil, badFrame{fmt.Errorf("durable: WAL record head: %w", err)}
 	}
 	fr.off += frameHeader + int64(n)
-	return v, payload[1+vn:], nil
+	return v, format, dec.Rest(), nil
 }
 
 // readRecord is readFrame plus the decode of the frame's delta.
 func (fr *frameReader) readRecord(sc *schema.Schema) (uint64, *live.Delta, error) {
-	v, body, err := fr.readFrame()
+	v, format, body, err := fr.readFrame()
 	if err != nil {
 		return 0, nil, err
 	}
-	d, err := live.ReadDeltaTSV(bytes.NewReader(body), sc)
+	var d *live.Delta
+	if format == walFormatTSV {
+		d, err = live.ReadDeltaTSV(bytes.NewReader(body), sc)
+	} else {
+		d, err = live.DecodeDelta(string(body), sc)
+	}
 	if err != nil {
 		return 0, nil, badFrame{fmt.Errorf("durable: WAL delta: %w", err)}
 	}
@@ -143,9 +167,10 @@ func (fr *frameReader) readRecord(sc *schema.Schema) (uint64, *live.Delta, error
 
 // scanWAL walks the log frame by frame from offset 0, rebuilding the
 // record ledger. The first malformed frame is treated as a torn tail:
-// the file is truncated at the last intact frame boundary. Only frames
-// are checked here — decoding their deltas belongs to replay, which has
-// the schema.
+// the file is truncated at the last intact frame boundary. An intact
+// frame of an unknown format is refused, the file left whole. Only
+// frames are checked here — decoding their deltas belongs to replay,
+// which has the schema.
 func (s *Store) scanWAL() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -156,17 +181,23 @@ func (s *Store) scanWAL() error {
 	fr := newFrameReader(s.wal, 0, fi.Size())
 	s.recs = nil
 	for {
-		v, _, err := fr.readFrame()
-		if err == io.EOF {
+		v, _, _, err := fr.readFrame()
+		switch {
+		case err == io.EOF:
 			return nil
-		}
-		if errors.As(err, new(badFrame)) {
+		case err == nil:
+			// Double a full ledger, rather than append's gentler growth
+			// past 256 entries: Open then allocates about twice the
+			// ledger a long log needs, not several times it.
+			if len(s.recs) == cap(s.recs) {
+				s.recs = slices.Grow(s.recs, len(s.recs))
+			}
+			s.recs = append(s.recs, recMeta{version: v, end: fr.off})
+		case errors.As(err, new(badFrame)):
 			return s.truncateLocked(fr.off)
-		}
-		if err != nil {
+		default:
 			return err
 		}
-		s.recs = append(s.recs, recMeta{version: v, end: fr.off})
 	}
 }
 
@@ -247,7 +278,7 @@ func (s *Store) records(sc *schema.Schema, from, to uint64) ([]*live.Delta, erro
 		}
 	}
 	fr := newFrameReader(s.wal, off, max(off, end))
-	var out []*live.Delta
+	out := make([]*live.Delta, 0, min(to-from, uint64(len(s.recs))))
 	for want := from + 1; want <= to; want++ {
 		v, d, err := fr.readRecord(sc)
 		switch {
@@ -359,9 +390,11 @@ func (s *Store) compactLocked(keep uint64) error {
 
 // DumpWAL renders the WAL under dir human-readably: one header line per
 // record (version, op counts, byte size) followed by the delta's TSV
-// body, indented. Output is deterministic for a deterministic log, so
-// golden tests can pin it. A torn tail is reported, not an error — the
-// dump tool exists to inspect exactly such logs.
+// body as delta TSV, indented, whichever format the record is stored
+// in. Output is deterministic for a deterministic log, so golden tests
+// can pin it. A torn tail is reported, not an error — the dump tool
+// exists to inspect exactly such logs; a record of an unknown format is
+// refused with its *FormatError after the records before it.
 func DumpWAL(w io.Writer, dir string, sc *schema.Schema) error {
 	f, err := os.Open(filepath.Join(dir, walName))
 	if err != nil {
@@ -393,11 +426,8 @@ func DumpWAL(w io.Writer, dir string, sc *schema.Schema) error {
 		if err := live.WriteDeltaTSV(&body, d); err != nil {
 			return fmt.Errorf("durable: %w", err)
 		}
-		for _, line := range bytes.Split(bytes.TrimRight(body.Bytes(), "\n"), []byte("\n")) {
-			if len(line) == 0 {
-				continue
-			}
-			fmt.Fprintf(w, "  %s\n", line)
+		for line := range bytes.Lines(body.Bytes()) {
+			fmt.Fprintf(w, "  %s", line)
 		}
 	}
 	fmt.Fprintf(w, "%d records, %d bytes\n", n, fr.off)

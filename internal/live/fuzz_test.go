@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/schema"
+	"repro/internal/value"
 )
 
 // FuzzReadDeltaTSV feeds arbitrary bytes to the delta TSV reader. The
@@ -52,6 +53,47 @@ func FuzzReadDeltaTSV(f *testing.F) {
 		}
 		if d2.Len() != d.Len() {
 			t.Fatalf("op count changed across round-trip: %d -> %d", d.Len(), d2.Len())
+		}
+	})
+}
+
+// FuzzDelta holds the binary delta codec to its contract on arbitrary
+// bodies: DecodeDelta never panics, an accepted body re-encodes byte for
+// byte, and the delta it decodes is the one its delta TSV rendering
+// reads back as.
+func FuzzDelta(f *testing.F) {
+	s := schema.MustNew(
+		schema.MustRelation("R", "a", "b"),
+		schema.MustRelation("S", "k"),
+	)
+	d := NewDelta(s)
+	d.MustInsert("S", value.NewInt(-3))
+	d.MustInsert("R", value.NewInt(1), value.NewString("abc"))
+	d.MustDelete("R", value.NewString("12"), value.NewString("tab\there"))
+	f.Add(AppendDelta(nil, d))
+	f.Add([]byte{})
+	f.Add([]byte{1, 'S', 0, 0})                           // an empty section
+	f.Add([]byte{1, 'S', 0, 1, 0})                        // a null cell
+	f.Add([]byte{1, 'S', 0, 1, 1, 2, 1, 'S', 0, 1, 1, 4}) // S twice
+	f.Add([]byte{1, 'S', 0, 0x80, 0x00, 1, 2})            // a padded count
+	f.Fuzz(func(t *testing.T, body []byte) {
+		d, err := DecodeDelta(string(body), s)
+		if err != nil {
+			return
+		}
+		if got := AppendDelta(nil, d); !bytes.Equal(got, body) {
+			t.Fatalf("accepted %x, re-encodes to %x", body, got)
+		}
+		var tsv bytes.Buffer
+		if err := WriteDeltaTSV(&tsv, d); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadDeltaTSV(&tsv, s)
+		if err != nil {
+			t.Fatalf("delta TSV of an accepted body is refused: %v", err)
+		}
+		if got := AppendDelta(nil, back); !bytes.Equal(got, body) {
+			t.Fatalf("accepted %x, its delta TSV reads back as %x", body, got)
 		}
 	})
 }

@@ -57,52 +57,33 @@ func NewDelta(s *schema.Schema) *Delta {
 	return &Delta{schema: s, rels: make(map[string]*relDelta)}
 }
 
-func (d *Delta) rel(name string) (*relDelta, error) {
-	if _, ok := d.schema.Relation(name); !ok {
-		return nil, fmt.Errorf("live: delta references unknown relation %s", name)
-	}
-	rd := d.rels[name]
-	if rd == nil {
-		rd = &relDelta{}
-		d.rels[name] = rd
-		d.order = append(d.order, name)
-	}
-	return rd, nil
-}
-
-func (d *Delta) tuple(rel string, vals []value.Value) (data.Tuple, error) {
-	rs, _ := d.schema.Relation(rel)
-	if len(vals) != rs.Arity() {
-		return nil, fmt.Errorf("live: relation %s expects arity %d, got %d", rel, rs.Arity(), len(vals))
-	}
-	return data.Tuple(vals).Clone(), nil
-}
-
 // Insert adds an insertion of (vals...) into rel to the batch.
-func (d *Delta) Insert(rel string, vals ...value.Value) error {
-	rd, err := d.rel(rel)
-	if err != nil {
-		return err
-	}
-	t, err := d.tuple(rel, vals)
-	if err != nil {
-		return err
-	}
-	rd.inserts = append(rd.inserts, t)
-	return nil
-}
+func (d *Delta) Insert(rel string, vals ...value.Value) error { return d.add(rel, vals, true) }
 
 // Delete adds a deletion of (vals...) from rel to the batch.
-func (d *Delta) Delete(rel string, vals ...value.Value) error {
-	rd, err := d.rel(rel)
-	if err != nil {
-		return err
+func (d *Delta) Delete(rel string, vals ...value.Value) error { return d.add(rel, vals, false) }
+
+// add batches one operation on a copy of vals, once rel and the arity of
+// vals check out against the schema.
+func (d *Delta) add(rel string, vals []value.Value, insert bool) error {
+	rs, ok := d.schema.Relation(rel)
+	switch {
+	case !ok:
+		return fmt.Errorf("live: delta references unknown relation %s", rel)
+	case len(vals) != rs.Arity():
+		return fmt.Errorf("live: relation %s expects arity %d, got %d", rel, rs.Arity(), len(vals))
 	}
-	t, err := d.tuple(rel, vals)
-	if err != nil {
-		return err
+	rd := d.rels[rel]
+	if rd == nil {
+		rd = &relDelta{}
+		d.rels[rel] = rd
+		d.order = append(d.order, rel)
 	}
-	rd.deletes = append(rd.deletes, t)
+	if t := data.Tuple(vals).Clone(); insert {
+		rd.inserts = append(rd.inserts, t)
+	} else {
+		rd.deletes = append(rd.deletes, t)
+	}
 	return nil
 }
 
@@ -146,15 +127,11 @@ func (d *Delta) Relations() []string {
 // into the delta's internals.
 func (d *Delta) Each(f func(rel string, insert bool, t data.Tuple) error) error {
 	for _, name := range d.Relations() {
-		rd := d.rels[name]
-		for _, t := range rd.deletes {
-			if err := f(name, false, t); err != nil {
-				return err
-			}
-		}
-		for _, t := range rd.inserts {
-			if err := f(name, true, t); err != nil {
-				return err
+		for op, ts := range [2][]data.Tuple{d.rels[name].deletes, d.rels[name].inserts} {
+			for _, t := range ts {
+				if err := f(name, op == 1, t); err != nil {
+					return err
+				}
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/data"
 	"repro/internal/load"
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -27,8 +28,9 @@ func ReadDeltaTSV(r io.Reader, s *schema.Schema) (*Delta, error) {
 	d := NewDelta(s)
 	sc := bufio.NewScanner(r)
 	// Start small and let the scanner grow toward the 16MB line cap:
-	// this runs once per WAL record on recovery and once per request on
-	// /v1/apply, so a buffer allocated up front is paid per record.
+	// this runs once per request on /v1/apply and once per format-1 WAL
+	// record on recovery, so a buffer allocated up front is paid per
+	// body.
 	sc.Buffer(nil, 1<<24)
 	lineNo := 0
 	for sc.Scan() {
@@ -50,16 +52,10 @@ func ReadDeltaTSV(r io.Reader, s *schema.Schema) (*Delta, error) {
 			}
 			vals[i] = v
 		}
-		var err error
-		switch op {
-		case "+":
-			err = d.Insert(rel, vals...)
-		case "-":
-			err = d.Delete(rel, vals...)
-		default:
-			err = fmt.Errorf("live: unknown op %q (want + or -)", op)
+		if op != "+" && op != "-" {
+			return nil, fmt.Errorf("live: delta line %d: unknown op %q (want + or -)", lineNo, op)
 		}
-		if err != nil {
+		if err := d.add(rel, vals, op == "+"); err != nil {
 			return nil, fmt.Errorf("live: delta line %d: %w", lineNo, err)
 		}
 	}
@@ -83,29 +79,17 @@ func LoadDelta(path string, s *schema.Schema) (*Delta, error) {
 // first-touch order, deletes before inserts per relation (the order Apply
 // uses).
 func WriteDeltaTSV(w io.Writer, d *Delta) error {
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriter(w) // a failed write sticks and surfaces at Flush
 	for _, name := range d.order {
-		rd := d.rels[name]
-		for _, t := range rd.deletes {
-			if err := writeOp(bw, "-", name, t); err != nil {
-				return err
-			}
-		}
-		for _, t := range rd.inserts {
-			if err := writeOp(bw, "+", name, t); err != nil {
-				return err
+		for op, ts := range [2][]data.Tuple{d.rels[name].deletes, d.rels[name].inserts} {
+			for _, t := range ts {
+				bw.WriteString("-+"[op:op+1] + "\t" + name)
+				for _, v := range t {
+					bw.WriteString("\t" + load.EncodeValue(v))
+				}
+				bw.WriteByte('\n')
 			}
 		}
 	}
 	return bw.Flush()
-}
-
-func writeOp(w *bufio.Writer, op, rel string, t []value.Value) error {
-	cells := make([]string, 0, len(t)+2)
-	cells = append(cells, op, rel)
-	for _, v := range t {
-		cells = append(cells, load.EncodeValue(v))
-	}
-	_, err := w.WriteString(strings.Join(cells, "\t") + "\n")
-	return err
 }

@@ -73,17 +73,17 @@ type View interface {
 }
 
 // Status is a partition's identity and committed state, checked when a
-// coordinator attaches. (The json tags here and below are the answers'
-// shape on internal/cluster's wire; keys travel as value.Key's text
-// form.)
+// coordinator attaches. (It and the types below travel internal/cluster's
+// wire as uvarints and byte strings, keys as their raw value.Key bytes;
+// see that package's control bodies.)
 type Status struct {
-	Shard   int    `json:"shard"`
-	Shards  int    `json:"shards"`
-	Version uint64 `json:"version"`
-	Size    int    `json:"size"`
+	Shard   int
+	Shards  int
+	Version uint64
+	Size    int
 	// Catalog fingerprints the (schema, access schema) pair the
 	// partition serves; see durable.CatalogHash.
-	Catalog uint32 `json:"catalog"`
+	Catalog uint32
 }
 
 // Staged is the accounting of one staged sub-delta: sizes, net effect,
@@ -91,11 +91,11 @@ type Status struct {
 // without another round trip in the common (aligned, |D| not shrunk)
 // case.
 type Staged struct {
-	Size        int                `json:"size"`
-	OldSize     int                `json:"old_size"`
-	Inserted    int                `json:"inserted"`
-	Deleted     int                `json:"deleted"`
-	Constraints []StagedConstraint `json:"constraints"`
+	Size        int
+	OldSize     int
+	Inserted    int
+	Deleted     int
+	Constraints []StagedConstraint
 }
 
 // StagedConstraint is one constraint's share of a Staged: whether the
@@ -104,17 +104,17 @@ type Staged struct {
 // cross-partition measurement of constraints whose groups straddle
 // partitions).
 type StagedConstraint struct {
-	Touched    bool        `json:"touched"`
-	MaxInsert  int         `json:"max_insert,omitempty"`
-	InsertKeys []value.Key `json:"insert_keys,omitempty"`
+	Touched    bool
+	MaxInsert  int
+	InsertKeys []value.Key
 }
 
 // Group is one index bucket by identity: its X-key and the keys of its
 // distinct Y-projections. The coordinator unions Projs across
 // partitions to measure a group split between them.
 type Group struct {
-	Key   value.Key   `json:"key"`
-	Projs []value.Key `json:"projs"`
+	Key   value.Key
+	Projs []value.Key
 }
 
 // Refusal is a partition's structured protocol-level rejection —

@@ -1,7 +1,6 @@
 package value
 
 import (
-	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -11,24 +10,6 @@ import (
 // bucket key type used by the index substrate and by hash joins: two value
 // sequences encode to the same Key iff they are element-wise equal.
 type Key string
-
-// MarshalText gives a Key its form in text formats (JSON): base64 of the
-// raw encoding, which is binary and would not survive as a string. The
-// round trip is bit-exact, so the receiver hashes and compares the key
-// exactly as the sender would.
-func (k Key) MarshalText() ([]byte, error) {
-	return base64.StdEncoding.AppendEncode(nil, []byte(k)), nil
-}
-
-// UnmarshalText parses the MarshalText form.
-func (k *Key) UnmarshalText(text []byte) error {
-	raw, err := base64.StdEncoding.AppendDecode(nil, text)
-	if err != nil {
-		return fmt.Errorf("value: bad key text: %w", err)
-	}
-	*k = Key(raw)
-	return nil
-}
 
 // KeyOf encodes vals into a Key. The encoding is injective: each element is
 // tagged with its kind and length-prefixed, so ("a","b") and ("ab",) differ.
@@ -60,98 +41,156 @@ func KeyOf(vals ...Value) Key {
 	return Key(b.String())
 }
 
-// uvarintStr is binary.Uvarint over a string tail, so decoding never
-// converts the tail to []byte (which allocates and copies per call). It
-// additionally rejects non-canonical encodings — varints padded with
-// zero high-order groups — since a padded group's final byte is 0x00
-// and a minimal multi-byte encoding's never is. Returns consumed
-// bytes, or 0 on truncated/overflowing/non-canonical input.
-func uvarintStr(s string, i int) (uint64, int) {
+// AppendBytes appends b with its uvarint length before it: what
+// Decoder.Bytes reads.
+func AppendBytes[B ~string | ~[]byte](dst []byte, b B) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(b))), b...)
+}
+
+// Decoder reads the one binary encoding the system keeps below its
+// public API — in WAL records, checkpoints and every body of the
+// partition wire: minimal uvarints, uvarint-length-prefixed byte
+// strings, and Key cells. It reads a string or a []byte in place and
+// never allocates: Bytes aliases the input, and so does a decoded
+// string cell when the input is a string. A uvarint padded with zero
+// high-order groups is refused, so every accepted encoding is the one
+// its encoder writes. The first malformed item sets a sticky error;
+// every read after it returns a zero value, so a caller decodes a whole
+// structure and checks Err once.
+type Decoder[B string | []byte] struct {
+	b   B
+	off int
+	err error
+}
+
+// NewDecoder returns a Decoder at the start of b.
+func NewDecoder[B string | []byte](b B) Decoder[B] { return Decoder[B]{b: b} }
+
+// Err is the first malformed item's error, or nil.
+func (d *Decoder[B]) Err() error { return d.err }
+
+// Len is the number of bytes not yet read.
+func (d *Decoder[B]) Len() int { return len(d.b) - d.off }
+
+// Offset is the number of bytes read so far.
+func (d *Decoder[B]) Offset() int { return d.off }
+
+// Done is Err, after refusing any bytes left unread: the check that the
+// input holds exactly what was decoded from it.
+func (d *Decoder[B]) Done() error {
+	if d.off < len(d.b) {
+		d.Fail("%d trailing bytes", len(d.b)-d.off)
+	}
+	return d.err
+}
+
+// Fail sets the decoder's error, unless one is set already: a caller's
+// own check of what it decoded, reported with the decoder's.
+func (d *Decoder[B]) Fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("value: offset %d: %s", d.off, fmt.Sprintf(format, args...))
+	}
+}
+
+// Byte reads one byte.
+func (d *Decoder[B]) Byte() byte {
+	if d.err != nil || d.off >= len(d.b) {
+		d.Fail("truncated")
+		return 0
+	}
+	d.off++
+	return d.b[d.off-1]
+}
+
+// Uint32 reads a little-endian uint32.
+func (d *Decoder[B]) Uint32() uint32 {
+	if d.err != nil || d.Len() < 4 {
+		d.Fail("truncated")
+		return 0
+	}
+	b := d.b[d.off : d.off+4]
+	d.off += 4
+	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+}
+
+// Uvarint reads a minimal uvarint.
+func (d *Decoder[B]) Uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
 	var x uint64
 	var shift uint
-	for n := 0; i+n < len(s); n++ {
-		b := s[i+n]
-		if b < 0x80 {
-			if n > 0 && b == 0 {
-				return 0, 0 // non-canonical padding
-			}
-			if n == 9 && b > 1 {
-				return 0, 0 // overflows uint64
-			}
-			return x | uint64(b)<<shift, n + 1
+	for n := 0; d.off+n < len(d.b) && n < binary.MaxVarintLen64; n++ {
+		c := d.b[d.off+n]
+		if c >= 0x80 {
+			x |= uint64(c&0x7f) << shift
+			shift += 7
+			continue
 		}
-		if n == 9 {
-			return 0, 0 // more than MaxVarintLen64 bytes
+		if n > 0 && c == 0 || n == binary.MaxVarintLen64-1 && c > 1 {
+			break // a padded group, or past 64 bits
 		}
-		x |= uint64(b&0x7f) << shift
-		shift += 7
+		d.off += n + 1
+		return x | uint64(c)<<shift
 	}
-	return 0, 0 // truncated
+	d.Fail("truncated, overflowing or non-minimal uvarint")
+	return 0
 }
 
-// AppendDecodeKey parses a Key back into the value sequence that
-// produced it, appending to dst, so bulk decoders can carve many small
-// value slices out of one arena allocation instead of paying one
-// allocation per key. It is the exact inverse of KeyOf: on success,
-// KeyOf of the appended values reproduces k byte for byte.
-// Non-canonical encodings are rejected rather than normalised, so a Key
-// either round-trips exactly or fails to decode. The checkpoint codec
-// relies on this to store tuples as their Keys and still guarantee that
-// decode-then-encode is a fixed point. Decoded string values share k's
-// backing memory.
-func AppendDecodeKey(dst []Value, k Key) ([]Value, error) {
-	vals := dst
-	for i := 0; i < len(k); {
-		v, next, err := DecodeKeyCell(k, i)
-		if err != nil {
-			return nil, err
-		}
-		vals = append(vals, v)
-		i = next
+// Count reads a uvarint count of items that each take at least min of
+// the bytes left, refusing one those bytes cannot hold: a caller may
+// size an allocation by what Count returns.
+func (d *Decoder[B]) Count(min int) int {
+	n := d.Uvarint()
+	if left := uint64(d.Len()) / uint64(min); n > left {
+		d.Fail("%d items of at least %d bytes overrun the %d bytes left", n, min, d.Len())
+		return 0
 	}
-	return vals, nil
+	return int(n)
 }
 
-// DecodeKeyCell decodes the single value starting at byte offset i of k,
-// returning it with the offset just past its encoding — the per-cell
-// inverse of AppendValueKey. Bulk restorers use it to stream a key's
-// cells straight into columnar storage without materializing a []Value
-// per tuple. Decoded string values share k's backing memory.
-func DecodeKeyCell(k Key, i int) (Value, int, error) {
-	b := string(k)
-	if i >= len(b) {
-		return Value{}, 0, fmt.Errorf("value: key offset %d: truncated cell", i)
+// Bytes reads a uvarint length and that many bytes, aliasing the input.
+func (d *Decoder[B]) Bytes() B {
+	n := d.Uvarint()
+	if n > uint64(d.Len()) {
+		d.Fail("%d bytes overrun the %d left", n, d.Len())
+		n = 0
 	}
-	kind := Kind(b[i])
-	i++
+	d.off += int(n)
+	return d.b[d.off-int(n) : d.off]
+}
+
+// Rest reads every byte left, aliasing the input.
+func (d *Decoder[B]) Rest() B {
+	rest := d.b[d.off:]
+	d.off = len(d.b)
+	return rest
+}
+
+// Cell reads one value in its Key encoding — the per-cell inverse of
+// AppendValueKey. Decoded string values share a string input's memory.
+func (d *Decoder[B]) Cell() Value {
+	kind := Kind(d.Byte())
+	if d.err != nil {
+		return Value{}
+	}
 	switch kind {
 	case Null:
-		return Value{}, i, nil
+		return Value{}
 	case Int:
-		u, n := uvarintStr(b, i)
-		if n == 0 {
-			return Value{}, 0, fmt.Errorf("value: key offset %d: bad varint", i)
-		}
-		i += n
 		// Undo binary.PutVarint's zig-zag mapping.
+		u := d.Uvarint()
 		v := int64(u >> 1)
 		if u&1 != 0 {
 			v = ^v
 		}
-		return NewInt(v), i, nil
+		return NewInt(v)
 	case String:
-		l, n := uvarintStr(b, i)
-		if n == 0 {
-			return Value{}, 0, fmt.Errorf("value: key offset %d: bad length varint", i)
-		}
-		i += n
-		if l > uint64(len(b)-i) {
-			return Value{}, 0, fmt.Errorf("value: key offset %d: string length %d overruns key", i, l)
-		}
-		return NewString(b[i : i+int(l)]), i + int(l), nil
-	default:
-		return Value{}, 0, fmt.Errorf("value: key offset %d: unknown kind %d", i-1, uint8(kind))
+		return NewString(string(d.Bytes()))
 	}
+	d.off--
+	d.Fail("unknown kind %d", uint8(kind))
+	return Value{}
 }
 
 // AppendKey appends the Key encoding of vals to dst and returns the
@@ -160,18 +199,8 @@ func DecodeKeyCell(k Key, i int) (Value, int, error) {
 // per tuple; dst[:0] round trips make the loop allocation-free, and a
 // map lookup via m[Key(dst)] compiles without a copy.
 func AppendKey(dst []byte, vals ...Value) []byte {
-	var buf [binary.MaxVarintLen64]byte
 	for _, v := range vals {
-		dst = append(dst, byte(v.kind))
-		switch v.kind {
-		case Int:
-			k := binary.PutVarint(buf[:], v.i)
-			dst = append(dst, buf[:k]...)
-		case String:
-			k := binary.PutUvarint(buf[:], uint64(len(v.s)))
-			dst = append(dst, buf[:k]...)
-			dst = append(dst, v.s...)
-		}
+		dst = AppendValueKey(dst, v)
 	}
 	return dst
 }
